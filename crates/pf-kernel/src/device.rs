@@ -28,7 +28,7 @@
 //! model (`crate::world`) turns that into virtual time and queue activity.
 
 use crate::types::{Fd, OverflowPolicy, PortConfig, PortStats, ProcId, RecvPacket};
-use pf_filter::dtree::FilterSet;
+use pf_filter::dtree::{FilterId, FilterSet};
 use pf_filter::error::{RuntimeError, ValidateError};
 use pf_filter::interp::{CheckedInterpreter, EvalStats};
 use pf_filter::packet::PacketView;
@@ -60,6 +60,224 @@ fn member_is_jitted(m: &JitMember) -> bool {
 #[cfg(not(feature = "jit"))]
 fn member_is_jitted(_m: &JitMember) -> bool {
     false
+}
+
+/// Compiles one validated filter into a JIT-engine member; `force_fallback`
+/// refuses native emission (inert without the `jit` feature, where every
+/// member is the threaded-code fallback anyway).
+#[cfg(feature = "jit")]
+fn compile_jit_member(v: &ValidatedProgram, force_fallback: bool) -> JitMember {
+    if force_fallback {
+        JitMember::from_validated_forced_fallback(v)
+    } else {
+        JitMember::from_validated(v)
+    }
+}
+#[cfg(not(feature = "jit"))]
+fn compile_jit_member(v: &ValidatedProgram, _force_fallback: bool) -> JitMember {
+    JitMember::from_validated(v)
+}
+
+/// One port's compiled filter under [`DemuxEngine::Jit`].
+#[derive(Debug)]
+struct JitEntry {
+    priority: u8,
+    id: FilterId,
+    code: JitMember,
+}
+
+/// The [`DemuxEngine::Jit`] member list, in match order — priority
+/// descending, bind order within a priority — every member evaluated for
+/// every packet at a flat cost.
+#[derive(Debug, Default)]
+struct JitSet {
+    members: Vec<JitEntry>,
+    /// Reused match-result buffer.
+    hits: Vec<FilterId>,
+    force_fallback: bool,
+}
+
+impl JitSet {
+    fn remove(&mut self, id: FilterId) -> bool {
+        let before = self.members.len();
+        self.members.retain(|m| m.id != id);
+        self.members.len() != before
+    }
+
+    fn insert(&mut self, id: FilterId, program: FilterProgram) {
+        self.remove(id);
+        // Members validated at bind time (a program that does not validate
+        // is quarantined and never offered to a compiled set).
+        let Ok(v) = ValidatedProgram::new(program) else {
+            return;
+        };
+        let priority = v.program().priority();
+        let at = self.members.partition_point(|m| m.priority >= priority);
+        let code = compile_jit_member(&v, self.force_fallback);
+        self.members.insert(at, JitEntry { priority, id, code });
+    }
+}
+
+/// The compiled set behind a non-sequential engine, keyed by port index:
+/// the one seam through which the device inserts, removes and evaluates
+/// members whichever engine is active. All five order matches by
+/// `(priority descending, own insertion sequence)`, and inserting an id
+/// again moves it to the back of its priority class.
+#[derive(Debug)]
+enum EngineSet {
+    /// The decision table, with the match list of its last evaluation.
+    Table(FilterSet, Vec<FilterId>),
+    Ir(IrFilterSet),
+    Sharded(ShardedVnSet),
+    Geom(GeomSet),
+    Jit(JitSet),
+}
+
+impl EngineSet {
+    /// An empty set for `engine`; `None` for the sequential engine, which
+    /// keeps no compiled state.
+    fn new(engine: DemuxEngine, geom_cap: Option<usize>, jit_force_fallback: bool) -> Option<Self> {
+        Some(match engine {
+            DemuxEngine::Sequential => return None,
+            DemuxEngine::DecisionTable => EngineSet::Table(FilterSet::new(), Vec::new()),
+            DemuxEngine::Ir => EngineSet::Ir(IrFilterSet::new()),
+            DemuxEngine::Sharded => EngineSet::Sharded(ShardedVnSet::new()),
+            DemuxEngine::Geom => {
+                let mut set = GeomSet::new();
+                set.set_candidate_cap(geom_cap);
+                EngineSet::Geom(set)
+            }
+            DemuxEngine::Jit => EngineSet::Jit(JitSet {
+                force_fallback: jit_force_fallback,
+                ..Default::default()
+            }),
+        })
+    }
+
+    fn insert(&mut self, id: FilterId, program: FilterProgram) {
+        match self {
+            EngineSet::Table(s, _) => s.insert(id, program),
+            EngineSet::Ir(s) => s.insert(id, program),
+            EngineSet::Sharded(s) => s.insert(id, program),
+            EngineSet::Geom(s) => s.insert(id, program),
+            EngineSet::Jit(s) => s.insert(id, program),
+        }
+    }
+
+    /// Removes the member for `id`; `true` if there was one.
+    fn remove(&mut self, id: FilterId) -> bool {
+        match self {
+            EngineSet::Table(s, _) => s.remove(id),
+            EngineSet::Ir(s) => s.remove(id),
+            EngineSet::Sharded(s) => s.remove(id),
+            EngineSet::Geom(s) => s.remove(id),
+            EngineSet::Jit(s) => s.remove(id),
+        }
+    }
+
+    /// Ids of every member accepting `packet`, in match order, borrowed
+    /// from the set's own scratch; the evaluation work is recorded in
+    /// `out`'s cost counters.
+    fn matches(&mut self, packet: PacketView<'_>, out: &mut DemuxOutcome) -> &[FilterId] {
+        match self {
+            EngineSet::Table(s, hits) => {
+                *hits = s.matches(packet);
+                hits
+            }
+            EngineSet::Ir(s) => {
+                let (matches, stats) = s.matches_with_stats(packet);
+                out.ir_ops = stats.ops_executed;
+                matches
+            }
+            EngineSet::Sharded(s) => {
+                let (matches, stats) = s.matches_with_stats(packet);
+                out.ir_ops = stats.ops_executed;
+                matches
+            }
+            EngineSet::Geom(s) => {
+                let (matches, stats) = s.matches_with_stats(packet);
+                out.ir_ops = stats.ops_executed;
+                matches
+            }
+            EngineSet::Jit(s) => {
+                out.jit_filters = s.members.len() as u32;
+                s.hits.clear();
+                let accepting = s.members.iter().filter(|m| m.code.eval(packet));
+                s.hits.extend(accepting.map(|m| m.id));
+                &s.hits
+            }
+        }
+    }
+
+    /// [`Self::matches`] over a batch: element `i` is what `matches` gives
+    /// for `packets[i]`. The table, sharded and geom sets amortize their
+    /// probe across the batch; the others walk packet by packet.
+    fn matches_batch(&mut self, packets: &[PacketView<'_>]) -> Vec<(Vec<FilterId>, DemuxOutcome)> {
+        let with_ops = |(m, ir_ops): (Vec<FilterId>, u32)| {
+            let out = DemuxOutcome {
+                ir_ops,
+                ..Default::default()
+            };
+            (m, out)
+        };
+        match self {
+            EngineSet::Table(s, _) => {
+                let all = s.matches_batch(packets);
+                all.into_iter().map(|m| with_ops((m, 0))).collect()
+            }
+            EngineSet::Sharded(s) => {
+                let (all, stats) = s.matches_batch_with_stats(packets);
+                let ops = stats.iter().map(|st| st.ops_executed);
+                all.into_iter().zip(ops).map(with_ops).collect()
+            }
+            EngineSet::Geom(s) => {
+                let (all, stats) = s.matches_batch_with_stats(packets);
+                let ops = stats.iter().map(|st| st.ops_executed);
+                all.into_iter().zip(ops).map(with_ops).collect()
+            }
+            EngineSet::Ir(_) | EngineSet::Jit(_) => packets
+                .iter()
+                .map(|&p| {
+                    let mut out = DemuxOutcome::default();
+                    (self.matches(p, &mut out).to_vec(), out)
+                })
+                .collect(),
+        }
+    }
+
+    /// Index probes one packet costs whatever the population: decision-table
+    /// shapes or geom tuples, zero for the sets that walk their members.
+    fn index_probes(&self) -> usize {
+        match self {
+            EngineSet::Table(s, _) => s.shape_count(),
+            EngineSet::Geom(s) => s.tuple_count(),
+            _ => 0,
+        }
+    }
+
+    /// Writes the counters this set maintains into `stats`.
+    fn fill_stats(&self, stats: &mut EngineStats) {
+        match self {
+            EngineSet::Table(s, _) => stats.table_shapes = s.shape_count(),
+            EngineSet::Ir(s) => stats.ir_shared_tests = s.shared_tests(),
+            EngineSet::Sharded(s) => {
+                stats.sharded_shard_count = s.shard_count();
+                stats.sharded_shared_tests = s.shared_tests();
+            }
+            EngineSet::Geom(s) => {
+                stats.geom_tuple_count = s.tuple_count();
+                stats.geom_residue = s.residue_len();
+                stats.geom_overlaps = s.overlap_count();
+                stats.geom_shadows = s.shadow_count();
+                stats.geom_candidates_capped = s.candidates_capped();
+            }
+            EngineSet::Jit(s) => {
+                let native = s.members.iter().filter(|m| member_is_jitted(&m.code));
+                stats.jit_compiled = native.count();
+                stats.jit_fallback = s.members.len() - stats.jit_compiled;
+            }
+        }
+    }
 }
 
 /// How the device matches received packets against the active filters.
@@ -418,6 +636,17 @@ impl Port {
         self.filter.as_ref().map_or(0, |f| f.priority())
     }
 
+    /// The static demux key: priority descending, then port insertion.
+    fn order_key(&self) -> (core::cmp::Reverse<u8>, u64) {
+        (core::cmp::Reverse(self.priority()), self.insertion)
+    }
+
+    /// The filter a compiled set holds for this port: the bound one,
+    /// unless it is quarantined.
+    fn member_filter(&self) -> Option<&FilterProgram> {
+        self.filter.as_ref().filter(|_| self.quarantined.is_none())
+    }
+
     /// Offers a packet to the input queue, applying the port's
     /// [`OverflowPolicy`] when full. Every overflow increments `drops`,
     /// whichever packet loses.
@@ -482,23 +711,31 @@ pub struct EngineStats {
     pub sharded_shard_count: usize,
     /// Value-numbered tests shared between members; sharded engine only.
     pub sharded_shared_tests: usize,
-    /// `(word, range-class)` tuples in the geometric index; geom engine
+    /// `(word, range-class)` tuples every packet probes in the geometric
+    /// index, including tuples only removed members still occupy (removal
+    /// tombstones; the probe goes on until the set compacts); geom engine
     /// only.
     pub geom_tuple_count: usize,
     /// Members with no provable interval constraint, walked on every
     /// packet; geom engine only.
     pub geom_residue: usize,
-    /// Same-word interval overlaps detected across insertions (two
-    /// members whose required intervals on the indexed word intersect);
-    /// geom engine only.
+    /// Same-word interval overlaps detected at insertion (two members
+    /// whose required intervals on the indexed word intersect), cumulative
+    /// over every bind since the last full rebuild — closes and rebinds do
+    /// not take their conflicts back; geom engine only.
     pub geom_overlaps: u64,
-    /// Shadowing conflicts detected across insertions (a member whose
-    /// indexed interval is contained in an equal-or-higher-priority
-    /// member's); geom engine only.
+    /// Shadowing conflicts detected at insertion (a member whose indexed
+    /// interval is contained in an equal-or-higher-priority member's),
+    /// cumulative like `geom_overlaps`; geom engine only.
     pub geom_shadows: u64,
     /// Open ports whose filters are quarantined (served by the checked
     /// interpreter under every engine).
     pub quarantined_ports: usize,
+    /// Times the compiled set was rebuilt from every open port since the
+    /// device was constructed: engine selection, a budget sweep that
+    /// quarantined something, and rebinds that land mid-class. Binds of
+    /// fresh ports and closes update the set in place and never count.
+    pub engine_rebuilds: u64,
     /// JIT-engine members running native code (always zero without the
     /// `jit` feature or on targets the emitter does not support).
     pub jit_compiled: usize,
@@ -510,7 +747,8 @@ pub struct EngineStats {
     /// Gate-signature re-selections performed under mimicry pressure.
     pub gate_resignature_events: u64,
     /// Geom candidates pruned by the per-packet candidate cap
-    /// ([`PfDevice::set_geom_candidate_cap`]); geom engine only.
+    /// ([`PfDevice::set_geom_candidate_cap`]) since the last full rebuild;
+    /// geom engine only.
     pub geom_candidates_capped: u64,
 }
 
@@ -541,28 +779,24 @@ pub struct DemuxOutcome {
 #[derive(Debug)]
 pub struct PfDevice {
     ports: Vec<Port>,
-    /// Demultiplex order: indices into `ports`, sorted by priority
-    /// descending, then (periodically) busyness, then insertion.
+    /// Demultiplex order: indices of the open ports, sorted by priority
+    /// descending, then port insertion. The sequential engine's adaptive
+    /// reordering puts busyness between the two keys; a compiled engine
+    /// has no walk to shorten and keeps the static order at all times.
     order: Vec<PortIdx>,
+    /// Open ports by owner.
+    owners: HashMap<(ProcId, Fd), PortIdx>,
+    /// Open ports whose filter is quarantined.
+    quarantined: usize,
     demux_ops: u64,
     insertions: u64,
     adaptive: bool,
     engine: DemuxEngine,
-    /// The compiled filter set, maintained when the decision-table engine
-    /// is selected (keyed by port index).
-    table: Option<FilterSet>,
-    /// The IR-compiled filter set, maintained when the IR engine is
-    /// selected (keyed by port index).
-    ir_set: Option<IrFilterSet>,
-    /// The sharded value-numbered set, maintained when the sharded engine
-    /// is selected (keyed by port index).
-    sharded: Option<ShardedVnSet>,
-    /// The geometric tuple-space classifier, maintained when the geom
-    /// engine is selected (keyed by port index).
-    geom: Option<GeomSet>,
-    /// The JIT-compiled members in demux order, maintained when the JIT
-    /// engine is selected.
-    jit_members: Option<Vec<(PortIdx, JitMember)>>,
+    /// The active engine's compiled set (`None` under the sequential
+    /// engine). Its members are exactly the open, filtered, unquarantined
+    /// ports, and its match order is `order` restricted to them.
+    set: Option<EngineSet>,
+    engine_rebuilds: u64,
     /// Test hook: refuse native emission so every JIT member takes the
     /// threaded-code fallback (inert without the `jit` feature, where
     /// members are threaded code anyway).
@@ -595,15 +829,14 @@ impl PfDevice {
         PfDevice {
             ports: Vec::new(),
             order: Vec::new(),
+            owners: HashMap::new(),
+            quarantined: 0,
             demux_ops: 0,
             insertions: 0,
             adaptive: true,
             engine: DemuxEngine::Sequential,
-            table: None,
-            ir_set: None,
-            sharded: None,
-            geom: None,
-            jit_members: None,
+            set: None,
+            engine_rebuilds: 0,
             jit_force_fallback: false,
             interp: CheckedInterpreter::default(),
             budget: None,
@@ -636,10 +869,7 @@ impl PfDevice {
         let mut newly = 0;
         if let Some(b) = budget {
             for p in &mut self.ports {
-                if !p.open || p.quarantined.is_some() {
-                    continue;
-                }
-                let Some(f) = &p.filter else { continue };
+                let Some(f) = p.member_filter() else { continue };
                 let overlong =
                     ValidatedProgram::new(f.clone()).is_ok_and(|v| v.instructions() > b as usize);
                 if overlong {
@@ -649,7 +879,8 @@ impl PfDevice {
             }
         }
         if newly > 0 {
-            self.rebuild_engine_state();
+            self.quarantined += newly as usize;
+            self.rebuild_engine();
         }
         newly
     }
@@ -874,43 +1105,41 @@ impl PfDevice {
     /// counter lives in one struct, and counters the active engine does
     /// not maintain read zero.
     pub fn engine_stats(&self) -> EngineStats {
-        let (jit_compiled, jit_fallback) = self.jit_members.as_ref().map_or((0, 0), |ms| {
-            let compiled = ms.iter().filter(|(_, m)| member_is_jitted(m)).count();
-            (compiled, ms.len() - compiled)
-        });
-        EngineStats {
-            engine: self.engine,
-            table_shapes: self.table.as_ref().map_or(0, |t| t.shape_count()),
-            ir_shared_tests: self.ir_set.as_ref().map_or(0, |s| s.shared_tests()),
-            sharded_shard_count: self.sharded.as_ref().map_or(0, |s| s.shard_count()),
-            sharded_shared_tests: self.sharded.as_ref().map_or(0, |s| s.shared_tests()),
-            geom_tuple_count: self.geom.as_ref().map_or(0, |g| g.tuple_count()),
-            geom_residue: self.geom.as_ref().map_or(0, |g| g.residue_len()),
-            geom_overlaps: self.geom.as_ref().map_or(0, |g| g.overlap_count()),
-            geom_shadows: self.geom.as_ref().map_or(0, |g| g.shadow_count()),
-            quarantined_ports: self
-                .order
+        debug_assert_eq!(
+            self.quarantined,
+            self.ports
                 .iter()
-                .filter(|&&i| self.ports[i].quarantined.is_some())
+                .filter(|p| p.quarantined.is_some())
                 .count(),
-            jit_compiled,
-            jit_fallback,
+            "quarantine count out of step with the ports"
+        );
+        let mut stats = EngineStats {
+            engine: self.engine,
+            quarantined_ports: self.quarantined,
+            engine_rebuilds: self.engine_rebuilds,
             drops_mimicry_shed: self.admission.as_ref().map_or(0, |s| s.mimicry_sheds),
             gate_resignature_events: self.admission.as_ref().map_or(0, |s| s.gate_resignatures),
-            geom_candidates_capped: self.geom.as_ref().map_or(0, |g| g.candidates_capped()),
+            ..Default::default()
+        };
+        if let Some(set) = &self.set {
+            set.fill_stats(&mut stats);
         }
+        stats
+    }
+
+    /// Index probes the active engine charges per packet whatever the
+    /// population — decision-table shapes or geom tuples, zero under the
+    /// other engines — without assembling a whole [`EngineStats`].
+    pub fn index_probes(&self) -> usize {
+        self.set.as_ref().map_or(0, EngineSet::index_probes)
     }
 
     /// Selects the demultiplexing engine (§4's interpreter loop, §7's
     /// decision table, or the pf-ir threaded-code compiler).
     pub fn set_engine(&mut self, engine: DemuxEngine) {
         self.engine = engine;
-        self.table = None;
-        self.ir_set = None;
-        self.sharded = None;
-        self.geom = None;
-        self.jit_members = None;
-        self.rebuild_engine_state();
+        self.resort();
+        self.rebuild_engine();
     }
 
     /// The active demultiplexing engine.
@@ -918,66 +1147,54 @@ impl PfDevice {
         self.engine
     }
 
-    fn rebuild_table(&mut self) {
-        let mut set = FilterSet::new();
-        // Insert in demux order so same-priority insertion ties match the
-        // sequential loop's stable order. Quarantined ports never reach the
-        // compiled set; `demux` serves them through the checked interpreter.
+    /// Builds the active engine's compiled set from every open port, in
+    /// demux order so that same-priority ties match `order`. Quarantined
+    /// ports never reach the set; `demux` serves them through the checked
+    /// interpreter. Runs on engine selection, after a budget sweep, and for
+    /// a rebind the set's own insert would put in the wrong place
+    /// ([`Self::rehome`]).
+    fn rebuild_engine(&mut self) {
+        self.set = EngineSet::new(
+            self.engine,
+            self.geom_candidate_cap,
+            self.jit_force_fallback,
+        );
+        let Some(set) = &mut self.set else { return };
+        self.engine_rebuilds += 1;
         for &idx in &self.order {
-            if self.ports[idx].quarantined.is_some() {
-                continue;
-            }
-            if let Some(f) = &self.ports[idx].filter {
-                set.insert(idx as u32, f.clone());
+            if let Some(f) = self.ports[idx].member_filter() {
+                set.insert(idx as FilterId, f.clone());
             }
         }
-        self.table = Some(set);
     }
 
-    fn rebuild_ir_set(&mut self) {
-        let mut set = IrFilterSet::new();
-        // Same demux-order insertion (and quarantine exclusion) as
-        // `rebuild_table`.
-        for &idx in &self.order {
-            if self.ports[idx].quarantined.is_some() {
-                continue;
-            }
-            if let Some(f) = &self.ports[idx].filter {
-                set.insert(idx as u32, f.clone());
-            }
+    /// Moves a port bound under a compiled engine to its place in `order`
+    /// (static there, so one binary search and no sort) and in the set: one
+    /// `remove` if the bind quarantined it, else one `insert` when the
+    /// set's rule — newest last in its priority class — agrees with
+    /// `order`. A port rebound while a member of its class follows it in
+    /// `order` would move in the set but not in `order`; that rare case
+    /// takes the full rebuild.
+    fn rehome(&mut self, idx: PortIdx) {
+        let ports = &self.ports;
+        let key = ports[idx].order_key();
+        self.order.retain(|&o| o != idx);
+        let at = self.order.partition_point(|&o| ports[o].order_key() < key);
+        self.order.insert(at, idx);
+        let set = self.set.as_mut().expect("a compiled engine is selected");
+        let Some(f) = ports[idx].member_filter() else {
+            set.remove(idx as FilterId);
+            return;
+        };
+        let mut class = self.order[at + 1..]
+            .iter()
+            .map(|&o| &ports[o])
+            .take_while(|p| p.priority() == f.priority());
+        if class.any(|p| p.member_filter().is_some()) {
+            self.rebuild_engine();
+        } else {
+            set.insert(idx as FilterId, f.clone());
         }
-        self.ir_set = Some(set);
-    }
-
-    fn rebuild_sharded(&mut self) {
-        let mut set = ShardedVnSet::new();
-        // Same demux-order insertion (and quarantine exclusion) as
-        // `rebuild_table`.
-        for &idx in &self.order {
-            if self.ports[idx].quarantined.is_some() {
-                continue;
-            }
-            if let Some(f) = &self.ports[idx].filter {
-                set.insert(idx as u32, f.clone());
-            }
-        }
-        self.sharded = Some(set);
-    }
-
-    fn rebuild_geom(&mut self) {
-        let mut set = GeomSet::new();
-        set.set_candidate_cap(self.geom_candidate_cap);
-        // Same demux-order insertion (and quarantine exclusion) as
-        // `rebuild_table`.
-        for &idx in &self.order {
-            if self.ports[idx].quarantined.is_some() {
-                continue;
-            }
-            if let Some(f) = &self.ports[idx].filter {
-                set.insert(idx as u32, f.clone());
-            }
-        }
-        self.geom = Some(set);
     }
 
     /// Bounds candidates evaluated per packet under the geom engine
@@ -987,7 +1204,7 @@ impl PfDevice {
     /// wide-overlap filter populations. Inert under every other engine.
     pub fn set_geom_candidate_cap(&mut self, cap: Option<usize>) {
         self.geom_candidate_cap = cap;
-        if let Some(g) = &mut self.geom {
+        if let Some(EngineSet::Geom(g)) = &mut self.set {
             g.set_candidate_cap(cap);
         }
     }
@@ -997,73 +1214,19 @@ impl PfDevice {
         self.geom_candidate_cap
     }
 
-    /// Compiles one port's validated filter into a JIT-engine member,
-    /// honoring the forced-fallback test hook.
-    #[cfg(feature = "jit")]
-    fn compile_jit_member(&self, v: &ValidatedProgram) -> JitMember {
-        if self.jit_force_fallback {
-            JitMember::from_validated_forced_fallback(v)
-        } else {
-            JitMember::from_validated(v)
-        }
-    }
-
-    #[cfg(not(feature = "jit"))]
-    fn compile_jit_member(&self, v: &ValidatedProgram) -> JitMember {
-        // Without the feature the knob is inert: every member is already
-        // the threaded-code fallback.
-        let _ = self.jit_force_fallback;
-        JitMember::from_validated(v)
-    }
-
-    fn rebuild_jit(&mut self) {
-        // Same demux-order insertion (and quarantine exclusion) as
-        // `rebuild_table`. Non-quarantined filters validated at bind time,
-        // so re-validation here only fails for programs quarantined since;
-        // those are skipped (the merged walk serves them).
-        let mut members = Vec::new();
-        for &idx in &self.order {
-            if self.ports[idx].quarantined.is_some() {
-                continue;
-            }
-            let Some(f) = &self.ports[idx].filter else {
-                continue;
-            };
-            if let Ok(v) = ValidatedProgram::new(f.clone()) {
-                members.push((idx, self.compile_jit_member(&v)));
-            }
-        }
-        self.jit_members = Some(members);
-    }
-
-    /// Rebuilds whichever compiled set the active engine maintains.
-    fn rebuild_engine_state(&mut self) {
-        match self.engine {
-            DemuxEngine::Sequential => {}
-            DemuxEngine::DecisionTable => self.rebuild_table(),
-            DemuxEngine::Ir => self.rebuild_ir_set(),
-            DemuxEngine::Sharded => self.rebuild_sharded(),
-            DemuxEngine::Geom => self.rebuild_geom(),
-            DemuxEngine::Jit => self.rebuild_jit(),
-        }
-    }
-
-    /// Enables or disables adaptive same-priority reordering (§3.2).
+    /// Enables or disables adaptive same-priority reordering (§3.2). The
+    /// busyness key belongs to the sequential walk; under a compiled
+    /// engine the setting only waits for the sequential engine to return.
     pub fn set_adaptive_reorder(&mut self, on: bool) {
         self.adaptive = on;
         if !on {
             // Restore pure (priority, insertion) order.
-            let ports = &self.ports;
-            self.order.sort_by(|&a, &b| {
-                let (pa, pb) = (&ports[a], &ports[b]);
-                pb.priority()
-                    .cmp(&pa.priority())
-                    .then(pa.insertion.cmp(&pb.insertion))
-            });
+            self.resort();
         }
     }
 
-    /// Opens a new port owned by `(proc, fd)` and returns its index.
+    /// Opens a new port owned by `(proc, fd)` and returns its index. A
+    /// port without a filter is in neither the compiled set nor the gate.
     pub fn open(&mut self, owner: (ProcId, Fd)) -> PortIdx {
         let idx = self.ports.len();
         self.ports.push(Port {
@@ -1087,24 +1250,35 @@ impl PfDevice {
             backpressured: false,
         });
         self.insertions += 1;
+        // The first open port of an owner answers `port_of`.
+        self.owners.entry(owner).or_insert(idx);
+        // Lowest priority, newest insertion: the new port sorts last. The
+        // sequential walk also takes the occasion to re-sort by busyness.
         self.order.push(idx);
-        self.resort();
-        self.rebuild_engine_state();
-        self.rebuild_gate();
+        if self.set.is_none() {
+            self.resort();
+        }
         idx
     }
 
     /// Closes a port; its queue is discarded.
     pub fn close(&mut self, idx: PortIdx) {
-        if let Some(p) = self.ports.get_mut(idx) {
-            p.open = false;
-            p.queue.clear();
-            p.pending = None;
-            p.filter = None;
-            p.quarantined = None;
+        let Some(p) = self.ports.get_mut(idx).filter(|p| p.open) else {
+            return;
+        };
+        p.open = false;
+        // A closed port's index is never reused: leave it no heap.
+        p.queue = VecDeque::new();
+        p.pending = None;
+        p.filter = None;
+        self.quarantined -= usize::from(p.quarantined.take().is_some());
+        if self.owners.get(&p.owner) == Some(&idx) {
+            self.owners.remove(&p.owner);
         }
         self.order.retain(|&o| o != idx);
-        self.rebuild_engine_state();
+        if let Some(set) = &mut self.set {
+            set.remove(idx as FilterId);
+        }
         self.rebuild_gate();
     }
 
@@ -1117,34 +1291,33 @@ impl PfDevice {
     /// degrades that one port's cost, never the demultiplexer). Returns
     /// `false` when the bind quarantined the filter. Rebinding clears a
     /// previous quarantine, including one earned by exceeding the
-    /// instruction budget.
+    /// instruction budget. A closed or unknown index binds nothing (the
+    /// verdict on the program is still returned).
     pub fn set_filter(&mut self, idx: PortIdx, filter: FilterProgram) -> bool {
-        let mut clean = true;
-        let budget = self.budget;
-        if let Some(p) = self.ports.get_mut(idx) {
-            p.quarantined = match ValidatedProgram::new(filter.clone()) {
-                Ok(v) => {
-                    // Branch-free programs have a static worst case; one
-                    // that could exceed the budget never reaches the
-                    // compiled engines.
-                    if budget.is_some_and(|b| v.instructions() > b as usize) {
-                        clean = false;
-                        Some(QuarantineReason::BudgetExceeded)
-                    } else {
-                        None
-                    }
-                }
-                Err(e) => {
-                    clean = false;
-                    Some(QuarantineReason::Validation(e))
-                }
-            };
-            p.filter = Some(filter);
-            p.accepts = 0;
-            p.budget_overruns = 0;
+        let quarantined = match ValidatedProgram::new(filter.clone()) {
+            // Branch-free programs have a static worst case; one that could
+            // exceed the budget never reaches the compiled engines.
+            Ok(v) if self.budget.is_some_and(|b| v.instructions() > b as usize) => {
+                Some(QuarantineReason::BudgetExceeded)
+            }
+            Ok(_) => None,
+            Err(e) => Some(QuarantineReason::Validation(e)),
+        };
+        let clean = quarantined.is_none();
+        let Some(p) = self.ports.get_mut(idx).filter(|p| p.open) else {
+            return clean;
+        };
+        self.quarantined += usize::from(!clean);
+        self.quarantined -= usize::from(p.quarantined.is_some());
+        p.quarantined = quarantined;
+        p.filter = Some(filter);
+        p.accepts = 0;
+        p.budget_overruns = 0;
+        if self.set.is_none() {
+            self.resort();
+        } else {
+            self.rehome(idx);
         }
-        self.resort();
-        self.rebuild_engine_state();
         self.rebuild_gate();
         clean
     }
@@ -1169,7 +1342,7 @@ impl PfDevice {
 
     /// The port owned by `(proc, fd)`, if any.
     pub fn port_of(&self, owner: (ProcId, Fd)) -> Option<PortIdx> {
-        self.ports.iter().position(|p| p.open && p.owner == owner)
+        self.owners.get(&owner).copied()
     }
 
     /// Number of open ports.
@@ -1190,18 +1363,23 @@ impl PfDevice {
     /// accepted ports so it can charge bookkeeping costs and handle wakeups.
     pub fn demux(&mut self, packet: &[u8]) -> DemuxOutcome {
         self.demux_ops += 1;
-        match self.engine {
-            DemuxEngine::Sequential => {}
-            DemuxEngine::DecisionTable => return self.demux_table(packet),
-            DemuxEngine::Ir => return self.demux_ir(packet),
-            DemuxEngine::Sharded => return self.demux_sharded(packet),
-            DemuxEngine::Geom => return self.demux_geom(packet),
-            DemuxEngine::Jit => return self.demux_jit(packet),
+        let mut out = DemuxOutcome::default();
+        if let Some(set) = &mut self.set {
+            // A compiled engine: evaluate its set, then walk the
+            // priority-ordered matches — merged with checked evaluations of
+            // the quarantined ports, which the set excludes, if there are any.
+            let matches = set.matches(PacketView::new(packet), &mut out);
+            if self.quarantined == 0 {
+                Self::deliver_matches(&mut self.ports, matches, &mut out);
+            } else {
+                let matched: Vec<PortIdx> = matches.iter().map(|&id| id as PortIdx).collect();
+                self.merge_quarantined(&matched, packet, &mut out);
+            }
+            return out;
         }
         if self.adaptive && self.demux_ops.is_multiple_of(REORDER_INTERVAL) {
             self.resort();
         }
-        let mut out = DemuxOutcome::default();
         let mut i = 0;
         while i < self.order.len() {
             let idx = self.order[i];
@@ -1231,105 +1409,40 @@ impl PfDevice {
     /// result identical to what `demux(packets[i])` would return (same
     /// outcomes, same `demux_ops`/per-port `accepts` bookkeeping).
     ///
-    /// The compiled engines (decision-table, sharded, JIT) evaluate the
-    /// whole batch through their set's batch walk, amortizing dispatch
-    /// and shard-lookup work. The sequential engine and any configuration
-    /// with quarantined ports fall back to per-frame demultiplexing: the
+    /// The compiled engines evaluate the whole batch through their set's
+    /// batch walk, amortizing dispatch and index-probe work where the set
+    /// has one. The sequential engine and any configuration with
+    /// quarantined ports fall back to per-frame demultiplexing: the
     /// sequential path's adaptive resort and the quarantine merge are
     /// stateful per frame, and splitting them across a batch would change
     /// observable behavior.
     pub fn demux_batch(&mut self, packets: &[&[u8]]) -> Vec<DemuxOutcome> {
-        if packets.len() <= 1
-            || self.any_quarantined()
-            || matches!(self.engine, DemuxEngine::Sequential | DemuxEngine::Ir)
-        {
+        let batchable = packets.len() > 1 && self.quarantined == 0;
+        let Some(set) = self.set.as_mut().filter(|_| batchable) else {
             return packets.iter().map(|p| self.demux(p)).collect();
-        }
+        };
         self.demux_ops += packets.len() as u64;
-        match self.engine {
-            DemuxEngine::DecisionTable => {
-                let table = self.table.as_ref().expect("table engine selected");
-                let views: Vec<PacketView<'_>> =
-                    packets.iter().map(|p| PacketView::new(p)).collect();
-                let all = table.matches_batch(&views);
-                all.into_iter()
-                    .map(|matches| {
-                        let mut out = DemuxOutcome::default();
-                        self.deliver_matches(matches.into_iter().map(|id| id as PortIdx), &mut out);
-                        out
-                    })
-                    .collect()
-            }
-            DemuxEngine::Sharded => {
-                let set = self.sharded.as_mut().expect("sharded engine selected");
-                let views: Vec<PacketView<'_>> =
-                    packets.iter().map(|p| PacketView::new(p)).collect();
-                let (all, stats) = set.matches_batch_with_stats(&views);
-                all.into_iter()
-                    .zip(stats)
-                    .map(|(matches, s)| {
-                        let mut out = DemuxOutcome {
-                            ir_ops: s.ops_executed,
-                            ..Default::default()
-                        };
-                        self.deliver_matches(matches.into_iter().map(|id| id as PortIdx), &mut out);
-                        out
-                    })
-                    .collect()
-            }
-            DemuxEngine::Geom => {
-                let set = self.geom.as_mut().expect("geom engine selected");
-                let views: Vec<PacketView<'_>> =
-                    packets.iter().map(|p| PacketView::new(p)).collect();
-                let (all, stats) = set.matches_batch_with_stats(&views);
-                all.into_iter()
-                    .zip(stats)
-                    .map(|(matches, s)| {
-                        let mut out = DemuxOutcome {
-                            ir_ops: s.ops_executed,
-                            ..Default::default()
-                        };
-                        self.deliver_matches(matches.into_iter().map(|id| id as PortIdx), &mut out);
-                        out
-                    })
-                    .collect()
-            }
-            DemuxEngine::Jit => {
-                let members = self.jit_members.take().expect("JIT engine selected");
-                let outs = packets
-                    .iter()
-                    .map(|p| {
-                        let mut out = DemuxOutcome {
-                            jit_filters: members.len() as u32,
-                            ..Default::default()
-                        };
-                        let matched = members
-                            .iter()
-                            .filter(|(_, m)| m.eval(PacketView::new(p)))
-                            .map(|&(idx, _)| idx);
-                        self.deliver_matches(matched, &mut out);
-                        out
-                    })
-                    .collect();
-                self.jit_members = Some(members);
-                outs
-            }
-            DemuxEngine::Sequential | DemuxEngine::Ir => unreachable!("handled above"),
-        }
+        let views: Vec<PacketView<'_>> = packets.iter().map(|p| PacketView::new(p)).collect();
+        let all = set.matches_batch(&views);
+        all.into_iter()
+            .map(|(matches, mut out)| {
+                Self::deliver_matches(&mut self.ports, &matches, &mut out);
+                out
+            })
+            .collect()
     }
 
     /// Applies the §3.2 deliver-to-lower rule to a priority-ordered match
     /// list and records the per-port accept bookkeeping — the common tail
     /// of every unquarantined compiled-engine demux.
-    fn deliver_matches(&mut self, matches: impl Iterator<Item = PortIdx>, out: &mut DemuxOutcome) {
-        for idx in matches {
-            out.accepted.push(idx);
-            if !self.ports[idx].config.deliver_to_lower {
+    fn deliver_matches(ports: &mut [Port], matches: &[FilterId], out: &mut DemuxOutcome) {
+        for &id in matches {
+            let port = &mut ports[id as PortIdx];
+            port.accepts += 1;
+            out.accepted.push(id as PortIdx);
+            if !port.config.deliver_to_lower {
                 break;
             }
-        }
-        for &idx in &out.accepted {
-            self.ports[idx].accepts += 1;
         }
     }
 
@@ -1355,9 +1468,11 @@ impl PfDevice {
             if p.quarantined.is_none() {
                 p.quarantined = Some(QuarantineReason::BudgetExceeded);
                 out.newly_quarantined += 1;
-                // Evict the offender from whichever compiled set the
-                // active engine maintains.
-                self.rebuild_engine_state();
+                self.quarantined += 1;
+                // Evict the offender from the compiled set, if there is one.
+                if let Some(set) = &mut self.set {
+                    set.remove(idx as FilterId);
+                }
             }
         }
         Some((accepted, stats))
@@ -1396,168 +1511,16 @@ impl PfDevice {
         }
     }
 
-    /// Whether any open port is quarantined (the compiled engines then need
-    /// the merged walk).
-    fn any_quarantined(&self) -> bool {
-        self.order
-            .iter()
-            .any(|&i| self.ports[i].quarantined.is_some())
-    }
-
-    /// Decision-table demultiplexing: probe the compiled set, then walk the
-    /// priority-ordered matches applying the §3.2 deliver-to-lower rule.
-    fn demux_table(&mut self, packet: &[u8]) -> DemuxOutcome {
-        let table = self.table.as_ref().expect("table engine selected");
-        let matches = table.matches(PacketView::new(packet));
-        let mut out = DemuxOutcome::default();
-        if self.any_quarantined() {
-            let matched: Vec<PortIdx> = matches.iter().map(|&id| id as PortIdx).collect();
-            self.merge_quarantined(&matched, packet, &mut out);
-            return out;
-        }
-        for id in matches {
-            let idx = id as PortIdx;
-            out.accepted.push(idx);
-            if !self.ports[idx].config.deliver_to_lower {
-                break;
-            }
-        }
-        for &idx in &out.accepted {
-            self.ports[idx].accepts += 1;
-        }
-        out
-    }
-
-    /// IR demultiplexing: evaluate the threaded-code set (sharing guard
-    /// prefixes between members), then walk the priority-ordered matches
-    /// applying the §3.2 deliver-to-lower rule.
-    fn demux_ir(&mut self, packet: &[u8]) -> DemuxOutcome {
-        let quarantined = self.any_quarantined();
-        let set = self.ir_set.as_mut().expect("IR engine selected");
-        let (matches, stats) = set.matches_with_stats(PacketView::new(packet));
-        let mut out = DemuxOutcome {
-            ir_ops: stats.ops_executed,
-            ..Default::default()
-        };
-        if quarantined {
-            let matched: Vec<PortIdx> = matches.iter().map(|&id| id as PortIdx).collect();
-            self.merge_quarantined(&matched, packet, &mut out);
-            return out;
-        }
-        for &id in matches {
-            let idx = id as PortIdx;
-            out.accepted.push(idx);
-            if !self.ports[idx].config.deliver_to_lower {
-                break;
-            }
-        }
-        for &idx in &out.accepted {
-            self.ports[idx].accepts += 1;
-        }
-        out
-    }
-
-    /// Sharded demultiplexing: evaluate the value-numbered set (walking
-    /// only the shard the packet's discriminating word selects), then walk
-    /// the priority-ordered matches applying the §3.2 deliver-to-lower
-    /// rule.
-    fn demux_sharded(&mut self, packet: &[u8]) -> DemuxOutcome {
-        let quarantined = self.any_quarantined();
-        let set = self.sharded.as_mut().expect("sharded engine selected");
-        let (matches, stats) = set.matches_with_stats(PacketView::new(packet));
-        let mut out = DemuxOutcome {
-            ir_ops: stats.ops_executed,
-            ..Default::default()
-        };
-        if quarantined {
-            let matched: Vec<PortIdx> = matches.iter().map(|&id| id as PortIdx).collect();
-            self.merge_quarantined(&matched, packet, &mut out);
-            return out;
-        }
-        for &id in matches {
-            let idx = id as PortIdx;
-            out.accepted.push(idx);
-            if !self.ports[idx].config.deliver_to_lower {
-                break;
-            }
-        }
-        for &idx in &out.accepted {
-            self.ports[idx].accepts += 1;
-        }
-        out
-    }
-
-    /// Geometric demultiplexing: probe the tuple-space index (walking only
-    /// the members whose required intervals cover the packet's words), then
-    /// walk the priority-ordered matches applying the §3.2 deliver-to-lower
-    /// rule.
-    fn demux_geom(&mut self, packet: &[u8]) -> DemuxOutcome {
-        let quarantined = self.any_quarantined();
-        let set = self.geom.as_mut().expect("geom engine selected");
-        let (matches, stats) = set.matches_with_stats(PacketView::new(packet));
-        let matched: Vec<PortIdx> = matches.iter().map(|&id| id as PortIdx).collect();
-        let mut out = DemuxOutcome {
-            ir_ops: stats.ops_executed,
-            ..Default::default()
-        };
-        if quarantined {
-            self.merge_quarantined(&matched, packet, &mut out);
-            return out;
-        }
-        for &idx in &matched {
-            out.accepted.push(idx);
-            if !self.ports[idx].config.deliver_to_lower {
-                break;
-            }
-        }
-        for &idx in &out.accepted {
-            self.ports[idx].accepts += 1;
-        }
-        out
-    }
-
-    /// JIT demultiplexing: evaluate every native (or fallback threaded)
-    /// member, then walk the priority-ordered matches applying the §3.2
-    /// deliver-to-lower rule. Members are kept in demux order, so the
-    /// matched list is already priority-sorted.
-    fn demux_jit(&mut self, packet: &[u8]) -> DemuxOutcome {
-        let quarantined = self.any_quarantined();
-        let members = self.jit_members.as_ref().expect("JIT engine selected");
-        let mut matched: Vec<PortIdx> = Vec::new();
-        for (idx, m) in members {
-            if m.eval(PacketView::new(packet)) {
-                matched.push(*idx);
-            }
-        }
-        let mut out = DemuxOutcome {
-            jit_filters: members.len() as u32,
-            ..Default::default()
-        };
-        if quarantined {
-            self.merge_quarantined(&matched, packet, &mut out);
-            return out;
-        }
-        for &idx in &matched {
-            out.accepted.push(idx);
-            if !self.ports[idx].config.deliver_to_lower {
-                break;
-            }
-        }
-        for &idx in &out.accepted {
-            self.ports[idx].accepts += 1;
-        }
-        out
-    }
-
     /// Re-sorts the demultiplex order: priority descending; within a
-    /// priority, busier filters first (when adaptive), then insertion
-    /// order.
+    /// priority, busier filters first (sequential engine with adaptive
+    /// reordering only: §3.2 reorders to shorten the walk, and a compiled
+    /// index has none), then insertion order.
     fn resort(&mut self) {
         let ports = &self.ports;
-        let adaptive = self.adaptive;
+        let by_busyness = self.adaptive && self.engine == DemuxEngine::Sequential;
         self.order.sort_by(|&a, &b| {
             let (pa, pb) = (&ports[a], &ports[b]);
-            let busy = if adaptive {
+            let busy = if by_busyness {
                 pb.accepts.cmp(&pa.accepts)
             } else {
                 core::cmp::Ordering::Equal
@@ -1841,10 +1804,7 @@ mod tests {
         };
         let mut batched = build();
         let mut scalar = build();
-        assert!(
-            batched.any_quarantined(),
-            "range filter must be over budget"
-        );
+        assert!(batched.quarantined > 0, "range filter must be over budget");
         let frames: Vec<Vec<u8>> = vec![pkt(35), pkt(99)];
         let frame_refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
         let outs = batched.demux_batch(&frame_refs);
@@ -2071,6 +2031,54 @@ mod tests {
             let _ = d.demux(&pkt(35));
         }
         assert_eq!(d.order(), &[0, 1], "priority dominates busyness");
+    }
+
+    /// Busyness ordering belongs to the sequential walk. Under a compiled
+    /// engine neither traffic, nor a later bind, nor toggling `adaptive`
+    /// re-sorts anything, so the set's tie-break (the healthy path) and
+    /// `order`'s (the quarantine-merge walk) cannot part company.
+    #[test]
+    fn adaptive_toggle_changes_nothing_under_compiled_engines() {
+        for engine in [
+            DemuxEngine::DecisionTable,
+            DemuxEngine::Ir,
+            DemuxEngine::Sharded,
+            DemuxEngine::Geom,
+            DemuxEngine::Jit,
+        ] {
+            for quarantine in [false, true] {
+                let ctx = format!("{engine:?}, quarantined port: {quarantine}");
+                let mut d = PfDevice::builder().engine(engine).build();
+                let bind = |d: &mut PfDevice, f: FilterProgram| {
+                    let p = d.open((ProcId(d.open_ports()), Fd(0)));
+                    d.set_filter(p, f)
+                };
+                // Overlapping filters of one priority; the later two get
+                // all the traffic.
+                assert!(bind(&mut d, samples::socket_range_filter(10, 30, 40)));
+                assert!(bind(&mut d, samples::socket_range_filter(10, 35, 50)));
+                assert!(bind(&mut d, samples::accept_all(10)));
+                if quarantine {
+                    assert!(!bind(&mut d, shortcircuit_then_garbage(5, 1)));
+                }
+                for _ in 0..=REORDER_INTERVAL {
+                    assert_eq!(d.demux(&pkt(45)).accepted, vec![1], "{ctx}");
+                    assert_eq!(d.demux(&pkt(99)).accepted, vec![2], "{ctx}");
+                }
+                // A bind after traffic is where busyness used to leak in.
+                assert!(bind(&mut d, samples::pup_socket_filter(20, 0, 7)));
+                let order = d.order().to_vec();
+                let verdicts =
+                    |d: &mut PfDevice| [7, 38, 45, 99].map(|sock| d.demux(&pkt(sock)).accepted);
+                let before = verdicts(&mut d);
+                assert_eq!(before[1], vec![0], "{ctx}: insertion breaks the tie");
+                for on in [false, true, false] {
+                    d.set_adaptive_reorder(on);
+                    assert_eq!(d.order(), order, "{ctx}: adaptive={on}");
+                    assert_eq!(verdicts(&mut d), before, "{ctx}: adaptive={on}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -729,11 +729,8 @@ impl McPipeline {
             self.pool
                 .charge(core, "pf:dispatch", t, costs.batch_dispatch);
         }
-        let shapes = if engine == DemuxEngine::DecisionTable {
-            self.workers[origin].device.engine_stats().table_shapes as u64
-        } else {
-            0
-        };
+        // Decision-table shapes or geom tuples: one read for the group.
+        let probes = (self.workers[origin].device.index_probes() as u64).max(1);
         for (f, out) in group.iter().zip(&outs) {
             // Marginal per-frame engine cost (no per-frame setup — the
             // dispatch above covers it), mirroring the single-core
@@ -749,7 +746,7 @@ impl McPipeline {
                     }
                 }
                 DemuxEngine::DecisionTable => {
-                    let c = costs.dtree_probe.times(shapes.max(1));
+                    let c = costs.dtree_probe.times(probes);
                     self.pool.charge(core, "pf:dtree", t, c);
                 }
                 DemuxEngine::Ir => {
@@ -763,8 +760,7 @@ impl McPipeline {
                     self.pool.charge(core, "pf:sharded", t, c);
                 }
                 DemuxEngine::Geom => {
-                    let tuples = self.workers[origin].device.engine_stats().geom_tuple_count;
-                    let probe = costs.geom_probe.times((tuples as u64).max(1));
+                    let probe = costs.geom_probe.times(probes);
                     self.pool.charge(core, "pf:geom", t, probe);
                     self.workers[core].counters.filter_instructions += u64::from(out.ir_ops);
                     let c = costs.filter_instr.times(u64::from(out.ir_ops));

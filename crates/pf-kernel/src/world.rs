@@ -962,7 +962,7 @@ impl World {
     }
 
     /// The packet-filter demultiplexing path (figure 4-1 + §3.2).
-    fn pf_demux(&mut self, host: HostId, frame: Vec<u8>, now: SimTime) {
+    fn pf_demux(&mut self, host: HostId, mut frame: Vec<u8>, now: SimTime) {
         let outcome = self.hosts[host.0].device.demux(&frame);
         {
             let h = &mut self.hosts[host.0];
@@ -977,8 +977,8 @@ impl World {
                 }
                 DemuxEngine::DecisionTable => {
                     // One hash probe per shape, independent of population.
-                    let shapes = h.device.engine_stats().table_shapes as u32;
-                    let cost = h.costs.dtree_probe.times(u64::from(shapes.max(1)));
+                    let shapes = h.device.index_probes() as u64;
+                    let cost = h.costs.dtree_probe.times(shapes.max(1));
                     h.cpu.charge("pf:dtree", now, cost);
                 }
                 DemuxEngine::Ir => {
@@ -1002,7 +1002,7 @@ impl World {
                     // O(log U) segment-tree work, independent of member
                     // count — plus the threaded-code ops of the members
                     // the index could not rule out.
-                    let tuples = h.device.engine_stats().geom_tuple_count as u64;
+                    let tuples = h.device.index_probes() as u64;
                     let probe = h.costs.geom_probe.times(tuples.max(1));
                     h.cpu.charge("pf:geom", now, probe);
                     h.counters.filter_instructions += u64::from(outcome.ir_ops);
@@ -1044,7 +1044,10 @@ impl World {
             }
             return;
         }
-        for idx in outcome.accepted {
+        // The last acceptor takes the frame itself; only the ports before it
+        // (deliver-to-lower) are handed copies.
+        let last = outcome.accepted.len() - 1;
+        for (i, idx) in outcome.accepted.into_iter().enumerate() {
             let (stamp, enqueued) = {
                 let h = &mut self.hosts[host.0];
                 let cost = h.costs.pf_bookkeeping;
@@ -1059,7 +1062,11 @@ impl World {
                 };
                 let dropped_before = h.device.port(idx).drops;
                 let pkt = RecvPacket {
-                    bytes: frame.clone(),
+                    bytes: if i == last {
+                        std::mem::take(&mut frame)
+                    } else {
+                        frame.clone()
+                    },
                     stamp,
                     dropped_before,
                 };

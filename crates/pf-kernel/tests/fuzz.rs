@@ -2,9 +2,10 @@
 // filter sets, gate configurations, reconfiguration churn, and packet
 // soup must never panic, and the gate's verdicts must stay conservation-
 // accurate (every shed charged to exactly one port counter) and
-// bit-reproducible from the seed. Each target runs >= 10,000 seeded
-// iterations, so the suite is gated behind a feature and runs in its
-// own CI lane:
+// bit-reproducible from the seed. Beside it, the device-level churn
+// differential of the facade's tests/device_churn.rs at fuzz length.
+// Each target runs >= 10,000 seeded iterations, so the suite is gated
+// behind a feature and runs in its own CI lane:
 //
 //   cargo test -p pf-kernel --release --features fuzz-tests
 //
@@ -12,8 +13,11 @@
 // failure reproduces from the constant seed with no external crates.
 #![cfg(feature = "fuzz-tests")]
 
+#[path = "../../../tests/support/device_churn.rs"]
+mod device_churn;
+
 use pf_filter::samples;
-use pf_kernel::device::{AdmissionConfig, AdmissionQuota, AdmissionVerdict, PfDevice};
+use pf_kernel::device::{AdmissionConfig, AdmissionQuota, AdmissionVerdict, DemuxEngine, PfDevice};
 use pf_kernel::types::{Fd, ProcId};
 use pf_sim::rng::SplitMix64;
 use pf_sim::time::SimTime;
@@ -201,5 +205,25 @@ fn admission_gate_is_deterministic() {
             gate_episode(seed, ITERS / 2),
             "seed {seed:#x} must replay bit-identically"
         );
+    }
+}
+
+/// Incremental engine maintenance over a 10k-step bind/rebind/close/
+/// quarantine/budget history per compiled engine: after every step the
+/// device answers like one built from scratch and like the checked
+/// interpreter, and its quarantine count equals a recount.
+#[test]
+fn device_churn_matches_fresh_build_and_oracle() {
+    for (n, engine) in [
+        DemuxEngine::DecisionTable,
+        DemuxEngine::Ir,
+        DemuxEngine::Sharded,
+        DemuxEngine::Geom,
+        DemuxEngine::Jit,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        device_churn::run(engine, 0xC4_0000 + n as u64, ITERS);
     }
 }

@@ -78,10 +78,23 @@ fabric_json="$(mktemp)"
 cargo run -p pf-bench --release --bin bench_fabric -- --smoke --out "$fabric_json" > /dev/null
 python3 -m json.tool "$fabric_json" > /dev/null
 rm -f "$fabric_json"
+# The repository's benchmark (bench/, its own workspace): its helper,
+# generator and contract tests, then one --smoke pass per workload — every
+# code path and correctness check at sizes that take seconds. The last
+# output line is the result object; it must parse and say "correct":true.
+run cargo test --offline --manifest-path bench/Cargo.toml -q
+for workload in lan_paper routed_fabric demux_exact demux_range_churn overload_flood; do
+    echo "==> pf-benchmark --workload $workload --smoke --trace 0"
+    result="$(cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+        --workload "$workload" --smoke --trace 0 | tail -n 1)"
+    python3 -m json.tool <<<"$result" > /dev/null
+    grep -q '"correct":true' <<<"$result"
+done
 # Structured fuzzing (>= 10k seeded iterations per target: word decoder,
 # validator, every execution engine, geom churn; frame codec and fault
-# schedules; the admission gate under config churn) — hermetic but too
-# slow for the default `cargo test`, so it rides its own feature.
+# schedules; the admission gate under config churn; device-level bind/
+# close churn per compiled engine) — hermetic but too slow for the
+# default `cargo test`, so it rides its own feature.
 run cargo test -p pf-ir --release --features fuzz-tests -q
 run cargo test -p pf-net --release --features fuzz-tests -q
 run cargo test -p pf-kernel --release --features fuzz-tests -q

@@ -1,0 +1,120 @@
+//! The device's incremental engine maintenance, held to references that do
+//! not share it: a seeded churn differential per compiled engine (harness
+//! in `support/device_churn.rs`), and complexity pins that count rebuilds
+//! and tombstones instead of reading a clock.
+
+#[path = "support/device_churn.rs"]
+mod device_churn;
+
+use packet_filter::filter::packet::PacketView;
+use packet_filter::filter::samples;
+use packet_filter::ir::GeomSet;
+use packet_filter::kernel::types::{Fd, ProcId};
+use packet_filter::{DemuxEngine, PfDevice};
+
+const COMPILED: [DemuxEngine; 5] = [
+    DemuxEngine::DecisionTable,
+    DemuxEngine::Ir,
+    DemuxEngine::Sharded,
+    DemuxEngine::Geom,
+    DemuxEngine::Jit,
+];
+
+#[test]
+fn churned_device_matches_a_fresh_build_and_the_oracle_dtree() {
+    device_churn::run(DemuxEngine::DecisionTable, 0x5EED_0001, 2_000);
+}
+
+#[test]
+fn churned_device_matches_a_fresh_build_and_the_oracle_ir() {
+    device_churn::run(DemuxEngine::Ir, 0x5EED_0002, 2_000);
+}
+
+#[test]
+fn churned_device_matches_a_fresh_build_and_the_oracle_sharded() {
+    device_churn::run(DemuxEngine::Sharded, 0x5EED_0003, 2_000);
+}
+
+#[test]
+fn churned_device_matches_a_fresh_build_and_the_oracle_geom() {
+    device_churn::run(DemuxEngine::Geom, 0x5EED_0004, 2_000);
+}
+
+#[test]
+fn churned_device_matches_a_fresh_build_and_the_oracle_jit() {
+    device_churn::run(DemuxEngine::Jit, 0x5EED_0005, 2_000);
+}
+
+/// One disjoint 4-socket range or one exact socket per slot, all of one
+/// priority: the shape of the benchmark's `demux_range_churn`.
+fn slot_filter(slot: usize) -> packet_filter::filter::program::FilterProgram {
+    let base = (slot * 8) as u16;
+    if slot.is_multiple_of(4) {
+        samples::pup_socket_filter(10, 0, base)
+    } else {
+        samples::socket_range_filter(10, base, base + 3)
+    }
+}
+
+#[test]
+fn fresh_binds_and_closes_never_rebuild_the_engine() {
+    for engine in COMPILED {
+        let mut dev = PfDevice::builder().engine(engine).build();
+        let mut live: Vec<usize> = Vec::new();
+        for slot in 0..512 {
+            let p = dev.open((ProcId(0), Fd(slot)));
+            assert!(dev.set_filter(p, slot_filter(slot)));
+            live.push(p);
+        }
+        for churn in 0..64 {
+            dev.close(live.remove((churn * 37) % live.len()));
+            let p = dev.open((ProcId(0), Fd(512 + churn)));
+            assert!(dev.set_filter(p, slot_filter(512 + churn)));
+            live.push(p);
+        }
+        let built = dev.engine_stats().engine_rebuilds;
+        assert!(
+            built <= 1,
+            "{engine:?}: {built} rebuilds, only set_engine may"
+        );
+        // The index still answers: the newest port takes its own socket.
+        let newest = *live.last().expect("512 live ports");
+        let frame = samples::pup_packet_3mb(samples::PUP_ETHERTYPE_3MB, 0, (575 * 8) as u16, 1);
+        assert_eq!(dev.demux(&frame).accepted, vec![newest], "{engine:?}");
+
+        // Rebinding a port that others of its class follow is the one bind
+        // the set's own insert would misplace: exactly one rebuild.
+        assert!(dev.set_filter(live[0], slot_filter(600)));
+        let after = dev.engine_stats().engine_rebuilds;
+        assert_eq!(after, built + 1, "{engine:?}: mid-class rebind");
+        // Rebinding the newest port of the class is exact in place.
+        assert!(dev.set_filter(newest, slot_filter(601)));
+        assert_eq!(dev.engine_stats().engine_rebuilds, after, "{engine:?}");
+    }
+}
+
+#[test]
+fn geom_churn_never_holds_more_tombstones_than_members() {
+    let mut set = GeomSet::new();
+    let mut live: Vec<u32> = (0..512).collect();
+    for &id in &live {
+        set.insert(id, slot_filter(id as usize));
+    }
+    for churn in 0..4_096u32 {
+        let gone = live.remove((churn as usize * 37) % live.len());
+        assert!(set.remove(gone));
+        assert!(set.tombstones() <= set.len(), "after remove {churn}");
+        let id = 512 + churn;
+        set.insert(id, slot_filter(id as usize));
+        live.push(id);
+        assert!(set.tombstones() <= set.len(), "after insert {churn}");
+        assert_eq!(set.len(), 512);
+    }
+    let frame =
+        samples::pup_packet_3mb(samples::PUP_ETHERTYPE_3MB, 0, ((512 + 4_095) * 8) as u16, 1);
+    assert_eq!(
+        set.first_match(PacketView::new(&frame)),
+        Some(512 + 4_095),
+        "the index still answers after 4,096 churns"
+    );
+}
