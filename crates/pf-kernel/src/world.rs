@@ -290,6 +290,9 @@ struct Router {
     /// Cached `Forwarder::tick_interval` (the tick keeps rescheduling
     /// itself through outages so recovery needs no re-arming).
     tick_interval: Option<SimDuration>,
+    /// The forwarder's stats as of the last call into it; the next call's
+    /// resilience work is priced from the difference.
+    seen: ForwarderStats,
 }
 
 /// Event-loop-level counters for one router (the forwarding plane keeps
@@ -313,6 +316,12 @@ pub struct World {
     routers: Vec<Router>,
     /// `StationId.0` → owning host or router interface.
     station_owner: Vec<StationOwner>,
+    /// Where `Network::transmit_owned` leaves its deliveries for `fan_out`:
+    /// emptied before the event ends, its capacity kept for the next one.
+    deliveries: Vec<Delivery>,
+    /// Likewise, where a forwarder leaves its `(interface, frame)` outputs
+    /// for `router_transmit`.
+    forwards: Vec<(usize, Vec<u8>)>,
 }
 
 impl World {
@@ -333,6 +342,8 @@ impl World {
             hosts: Vec::new(),
             routers: Vec::new(),
             station_owner: Vec::new(),
+            deliveries: Vec::new(),
+            forwards: Vec::new(),
         }
     }
 
@@ -404,6 +415,7 @@ impl World {
         }
         let tx_free_at = vec![SimTime::ZERO; stations.len()];
         let tick_interval = forwarder.tick_interval();
+        let seen = forwarder.stats();
         self.routers.push(Router {
             name: name.into(),
             stations,
@@ -414,6 +426,7 @@ impl World {
             tx_free_at,
             up: true,
             tick_interval,
+            seen,
         });
         if let Some(interval) = tick_interval {
             let now = self.events.now();
@@ -555,14 +568,15 @@ impl World {
     pub fn set_overload_armor(&mut self, host: HostId, config: Option<OverloadConfig>) {
         self.hosts[host.0].overload = config;
         if config.is_none() {
-            let rest: Vec<Vec<u8>> = self.hosts[host.0].rx_backlog.drain(..).collect();
             let h = &mut self.hosts[host.0];
             if h.polling {
                 h.polling = false;
                 h.counters.rx_mode_switches += 1;
             }
+            // Nothing parks a frame while the host takes interrupts, so
+            // the backlog only shrinks from here.
             let now = self.events.now();
-            for frame in rest {
+            while let Some(frame) = self.hosts[host.0].rx_backlog.pop_front() {
                 self.receive_upcall(host, frame, now);
             }
         }
@@ -729,7 +743,7 @@ impl World {
                 let h = &mut self.hosts[host.0];
                 let cost = h.costs.driver_tx_cost(frame.len());
                 let done = h.cpu.charge("kern:if-output", now, cost);
-                self.transmit_frame(host, &frame, done);
+                self.transmit_frame(host, frame, done);
             }
             Event::RouterForward {
                 router,
@@ -938,26 +952,20 @@ impl World {
                 h.cpu.charge("driver:poll", now, c);
             }
         }
-        let finish: Option<Vec<Vec<u8>>> = {
+        let h = &mut self.hosts[host.0];
+        if h.rx_backlog.len() > cfg.lo_watermark {
+            h.poll_scheduled = true;
+            self.events
+                .schedule(now + cfg.poll_interval, Event::PollTick { host });
+            return;
+        }
+        h.polling = false;
+        h.counters.rx_mode_switches += 1;
+        while let Some(frame) = self.hosts[host.0].rx_backlog.pop_front() {
             let h = &mut self.hosts[host.0];
-            if h.rx_backlog.len() <= cfg.lo_watermark {
-                h.polling = false;
-                h.counters.rx_mode_switches += 1;
-                Some(h.rx_backlog.drain(..).collect())
-            } else {
-                h.poll_scheduled = true;
-                self.events
-                    .schedule(now + cfg.poll_interval, Event::PollTick { host });
-                None
-            }
-        };
-        if let Some(rest) = finish {
-            for frame in rest {
-                let h = &mut self.hosts[host.0];
-                let c = h.costs.poll_per_packet;
-                h.cpu.charge("driver:poll", now, c);
-                self.receive_upcall(host, frame, now);
-            }
+            let c = h.costs.poll_per_packet;
+            h.cpu.charge("driver:poll", now, c);
+            self.receive_upcall(host, frame, now);
         }
     }
 
@@ -1048,7 +1056,7 @@ impl World {
         // (deliver-to-lower) are handed copies.
         let last = outcome.accepted.len() - 1;
         for (i, idx) in outcome.accepted.into_iter().enumerate() {
-            let (stamp, enqueued) = {
+            let enqueued = {
                 let h = &mut self.hosts[host.0];
                 let cost = h.costs.pf_bookkeeping;
                 h.cpu.charge("pf:input", now, cost);
@@ -1102,9 +1110,8 @@ impl World {
                         );
                     }
                 }
-                (stamp, ok)
+                ok
             };
-            let _ = stamp;
             if !enqueued {
                 continue;
             }
@@ -1181,20 +1188,22 @@ impl World {
 
     /// Shared transmit path: serializes on the host's NIC and fans the
     /// frame out as arrival events at the receiving stations.
-    fn transmit_frame(&mut self, host: HostId, frame: &[u8], earliest: SimTime) {
+    fn transmit_frame(&mut self, host: HostId, frame: Vec<u8>, earliest: SimTime) {
         let h = &mut self.hosts[host.0];
         let start = earliest.max(h.tx_free_at);
-        let (done, deliveries) = self.net.transmit(h.station, frame, start);
-        h.tx_free_at = done;
+        h.tx_free_at = self
+            .net
+            .transmit_owned(h.station, frame, start, &mut self.deliveries);
         h.counters.packets_sent += 1;
-        self.fan_out(deliveries);
+        self.fan_out();
     }
 
-    /// Schedules each delivery at its owning station: hosts take a
+    /// Schedules each pending delivery at its owning station: hosts take a
     /// `FrameArrival` (the driver receive path), router interfaces take a
-    /// `RouterForward` (the forwarding path).
-    fn fan_out(&mut self, deliveries: Vec<Delivery>) {
-        for d in deliveries {
+    /// `RouterForward` (the forwarding path). The frame buffer moves from
+    /// the delivery into the event.
+    fn fan_out(&mut self) {
+        for d in self.deliveries.drain(..) {
             let event = match self.station_owner[d.station.0] {
                 StationOwner::Host(h) => Event::FrameArrival {
                     host: HostId(h),
@@ -1211,13 +1220,13 @@ impl World {
     }
 
     /// The router receive-and-forward path: charge the forwarding decision
-    /// on the router's CPU, ask the forwarding plane where the frame goes,
-    /// and transmit each output serialized on its interface. A crashed
+    /// on the router's CPU, hand the frame to the forwarding plane, and
+    /// transmit each output serialized on its interface. A crashed
     /// router silently drops the frame without charging anything (its CPU
     /// is not executing).
     ///
     /// Resilience work the forwarding plane did while handling the frame
-    /// is priced by diffing its [`ForwarderStats`] around the call:
+    /// is priced by diffing its [`ForwarderStats`] against the last call's:
     /// control-frame processing costs `lsu_process` each and a triggered
     /// route recomputation costs `route_recompute`, on top of the
     /// unconditional `ip_forward` decision.
@@ -1230,20 +1239,19 @@ impl World {
         r.counters.frames_in += 1;
         let cost = r.costs.ip_forward;
         let mut decided = r.cpu.charge("ip:forward", now, cost);
-        let before = r.forwarder.stats();
-        let outs = r.forwarder.forward(iface, &frame);
-        let after = r.forwarder.stats();
-        let control = after.control_in - before.control_in;
+        r.forwarder.forward_owned(iface, frame, &mut self.forwards);
+        let before = std::mem::replace(&mut r.seen, r.forwarder.stats());
+        let control = r.seen.control_in - before.control_in;
         if control > 0 {
             let c = r.costs.lsu_process.times(control);
             decided = r.cpu.charge("ip:control", now, c);
         }
-        let recomputes = after.reconvergences - before.reconvergences;
+        let recomputes = r.seen.reconvergences - before.reconvergences;
         if recomputes > 0 {
             let c = r.costs.route_recompute.times(recomputes);
             decided = r.cpu.charge("ip:reconverge", now, c);
         }
-        self.router_transmit(router, decided, outs);
+        self.router_transmit(router, decided);
     }
 
     /// One periodic forwarder tick: reschedules itself unconditionally
@@ -1261,35 +1269,39 @@ impl World {
         if !r.up {
             return;
         }
-        let before = r.forwarder.stats();
-        let outs = r.forwarder.tick(now);
-        let after = r.forwarder.stats();
+        self.forwards.extend(r.forwarder.tick(now));
+        let before = std::mem::replace(&mut r.seen, r.forwarder.stats());
         let mut decided = now;
-        let hellos = after.hellos_sent - before.hellos_sent;
+        let hellos = r.seen.hellos_sent - before.hellos_sent;
         if hellos > 0 {
             let c = r.costs.hello_emit.times(hellos);
             decided = r.cpu.charge("ip:hello", now, c);
         }
-        let recomputes = after.reconvergences - before.reconvergences;
+        let recomputes = r.seen.reconvergences - before.reconvergences;
         if recomputes > 0 {
             let c = r.costs.route_recompute.times(recomputes);
             decided = r.cpu.charge("ip:reconverge", now, c);
         }
-        self.router_transmit(router, decided, outs);
+        self.router_transmit(router, decided);
     }
 
-    /// Transmits forwarder outputs, each serialized on its interface.
-    fn router_transmit(&mut self, router: RouterId, decided: SimTime, outs: Vec<(usize, Vec<u8>)>) {
-        for (out_iface, out_frame) in outs {
+    /// Transmits the pending forwarder outputs, each serialized on its
+    /// interface.
+    fn router_transmit(&mut self, router: RouterId, decided: SimTime) {
+        let mut outs = std::mem::take(&mut self.forwards);
+        for (out_iface, out_frame) in outs.drain(..) {
             let r = &mut self.routers[router.0];
             let start = decided.max(r.tx_free_at[out_iface]);
-            let station = r.stations[out_iface];
-            let (done, deliveries) = self.net.transmit(station, &out_frame, start);
-            let r = &mut self.routers[router.0];
-            r.tx_free_at[out_iface] = done;
+            r.tx_free_at[out_iface] = self.net.transmit_owned(
+                r.stations[out_iface],
+                out_frame,
+                start,
+                &mut self.deliveries,
+            );
             r.counters.frames_out += 1;
-            self.fan_out(deliveries);
+            self.fan_out();
         }
+        self.forwards = outs;
     }
 }
 
@@ -1494,7 +1506,7 @@ impl ProcCtx<'_> {
         let c_tx = h.costs.driver_tx_cost(frame_bytes.len());
         let done = h.cpu.charge("driver:tx", now, c_tx);
         let host = self.host;
-        self.world.transmit_frame(host, frame_bytes, done);
+        self.world.transmit_frame(host, frame_bytes.to_vec(), done);
         Ok(())
     }
 
@@ -1529,7 +1541,7 @@ impl ProcCtx<'_> {
             let c_tx = h.costs.driver_tx_cost(frame_bytes.len());
             let done = h.cpu.charge("driver:tx", now, c_tx);
             let host = self.host;
-            self.world.transmit_frame(host, frame_bytes, done);
+            self.world.transmit_frame(host, frame_bytes.clone(), done);
         }
         Ok(())
     }
@@ -1798,7 +1810,7 @@ impl KernelCtx<'_> {
         let h = &mut self.world.hosts[host.0];
         let c = h.costs.driver_tx_cost(frame_bytes.len());
         let done = h.cpu.charge("driver:tx", now, c);
-        self.world.transmit_frame(host, frame_bytes, done);
+        self.world.transmit_frame(host, frame_bytes.to_vec(), done);
     }
 
     /// Sets a kernel timer; [`KernelProtocol::on_timer`] fires with `token`.

@@ -64,6 +64,27 @@ pub struct Header {
     pub ethertype: u16,
 }
 
+/// What [`build`] demands of a frame of `len` bytes between `src` and
+/// `dst`: both addresses fit the medium's width, and the frame its
+/// maximum packet size.
+fn check(medium: &Medium, dst: u64, src: u64, len: usize) -> Result<(), FrameError> {
+    let addr_bits = medium.addr_len * 8;
+    let fits = |a: u64| addr_bits >= 64 || a < (1u64 << addr_bits);
+    if !fits(dst) {
+        return Err(FrameError::BadAddress { addr: dst });
+    }
+    if !fits(src) {
+        return Err(FrameError::BadAddress { addr: src });
+    }
+    if len > medium.max_packet {
+        return Err(FrameError::TooLong {
+            len,
+            max: medium.max_packet,
+        });
+    }
+    Ok(())
+}
+
 /// Builds a complete frame: header followed by `payload`.
 ///
 /// # Errors
@@ -78,21 +99,8 @@ pub fn build(
     ethertype: u16,
     payload: &[u8],
 ) -> Result<Vec<u8>, FrameError> {
-    let addr_bits = medium.addr_len * 8;
-    let fits = |a: u64| addr_bits >= 64 || a < (1u64 << addr_bits);
-    if !fits(dst) {
-        return Err(FrameError::BadAddress { addr: dst });
-    }
-    if !fits(src) {
-        return Err(FrameError::BadAddress { addr: src });
-    }
     let len = medium.header_len + payload.len();
-    if len > medium.max_packet {
-        return Err(FrameError::TooLong {
-            len,
-            max: medium.max_packet,
-        });
-    }
+    check(medium, dst, src, len)?;
     let mut f = Vec::with_capacity(len);
     match medium.kind {
         MediumKind::Experimental3Mb => {
@@ -107,6 +115,31 @@ pub fn build(
     f.extend_from_slice(&ethertype.to_be_bytes());
     f.extend_from_slice(payload);
     Ok(f)
+}
+
+/// Overwrites the link addresses of a complete frame where they stand,
+/// leaving type and payload alone: what a store-and-forward hop does to a
+/// frame it re-emits on a medium of the same encapsulation.
+///
+/// # Errors
+///
+/// Exactly [`build`]'s, for a frame of this length between these
+/// addresses, plus [`FrameError::TooShort`] if the frame cannot hold the
+/// header. The frame is untouched on error.
+pub fn readdress(medium: &Medium, frame: &mut [u8], dst: u64, src: u64) -> Result<(), FrameError> {
+    payload(medium, frame)?;
+    check(medium, dst, src, frame.len())?;
+    match medium.kind {
+        MediumKind::Experimental3Mb => {
+            frame[0] = dst as u8;
+            frame[1] = src as u8;
+        }
+        MediumKind::Standard10Mb => {
+            frame[0..6].copy_from_slice(&dst.to_be_bytes()[2..8]);
+            frame[6..12].copy_from_slice(&src.to_be_bytes()[2..8]);
+        }
+    }
+    Ok(())
 }
 
 /// Parses a frame's data-link header.
@@ -258,6 +291,34 @@ mod tests {
             payload(&m, &[0; 5]),
             Err(FrameError::TooShort { .. })
         ));
+    }
+
+    #[test]
+    fn readdress_is_build_with_other_addresses_and_the_same_refusals() {
+        for m in [Medium::experimental_3mb(), Medium::standard_10mb()] {
+            let mut f = build(&m, 0x0B, 0x0C, 0x0800, &[1, 2, 3]).unwrap();
+            readdress(&m, &mut f, 0x21, 0x22).unwrap();
+            assert_eq!(f, build(&m, 0x21, 0x22, 0x0800, &[1, 2, 3]).unwrap());
+            let before = f.clone();
+            let wide = 1u64 << (m.addr_len * 8);
+            for (dst, src) in [(wide, 1), (1, wide)] {
+                assert_eq!(
+                    readdress(&m, &mut f, dst, src),
+                    build(&m, dst, src, 0x0800, &[1, 2, 3]).map(drop)
+                );
+            }
+            let mut long = vec![0u8; m.max_packet + 1];
+            assert!(matches!(
+                readdress(&m, &mut long, 1, 2),
+                Err(FrameError::TooLong { .. })
+            ));
+            let mut runt = vec![0u8; m.header_len - 1];
+            assert!(matches!(
+                readdress(&m, &mut runt, 1, 2),
+                Err(FrameError::TooShort { .. })
+            ));
+            assert_eq!(f, before, "a refused frame is untouched");
+        }
     }
 
     #[test]

@@ -263,127 +263,149 @@ impl Network {
         self.faults[segment.0]
     }
 
-    /// Transmits `frame` from `station` starting at `now`.
+    /// Transmits `frame` from `station` starting at `now`: the borrowed
+    /// form of [`transmit_owned`](Network::transmit_owned), for callers
+    /// that keep their frame.
     ///
     /// Returns the time the transmitter finishes (sender side busy until
-    /// then) and the resulting deliveries. The sender never receives its
-    /// own frame (Ethernet interfaces do not loop back).
+    /// then) and the resulting deliveries.
     pub fn transmit(
         &mut self,
         station: StationId,
         frame_bytes: &[u8],
         now: SimTime,
     ) -> (SimTime, Vec<Delivery>) {
-        let seg_id = self.stations[station.0].segment;
-        let seg = &self.segments[seg_id.0];
-        let medium = seg.medium;
-        let tx_done = now + medium.transmission_delay(frame_bytes.len());
-        let arrival = tx_done + seg.propagation;
-        self.transmitted[seg_id.0] += 1;
-
-        let header = frame::parse(&medium, frame_bytes).ok();
         let mut out = Vec::new();
-        let receivers: Vec<StationId> = seg.stations.clone();
-        let faults = seg.faults;
-        let propagation = seg.propagation;
+        let tx_done = self.transmit_owned(station, frame_bytes.to_vec(), now, &mut out);
+        (tx_done, out)
+    }
+
+    /// Transmits `frame` from `station` starting at `now`, pushing the
+    /// resulting deliveries onto `out`, and returns the time the
+    /// transmitter finishes (sender side busy until then). The sender
+    /// never receives its own frame (Ethernet interfaces do not loop
+    /// back).
+    ///
+    /// The buffer travels with the frame: every accepting receiver but the
+    /// last is handed a copy, the last one `frame` itself, so a unicast
+    /// frame crosses the wire without being copied at all.
+    pub fn transmit_owned(
+        &mut self,
+        station: StationId,
+        frame: Vec<u8>,
+        now: SimTime,
+        out: &mut Vec<Delivery>,
+    ) -> SimTime {
+        let seg_id = self.stations[station.0].segment.0;
+        let seg = &self.segments[seg_id];
+        let medium = seg.medium;
+        let tx_done = now + medium.transmission_delay(frame.len());
+        let arrival = tx_done + seg.propagation;
+        self.transmitted[seg_id] += 1;
 
         // An administratively-down link consumes no fault draws at all:
         // the transmitter still holds the wire for the frame time, every
         // would-be delivery is counted and dropped, and the seeded fault
         // pattern resumes exactly where it left off once the link heals.
-        if !seg.up {
-            for rcv in receivers {
-                if rcv == station {
-                    continue;
-                }
-                let r = &self.stations[rcv.0];
-                let wants = r.promiscuous
-                    || header.is_some_and(|h| {
-                        h.dst == r.addr
-                            || medium.is_broadcast(h.dst)
-                            || (medium.is_multicast(h.dst) && r.multicast.contains(&h.dst))
-                    });
-                if wants {
-                    self.faults[seg_id.0].link_down_drops += 1;
-                }
-            }
-            return (tx_done, out);
-        }
-
+        let up = seg.up;
         // Fault application follows the draw order documented at the module
         // level; changing the order or adding a draw changes every seeded
         // fault pattern, so treat it as a wire-format-stable contract.
-        if now >= self.segments[seg_id.0].partition_until && self.rng.chance(faults.partition) {
-            self.segments[seg_id.0].partition_until = now + faults.partition_duration;
-            self.faults[seg_id.0].partition_events += 1;
+        if up && now >= seg.partition_until && self.rng.chance(seg.faults.partition) {
+            let seg = &mut self.segments[seg_id];
+            seg.partition_until = now + seg.faults.partition_duration;
+            self.faults[seg_id].partition_events += 1;
         }
-        let partitioned = now < self.segments[seg_id.0].partition_until;
+        let partitioned = now < self.segments[seg_id].partition_until;
 
-        for rcv in receivers {
-            if rcv == station {
+        let header = frame::parse(&medium, &frame).ok();
+        let wants = |r: &Station| {
+            r.promiscuous
+                || header.is_some_and(|h| {
+                    h.dst == r.addr
+                        || medium.is_broadcast(h.dst)
+                        || (medium.is_multicast(h.dst) && r.multicast.contains(&h.dst))
+                })
+        };
+        // The receiver whose delivery is still owed: it is served with a
+        // copy once a later receiver turns up, with `frame` itself if none
+        // does. Receivers are served, and their fault draws made, in
+        // station order either way.
+        let mut owed: Option<StationId> = None;
+        for i in 0..self.segments[seg_id].stations.len() {
+            let rcv = self.segments[seg_id].stations[i];
+            if rcv == station || !wants(&self.stations[rcv.0]) {
                 continue;
             }
-            let wants = {
-                let r = &self.stations[rcv.0];
-                r.promiscuous
-                    || header.is_some_and(|h| {
-                        h.dst == r.addr
-                            || medium.is_broadcast(h.dst)
-                            || (medium.is_multicast(h.dst) && r.multicast.contains(&h.dst))
-                    })
-            };
-            if !wants {
-                continue;
-            }
-            if partitioned {
-                self.faults[seg_id.0].partition_drops += 1;
-                continue;
-            }
-
-            // Independent Bernoulli gates, fixed order (see module docs).
-            let lose = self.rng.chance(faults.loss);
-            let dup = self.rng.chance(faults.duplication);
-            let corrupt = self.rng.chance(faults.corruption);
-            let trunc = self.rng.chance(faults.truncation);
-            let reorder = self.rng.chance(faults.reorder);
-
-            let mut primary = frame_bytes.to_vec();
-            let mut primary_arrival = arrival;
-            if corrupt && !primary.is_empty() {
-                let byte = self.rng.below(primary.len() as u64) as usize;
-                let bit = self.rng.below(8) as u32;
-                primary[byte] ^= 1u8 << bit;
-                self.faults[seg_id.0].corrupted += 1;
-            }
-            if trunc && primary.len() > 1 {
-                let keep = 1 + self.rng.below(primary.len() as u64 - 1) as usize;
-                primary.truncate(keep);
-                self.faults[seg_id.0].truncated += 1;
-            }
-            if reorder && faults.reorder_jitter > SimDuration::ZERO {
-                let jitter = 1 + self.rng.below(faults.reorder_jitter.as_nanos());
-                primary_arrival = arrival + SimDuration::from_nanos(jitter);
-                self.faults[seg_id.0].reordered += 1;
-            }
-            if lose {
-                self.faults[seg_id.0].lost += 1;
-            } else {
-                out.push(Delivery {
-                    station: rcv,
-                    arrival: primary_arrival,
-                    frame: primary,
-                });
-            }
-            if dup {
-                self.faults[seg_id.0].duplicated += 1;
-                out.push(Delivery {
-                    station: rcv,
-                    arrival: arrival + propagation,
-                    frame: frame_bytes.to_vec(),
-                });
+            if !up {
+                self.faults[seg_id].link_down_drops += 1;
+            } else if partitioned {
+                self.faults[seg_id].partition_drops += 1;
+            } else if let Some(earlier) = owed.replace(rcv) {
+                self.deliver(seg_id, earlier, frame.clone(), arrival, out);
             }
         }
-        (tx_done, out)
+        if let Some(last) = owed {
+            self.deliver(seg_id, last, frame, arrival, out);
+        }
+        tx_done
+    }
+
+    /// Passes one receiver's copy of a frame through the segment's fault
+    /// gates and pushes what survives (and any duplicate) onto `out`.
+    fn deliver(
+        &mut self,
+        seg_id: usize,
+        rcv: StationId,
+        mut primary: Vec<u8>,
+        arrival: SimTime,
+        out: &mut Vec<Delivery>,
+    ) {
+        let faults = self.segments[seg_id].faults;
+        let tally = &mut self.faults[seg_id];
+        // Independent Bernoulli gates, fixed order (see module docs).
+        let lose = self.rng.chance(faults.loss);
+        let dup = self.rng.chance(faults.duplication);
+        let corrupt = self.rng.chance(faults.corruption);
+        let trunc = self.rng.chance(faults.truncation);
+        let reorder = self.rng.chance(faults.reorder);
+
+        // The duplicate is pristine: taken before any damage is done.
+        let duplicate = dup.then(|| primary.clone());
+        let mut primary_arrival = arrival;
+        if corrupt && !primary.is_empty() {
+            let byte = self.rng.below(primary.len() as u64) as usize;
+            let bit = self.rng.below(8) as u32;
+            primary[byte] ^= 1u8 << bit;
+            tally.corrupted += 1;
+        }
+        if trunc && primary.len() > 1 {
+            let keep = 1 + self.rng.below(primary.len() as u64 - 1) as usize;
+            primary.truncate(keep);
+            tally.truncated += 1;
+        }
+        if reorder && faults.reorder_jitter > SimDuration::ZERO {
+            let jitter = 1 + self.rng.below(faults.reorder_jitter.as_nanos());
+            primary_arrival = arrival + SimDuration::from_nanos(jitter);
+            tally.reordered += 1;
+        }
+        if lose {
+            tally.lost += 1;
+        } else {
+            out.push(Delivery {
+                station: rcv,
+                arrival: primary_arrival,
+                frame: primary,
+            });
+        }
+        if let Some(frame) = duplicate {
+            tally.duplicated += 1;
+            out.push(Delivery {
+                station: rcv,
+                arrival: arrival + self.segments[seg_id].propagation,
+                frame,
+            });
+        }
     }
 }
 
@@ -782,6 +804,211 @@ mod tests {
         let (_, deliveries) = net.transmit(a, &f, SimTime::ZERO);
         let who: Vec<usize> = deliveries.iter().map(|d| d.station.0).collect();
         assert_eq!(who, vec![snoop.0], "after leave only the snoop hears it");
+    }
+
+    /// `transmit` as it stood before frames were owned end to end: one
+    /// copy per accepting receiver, made whether or not the frame survives.
+    /// Kept as the specification of deliveries, tallies and draw order.
+    fn reference_transmit(
+        net: &mut Network,
+        station: StationId,
+        frame_bytes: &[u8],
+        now: SimTime,
+    ) -> (SimTime, Vec<Delivery>) {
+        let seg_id = net.stations[station.0].segment;
+        let seg = &net.segments[seg_id.0];
+        let (medium, faults, propagation, up) = (seg.medium, seg.faults, seg.propagation, seg.up);
+        let tx_done = now + medium.transmission_delay(frame_bytes.len());
+        let arrival = tx_done + propagation;
+        net.transmitted[seg_id.0] += 1;
+        let header = frame::parse(&medium, frame_bytes).ok();
+        let mut out = Vec::new();
+        let receivers: Vec<StationId> = seg.stations.clone();
+        if up && now >= net.segments[seg_id.0].partition_until && net.rng.chance(faults.partition) {
+            net.segments[seg_id.0].partition_until = now + faults.partition_duration;
+            net.faults[seg_id.0].partition_events += 1;
+        }
+        let partitioned = now < net.segments[seg_id.0].partition_until;
+        for rcv in receivers {
+            let r = &net.stations[rcv.0];
+            let wants = r.promiscuous
+                || header.is_some_and(|h| {
+                    h.dst == r.addr
+                        || medium.is_broadcast(h.dst)
+                        || (medium.is_multicast(h.dst) && r.multicast.contains(&h.dst))
+                });
+            if rcv == station || !wants {
+                continue;
+            }
+            if !up {
+                net.faults[seg_id.0].link_down_drops += 1;
+                continue;
+            }
+            if partitioned {
+                net.faults[seg_id.0].partition_drops += 1;
+                continue;
+            }
+            let lose = net.rng.chance(faults.loss);
+            let dup = net.rng.chance(faults.duplication);
+            let corrupt = net.rng.chance(faults.corruption);
+            let trunc = net.rng.chance(faults.truncation);
+            let reorder = net.rng.chance(faults.reorder);
+            let mut primary = frame_bytes.to_vec();
+            let mut primary_arrival = arrival;
+            if corrupt && !primary.is_empty() {
+                let byte = net.rng.below(primary.len() as u64) as usize;
+                let bit = net.rng.below(8) as u32;
+                primary[byte] ^= 1u8 << bit;
+                net.faults[seg_id.0].corrupted += 1;
+            }
+            if trunc && primary.len() > 1 {
+                let keep = 1 + net.rng.below(primary.len() as u64 - 1) as usize;
+                primary.truncate(keep);
+                net.faults[seg_id.0].truncated += 1;
+            }
+            if reorder && faults.reorder_jitter > SimDuration::ZERO {
+                let jitter = 1 + net.rng.below(faults.reorder_jitter.as_nanos());
+                primary_arrival = arrival + SimDuration::from_nanos(jitter);
+                net.faults[seg_id.0].reordered += 1;
+            }
+            if lose {
+                net.faults[seg_id.0].lost += 1;
+            } else {
+                out.push(Delivery {
+                    station: rcv,
+                    arrival: primary_arrival,
+                    frame: primary,
+                });
+            }
+            if dup {
+                net.faults[seg_id.0].duplicated += 1;
+                out.push(Delivery {
+                    station: rcv,
+                    arrival: arrival + propagation,
+                    frame: frame_bytes.to_vec(),
+                });
+            }
+        }
+        (tx_done, out)
+    }
+
+    /// Two segments under every fault at once, five stations each: plain,
+    /// promiscuous, and (on the 10 Mb/s wire) multicast members.
+    fn faulty_network(seed: u64) -> (Network, Vec<StationId>) {
+        let faults = FaultModel {
+            loss: 0.2,
+            duplication: 0.15,
+            corruption: 0.2,
+            truncation: 0.15,
+            reorder: 0.2,
+            partition: 0.02,
+            partition_duration: SimDuration::from_micros(300),
+            ..FaultModel::default()
+        };
+        let mut net = Network::new(seed);
+        let mut stations = Vec::new();
+        for medium in [Medium::experimental_3mb(), Medium::standard_10mb()] {
+            let seg = net.add_segment(medium, faults);
+            for addr in 1..=5u64 {
+                let id = net.add_station(seg, addr);
+                net.station(id).set_promiscuous(addr == 4);
+                if addr % 2 == 1 {
+                    net.station(id).join_multicast(0x0100_0000_0001);
+                }
+                stations.push(id);
+            }
+        }
+        (net, stations)
+    }
+
+    #[test]
+    fn owned_transmit_matches_the_reference_under_every_fault() {
+        for seed in 0..6u64 {
+            let (mut net, stations) = faulty_network(seed);
+            let (mut reference, _) = faulty_network(seed);
+            let mut rng = SplitMix64::new(0x7E57 ^ seed);
+            let mut now = SimTime::ZERO;
+            let mut out = Vec::new();
+            for step in 0..2_000 {
+                let from = stations[rng.below(stations.len() as u64) as usize];
+                let medium = *net.medium_of(from);
+                let dst = match rng.below(4) {
+                    0 => medium.broadcast,
+                    1 => 0x0100_0000_0001 & ((1 << (8 * medium.addr_len)) - 1),
+                    _ => 1 + rng.below(6),
+                };
+                let mut f = build(&medium, dst, net.addr_of(from), 2, &[step as u8; 24]).unwrap();
+                // Runts, down to the empty frame, reach only the snoop.
+                if rng.chance(0.1) {
+                    f.truncate(rng.below(medium.header_len as u64) as usize);
+                }
+                if rng.chance(0.05) {
+                    let seg = SegmentId(rng.below(2) as usize);
+                    let up = rng.chance(0.5);
+                    net.set_link_state(seg, up);
+                    reference.set_link_state(seg, up);
+                }
+                now += SimDuration::from_micros(rng.below(200));
+                let want = reference_transmit(&mut reference, from, &f, now);
+                // The borrowed adapter and the owned core are one path.
+                let got = if step % 2 == 0 {
+                    net.transmit(from, &f, now)
+                } else {
+                    out.clear();
+                    (net.transmit_owned(from, f, now, &mut out), out.clone())
+                };
+                assert_eq!(got.0, want.0, "seed {seed} step {step}: tx_done");
+                let key = |d: &Delivery| (d.station, d.arrival, d.frame.clone());
+                assert_eq!(
+                    got.1.iter().map(key).collect::<Vec<_>>(),
+                    want.1.iter().map(key).collect::<Vec<_>>(),
+                    "seed {seed} step {step}: deliveries"
+                );
+                assert_eq!(
+                    net.rng.clone().next_u64(),
+                    reference.rng.clone().next_u64(),
+                    "seed {seed} step {step}: RNG stream"
+                );
+            }
+            for seg in [SegmentId(0), SegmentId(1)] {
+                let tally = net.faults_on(seg);
+                assert_eq!(tally, reference.faults_on(seg));
+                assert_eq!(net.transmitted_on(seg), reference.transmitted_on(seg));
+                // Every gate fired somewhere, or the comparison is hollow.
+                let fired = [
+                    tally.lost,
+                    tally.duplicated,
+                    tally.corrupted,
+                    tally.truncated,
+                    tally.reordered,
+                    tally.partition_events,
+                    tally.partition_drops,
+                    tally.link_down_drops,
+                ];
+                assert!(fired.iter().all(|&n| n > 0), "seed {seed}: {tally:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn unicast_with_a_snoop_is_copied_once_and_alone_not_at_all() {
+        let (mut net, _, a, b, c) = net_with_three_stations();
+        let m = *net.medium_of(a);
+        let f = build(&m, 0x0B, 0x0A, 2, &[7; 40]).unwrap();
+        let buffer = f.as_ptr();
+        let mut out = Vec::new();
+        net.transmit_owned(a, f.clone(), SimTime::ZERO, &mut out);
+        assert_eq!(out.len(), 1);
+        net.station(c).set_promiscuous(true);
+        net.transmit_owned(a, f, SimTime::ZERO, &mut out);
+        let who: Vec<StationId> = out.iter().map(|d| d.station).collect();
+        assert_eq!(who, vec![b, b, c], "deliveries are appended to `out`");
+        assert_eq!(
+            out[2].frame.as_ptr(),
+            buffer,
+            "the last receiver gets the buffer"
+        );
+        assert_ne!(out[1].frame.as_ptr(), buffer, "the one before it a copy");
     }
 
     #[test]

@@ -78,19 +78,30 @@ pub struct IpHeader {
     pub total_len: u16,
 }
 
+/// Writes `h` over the first [`IP_HEADER`] bytes of `b` as the header of
+/// a datagram carrying `payload_len` bytes: every field [`IpHeader`] does
+/// not carry (TOS, id, fragment, checksum) is zero, `h.total_len` is
+/// ignored.
+///
+/// # Panics
+///
+/// Panics if `b` is shorter than [`IP_HEADER`].
+pub fn put_ip_header(b: &mut [u8], h: &IpHeader, payload_len: usize) {
+    let b = &mut b[..IP_HEADER];
+    b.fill(0); // TOS, id, frag; header checksum (simulated as valid)
+    b[0] = 0x45; // version 4, IHL 5
+    b[2..4].copy_from_slice(&((IP_HEADER + payload_len) as u16).to_be_bytes());
+    b[8] = h.ttl;
+    b[9] = h.proto;
+    b[12..16].copy_from_slice(&h.src.to_be_bytes());
+    b[16..20].copy_from_slice(&h.dst.to_be_bytes());
+}
+
 /// Encodes an IP packet (header + payload).
 pub fn encode_ip(h: &IpHeader, payload: &[u8]) -> Vec<u8> {
     let mut b = Vec::with_capacity(IP_HEADER + payload.len());
-    b.push(0x45); // version 4, IHL 5
-    b.push(0); // TOS
-    let total = (IP_HEADER + payload.len()) as u16;
-    b.extend_from_slice(&total.to_be_bytes());
-    b.extend_from_slice(&[0, 0, 0, 0]); // id, frag
-    b.push(h.ttl);
-    b.push(h.proto);
-    b.extend_from_slice(&[0, 0]); // header checksum (simulated as valid)
-    b.extend_from_slice(&h.src.to_be_bytes());
-    b.extend_from_slice(&h.dst.to_be_bytes());
+    b.resize(IP_HEADER, 0);
+    put_ip_header(&mut b, h, payload.len());
     b.extend_from_slice(payload);
     b
 }

@@ -21,7 +21,7 @@ use pf_net::{frame, SegmentId};
 use pf_sim::time::{SimDuration, SimTime};
 use pf_sim::CostModel;
 
-use crate::ip::{decode_ip, encode_ip, IP_ETHERTYPE};
+use crate::ip::{decode_ip, encode_ip, put_ip_header, IpHeader, IP_ETHERTYPE, IP_HEADER};
 
 /// Ethertype of the resilience plane's control frames (hellos and
 /// link-state updates). Chosen outside the IP/ARP range so plain
@@ -283,8 +283,12 @@ pub struct IpRouter {
     ifaces: Vec<RouterIface>,
     table: RouteTable,
     /// Static IP → link-address map covering every next hop and every
-    /// directly-attached destination.
-    arp: HashMap<u32, u64>,
+    /// directly-attached destination, sorted by IP.
+    arp: Vec<(u32, u64)>,
+    /// Per interface, the `arp` entry last sent to. A point-to-point link
+    /// has one neighbor, so transit traffic resolves here and leaves the
+    /// full map (every router holds the whole internet's) cold.
+    resolved: Vec<Option<(u32, u64)>>,
     stats: ForwarderStats,
     /// `Some` for hardened routers: the liveness/flooding/reconvergence
     /// machinery. Plain static routers carry `None` and never tick.
@@ -295,7 +299,10 @@ impl IpRouter {
     /// Builds a forwarder from explicit interfaces, routes, and ARP
     /// entries.
     pub fn new(ifaces: Vec<RouterIface>, table: RouteTable, arp: HashMap<u32, u64>) -> Self {
+        let mut arp: Vec<(u32, u64)> = arp.into_iter().collect();
+        arp.sort_unstable();
         IpRouter {
+            resolved: vec![None; ifaces.len()],
             ifaces,
             table,
             arp,
@@ -530,67 +537,83 @@ impl IpRouter {
 }
 
 impl Forwarder for IpRouter {
-    fn forward(&mut self, iface: usize, frame_bytes: &[u8]) -> Vec<(usize, Vec<u8>)> {
+    fn forward_owned(&mut self, iface: usize, mut frame: Vec<u8>, out: &mut Vec<(usize, Vec<u8>)>) {
         let in_medium = self.ifaces[iface].medium;
-        let Ok(h) = frame::parse(&in_medium, frame_bytes) else {
+        let Ok(h) = frame::parse(&in_medium, &frame) else {
             self.stats.not_routable += 1;
-            return Vec::new();
+            return;
         };
+        let body = &frame[in_medium.header_len..];
         if h.ethertype == CONTROL_ETHERTYPE {
-            let Some(mut cp) = self.control.take() else {
-                // A plain router has no resilience plane; control
-                // traffic is just an unroutable ethertype to it.
-                self.stats.not_routable += 1;
-                return Vec::new();
-            };
-            let out = match frame::payload(&in_medium, frame_bytes) {
-                Ok(body) => self.handle_control(&mut cp, iface, body),
-                Err(_) => {
-                    self.stats.not_routable += 1;
-                    Vec::new()
+            // A plain router has no resilience plane; control traffic is
+            // just an unroutable ethertype to it.
+            match self.control.take() {
+                Some(mut cp) => {
+                    out.extend(self.handle_control(&mut cp, iface, body));
+                    self.control = Some(cp);
                 }
-            };
-            self.control = Some(cp);
-            return out;
+                None => self.stats.not_routable += 1,
+            }
+            return;
         }
         if h.ethertype != IP_ETHERTYPE {
             self.stats.not_routable += 1;
-            return Vec::new();
+            return;
         }
-        let Ok(body) = frame::payload(&in_medium, frame_bytes) else {
-            self.stats.not_routable += 1;
-            return Vec::new();
-        };
         let Some((ih, payload)) = decode_ip(body) else {
             self.stats.not_routable += 1;
-            return Vec::new();
+            return;
         };
         // RFC 791 discipline: a packet arriving with TTL <= 1 cannot be
         // forwarded another hop.
         if ih.ttl <= 1 {
             self.stats.ttl_expired += 1;
-            return Vec::new();
+            return;
         }
         let Some(route) = self.table.lookup(ih.dst).copied() else {
             self.stats.no_route += 1;
-            return Vec::new();
+            return;
         };
         let next_ip = route.next_hop.unwrap_or(ih.dst);
-        let Some(&next_eth) = self.arp.get(&next_ip) else {
-            self.stats.no_route += 1;
-            return Vec::new();
+        let next_eth = match self.resolved[route.iface] {
+            Some((ip, eth)) if ip == next_ip => eth,
+            _ => {
+                let Ok(at) = self.arp.binary_search_by_key(&next_ip, |&(ip, _)| ip) else {
+                    self.stats.no_route += 1;
+                    return;
+                };
+                self.resolved[route.iface] = Some(self.arp[at]);
+                self.arp[at].1
+            }
         };
-        let mut out_ih = ih;
-        out_ih.ttl -= 1;
-        let packet = encode_ip(&out_ih, payload);
-        let out = &self.ifaces[route.iface];
-        let Ok(out_frame) = frame::build(&out.medium, next_eth, out.eth, IP_ETHERTYPE, &packet)
-        else {
-            self.stats.not_routable += 1;
-            return Vec::new();
+        let out_ih = IpHeader {
+            ttl: ih.ttl - 1,
+            ..ih
         };
-        self.stats.forwarded += 1;
-        vec![(route.iface, out_frame)]
+        let port = &self.ifaces[route.iface];
+        let link = &port.medium;
+        let sent = if (link.kind, link.header_len) == (in_medium.kind, in_medium.header_len) {
+            // Same encapsulation on both sides: the frame leaves in the
+            // buffer it arrived in, cut to the datagram, with the link
+            // addresses and the IP header written over where they stand —
+            // byte for byte what `encode_ip` + `frame::build` would make.
+            let payload_len = payload.len();
+            frame.truncate(link.header_len + IP_HEADER + payload_len);
+            frame::readdress(link, &mut frame, next_eth, port.eth).map(|()| {
+                put_ip_header(&mut frame[link.header_len..], &out_ih, payload_len);
+                frame
+            })
+        } else {
+            let packet = encode_ip(&out_ih, payload);
+            frame::build(link, next_eth, port.eth, IP_ETHERTYPE, &packet)
+        };
+        match sent {
+            Ok(out_frame) => {
+                self.stats.forwarded += 1;
+                out.push((route.iface, out_frame));
+            }
+            Err(_) => self.stats.not_routable += 1,
+        }
     }
 
     fn stats(&self) -> ForwarderStats {
@@ -721,7 +744,6 @@ fn deploy_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ip::IpHeader;
     use pf_net::segment::FaultModel;
 
     fn one_hop_router() -> (IpRouter, Medium) {
@@ -733,8 +755,7 @@ mod tests {
             iface: 1,
             next_hop: None,
         });
-        let mut arp = HashMap::new();
-        arp.insert(0x0A00_0202u32, 0x22u64);
+        let arp = HashMap::from([(0x0A00_0202u32, 0x22u64), (0x0A00_0102, 0x33)]);
         let r = IpRouter::new(
             vec![
                 RouterIface {
@@ -800,6 +821,181 @@ mod tests {
         assert_eq!(r.stats().not_routable, 1);
     }
 
+    /// The forwarding decision as it stood before frames were forwarded in
+    /// place — decapsulate, then build the datagram and the frame afresh,
+    /// the IP header spelled out byte by byte — over `r`'s tables, counting
+    /// into `stats`. Kept as the specification of the owned path.
+    fn reference_forward(
+        r: &IpRouter,
+        stats: &mut ForwarderStats,
+        iface: usize,
+        frame_bytes: &[u8],
+    ) -> Vec<(usize, Vec<u8>)> {
+        let in_medium = r.ifaces[iface].medium;
+        let routable = frame::parse(&in_medium, frame_bytes)
+            .ok()
+            .filter(|h| h.ethertype == IP_ETHERTYPE)
+            .and_then(|_| decode_ip(&frame_bytes[in_medium.header_len..]));
+        let Some((ih, payload)) = routable else {
+            stats.not_routable += 1;
+            return Vec::new();
+        };
+        if ih.ttl <= 1 {
+            stats.ttl_expired += 1;
+            return Vec::new();
+        }
+        let route = r.table.routes().iter().find(|r| {
+            let mask = u32::MAX.checked_shl(32 - u32::from(r.len)).unwrap_or(0);
+            ih.dst & mask == r.prefix
+        });
+        let next = route.and_then(|route| {
+            let next_ip = route.next_hop.unwrap_or(ih.dst);
+            let arp = r.arp.iter().find(|&&(ip, _)| ip == next_ip)?;
+            Some((route.iface, arp.1))
+        });
+        let Some((out_iface, next_eth)) = next else {
+            stats.no_route += 1;
+            return Vec::new();
+        };
+        let mut packet = vec![0x45, 0];
+        packet.extend_from_slice(&((IP_HEADER + payload.len()) as u16).to_be_bytes());
+        packet.extend_from_slice(&[0, 0, 0, 0, ih.ttl - 1, ih.proto, 0, 0]);
+        packet.extend_from_slice(&ih.src.to_be_bytes());
+        packet.extend_from_slice(&ih.dst.to_be_bytes());
+        packet.extend_from_slice(payload);
+        let out = &r.ifaces[out_iface];
+        match frame::build(&out.medium, next_eth, out.eth, IP_ETHERTYPE, &packet) {
+            Ok(f) => {
+                stats.forwarded += 1;
+                vec![(out_iface, f)]
+            }
+            Err(_) => {
+                stats.not_routable += 1;
+                Vec::new()
+            }
+        }
+    }
+
+    /// Interfaces: 0 and 1 on 10 Mb/s, 2 on 3 Mb/s, 3 on a 10 Mb/s link
+    /// with a 120-byte maximum packet. One /24 behind each of 1–3 (2's via
+    /// a next hop), a host route out of 0 and one out of 2, and ARP entries
+    /// that are missing (.9) or too wide for 2's one-byte addresses (.7).
+    fn four_port_router() -> IpRouter {
+        let m10 = Medium::standard_10mb();
+        let small = Medium {
+            max_packet: 120,
+            ..m10
+        };
+        let media = [m10, m10, Medium::experimental_3mb(), small];
+        let ifaces = (0..4u32).map(|i| RouterIface {
+            medium: media[i as usize],
+            eth: 0x10 + u64::from(i),
+            ip: 0x0A00_0001 | (i << 8),
+        });
+        let mut table = RouteTable::new();
+        let mut arp = HashMap::new();
+        for (iface, next_hop) in [(1, None), (2, Some(0x0A00_02FE)), (3, None)] {
+            let prefix = 0x0A00_0000 | (iface as u32) << 8;
+            table.set(Route {
+                prefix,
+                len: 24,
+                iface,
+                next_hop,
+            });
+            for host in 1..=8u32 {
+                arp.insert(prefix | host, 0x20 + u64::from(host));
+            }
+        }
+        arp.insert(0x0A00_02FE, 0x7E);
+        arp.insert(0x0A00_0207, 0x0200_0000_0007);
+        for (host, iface) in [(0x0A00_0105, 0), (0x0A00_0207, 2)] {
+            table.set(Route {
+                prefix: host,
+                len: 32,
+                iface,
+                next_hop: None,
+            });
+        }
+        IpRouter::new(ifaces.collect(), table, arp)
+    }
+
+    #[test]
+    fn owned_forward_is_byte_identical_to_decapsulate_and_rebuild() {
+        let mut r = four_port_router();
+        let mut want_stats = ForwarderStats::default();
+        let mut rng = pf_sim::rng::SplitMix64::new(0x1F0D);
+        let mut out = Vec::new();
+        for step in 0..20_000 {
+            let iface = rng.below(4) as usize;
+            let medium = r.ifaces[iface].medium;
+            let dst = 0x0A00_0000 | (rng.below(5) as u32) << 8 | rng.below(10) as u32;
+            let ih = IpHeader {
+                proto: rng.next_u64() as u8,
+                ttl: [0, 1, 2, 64, 255][rng.below(5) as usize],
+                src: rng.next_u64() as u32,
+                dst,
+                total_len: 0,
+            };
+            // Mostly small; sometimes past the 120-byte link, sometimes
+            // past the 3 Mb/s maximum.
+            let len = [
+                rng.below(40),
+                rng.below(40),
+                90 + rng.below(40),
+                560 + rng.below(60),
+            ][rng.below(4) as usize] as usize;
+            let mut packet = encode_ip(&ih, &vec![step as u8; len.min(medium.max_packet - 40)]);
+            // What a sender may set and a hop must not echo: TOS, id,
+            // fragment and checksum bytes.
+            for at in [1, 4, 5, 6, 7, 10, 11] {
+                packet[at] = rng.next_u64() as u8;
+            }
+            let ethertype = match rng.below(12) {
+                0 => CONTROL_ETHERTYPE,
+                1 => 0x0806,
+                _ => IP_ETHERTYPE,
+            };
+            let mut f = frame::build(&medium, r.ifaces[iface].eth, 0x33, ethertype, &packet)
+                .expect("sized to fit the arrival medium");
+            match rng.below(10) {
+                // Trailing bytes past `total_len` stay behind.
+                0 | 1 => f.extend_from_slice(&[0xEE; 7][..1 + rng.below(7) as usize]),
+                // Runts of every length, cut anywhere.
+                2 => f.truncate(rng.below(f.len() as u64) as usize),
+                // A version/IHL byte or a length the decoder refuses.
+                3 => f[medium.header_len + [0, 2][rng.below(2) as usize]] ^= 0x40,
+                _ => {}
+            }
+            let want = reference_forward(&r, &mut want_stats, iface, &f);
+            // Control frames are the plain router's `not_routable` too.
+            let got = if step % 2 == 0 {
+                r.forward(iface, &f)
+            } else {
+                out.clear();
+                r.forward_owned(iface, f, &mut out);
+                out.clone()
+            };
+            assert_eq!(
+                got, want,
+                "step {step}, arriving on {iface} for {dst:#010x}"
+            );
+            assert_eq!(r.stats(), want_stats, "step {step}");
+        }
+        let s = r.stats();
+        let seen = [s.forwarded, s.ttl_expired, s.no_route, s.not_routable];
+        assert!(seen.iter().all(|&n| n > 500), "every outcome met: {s:?}");
+    }
+
+    #[test]
+    fn a_same_medium_hop_reuses_the_arriving_buffer() {
+        let (mut r, m) = one_hop_router();
+        let f = ip_frame(&m, 0x11, 30, 0x0A00_0202);
+        let buffer = f.as_ptr();
+        let mut out = Vec::new();
+        r.forward_owned(0, f, &mut out);
+        assert_eq!(out[0].1.as_ptr(), buffer);
+    }
+
     #[test]
     fn update_route_redirects_traffic() {
         let (mut r, m) = one_hop_router();
@@ -809,9 +1005,6 @@ mod tests {
             iface: 0,
             next_hop: Some(0x0A00_0102),
         }));
-        let mut arp = HashMap::new();
-        arp.insert(0x0A00_0102u32, 0x33u64);
-        r.arp.extend(arp);
         let out = r.forward(0, &ip_frame(&m, 0x11, 30, 0x0A00_0202));
         assert_eq!(out[0].0, 0, "rerouted out the updated interface");
     }

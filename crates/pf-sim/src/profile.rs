@@ -7,13 +7,16 @@
 //! what the `section_6_1` experiment prints.
 
 use crate::time::SimDuration;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Per-routine call counts and cumulative virtual CPU time.
+///
+/// A host charges a dozen or so routines, millions of times, each by a
+/// string literal: the table is a short array, and a row is found by the
+/// literal's address before its text (two crates may each carry a copy).
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    routines: HashMap<&'static str, RoutineStats>,
+    routines: Vec<(&'static str, RoutineStats)>,
 }
 
 /// Statistics for one profiled routine.
@@ -41,47 +44,57 @@ impl Profiler {
         Self::default()
     }
 
+    /// Adds `calls` calls costing `time` in all to `routine`'s row.
+    fn add(&mut self, routine: &'static str, calls: u64, time: SimDuration) {
+        let rows = &mut self.routines;
+        let by_address = rows.iter().position(|r| std::ptr::eq(r.0, routine));
+        let at = by_address
+            .or_else(|| rows.iter().position(|r| r.0 == routine))
+            .unwrap_or_else(|| {
+                rows.push((routine, RoutineStats::default()));
+                rows.len() - 1
+            });
+        rows[at].1.calls += calls;
+        rows[at].1.time += time;
+    }
+
     /// Records one call to `routine` costing `time`.
     pub fn record(&mut self, routine: &'static str, time: SimDuration) {
-        let s = self.routines.entry(routine).or_default();
-        s.calls += 1;
-        s.time += time;
+        self.add(routine, 1, time);
     }
 
     /// Statistics for one routine (zeroes if never recorded).
     pub fn stats(&self, routine: &str) -> RoutineStats {
-        self.routines.get(routine).copied().unwrap_or_default()
+        let row = self.routines.iter().find(|(name, _)| *name == routine);
+        row.map_or_else(RoutineStats::default, |(_, s)| *s)
+    }
+
+    /// Rows whose routine name starts with `prefix`.
+    fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a RoutineStats> {
+        let rows = self.routines.iter();
+        rows.filter(move |(name, _)| name.starts_with(prefix))
+            .map(|(_, s)| s)
     }
 
     /// Total time across routines whose name starts with `prefix`.
     pub fn time_with_prefix(&self, prefix: &str) -> SimDuration {
-        let ns = self
-            .routines
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(_, s)| s.time.as_nanos())
-            .sum();
-        SimDuration::from_nanos(ns)
+        SimDuration::from_nanos(self.with_prefix(prefix).map(|s| s.time.as_nanos()).sum())
     }
 
     /// Total calls across routines whose name starts with `prefix`.
     pub fn calls_with_prefix(&self, prefix: &str) -> u64 {
-        self.routines
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(_, s)| s.calls)
-            .sum()
+        self.with_prefix(prefix).map(|s| s.calls).sum()
     }
 
     /// Total recorded virtual CPU time.
     pub fn total_time(&self) -> SimDuration {
-        SimDuration::from_nanos(self.routines.values().map(|s| s.time.as_nanos()).sum())
+        self.time_with_prefix("")
     }
 
     /// All routines, sorted by descending cumulative time (the gprof flat
     /// profile ordering).
     pub fn flat_profile(&self) -> Vec<(&'static str, RoutineStats)> {
-        let mut v: Vec<_> = self.routines.iter().map(|(n, s)| (*n, *s)).collect();
+        let mut v = self.routines.clone();
         v.sort_by(|a, b| b.1.time.cmp(&a.1.time).then(a.0.cmp(b.0)));
         v
     }
@@ -89,9 +102,7 @@ impl Profiler {
     /// Merges another profiler's samples into this one.
     pub fn merge(&mut self, other: &Profiler) {
         for (name, s) in &other.routines {
-            let e = self.routines.entry(name).or_default();
-            e.calls += s.calls;
-            e.time += s.time;
+            self.add(name, s.calls, s.time);
         }
     }
 }

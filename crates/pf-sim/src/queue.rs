@@ -18,20 +18,25 @@
 //!   differential tests and as the comparison arm of `bench_net`'s
 //!   event-core sweep.
 //!
-//! Cancellation is lazy in both backends: a cancelled entry stays in its
-//! bin until it surfaces at `pop`/`peek_time`, at which point it is
-//! dropped and its bookkeeping reclaimed. When cancelled entries
-//! outnumber live ones the queue compacts in O(n), so a schedule/cancel
-//! churn loop holds memory proportional to the *live* population, not
-//! the all-time schedule count.
+//! Payloads sit in a slab and the backends order 24-byte `(time, seq,
+//! slot)` keys. A slot is stamped with the `seq` of the event it holds, so
+//! a key or an [`EventHandle`] names a live event exactly when its slot
+//! still carries its `seq` *and* a payload. Cancelling drops the payload
+//! and frees the slot at once; the key stays as a counted tombstone until
+//! it surfaces at `pop`/`peek_time`. When tombstones outnumber live keys
+//! the queue compacts in O(n), so a schedule/cancel churn loop holds memory
+//! proportional to the *live* population, not the all-time schedule count.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Handle to a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
+pub struct EventHandle {
+    seq: u64,
+    slot: u32,
+}
 
 /// Which storage strategy an [`EventQueue`] uses. The observable
 /// pop-stream is identical; only the cost profile differs.
@@ -55,28 +60,21 @@ impl QueueBackend {
     }
 }
 
-struct Scheduled<E> {
+/// What the backends order, by field: firing time, tie-break, slab slot.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: SimTime,
     seq: u64,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse for earliest-first.
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
+/// `BinaryHeap` is a max-heap; reversed keys make it earliest-first.
+type MinHeap = BinaryHeap<Reverse<Key>>;
+
+/// A slab entry: event `seq`'s payload until it fires or is cancelled.
+struct Slot<E> {
+    seq: u64,
+    event: Option<E>,
 }
 
 /// Smallest bucket count the calendar shrinks to.
@@ -90,19 +88,21 @@ const MAX_WIDTH: u64 = 1 << 40;
 /// from: ~1 µs, matching the cost model's typical event spacing.
 const INITIAL_WIDTH: u64 = 1_024;
 
-struct Calendar<E> {
-    buckets: Vec<BinaryHeap<Scheduled<E>>>,
+struct Calendar {
+    buckets: Vec<MinHeap>,
     /// Nanoseconds of simulated time per bucket (`>= 1`).
     width: u64,
-    /// Total stored entries (including lazily-cancelled ones).
+    /// Total stored keys (tombstones included).
     len: usize,
     /// Bucket the dequeue scan starts from.
     cur_slot: usize,
     /// Exclusive upper bound of `cur_slot`'s current one-year window.
     cur_top: u64,
+    /// Where `peek` found the minimum, for the `pop_min` that follows it.
+    found: Option<usize>,
 }
 
-impl<E> Calendar<E> {
+impl Calendar {
     fn new() -> Self {
         Calendar {
             buckets: (0..MIN_BUCKETS).map(|_| BinaryHeap::new()).collect(),
@@ -110,6 +110,7 @@ impl<E> Calendar<E> {
             len: 0,
             cur_slot: 0,
             cur_top: INITIAL_WIDTH,
+            found: None,
         }
     }
 
@@ -124,28 +125,29 @@ impl<E> Calendar<E> {
             .saturating_mul(self.width)
     }
 
-    fn push(&mut self, s: Scheduled<E>) {
-        let slot = self.slot_of(s.at.0);
+    fn push(&mut self, k: Key) {
+        let slot = self.slot_of(k.at.0);
         // The dequeue scan assumes every stored time is at or after the
         // cursor window's start. An insert earlier than that (legal any
         // time `now` trails the stored minimum) pulls the cursor back to
         // its own window, re-establishing the invariant.
-        if s.at.0 < self.cur_top.saturating_sub(self.width) {
+        if k.at.0 < self.cur_top.saturating_sub(self.width) {
             self.cur_slot = slot;
-            self.cur_top = self.window_top(s.at.0);
+            self.cur_top = self.window_top(k.at.0);
         }
-        self.buckets[slot].push(s);
+        self.buckets[slot].push(Reverse(k));
         self.len += 1;
+        self.found = None; // the new key may be the minimum
         if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild();
+            self.rebuild(|_| true);
         }
     }
 
-    /// Bucket holding the globally-minimal `(time, seq)` entry.
+    /// Bucket holding the globally-minimal `(time, seq)` key.
     ///
     /// Scans one "year" (every bucket once) from the cursor, accepting a
     /// bucket top only if it falls inside that bucket's current window —
-    /// an entry in a later year waits for a later lap. If a whole year
+    /// a key in a later year waits for a later lap. If a whole year
     /// turns up nothing (sparse population), falls back to a direct
     /// search over all bucket tops: the documented heap-like degradation
     /// mode.
@@ -157,83 +159,61 @@ impl<E> Calendar<E> {
         let mut slot = self.cur_slot;
         let mut top = self.cur_top;
         for _ in 0..n {
-            if let Some(s) = self.buckets[slot].peek() {
-                if s.at.0 < top {
-                    return Some(slot);
-                }
+            if self.buckets[slot].peek().is_some_and(|k| k.0.at.0 < top) {
+                return Some(slot);
             }
             slot = (slot + 1) & (n - 1);
             top = top.saturating_add(self.width);
         }
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (i, b) in self.buckets.iter().enumerate() {
-            if let Some(s) = b.peek() {
-                if best.is_none_or(|(at, seq, _)| (s.at, s.seq) < (at, seq)) {
-                    best = Some((s.at, s.seq, i));
-                }
-            }
-        }
-        best.map(|(_, _, i)| i)
+        let tops = self.buckets.iter().enumerate();
+        tops.filter_map(|(i, b)| Some((b.peek()?.0, i)))
+            .min()
+            .map(|(_, i)| i)
     }
 
-    fn peek(&self) -> Option<&Scheduled<E>> {
-        self.min_slot().and_then(|slot| self.buckets[slot].peek())
+    fn peek(&mut self) -> Option<Key> {
+        self.found = self.min_slot();
+        self.buckets[self.found?].peek().map(|k| k.0)
     }
 
-    fn pop_min(&mut self) -> Option<Scheduled<E>> {
-        let slot = self.min_slot()?;
-        let s = self.buckets[slot].pop().expect("min_slot bucket nonempty");
+    fn pop_min(&mut self) -> Option<Key> {
+        let slot = self.found.take().or_else(|| self.min_slot())?;
+        let k = self.buckets[slot]
+            .pop()
+            .expect("min_slot bucket nonempty")
+            .0;
         self.len -= 1;
         self.cur_slot = slot;
-        self.cur_top = self.window_top(s.at.0);
+        self.cur_top = self.window_top(k.at.0);
         if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.rebuild();
+            self.rebuild(|_| true);
         }
-        Some(s)
+        Some(k)
     }
 
-    fn drain_all(&mut self) -> Vec<Scheduled<E>> {
-        let mut out = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            out.extend(b.drain());
-        }
-        self.len = 0;
-        out
-    }
-
-    fn rebuild(&mut self) {
-        let entries = self.drain_all();
-        self.rebuild_from(entries);
-    }
-
-    /// Re-bucket `entries` into a calendar sized and widthed for them.
-    /// O(n), but every threshold crossing that triggers it moved Ω(n)
-    /// entries, so the amortized cost per operation stays O(1).
-    fn rebuild_from(&mut self, entries: Vec<Scheduled<E>>) {
-        let n = entries
+    /// Re-buckets the keys `keep` passes into a calendar sized and widthed
+    /// for them. O(n), but every threshold crossing that triggers it moved
+    /// Ω(n) keys, so the amortized cost per operation stays O(1).
+    fn rebuild(&mut self, keep: impl Fn(&Key) -> bool) {
+        let old = std::mem::take(&mut self.buckets).into_iter().flatten();
+        let keys: Vec<Key> = old.map(|k| k.0).filter(keep).collect();
+        let n = keys
             .len()
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        self.width = estimate_width(&entries);
+        self.width = estimate_width(&keys);
         self.buckets = (0..n).map(|_| BinaryHeap::new()).collect();
-        self.len = entries.len();
-        let min = entries.iter().map(|s| s.at.0).min();
-        for s in entries {
-            let slot = self.slot_of(s.at.0);
-            self.buckets[slot].push(s);
+        self.len = keys.len();
+        self.found = None;
+        // Restart the scan at the earliest key's own window: every stored
+        // time is >= it, so nothing hides behind the cursor.
+        let min = keys.iter().map(|k| k.at.0).min().unwrap_or(0);
+        for k in keys {
+            let slot = self.slot_of(k.at.0);
+            self.buckets[slot].push(Reverse(k));
         }
-        match min {
-            // Restart the scan at the earliest entry's own window: every
-            // stored time is >= it, so nothing hides behind the cursor.
-            Some(at) => {
-                self.cur_slot = self.slot_of(at);
-                self.cur_top = self.window_top(at);
-            }
-            None => {
-                self.cur_slot = 0;
-                self.cur_top = self.width;
-            }
-        }
+        self.cur_slot = self.slot_of(min);
+        self.cur_top = self.window_top(min);
     }
 }
 
@@ -241,27 +221,27 @@ impl<E> Calendar<E> {
 /// deterministic sample's interquartile span (robust to a few outliers
 /// at either extreme). Brown's rule of thumb: a handful of events per
 /// bucket keeps both the per-bucket heaps and the year scan short.
-fn estimate_width<E>(entries: &[Scheduled<E>]) -> u64 {
-    if entries.len() < 2 {
+fn estimate_width(keys: &[Key]) -> u64 {
+    if keys.len() < 2 {
         return INITIAL_WIDTH;
     }
-    let m = entries.len().min(64);
-    let stride = entries.len() / m;
-    let mut sample: Vec<u64> = (0..m).map(|i| entries[i * stride].at.0).collect();
+    let m = keys.len().min(64);
+    let stride = keys.len() / m;
+    let mut sample: Vec<u64> = (0..m).map(|i| keys[i * stride].at.0).collect();
     sample.sort_unstable();
     let lo = sample[m / 4];
     let hi = sample[(3 * m) / 4];
     // The middle half of the sample spans roughly half the population.
-    let gap = (hi - lo) / ((entries.len() as u64) / 2).max(1);
+    let gap = (hi - lo) / ((keys.len() as u64) / 2).max(1);
     (3 * gap).clamp(1, MAX_WIDTH)
 }
 
-enum Store<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
-    Calendar(Calendar<E>),
+enum Store {
+    Heap(MinHeap),
+    Calendar(Calendar),
 }
 
-impl<E> Store<E> {
+impl Store {
     fn len(&self) -> usize {
         match self {
             Store::Heap(h) => h.len(),
@@ -269,38 +249,32 @@ impl<E> Store<E> {
         }
     }
 
-    fn push(&mut self, s: Scheduled<E>) {
+    fn push(&mut self, k: Key) {
         match self {
-            Store::Heap(h) => h.push(s),
-            Store::Calendar(c) => c.push(s),
+            Store::Heap(h) => h.push(Reverse(k)),
+            Store::Calendar(c) => c.push(k),
         }
     }
 
-    fn peek(&self) -> Option<&Scheduled<E>> {
+    fn peek(&mut self) -> Option<Key> {
         match self {
-            Store::Heap(h) => h.peek(),
+            Store::Heap(h) => h.peek().map(|k| k.0),
             Store::Calendar(c) => c.peek(),
         }
     }
 
-    fn pop_min(&mut self) -> Option<Scheduled<E>> {
+    fn pop_min(&mut self) -> Option<Key> {
         match self {
-            Store::Heap(h) => h.pop(),
+            Store::Heap(h) => h.pop().map(|k| k.0),
             Store::Calendar(c) => c.pop_min(),
         }
     }
 
-    fn drain_all(&mut self) -> Vec<Scheduled<E>> {
+    /// Drops every key `keep` rejects.
+    fn retain(&mut self, keep: impl Fn(&Key) -> bool) {
         match self {
-            Store::Heap(h) => h.drain().collect(),
-            Store::Calendar(c) => c.drain_all(),
-        }
-    }
-
-    fn rebuild_from(&mut self, entries: Vec<Scheduled<E>>) {
-        match self {
-            Store::Heap(h) => *h = entries.into(),
-            Store::Calendar(c) => c.rebuild_from(entries),
+            Store::Heap(h) => h.retain(|k| keep(&k.0)),
+            Store::Calendar(c) => c.rebuild(keep),
         }
     }
 }
@@ -320,13 +294,13 @@ impl<E> Store<E> {
 /// assert_eq!((t, e), (SimTime(1_000), "early"));
 /// ```
 pub struct EventQueue<E> {
-    store: Store<E>,
+    store: Store,
+    slots: Vec<Slot<E>>,
+    /// Slab slots whose event fired or was cancelled, ready for reuse.
+    free: Vec<u32>,
+    /// Stored keys whose event was cancelled.
+    tombstones: usize,
     next_seq: u64,
-    /// Sequence numbers scheduled but not yet fired or cancelled.
-    pending: HashSet<u64>,
-    /// Sequence numbers lazily cancelled (skipped at pop time, reclaimed
-    /// by compaction when they outnumber the live population).
-    cancelled: HashSet<u64>,
     now: SimTime,
 }
 
@@ -350,9 +324,10 @@ impl<E> EventQueue<E> {
         };
         EventQueue {
             store,
+            slots: Vec::new(),
+            free: Vec::new(),
+            tombstones: 0,
             next_seq: 0,
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
             now: SimTime::ZERO,
         }
     }
@@ -380,54 +355,72 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
-        self.store.push(Scheduled { at, seq, event });
-        EventHandle(seq)
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot { seq, event: None });
+            u32::try_from(self.slots.len() - 1).expect("under 2^32 events pending at once")
+        });
+        self.slots[slot as usize] = Slot {
+            seq,
+            event: Some(event),
+        };
+        self.store.push(Key { at, seq, slot });
+        EventHandle { seq, slot }
+    }
+
+    /// Takes event `seq` out of `slot` and frees the slot. `None`: it has
+    /// fired or been cancelled, whoever holds the slot now.
+    fn take(&mut self, seq: u64, slot: u32) -> Option<E> {
+        let s = &mut self.slots[slot as usize];
+        let event = s.event.take_if(|_| s.seq == seq)?;
+        self.free.push(slot);
+        Some(event)
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event
     /// had not yet fired or been cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        // Lazy cancellation: the stored entry is skipped at pop time.
-        if self.pending.remove(&handle.0) {
-            self.cancelled.insert(handle.0);
+        // The payload goes now; the key is skipped when it surfaces.
+        let cancelled = self.take(handle.seq, handle.slot).is_some();
+        if cancelled {
+            self.tombstones += 1;
             self.maybe_compact();
-            true
-        } else {
-            false
         }
+        cancelled
     }
 
     /// Removes and returns the earliest pending event, advancing `now`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(s) = self.store.pop_min() {
-            if self.cancelled.remove(&s.seq) {
-                continue;
+        while let Some(k) = self.store.pop_min() {
+            if let Some(event) = self.take(k.seq, k.slot) {
+                self.now = k.at;
+                return Some((k.at, event));
             }
-            self.pending.remove(&s.seq);
-            self.now = s.at;
-            return Some((s.at, s.event));
+            self.tombstones -= 1;
         }
         None
     }
 
+    fn is_live(slots: &[Slot<E>], k: &Key) -> bool {
+        let s = &slots[k.slot as usize];
+        s.seq == k.seq && s.event.is_some()
+    }
+
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Pop lazily-cancelled entries off the front first.
+        // Pop tombstones off the front first.
         loop {
-            let seq = match self.store.peek() {
-                Some(s) if self.cancelled.contains(&s.seq) => s.seq,
-                Some(s) => return Some(s.at),
-                None => return None,
-            };
+            let k = self.store.peek()?;
+            if Self::is_live(&self.slots, &k) {
+                return Some(k.at);
+            }
             self.store.pop_min();
-            self.cancelled.remove(&seq);
+            self.tombstones -= 1;
         }
     }
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.store.len() - self.cancelled.len()
+        self.store.len() - self.tombstones
     }
 
     /// Whether no events are pending.
@@ -435,27 +428,21 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Entries physically stored, *including* lazily-cancelled ones not
-    /// yet reclaimed. Exposed so tests can pin that schedule/cancel
-    /// churn keeps storage proportional to the live population.
+    /// Keys physically stored, *including* tombstones not yet reclaimed.
+    /// Exposed so tests can pin that schedule/cancel churn keeps storage
+    /// proportional to the live population.
     pub fn stored_len(&self) -> usize {
         self.store.len()
     }
 
-    /// Compacts once dead entries outnumber live ones: rebuilds the
-    /// store retaining only live events. Each compaction removes more
-    /// entries than it keeps, so the cost amortizes to O(1) per cancel.
+    /// Drops the tombstones once they outnumber live keys. Each compaction
+    /// removes more than it keeps, so it amortizes to O(1) per cancel.
     fn maybe_compact(&mut self) {
-        if self.cancelled.len() <= self.pending.len().max(MIN_BUCKETS) {
+        if self.tombstones <= self.len().max(MIN_BUCKETS) {
             return;
         }
-        let entries = self.store.drain_all();
-        let live: Vec<Scheduled<E>> = entries
-            .into_iter()
-            .filter(|s| !self.cancelled.contains(&s.seq))
-            .collect();
-        self.cancelled.clear();
-        self.store.rebuild_from(live);
+        self.store.retain(|k| Self::is_live(&self.slots, k));
+        self.tombstones = 0;
     }
 }
 

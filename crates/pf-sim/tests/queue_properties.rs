@@ -1,114 +1,165 @@
-// Property suites need the external `proptest` crate; the default build is
-// hermetic (offline), so this whole file is gated behind a feature. See the
-// crate manifest for how to restore the dev-dependency.
-#![cfg(feature = "proptest-tests")]
-
-//! Property tests for the simulation substrate: the event queue's
-//! ordering and cancellation invariants, and CPU-accounting monotonicity,
-//! under arbitrary interleavings.
+//! Model tests for the simulation substrate: the event queue against a
+//! naive sorted list under seeded schedule/pop/peek/cancel interleavings,
+//! on both backends, and CPU-accounting monotonicity. Hermetic: all
+//! randomness is the in-tree `SplitMix64`, so a failure reproduces from
+//! its seed. The default suite runs 2k steps per seed and backend;
+//! `cargo test -p pf-sim --release --features fuzz-tests` runs 20k.
 
 use pf_sim::cpu::Cpu;
-use pf_sim::queue::EventQueue;
+use pf_sim::queue::{EventHandle, EventQueue, QueueBackend};
+use pf_sim::rng::SplitMix64;
 use pf_sim::time::{SimDuration, SimTime};
-use proptest::prelude::*;
 
-/// One operation against the queue.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Schedule(u64),
-    Pop,
-    /// Cancel the i-th handle issued so far (modulo count).
-    Cancel(usize),
+const STEPS: usize = if cfg!(feature = "fuzz-tests") {
+    20_000
+} else {
+    2_000
+};
+
+/// `queue.rs`'s `MIN_BUCKETS`: the tombstone count compaction tolerates
+/// whatever the live population.
+const MIN_BUCKETS: usize = 16;
+
+/// The specification: pending `(time, id)` pairs, popped smallest first.
+/// Ids are issued in schedule order, so they are the tie-break.
+#[derive(Default)]
+struct Model {
+    pending: Vec<(SimTime, usize)>,
+    now: SimTime,
 }
 
-fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0u64..10_000).prop_map(Op::Schedule),
-        3 => Just(Op::Pop),
-        1 => any::<usize>().prop_map(Op::Cancel),
-    ]
-}
-
-proptest! {
-    /// Pops come out in nondecreasing time order; equal times come out in
-    /// schedule order; cancelled events never come out; every scheduled
-    /// event is popped exactly once or cancelled exactly once by drain.
-    #[test]
-    fn event_queue_invariants(ops in prop::collection::vec(op(), 0..200)) {
-        let mut q: EventQueue<usize> = EventQueue::new();
-        let mut handles = Vec::new();
-        let mut scheduled_time = Vec::new(); // payload -> requested time
-        let mut cancelled = std::collections::HashSet::new();
-        let mut popped = Vec::new();
-
-        for o in ops {
-            match o {
-                Op::Schedule(t) => {
-                    let id = scheduled_time.len();
-                    // Requested times in the past are clamped to `now`.
-                    let at = SimTime(t).max(q.now());
-                    handles.push(q.schedule(SimTime(t), id));
-                    scheduled_time.push(at);
-                }
-                Op::Pop => {
-                    if let Some((t, id)) = q.pop() {
-                        popped.push((t, id));
-                    }
-                }
-                Op::Cancel(i) => {
-                    if !handles.is_empty() {
-                        let i = i % handles.len();
-                        if q.cancel(handles[i]) {
-                            cancelled.insert(i);
-                        }
-                    }
-                }
-            }
-        }
-        while let Some((t, id)) = q.pop() {
-            popped.push((t, id));
-        }
-
-        // Order: times nondecreasing; ties in schedule order.
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time order");
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "tie broken by schedule order");
-            }
-        }
-        // Fire times respect the clamped request time.
-        for &(t, id) in &popped {
-            prop_assert!(t >= scheduled_time[id]);
-        }
-        // Exactly-once: popped ∪ cancelled = scheduled, disjoint.
-        let popped_ids: std::collections::HashSet<usize> =
-            popped.iter().map(|p| p.1).collect();
-        prop_assert_eq!(popped_ids.len(), popped.len(), "no double pops");
-        for id in 0..scheduled_time.len() {
-            let p = popped_ids.contains(&id);
-            let c = cancelled.contains(&id);
-            prop_assert!(p ^ c, "event {} popped={} cancelled={}", id, p, c);
-        }
+impl Model {
+    fn schedule(&mut self, at: SimTime, id: usize) {
+        self.pending.push((at.max(self.now), id));
+        self.pending.sort_unstable();
     }
 
-    /// CPU charges serialize: completion times are nondecreasing and every
-    /// charge's completion covers its own cost; total busy time is the sum
-    /// of costs.
-    #[test]
-    fn cpu_accounting_is_serial(charges in prop::collection::vec(
-        (0u64..100_000, 0u64..5_000), 0..100,
-    )) {
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let first = self.pending.remove(0);
+        self.now = first.0;
+        Some(first)
+    }
+
+    fn cancel(&mut self, id: usize) -> bool {
+        let at = self.pending.iter().position(|&(_, i)| i == id);
+        at.map(|i| self.pending.remove(i)).is_some()
+    }
+}
+
+/// One seeded interleaving. Every handle ever issued is kept, so cancels
+/// hit pending events, events that already fired, events already cancelled
+/// and handles whose slab slot has since gone to a later event alike; the
+/// model says which of them may return `true`.
+fn run_against_model(backend: QueueBackend, seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let mut q: EventQueue<usize> = EventQueue::with_backend(backend);
+    let mut model = Model::default();
+    let mut handles: Vec<EventHandle> = Vec::new();
+    // Phases of growth, churn and drain, so slots are recycled and the
+    // calendar both grows and shrinks.
+    for step in 0..STEPS {
+        let bias = [6, 3, 1][(step * 3 / STEPS) % 3];
+        match rng.below(10) {
+            r if r < bias => {
+                // Mostly near the clock, sometimes far ahead, sometimes in
+                // the past (clamped to `now`).
+                let spread = [1 << 10, 1 << 20, 1 << 34][rng.below(3) as usize];
+                let at = SimTime((q.now().as_nanos() + rng.below(spread)).saturating_sub(512));
+                let id = handles.len();
+                handles.push(q.schedule(at, id));
+                model.schedule(at, id);
+            }
+            6 | 7 if !handles.is_empty() => {
+                let id = rng.below(handles.len() as u64) as usize;
+                let cancelled = q.cancel(handles[id]);
+                assert_eq!(cancelled, model.cancel(id), "cancel of event {id}");
+                assert!(!q.cancel(handles[id]), "a second cancel is always false");
+                if cancelled {
+                    // Compaction runs inside `cancel`: right after one,
+                    // tombstones never outnumber max(live, MIN_BUCKETS).
+                    assert!(
+                        q.stored_len() <= 2 * q.len() + 2 * MIN_BUCKETS,
+                        "{} keys stored for {} live",
+                        q.stored_len(),
+                        q.len()
+                    );
+                }
+            }
+            8 => assert_eq!(q.peek_time(), model.pending.first().map(|p| p.0)),
+            _ => assert_eq!(q.pop(), model.pop()),
+        }
+        assert_eq!(q.len(), model.pending.len(), "len() excludes tombstones");
+        assert_eq!(q.is_empty(), model.pending.is_empty());
+        assert_eq!(q.now(), model.now);
+    }
+    loop {
+        let (got, want) = (q.pop(), model.pop());
+        assert_eq!(got, want);
+        if got.is_none() {
+            break;
+        }
+    }
+    for (id, h) in handles.iter().enumerate() {
+        assert!(!q.cancel(*h), "event {id} fired or was cancelled long ago");
+    }
+    assert_eq!((q.len(), q.stored_len()), (0, 0));
+}
+
+#[test]
+fn queue_matches_the_sorted_list_model_on_both_backends() {
+    for backend in [QueueBackend::Calendar, QueueBackend::Heap] {
+        for seed in 0..4 {
+            run_against_model(backend, 0x51AB ^ seed);
+        }
+    }
+}
+
+/// The three ways a handle goes stale, spelled out once on a tiny queue.
+#[test]
+fn stale_handles_never_cancel_anything() {
+    for backend in [QueueBackend::Calendar, QueueBackend::Heap] {
+        let mut q = EventQueue::with_backend(backend);
+        let fired = q.schedule(SimTime(10), "fired");
+        assert_eq!(q.pop(), Some((SimTime(10), "fired")));
+        assert!(!q.cancel(fired), "cancel after pop");
+        // The freed slot goes to the next event; the old handle must not
+        // reach it.
+        let heir = q.schedule(SimTime(20), "heir");
+        assert!(!q.cancel(fired), "stale handle, slot recycled");
+        assert_eq!(q.len(), 1);
+        assert!(q.cancel(heir));
+        assert!(!q.cancel(heir), "double cancel");
+        let next = q.schedule(SimTime(30), "next");
+        assert!(!q.cancel(heir), "cancelled handle, slot recycled");
+        assert_eq!((q.len(), q.stored_len()), (1, 2), "one tombstone stored");
+        assert_eq!(q.pop(), Some((SimTime(30), "next")));
+        assert!(!q.cancel(next));
+        assert_eq!((q.len(), q.stored_len()), (0, 0));
+    }
+}
+
+/// CPU charges serialize: completion times are nondecreasing and every
+/// charge's completion covers its own cost; total busy time is the sum of
+/// costs.
+#[test]
+fn cpu_accounting_is_serial() {
+    let mut rng = SplitMix64::new(0xC9A1);
+    for _ in 0..50 {
         let mut cpu = Cpu::new();
         let mut last_done = SimTime::ZERO;
         let mut total = 0u64;
-        for (at, cost_us) in charges {
+        for _ in 0..rng.below(100) {
+            let (at, cost_us) = (rng.below(100_000), rng.below(5_000));
             let done = cpu.charge("work", SimTime(at), SimDuration::from_micros(cost_us));
-            prop_assert!(done >= last_done, "completions nondecreasing");
-            prop_assert!(done.as_nanos() >= at + cost_us * 1_000);
+            assert!(done >= last_done, "completions nondecreasing");
+            assert!(done.as_nanos() >= at + cost_us * 1_000);
             last_done = done;
             total += cost_us;
         }
-        prop_assert_eq!(cpu.busy_time().as_micros(), total);
-        prop_assert_eq!(cpu.profiler().stats("work").time.as_micros(), total);
+        assert_eq!(cpu.busy_time().as_micros(), total);
+        assert_eq!(cpu.profiler().stats("work").time.as_micros(), total);
     }
 }

@@ -94,7 +94,9 @@ done
 # validator, every execution engine, geom churn; frame codec and fault
 # schedules; the admission gate under config churn; device-level bind/
 # close churn per compiled engine) — hermetic but too slow for the
-# default `cargo test`, so it rides its own feature.
+# default `cargo test`, so it rides its own feature. pf-sim's lane is the
+# event-queue model test at ten times its default length.
+run cargo test -p pf-sim --release --features fuzz-tests -q
 run cargo test -p pf-ir --release --features fuzz-tests -q
 run cargo test -p pf-net --release --features fuzz-tests -q
 run cargo test -p pf-kernel --release --features fuzz-tests -q
