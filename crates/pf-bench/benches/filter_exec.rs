@@ -14,7 +14,7 @@ use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
 use pf_filter::samples;
 use pf_filter::validate::ValidatedProgram;
-use pf_ir::{IrFilter, IrFilterSet};
+use pf_ir::IrFilter;
 use std::hint::black_box;
 
 fn engines(c: &mut Criterion) {
@@ -49,29 +49,6 @@ fn engines(c: &mut Criterion) {
             b.iter(|| ir.eval(PacketView::new(black_box(&packet))))
         });
     }
-    group.finish();
-
-    // Set-level: 16 socket filters sharing their guard prefixes, against
-    // evaluating the same 16 IR filters independently.
-    let mut group = c.benchmark_group("filter_exec_set");
-    let filters: Vec<IrFilter> = (0..16)
-        .map(|i| IrFilter::compile(samples::pup_socket_filter(10, 0, i)).unwrap())
-        .collect();
-    let mut set = IrFilterSet::new();
-    for (i, _) in filters.iter().enumerate() {
-        set.insert(i as u32, samples::pup_socket_filter(10, 0, i as u16));
-    }
-    group.bench_function("independent_16", |b| {
-        b.iter(|| {
-            filters
-                .iter()
-                .filter(|f| f.eval(PacketView::new(black_box(&packet))))
-                .count()
-        })
-    });
-    group.bench_function("shared_prefix_16", |b| {
-        b.iter(|| set.matches(PacketView::new(black_box(&packet))).len())
-    });
     group.finish();
 }
 

@@ -292,7 +292,6 @@ pub fn report_ablations() -> Report {
     for engine in [
         DemuxEngine::Sequential,
         DemuxEngine::DecisionTable,
-        DemuxEngine::Ir,
         DemuxEngine::Sharded,
         DemuxEngine::Geom,
         DemuxEngine::Jit,
@@ -305,7 +304,6 @@ pub fn report_ablations() -> Report {
         let config = match engine {
             DemuxEngine::Sequential => "sequential interpreter (figure 4-1)",
             DemuxEngine::DecisionTable => "decision table (§7)",
-            DemuxEngine::Ir => "IR threaded code + shared guards",
             DemuxEngine::Sharded => "sharded value-numbered set",
             DemuxEngine::Geom => "geometric tuple-space classifier",
             DemuxEngine::Jit => "per-filter template JIT",
@@ -366,17 +364,12 @@ mod tests {
     fn compiled_demux_engines_beat_sequential_worst_case() {
         let seq = demux_cpu_ms_per_packet(DemuxEngine::Sequential);
         let table = demux_cpu_ms_per_packet(DemuxEngine::DecisionTable);
-        let ir = demux_cpu_ms_per_packet(DemuxEngine::Ir);
         let sharded = demux_cpu_ms_per_packet(DemuxEngine::Sharded);
         // Worst-case sequential interprets ~15 whole filters per packet;
-        // the table probes per shape, the IR set shares guard work, and
-        // the sharded set touches one member per packet.
+        // the table probes per shape and the sharded set touches one
+        // member per packet.
         assert!(table < seq, "table {table:.3} vs sequential {seq:.3}");
-        assert!(ir < seq, "ir {ir:.3} vs sequential {seq:.3}");
         assert!(sharded < seq, "sharded {sharded:.3} vs sequential {seq:.3}");
-        // Sharding skips the cold members entirely, so it must also beat
-        // the flat IR walk on this skewed population.
-        assert!(sharded < ir, "sharded {sharded:.3} vs flat ir {ir:.3}");
         // The JIT engine's flat per-member native cost (16 × 10 µs) is far
         // below the worst-case sequential interpretation bill.
         let jit = demux_cpu_ms_per_packet(DemuxEngine::Jit);

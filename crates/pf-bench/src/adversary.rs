@@ -36,6 +36,7 @@
 //! goodput (or capture coverage) at ≥ 0.95 under the same offered load.
 
 use crate::overload::{capacity_pps, wanted_pps, BENCH_ARMOR, NIC_RING, WANTED_SOCK};
+use crate::report::{fmt_f64, p99_us};
 use pf_filter::program::{Assembler, FilterProgram};
 use pf_filter::samples;
 use pf_filter::word::BinaryOp;
@@ -375,15 +376,6 @@ impl App for MultiSink {
             }
         }
     }
-}
-
-/// p99 by nearest-rank, µs.
-fn p99_us(mut lat: Vec<u64>) -> u64 {
-    if lat.is_empty() {
-        return 0;
-    }
-    lat.sort_unstable();
-    lat[(lat.len() - 1) * 99 / 100] / 1_000
 }
 
 /// A wanted-stream frame addressed to the bench host, with an 8-byte
@@ -1087,14 +1079,6 @@ pub fn sweep(smoke: bool, seed: u64) -> AdversaryReport {
     report
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders the campaign as JSON (hand-rolled: the build is hermetic, no
 /// serde).
 pub fn to_json(report: &AdversaryReport) -> String {
@@ -1121,7 +1105,7 @@ pub fn to_json(report: &AdversaryReport) -> String {
             p.mode,
             p.wanted_offered,
             p.attack_offered,
-            fmt_f64(p.goodput_ratio),
+            fmt_f64(p.goodput_ratio, 3),
             p.p99_latency_us,
             p.drops_admission,
             p.drops_interface,
@@ -1147,8 +1131,8 @@ pub fn to_json(report: &AdversaryReport) -> String {
         s.push_str(&format!(
             "    \"{fam}\": {{\"undefended_ratio\": {}, \"hardened_ratio\": {}, \
              \"undefended_p99_us\": {}, \"hardened_p99_us\": {}}}{}\n",
-            fmt_f64(u.goodput_ratio),
-            fmt_f64(h.goodput_ratio),
+            fmt_f64(u.goodput_ratio, 3),
+            fmt_f64(h.goodput_ratio, 3),
             u.p99_latency_us,
             h.p99_latency_us,
             if i + 1 == fams.len() { "" } else { "," }

@@ -3,11 +3,10 @@
 //! through three chaos scenarios — router kill, link-flap train,
 //! partition-and-heal — each run both undefended (static routes) and
 //! hardened (hello probing, backup failover, LSU flooding, bounded
-//! reconvergence), under both event-queue backends. Every recovery
-//! claim — exact undefended blackhole accounting, ≥99% surviving-path
-//! goodput after the convergence deadline, zero TTL loops, bounded
-//! route churn, backend-identical histories — is an `assert!`, so a
-//! zero exit *is* the campaign's proof.
+//! reconvergence). Every recovery claim — exact undefended blackhole
+//! accounting, ≥99% surviving-path goodput after the convergence
+//! deadline, zero TTL loops, bounded route churn — is an `assert!`, so
+//! a zero exit *is* the campaign's proof.
 //!
 //! ```text
 //! cargo run -p pf-bench --release --bin bench_fabric            # full sweep
@@ -48,12 +47,11 @@ fn main() {
     println!("wrote {} ({} rows)", path.display(), report.rows.len());
     for p in &report.rows {
         println!(
-            "  {:>14} {:>3}n {:>10} {:>8}  delivered {:>6}/{:<6} \
+            "  {:>14} {:>3}n {:>10}  delivered {:>6}/{:<6} \
              recovered {:>5.3}  conv {:>6.1} ms  churn {:>4}  {:>8.1} ms wall",
             p.scenario,
             p.nodes,
             p.deploy,
-            p.backend,
             p.delivered,
             p.packets,
             p.recovered_frac,

@@ -1,10 +1,9 @@
 //! Writes `BENCH_net.json`: the internet-scale topology campaign.
 //! Ring topologies of {4, 16, 64, 256} nodes carry flow-level workloads
-//! of {1k, 10k, 100k} flows under both event-queue backends; a
-//! hold-model microbench times the backends head-to-head. Every
-//! signature claim — exact routed delivery, bit-identical histories
-//! across backends, calendar-beats-heap at dense populations — is an
-//! `assert!`, so a zero exit *is* the campaign's proof.
+//! of {1k, 10k, 100k} flows; a hold-model microbench times the event
+//! queue alone. Every signature claim — exact routed delivery,
+//! bit-identical histories across reruns — is an `assert!`, so a zero
+//! exit *is* the campaign's proof.
 //!
 //! ```text
 //! cargo run -p pf-bench --release --bin bench_net            # full sweep
@@ -52,22 +51,15 @@ fn main() {
     );
     for p in &report.topology {
         println!(
-            "  {:>3} nodes {:>6} flows {:>8}  delivered {:>7}/{:<7} \
+            "  {:>3} nodes {:>6} flows  delivered {:>7}/{:<7} \
              forwarded {:>8}  {:>9.1} ms wall  {:>10.0} pkt/s",
-            p.nodes,
-            p.flows,
-            p.backend,
-            p.delivered,
-            p.packets,
-            p.forwarded,
-            p.wall_ms,
-            p.pkts_per_sec
+            p.nodes, p.flows, p.delivered, p.packets, p.forwarded, p.wall_ms, p.pkts_per_sec
         );
     }
     for p in &report.event_core {
         println!(
-            "  hold {:>8} {:>7} pending  {:>11.0} ops/s",
-            p.backend, p.pending, p.ops_per_sec
+            "  hold {:>7} pending  {:>11.0} ops/s",
+            p.pending, p.ops_per_sec
         );
     }
 }

@@ -30,8 +30,8 @@ pub fn kernel_cost_ms(filters: usize) -> f64 {
 }
 
 /// The same sweep point under an alternative demux engine (decision
-/// table, flat IR set, or the sharded value-numbered set): per-packet
-/// cost should be (nearly) independent of the filter population.
+/// table or the sharded value-numbered set): per-packet cost should be
+/// (nearly) independent of the filter population.
 pub fn kernel_engine_cost_ms(filters: usize, engine: DemuxEngine) -> f64 {
     recvcost::run(&RecvConfig {
         mode: DemuxMode::Kernel,
@@ -93,21 +93,18 @@ pub fn report_break_even() -> Report {
         "active filters",
         "kernel demux (ms/pkt)",
         "kernel, §7 decision table",
-        "kernel, IR set",
         "kernel, sharded VN",
         "kernel, JIT",
         "user demux (ms/pkt)",
     ]);
     for (f, c) in &kernel {
         let table = kernel_engine_cost_ms(*f, DemuxEngine::DecisionTable);
-        let ir = kernel_engine_cost_ms(*f, DemuxEngine::Ir);
         let sharded = kernel_engine_cost_ms(*f, DemuxEngine::Sharded);
         let jit = kernel_engine_cost_ms(*f, DemuxEngine::Jit);
         r.row(&[
             f.to_string(),
             format!("{c:.2}"),
             format!("{table:.2}"),
-            format!("{ir:.2}"),
             format!("{sharded:.2}"),
             format!("{jit:.2}"),
             format!("{user:.2}"),
@@ -174,12 +171,6 @@ mod tests {
         assert!(
             at_48 < sequential_at_48 - 1.0,
             "sharded {at_48:.2} well under sequential {sequential_at_48:.2} at 48 filters"
-        );
-        // And it never exceeds the flat IR set, which walks every member.
-        let ir_at_48 = kernel_engine_cost_ms(48, DemuxEngine::Ir);
-        assert!(
-            at_48 <= ir_at_48,
-            "sharded {at_48:.2} <= flat IR {ir_at_48:.2} at 48 filters"
         );
     }
 

@@ -19,6 +19,7 @@
 //! campaign's own completion is the zero-panic invariant: every
 //! violation is an `assert!` with the seed in its message.
 
+use crate::report::fmt_f64;
 use pf_filter::interp::{CheckedInterpreter, InterpConfig};
 use pf_filter::packet::PacketView;
 use pf_filter::program::{Assembler, FilterProgram};
@@ -734,14 +735,6 @@ pub fn sweep(smoke: bool, base_seed: u64) -> ChaosReport {
     }
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.2}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders the campaign as JSON (hand-rolled: the build is hermetic, no
 /// serde).
 pub fn to_json(report: &ChaosReport) -> String {
@@ -761,11 +754,11 @@ pub fn to_json(report: &ChaosReport) -> String {
              \"retransmits\": {}, \"discards\": {}, \"duplicates\": {}, \
              \"out_of_order\": {}, \"faults_injected\": {}, \"steps\": {}}}{}\n",
             p.scenario,
-            fmt_f64(p.faults.loss),
-            fmt_f64(p.faults.corruption),
-            fmt_f64(p.faults.truncation),
-            fmt_f64(p.faults.reorder),
-            fmt_f64(p.faults.duplication),
+            fmt_f64(p.faults.loss, 2),
+            fmt_f64(p.faults.corruption, 2),
+            fmt_f64(p.faults.truncation, 2),
+            fmt_f64(p.faults.reorder, 2),
+            fmt_f64(p.faults.duplication, 2),
             p.run.delivered,
             p.run.gave_up,
             p.run.data_packets,

@@ -2,7 +2,7 @@
 //!
 //! The breakeven sweep and the ablation table live in EXPERIMENTS.md
 //! prose; this module races the demultiplexing engines
-//! (flat-sequential interpreter, §7 decision table, flat IR set, sharded
+//! (flat-sequential interpreter, §7 decision table, sharded
 //! value-numbered set, geometric tuple-space classifier, and — with the
 //! `jit` feature — a priority-ordered walk of template-JIT native
 //! filters) over growing multi-ethertype populations and writes the
@@ -26,13 +26,14 @@
 //! mix. The executed-test counters come from the sets' own stats and are
 //! exact; tests assert on those (deterministic), never on timing.
 
+use crate::report::fmt_f64;
 use pf_filter::dtree::FilterSet;
 use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
 use pf_filter::program::{Assembler, FilterProgram};
 use pf_filter::samples;
 use pf_filter::word::BinaryOp;
-use pf_ir::set::{IrFilterSet, ShardedVnSet};
+use pf_ir::set::ShardedVnSet;
 use pf_ir::GeomSet;
 use std::hint::black_box;
 use std::time::Instant;
@@ -42,13 +43,12 @@ use std::time::Instant;
 pub const ETHERTYPES: [u16; 8] = [2, 3, 5, 8, 11, 17, 23, 29];
 
 /// Engines raced per population point (the `jit` feature adds one more).
-pub const ENGINES_RACED: usize = 5 + if cfg!(feature = "jit") { 1 } else { 0 };
+pub const ENGINES_RACED: usize = 4 + if cfg!(feature = "jit") { 1 } else { 0 };
 
 /// One engine × population measurement.
 #[derive(Debug, Clone)]
 pub struct DemuxPoint {
-    /// Engine label: `sequential`, `dtree`, `ir`, `sharded`, `geom`, or
-    /// `jit`.
+    /// Engine label: `sequential`, `dtree`, `sharded`, `geom`, or `jit`.
     pub engine: &'static str,
     /// Active filters.
     pub population: usize,
@@ -66,8 +66,8 @@ pub struct DemuxPoint {
 /// The `i`-th member of the multi-ethertype population, in the figure 3-9
 /// idiom: the selective per-member socket test first (`CAND`, so the
 /// common mismatch exits early), the protocol's ethertype compare *last*.
-/// That trailing compare is exactly what guard-prefix sharing cannot
-/// reach and set-level value numbering can; the socket word is what the
+/// That trailing compare is what sharing only leading guards would miss
+/// and set-level value numbering reaches; the socket word is what the
 /// shard index discriminates on.
 pub fn multi_ethertype_filter(i: usize) -> FilterProgram {
     let ethertype = ETHERTYPES[i % ETHERTYPES.len()];
@@ -165,32 +165,6 @@ pub fn measure(population: usize, packets_per_point: usize) -> Vec<DemuxPoint> {
         tests_evaluated_per_packet: 0.0,
         tests_memoized_per_packet: 0.0,
         filters_evaluated_per_packet: 0.0,
-    });
-
-    // Flat IR set (guard-prefix sharing, walks every member).
-    let mut ir = IrFilterSet::new();
-    for (id, f) in &filters {
-        ir.insert(*id, f.clone());
-    }
-    let ns = time_per_packet(&packets, |p| {
-        black_box(ir.matches_with_stats(PacketView::new(p)).0.len());
-    });
-    let mut te = 0u64;
-    let mut tm = 0u64;
-    let mut fe = 0u64;
-    for p in &packets {
-        let (_, s) = ir.matches_with_stats(PacketView::new(p));
-        te += u64::from(s.tests_evaluated);
-        tm += u64::from(s.tests_memoized);
-        fe += u64::from(s.filters_evaluated);
-    }
-    out.push(DemuxPoint {
-        engine: "ir",
-        population,
-        ns_per_packet: ns,
-        tests_evaluated_per_packet: te as f64 / n,
-        tests_memoized_per_packet: tm as f64 / n,
-        filters_evaluated_per_packet: fe as f64 / n,
     });
 
     // Sharded value-numbered set.
@@ -385,9 +359,9 @@ pub fn mixed_traffic(n: usize, packets: usize) -> Vec<Vec<u8>> {
 }
 
 /// Races the sharded set against the geometric classifier at one mixed
-/// exact/range population size. The linear engines (sequential, dtree,
-/// flat IR) are out of the race here by construction — at 100k filters a
-/// full walk per packet would take longer than the whole sweep.
+/// exact/range population size. The linear engines (sequential, dtree)
+/// are out of the race here by construction — at 100k filters a full walk
+/// per packet would take longer than the whole sweep.
 pub fn measure_range(population: usize, packets_per_point: usize) -> Vec<RangePoint> {
     let filters: Vec<(u32, FilterProgram)> = (0..population)
         .map(|i| (i as u32, mixed_filter(i)))
@@ -570,14 +544,6 @@ pub fn range_sweep(smoke: bool) -> (Vec<RangePoint>, Vec<ChurnPoint>) {
     (ladder, churn)
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.2}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders the sweep, the mixed exact/range ladder, and the churn
 /// column as one JSON document (hand-rolled: the build is hermetic, no
 /// serde).
@@ -605,10 +571,10 @@ pub fn to_json(
              \"filters_evaluated_per_packet\": {}}}{}\n",
             p.engine,
             p.population,
-            fmt_f64(p.ns_per_packet),
-            fmt_f64(p.tests_evaluated_per_packet),
-            fmt_f64(p.tests_memoized_per_packet),
-            fmt_f64(p.filters_evaluated_per_packet),
+            fmt_f64(p.ns_per_packet, 2),
+            fmt_f64(p.tests_evaluated_per_packet, 2),
+            fmt_f64(p.tests_memoized_per_packet, 2),
+            fmt_f64(p.filters_evaluated_per_packet, 2),
             if i + 1 == points.len() { "" } else { "," }
         ));
     }
@@ -625,10 +591,10 @@ pub fn to_json(
              \"nodes_visited_per_packet\": {}}}{}\n",
             p.engine,
             p.population,
-            fmt_f64(p.ns_per_packet),
-            fmt_f64(p.filters_evaluated_per_packet),
-            fmt_f64(p.ops_executed_per_packet),
-            fmt_f64(p.nodes_visited_per_packet),
+            fmt_f64(p.ns_per_packet, 2),
+            fmt_f64(p.filters_evaluated_per_packet, 2),
+            fmt_f64(p.ops_executed_per_packet, 2),
+            fmt_f64(p.nodes_visited_per_packet, 2),
             if i + 1 == ladder.len() { "" } else { "," }
         ));
     }
@@ -645,7 +611,7 @@ pub fn to_json(
             p.engine,
             p.population,
             p.updates,
-            fmt_f64(p.ns_per_update),
+            fmt_f64(p.ns_per_update, 2),
             p.rebuilds,
             if i + 1 == churn.len() { "" } else { "," }
         ));
@@ -672,12 +638,10 @@ mod tests {
             .collect();
         let interp = CheckedInterpreter::default();
         let mut dtree = FilterSet::new();
-        let mut ir = IrFilterSet::new();
         let mut sharded = ShardedVnSet::new();
         let mut geom = GeomSet::new();
         for (id, f) in &filters {
             dtree.insert(*id, f.clone());
-            ir.insert(*id, f.clone());
             sharded.insert(*id, f.clone());
             geom.insert(*id, f.clone());
         }
@@ -689,7 +653,6 @@ mod tests {
                 .map(|(id, _)| *id)
                 .collect();
             assert_eq!(dtree.matches(view), expect);
-            assert_eq!(ir.matches(view), expect);
             assert_eq!(sharded.matches(view), expect);
             assert_eq!(geom.matches(view), expect);
         }
@@ -775,26 +738,18 @@ mod tests {
     /// The acceptance-criteria shape, asserted on deterministic counters
     /// rather than wall clock: at a 256-filter multi-ethertype population
     /// the sharded set evaluates a small bounded number of tests and
-    /// members per packet, where the flat IR set walks all 256.
+    /// members per packet, where a flat walk would visit all 256.
     #[test]
     fn sharded_work_is_population_independent_at_256() {
         let n = 256;
-        let mut ir = IrFilterSet::new();
         let mut sharded = ShardedVnSet::new();
         for i in 0..n {
-            ir.insert(i as u32, multi_ethertype_filter(i));
             sharded.insert(i as u32, multi_ethertype_filter(i));
         }
         let p = packet_for(37);
         let view = PacketView::new(&p);
-        let (ir_ids, ir_stats) = ir.matches_with_stats(view);
-        assert_eq!(ir_ids, vec![37]);
         let (sh_ids, sh_stats) = sharded.matches_with_stats(view);
         assert_eq!(sh_ids, vec![37]);
-        assert_eq!(
-            ir_stats.filters_evaluated, 256,
-            "flat set walks everyone: {ir_stats:?}"
-        );
         // The shard index (keyed on the socket word) selects the 8
         // same-socket members; everyone else is skipped outright.
         assert_eq!(sh_stats.filters_evaluated, 8, "{sh_stats:?}");
@@ -807,13 +762,10 @@ mod tests {
             "shared tests evaluated at most once each: {sh_stats:?}"
         );
         assert!(sh_stats.tests_memoized >= 7, "{sh_stats:?}");
-        // The op count collapses with the shard walk (9 vs 64 when this
-        // was written); pin a comfortable 4x margin rather than the
-        // exact engine-version-dependent figure.
-        assert!(
-            sh_stats.ops_executed * 4 < ir_stats.ops_executed,
-            "sharded {sh_stats:?} vs flat {ir_stats:?}"
-        );
+        // The op count collapses with the shard walk (9 when this was
+        // written, where a flat walk paid 64); pin a comfortable margin
+        // rather than the exact engine-version-dependent figure.
+        assert!(sh_stats.ops_executed < 16, "{sh_stats:?}");
     }
 
     #[test]
@@ -865,7 +817,7 @@ mod tests {
             3 * ENGINES_RACED,
             "3 populations x every raced engine"
         );
-        for engine in ["sequential", "dtree", "ir", "sharded", "geom"] {
+        for engine in ["sequential", "dtree", "sharded", "geom"] {
             assert!(points.iter().any(|p| p.engine == engine));
         }
         assert_eq!(

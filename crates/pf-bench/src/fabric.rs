@@ -23,12 +23,10 @@
 //!   is asserted zero in every cell — backup next-hops are strictly
 //!   downhill and LSU floods precede rerouted data FIFO-wise, so even
 //!   transient disagreement never cycles a packet to death.
-//! * **Backends agree**: every cell runs per [`QueueBackend`]; the
-//!   full outcome (per-host counters, every snapshot, every router
-//!   stat) must match bit-for-bit under fault schedules too.
 
 use crate::flowgen::{self, Arrival, FlowSpec, Pattern, SizeMix, Transport};
 use crate::netbench::{ring_topology, DEFAULT_SEED};
+use crate::report::fmt_f64;
 use pf_kernel::World;
 use pf_net::fabric::FabricSchedule;
 use pf_net::frame;
@@ -36,7 +34,6 @@ use pf_net::{LinkId, NodeId, Topology};
 use pf_proto::ip::{encode_ip, IpHeader, IP_ETHERTYPE};
 use pf_proto::router::{deploy, deploy_hardened, HelloConfig};
 use pf_sim::cost::CostModel;
-use pf_sim::queue::QueueBackend;
 use pf_sim::time::{SimDuration, SimTime};
 use pf_sim::SimClock;
 use std::collections::HashMap;
@@ -127,13 +124,12 @@ impl Scenario {
     }
 }
 
-/// One campaign row: a (scenario × size × deploy × backend) cell.
+/// One campaign row: a (scenario × size × deploy) cell.
 #[derive(Debug, Clone)]
 pub struct FabricPoint {
     pub scenario: &'static str,
     /// "undefended" or "hardened".
     pub deploy: &'static str,
-    pub backend: &'static str,
     pub nodes: usize,
     pub routers: usize,
     pub links: usize,
@@ -181,11 +177,9 @@ pub struct FabricReport {
     pub rows: Vec<FabricPoint>,
 }
 
-/// Everything a run produced that must be identical across queue
-/// backends (wall time excluded).
-#[derive(Debug, Clone, PartialEq)]
+/// Everything simulated that a run produced (wall time excluded).
+#[derive(Debug, Clone)]
 struct RunOutcome {
-    end_ns: u64,
     received: Vec<u64>,
     snapshots: Vec<Vec<u64>>,
     dropped_down: u64,
@@ -274,7 +268,6 @@ fn run_cell(
     hardened: bool,
     nodes: usize,
     flows: usize,
-    backend: QueueBackend,
     seed: u64,
 ) -> (RunOutcome, f64) {
     let (base, routers, hosts) = ring_topology(nodes);
@@ -282,7 +275,7 @@ fn run_cell(
     let cell_seed = seed ^ ((nodes as u64) << 32) ^ flows as u64;
     let packets = flowgen::generate(&cell_spec(flows), hosts.len(), cell_seed);
 
-    let mut w = World::with_queue_backend(cell_seed, backend);
+    let mut w = World::new(cell_seed);
     let costs = CostModel::microvax_ii();
     let d = if hardened {
         deploy_hardened(&topo, &mut w, &costs, HelloConfig::default())
@@ -362,7 +355,6 @@ fn run_cell(
         );
     }
     let mut out = RunOutcome {
-        end_ns: w.now().0,
         received,
         snapshots,
         dropped_down: 0,
@@ -473,8 +465,8 @@ fn sum(v: &[u64]) -> u64 {
 
 /// Runs the campaign. `smoke` shrinks the grid for CI; every assert
 /// still fires. Panics (never lies) when undefended loss accounting is
-/// inexact, hardened recovery misses its bound, any TTL expires, churn
-/// exceeds its cap, or the two queue backends disagree.
+/// inexact, hardened recovery misses its bound, any TTL expires, or
+/// churn exceeds its cap.
 pub fn sweep(smoke: bool, seed: u64) -> FabricReport {
     let node_sizes: &[usize] = if smoke { &[16] } else { &[16, 64, 256] };
     let scenarios = [
@@ -482,7 +474,6 @@ pub fn sweep(smoke: bool, seed: u64) -> FabricReport {
         Scenario::LinkFlap,
         Scenario::Partition,
     ];
-    let backends = [QueueBackend::Heap, QueueBackend::Calendar];
     let cfg = HelloConfig::default();
     let mut rows = Vec::new();
 
@@ -493,53 +484,41 @@ pub fn sweep(smoke: bool, seed: u64) -> FabricReport {
             let mut cell: HashMap<&'static str, RunOutcome> = HashMap::new();
             for hardened in [false, true] {
                 let deploy_name = if hardened { "hardened" } else { "undefended" };
-                let mut per_backend: Vec<RunOutcome> = Vec::new();
-                for backend in backends {
-                    let (out, wall_ms) = run_cell(scenario, hardened, nodes, flows, backend, seed);
-                    let (topo_shape, routers, _) = ring_topology(nodes);
-                    let delivered = sum(&out.received);
-                    let delivered_after = delivered - sum(out.snapshots.last().unwrap());
-                    rows.push(FabricPoint {
-                        scenario: scenario.name(),
-                        deploy: deploy_name,
-                        backend: backend.name(),
-                        nodes,
-                        routers: routers.len(),
-                        links: topo_shape.link_count(),
-                        packets: plan.packets,
-                        delivered,
-                        delivered_frac: delivered as f64 / plan.packets as f64,
-                        blackholed: out.dropped_down + out.cut_link_drops,
-                        expected_after_check: plan.expected_after_check,
-                        delivered_after_check: delivered_after,
-                        recovered_frac: delivered_after as f64
-                            / (plan.expected_after_check as f64).max(1.0),
-                        ttl_expired: out.ttl_expired,
-                        no_route: out.no_route,
-                        hellos_sent: out.hellos_sent,
-                        control_in: out.control_in,
-                        neighbors_lost: out.neighbors_lost,
-                        neighbors_recovered: out.neighbors_recovered,
-                        failovers: out.failovers,
-                        reconvergences: out.reconvergences,
-                        route_churn: out.route_churn,
-                        convergence_ms: if out.last_change_ns == 0 {
-                            0.0
-                        } else {
-                            (out.last_change_ns.saturating_sub(T_FAULT.0)) as f64 / 1e6
-                        },
-                        wall_ms,
-                    });
-                    per_backend.push(out);
-                }
-                assert_eq!(
-                    per_backend[0],
-                    per_backend[1],
-                    "{}/{nodes} nodes/{deploy_name}: heap and calendar must \
-                     simulate identical histories under faults",
-                    scenario.name()
-                );
-                cell.insert(deploy_name, per_backend.remove(0));
+                let (out, wall_ms) = run_cell(scenario, hardened, nodes, flows, seed);
+                let (topo_shape, routers, _) = ring_topology(nodes);
+                let delivered = sum(&out.received);
+                let delivered_after = delivered - sum(out.snapshots.last().unwrap());
+                rows.push(FabricPoint {
+                    scenario: scenario.name(),
+                    deploy: deploy_name,
+                    nodes,
+                    routers: routers.len(),
+                    links: topo_shape.link_count(),
+                    packets: plan.packets,
+                    delivered,
+                    delivered_frac: delivered as f64 / plan.packets as f64,
+                    blackholed: out.dropped_down + out.cut_link_drops,
+                    expected_after_check: plan.expected_after_check,
+                    delivered_after_check: delivered_after,
+                    recovered_frac: delivered_after as f64
+                        / (plan.expected_after_check as f64).max(1.0),
+                    ttl_expired: out.ttl_expired,
+                    no_route: out.no_route,
+                    hellos_sent: out.hellos_sent,
+                    control_in: out.control_in,
+                    neighbors_lost: out.neighbors_lost,
+                    neighbors_recovered: out.neighbors_recovered,
+                    failovers: out.failovers,
+                    reconvergences: out.reconvergences,
+                    route_churn: out.route_churn,
+                    convergence_ms: if out.last_change_ns == 0 {
+                        0.0
+                    } else {
+                        (out.last_change_ns.saturating_sub(T_FAULT.0)) as f64 / 1e6
+                    },
+                    wall_ms,
+                });
+                cell.insert(deploy_name, out);
             }
             assert_cell(
                 scenario,
@@ -718,14 +697,6 @@ fn assert_cell(
     }
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders the campaign as JSON (hand-rolled: the build is hermetic,
 /// no serde).
 pub fn to_json(report: &FabricReport) -> String {
@@ -744,13 +715,12 @@ pub fn to_json(report: &FabricReport) -> String {
          \"hardened delivers >=99% of surviving-path traffic post-settle\", \
          \"zero TTL expiries in every cell\", \
          \"route changes stop by the convergence deadline\", \
-         \"churn and reconvergences under closed-form caps\", \
-         \"heap and calendar histories identical under faults\"],\n",
+         \"churn and reconvergences under closed-form caps\"],\n",
     );
     s.push_str("  \"rows\": [\n");
     for (i, p) in report.rows.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"deploy\": \"{}\", \"backend\": \"{}\", \
+            "    {{\"scenario\": \"{}\", \"deploy\": \"{}\", \
              \"nodes\": {}, \"routers\": {}, \"links\": {}, \"packets\": {}, \
              \"delivered\": {}, \"delivered_frac\": {}, \"blackholed\": {}, \
              \"expected_after_check\": {}, \"delivered_after_check\": {}, \
@@ -760,17 +730,16 @@ pub fn to_json(report: &FabricReport) -> String {
              \"route_churn\": {}, \"convergence_ms\": {}, \"wall_ms\": {}}}{}\n",
             p.scenario,
             p.deploy,
-            p.backend,
             p.nodes,
             p.routers,
             p.links,
             p.packets,
             p.delivered,
-            fmt_f64(p.delivered_frac),
+            fmt_f64(p.delivered_frac, 3),
             p.blackholed,
             p.expected_after_check,
             p.delivered_after_check,
-            fmt_f64(p.recovered_frac),
+            fmt_f64(p.recovered_frac, 3),
             p.ttl_expired,
             p.no_route,
             p.hellos_sent,
@@ -780,8 +749,8 @@ pub fn to_json(report: &FabricReport) -> String {
             p.failovers,
             p.reconvergences,
             p.route_churn,
-            fmt_f64(p.convergence_ms),
-            fmt_f64(p.wall_ms),
+            fmt_f64(p.convergence_ms, 3),
+            fmt_f64(p.wall_ms, 3),
             if i + 1 < report.rows.len() { "," } else { "" }
         ));
     }
@@ -838,25 +807,10 @@ mod tests {
 
     #[test]
     fn smoke_cell_router_kill_recovers_hardened_only() {
-        // One small end-to-end cell through the real machinery (single
-        // backend; the full backend cross-check runs in the sweep).
+        // One small end-to-end cell through the real machinery.
         let plan = plan_cell(Scenario::RouterKill, 16, 120, 0xFAB);
-        let (undef, _) = run_cell(
-            Scenario::RouterKill,
-            false,
-            16,
-            120,
-            QueueBackend::Heap,
-            0xFAB,
-        );
-        let (hard, _) = run_cell(
-            Scenario::RouterKill,
-            true,
-            16,
-            120,
-            QueueBackend::Heap,
-            0xFAB,
-        );
+        let (undef, _) = run_cell(Scenario::RouterKill, false, 16, 120, 0xFAB);
+        let (hard, _) = run_cell(Scenario::RouterKill, true, 16, 120, 0xFAB);
         assert_eq!(
             sum(&undef.received) + undef.dropped_down,
             plan.packets as u64,
@@ -881,7 +835,6 @@ mod tests {
             rows: vec![FabricPoint {
                 scenario: "router_kill",
                 deploy: "hardened",
-                backend: "heap",
                 nodes: 16,
                 routers: 4,
                 links: 8,

@@ -27,6 +27,7 @@
 //! beats batch=1 on per-packet cost for the sharded engine at this
 //! population. A zero exit is the campaign's proof.
 
+use crate::report::fmt_f64;
 use pf_filter::samples;
 use pf_kernel::mc::{McConfig, McPipeline, Placement, RssConfig};
 use pf_kernel::world::OverloadConfig;
@@ -325,14 +326,6 @@ pub fn sweep(
     report
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders the campaign as JSON (hand-rolled: the build is hermetic, no
 /// serde).
 pub fn to_json(report: &McReportTable) -> String {
@@ -361,8 +354,8 @@ pub fn to_json(report: &McReportTable) -> String {
             p.batch,
             p.offered,
             p.delivered,
-            fmt_f64(p.goodput_pps),
-            fmt_f64(p.cost_per_packet_us),
+            fmt_f64(p.goodput_pps, 3),
+            fmt_f64(p.cost_per_packet_us, 3),
             p.p50_latency_us,
             p.p99_latency_us,
             p.frames_steered,
@@ -405,7 +398,7 @@ pub fn to_json(report: &McReportTable) -> String {
             "    \"{}\": {{\"speedup_4c_over_1c_at_batch_{}\": {}}}{}\n",
             label,
             scaling_batch,
-            fmt_f64(speedup),
+            fmt_f64(speedup, 3),
             if ei + 1 == engines.len() { "" } else { "," }
         ));
     }

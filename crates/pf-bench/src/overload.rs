@@ -21,6 +21,7 @@
 //! traffic it then throws away, and the consumer starves. A completed
 //! sweep is itself the proof: every claim is an `assert!`.
 
+use crate::report::{fmt_f64, p99_us};
 use pf_filter::program::{Assembler, FilterProgram};
 use pf_filter::samples;
 use pf_filter::word::BinaryOp;
@@ -329,13 +330,7 @@ pub fn run_cell(
     w.run_until(end);
 
     let app = w.app_ref::<Consumer>(host, consumer).expect("consumer");
-    let mut lat = app.latencies_ns.clone();
-    lat.sort_unstable();
-    let p99_latency_us = if lat.is_empty() {
-        0
-    } else {
-        lat[(lat.len() - 1) * 99 / 100] / 1_000
-    };
+    let p99_latency_us = p99_us(app.latencies_ns.clone());
     let wall = duration.as_nanos() as f64;
     let frac = |prefix: &str| w.profiler(host).time_with_prefix(prefix).as_nanos() as f64 / wall;
     let c = w.counters(host);
@@ -465,14 +460,6 @@ pub fn sweep(smoke: bool, seed: u64) -> OverloadReport {
     report
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders the campaign as JSON (hand-rolled: the build is hermetic, no
 /// serde).
 pub fn to_json(report: &OverloadReport) -> String {
@@ -501,14 +488,14 @@ pub fn to_json(report: &OverloadReport) -> String {
              \"backpressure_signals\": {}}}{}\n",
             p.engine,
             p.armor,
-            fmt_f64(p.offered_x),
+            fmt_f64(p.offered_x, 3),
             p.offered_pps,
             p.wanted_offered,
             p.junk_offered,
-            fmt_f64(p.goodput_pps),
-            fmt_f64(p.useful_frac),
-            fmt_f64(p.demux_frac),
-            fmt_f64(p.driver_frac),
+            fmt_f64(p.goodput_pps, 3),
+            fmt_f64(p.useful_frac, 3),
+            fmt_f64(p.demux_frac, 3),
+            fmt_f64(p.driver_frac, 3),
             p.drops_admission,
             p.drops_queue_full,
             p.drops_interface,
@@ -535,8 +522,8 @@ pub fn to_json(report: &OverloadReport) -> String {
         s.push_str(&format!(
             "    \"{}\": {{\"full_8x_over_1x\": {}, \"none_8x_over_1x\": {}}}{}\n",
             label,
-            fmt_f64(ratio("full")),
-            fmt_f64(ratio("none")),
+            fmt_f64(ratio("full"), 3),
+            fmt_f64(ratio("none"), 3),
             if ei + 1 == ENGINES.len() { "" } else { "," }
         ));
     }

@@ -3,8 +3,30 @@
 //! Every experiment prints a table with the paper's published value next
 //! to the measured one, so a reader can check the *shape* claims (who
 //! wins, by what factor) at a glance.
+//!
+//! Also home to the two helpers every campaign's `BENCH_*.json` writer
+//! shares: [`fmt_f64`] and [`p99_us`].
 
 use std::fmt::Write as _;
+
+/// A float as a JSON number with `places` decimals; `null` when it is not
+/// finite (JSON has no NaN or infinity).
+pub(crate) fn fmt_f64(x: f64, places: usize) -> String {
+    if x.is_finite() {
+        format!("{x:.places$}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// p99 of nanosecond latencies by nearest rank, in µs; 0 for no samples.
+pub(crate) fn p99_us(mut lat: Vec<u64>) -> u64 {
+    if lat.is_empty() {
+        return 0;
+    }
+    lat.sort_unstable();
+    lat[(lat.len() - 1) * 99 / 100] / 1_000
+}
 
 /// A rendered experiment table.
 #[derive(Debug, Clone)]

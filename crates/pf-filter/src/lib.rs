@@ -19,10 +19,10 @@
 //! 4. [`dtree::FilterSet`] — a whole *set* of active filters compiled into
 //!    a shared discrimination tree (§7, "compile the set of active filters
 //!    into a decision table");
-//! 5. `pf_ir::IrFilter` / `pf_ir::IrFilterSet` (sibling crate) — programs
-//!    translated to a register-based control-flow-graph IR, optimized, and
-//!    lowered to threaded code, with leading guard tests shared and
-//!    memoized across a filter set.
+//! 5. `pf_ir::IrFilter` (sibling crate) — programs translated to a
+//!    register-based control-flow-graph IR, optimized, and lowered to
+//!    threaded code; `pf_ir` builds its set engines (`ShardedVnSet`,
+//!    `GeomSet`) and the optional JIT on top of it.
 //!
 //! Filters are built three ways: raw words
 //! ([`program::FilterProgram::from_words`]), the fluent

@@ -2,18 +2,17 @@
 //!
 //! Every rung of the workspace's execution ladder — checked interpreter,
 //! validated-program evaluator, compiled closures, decision-table set,
-//! threaded code, guard-sharing set, sharded value-numbered set,
-//! geometric (tuple-space) classifier, and (feature `jit`) the template
-//! JIT — answers the same question: *which
-//! filter, if any, accepts this packet?* [`FilterEngine`] makes that the
-//! whole API, so differential suites and bench ladders iterate a
-//! `Vec<Box<dyn FilterEngine>>` instead of hand-written per-engine match
-//! arms, and a new surface registers by adding one impl to
-//! [`singleton_engines`].
+//! threaded code, sharded value-numbered set, geometric (tuple-space)
+//! classifier, and (feature `jit`) the template JIT — answers the same
+//! question: *which filter, if any, accepts this packet?*
+//! [`FilterEngine`] makes that the whole API, so differential suites and
+//! bench ladders iterate a `Vec<Box<dyn FilterEngine>>` instead of
+//! hand-written per-engine match arms, and a new surface registers by
+//! adding one impl to [`singleton_engines`].
 
 use crate::exec::IrFilter;
 use crate::geom::GeomSet;
-use crate::set::{IrFilterSet, ShardedVnSet};
+use crate::set::ShardedVnSet;
 use pf_filter::compile::CompiledFilter;
 use pf_filter::dtree::FilterSet;
 use pf_filter::interp::{CheckedInterpreter, InterpConfig};
@@ -52,9 +51,9 @@ pub trait FilterEngine {
 /// ir, jit) appear only when the program validates; the decision-table
 /// set only under the default configuration (it has no config knob).
 ///
-/// The length is therefore: 5 surfaces for an invalid program under the
-/// default config (4 otherwise), and 8 — 9 with the `jit` feature — for
-/// a valid one under the default config (7/8 otherwise).
+/// The length is therefore: 4 surfaces for an invalid program under the
+/// default config (3 otherwise), and 7 — 8 with the `jit` feature — for
+/// a valid one under the default config (6/7 otherwise).
 pub fn singleton_engines(
     program: &FilterProgram,
     config: InterpConfig,
@@ -78,9 +77,6 @@ pub fn singleton_engines(
     if let Some(v) = &validated {
         engines.push(Box::new(IrEngine(IrFilter::from_validated(v))));
     }
-    let mut ir_set = IrFilterSet::with_config(config);
-    ir_set.insert(0, program.clone());
-    engines.push(Box::new(IrSetEngine(ir_set)));
     let mut sharded = ShardedVnSet::with_config(config);
     sharded.insert(0, program.clone());
     engines.push(Box::new(ShardedEngine(sharded)));
@@ -99,9 +95,9 @@ pub fn singleton_engines(
 /// Number of surfaces [`singleton_engines`] yields for a valid program.
 pub fn singleton_surface_count(config: InterpConfig) -> usize {
     let base = if config == InterpConfig::default() {
-        8
-    } else {
         7
+    } else {
+        6
     };
     base + usize::from(cfg!(feature = "jit"))
 }
@@ -173,19 +169,6 @@ impl FilterEngine for IrEngine {
     }
     fn matches(&mut self, packet: &[u8]) -> Option<u16> {
         self.0.eval(PacketView::new(packet)).then_some(0)
-    }
-}
-
-struct IrSetEngine(IrFilterSet);
-
-impl FilterEngine for IrSetEngine {
-    fn name(&self) -> &'static str {
-        "ir-set"
-    }
-    fn matches(&mut self, packet: &[u8]) -> Option<u16> {
-        self.0
-            .first_match(PacketView::new(packet))
-            .map(|id| u16::try_from(id).unwrap_or(u16::MAX))
     }
 }
 
@@ -306,6 +289,6 @@ mod tests {
         assert!(ValidatedProgram::new(prog.clone()).is_err());
         let engines = singleton_engines(&prog, InterpConfig::default());
         let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
-        assert_eq!(names, vec!["checked", "dtree", "ir-set", "sharded", "geom"]);
+        assert_eq!(names, vec!["checked", "dtree", "sharded", "geom"]);
     }
 }

@@ -108,11 +108,6 @@ pub struct IrFilter {
     min_packet_words: usize,
     reg_count: usize,
     code: Vec<TOp>,
-    /// Leading `(word, lit)` equality guards that must *all* hold for the
-    /// filter to accept; failing any jumps straight to a reject.
-    prefix: Vec<(u16, u16)>,
-    /// Code index of the first instruction after the guard prefix.
-    body_start: usize,
 }
 
 impl IrFilter {
@@ -146,15 +141,12 @@ impl IrFilter {
         let mut ir = translate(validated);
         optimize(&mut ir);
         let code = lower(&ir);
-        let (prefix, body_start) = guard_prefix(&code);
         IrFilter {
             program: validated.program().clone(),
             config: validated.config(),
             min_packet_words: validated.min_packet_words(),
             reg_count: ir.reg_count as usize,
             code,
-            prefix,
-            body_start,
         }
     }
 
@@ -194,13 +186,6 @@ impl IrFilter {
         self.reg_count
     }
 
-    /// The leading word-equality guards: `(packet word, literal)` pairs
-    /// that must all hold for the filter to accept. [`crate::set::IrFilterSet`]
-    /// shares and memoizes these across filters.
-    pub fn guard_prefix(&self) -> &[(u16, u16)] {
-        &self.prefix
-    }
-
     /// Evaluates against a packet; `true` means *accept*.
     pub fn eval(&self, packet: PacketView<'_>) -> bool {
         self.eval_with_stats(packet).0
@@ -219,7 +204,7 @@ impl IrFilter {
                 },
             );
         }
-        let (accept, ops) = self.exec(0, packet);
+        let (accept, ops) = self.exec(packet);
         (
             accept,
             IrEvalStats {
@@ -229,15 +214,8 @@ impl IrFilter {
         )
     }
 
-    /// Evaluates the post-prefix body only. The caller must have checked
-    /// the packet against [`IrFilter::min_packet_words`] and every
-    /// [`IrFilter::guard_prefix`] test.
-    pub(crate) fn eval_body(&self, packet: PacketView<'_>) -> (bool, u32) {
-        self.exec(self.body_start, packet)
-    }
-
     /// The threaded-code inner loop.
-    fn exec(&self, start: usize, packet: PacketView<'_>) -> (bool, u32) {
+    fn exec(&self, packet: PacketView<'_>) -> (bool, u32) {
         // Register file: stack storage for typical filters, heap beyond.
         let mut small = [0u16; 32];
         let mut big;
@@ -248,7 +226,7 @@ impl IrFilter {
             &mut big
         };
 
-        let mut pc = start;
+        let mut pc = 0usize;
         let mut ops = 0u32;
         loop {
             ops += 1;
@@ -724,24 +702,6 @@ fn register_use_counts(ir: &IrProgram) -> Vec<u32> {
     uses
 }
 
-/// Extracts the leading run of `GuardNeBr`-to-reject tests: the common
-/// CAND-chain prefix [`crate::set::IrFilterSet`] shares across filters.
-fn guard_prefix(code: &[TOp]) -> (Vec<(u16, u16)>, usize) {
-    let mut prefix = Vec::new();
-    let mut i = 0usize;
-    while let Some(&TOp::GuardNeBr { word, lit, target }) = code.get(i) {
-        if !matches!(
-            code.get(target as usize),
-            Some(TOp::Return { accept: false })
-        ) {
-            break;
-        }
-        prefix.push((word, lit));
-        i += 1;
-    }
-    (prefix, i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,7 +719,6 @@ mod tests {
             .filter(|o| matches!(o, TOp::GuardNeBr { .. } | TOp::GuardEqBr { .. }))
             .count();
         assert_eq!(guards, 2, "{}", f.disassemble());
-        assert_eq!(f.guard_prefix(), &[(8, 35), (7, 0)]);
         let pkt = samples::pup_packet_3mb(2, 0, 35, 1);
         assert!(f.eval(PacketView::new(&pkt)));
         let pkt = samples::pup_packet_3mb(2, 0, 36, 1);

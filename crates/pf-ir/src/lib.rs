@@ -5,13 +5,13 @@
 //! safe, and — as §6 measures — expensive to interpret, because every
 //! boolean connective pushes and pops intermediate truth values that a
 //! conventional compiler would keep in registers or branch on directly.
-//! This crate is rungs five through eight of the workspace's execution
-//! ladder: it
-//! *compiles* validated stack programs into a small SSA-ish register IR
-//! ([`ir`]), optimizes the result ([`opt`]), flattens it into threaded
-//! code that evaluates with no operand stack at all ([`exec`]), and —
-//! behind the off-by-default `jit` cargo feature — emits straight-line
-//! native machine code per CFG block (the `jit` module, rung eight).
+//! This crate is surfaces five through eight of the workspace's
+//! execution ladder: it *compiles* validated stack programs into a small
+//! SSA-ish register IR ([`ir`]), optimizes the result ([`opt`]), flattens
+//! it into threaded code that evaluates with no operand stack at all
+//! ([`exec`]), and — behind the off-by-default `jit` cargo feature — emits
+//! straight-line native machine code per CFG block (the `jit` module,
+//! surface eight).
 //!
 //! The pipeline:
 //!
@@ -24,32 +24,27 @@
 //!    and dead-code removal, dense register renumbering.
 //! 3. **Lower** ([`exec::IrFilter`]) — blocks flatten into one threaded
 //!    opcode vector; compare-and-branch sequences fuse into single
-//!    `guard` opcodes, whose leading run doubles as the filter's
-//!    *guard prefix* for cross-filter sharing.
-//! 4. **Share** ([`set::IrFilterSet`]) — a demultiplexing set interns the
-//!    guard prefixes of all members so each distinct `(word, literal)`
-//!    test is evaluated once per packet, the same work-sharing the
-//!    paper's §7 decision-table proposal targets, without restricting
-//!    the filter language.
-//! 5. **Shard** ([`set::ShardedVnSet`], the sixth rung) — a set-level
-//!    value-numbering pass ([`vn`]) interns *every* equality test in
-//!    every member (fused guards, mid-program branch windows, terminal
-//!    compares) into one shared, per-packet lazily memoized test table,
-//!    and a shard index keyed on each member's *required*
-//!    discriminating-word literal lets a packet walk only the members
-//!    its own bytes select.
-//! 6. **JIT** (`jit::JitFilter`, the eighth rung, cargo feature `jit`)
-//!    — each threaded program's blocks are template-expanded into native
-//!    x86-64 or aarch64 code in an mmap'd W^X buffer; programs or
-//!    platforms the emitter cannot handle fall back to the threaded
-//!    engine per filter, invisibly to callers.
-//! 7. **Classify geometrically** ([`geom::GeomSet`], the ninth surface)
+//!    `guard` opcodes.
+//! 4. **Share and shard** ([`set::ShardedVnSet`], the sixth surface) — a
+//!    set-level value-numbering pass ([`vn`]) interns *every* equality
+//!    test in every member (fused guards, mid-program branch windows,
+//!    terminal compares) into one shared, per-packet lazily memoized test
+//!    table — the work-sharing the paper's §7 decision-table proposal
+//!    targets, without restricting the filter language — and a shard
+//!    index keyed on each member's *required* discriminating-word literal
+//!    lets a packet walk only the members its own bytes select.
+//! 5. **Classify geometrically** ([`geom::GeomSet`], the seventh surface)
 //!    — members are indexed by the *interval* constraints their compiled
 //!    code provably requires (`packet[w] ∈ [lo,hi]`; equality is the
 //!    degenerate case), partitioned into `(word, range-class)` tuples
 //!    with a sparse segment tree per range tuple, so port-*range* rules —
 //!    which have no equality literal to shard on — still demultiplex in
 //!    O(#tuples · log U) index work instead of O(n) member walks.
+//! 6. **JIT** (`jit::JitFilter`, the eighth surface, cargo feature `jit`)
+//!    — each threaded program's blocks are template-expanded into native
+//!    x86-64 or aarch64 code in an mmap'd W^X buffer; programs or
+//!    platforms the emitter cannot handle fall back to the threaded
+//!    engine per filter, invisibly to callers.
 //!
 //! Semantics are pinned to the checked interpreter: translation consumes
 //! only validated programs, runtime faults (out-of-bounds indirect loads,
@@ -77,5 +72,5 @@ pub use exec::{IrEvalStats, IrFilter};
 pub use geom::{required_constraints, GeomSet, GeomStats, Interval};
 #[cfg(feature = "jit")]
 pub use jit::JitFilter;
-pub use set::{IrFilterSet, IrSetStats, ShardedVnSet};
+pub use set::ShardedVnSet;
 pub use vn::VnSetStats;

@@ -1,29 +1,22 @@
-//! A set of IR-compiled filters with cross-filter common-prefix merging.
+//! The sharded, value-numbered demultiplexing set.
 //!
 //! Demultiplexing filters overwhelmingly share structure: every BSP port's
 //! filter starts with the same `EtherType == Pup` and `DstSocketHi == 0`
 //! guards before the per-port socket test. Compiled independently, a set of
 //! N such filters re-executes the shared guards N times per packet.
 //!
-//! [`IrFilterSet`] exploits the compiler's [`IrFilter::guard_prefix`]: the
-//! leading word-equality guards of every member are *interned* into a
-//! shared test table, and per packet each distinct `(word, literal)` test
-//! is evaluated **once** — a generation-stamped memo keeps results across
-//! members without any per-packet clearing. Members then run only their
-//! post-prefix bodies. Filters whose prefixes overlap (the common case)
-//! thus share work exactly where the paper's decision-table proposal (§7)
-//! shares it, while arbitrary filters — including programs that fail
-//! validation, whose runtime behavior the checked interpreter defines —
-//! remain fully supported.
+//! [`ShardedVnSet`] removes that work on two axes: members are rewritten
+//! by the [`crate::vn`] value-numbering pass, so each distinct
+//! `(word, literal)` equality test — leading guard or not — is evaluated
+//! at most **once** per packet set-wide, and they are indexed by a
+//! guard-keyed shard map, so a packet walks only the members whose
+//! required discriminating test its first distinguishing word selects.
+//! Arbitrary filters — including programs that fail validation, whose
+//! runtime behavior the checked interpreter defines — remain fully
+//! supported.
 //!
 //! Match results are priority-ordered with insertion-order ties, exactly
 //! like sequential demultiplexing and [`pf_filter::dtree::FilterSet`].
-//!
-//! [`ShardedVnSet`] goes further on both axes: members are rewritten by
-//! the [`crate::vn`] value-numbering pass (sharing *every* word-equality
-//! test, not just leading guards) and indexed by a guard-keyed shard map,
-//! so a packet walks only the members whose required discriminating test
-//! its first distinguishing word selects.
 
 use crate::exec::IrFilter;
 use crate::vn::{eval_vn, required_tests, value_number, TestTable, VnProgram, VnSetStats};
@@ -32,312 +25,6 @@ use pf_filter::interp::{CheckedInterpreter, InterpConfig};
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use std::collections::{HashMap, HashSet};
-
-/// Counters from one whole-set evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IrSetStats {
-    /// Members whose bodies (or fallbacks) were evaluated.
-    pub filters_evaluated: u32,
-    /// Interned prefix tests evaluated fresh against the packet.
-    pub tests_evaluated: u32,
-    /// Interned prefix tests answered from the per-packet memo.
-    pub tests_memoized: u32,
-    /// Threaded-code (or fallback interpreter) instructions executed,
-    /// including one per fresh prefix test.
-    pub ops_executed: u32,
-}
-
-/// How a member is executed.
-#[derive(Debug)]
-enum MemberKind {
-    /// Compiled to threaded code; `prefix` indexes the shared test table.
-    Compiled {
-        filter: IrFilter,
-        prefix: Vec<usize>,
-    },
-    /// Failed validation; the checked interpreter defines its behavior
-    /// (it may still accept packets — a short-circuit accept can precede
-    /// the defect).
-    Checked(FilterProgram),
-}
-
-#[derive(Debug)]
-struct Member {
-    id: FilterId,
-    priority: u8,
-    seq: u64,
-    kind: MemberKind,
-}
-
-/// A set of active filters compiled to the IR engine.
-///
-/// # Examples
-///
-/// ```
-/// use pf_filter::packet::PacketView;
-/// use pf_filter::samples;
-/// use pf_ir::set::IrFilterSet;
-///
-/// let mut set = IrFilterSet::new();
-/// set.insert(7, samples::pup_socket_filter(10, 0, 35));
-/// set.insert(9, samples::pup_socket_filter(10, 0, 44));
-/// let pkt = samples::pup_packet_3mb(2, 0, 44, 1);
-/// assert_eq!(set.first_match(PacketView::new(&pkt)), Some(9));
-/// // The two filters share their `DstSocketHi == 0` guard.
-/// assert_eq!(set.shared_tests(), 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct IrFilterSet {
-    config: InterpConfig,
-    next_seq: u64,
-    /// Members sorted by (priority desc, seq asc) — match order.
-    members: Vec<Member>,
-    /// Interned `(word, literal)` equality tests.
-    tests: Vec<(u16, u16)>,
-    test_ids: HashMap<(u16, u16), usize>,
-    /// Per-test memo: (generation, result). A stale generation means
-    /// "not yet evaluated for this packet".
-    memo: Vec<(u64, bool)>,
-    generation: u64,
-    /// Reused match-result buffer: evaluating a packet allocates nothing.
-    scratch: Vec<FilterId>,
-}
-
-impl IrFilterSet {
-    /// An empty set under the default configuration (classic dialect,
-    /// paper-style short circuits) — the kernel device's configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty set under an explicit interpreter configuration.
-    pub fn with_config(config: InterpConfig) -> Self {
-        IrFilterSet {
-            config,
-            ..Default::default()
-        }
-    }
-
-    /// Number of filters in the set.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Number of distinct interned prefix tests.
-    pub fn test_count(&self) -> usize {
-        self.tests.len()
-    }
-
-    /// Number of interned tests used by more than one member — the
-    /// cross-filter work the set shares per packet.
-    pub fn shared_tests(&self) -> usize {
-        let mut counts = vec![0u32; self.tests.len()];
-        for m in &self.members {
-            if let MemberKind::Compiled { prefix, .. } = &m.kind {
-                for &t in prefix {
-                    counts[t] += 1;
-                }
-            }
-        }
-        counts.iter().filter(|&&c| c > 1).count()
-    }
-
-    /// How many members compiled to threaded code (the rest run on the
-    /// checked interpreter).
-    pub fn compiled(&self) -> usize {
-        self.members
-            .iter()
-            .filter(|m| matches!(m.kind, MemberKind::Compiled { .. }))
-            .count()
-    }
-
-    /// Inserts (or replaces) the filter for `id`.
-    pub fn insert(&mut self, id: FilterId, program: FilterProgram) {
-        self.remove(id);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let priority = program.priority();
-        let kind = match IrFilter::compile_with_config(program.clone(), self.config) {
-            Ok(filter) => {
-                let prefix = filter
-                    .guard_prefix()
-                    .iter()
-                    .map(|&test| self.intern(test))
-                    .collect();
-                MemberKind::Compiled { filter, prefix }
-            }
-            Err(_) => MemberKind::Checked(program),
-        };
-        let member = Member {
-            id,
-            priority,
-            seq,
-            kind,
-        };
-        let at = self.members.partition_point(|m| {
-            (m.priority, std::cmp::Reverse(m.seq)) >= (priority, std::cmp::Reverse(seq))
-        });
-        self.members.insert(at, member);
-    }
-
-    /// Removes the filter for `id`; `true` if it was present.
-    pub fn remove(&mut self, id: FilterId) -> bool {
-        let before = self.members.len();
-        self.members.retain(|m| m.id != id);
-        let removed = before != self.members.len();
-        if removed {
-            self.gc_tests();
-        }
-        removed
-    }
-
-    /// Rebuilds the interned test table from the surviving members, so
-    /// churn never strands dead tests (`test_count` always matches what a
-    /// fresh rebuild would intern).
-    fn gc_tests(&mut self) {
-        let old_tests = std::mem::take(&mut self.tests);
-        let Self {
-            members,
-            tests,
-            test_ids,
-            memo,
-            ..
-        } = self;
-        test_ids.clear();
-        memo.clear();
-        for m in members {
-            if let MemberKind::Compiled { prefix, .. } = &mut m.kind {
-                for t in prefix.iter_mut() {
-                    let test = old_tests[*t];
-                    *t = *test_ids.entry(test).or_insert_with(|| {
-                        tests.push(test);
-                        // Stamp 0 is permanently stale: the generation
-                        // counter increments before every evaluation, so
-                        // it is at least 1 by the first memo check.
-                        memo.push((0, false));
-                        tests.len() - 1
-                    });
-                }
-            }
-        }
-    }
-
-    fn intern(&mut self, test: (u16, u16)) -> usize {
-        if let Some(&t) = self.test_ids.get(&test) {
-            return t;
-        }
-        let t = self.tests.len();
-        self.tests.push(test);
-        self.test_ids.insert(test, t);
-        self.memo.push((0, false));
-        t
-    }
-
-    /// Ids of every filter accepting the packet, in match order (priority
-    /// descending, insertion order within a priority).
-    ///
-    /// Takes `&mut self` because the per-packet test memo lives in the set.
-    pub fn matches(&mut self, packet: PacketView<'_>) -> Vec<FilterId> {
-        self.matches_with_stats(packet).0.to_vec()
-    }
-
-    /// The first (highest-priority) accepting filter, if any.
-    pub fn first_match(&mut self, packet: PacketView<'_>) -> Option<FilterId> {
-        let Self {
-            members,
-            tests,
-            memo,
-            generation,
-            config,
-            ..
-        } = self;
-        *generation += 1;
-        let mut stats = IrSetStats::default();
-        members
-            .iter()
-            .find(|m| eval_member(m, packet, tests, memo, *generation, *config, &mut stats))
-            .map(|m| m.id)
-    }
-
-    /// [`IrFilterSet::matches`] plus execution counters. The returned
-    /// slice borrows the set's reused scratch buffer — no per-packet
-    /// allocation — and is valid until the next evaluation.
-    pub fn matches_with_stats(&mut self, packet: PacketView<'_>) -> (&[FilterId], IrSetStats) {
-        let Self {
-            members,
-            tests,
-            memo,
-            generation,
-            config,
-            scratch,
-            ..
-        } = self;
-        *generation += 1;
-        scratch.clear();
-        let mut stats = IrSetStats::default();
-        scratch.extend(
-            members
-                .iter()
-                .filter(|m| eval_member(m, packet, tests, memo, *generation, *config, &mut stats))
-                .map(|m| m.id),
-        );
-        (scratch, stats)
-    }
-}
-
-/// Evaluates one member, sharing prefix-test results through the memo.
-fn eval_member(
-    m: &Member,
-    packet: PacketView<'_>,
-    tests: &[(u16, u16)],
-    memo: &mut [(u64, bool)],
-    generation: u64,
-    config: InterpConfig,
-    stats: &mut IrSetStats,
-) -> bool {
-    stats.filters_evaluated += 1;
-    match &m.kind {
-        MemberKind::Checked(program) => {
-            let (accept, s) = CheckedInterpreter::new(config).eval_with_stats(program, packet);
-            stats.ops_executed += s.instructions;
-            accept
-        }
-        MemberKind::Compiled { filter, prefix } => {
-            if packet.word_len() < filter.min_packet_words() {
-                // Short packet: the member's own checked fallback defines
-                // the semantics; prefix sharing does not apply.
-                let (accept, s) = filter.eval_with_stats(packet);
-                stats.ops_executed += s.ops_executed;
-                return accept;
-            }
-            for &t in prefix {
-                let (stamp, result) = memo[t];
-                let pass = if stamp == generation {
-                    stats.tests_memoized += 1;
-                    result
-                } else {
-                    let (word, lit) = tests[t];
-                    let r = packet.word(usize::from(word)) == Some(lit);
-                    memo[t] = (generation, r);
-                    stats.tests_evaluated += 1;
-                    stats.ops_executed += 1;
-                    r
-                };
-                if !pass {
-                    return false;
-                }
-            }
-            let (accept, ops) = filter.eval_body(packet);
-            stats.ops_executed += ops;
-            accept
-        }
-    }
-}
 
 /// How a sharded-set member is executed.
 #[derive(Debug)]
@@ -1054,7 +741,7 @@ mod tests {
 
     #[test]
     fn matches_in_priority_then_insertion_order() {
-        let mut set = IrFilterSet::new();
+        let mut set = ShardedVnSet::new();
         set.insert(1, samples::accept_all(5));
         set.insert(2, samples::accept_all(20));
         set.insert(3, samples::accept_all(20));
@@ -1064,7 +751,7 @@ mod tests {
 
     #[test]
     fn replace_and_remove() {
-        let mut set = IrFilterSet::new();
+        let mut set = ShardedVnSet::new();
         set.insert(1, samples::pup_socket_filter(10, 0, 35));
         assert_eq!(set.first_match(PacketView::new(&pkt(44))), None);
         set.insert(1, samples::pup_socket_filter(10, 0, 44));
@@ -1075,42 +762,16 @@ mod tests {
         assert!(set.is_empty());
     }
 
-    /// `EtherType == 2 CAND DstSocketLo == sock`: the shared ethertype
-    /// guard leads, so every member reaches it.
-    fn ethertype_then_socket(sock: u16) -> FilterProgram {
-        Assembler::new(10)
-            .pushword(1)
-            .pushlit_op(BinaryOp::Cand, 2)
-            .pushword(8)
-            .pushlit_op(BinaryOp::Eq, sock)
-            .finish()
-    }
-
     #[test]
-    fn common_prefix_is_shared_and_memoized() {
-        let mut set = IrFilterSet::new();
-        for (id, sock) in [(1u32, 35u16), (2, 44), (3, 55), (4, 66)] {
-            set.insert(id, ethertype_then_socket(sock));
-        }
-        // All four share the leading `EtherType == Pup` guard.
-        assert_eq!(set.test_count(), 1);
-        assert_eq!(set.shared_tests(), 1);
-        let (ids, stats) = set.matches_with_stats(PacketView::new(&pkt(55)));
-        assert_eq!(ids, vec![3]);
-        assert_eq!(stats.tests_evaluated, 1, "{stats:?}");
-        assert_eq!(stats.tests_memoized, 3, "shared guard reused: {stats:?}");
-    }
-
-    #[test]
-    fn prefix_sharing_matches_independent_eval() {
-        // pup_socket_filter's prefix starts with the per-port test, so the
-        // shared `DstSocketHi == 0` guard sits second; sharing must not
-        // change verdicts regardless of prefix order.
-        let mut set = IrFilterSet::new();
+    fn test_sharing_matches_independent_eval() {
+        // pup_socket_filter starts with the per-port test; the ethertype
+        // and `DstSocketHi == 0` tests behind it are shared. Sharing must
+        // not change verdicts.
+        let mut set = ShardedVnSet::new();
         for (id, sock) in [(1u32, 35u16), (2, 44), (3, 55)] {
             set.insert(id, samples::pup_socket_filter(10, 0, sock));
         }
-        assert_eq!(set.shared_tests(), 1);
+        assert_eq!(set.shared_tests(), 2);
         for sock in [35u16, 44, 55, 99] {
             let p = pkt(sock);
             let expected: Vec<FilterId> = [(1u32, 35u16), (2, 44), (3, 55)]
@@ -1134,7 +795,7 @@ mod tests {
             .to_vec();
         words.push(15 << 6); // reserved opcode: fails validation
         let p = FilterProgram::from_words(10, words);
-        let mut set = IrFilterSet::new();
+        let mut set = ShardedVnSet::new();
         set.insert(1, p);
         assert_eq!(set.compiled(), 0);
         assert_eq!(set.first_match(PacketView::new(&pkt(35))), Some(1));
@@ -1143,7 +804,7 @@ mod tests {
 
     #[test]
     fn agrees_with_decision_table_set() {
-        let mut ir = IrFilterSet::new();
+        let mut sharded = ShardedVnSet::new();
         let mut dt = FilterSet::new();
         let filters = [
             (1u32, samples::pup_socket_filter(10, 0, 35)),
@@ -1153,7 +814,7 @@ mod tests {
             (5, samples::reject_all(30)),
         ];
         for (id, f) in &filters {
-            ir.insert(*id, f.clone());
+            sharded.insert(*id, f.clone());
             dt.insert(*id, f.clone());
         }
         for sock in [35u16, 44, 99] {
@@ -1161,7 +822,7 @@ mod tests {
                 let p = samples::pup_packet_3mb(ethertype, 0, sock, 1);
                 let view = PacketView::new(&p);
                 assert_eq!(
-                    ir.matches(view),
+                    sharded.matches(view),
                     dt.matches(view),
                     "sock={sock} et={ethertype}"
                 );
@@ -1171,7 +832,7 @@ mod tests {
 
     #[test]
     fn short_packets_use_member_fallback() {
-        let mut set = IrFilterSet::new();
+        let mut set = ShardedVnSet::new();
         set.insert(1, samples::pup_socket_filter(10, 0, 35));
         // Too short for word 8: must reject, not panic.
         assert_eq!(set.first_match(PacketView::new(&[1, 2, 3, 4])), None);

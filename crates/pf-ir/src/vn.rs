@@ -2,12 +2,12 @@
 //! member performs — not just its leading guard run — into a shared,
 //! lazily-memoized test table.
 //!
-//! [`crate::set::IrFilterSet`] shares only each member's *leading* guard
-//! prefix: the common `EtherType == Pup`-style run the compiler isolates
-//! at the head of the threaded code. But demultiplexing filters repeat
-//! tests *everywhere*: figure 3-9 puts the per-port socket test first and
-//! the shared ethertype test **last** (so the CANDs exit early on the
-//! common mismatch), which the prefix scheme cannot share at all.
+//! Sharing only each member's *leading* guard run — the common
+//! `EtherType == Pup`-style tests at the head of the threaded code — is
+//! not enough, because demultiplexing filters repeat tests *everywhere*:
+//! figure 3-9 puts the per-port socket test first and the shared ethertype
+//! test **last** (so the CANDs exit early on the common mismatch), which a
+//! prefix scheme cannot share at all.
 //!
 //! This module generalizes the sharing to the paper's full §7 "decision
 //! table" idea, grown from the IR rather than the dtree:
@@ -741,8 +741,8 @@ mod tests {
     #[test]
     fn fig_3_9_interns_all_three_tests() {
         // Socket-lo and socket-hi guards *plus* the trailing
-        // `EtherType == Pup` compare-return, which the prefix scheme
-        // cannot share.
+        // `EtherType == Pup` compare-return, which sharing only leading
+        // guards would miss.
         let (prog, table) = vn(samples::fig_3_9_pup_socket_35());
         assert_eq!(table.len(), 3, "{prog:?}");
         assert_eq!(prog.tests_used().len(), 3);

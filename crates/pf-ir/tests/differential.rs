@@ -1,9 +1,9 @@
 //! Deterministic differential verification: every execution surface in
 //! the workspace — checked interpreter, validated fast interpreter,
 //! compiled micro-ops, the decision-table set, the IR threaded-code
-//! engine, the flat IR filter set, the sharded value-numbered set, the
-//! geometric range classifier, and (feature `jit`) the template JIT —
-//! must be observationally identical.
+//! engine, the sharded value-numbered set, the geometric range
+//! classifier, and (feature `jit`) the template JIT — must be
+//! observationally identical.
 //! The surfaces come from [`pf_ir::engine::singleton_engines`], so a new
 //! engine is pinned here by registering one [`pf_ir::FilterEngine`] impl.
 //!
@@ -20,7 +20,7 @@ use pf_filter::samples;
 use pf_filter::validate::ValidatedProgram;
 use pf_filter::word::{BinaryOp, Instr, StackAction};
 use pf_ir::engine::{singleton_engines, singleton_surface_count};
-use pf_ir::set::{IrFilterSet, ShardedVnSet};
+use pf_ir::set::ShardedVnSet;
 use pf_ir::{GeomSet, IrFilter};
 use pf_sim::rng::SplitMix64;
 
@@ -243,10 +243,10 @@ fn all_engines_agree_on_seeded_pairs() {
     );
 }
 
-/// Set-level pin (default configuration): the flat IR set, the sharded
-/// value-numbered set, and the decision-table set agree with a sequential
-/// priority-ordered walk over mixed filter populations, including programs
-/// that fail validation.
+/// Set-level pin (default configuration): the sharded value-numbered set
+/// and the decision-table set agree with a sequential priority-ordered
+/// walk over mixed filter populations, including programs that fail
+/// validation.
 #[test]
 fn set_engines_agree_on_seeded_populations() {
     let mut rng = SplitMix64::new(0xdeca_f00d);
@@ -271,11 +271,9 @@ fn set_engines_agree_on_seeded_populations() {
             filters.push((id, FilterProgram::from_words(7, random_words(&mut rng))));
             id += 1;
         }
-        let mut ir_set = IrFilterSet::new();
         let mut sharded = ShardedVnSet::new();
         let mut table = FilterSet::new();
         for (fid, f) in &filters {
-            ir_set.insert(*fid, f.clone());
             sharded.insert(*fid, f.clone());
             table.insert(*fid, f.clone());
         }
@@ -297,7 +295,6 @@ fn set_engines_agree_on_seeded_populations() {
                 .map(|&i| filters[i].0)
                 .collect();
             let ctx = format!("case {case} packet {pi}");
-            assert_eq!(ir_set.matches(view), expect, "ir set vs sequential: {ctx}");
             assert_eq!(
                 sharded.matches(view),
                 expect,
@@ -394,44 +391,6 @@ fn set_batch_walks_agree_under_churn() {
         let scalar_table: Vec<Vec<u32>> = views.iter().map(|v| table.matches(*v)).collect();
         let batched_table = table.matches_batch(&views);
         assert_eq!(batched_table, scalar_table, "table: case {case}");
-    }
-}
-
-/// Seeded churn: inserts and removals keep the IR set equivalent to a
-/// from-scratch rebuild (interned tests and memo state never leak between
-/// generations).
-#[test]
-fn ir_set_survives_churn() {
-    let mut rng = SplitMix64::new(0xc0ffee);
-    let mut live: Vec<(u32, FilterProgram)> = Vec::new();
-    let mut set = IrFilterSet::new();
-    for step in 0..200 {
-        if !live.is_empty() && rng.chance(0.4) {
-            let at = rng.below(live.len() as u64) as usize;
-            let (fid, _) = live.remove(at);
-            assert!(set.remove(fid));
-        } else {
-            let fid = step as u32;
-            let f = match rng.below(3) {
-                0 => samples::pup_socket_filter(rng.below(30) as u8, 0, 30 + rng.below(8) as u16),
-                1 => samples::ethertype_filter(rng.below(30) as u8, rng.below(6) as u16),
-                _ => FilterProgram::from_words(7, random_words(&mut rng)),
-            };
-            set.insert(fid, f.clone());
-            live.push((fid, f));
-        }
-        if step % 20 != 0 {
-            continue;
-        }
-        let mut fresh = IrFilterSet::new();
-        for (fid, f) in &live {
-            fresh.insert(*fid, f.clone());
-        }
-        assert_eq!(set.test_count(), fresh.test_count(), "step {step}");
-        assert_eq!(set.shared_tests(), fresh.shared_tests(), "step {step}");
-        let pkt = samples::pup_packet_3mb(rng.below(6) as u16, 0, 28 + rng.below(12) as u16, 1);
-        let view = PacketView::new(&pkt);
-        assert_eq!(set.matches(view), fresh.matches(view), "step {step}");
     }
 }
 
@@ -559,20 +518,16 @@ fn geom_set_survives_churn() {
 }
 
 /// Re-inserting under a live id replaces the old program without leaking
-/// its interned tests: both sets report the same table bookkeeping as a
+/// its interned tests: the set reports the same table bookkeeping as a
 /// from-scratch build of the final population.
 #[test]
 fn reinsert_replaces_without_leaking_tests() {
-    let mut ir = IrFilterSet::new();
     let mut sharded = ShardedVnSet::new();
     for i in 0..4u16 {
-        ir.insert(u32::from(i), samples::pup_socket_filter(10, 0, 30 + i));
         sharded.insert(u32::from(i), samples::pup_socket_filter(10, 0, 30 + i));
     }
     // Replace id 1: its socket test (8, 31) must die with it.
-    ir.insert(1, samples::ethertype_filter(9, 5));
     sharded.insert(1, samples::ethertype_filter(9, 5));
-    let mut ir_fresh = IrFilterSet::new();
     let mut sh_fresh = ShardedVnSet::new();
     for (fid, f) in [
         (0u32, samples::pup_socket_filter(10, 0, 30)),
@@ -580,20 +535,15 @@ fn reinsert_replaces_without_leaking_tests() {
         (3, samples::pup_socket_filter(10, 0, 33)),
         (1, samples::ethertype_filter(9, 5)),
     ] {
-        ir_fresh.insert(fid, f.clone());
         sh_fresh.insert(fid, f);
     }
-    assert_eq!(ir.len(), 4);
     assert_eq!(sharded.len(), 4);
-    assert_eq!(ir.test_count(), ir_fresh.test_count());
-    assert_eq!(ir.shared_tests(), ir_fresh.shared_tests());
     assert_eq!(sharded.test_count(), sh_fresh.test_count());
     assert_eq!(sharded.shared_tests(), sh_fresh.shared_tests());
     assert_eq!(sharded.shard_word(), sh_fresh.shard_word());
     for sock in [30u16, 31, 32, 33] {
         let pkt = samples::pup_packet_3mb(2, 0, sock, 1);
         let view = PacketView::new(&pkt);
-        assert_eq!(ir.matches(view), ir_fresh.matches(view), "sock {sock}");
         assert_eq!(sharded.matches(view), sh_fresh.matches(view), "sock {sock}");
     }
 }

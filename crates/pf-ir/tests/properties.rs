@@ -6,7 +6,7 @@
 #![cfg(feature = "proptest-tests")]
 
 //! Property-based engine agreement: checked interpreter, validated fast
-//! interpreter, compiled micro-ops, IR threaded code, the IR filter set,
+//! interpreter, compiled micro-ops, IR threaded code, the sharded set,
 //! and the geometric classifier are observationally identical on
 //! arbitrary programs and packets.
 
@@ -16,7 +16,7 @@ use pf_filter::packet::PacketView;
 use pf_filter::program::{Assembler, FilterProgram};
 use pf_filter::validate::ValidatedProgram;
 use pf_filter::word::{BinaryOp, Instr, StackAction};
-use pf_ir::set::IrFilterSet;
+use pf_ir::set::ShardedVnSet;
 use pf_ir::{GeomSet, IrFilter};
 use proptest::prelude::*;
 
@@ -129,10 +129,10 @@ proptest! {
         }
     }
 
-    /// The IR filter set (default configuration) is equivalent to checking
+    /// The sharded set (default configuration) is equivalent to checking
     /// each member independently, on arbitrary mixed populations.
     #[test]
-    fn ir_set_equivalent_to_independent_eval(
+    fn sharded_set_equivalent_to_independent_eval(
         programs in prop::collection::vec((structured_words(), 0u8..30), 0..6),
         pkt in packet_bytes(),
     ) {
@@ -141,7 +141,7 @@ proptest! {
             .enumerate()
             .map(|(i, (words, prio))| (i as u32, FilterProgram::from_words(prio, words)))
             .collect();
-        let mut set = IrFilterSet::new();
+        let mut set = ShardedVnSet::new();
         for (id, f) in &filters {
             set.insert(*id, f.clone());
         }

@@ -36,7 +36,7 @@ use pf_filter::program::FilterProgram;
 use pf_filter::validate::ValidatedProgram;
 use pf_filter::word::{BinaryOp, Instr, StackAction};
 use pf_ir::geom::{required_constraints, GeomSet};
-use pf_ir::set::{IrFilterSet, ShardedVnSet};
+use pf_ir::set::ShardedVnSet;
 use pf_sim::rng::SplitMix64;
 use pf_sim::time::SimTime;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -120,14 +120,13 @@ impl JitSet {
 
 /// The compiled set behind a non-sequential engine, keyed by port index:
 /// the one seam through which the device inserts, removes and evaluates
-/// members whichever engine is active. All five order matches by
+/// members whichever engine is active. All four order matches by
 /// `(priority descending, own insertion sequence)`, and inserting an id
 /// again moves it to the back of its priority class.
 #[derive(Debug)]
 enum EngineSet {
     /// The decision table, with the match list of its last evaluation.
     Table(FilterSet, Vec<FilterId>),
-    Ir(IrFilterSet),
     Sharded(ShardedVnSet),
     Geom(GeomSet),
     Jit(JitSet),
@@ -140,7 +139,6 @@ impl EngineSet {
         Some(match engine {
             DemuxEngine::Sequential => return None,
             DemuxEngine::DecisionTable => EngineSet::Table(FilterSet::new(), Vec::new()),
-            DemuxEngine::Ir => EngineSet::Ir(IrFilterSet::new()),
             DemuxEngine::Sharded => EngineSet::Sharded(ShardedVnSet::new()),
             DemuxEngine::Geom => {
                 let mut set = GeomSet::new();
@@ -157,7 +155,6 @@ impl EngineSet {
     fn insert(&mut self, id: FilterId, program: FilterProgram) {
         match self {
             EngineSet::Table(s, _) => s.insert(id, program),
-            EngineSet::Ir(s) => s.insert(id, program),
             EngineSet::Sharded(s) => s.insert(id, program),
             EngineSet::Geom(s) => s.insert(id, program),
             EngineSet::Jit(s) => s.insert(id, program),
@@ -168,7 +165,6 @@ impl EngineSet {
     fn remove(&mut self, id: FilterId) -> bool {
         match self {
             EngineSet::Table(s, _) => s.remove(id),
-            EngineSet::Ir(s) => s.remove(id),
             EngineSet::Sharded(s) => s.remove(id),
             EngineSet::Geom(s) => s.remove(id),
             EngineSet::Jit(s) => s.remove(id),
@@ -183,11 +179,6 @@ impl EngineSet {
             EngineSet::Table(s, hits) => {
                 *hits = s.matches(packet);
                 hits
-            }
-            EngineSet::Ir(s) => {
-                let (matches, stats) = s.matches_with_stats(packet);
-                out.ir_ops = stats.ops_executed;
-                matches
             }
             EngineSet::Sharded(s) => {
                 let (matches, stats) = s.matches_with_stats(packet);
@@ -211,7 +202,7 @@ impl EngineSet {
 
     /// [`Self::matches`] over a batch: element `i` is what `matches` gives
     /// for `packets[i]`. The table, sharded and geom sets amortize their
-    /// probe across the batch; the others walk packet by packet.
+    /// probe across the batch; the JIT list walks packet by packet.
     fn matches_batch(&mut self, packets: &[PacketView<'_>]) -> Vec<(Vec<FilterId>, DemuxOutcome)> {
         let with_ops = |(m, ir_ops): (Vec<FilterId>, u32)| {
             let out = DemuxOutcome {
@@ -235,7 +226,7 @@ impl EngineSet {
                 let ops = stats.iter().map(|st| st.ops_executed);
                 all.into_iter().zip(ops).map(with_ops).collect()
             }
-            EngineSet::Ir(_) | EngineSet::Jit(_) => packets
+            EngineSet::Jit(_) => packets
                 .iter()
                 .map(|&p| {
                     let mut out = DemuxOutcome::default();
@@ -259,7 +250,6 @@ impl EngineSet {
     fn fill_stats(&self, stats: &mut EngineStats) {
         match self {
             EngineSet::Table(s, _) => stats.table_shapes = s.shape_count(),
-            EngineSet::Ir(s) => stats.ir_shared_tests = s.shared_tests(),
             EngineSet::Sharded(s) => {
                 stats.sharded_shard_count = s.shard_count();
                 stats.sharded_shared_tests = s.shared_tests();
@@ -293,13 +283,10 @@ pub enum DemuxEngine {
     /// filters the analyzer cannot convert.
     DecisionTable,
     /// Filters compiled through the `pf-ir` CFG pipeline to threaded code,
-    /// with guard-prefix tests shared (and memoized) across the set. Unlike
-    /// the decision table this accepts *every* filter program.
-    Ir,
-    /// The IR pipeline plus set-level value numbering and a guard-keyed
-    /// shard index: *every* word-equality test is shared (memoized once
-    /// per packet) and a packet walks only the members its discriminating
-    /// word selects. Accepts every filter program, like `Ir`.
+    /// with set-level value numbering and a guard-keyed shard index:
+    /// *every* word-equality test is shared (memoized once per packet) and
+    /// a packet walks only the members its discriminating word selects.
+    /// Unlike the decision table this accepts *every* filter program.
     Sharded,
     /// The geometric (tuple-space) classifier: members indexed by the
     /// interval constraints their compiled code provably requires
@@ -308,7 +295,7 @@ pub enum DemuxEngine {
     /// segment tree per range tuple. Port-*range* rules — which have no
     /// equality literal to shard on — still demultiplex in
     /// O(#tuples · log U) index work. Accepts every filter program,
-    /// like `Ir` and `Sharded`.
+    /// like `Sharded`.
     Geom,
     /// Each filter compiled to straight-line native code by pf-ir's
     /// template JIT (cargo feature `jit`), walked in priority order like
@@ -694,7 +681,7 @@ pub struct Application {
 }
 
 /// One snapshot of the active engine's compiled state, replacing the
-/// per-engine accessors (`table_shapes`, `ir_shared_tests`, …) with a
+/// per-engine accessors (`table_shapes`, `sharded_shared_tests`, …) with a
 /// single struct so callers do not need to know which engine maintains
 /// which counter. Counters an engine does not maintain read zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -704,8 +691,6 @@ pub struct EngineStats {
     /// Decision-table shapes (hash probes per packet); decision-table
     /// engine only.
     pub table_shapes: usize,
-    /// Guard-prefix tests shared between members; IR engine only.
-    pub ir_shared_tests: usize,
     /// Shards in the guard-keyed index (distinct discriminating-word
     /// literals); sharded engine only.
     pub sharded_shard_count: usize,
@@ -758,12 +743,11 @@ pub struct DemuxOutcome {
     /// Ports that accepted the packet, in delivery order.
     pub accepted: Vec<PortIdx>,
     /// Every filter application performed, in order. Empty under the
-    /// decision-table and IR engines, which do not apply filters one at a
-    /// time.
+    /// compiled engines, which do not apply filters one at a time.
     pub applied: Vec<Application>,
-    /// Threaded-code operations executed, when the IR engine handled the
-    /// packet (the cost-accounting analogue of `applied`'s instruction
-    /// counters).
+    /// Threaded-code operations executed, when the sharded or geom engine
+    /// handled the packet (the cost-accounting analogue of `applied`'s
+    /// instruction counters).
     pub ir_ops: u32,
     /// Filters walked by the JIT engine (each a flat-cost native or
     /// threaded-code evaluation; quarantined fallbacks appear in `applied`
@@ -1748,7 +1732,6 @@ mod tests {
         for engine in [
             DemuxEngine::Sequential,
             DemuxEngine::DecisionTable,
-            DemuxEngine::Ir,
             DemuxEngine::Sharded,
             DemuxEngine::Geom,
             DemuxEngine::Jit,
@@ -1910,7 +1893,6 @@ mod tests {
         for engine in [
             DemuxEngine::Sequential,
             DemuxEngine::DecisionTable,
-            DemuxEngine::Ir,
             DemuxEngine::Sharded,
             DemuxEngine::Geom,
             DemuxEngine::Jit,
@@ -1975,7 +1957,7 @@ mod tests {
             samples::fig_3_8_pup_type_range(),    // priority 10, 10 instrs
             samples::pup_socket_filter(5, 0, 35), // priority 5, 6 instrs
         ]);
-        d.set_engine(DemuxEngine::Ir);
+        d.set_engine(DemuxEngine::Geom);
         assert_eq!(d.set_instruction_budget(Some(6)), 1);
         assert_eq!(d.engine_stats().quarantined_ports, 1);
         // The quarantined member no longer contributes threaded code; the
@@ -2041,7 +2023,6 @@ mod tests {
     fn adaptive_toggle_changes_nothing_under_compiled_engines() {
         for engine in [
             DemuxEngine::DecisionTable,
-            DemuxEngine::Ir,
             DemuxEngine::Sharded,
             DemuxEngine::Geom,
             DemuxEngine::Jit,
@@ -2097,70 +2078,6 @@ mod tests {
         assert_eq!(d.port_of((ProcId(3), Fd(8))), None);
         d.close(a);
         assert_eq!(d.port_of((ProcId(3), Fd(7))), None);
-    }
-
-    #[test]
-    fn ir_engine_agrees_with_sequential() {
-        let filters = vec![
-            samples::pup_socket_filter(10, 0, 35),
-            samples::pup_socket_filter(10, 0, 44),
-            samples::accept_all(5),
-            samples::fig_3_8_pup_type_range(),
-        ];
-        for sock in [35u16, 44, 99] {
-            let mut seq = dev_with(filters.clone());
-            seq.set_adaptive_reorder(false);
-            let mut ir = dev_with(filters.clone());
-            ir.set_adaptive_reorder(false);
-            ir.set_engine(DemuxEngine::Ir);
-            let p = pkt(sock);
-            assert_eq!(seq.demux(&p).accepted, ir.demux(&p).accepted, "sock={sock}");
-        }
-    }
-
-    #[test]
-    fn ir_engine_reports_ops_and_shares_guards() {
-        let mut d = dev_with(vec![
-            samples::pup_socket_filter(10, 0, 35),
-            samples::pup_socket_filter(10, 0, 44),
-        ]);
-        d.set_engine(DemuxEngine::Ir);
-        assert_eq!(
-            d.engine_stats().ir_shared_tests,
-            1,
-            "DstSocketHi == 0 guard shared"
-        );
-        let out = d.demux(&pkt(35));
-        assert_eq!(out.accepted, vec![0]);
-        assert!(
-            out.applied.is_empty(),
-            "IR engine does not itemize applications"
-        );
-        assert!(out.ir_ops > 0, "threaded-code work is accounted");
-    }
-
-    #[test]
-    fn ir_engine_tracks_filter_rebinding_and_close() {
-        let mut d = dev_with(vec![samples::pup_socket_filter(10, 0, 35)]);
-        d.set_engine(DemuxEngine::Ir);
-        assert!(d.demux(&pkt(44)).accepted.is_empty());
-        d.set_filter(0, samples::pup_socket_filter(10, 0, 44));
-        assert_eq!(d.demux(&pkt(44)).accepted, vec![0]);
-        d.close(0);
-        assert!(d.demux(&pkt(44)).accepted.is_empty());
-    }
-
-    #[test]
-    fn ir_engine_respects_deliver_to_lower() {
-        let mut d = PfDevice::new();
-        let monitor = d.open((ProcId(0), Fd(0)));
-        d.set_filter(monitor, samples::accept_all(30));
-        d.port_mut(monitor).config.deliver_to_lower = true;
-        let consumer = d.open((ProcId(1), Fd(0)));
-        d.set_filter(consumer, samples::pup_socket_filter(10, 0, 35));
-        d.set_engine(DemuxEngine::Ir);
-        let out = d.demux(&pkt(35));
-        assert_eq!(out.accepted, vec![monitor, consumer]);
     }
 
     #[test]

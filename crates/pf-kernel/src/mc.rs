@@ -717,7 +717,7 @@ impl McPipeline {
     /// origin shard's device, charging the batched engine costs and
     /// delivering accepts.
     fn demux_group(&mut self, core: usize, origin: usize, group: &[Frame], t: SimTime) {
-        let costs = self.config.costs.clone();
+        let costs = &self.config.costs;
         let refs: Vec<&[u8]> = group.iter().map(|f| f.bytes.as_slice()).collect();
         let outs = self.workers[origin].device.demux_batch(&refs);
         self.workers[core].counters.batches_executed += 1;
@@ -748,11 +748,6 @@ impl McPipeline {
                 DemuxEngine::DecisionTable => {
                     let c = costs.dtree_probe.times(probes);
                     self.pool.charge(core, "pf:dtree", t, c);
-                }
-                DemuxEngine::Ir => {
-                    self.workers[core].counters.filter_instructions += u64::from(out.ir_ops);
-                    let c = costs.filter_instr.times(u64::from(out.ir_ops));
-                    self.pool.charge(core, "pf:ir", t, c);
                 }
                 DemuxEngine::Sharded => {
                     self.workers[core].counters.filter_instructions += u64::from(out.ir_ops);

@@ -32,7 +32,7 @@ use pf_sim::cost::CostModel;
 use pf_sim::counters::Counters;
 use pf_sim::cpu::Cpu;
 use pf_sim::profile::Profiler;
-use pf_sim::queue::{EventHandle, EventQueue, QueueBackend};
+use pf_sim::queue::{EventHandle, EventQueue};
 use pf_sim::time::{SimDuration, SimTime};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -327,17 +327,8 @@ pub struct World {
 impl World {
     /// Creates an empty world with a deterministic network seed.
     pub fn new(seed: u64) -> Self {
-        Self::with_queue_backend(seed, QueueBackend::default())
-    }
-
-    /// Creates an empty world with an explicit event-queue backend.
-    ///
-    /// Every backend pops events in the identical (time, scheduling
-    /// sequence) order, so simulation results do not depend on this
-    /// choice — only wall-clock performance does.
-    pub fn with_queue_backend(seed: u64, backend: QueueBackend) -> Self {
         World {
-            events: EventQueue::with_backend(backend),
+            events: EventQueue::new(),
             net: Network::new(seed),
             hosts: Vec::new(),
             routers: Vec::new(),
@@ -989,18 +980,11 @@ impl World {
                     let cost = h.costs.dtree_probe.times(shapes.max(1));
                     h.cpu.charge("pf:dtree", now, cost);
                 }
-                DemuxEngine::Ir => {
-                    // Threaded-code operations are comparable to interpreter
-                    // instructions; charge them on the same cost curve.
-                    h.counters.filter_instructions += u64::from(outcome.ir_ops);
-                    let cost = h.costs.filter_cost(outcome.ir_ops);
-                    h.cpu.charge("pf:ir", now, cost);
-                }
                 DemuxEngine::Sharded => {
-                    // Same instruction-cost curve as the IR engine: the
-                    // sharded set reports value-numbered threaded-code ops
-                    // (memoized tests are free, skipped members cost
-                    // nothing).
+                    // Threaded-code operations are comparable to interpreter
+                    // instructions; charge them on the same cost curve. The
+                    // sharded set reports value-numbered ops (memoized tests
+                    // are free, skipped members cost nothing).
                     h.counters.filter_instructions += u64::from(outcome.ir_ops);
                     let cost = h.costs.filter_cost(outcome.ir_ops);
                     h.cpu.charge("pf:sharded", now, cost);

@@ -141,7 +141,6 @@ proptest! {
         };
         let mut seq = build(DemuxEngine::Sequential);
         let mut tab = build(DemuxEngine::DecisionTable);
-        let mut ir = build(DemuxEngine::Ir);
         let mut sharded = build(DemuxEngine::Sharded);
         let mut geom = build(DemuxEngine::Geom);
         let mut jit = build(DemuxEngine::Jit);
@@ -152,11 +151,6 @@ proptest! {
                 tab.demux(&pkt).accepted,
                 expect.clone(),
                 "table: et={} sock={} type={}", et, sock, ptype
-            );
-            prop_assert_eq!(
-                ir.demux(&pkt).accepted,
-                expect.clone(),
-                "ir: et={} sock={} type={}", et, sock, ptype
             );
             prop_assert_eq!(
                 sharded.demux(&pkt).accepted,

@@ -1,159 +1,28 @@
 //! Determinism under fault schedules: a hardened routed fabric driven
-//! through a router kill and a link-flap train must replay
-//! bit-identically — across reruns at the same seed and across the two
-//! event-queue backends. Fault injection, hello probing, failover, LSU
-//! flooding, and reconvergence all ride the same event core, so any
-//! hidden nondeterminism (hash-map iteration order, wall-clock leakage)
-//! shows up here as a history mismatch.
+//! through a router kill and a link-flap train must replay bit-identically
+//! across reruns at the same seed (harness in
+//! `tests/support/fabric_chaos.rs`).
 
-use pf_kernel::{SimClock, World};
-use pf_net::fabric::FabricSchedule;
-use pf_net::frame;
-use pf_net::medium::Medium;
-use pf_net::segment::FaultModel;
-use pf_net::{LinkId, NodeId, Topology};
-use pf_proto::ip::{encode_ip, IpHeader, IP_ETHERTYPE};
-use pf_proto::router::{deploy_hardened, HelloConfig};
-use pf_sim::cost::CostModel;
-use pf_sim::queue::QueueBackend;
-use pf_sim::time::{SimDuration, SimTime};
+#[path = "../../../tests/support/fabric_chaos.rs"]
+mod fabric_chaos;
 
-/// A 4-router ring, one host per router (ring links get ids 0..4, LANs
-/// 4..8), with a kill-plus-flap chaos schedule attached.
-fn chaos_ring() -> (Topology, [NodeId; 4], [NodeId; 4]) {
-    let mut b = Topology::builder();
-    let r: Vec<NodeId> = (0..4).map(|i| b.router(format!("r{i}"))).collect();
-    let h: Vec<NodeId> = (0..4).map(|i| b.host(format!("h{i}"))).collect();
-    let m = Medium::standard_10mb();
-    for i in 0..4 {
-        b.link(r[i], r[(i + 1) % 4], m, FaultModel::default());
-    }
-    for i in 0..4 {
-        b.lan(&[r[i], h[i]], m, FaultModel::default());
-    }
-    let mut sched = FabricSchedule::new();
-    // r2 dies mid-run and comes back; the r0–r1 link flaps twice with
-    // down-windows long enough (100ms > the 60ms dead interval) to
-    // trigger real detection, failover, and re-adjacency each cycle.
-    sched.router_outage(r[2], SimTime(300_000_000), Some(SimTime(700_000_000)));
-    sched.link_flaps(
-        LinkId(0),
-        SimTime(400_000_000),
-        SimDuration::from_millis(100),
-        SimDuration::from_millis(150),
-        2,
-    );
-    let topo = b.build().with_fabric(sched);
-    (topo, [r[0], r[1], r[2], r[3]], [h[0], h[1], h[2], h[3]])
-}
-
-/// (forwarded, hellos_sent, control_in, neighbors_lost,
-/// neighbors_recovered, failovers, reconvergences, route_churn).
-type RouterStats = (u64, u64, u64, u64, u64, u64, u64, u64);
-
-/// Everything observable about one run, for exact comparison.
-#[derive(Debug, PartialEq)]
-struct History {
-    end_ns: u64,
-    received: Vec<u64>,
-    router_stats: Vec<RouterStats>,
-    router_frames: Vec<(u64, u64, u64)>,
-}
-
-fn run_chaos(seed: u64, backend: QueueBackend) -> History {
-    let (topo, routers, hosts) = chaos_ring();
-    let mut w = World::with_queue_backend(seed, backend);
-    let d = deploy_hardened(
-        &topo,
-        &mut w,
-        &CostModel::microvax_ii(),
-        HelloConfig::default(),
-    );
-
-    // Cross-ring traffic before, during, and after the fault windows,
-    // from every host to its antipode and its neighbor.
-    let mut at = SimTime(1_000);
-    for round in 0..40u64 {
-        for (i, &src) in hosts.iter().enumerate() {
-            for dst in [hosts[(i + 2) % 4], hosts[(i + 1) % 4]] {
-                let (iface, next_eth) = topo
-                    .first_hop(src, topo.ip(dst))
-                    .expect("ring is connected");
-                let src_if = topo.interfaces(src)[iface];
-                let packet = encode_ip(
-                    &IpHeader {
-                        proto: 17,
-                        ttl: 64,
-                        src: topo.ip(src),
-                        dst: topo.ip(dst),
-                        total_len: 0,
-                    },
-                    &[round as u8; 32],
-                );
-                let f = frame::build(
-                    topo.medium(src_if.link),
-                    next_eth,
-                    src_if.eth,
-                    IP_ETHERTYPE,
-                    &packet,
-                )
-                .expect("frame fits");
-                w.send_frame_at(d.host(src), f, at);
-                at = SimTime(at.0 + 25_000_000);
-            }
-        }
-    }
-
-    // Hardened routers tick forever; bound the run by virtual time.
-    SimClock::run_until(&mut w, SimTime(9_000_000_000));
-    History {
-        end_ns: w.now().0,
-        received: hosts
-            .iter()
-            .map(|h| w.counters(d.host(*h)).packets_received)
-            .collect(),
-        router_stats: routers
-            .iter()
-            .map(|r| {
-                let s = w.router_stats(d.router(*r));
-                (
-                    s.forwarded,
-                    s.hellos_sent,
-                    s.control_in,
-                    s.neighbors_lost,
-                    s.neighbors_recovered,
-                    s.failovers,
-                    s.reconvergences,
-                    s.route_churn,
-                )
-            })
-            .collect(),
-        router_frames: routers
-            .iter()
-            .map(|r| {
-                let c = w.router_counters(d.router(*r));
-                (c.frames_in, c.frames_out, c.frames_dropped_down)
-            })
-            .collect(),
-    }
-}
+/// Routers in the ring (and hosts beside them).
+const RING: usize = 4;
 
 #[test]
-fn chaos_history_is_identical_across_backends_and_reruns() {
-    let heap = run_chaos(0x00DE_7EC7, QueueBackend::Heap);
-    let heap_again = run_chaos(0x00DE_7EC7, QueueBackend::Heap);
-    let calendar = run_chaos(0x00DE_7EC7, QueueBackend::Calendar);
-    assert_eq!(heap, heap_again, "reruns at one seed must be bit-identical");
-    assert_eq!(heap, calendar, "backends must simulate the same history");
+fn chaos_history_is_identical_across_reruns() {
+    let first = fabric_chaos::run(RING, 0x00DE_7EC7);
+    let again = fabric_chaos::run(RING, 0x00DE_7EC7);
+    assert_eq!(first, again, "reruns at one seed must be bit-identical");
 
     // And the history is not vacuous: the chaos actually happened.
-    let lost: u64 = heap.router_stats.iter().map(|s| s.3).sum();
-    let recovered: u64 = heap.router_stats.iter().map(|s| s.4).sum();
-    let reconverged: u64 = heap.router_stats.iter().map(|s| s.6).sum();
+    let lost: u64 = first.router_stats.iter().map(|s| s.3).sum();
+    let recovered: u64 = first.router_stats.iter().map(|s| s.4).sum();
+    let reconverged: u64 = first.router_stats.iter().map(|s| s.6).sum();
     assert!(lost >= 2, "kill + flaps must cost adjacencies (got {lost})");
     assert!(recovered >= 2, "revivals must re-form adjacencies");
     assert!(reconverged >= 4, "every event wave triggers reconvergence");
-    assert!(heap.received.iter().sum::<u64>() > 0);
+    assert!(first.received.iter().sum::<u64>() > 0);
 }
 
 #[test]
@@ -161,8 +30,8 @@ fn different_seeds_still_converge_to_the_same_routed_outcome() {
     // The seed perturbs fault-model draws, not the schedule or the
     // workload: with loss-free links every seed delivers the same
     // packet counts even though event interleaving details may differ.
-    let a = run_chaos(1, QueueBackend::Heap);
-    let b = run_chaos(2, QueueBackend::Heap);
+    let a = fabric_chaos::run(RING, 1);
+    let b = fabric_chaos::run(RING, 2);
     assert_eq!(a.received, b.received);
     assert_eq!(a.router_frames, b.router_frames);
 }

@@ -2,12 +2,11 @@
 //!
 //! The paper's evaluation ran on VAX-11/780 and MicroVAX-II machines; this
 //! crate is the substitute substrate: virtual time ([`time`]), a
-//! deterministic event queue with calendar and heap backends ([`queue`]),
-//! the unified run-loop trait every simulation driver implements
-//! ([`clock`]), a single-CPU work serializer with a gprof-style profiler
-//! ([`cpu`], [`profile`]), the calibrated cost model ([`cost`]), event
-//! counters for the paper's figure quantities ([`counters`]), and a
-//! reproducible PRNG ([`rng`]).
+//! deterministic event queue ([`queue`]), the unified run-loop trait every
+//! simulation driver implements ([`clock`]), a single-CPU work serializer
+//! with a gprof-style profiler ([`cpu`], [`profile`]), the calibrated cost
+//! model ([`cost`]), event counters for the paper's figure quantities
+//! ([`counters`]), and a reproducible PRNG ([`rng`]).
 //!
 //! The simulated Unix-like host, its scheduler, and the packet-filter
 //! device itself live in `pf-kernel`, layered on these pieces.
@@ -26,6 +25,6 @@ pub use cost::CostModel;
 pub use counters::Counters;
 pub use cpu::{Cpu, CpuPool};
 pub use profile::Profiler;
-pub use queue::{EventHandle, EventQueue, QueueBackend};
+pub use queue::{EventHandle, EventQueue};
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};

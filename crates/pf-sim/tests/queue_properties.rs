@@ -1,12 +1,12 @@
 //! Model tests for the simulation substrate: the event queue against a
 //! naive sorted list under seeded schedule/pop/peek/cancel interleavings,
-//! on both backends, and CPU-accounting monotonicity. Hermetic: all
-//! randomness is the in-tree `SplitMix64`, so a failure reproduces from
-//! its seed. The default suite runs 2k steps per seed and backend;
+//! and CPU-accounting monotonicity. Hermetic: all randomness is the
+//! in-tree `SplitMix64`, so a failure reproduces from its seed. The
+//! default suite runs 2k steps per seed;
 //! `cargo test -p pf-sim --release --features fuzz-tests` runs 20k.
 
 use pf_sim::cpu::Cpu;
-use pf_sim::queue::{EventHandle, EventQueue, QueueBackend};
+use pf_sim::queue::{EventHandle, EventQueue};
 use pf_sim::rng::SplitMix64;
 use pf_sim::time::{SimDuration, SimTime};
 
@@ -16,9 +16,9 @@ const STEPS: usize = if cfg!(feature = "fuzz-tests") {
     2_000
 };
 
-/// `queue.rs`'s `MIN_BUCKETS`: the tombstone count compaction tolerates
+/// `queue.rs`'s `MIN_TOMBSTONES`: the tombstone count compaction tolerates
 /// whatever the live population.
-const MIN_BUCKETS: usize = 16;
+const MIN_TOMBSTONES: usize = 16;
 
 /// The specification: pending `(time, id)` pairs, popped smallest first.
 /// Ids are issued in schedule order, so they are the tie-break.
@@ -53,13 +53,12 @@ impl Model {
 /// hit pending events, events that already fired, events already cancelled
 /// and handles whose slab slot has since gone to a later event alike; the
 /// model says which of them may return `true`.
-fn run_against_model(backend: QueueBackend, seed: u64) {
+fn run_against_model(seed: u64) {
     let mut rng = SplitMix64::new(seed);
-    let mut q: EventQueue<usize> = EventQueue::with_backend(backend);
+    let mut q: EventQueue<usize> = EventQueue::new();
     let mut model = Model::default();
     let mut handles: Vec<EventHandle> = Vec::new();
-    // Phases of growth, churn and drain, so slots are recycled and the
-    // calendar both grows and shrinks.
+    // Phases of growth, churn and drain, so slots are recycled.
     for step in 0..STEPS {
         let bias = [6, 3, 1][(step * 3 / STEPS) % 3];
         match rng.below(10) {
@@ -79,9 +78,9 @@ fn run_against_model(backend: QueueBackend, seed: u64) {
                 assert!(!q.cancel(handles[id]), "a second cancel is always false");
                 if cancelled {
                     // Compaction runs inside `cancel`: right after one,
-                    // tombstones never outnumber max(live, MIN_BUCKETS).
+                    // tombstones never outnumber max(live, MIN_TOMBSTONES).
                     assert!(
-                        q.stored_len() <= 2 * q.len() + 2 * MIN_BUCKETS,
+                        q.stored_len() <= 2 * q.len() + 2 * MIN_TOMBSTONES,
                         "{} keys stored for {} live",
                         q.stored_len(),
                         q.len()
@@ -109,36 +108,32 @@ fn run_against_model(backend: QueueBackend, seed: u64) {
 }
 
 #[test]
-fn queue_matches_the_sorted_list_model_on_both_backends() {
-    for backend in [QueueBackend::Calendar, QueueBackend::Heap] {
-        for seed in 0..4 {
-            run_against_model(backend, 0x51AB ^ seed);
-        }
+fn queue_matches_the_sorted_list_model() {
+    for seed in 0..4 {
+        run_against_model(0x51AB ^ seed);
     }
 }
 
 /// The three ways a handle goes stale, spelled out once on a tiny queue.
 #[test]
 fn stale_handles_never_cancel_anything() {
-    for backend in [QueueBackend::Calendar, QueueBackend::Heap] {
-        let mut q = EventQueue::with_backend(backend);
-        let fired = q.schedule(SimTime(10), "fired");
-        assert_eq!(q.pop(), Some((SimTime(10), "fired")));
-        assert!(!q.cancel(fired), "cancel after pop");
-        // The freed slot goes to the next event; the old handle must not
-        // reach it.
-        let heir = q.schedule(SimTime(20), "heir");
-        assert!(!q.cancel(fired), "stale handle, slot recycled");
-        assert_eq!(q.len(), 1);
-        assert!(q.cancel(heir));
-        assert!(!q.cancel(heir), "double cancel");
-        let next = q.schedule(SimTime(30), "next");
-        assert!(!q.cancel(heir), "cancelled handle, slot recycled");
-        assert_eq!((q.len(), q.stored_len()), (1, 2), "one tombstone stored");
-        assert_eq!(q.pop(), Some((SimTime(30), "next")));
-        assert!(!q.cancel(next));
-        assert_eq!((q.len(), q.stored_len()), (0, 0));
-    }
+    let mut q = EventQueue::new();
+    let fired = q.schedule(SimTime(10), "fired");
+    assert_eq!(q.pop(), Some((SimTime(10), "fired")));
+    assert!(!q.cancel(fired), "cancel after pop");
+    // The freed slot goes to the next event; the old handle must not
+    // reach it.
+    let heir = q.schedule(SimTime(20), "heir");
+    assert!(!q.cancel(fired), "stale handle, slot recycled");
+    assert_eq!(q.len(), 1);
+    assert!(q.cancel(heir));
+    assert!(!q.cancel(heir), "double cancel");
+    let next = q.schedule(SimTime(30), "next");
+    assert!(!q.cancel(heir), "cancelled handle, slot recycled");
+    assert_eq!((q.len(), q.stored_len()), (1, 2), "one tombstone stored");
+    assert_eq!(q.pop(), Some((SimTime(30), "next")));
+    assert!(!q.cancel(next));
+    assert_eq!((q.len(), q.stored_len()), (0, 0));
 }
 
 /// CPU charges serialize: completion times are nondecreasing and every

@@ -1,7 +1,8 @@
-//! End-to-end scenarios under [`DemuxEngine::Ir`]: the CFG / threaded-code
-//! demultiplexer drives the same full-stack conversations as the
-//! sequential engine — identical delivery and drops, deterministic runs —
-//! while charging its cost as IR operations.
+//! End-to-end scenarios under the compiled set engines,
+//! [`DemuxEngine::Geom`] and [`DemuxEngine::Sharded`]: they drive the same
+//! full-stack conversations as the sequential engine — identical delivery
+//! and drops, deterministic runs — while charging their cost as index
+//! probes and threaded-code operations.
 
 use packet_filter::filter::samples;
 use packet_filter::kernel::app::App;
@@ -19,9 +20,9 @@ use packet_filter::sim::time::SimTime;
 use packet_filter::SimClock;
 
 #[test]
-fn bsp_transfer_with_loss_under_ir_engine() {
-    // The full user-level BSP stack, demultiplexed by the IR engine, on a
-    // lossy wire: the transfer still completes exactly.
+fn bsp_transfer_with_loss_under_geom_engine() {
+    // The full user-level BSP stack, demultiplexed by the geom engine, on
+    // a lossy wire: the transfer still completes exactly.
     let mut w = World::new(42);
     let seg = w.add_segment(
         Medium::experimental_3mb(),
@@ -33,8 +34,8 @@ fn bsp_transfer_with_loss_under_ir_engine() {
     );
     let a = w.add_host("alice", seg, 0x0A, CostModel::microvax_ii());
     let b = w.add_host("bob", seg, 0x0B, CostModel::microvax_ii());
-    w.set_demux_engine(a, DemuxEngine::Ir);
-    w.set_demux_engine(b, DemuxEngine::Ir);
+    w.set_demux_engine(a, DemuxEngine::Geom);
+    w.set_demux_engine(b, DemuxEngine::Geom);
 
     let src = PupAddr::new(1, 0x0A, 0x300);
     let dst = PupAddr::new(1, 0x0B, 0x400);
@@ -50,12 +51,13 @@ fn bsp_transfer_with_loss_under_ir_engine() {
     assert_eq!(receiver.bytes as usize, TOTAL, "byte stream exact");
     assert!(
         w.counters(b).filter_instructions > 0,
-        "IR operations were charged to the filter-instruction counter"
+        "threaded-code operations were charged to the filter-instruction counter"
     );
 }
 
 /// A process using both a UDP kernel socket and a packet-filter port
-/// (figure 3-3's coexistence scenario), with the IR engine demultiplexing.
+/// (figure 3-3's coexistence scenario), with a compiled engine
+/// demultiplexing.
 struct DualStack {
     udp_got: u64,
     pf_got: u64,
@@ -86,7 +88,7 @@ impl App for DualStack {
 }
 
 #[test]
-fn ir_engine_coexists_with_kernel_protocols() {
+fn geom_engine_coexists_with_kernel_protocols() {
     use packet_filter::net::frame;
     use packet_filter::proto::ip::IP_ETHERTYPE;
 
@@ -94,7 +96,7 @@ fn ir_engine_coexists_with_kernel_protocols() {
     let mut w = World::new(3);
     let seg = w.add_segment(medium, FaultModel::default());
     let h = w.add_host("dual", seg, 0x0B, CostModel::microvax_ii());
-    w.set_demux_engine(h, DemuxEngine::Ir);
+    w.set_demux_engine(h, DemuxEngine::Geom);
     w.register_protocol(h, Box::new(KernelIp::new(11)));
     let p = w.spawn(
         h,
@@ -122,14 +124,14 @@ fn ir_engine_coexists_with_kernel_protocols() {
 
     let app = w.app_ref::<DualStack>(h, p).unwrap();
     assert_eq!(app.udp_got, 1, "UDP went through the kernel stack");
-    assert_eq!(app.pf_got, 1, "the Pup went through the IR demultiplexer");
+    assert_eq!(app.pf_got, 1, "the Pup went through the geom demultiplexer");
     assert_eq!(w.counters(h).drops_no_match, 1, "the stray Pup was dropped");
 }
 
 #[test]
-fn ir_engine_delivery_matches_sequential_and_is_deterministic() {
+fn geom_engine_delivery_matches_sequential_and_is_deterministic() {
     // The same seeded lossy BSP run under each engine. Delivery must be
-    // identical content-wise; the IR runs themselves must be
+    // identical content-wise; the runs under one engine must be
     // bit-deterministic. (Timing-sensitive counters are *not* compared
     // across engines: the engines charge different per-packet costs, so
     // retransmission schedules may legitimately differ.)
@@ -160,11 +162,11 @@ fn ir_engine_delivery_matches_sequential_and_is_deterministic() {
         (end, r.is_done(), r.bytes, *w.counters(b))
     };
     let seq = run(DemuxEngine::Sequential);
-    let ir1 = run(DemuxEngine::Ir);
-    let ir2 = run(DemuxEngine::Ir);
-    assert!(seq.1 && ir1.1, "both engines complete the transfer");
-    assert_eq!(seq.2, ir1.2, "identical bytes delivered");
-    assert_eq!(ir1, ir2, "IR runs are bit-deterministic");
+    let geom1 = run(DemuxEngine::Geom);
+    let geom2 = run(DemuxEngine::Geom);
+    assert!(seq.1 && geom1.1, "both engines complete the transfer");
+    assert_eq!(seq.2, geom1.2, "identical bytes delivered");
+    assert_eq!(geom1, geom2, "geom runs are bit-deterministic");
     let sh1 = run(DemuxEngine::Sharded);
     let sh2 = run(DemuxEngine::Sharded);
     assert!(sh1.1, "the sharded engine completes the transfer");

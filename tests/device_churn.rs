@@ -12,9 +12,8 @@ use packet_filter::ir::GeomSet;
 use packet_filter::kernel::types::{Fd, ProcId};
 use packet_filter::{DemuxEngine, PfDevice};
 
-const COMPILED: [DemuxEngine; 5] = [
+const COMPILED: [DemuxEngine; 4] = [
     DemuxEngine::DecisionTable,
-    DemuxEngine::Ir,
     DemuxEngine::Sharded,
     DemuxEngine::Geom,
     DemuxEngine::Jit,
@@ -23,11 +22,6 @@ const COMPILED: [DemuxEngine; 5] = [
 #[test]
 fn churned_device_matches_a_fresh_build_and_the_oracle_dtree() {
     device_churn::run(DemuxEngine::DecisionTable, 0x5EED_0001, 2_000);
-}
-
-#[test]
-fn churned_device_matches_a_fresh_build_and_the_oracle_ir() {
-    device_churn::run(DemuxEngine::Ir, 0x5EED_0002, 2_000);
 }
 
 #[test]
