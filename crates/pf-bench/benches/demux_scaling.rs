@@ -1,12 +1,12 @@
 //! Demultiplexing a packet against N active filters: the sequential
 //! priority-ordered loop of figure 4-1 versus §7's proposed decision
-//! table ([`pf_filter::dtree::FilterSet`]) and the sharded value-numbered
-//! set ([`pf_ir::set::ShardedVnSet`]).
+//! table ([`pf_filter::dtree::FilterSet`]) and the geometric classifier
+//! ([`pf_ir::GeomSet`]).
 //!
 //! The sequential loop is O(N) filter applications per packet (the §6.5
 //! break-even analysis); the decision table is one hash probe per filter
-//! *shape*; the sharded set touches only the shard the packet's
-//! discriminating word selects.
+//! *shape*; the geometric set evaluates only the members filed under the
+//! packet's own exact words.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pf_filter::dtree::FilterSet;
@@ -14,7 +14,7 @@ use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use pf_filter::samples;
-use pf_ir::set::ShardedVnSet;
+use pf_ir::GeomSet;
 use std::hint::black_box;
 
 /// Sequential reference: first match in priority order.
@@ -58,12 +58,12 @@ fn demux_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("decision_table", n), &n, |b, _| {
             b.iter(|| set.first_match(PacketView::new(black_box(&packet))))
         });
-        let mut sharded = ShardedVnSet::new();
+        let mut geom = GeomSet::new();
         for (id, f) in &filters {
-            sharded.insert(*id, f.clone());
+            geom.insert(*id, f.clone());
         }
-        group.bench_with_input(BenchmarkId::new("sharded_vn", n), &n, |b, _| {
-            b.iter(|| sharded.first_match(PacketView::new(black_box(&packet))))
+        group.bench_with_input(BenchmarkId::new("geom", n), &n, |b, _| {
+            b.iter(|| geom.first_match(PacketView::new(black_box(&packet))))
         });
     }
     group.finish();

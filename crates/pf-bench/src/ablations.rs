@@ -292,7 +292,6 @@ pub fn report_ablations() -> Report {
     for engine in [
         DemuxEngine::Sequential,
         DemuxEngine::DecisionTable,
-        DemuxEngine::Sharded,
         DemuxEngine::Geom,
         DemuxEngine::Jit,
     ] {
@@ -304,7 +303,6 @@ pub fn report_ablations() -> Report {
         let config = match engine {
             DemuxEngine::Sequential => "sequential interpreter (figure 4-1)",
             DemuxEngine::DecisionTable => "decision table (§7)",
-            DemuxEngine::Sharded => "sharded value-numbered set",
             DemuxEngine::Geom => "geometric tuple-space classifier",
             DemuxEngine::Jit => "per-filter template JIT",
         };
@@ -364,12 +362,12 @@ mod tests {
     fn compiled_demux_engines_beat_sequential_worst_case() {
         let seq = demux_cpu_ms_per_packet(DemuxEngine::Sequential);
         let table = demux_cpu_ms_per_packet(DemuxEngine::DecisionTable);
-        let sharded = demux_cpu_ms_per_packet(DemuxEngine::Sharded);
+        let geom = demux_cpu_ms_per_packet(DemuxEngine::Geom);
         // Worst-case sequential interprets ~15 whole filters per packet;
-        // the table probes per shape and the sharded set touches one
+        // the table probes per shape and the geom set evaluates one
         // member per packet.
         assert!(table < seq, "table {table:.3} vs sequential {seq:.3}");
-        assert!(sharded < seq, "sharded {sharded:.3} vs sequential {seq:.3}");
+        assert!(geom < seq, "geom {geom:.3} vs sequential {seq:.3}");
         // The JIT engine's flat per-member native cost (16 × 10 µs) is far
         // below the worst-case sequential interpretation bill.
         let jit = demux_cpu_ms_per_packet(DemuxEngine::Jit);

@@ -451,7 +451,7 @@ fn inject_machine(
 /// every mimic as protected traffic — the junk quota never applies —
 /// and the kernel pays full demux for a flood that matches nothing.
 fn run_mimicry(hardened: bool, smoke: bool, seed: u64) -> AdversaryPoint {
-    let (mut w, host) = armored_world(seed ^ 0x3131, DemuxEngine::Sharded);
+    let (mut w, host) = armored_world(seed ^ 0x3131, DemuxEngine::Geom);
     w.set_admission_control(
         host,
         Some(AdmissionConfig {
@@ -510,7 +510,7 @@ const GAMED_QUOTA: AdmissionQuota = AdmissionQuota {
 /// traffic. The damage is latency, not loss: both rows hold goodput,
 /// the undefended row's wanted p99 balloons.
 fn run_quota_gaming(hardened: bool, smoke: bool, seed: u64) -> AdversaryPoint {
-    let (mut w, host) = armored_world(seed ^ 0x9A3E, DemuxEngine::Sharded);
+    let (mut w, host) = armored_world(seed ^ 0x9A3E, DemuxEngine::Geom);
     w.set_admission_control(
         host,
         Some(AdmissionConfig {
@@ -710,7 +710,7 @@ fn run_rss_collision(hardened: bool, smoke: bool, seed: u64) -> AdversaryPoint {
         default_rss
     };
 
-    let mut cfg = McConfig::single_core(DemuxEngine::Sharded);
+    let mut cfg = McConfig::single_core(DemuxEngine::Geom);
     cfg.cores = RSS_CORES;
     cfg.batch = 16;
     cfg.rss = rss;

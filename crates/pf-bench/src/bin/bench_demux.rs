@@ -1,9 +1,8 @@
 //! Writes `BENCH_demux.json`: the demux-scaling race between the
-//! flat-sequential, decision-table, flat-IR, sharded value-numbered,
-//! geometric tuple-space, and (with the `jit` feature) template-JIT
-//! engines over growing multi-ethertype populations, plus the mixed
-//! exact/range ladder to 100k filters and the insert/delete churn
-//! column for the two incremental engines.
+//! flat-sequential, decision-table, geometric tuple-space, and (with the
+//! `jit` feature) template-JIT engines over growing multi-ethertype
+//! populations, plus the geometric classifier's mixed exact/range ladder
+//! to 100k filters and its insert/delete churn column.
 //!
 //! ```text
 //! cargo run -p pf-bench --release --bin bench_demux            # full sweep, 1..512 + 1k..100k ladder
@@ -33,13 +32,8 @@ fn main() {
     );
     for p in &points {
         println!(
-            "  {:>10} n={:<4} {:>10.1} ns/pkt  tests {:.2} fresh + {:.2} memo, {:.2} members",
-            p.engine,
-            p.population,
-            p.ns_per_packet,
-            p.tests_evaluated_per_packet,
-            p.tests_memoized_per_packet,
-            p.filters_evaluated_per_packet,
+            "  {:>10} n={:<4} {:>10.1} ns/pkt  {:.2} members",
+            p.engine, p.population, p.ns_per_packet, p.filters_evaluated_per_packet,
         );
     }
     println!("mixed exact/range ladder:");

@@ -1,7 +1,7 @@
 //! Writes `BENCH_mc.json`: the multi-core scaling campaign sweeping
 //! worker cores × engine batch sizes × demux engines under a saturating
 //! burst. The signature claims — 4 cores deliver ≥ 3× one core, batch=32
-//! beats batch=1 per-packet cost on the sharded engine — are `assert!`s,
+//! beats batch=1 per-packet cost on the geom engine — are `assert!`s,
 //! so a zero exit *is* the campaign's proof.
 //!
 //! ```text

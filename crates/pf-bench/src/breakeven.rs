@@ -30,7 +30,7 @@ pub fn kernel_cost_ms(filters: usize) -> f64 {
 }
 
 /// The same sweep point under an alternative demux engine (decision
-/// table or the sharded value-numbered set): per-packet cost should be
+/// table or the geometric classifier): per-packet cost should be
 /// (nearly) independent of the filter population.
 pub fn kernel_engine_cost_ms(filters: usize, engine: DemuxEngine) -> f64 {
     recvcost::run(&RecvConfig {
@@ -93,19 +93,19 @@ pub fn report_break_even() -> Report {
         "active filters",
         "kernel demux (ms/pkt)",
         "kernel, §7 decision table",
-        "kernel, sharded VN",
+        "kernel, geom",
         "kernel, JIT",
         "user demux (ms/pkt)",
     ]);
     for (f, c) in &kernel {
         let table = kernel_engine_cost_ms(*f, DemuxEngine::DecisionTable);
-        let sharded = kernel_engine_cost_ms(*f, DemuxEngine::Sharded);
+        let geom = kernel_engine_cost_ms(*f, DemuxEngine::Geom);
         let jit = kernel_engine_cost_ms(*f, DemuxEngine::Jit);
         r.row(&[
             f.to_string(),
             format!("{c:.2}"),
             format!("{table:.2}"),
-            format!("{sharded:.2}"),
+            format!("{geom:.2}"),
             format!("{jit:.2}"),
             format!("{user:.2}"),
         ]);
@@ -157,20 +157,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_is_population_independent() {
-        // The shard index touches one member per packet on a socket-filter
-        // population, so per-packet cost stays flat as the population grows
-        // and lands well under the sequential loop.
-        let at_1 = kernel_engine_cost_ms(1, DemuxEngine::Sharded);
-        let at_48 = kernel_engine_cost_ms(48, DemuxEngine::Sharded);
+    fn geom_engine_is_population_independent() {
+        // The exact-tuple directory selects one member per packet on a
+        // socket-filter population, so per-packet cost stays flat as the
+        // population grows and lands well under the sequential loop. The
+        // sweep's one-filter point binds the empty program, which costs no
+        // engine anything to evaluate; the socket population starts at two.
+        let at_2 = kernel_engine_cost_ms(2, DemuxEngine::Geom);
+        let at_48 = kernel_engine_cost_ms(48, DemuxEngine::Geom);
         assert!(
-            (at_48 - at_1).abs() < 0.3,
-            "sharded engine flat: {at_1:.2} vs {at_48:.2} ms/pkt"
+            (at_48 - at_2).abs() < 0.3,
+            "geom engine flat: {at_2:.2} vs {at_48:.2} ms/pkt"
         );
         let sequential_at_48 = kernel_cost_ms(48);
         assert!(
             at_48 < sequential_at_48 - 1.0,
-            "sharded {at_48:.2} well under sequential {sequential_at_48:.2} at 48 filters"
+            "geom {at_48:.2} well under sequential {sequential_at_48:.2} at 48 filters"
         );
     }
 

@@ -521,11 +521,11 @@ pub struct DegradationReport {
 pub fn kernel_degradation(seed: u64) -> DegradationReport {
     let mut rng = SplitMix64::new(seed);
     let mut d = PfDevice::builder()
-        .engine(DemuxEngine::Sharded)
+        .engine(DemuxEngine::Geom)
         .instruction_budget(Some(8))
         .build();
 
-    // Healthy: compiled into the sharded set (6 instructions ≤ budget).
+    // Healthy: compiled into the geom set (6 instructions ≤ budget).
     let clean = d.open((ProcId(0), Fd(0)));
     assert!(d.set_filter(clean, samples::pup_socket_filter(10, 0, 35)));
     // Validation-rejected, quarantined at bind; accepts sockets ≠ 35.

@@ -2,29 +2,30 @@
 //!
 //! The breakeven sweep and the ablation table live in EXPERIMENTS.md
 //! prose; this module races the demultiplexing engines
-//! (flat-sequential interpreter, §7 decision table, sharded
-//! value-numbered set, geometric tuple-space classifier, and — with the
-//! `jit` feature — a priority-ordered walk of template-JIT native
-//! filters) over growing multi-ethertype populations and writes the
-//! results as JSON — engine, population size, ns/packet, and per-packet
-//! executed-test counts — so the perf trajectory can be tracked across
-//! PRs by a machine instead of a reader.
+//! (flat-sequential interpreter, §7 decision table, geometric
+//! tuple-space classifier, and — with the `jit` feature — a
+//! priority-ordered walk of template-JIT native filters) over growing
+//! multi-ethertype populations and writes the results as JSON — engine,
+//! population size, ns/packet, and members evaluated per packet — so the
+//! perf trajectory can be tracked across PRs by a machine instead of a
+//! reader.
 //!
 //! Two further sections target the geometric classifier specifically: a
-//! mixed exact/range *ladder* to 100k+ filters (where every exact-match
-//! engine degenerates to a linear walk and only the interval index stays
-//! sublinear) and a *churn* column measuring incremental insert/delete
-//! cost at a standing population (tombstones + threshold compaction
-//! versus rebuild-the-world). Both carry sweep-internal asserts on the
-//! deterministic work counters — geom must beat the sharded set on
-//! range-heavy populations, stay within 2x on pure-exact ones, and show
-//! sublinear probe growth up the ladder — so a regression fails the run
-//! rather than quietly bending a curve.
+//! mixed exact/range *ladder* to 100k+ filters (where a member walk is
+//! linear and only the interval index stays sublinear) and a *churn*
+//! column measuring incremental insert/delete cost at a standing
+//! population (tombstones + threshold compaction instead of
+//! rebuild-the-world). All three carry sweep-internal asserts on the
+//! deterministic work counters — at most two members evaluated per packet
+//! on pure-exact populations, under a tenth of the population on
+//! range-heavy ones, sublinear probe growth up the ladder, compactions
+//! amortized under churn — so a regression fails the run rather than
+//! quietly bending a curve.
 //!
 //! Timing is real wall clock over the set structures themselves (no
 //! simulated world), averaged over a deterministic round-robin traffic
-//! mix. The executed-test counters come from the sets' own stats and are
-//! exact; tests assert on those (deterministic), never on timing.
+//! mix. The work counters come from the sets' own stats and are exact;
+//! asserts and tests read those (deterministic), never the timing.
 
 use crate::report::fmt_f64;
 use pf_filter::dtree::FilterSet;
@@ -33,7 +34,6 @@ use pf_filter::packet::PacketView;
 use pf_filter::program::{Assembler, FilterProgram};
 use pf_filter::samples;
 use pf_filter::word::BinaryOp;
-use pf_ir::set::ShardedVnSet;
 use pf_ir::GeomSet;
 use std::hint::black_box;
 use std::time::Instant;
@@ -43,32 +43,28 @@ use std::time::Instant;
 pub const ETHERTYPES: [u16; 8] = [2, 3, 5, 8, 11, 17, 23, 29];
 
 /// Engines raced per population point (the `jit` feature adds one more).
-pub const ENGINES_RACED: usize = 4 + if cfg!(feature = "jit") { 1 } else { 0 };
+pub const ENGINES_RACED: usize = 3 + if cfg!(feature = "jit") { 1 } else { 0 };
 
 /// One engine × population measurement.
 #[derive(Debug, Clone)]
 pub struct DemuxPoint {
-    /// Engine label: `sequential`, `dtree`, `sharded`, `geom`, or `jit`.
+    /// Engine label: `sequential`, `dtree`, `geom`, or `jit`.
     pub engine: &'static str,
     /// Active filters.
     pub population: usize,
     /// Mean wall-clock nanoseconds per packet.
     pub ns_per_packet: f64,
-    /// Mean interned tests evaluated fresh per packet (0 for engines
-    /// without a shared test table).
-    pub tests_evaluated_per_packet: f64,
-    /// Mean memoized test hits per packet.
-    pub tests_memoized_per_packet: f64,
-    /// Mean members evaluated per packet.
+    /// Mean members evaluated per packet (0 for the decision table, which
+    /// evaluates shapes, not members).
     pub filters_evaluated_per_packet: f64,
 }
 
 /// The `i`-th member of the multi-ethertype population, in the figure 3-9
 /// idiom: the selective per-member socket test first (`CAND`, so the
 /// common mismatch exits early), the protocol's ethertype compare *last*.
-/// That trailing compare is what sharing only leading guards would miss
-/// and set-level value numbering reaches; the socket word is what the
-/// shard index discriminates on.
+/// An index keyed on the socket word alone still has to evaluate every
+/// same-socket member to reject it on that trailing compare; a key over
+/// both words does not.
 pub fn multi_ethertype_filter(i: usize) -> FilterProgram {
     let ethertype = ETHERTYPES[i % ETHERTYPES.len()];
     let socket = 100 + (i / ETHERTYPES.len()) as u16;
@@ -96,7 +92,7 @@ pub fn traffic(n: usize, packets: usize) -> Vec<Vec<u8>> {
             if j % 4 == 3 {
                 samples::pup_packet_3mb(0x600, 0, 1, 1) // no member matches
             } else {
-                packet_for((j * 7) % n) // coprime stride: all shards hit
+                packet_for((j * 7) % n) // coprime stride: every member hit
             }
         })
         .collect()
@@ -113,7 +109,7 @@ fn time_per_packet(packets: &[Vec<u8>], mut eval: impl FnMut(&[u8])) -> f64 {
     start.elapsed().as_nanos() as f64 / packets.len() as f64
 }
 
-/// Measures all four engines at one population size.
+/// Measures every raced engine at one population size.
 pub fn measure(population: usize, packets_per_point: usize) -> Vec<DemuxPoint> {
     let filters: Vec<(u32, FilterProgram)> = (0..population)
         .map(|i| (i as u32, multi_ethertype_filter(i)))
@@ -132,8 +128,6 @@ pub fn measure(population: usize, packets_per_point: usize) -> Vec<DemuxPoint> {
         engine: "sequential",
         population,
         ns_per_packet: ns,
-        tests_evaluated_per_packet: 0.0,
-        tests_memoized_per_packet: 0.0,
         filters_evaluated_per_packet: {
             // First-match walk: count members actually interpreted.
             let mut applied = 0u64;
@@ -162,41 +156,13 @@ pub fn measure(population: usize, packets_per_point: usize) -> Vec<DemuxPoint> {
         engine: "dtree",
         population,
         ns_per_packet: ns,
-        tests_evaluated_per_packet: 0.0,
-        tests_memoized_per_packet: 0.0,
         filters_evaluated_per_packet: 0.0,
     });
 
-    // Sharded value-numbered set.
-    let mut sharded = ShardedVnSet::new();
-    for (id, f) in &filters {
-        sharded.insert(*id, f.clone());
-    }
-    let ns = time_per_packet(&packets, |p| {
-        black_box(sharded.matches_with_stats(PacketView::new(p)).0.len());
-    });
-    let mut te = 0u64;
-    let mut tm = 0u64;
-    let mut fe = 0u64;
-    for p in &packets {
-        let (_, s) = sharded.matches_with_stats(PacketView::new(p));
-        te += u64::from(s.tests_evaluated);
-        tm += u64::from(s.tests_memoized);
-        fe += u64::from(s.filters_evaluated);
-    }
-    out.push(DemuxPoint {
-        engine: "sharded",
-        population,
-        ns_per_packet: ns,
-        tests_evaluated_per_packet: te as f64 / n,
-        tests_memoized_per_packet: tm as f64 / n,
-        filters_evaluated_per_packet: fe as f64 / n,
-    });
-
-    // Geometric tuple-space classifier: on this pure-exact population it
-    // degenerates gracefully — every member keys into one exact tuple on
-    // the socket word, so the probe is a hash lookup plus the same
-    // same-socket candidate walk the shard index does.
+    // Geometric tuple-space classifier: on this pure-exact population
+    // every member files into one exact tuple over the socket and
+    // ethertype words, so a packet costs one hash probe and evaluates the
+    // one member that carries both its literals (none, for a stray).
     let mut geom = GeomSet::new();
     for (id, f) in &filters {
         geom.insert(*id, f.clone());
@@ -213,8 +179,6 @@ pub fn measure(population: usize, packets_per_point: usize) -> Vec<DemuxPoint> {
         engine: "geom",
         population,
         ns_per_packet: ns,
-        tests_evaluated_per_packet: 0.0,
-        tests_memoized_per_packet: 0.0,
         filters_evaluated_per_packet: fe as f64 / n,
     });
 
@@ -246,8 +210,6 @@ pub fn measure(population: usize, packets_per_point: usize) -> Vec<DemuxPoint> {
             engine: "jit",
             population,
             ns_per_packet: ns,
-            tests_evaluated_per_packet: 0.0,
-            tests_memoized_per_packet: 0.0,
             filters_evaluated_per_packet: fe as f64 / n,
         });
     }
@@ -267,21 +229,15 @@ pub fn sweep(smoke: bool) -> Vec<DemuxPoint> {
         .iter()
         .flat_map(|&n| measure(n, packets))
         .collect();
-    // Sweep-internal assert: on a *pure-exact* population the geometric
-    // classifier must stay within 2x of the sharded set's per-packet
-    // member work (both should select the same-socket candidates).
-    for &n in populations.iter().filter(|&&n| n >= 16) {
-        let work = |engine: &str| {
-            points
-                .iter()
-                .find(|p| p.engine == engine && p.population == n)
-                .expect("raced engine present")
-                .filters_evaluated_per_packet
-        };
-        let (geom, sharded) = (work("geom"), work("sharded"));
+    // Sweep-internal assert: on a *pure-exact* population the directory
+    // selects the members carrying every literal of the packet, so member
+    // work per packet is bounded whatever the population.
+    for p in points.iter().filter(|p| p.engine == "geom") {
         assert!(
-            geom <= 2.0 * sharded + 1.0,
-            "geom loses >2x to sharded on pure-exact n={n}: {geom:.2} vs {sharded:.2}"
+            p.filters_evaluated_per_packet <= 2.0,
+            "geom evaluates {:.2} members/packet on pure-exact n={}",
+            p.filters_evaluated_per_packet,
+            p.population
         );
     }
     points
@@ -290,10 +246,11 @@ pub fn sweep(smoke: bool) -> Vec<DemuxPoint> {
 /// Range share of the mixed ladder population, in percent.
 pub const RANGE_SHARE_PERCENT: usize = 75;
 
-/// One engine × population point on the mixed exact/range ladder.
+/// One population point of the geometric classifier on the mixed
+/// exact/range ladder.
 #[derive(Debug, Clone)]
 pub struct RangePoint {
-    /// `sharded` or `geom` — the only engines still in the race at 100k.
+    /// `geom` — the only engine still in the race at 100k.
     pub engine: &'static str,
     /// Active filters (mixed exact/range).
     pub population: usize,
@@ -303,16 +260,16 @@ pub struct RangePoint {
     pub filters_evaluated_per_packet: f64,
     /// Mean threaded-code ops executed per packet.
     pub ops_executed_per_packet: f64,
-    /// Mean index nodes visited per packet (0 for sharded): the geometric
-    /// probe cost, asserted to grow sublinearly up the ladder.
+    /// Mean index nodes visited per packet: the geometric probe cost,
+    /// asserted to grow sublinearly up the ladder.
     pub nodes_visited_per_packet: f64,
 }
 
-/// One engine × population churn measurement: the amortized cost of a
+/// One population's churn measurement: the amortized cost of a
 /// remove+reinsert cycle at a standing population.
 #[derive(Debug, Clone)]
 pub struct ChurnPoint {
-    /// `sharded` or `geom`.
+    /// `geom`.
     pub engine: &'static str,
     /// Standing population across the whole churn run.
     pub population: usize,
@@ -320,9 +277,8 @@ pub struct ChurnPoint {
     pub updates: usize,
     /// Mean wall-clock nanoseconds per remove+insert cycle.
     pub ns_per_update: f64,
-    /// Whole-index maintenance events during the run: geom compactions /
-    /// sharded repartitions. Churn without full rebuilds means this stays
-    /// far below `updates`.
+    /// Whole-index maintenance events (compactions) during the run. Churn
+    /// without full rebuilds means this stays far below `updates`.
     pub rebuilds: u64,
 }
 
@@ -358,40 +314,17 @@ pub fn mixed_traffic(n: usize, packets: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Races the sharded set against the geometric classifier at one mixed
-/// exact/range population size. The linear engines (sequential, dtree)
-/// are out of the race here by construction — at 100k filters a full walk
-/// per packet would take longer than the whole sweep.
-pub fn measure_range(population: usize, packets_per_point: usize) -> Vec<RangePoint> {
+/// Measures the geometric classifier at one mixed exact/range population
+/// size. The engines that walk members (sequential, dtree's interpreted
+/// fallback for ranges) are out of the race here by construction — at
+/// 100k filters a full walk per packet would take longer than the whole
+/// sweep.
+pub fn measure_range(population: usize, packets_per_point: usize) -> RangePoint {
     let filters: Vec<(u32, FilterProgram)> = (0..population)
         .map(|i| (i as u32, mixed_filter(i)))
         .collect();
     let packets = mixed_traffic(population, packets_per_point);
     let n = packets.len() as f64;
-    let mut out = Vec::new();
-
-    let mut sharded = ShardedVnSet::new();
-    for (id, f) in &filters {
-        sharded.insert(*id, f.clone());
-    }
-    let ns = time_per_packet(&packets, |p| {
-        black_box(sharded.matches_with_stats(PacketView::new(p)).0.len());
-    });
-    let mut fe = 0u64;
-    let mut ops = 0u64;
-    for p in &packets {
-        let (_, s) = sharded.matches_with_stats(PacketView::new(p));
-        fe += u64::from(s.filters_evaluated);
-        ops += u64::from(s.ops_executed);
-    }
-    out.push(RangePoint {
-        engine: "sharded",
-        population,
-        ns_per_packet: ns,
-        filters_evaluated_per_packet: fe as f64 / n,
-        ops_executed_per_packet: ops as f64 / n,
-        nodes_visited_per_packet: 0.0,
-    });
 
     let mut geom = GeomSet::new();
     for (id, f) in &filters {
@@ -409,49 +342,23 @@ pub fn measure_range(population: usize, packets_per_point: usize) -> Vec<RangePo
         ops += u64::from(s.ops_executed);
         nodes += u64::from(s.nodes_visited);
     }
-    out.push(RangePoint {
+    RangePoint {
         engine: "geom",
         population,
         ns_per_packet: ns,
         filters_evaluated_per_packet: fe as f64 / n,
         ops_executed_per_packet: ops as f64 / n,
         nodes_visited_per_packet: nodes as f64 / n,
-    });
-
-    out
+    }
 }
 
 /// Measures incremental management cost: `updates` remove+reinsert
-/// cycles against a standing mixed population of `population` filters,
-/// per engine. Returns the per-cycle wall clock and the whole-index
-/// maintenance count (compactions / repartitions) each engine incurred.
-pub fn measure_churn(population: usize, updates: usize) -> Vec<ChurnPoint> {
+/// cycles against a standing mixed population of `population` filters.
+/// Returns the per-cycle wall clock and the compactions incurred.
+pub fn measure_churn(population: usize, updates: usize) -> ChurnPoint {
     let filters: Vec<(u32, FilterProgram)> = (0..population)
         .map(|i| (i as u32, mixed_filter(i)))
         .collect();
-    let mut out = Vec::new();
-
-    let mut sharded = ShardedVnSet::new();
-    for (id, f) in &filters {
-        sharded.insert(*id, f.clone());
-    }
-    let rebuilds_before = sharded.repartition_count();
-    let start = Instant::now();
-    for t in 0..updates {
-        let id = (t % population) as u32;
-        assert!(sharded.remove(id), "churn removes a live filter");
-        sharded.insert(id, mixed_filter(population + t));
-    }
-    let ns = start.elapsed().as_nanos() as f64 / updates as f64;
-    assert_eq!(sharded.len(), population, "churn preserves the population");
-    out.push(ChurnPoint {
-        engine: "sharded",
-        population,
-        updates,
-        ns_per_update: ns,
-        rebuilds: sharded.repartition_count() - rebuilds_before,
-    });
-
     let mut geom = GeomSet::new();
     for (id, f) in &filters {
         geom.insert(*id, f.clone());
@@ -473,15 +380,13 @@ pub fn measure_churn(population: usize, updates: usize) -> Vec<ChurnPoint> {
         rebuilds as usize <= updates / population.max(1) + 2,
         "geom churn is not amortized: {rebuilds} compactions over {updates} updates at n={population}"
     );
-    out.push(ChurnPoint {
+    ChurnPoint {
         engine: "geom",
         population,
         updates,
         ns_per_update: ns,
         rebuilds,
-    });
-
-    out
+    }
 }
 
 /// The mixed exact/range ladder plus the churn column: 1k → 100k in the
@@ -495,50 +400,36 @@ pub fn range_sweep(smoke: bool) -> (Vec<RangePoint>, Vec<ChurnPoint>) {
     };
     let ladder: Vec<RangePoint> = populations
         .iter()
-        .flat_map(|&n| measure_range(n, packets))
+        .map(|&n| measure_range(n, packets))
         .collect();
     let churn: Vec<ChurnPoint> = populations
         .iter()
-        .flat_map(|&n| measure_churn(n, updates))
+        .map(|&n| measure_churn(n, updates))
         .collect();
 
-    // Range-heavy assert: at every rung the geometric classifier must
-    // evaluate at least 4x fewer members per packet than the sharded
-    // set — ranges push the sharded set into a linear walk while the
-    // interval index keeps selecting a handful of candidates.
-    for &n in populations {
-        let work = |engine: &str| {
-            ladder
-                .iter()
-                .find(|p| p.engine == engine && p.population == n)
-                .expect("both engines raced")
-                .filters_evaluated_per_packet
-        };
-        let (geom, sharded) = (work("geom"), work("sharded"));
+    // Range-heavy assert: at every rung the interval index must keep
+    // selecting a handful of candidates. A set that cannot index a range
+    // walks every range member under the packet's ethertype — 0.4 n on
+    // this traffic; the bound is a quarter of that walk.
+    for p in &ladder {
         assert!(
-            geom * 4.0 < sharded,
-            "geom does not beat sharded on range-heavy n={n}: {geom:.2} vs {sharded:.2}"
+            p.filters_evaluated_per_packet * 10.0 < p.population as f64,
+            "geom walks {:.2} members/packet on range-heavy n={}",
+            p.filters_evaluated_per_packet,
+            p.population
         );
     }
     // Sublinear-probe assert: between the bottom and top of the ladder
     // (a >=4x population growth) the geometric probe cost may grow by at
     // most 2x — O(log n + matches), not O(n).
-    let probe = |n: usize| {
-        ladder
-            .iter()
-            .find(|p| p.engine == "geom" && p.population == n)
-            .expect("geom raced")
-            .nodes_visited_per_packet
-    };
-    let (lo, hi) = (
-        probe(populations[0]),
-        probe(*populations.last().expect("non-empty ladder")),
-    );
+    let (bottom, top) = (&ladder[0], ladder.last().expect("non-empty ladder"));
     assert!(
-        hi <= 2.0 * lo + 1.0,
-        "geom probe cost is not sublinear: {lo:.2} nodes/pkt at n={} vs {hi:.2} at n={}",
-        populations[0],
-        populations.last().expect("non-empty ladder"),
+        top.nodes_visited_per_packet <= 2.0 * bottom.nodes_visited_per_packet + 1.0,
+        "geom probe cost is not sublinear: {:.2} nodes/pkt at n={} vs {:.2} at n={}",
+        bottom.nodes_visited_per_packet,
+        bottom.population,
+        top.nodes_visited_per_packet,
+        top.population,
     );
 
     (ladder, churn)
@@ -567,13 +458,10 @@ pub fn to_json(
     for (i, p) in points.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"engine\": \"{}\", \"population\": {}, \"ns_per_packet\": {}, \
-             \"tests_evaluated_per_packet\": {}, \"tests_memoized_per_packet\": {}, \
              \"filters_evaluated_per_packet\": {}}}{}\n",
             p.engine,
             p.population,
             fmt_f64(p.ns_per_packet, 2),
-            fmt_f64(p.tests_evaluated_per_packet, 2),
-            fmt_f64(p.tests_memoized_per_packet, 2),
             fmt_f64(p.filters_evaluated_per_packet, 2),
             if i + 1 == points.len() { "" } else { "," }
         ));
@@ -629,154 +517,113 @@ pub fn default_path() -> std::path::PathBuf {
 mod tests {
     use super::*;
 
-    /// All bulk engines agree on every verdict over the traffic mix.
+    /// The bulk engines agree with the checked walk on every verdict over
+    /// both populations the sweeps measure, so ns/packet differences are
+    /// pure data-structure cost.
     #[test]
-    fn engines_agree_on_the_synthetic_population() {
-        let n = 40;
-        let filters: Vec<(u32, FilterProgram)> = (0..n)
-            .map(|i| (i as u32, multi_ethertype_filter(i)))
-            .collect();
+    fn engines_agree_on_the_synthetic_populations() {
         let interp = CheckedInterpreter::default();
-        let mut dtree = FilterSet::new();
-        let mut sharded = ShardedVnSet::new();
-        let mut geom = GeomSet::new();
-        for (id, f) in &filters {
-            dtree.insert(*id, f.clone());
-            sharded.insert(*id, f.clone());
-            geom.insert(*id, f.clone());
-        }
-        for p in traffic(n, 200) {
-            let view = PacketView::new(&p);
-            let expect: Vec<u32> = filters
-                .iter()
-                .filter(|(_, f)| interp.eval(f, view))
-                .map(|(id, _)| *id)
-                .collect();
-            assert_eq!(dtree.matches(view), expect);
-            assert_eq!(sharded.matches(view), expect);
-            assert_eq!(geom.matches(view), expect);
+        type Population = (usize, fn(usize) -> FilterProgram, Vec<Vec<u8>>);
+        let populations: [Population; 2] = [
+            (40, multi_ethertype_filter, traffic(40, 200)),
+            (120, mixed_filter, mixed_traffic(120, 240)),
+        ];
+        for (n, member, packets) in populations {
+            let filters: Vec<(u32, FilterProgram)> =
+                (0..n).map(|i| (i as u32, member(i))).collect();
+            let mut dtree = FilterSet::new();
+            let mut geom = GeomSet::new();
+            for (id, f) in &filters {
+                dtree.insert(*id, f.clone());
+                geom.insert(*id, f.clone());
+            }
+            for p in packets {
+                let view = PacketView::new(&p);
+                let expect: Vec<u32> = filters
+                    .iter()
+                    .filter(|(_, f)| interp.eval(f, view))
+                    .map(|(id, _)| *id)
+                    .collect();
+                assert_eq!(dtree.matches(view), expect);
+                assert_eq!(geom.matches(view), expect);
+            }
         }
     }
 
-    /// The sharded set and the geometric classifier agree on the mixed
-    /// exact/range ladder population — the ladder races verdict-identical
-    /// engines, so ns/packet differences are pure data-structure cost.
+    /// The directory's acceptance shape, on deterministic counters: with
+    /// the 512-member multi-ethertype population inserted in index order —
+    /// the word statistics favour the ethertype word for the first few
+    /// dozen members and the socket word after — every member lands in
+    /// one tuple and no packet of the traffic mix evaluates more than the
+    /// one member that carries both its literals.
     #[test]
-    fn ladder_engines_agree_on_the_mixed_population() {
-        let n = 120;
-        let filters: Vec<(u32, FilterProgram)> =
-            (0..n).map(|i| (i as u32, mixed_filter(i))).collect();
-        let interp = CheckedInterpreter::default();
-        let mut sharded = ShardedVnSet::new();
+    fn geom_evaluates_at_most_one_member_per_packet_at_512() {
+        let n = 512;
         let mut geom = GeomSet::new();
-        for (id, f) in &filters {
-            sharded.insert(*id, f.clone());
-            geom.insert(*id, f.clone());
+        for i in 0..n {
+            geom.insert(i as u32, multi_ethertype_filter(i));
         }
-        for p in mixed_traffic(n, 240) {
-            let view = PacketView::new(&p);
-            let expect: Vec<u32> = filters
-                .iter()
-                .filter(|(_, f)| interp.eval(f, view))
-                .map(|(id, _)| *id)
-                .collect();
-            assert_eq!(sharded.matches(view), expect);
-            assert_eq!(geom.matches(view), expect);
+        assert_eq!(geom.tuple_count(), 1);
+        for (j, p) in traffic(n, 2_000).iter().enumerate() {
+            let (ids, stats) = geom.matches_with_stats(PacketView::new(p));
+            assert!(stats.filters_evaluated <= 1, "packet {j}: {stats:?}");
+            assert_eq!(ids.len(), usize::from(j % 4 != 3), "packet {j}");
+            assert_eq!(stats.tuples_probed, 1, "packet {j}: {stats:?}");
         }
     }
 
     /// The deterministic half of the range-heavy acceptance criterion:
     /// at a 512-filter mixed population the geometric classifier selects
-    /// a handful of candidates per packet where the sharded set, with no
-    /// exact word to discriminate three quarters of the members, walks
-    /// them linearly.
+    /// a handful of candidates per packet where a walk of the range
+    /// members under the packet's ethertype would evaluate some 150.
     #[test]
-    fn geom_work_beats_sharded_on_the_range_population() {
+    fn geom_work_is_bounded_on_the_range_population() {
         let n = 512;
-        let mut sharded = ShardedVnSet::new();
         let mut geom = GeomSet::new();
         for i in 0..n {
-            sharded.insert(i as u32, mixed_filter(i));
             geom.insert(i as u32, mixed_filter(i));
         }
         let packets = mixed_traffic(n, 64);
-        let (mut geom_fe, mut sh_fe) = (0u64, 0u64);
-        for p in &packets {
-            let view = PacketView::new(p);
-            geom_fe += u64::from(geom.matches_with_stats(view).1.filters_evaluated);
-            sh_fe += u64::from(sharded.matches_with_stats(view).1.filters_evaluated);
-        }
-        assert!(
-            geom_fe * 4 < sh_fe,
-            "geom evaluated {geom_fe} members, sharded {sh_fe}"
-        );
-    }
-
-    /// Churn at a standing population keeps both sets live and asserts
-    /// the geom compaction amortization internally; here we additionally
-    /// pin that the measurement machinery reports sane rows.
-    #[test]
-    fn churn_measurement_reports_both_engines() {
-        let points = measure_churn(64, 200);
-        assert_eq!(points.len(), 2);
-        for p in &points {
-            assert_eq!(p.population, 64);
-            assert_eq!(p.updates, 200);
-            assert!(p.ns_per_update.is_finite() && p.ns_per_update > 0.0);
-        }
-        let geom = points
+        let evaluated: u64 = packets
             .iter()
-            .find(|p| p.engine == "geom")
-            .expect("geom row");
+            .map(|p| {
+                u64::from(
+                    geom.matches_with_stats(PacketView::new(p))
+                        .1
+                        .filters_evaluated,
+                )
+            })
+            .sum();
         assert!(
-            geom.rebuilds as usize <= 200 / 64 + 2,
-            "geom churn amortization: {} rebuilds",
-            geom.rebuilds
+            evaluated <= 2 * packets.len() as u64,
+            "geom evaluated {evaluated} members over {} packets",
+            packets.len()
         );
     }
 
-    /// The acceptance-criteria shape, asserted on deterministic counters
-    /// rather than wall clock: at a 256-filter multi-ethertype population
-    /// the sharded set evaluates a small bounded number of tests and
-    /// members per packet, where a flat walk would visit all 256.
+    /// Churn at a standing population keeps the set live and asserts the
+    /// compaction amortization internally; here we additionally pin that
+    /// the measurement machinery reports a sane row.
     #[test]
-    fn sharded_work_is_population_independent_at_256() {
-        let n = 256;
-        let mut sharded = ShardedVnSet::new();
-        for i in 0..n {
-            sharded.insert(i as u32, multi_ethertype_filter(i));
-        }
-        let p = packet_for(37);
-        let view = PacketView::new(&p);
-        let (sh_ids, sh_stats) = sharded.matches_with_stats(view);
-        assert_eq!(sh_ids, vec![37]);
-        // The shard index (keyed on the socket word) selects the 8
-        // same-socket members; everyone else is skipped outright.
-        assert_eq!(sh_stats.filters_evaluated, 8, "{sh_stats:?}");
-        assert_eq!(sh_stats.filters_skipped, 248, "{sh_stats:?}");
-        // Shared tests run at most once per packet: the socket test once
-        // fresh, then 7 memoized hits; each member's ethertype test is
-        // distinct (8 ethertypes), so at most 9 fresh evaluations.
+    fn churn_measurement_reports_a_sane_row() {
+        let p = measure_churn(64, 200);
+        assert_eq!(p.population, 64);
+        assert_eq!(p.updates, 200);
+        assert!(p.ns_per_update.is_finite() && p.ns_per_update > 0.0);
         assert!(
-            sh_stats.tests_evaluated <= 9,
-            "shared tests evaluated at most once each: {sh_stats:?}"
+            p.rebuilds as usize <= 200 / 64 + 2,
+            "geom churn amortization: {} rebuilds",
+            p.rebuilds
         );
-        assert!(sh_stats.tests_memoized >= 7, "{sh_stats:?}");
-        // The op count collapses with the shard walk (9 when this was
-        // written, where a flat walk paid 64); pin a comfortable margin
-        // rather than the exact engine-version-dependent figure.
-        assert!(sh_stats.ops_executed < 16, "{sh_stats:?}");
     }
 
     #[test]
     fn json_rows_are_well_formed() {
         let points = vec![DemuxPoint {
-            engine: "sharded",
+            engine: "geom",
             population: 16,
             ns_per_packet: 123.456,
-            tests_evaluated_per_packet: 2.5,
-            tests_memoized_per_packet: 1.5,
-            filters_evaluated_per_packet: 2.0,
+            filters_evaluated_per_packet: 0.75,
         }];
         let ladder = vec![RangePoint {
             engine: "geom",
@@ -795,9 +642,10 @@ mod tests {
         }];
         let json = to_json(&points, &ladder, &churn, 7);
         assert!(json.contains("\"seed\": 7"));
-        assert!(json.contains("\"engine\": \"sharded\""));
+        assert!(json.contains("\"engine\": \"geom\""));
         assert!(json.contains("\"population\": 16"));
         assert!(json.contains("\"ns_per_packet\": 123.46"));
+        assert!(json.contains("\"filters_evaluated_per_packet\": 0.75"));
         assert!(json.contains("\"range_rows\""));
         assert!(json.contains("\"nodes_visited_per_packet\": 24.00"));
         assert!(json.contains("\"churn_rows\""));
@@ -817,7 +665,7 @@ mod tests {
             3 * ENGINES_RACED,
             "3 populations x every raced engine"
         );
-        for engine in ["sequential", "dtree", "sharded", "geom"] {
+        for engine in ["sequential", "dtree", "geom"] {
             assert!(points.iter().any(|p| p.engine == engine));
         }
         assert_eq!(

@@ -24,7 +24,7 @@
 //!
 //! The signature results are sweep-internal `assert!`s: 4 cores deliver
 //! at least 3× the 1-core goodput at the same batch size, and batch=32
-//! beats batch=1 on per-packet cost for the sharded engine at this
+//! beats batch=1 on per-packet cost for the geom engine at this
 //! population. A zero exit is the campaign's proof.
 
 use crate::report::fmt_f64;
@@ -58,7 +58,7 @@ pub const BATCHES: [usize; 4] = [1, 8, 32, 128];
 /// The engines the campaign sweeps (the compiled ladder; `Jit` degrades
 /// to per-member threaded code when the `jit` feature is off).
 pub const ENGINES: [(DemuxEngine, &str); 3] = [
-    (DemuxEngine::Sharded, "sharded"),
+    (DemuxEngine::Geom, "geom"),
     (DemuxEngine::DecisionTable, "dtree"),
     (DemuxEngine::Jit, "jit"),
 ];
@@ -233,7 +233,7 @@ impl McReportTable {
 /// accounts for every offered frame; multi-queue cells pin the whole
 /// population and steer real traffic; 4 cores deliver ≥ 3× the 1-core
 /// goodput at the same batch size; and batch=32 beats batch=1 per-packet
-/// cost for the sharded engine. A violated invariant panics with the
+/// cost for the geom engine. A violated invariant panics with the
 /// offending cell. `cores`/`batches` override the default sweeps (the
 /// scaling asserts need {1, 4} and {1, 32}; sweeps without them skip the
 /// corresponding gate).
@@ -312,11 +312,11 @@ pub fn sweep(
     }
     if batches.contains(&1) && batches.contains(&32) {
         for &c in cores {
-            let b1 = report.cell("sharded", c, 1);
-            let b32 = report.cell("sharded", c, 32);
+            let b1 = report.cell("geom", c, 1);
+            let b32 = report.cell("geom", c, 32);
             assert!(
                 b32.cost_per_packet_us < b1.cost_per_packet_us,
-                "sharded {c} cores: batch=32 must beat batch=1 per-packet cost: \
+                "geom {c} cores: batch=32 must beat batch=1 per-packet cost: \
                  {:.1} us vs {:.1} us",
                 b32.cost_per_packet_us,
                 b1.cost_per_packet_us
@@ -417,8 +417,8 @@ mod tests {
 
     #[test]
     fn cells_are_deterministic() {
-        let a = run_cell(DemuxEngine::Sharded, "sharded", 4, 32, 300);
-        let b = run_cell(DemuxEngine::Sharded, "sharded", 4, 32, 300);
+        let a = run_cell(DemuxEngine::Geom, "geom", 4, 32, 300);
+        let b = run_cell(DemuxEngine::Geom, "geom", 4, 32, 300);
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.goodput_pps, b.goodput_pps);
         assert_eq!(a.p99_latency_us, b.p99_latency_us);

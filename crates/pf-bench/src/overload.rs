@@ -145,7 +145,7 @@ impl Armor {
 /// to per-member threaded code when the `jit` feature is off).
 pub const ENGINES: [(DemuxEngine, &str); 3] = [
     (DemuxEngine::DecisionTable, "dtree"),
-    (DemuxEngine::Sharded, "sharded"),
+    (DemuxEngine::Geom, "geom"),
     (DemuxEngine::Jit, "jit"),
 ];
 
@@ -467,7 +467,7 @@ pub fn to_json(report: &OverloadReport) -> String {
     s.push_str(
         "  \"workload\": \"protected high-priority stream plus a best-effort flood, \
          offered at 0.5x-8x of unarmored receive capacity, across armor tiers \
-         {none, polling, shedding, full} and demux engines {dtree, sharded, jit}\",\n",
+         {none, polling, shedding, full} and demux engines {dtree, geom, jit}\",\n",
     );
     s.push_str(&format!("  \"seed\": {},\n", report.seed));
     s.push_str(&format!(
@@ -543,22 +543,8 @@ mod tests {
     #[test]
     fn cells_are_deterministic() {
         let d = SimDuration::from_millis(300);
-        let a = run_cell(
-            DemuxEngine::Sharded,
-            "sharded",
-            Armor::Full,
-            4.0,
-            d,
-            DEFAULT_SEED,
-        );
-        let b = run_cell(
-            DemuxEngine::Sharded,
-            "sharded",
-            Armor::Full,
-            4.0,
-            d,
-            DEFAULT_SEED,
-        );
+        let a = run_cell(DemuxEngine::Geom, "geom", Armor::Full, 4.0, d, DEFAULT_SEED);
+        let b = run_cell(DemuxEngine::Geom, "geom", Armor::Full, 4.0, d, DEFAULT_SEED);
         assert_eq!(a.goodput_pps, b.goodput_pps);
         assert_eq!(a.drops_admission, b.drops_admission);
         assert_eq!(a.p99_latency_us, b.p99_latency_us);

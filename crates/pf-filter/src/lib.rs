@@ -21,8 +21,8 @@
 //!    into a decision table");
 //! 5. `pf_ir::IrFilter` (sibling crate) — programs translated to a
 //!    register-based control-flow-graph IR, optimized, and lowered to
-//!    threaded code; `pf_ir` builds its set engines (`ShardedVnSet`,
-//!    `GeomSet`) and the optional JIT on top of it.
+//!    threaded code; `pf_ir` builds its set engine (`GeomSet`) and the
+//!    optional JIT on top of it.
 //!
 //! Filters are built three ways: raw words
 //! ([`program::FilterProgram::from_words`]), the fluent

@@ -2,8 +2,8 @@
 //!
 //! Every rung of the workspace's execution ladder — checked interpreter,
 //! validated-program evaluator, compiled closures, decision-table set,
-//! threaded code, sharded value-numbered set, geometric (tuple-space)
-//! classifier, and (feature `jit`) the template JIT — answers the same
+//! threaded code, geometric (tuple-space) classifier, and (feature
+//! `jit`) the template JIT — answers the same
 //! question: *which filter, if any, accepts this packet?*
 //! [`FilterEngine`] makes that the whole API, so differential suites and
 //! bench ladders iterate a `Vec<Box<dyn FilterEngine>>` instead of
@@ -12,7 +12,6 @@
 
 use crate::exec::IrFilter;
 use crate::geom::GeomSet;
-use crate::set::ShardedVnSet;
 use pf_filter::compile::CompiledFilter;
 use pf_filter::dtree::FilterSet;
 use pf_filter::interp::{CheckedInterpreter, InterpConfig};
@@ -35,7 +34,7 @@ pub trait FilterEngine {
     /// what `matches(packets[i])` would return.
     ///
     /// The default loops `matches`; set engines override it with batch
-    /// walks that amortize dispatch and shard-lookup work across the
+    /// walks that amortize dispatch and index-probe work across the
     /// frames. Overrides must stay verdict-identical to the loop — the
     /// differential suite holds every engine to that.
     fn eval_batch(&mut self, packets: &[&[u8]]) -> Vec<Option<u16>> {
@@ -51,9 +50,9 @@ pub trait FilterEngine {
 /// ir, jit) appear only when the program validates; the decision-table
 /// set only under the default configuration (it has no config knob).
 ///
-/// The length is therefore: 4 surfaces for an invalid program under the
-/// default config (3 otherwise), and 7 — 8 with the `jit` feature — for
-/// a valid one under the default config (6/7 otherwise).
+/// The length is therefore: 3 surfaces for an invalid program under the
+/// default config (2 otherwise), and 6 — 7 with the `jit` feature — for
+/// a valid one under the default config (5/6 otherwise).
 pub fn singleton_engines(
     program: &FilterProgram,
     config: InterpConfig,
@@ -77,9 +76,6 @@ pub fn singleton_engines(
     if let Some(v) = &validated {
         engines.push(Box::new(IrEngine(IrFilter::from_validated(v))));
     }
-    let mut sharded = ShardedVnSet::with_config(config);
-    sharded.insert(0, program.clone());
-    engines.push(Box::new(ShardedEngine(sharded)));
     let mut geom = GeomSet::with_config(config);
     geom.insert(0, program.clone());
     engines.push(Box::new(GeomEngine(geom)));
@@ -95,9 +91,9 @@ pub fn singleton_engines(
 /// Number of surfaces [`singleton_engines`] yields for a valid program.
 pub fn singleton_surface_count(config: InterpConfig) -> usize {
     let base = if config == InterpConfig::default() {
-        7
-    } else {
         6
+    } else {
+        5
     };
     base + usize::from(cfg!(feature = "jit"))
 }
@@ -172,26 +168,6 @@ impl FilterEngine for IrEngine {
     }
 }
 
-struct ShardedEngine(ShardedVnSet);
-
-impl FilterEngine for ShardedEngine {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-    fn matches(&mut self, packet: &[u8]) -> Option<u16> {
-        self.0
-            .first_match(PacketView::new(packet))
-            .map(|id| u16::try_from(id).unwrap_or(u16::MAX))
-    }
-    fn eval_batch(&mut self, packets: &[&[u8]]) -> Vec<Option<u16>> {
-        let views: Vec<PacketView<'_>> = packets.iter().map(|p| PacketView::new(p)).collect();
-        let (all, _) = self.0.matches_batch_with_stats(&views);
-        all.into_iter()
-            .map(|ids| ids.first().map(|&id| u16::try_from(id).unwrap_or(u16::MAX)))
-            .collect()
-    }
-}
-
 struct GeomEngine(GeomSet);
 
 impl FilterEngine for GeomEngine {
@@ -250,7 +226,7 @@ mod tests {
         let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
         assert_eq!(&names[..3], &["checked", "validated", "compiled"]);
         assert!(names.contains(&"dtree"));
-        assert!(names.contains(&"sharded"));
+        assert!(names.contains(&"geom"));
         assert_eq!(names.contains(&"jit"), cfg!(feature = "jit"));
     }
 
@@ -289,6 +265,6 @@ mod tests {
         assert!(ValidatedProgram::new(prog.clone()).is_err());
         let engines = singleton_engines(&prog, InterpConfig::default());
         let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
-        assert_eq!(names, vec!["checked", "dtree", "sharded", "geom"]);
+        assert_eq!(names, vec!["checked", "dtree", "geom"]);
     }
 }

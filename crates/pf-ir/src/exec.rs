@@ -176,7 +176,7 @@ impl IrFilter {
         self.code.len()
     }
 
-    /// The threaded code itself, for set-level rewriting ([`crate::vn`]).
+    /// The threaded code itself, for interval analysis ([`crate::geom`]).
     pub(crate) fn code(&self) -> &[TOp] {
         &self.code
     }

@@ -1,40 +1,43 @@
 //! Geometric (tuple-space) packet classification: sublinear demux over
 //! mixed exact-match and *range* filter populations.
 //!
-//! [`ShardedVnSet`](crate::set::ShardedVnSet) indexes members by a single
-//! required word-*equality* literal — exactly right for the paper's
-//! figure 3-9 port demultiplexers, and useless for a port-*range* rule,
-//! which has no equality literal to key on. [`GeomSet`] generalizes the
-//! index geometrically: every member's compiled code is analyzed for the
-//! *required intervals* it imposes on packet words (`packet[w] ∈ [lo,hi]`
-//! — an equality test is just the degenerate interval `[lit,lit]`), and
-//! members are partitioned into **tuples** keyed by `(word, range-class)`.
-//! Each exact tuple is a sorted literal map; each range tuple is a sparse
-//! segment tree over the 16-bit word domain in which an interval occupies
-//! its O(log U) canonical nodes, so a *stabbing query* — "which intervals
-//! contain this packet's word value?" — walks one root-to-leaf path and
-//! reports exactly the covering members. A packet therefore probes
-//! O(#tuples · log U) index nodes plus the members its own bytes select,
-//! instead of O(n) members.
+//! Every member's compiled code is analyzed for the *required intervals*
+//! it imposes on packet words (`packet[w] ∈ [lo,hi]` — an equality test
+//! is just the degenerate interval `[lit,lit]`), and members are
+//! partitioned into **tuples**. A member keyed on an equality goes into
+//! the *exact-tuple directory*: it is filed under the set of words its
+//! exact atoms constrain, in one hash bucket keyed by those words'
+//! literals taken together, so one probe per distinct word-set selects
+//! the members whose *every* key literal the packet carries — the figure
+//! 3-9 port demultiplexers cost one probe and one member evaluation
+//! whatever the population. A member keyed on a proper interval — a
+//! port-*range* rule has no equality literal to key on — goes into its
+//! word's range tuple, a sparse segment tree over the 16-bit word domain
+//! in which an interval occupies its O(log U) canonical nodes, so a
+//! *stabbing query* — "which intervals contain this packet's word
+//! value?" — walks one root-to-leaf path and reports exactly the covering
+//! members. A packet therefore probes O(#tuples · log U) index nodes plus
+//! the members its own bytes select, instead of O(n) members.
 //!
 //! Updates are incremental: an insert touches only the member's own tuple
-//! (O(log U) segment-tree nodes or one literal bucket), a remove
+//! (O(log U) segment-tree nodes or one directory bucket), a remove
 //! tombstones the slot, and the slab is compacted — members re-keyed
 //! against fresh word statistics — only once tombstones outnumber live
-//! members. Inserts also report *conflicts* on the key tuple: how many
-//! existing intervals the new one overlaps, and whether one fully shadows
-//! the other at a priority that makes the narrower filter unable to win
-//! first-match (see [`GeomSet::overlap_count`]).
+//! members. Inserts also report *conflicts* on the key word: how many
+//! existing key intervals the new one overlaps, and whether one fully
+//! shadows the other at a priority that makes the narrower filter unable
+//! to win first-match (see [`GeomSet::overlap_count`]).
 //!
-//! Skipping a member not selected by its tuple is sound for the same
-//! reason sharding is: its compiled path *requires* the packet word to
-//! lie in the key interval, so a packet outside it cannot be accepted —
-//! *provided* the packet is long enough for the compiled path. Shorter
-//! packets take a slow path that walks every member, preserving the
-//! checked-fallback semantics; programs that fail validation run on the
-//! checked interpreter in the always-walked residue. Match results are
-//! priority-ordered with insertion-order ties, exactly like every other
-//! engine.
+//! Skipping a member its tuple does not select is sound because every
+//! key atom is a *required* interval: the member's compiled path cannot
+//! accept unless the packet word lies in it, so a packet that differs
+//! from a directory key in any one literal, or falls outside a range
+//! key, cannot be accepted — *provided* the packet is long enough for
+//! the compiled path. Shorter packets take a slow path that walks every
+//! member, preserving the checked-fallback semantics; programs that fail
+//! validation run on the checked interpreter in the always-walked
+//! residue. Match results are priority-ordered with insertion-order
+//! ties, exactly like every other engine.
 
 use crate::exec::{IrFilter, TOp};
 use crate::ir::IrBinOp;
@@ -44,6 +47,7 @@ use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A required constraint `packet[word] ∈ [lo, hi]` (inclusive, unsigned).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -274,13 +278,10 @@ struct RangeTree {
     /// enumeration: everything intersecting `[lo,hi]` either *starts*
     /// inside it (this map) or covers `lo` (a stab).
     starts: BTreeMap<u16, Vec<u32>>,
-    /// Entries inserted and not yet compacted away (tombstones included).
-    len: usize,
 }
 
 impl RangeTree {
     fn insert(&mut self, lo: u16, hi: u16, slot: u32) {
-        self.len += 1;
         self.starts.entry(lo).or_default().push(slot);
         Self::cover(
             &mut self.nodes,
@@ -340,14 +341,122 @@ impl RangeTree {
     }
 }
 
-/// One packet word's tuples: the exact (literal) class and the range
-/// class. Either may be empty; [`GeomSet::tuple_count`] counts occupied
-/// classes.
+/// Most exact atoms one directory key packs: four 16-bit literals fill
+/// the `u64` a bucket is keyed by.
+const TUPLE_WORDS: usize = 4;
+
+/// The packet words one exact tuple reads, ascending (unused tail zero).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct TupleWords {
+    len: u8,
+    words: [u16; TUPLE_WORDS],
+}
+
+impl TupleWords {
+    fn as_slice(&self) -> &[u16] {
+        &self.words[..usize::from(self.len)]
+    }
+
+    /// The packet's literals at these words packed 16 bits each, or
+    /// `None` when the packet is too short to carry them all — no member
+    /// of the tuple can then accept on its compiled path.
+    fn key_of(&self, packet: PacketView<'_>) -> Option<u64> {
+        self.as_slice().iter().try_fold(0u64, |key, &w| {
+            Some(key << 16 | u64::from(packet.word(usize::from(w))?))
+        })
+    }
+}
+
+/// Where a member keyed on an exact atom is filed: the words its exact
+/// atoms constrain (the deepest [`TUPLE_WORDS`] of them when there are
+/// more — every member of one shape then lands in one tuple whatever the
+/// statistics were when it arrived) and those words' literals, packed as
+/// [`TupleWords::key_of`] packs a packet's.
+fn exact_tuple(atoms: &[Interval]) -> (TupleWords, u64) {
+    let mut exact: Vec<Interval> = atoms.iter().copied().filter(Interval::is_exact).collect();
+    exact.sort_unstable_by_key(|a| (Reverse(a.word), a.lo));
+    // Two literals required of one word never both hold; either keys it.
+    exact.dedup_by_key(|a| a.word);
+    exact.truncate(TUPLE_WORDS);
+    let mut tuple = TupleWords {
+        len: exact.len() as u8,
+        words: [0; TUPLE_WORDS],
+    };
+    let mut key = 0u64;
+    for (i, a) in exact.iter().rev().enumerate() {
+        tuple.words[i] = a.word;
+        key = key << 16 | u64::from(a.lo);
+    }
+    (tuple, key)
+}
+
+/// Hashes a packed directory key: one multiply and a fold, so the bits
+/// the table indexes by depend on every literal of the tuple. The
+/// standard library's keyed SipHash costs as much per probe as the rest
+/// of the lookup together (EXPERIMENTS.md, "Retired, and why (PR 15)"),
+/// and what it defends does not arise here: keys enter a table only
+/// through `insert` — the bind path, bounded by the port count — while a
+/// packet merely probes.
+#[derive(Debug, Default, Clone, Copy)]
+struct PackedKeyHasher(u64);
+
+impl Hasher for PackedKeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("directory keys are hashed as one u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One exact tuple of the directory: every member whose exact atoms
+/// constrain the same words, bucketed by those words' literals taken
+/// together — one hash probe per packet selects the members whose
+/// *every* key literal the packet carries.
+type ExactTuple = HashMap<u64, Vec<u32>, BuildHasherDefault<PackedKeyHasher>>;
+
+/// What a packet probes on the fast path.
 #[derive(Debug, Default)]
-struct WordIndex {
-    exact: BTreeMap<u16, Vec<u32>>,
-    exact_len: usize,
-    range: RangeTree,
+struct TupleIndex {
+    /// The exact-tuple directory: members keyed on an exact atom, by the
+    /// word-set of all their exact atoms. One hash probe per entry per
+    /// packet.
+    exact: BTreeMap<TupleWords, ExactTuple>,
+    /// The range tuples: members keyed on a proper interval, by word.
+    ranges: BTreeMap<u16, RangeTree>,
+    /// Members with no usable key, candidates for every packet.
+    residue: Vec<u32>,
+}
+
+impl TupleIndex {
+    /// Appends every slot the index cannot rule out for `packet` (stale
+    /// tombstoned slots included) to `cand`.
+    fn probe(&self, packet: PacketView<'_>, cand: &mut Vec<u32>, stats: &mut GeomStats) {
+        for (words, tuple) in &self.exact {
+            let Some(key) = words.key_of(packet) else {
+                continue;
+            };
+            stats.tuples_probed += 1;
+            stats.nodes_visited += 1;
+            if let Some(list) = tuple.get(&key) {
+                cand.extend_from_slice(list);
+            }
+        }
+        for (&word, tree) in &self.ranges {
+            let Some(v) = packet.word(usize::from(word)) else {
+                continue;
+            };
+            stats.tuples_probed += 1;
+            stats.nodes_visited += tree.stab(v, cand);
+        }
+        cand.extend_from_slice(&self.residue);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -371,7 +480,9 @@ struct GeomMember {
     /// Every required interval the analysis proved — kept for re-keying
     /// at compaction and for the word statistics.
     atoms: Vec<Interval>,
-    /// The interval this member is indexed under (`None` = residue).
+    /// The atom the statistics chose to key this member on (`None` =
+    /// residue): a proper interval files it in that word's range tuple,
+    /// an exact one in the directory under *all* its exact atoms.
     key: Option<Interval>,
     kind: GeomMemberKind,
 }
@@ -393,7 +504,8 @@ const COMPACT_MIN: usize = 16;
 /// set.insert(9, samples::socket_range_filter(10, 40, 49));
 /// let pkt = samples::pup_packet_3mb(2, 0, 44, 1);
 /// assert_eq!(set.first_match(PacketView::new(&pkt)), Some(9));
-/// // One exact tuple and one range tuple, both on the socket word.
+/// // One exact tuple (ethertype and both socket words) and one range
+/// // tuple on the low socket word.
 /// assert_eq!(set.tuple_count(), 2);
 /// ```
 #[derive(Debug, Default)]
@@ -406,9 +518,10 @@ pub struct GeomSet {
     /// `(Reverse(priority), seq, slot)`, sorted — match order. Tombstoned
     /// slots stay until compaction (their sort key is in the tuple).
     order: Vec<(Reverse<u8>, u64, u32)>,
-    tuples: BTreeMap<u16, WordIndex>,
-    /// Members with no usable key, walked for every packet.
-    residue: Vec<u32>,
+    index: TupleIndex,
+    /// `(word, literal)` of every exact key atom → its members, for
+    /// conflict counting at insert; packets never read it.
+    exact_keys: BTreeMap<(u16, u16), Vec<u32>>,
     /// word → distinct required interval → refcount, over *all* atoms of
     /// live members: the key-choice statistic (most-diverse word wins).
     interval_refs: HashMap<u16, HashMap<(u16, u16), u32>>,
@@ -468,17 +581,17 @@ impl GeomSet {
             .count()
     }
 
-    /// Occupied `(word, range-class)` tuples — what every packet probes.
+    /// Occupied tuples — exact word-sets plus per-word range classes —
+    /// what every packet probes. Entries are made only by an insert and
+    /// dropped only by a compaction, so none is ever empty of entries.
     pub fn tuple_count(&self) -> usize {
-        self.tuples
-            .values()
-            .map(|t| usize::from(t.exact_len > 0) + usize::from(t.range.len > 0))
-            .sum()
+        self.index.exact.len() + self.index.ranges.len()
     }
 
     /// Members in no tuple, walked for every packet.
     pub fn residue_len(&self) -> usize {
-        self.residue
+        self.index
+            .residue
             .iter()
             .filter(|&&s| self.slots[s as usize].is_some())
             .count()
@@ -616,16 +729,24 @@ impl GeomSet {
     fn index_member(&mut self, slot: u32, member: &GeomMember) {
         match (member.key, &member.kind) {
             (Some(k), GeomMemberKind::Compiled(filter)) => {
-                let idx = self.tuples.entry(k.word).or_default();
                 if k.is_exact() {
-                    idx.exact.entry(k.lo).or_default().push(slot);
-                    idx.exact_len += 1;
+                    let (words, key) = exact_tuple(&member.atoms);
+                    let tuple = self.index.exact.entry(words).or_default();
+                    tuple.entry(key).or_default().push(slot);
+                    self.exact_keys
+                        .entry((k.word, k.lo))
+                        .or_default()
+                        .push(slot);
                 } else {
-                    idx.range.insert(k.lo, k.hi, slot);
+                    self.index
+                        .ranges
+                        .entry(k.word)
+                        .or_default()
+                        .insert(k.lo, k.hi, slot);
                 }
                 self.fast_min_words = self.fast_min_words.max(filter.min_packet_words());
             }
-            _ => self.residue.push(slot),
+            _ => self.index.residue.push(slot),
         }
     }
 
@@ -633,17 +754,17 @@ impl GeomSet {
     /// intervals already indexed on the same word. Output-sensitive:
     /// one literal-map range scan, one start-map range scan, one stab.
     fn record_conflicts(&mut self, key: Interval, priority: u8) {
-        let Some(idx) = self.tuples.get(&key.word) else {
-            return;
-        };
         let mut seen: Vec<u32> = Vec::new();
-        for (_, list) in idx.exact.range(key.lo..=key.hi) {
+        let literals = (key.word, key.lo)..=(key.word, key.hi);
+        for (_, list) in self.exact_keys.range(literals) {
             seen.extend_from_slice(list);
         }
-        for (_, list) in idx.range.starts.range(key.lo..=key.hi) {
-            seen.extend_from_slice(list);
+        if let Some(tree) = self.index.ranges.get(&key.word) {
+            for (_, list) in tree.starts.range(key.lo..=key.hi) {
+                seen.extend_from_slice(list);
+            }
+            tree.stab(key.lo, &mut seen);
         }
-        idx.range.stab(key.lo, &mut seen);
         seen.sort_unstable();
         seen.dedup();
         for s in seen {
@@ -680,8 +801,8 @@ impl GeomSet {
         self.compactions += 1;
         let mut old_slots = std::mem::take(&mut self.slots);
         let old_order = std::mem::take(&mut self.order);
-        self.tuples.clear();
-        self.residue.clear();
+        self.index = TupleIndex::default();
+        self.exact_keys.clear();
         self.fast_min_words = 0;
         self.dead = 0;
         // `interval_refs` is already maintained incrementally and counts
@@ -733,8 +854,7 @@ impl GeomSet {
     /// is set (highest-priority candidates survive). Returns how many
     /// candidates the cap shed. Fast-path only.
     fn gather(
-        tuples: &BTreeMap<u16, WordIndex>,
-        residue: &[u32],
+        index: &TupleIndex,
         slots: &[Option<GeomMember>],
         packet: PacketView<'_>,
         cand: &mut Vec<u32>,
@@ -742,23 +862,7 @@ impl GeomSet {
         cap: Option<usize>,
     ) -> u64 {
         cand.clear();
-        for (&word, idx) in tuples.iter() {
-            let Some(v) = packet.word(usize::from(word)) else {
-                continue;
-            };
-            if idx.exact_len > 0 {
-                stats.tuples_probed += 1;
-                stats.nodes_visited += 1;
-                if let Some(list) = idx.exact.get(&v) {
-                    cand.extend_from_slice(list);
-                }
-            }
-            if idx.range.len > 0 {
-                stats.tuples_probed += 1;
-                stats.nodes_visited += idx.range.stab(v, cand);
-            }
-        }
-        cand.extend_from_slice(residue);
+        index.probe(packet, cand, stats);
         cand.retain(|&s| slots[s as usize].is_some());
         cand.sort_unstable_by_key(|&s| {
             let m = slots[s as usize].as_ref().expect("retained live");
@@ -778,8 +882,7 @@ impl GeomSet {
         let Self {
             slots,
             order,
-            tuples,
-            residue,
+            index,
             fast_min_words,
             live,
             scratch,
@@ -792,15 +895,8 @@ impl GeomSet {
         scratch.clear();
         let mut stats = GeomStats::default();
         if packet.word_len() >= *fast_min_words {
-            *candidates_capped += Self::gather(
-                tuples,
-                residue,
-                slots,
-                packet,
-                cand,
-                &mut stats,
-                *candidate_cap,
-            );
+            *candidates_capped +=
+                Self::gather(index, slots, packet, cand, &mut stats, *candidate_cap);
             for &s in cand.iter() {
                 let m = slots[s as usize].as_ref().expect("retained live");
                 if eval_member(m, packet, *config, &mut stats) {
@@ -841,7 +937,10 @@ impl GeomSet {
     ) -> (Vec<Vec<FilterId>>, Vec<GeomStats>) {
         let mut out = Vec::with_capacity(packets.len());
         let mut out_stats = Vec::with_capacity(packets.len());
-        let words: Vec<u16> = self.tuples.keys().copied().collect();
+        let mut words: Vec<u16> = self.index.ranges.keys().copied().collect();
+        words.extend(self.index.exact.keys().flat_map(|t| t.as_slice()));
+        words.sort_unstable();
+        words.dedup();
         let mut cached_key: Option<Vec<Option<u16>>> = None;
         let mut cached_probe = (0u32, 0u32);
         let mut cached_pruned = 0u64;
@@ -855,21 +954,13 @@ impl GeomSet {
                 if cached_key.as_deref() != Some(key_buf.as_slice()) {
                     let Self {
                         slots,
-                        tuples,
-                        residue,
+                        index,
                         cand,
                         candidate_cap,
                         ..
                     } = &mut *self;
-                    cached_pruned = Self::gather(
-                        tuples,
-                        residue,
-                        slots,
-                        packet,
-                        cand,
-                        &mut stats,
-                        *candidate_cap,
-                    );
+                    cached_pruned =
+                        Self::gather(index, slots, packet, cand, &mut stats, *candidate_cap);
                     cached_probe = (stats.tuples_probed, stats.nodes_visited);
                     cached_key = Some(key_buf.clone());
                 } else {
@@ -929,7 +1020,7 @@ fn eval_member(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set::ShardedVnSet;
+    use pf_filter::dtree::FilterSet;
     use pf_filter::program::Assembler;
     use pf_filter::samples;
     use pf_filter::word::BinaryOp;
@@ -1043,9 +1134,8 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_sharded_set_on_mixed_population() {
+    fn agrees_with_sequential_checked_walk_on_mixed_population() {
         let mut geom = GeomSet::new();
-        let mut sharded = ShardedVnSet::new();
         let mut invalid = Assembler::new(15)
             .pushword(0)
             .pushlit_op(BinaryOp::Cor, 0x0102)
@@ -1066,8 +1156,10 @@ mod tests {
         ];
         for (id, f) in &filters {
             geom.insert(*id, f.clone());
-            sharded.insert(*id, f.clone());
         }
+        let checked = CheckedInterpreter::default();
+        let mut order: Vec<&(u32, FilterProgram)> = filters.iter().collect();
+        order.sort_by_key(|(_, f)| Reverse(f.priority()));
         let mut frames: Vec<Vec<u8>> = Vec::new();
         for sock in [35u16, 40, 44, 52, 60, 61, 99] {
             for et in [2u16, 3] {
@@ -1078,7 +1170,12 @@ mod tests {
         frames.push(Vec::new()); // empty
         for (i, f) in frames.iter().enumerate() {
             let v = PacketView::new(f);
-            assert_eq!(geom.matches(v), sharded.matches(v), "frame {i}");
+            let expect: Vec<FilterId> = order
+                .iter()
+                .filter(|(_, p)| checked.eval(p, v))
+                .map(|(id, _)| *id)
+                .collect();
+            assert_eq!(geom.matches(v), expect, "frame {i}");
         }
     }
 
@@ -1258,5 +1355,216 @@ mod tests {
         // 32 pruned for each of the two packets (the cached key-run
         // replays the probe's pruning per packet).
         assert_eq!(set.candidates_capped() - before, 64);
+    }
+
+    #[test]
+    fn matches_in_priority_then_insertion_order() {
+        let mut set = GeomSet::new();
+        set.insert(1, samples::accept_all(5));
+        set.insert(2, samples::accept_all(20));
+        set.insert(3, samples::accept_all(20));
+        assert_eq!(set.matches(PacketView::new(&pkt(1))), vec![2, 3, 1]);
+        assert_eq!(set.first_match(PacketView::new(&pkt(1))), Some(2));
+    }
+
+    #[test]
+    fn replace_and_remove() {
+        let mut set = GeomSet::new();
+        set.insert(1, samples::pup_socket_filter(10, 0, 35));
+        assert_eq!(set.first_match(PacketView::new(&pkt(44))), None);
+        set.insert(1, samples::pup_socket_filter(10, 0, 44));
+        assert_eq!(set.len(), 1);
+        assert_eq!(set.first_match(PacketView::new(&pkt(35))), None);
+        assert_eq!(set.first_match(PacketView::new(&pkt(44))), Some(1));
+        assert!(set.remove(1));
+        assert!(!set.remove(1));
+        assert!(set.is_empty());
+    }
+
+    #[test]
+    fn invalid_program_keeps_checked_semantics() {
+        // COR accepts matching packets *before* the trailing garbage word
+        // is ever decoded; the set must preserve that behavior.
+        let mut words = Assembler::new(10)
+            .pushword(0)
+            .pushlit_op(BinaryOp::Cor, 0x0102)
+            .finish()
+            .words()
+            .to_vec();
+        words.push(15 << 6); // reserved opcode: fails validation
+        let mut set = GeomSet::new();
+        set.insert(1, FilterProgram::from_words(10, words));
+        assert_eq!(set.compiled(), 0);
+        assert_eq!(set.residue_len(), 1);
+        assert_eq!(set.first_match(PacketView::new(&pkt(35))), Some(1));
+        assert_eq!(set.first_match(PacketView::new(&[0u8, 0])), None);
+    }
+
+    #[test]
+    fn agrees_with_decision_table_set() {
+        let mut geom = GeomSet::new();
+        let mut dt = FilterSet::new();
+        let filters = [
+            (1u32, samples::pup_socket_filter(10, 0, 35)),
+            (2, samples::pup_socket_filter(10, 0, 44)),
+            (3, samples::ethertype_filter(20, 2)),
+            (4, samples::fig_3_8_pup_type_range()),
+            (5, samples::reject_all(30)),
+        ];
+        for (id, f) in &filters {
+            geom.insert(*id, f.clone());
+            dt.insert(*id, f.clone());
+        }
+        for sock in [35u16, 44, 99] {
+            for ethertype in [2u16, 3] {
+                let p = samples::pup_packet_3mb(ethertype, 0, sock, 1);
+                let view = PacketView::new(&p);
+                assert_eq!(
+                    geom.matches(view),
+                    dt.matches(view),
+                    "sock={sock} et={ethertype}"
+                );
+            }
+        }
+    }
+
+    /// The figure 3-9 idiom over two words: socket `CAND`, ethertype `EQ`.
+    fn socket_and_type(socket: u16, ethertype: u16) -> FilterProgram {
+        Assembler::new(10)
+            .pushword(8)
+            .pushlit_op(BinaryOp::Cand, socket)
+            .pushword(1)
+            .pushlit_op(BinaryOp::Eq, ethertype)
+            .finish()
+    }
+
+    #[test]
+    fn directory_keys_on_every_exact_atom_jointly() {
+        // 4 ethertypes x 16 sockets, inserted so that the word statistics
+        // favour the ethertype word first and the socket word later: one
+        // word-set, one tuple, whichever atom each member was keyed on.
+        let mut set = GeomSet::new();
+        for i in 0..64u16 {
+            set.insert(u32::from(i), socket_and_type(100 + i / 4, 2 + i % 4));
+        }
+        assert_eq!(set.tuple_count(), 1);
+        for i in 0..64u16 {
+            let p = samples::pup_packet_3mb(2 + i % 4, 0, 100 + i / 4, 1);
+            let (ids, stats) = set.matches_with_stats(PacketView::new(&p));
+            assert_eq!(ids, [u32::from(i)]);
+            assert_eq!(stats.filters_evaluated, 1, "member {i}: {stats:?}");
+            assert_eq!(stats.tuples_probed, 1, "member {i}: {stats:?}");
+        }
+        // A socket somebody holds under an ethertype nobody holds selects
+        // no candidate at all.
+        let stray = samples::pup_packet_3mb(0x600, 0, 100, 1);
+        let (ids, stats) = set.matches_with_stats(PacketView::new(&stray));
+        assert!(ids.is_empty());
+        assert_eq!(stats.filters_evaluated, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn wider_than_one_key_members_share_the_deepest_words() {
+        // Six exact atoms: the key packs the four deepest words (4, 6, 7,
+        // 8), so two members that differ only in the ethertype share a
+        // bucket and are told apart by evaluation.
+        let wide = |id: u32, ethertype: u16| {
+            let f = Assembler::new(10)
+                .pushword(8)
+                .pushlit_op(BinaryOp::Cand, 35)
+                .pushword(7)
+                .pushlit_op(BinaryOp::Cand, 0)
+                .pushword(6)
+                .pushlit_op(BinaryOp::Cand, 0x0A0B)
+                .pushword(4)
+                .pushlit_op(BinaryOp::Cand, 0xBEEF)
+                .pushword(0)
+                .pushlit_op(BinaryOp::Cand, 0x0102)
+                .pushword(1)
+                .pushlit_op(BinaryOp::Eq, ethertype)
+                .finish();
+            (id, f)
+        };
+        let mut set = GeomSet::new();
+        for (id, f) in [wide(1, 2), wide(2, 3)] {
+            let atoms = required_constraints(&f);
+            assert_eq!(atoms.iter().filter(|a| a.is_exact()).count(), 6);
+            let (words, _) = exact_tuple(&atoms);
+            assert_eq!(words.as_slice(), [4, 6, 7, 8]);
+            set.insert(id, f);
+        }
+        assert_eq!(set.tuple_count(), 1);
+        let (ids, stats) = set.matches_with_stats(PacketView::new(&pkt(35)));
+        assert_eq!(ids, [1]);
+        assert_eq!(stats.filters_evaluated, 2, "{stats:?}");
+        let (ids, stats) = set.matches_with_stats(PacketView::new(&pkt(36)));
+        assert!(ids.is_empty());
+        assert_eq!(stats.filters_evaluated, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn conflicts_count_across_exact_and_range_keys() {
+        // An exact key inside a range key on the same word is one overlap
+        // and — the containing range matching first — one shadow,
+        // whichever arrives first. Both members key on the socket word:
+        // it is the deeper of two equally diverse words.
+        let range = || samples::socket_range_filter(20, 100, 200);
+        let exact = || socket_and_type(150, 2);
+        for range_first in [true, false] {
+            let mut set = GeomSet::new();
+            if range_first {
+                set.insert(1, range());
+                set.insert(2, exact());
+            } else {
+                set.insert(2, exact());
+                set.insert(1, range());
+            }
+            assert_eq!(set.overlap_count(), 1, "range_first={range_first}");
+            assert_eq!(set.shadow_count(), 1, "range_first={range_first}");
+            // Outside the range: no conflict.
+            set.insert(3, socket_and_type(250, 2));
+            assert_eq!(set.overlap_count(), 1, "range_first={range_first}");
+            // The same exact key again: one more overlap, and the earlier
+            // equal-priority twin shadows the later.
+            set.insert(4, exact());
+            assert_eq!(set.overlap_count(), 3, "range_first={range_first}");
+            assert_eq!(set.shadow_count(), 3, "range_first={range_first}");
+            assert_eq!(
+                set.matches(PacketView::new(&pkt(150))),
+                vec![1, 2, 4],
+                "range_first={range_first}"
+            );
+        }
+    }
+
+    #[test]
+    fn packet_missing_a_tuple_word_skips_the_tuple() {
+        let (words, key) = exact_tuple(&required_constraints(&socket_and_type(35, 2)));
+        assert_eq!(words.as_slice(), [1, 8]);
+        assert_eq!(words.key_of(PacketView::new(&pkt(35))), Some(key));
+        // Eight words carry the ethertype but not the socket: no key.
+        assert_eq!(words.key_of(PacketView::new(&pkt(35)[..16])), None);
+
+        // At the set, the same packet is below `fast_min_words` and takes
+        // the walk-everything path: nothing is skipped, the member rejects
+        // on its own checked fallback, and an unvalidatable member whose
+        // short-circuit accept precedes its defect still accepts.
+        let mut set = GeomSet::new();
+        set.insert(1, socket_and_type(35, 2));
+        let mut words = Assembler::new(5)
+            .pushword(0)
+            .pushlit_op(BinaryOp::Cor, 0x0102)
+            .finish()
+            .words()
+            .to_vec();
+        words.push(15 << 6);
+        set.insert(2, FilterProgram::from_words(5, words));
+        let (ids, stats) = set.matches_with_stats(PacketView::new(&pkt(35)[..16]));
+        assert_eq!(ids, [2]);
+        assert_eq!(stats.filters_evaluated, 2, "{stats:?}");
+        assert_eq!(stats.tuples_probed, 0, "{stats:?}");
+        let (ids, stats) = set.matches_with_stats(PacketView::new(&pkt(35)));
+        assert_eq!(ids, [1, 2]);
+        assert_eq!(stats.tuples_probed, 1, "{stats:?}");
     }
 }

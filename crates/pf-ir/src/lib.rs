@@ -5,13 +5,13 @@
 //! safe, and — as §6 measures — expensive to interpret, because every
 //! boolean connective pushes and pops intermediate truth values that a
 //! conventional compiler would keep in registers or branch on directly.
-//! This crate is surfaces five through eight of the workspace's
+//! This crate is surfaces five through seven of the workspace's
 //! execution ladder: it *compiles* validated stack programs into a small
 //! SSA-ish register IR ([`ir`]), optimizes the result ([`opt`]), flattens
 //! it into threaded code that evaluates with no operand stack at all
 //! ([`exec`]), and — behind the off-by-default `jit` cargo feature — emits
 //! straight-line native machine code per CFG block (the `jit` module,
-//! surface eight).
+//! surface seven).
 //!
 //! The pipeline:
 //!
@@ -25,22 +25,18 @@
 //! 3. **Lower** ([`exec::IrFilter`]) — blocks flatten into one threaded
 //!    opcode vector; compare-and-branch sequences fuse into single
 //!    `guard` opcodes.
-//! 4. **Share and shard** ([`set::ShardedVnSet`], the sixth surface) — a
-//!    set-level value-numbering pass ([`vn`]) interns *every* equality
-//!    test in every member (fused guards, mid-program branch windows,
-//!    terminal compares) into one shared, per-packet lazily memoized test
-//!    table — the work-sharing the paper's §7 decision-table proposal
-//!    targets, without restricting the filter language — and a shard
-//!    index keyed on each member's *required* discriminating-word literal
-//!    lets a packet walk only the members its own bytes select.
-//! 5. **Classify geometrically** ([`geom::GeomSet`], the seventh surface)
+//! 4. **Classify geometrically** ([`geom::GeomSet`], the sixth surface)
 //!    — members are indexed by the *interval* constraints their compiled
 //!    code provably requires (`packet[w] ∈ [lo,hi]`; equality is the
-//!    degenerate case), partitioned into `(word, range-class)` tuples
-//!    with a sparse segment tree per range tuple, so port-*range* rules —
-//!    which have no equality literal to shard on — still demultiplex in
+//!    degenerate case). Members keyed on an equality are filed in an
+//!    exact-tuple directory — one hash bucket per joint value of *all*
+//!    the words their exact atoms constrain, one probe per distinct
+//!    word-set — and members keyed on a proper interval in a sparse
+//!    segment tree per word, so the paper's port demultiplexers cost one
+//!    probe whatever the population and port-*range* rules — which have
+//!    no equality literal to key on — still demultiplex in
 //!    O(#tuples · log U) index work instead of O(n) member walks.
-//! 6. **JIT** (`jit::JitFilter`, the eighth surface, cargo feature `jit`)
+//! 5. **JIT** (`jit::JitFilter`, the seventh surface, cargo feature `jit`)
 //!    — each threaded program's blocks are template-expanded into native
 //!    x86-64 or aarch64 code in an mmap'd W^X buffer; programs or
 //!    platforms the emitter cannot handle fall back to the threaded
@@ -51,7 +47,7 @@
 //! zero divisors) reject exactly as the interpreter does, and packets
 //! shorter than the validator's static minimum fall back to
 //! [`pf_filter::interp::CheckedInterpreter`] verbatim. The differential
-//! suites in `tests/` hold every execution surface — eight with the `jit`
+//! suites in `tests/` hold every execution surface — seven with the `jit`
 //! feature on — to one verdict, iterating them generically through the
 //! [`engine::FilterEngine`] trait and [`engine::singleton_engines`]
 //! factory.
@@ -63,14 +59,10 @@ pub mod ir;
 #[cfg(feature = "jit")]
 pub mod jit;
 pub mod opt;
-pub mod set;
 pub mod translate;
-pub mod vn;
 
 pub use engine::{singleton_engines, singleton_surface_count, FilterEngine};
 pub use exec::{IrEvalStats, IrFilter};
 pub use geom::{required_constraints, GeomSet, GeomStats, Interval};
 #[cfg(feature = "jit")]
 pub use jit::JitFilter;
-pub use set::ShardedVnSet;
-pub use vn::VnSetStats;

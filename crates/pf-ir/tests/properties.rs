@@ -6,9 +6,9 @@
 #![cfg(feature = "proptest-tests")]
 
 //! Property-based engine agreement: checked interpreter, validated fast
-//! interpreter, compiled micro-ops, IR threaded code, the sharded set,
-//! and the geometric classifier are observationally identical on
-//! arbitrary programs and packets.
+//! interpreter, compiled micro-ops, IR threaded code and the geometric
+//! classifier are observationally identical on arbitrary programs and
+//! packets.
 
 use pf_filter::compile::CompiledFilter;
 use pf_filter::interp::{CheckedInterpreter, Dialect, InterpConfig, ShortCircuitStyle};
@@ -16,7 +16,6 @@ use pf_filter::packet::PacketView;
 use pf_filter::program::{Assembler, FilterProgram};
 use pf_filter::validate::ValidatedProgram;
 use pf_filter::word::{BinaryOp, Instr, StackAction};
-use pf_ir::set::ShardedVnSet;
 use pf_ir::{GeomSet, IrFilter};
 use proptest::prelude::*;
 
@@ -129,10 +128,10 @@ proptest! {
         }
     }
 
-    /// The sharded set (default configuration) is equivalent to checking
+    /// The geometric set (default configuration) is equivalent to checking
     /// each member independently, on arbitrary mixed populations.
     #[test]
-    fn sharded_set_equivalent_to_independent_eval(
+    fn geom_set_equivalent_to_independent_eval(
         programs in prop::collection::vec((structured_words(), 0u8..30), 0..6),
         pkt in packet_bytes(),
     ) {
@@ -141,7 +140,7 @@ proptest! {
             .enumerate()
             .map(|(i, (words, prio))| (i as u32, FilterProgram::from_words(prio, words)))
             .collect();
-        let mut set = ShardedVnSet::new();
+        let mut set = GeomSet::new();
         for (id, f) in &filters {
             set.insert(*id, f.clone());
         }

@@ -36,9 +36,10 @@ use pf_filter::program::FilterProgram;
 use pf_filter::validate::ValidatedProgram;
 use pf_filter::word::{BinaryOp, Instr, StackAction};
 use pf_ir::geom::{required_constraints, GeomSet};
-use pf_ir::set::ShardedVnSet;
+use pf_sim::cost::CostModel;
+use pf_sim::counters::Counters;
 use pf_sim::rng::SplitMix64;
-use pf_sim::time::SimTime;
+use pf_sim::time::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// The per-port member the [`DemuxEngine::Jit`] engine maintains. With the
@@ -120,14 +121,16 @@ impl JitSet {
 
 /// The compiled set behind a non-sequential engine, keyed by port index:
 /// the one seam through which the device inserts, removes and evaluates
-/// members whichever engine is active. All four order matches by
+/// members whichever engine is active. All three order matches by
 /// `(priority descending, own insertion sequence)`, and inserting an id
 /// again moves it to the back of its priority class.
+// One per device, so the spread in variant sizes costs nothing; a `Box`
+// would put a pointer chase on the per-packet path.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum EngineSet {
     /// The decision table, with the match list of its last evaluation.
     Table(FilterSet, Vec<FilterId>),
-    Sharded(ShardedVnSet),
     Geom(GeomSet),
     Jit(JitSet),
 }
@@ -139,7 +142,6 @@ impl EngineSet {
         Some(match engine {
             DemuxEngine::Sequential => return None,
             DemuxEngine::DecisionTable => EngineSet::Table(FilterSet::new(), Vec::new()),
-            DemuxEngine::Sharded => EngineSet::Sharded(ShardedVnSet::new()),
             DemuxEngine::Geom => {
                 let mut set = GeomSet::new();
                 set.set_candidate_cap(geom_cap);
@@ -155,7 +157,6 @@ impl EngineSet {
     fn insert(&mut self, id: FilterId, program: FilterProgram) {
         match self {
             EngineSet::Table(s, _) => s.insert(id, program),
-            EngineSet::Sharded(s) => s.insert(id, program),
             EngineSet::Geom(s) => s.insert(id, program),
             EngineSet::Jit(s) => s.insert(id, program),
         }
@@ -165,7 +166,6 @@ impl EngineSet {
     fn remove(&mut self, id: FilterId) -> bool {
         match self {
             EngineSet::Table(s, _) => s.remove(id),
-            EngineSet::Sharded(s) => s.remove(id),
             EngineSet::Geom(s) => s.remove(id),
             EngineSet::Jit(s) => s.remove(id),
         }
@@ -179,11 +179,6 @@ impl EngineSet {
             EngineSet::Table(s, hits) => {
                 *hits = s.matches(packet);
                 hits
-            }
-            EngineSet::Sharded(s) => {
-                let (matches, stats) = s.matches_with_stats(packet);
-                out.ir_ops = stats.ops_executed;
-                matches
             }
             EngineSet::Geom(s) => {
                 let (matches, stats) = s.matches_with_stats(packet);
@@ -201,7 +196,7 @@ impl EngineSet {
     }
 
     /// [`Self::matches`] over a batch: element `i` is what `matches` gives
-    /// for `packets[i]`. The table, sharded and geom sets amortize their
+    /// for `packets[i]`. The table and geom sets amortize their
     /// probe across the batch; the JIT list walks packet by packet.
     fn matches_batch(&mut self, packets: &[PacketView<'_>]) -> Vec<(Vec<FilterId>, DemuxOutcome)> {
         let with_ops = |(m, ir_ops): (Vec<FilterId>, u32)| {
@@ -215,11 +210,6 @@ impl EngineSet {
             EngineSet::Table(s, _) => {
                 let all = s.matches_batch(packets);
                 all.into_iter().map(|m| with_ops((m, 0))).collect()
-            }
-            EngineSet::Sharded(s) => {
-                let (all, stats) = s.matches_batch_with_stats(packets);
-                let ops = stats.iter().map(|st| st.ops_executed);
-                all.into_iter().zip(ops).map(with_ops).collect()
             }
             EngineSet::Geom(s) => {
                 let (all, stats) = s.matches_batch_with_stats(packets);
@@ -250,10 +240,6 @@ impl EngineSet {
     fn fill_stats(&self, stats: &mut EngineStats) {
         match self {
             EngineSet::Table(s, _) => stats.table_shapes = s.shape_count(),
-            EngineSet::Sharded(s) => {
-                stats.sharded_shard_count = s.shard_count();
-                stats.sharded_shared_tests = s.shared_tests();
-            }
             EngineSet::Geom(s) => {
                 stats.geom_tuple_count = s.tuple_count();
                 stats.geom_residue = s.residue_len();
@@ -282,20 +268,16 @@ pub enum DemuxEngine {
     /// hash probe per filter *shape*, with interpreted fallback for
     /// filters the analyzer cannot convert.
     DecisionTable,
-    /// Filters compiled through the `pf-ir` CFG pipeline to threaded code,
-    /// with set-level value numbering and a guard-keyed shard index:
-    /// *every* word-equality test is shared (memoized once per packet) and
-    /// a packet walks only the members its discriminating word selects.
-    /// Unlike the decision table this accepts *every* filter program.
-    Sharded,
-    /// The geometric (tuple-space) classifier: members indexed by the
-    /// interval constraints their compiled code provably requires
-    /// (`packet[word] ∈ [lo, hi]`; equality is the degenerate case),
-    /// partitioned into `(word, range-class)` tuples with a sparse
-    /// segment tree per range tuple. Port-*range* rules — which have no
-    /// equality literal to shard on — still demultiplex in
-    /// O(#tuples · log U) index work. Accepts every filter program,
-    /// like `Sharded`.
+    /// The geometric (tuple-space) classifier: filters compiled through
+    /// the `pf-ir` CFG pipeline to threaded code and indexed by the
+    /// interval constraints that code provably requires
+    /// (`packet[word] ∈ [lo, hi]`; equality is the degenerate case).
+    /// Members keyed on an equality share one hash bucket per joint value
+    /// of all their exact words — one probe per distinct word-set — and
+    /// members keyed on a range sit in a sparse segment tree per word, so
+    /// port-*range* rules, which have no equality literal to key on,
+    /// still demultiplex in O(#tuples · log U) index work. Unlike the
+    /// decision table this accepts *every* filter program.
     Geom,
     /// Each filter compiled to straight-line native code by pf-ir's
     /// template JIT (cargo feature `jit`), walked in priority order like
@@ -681,7 +663,7 @@ pub struct Application {
 }
 
 /// One snapshot of the active engine's compiled state, replacing the
-/// per-engine accessors (`table_shapes`, `sharded_shared_tests`, …) with a
+/// per-engine accessors (`table_shapes`, `geom_tuple_count`, …) with a
 /// single struct so callers do not need to know which engine maintains
 /// which counter. Counters an engine does not maintain read zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -691,13 +673,9 @@ pub struct EngineStats {
     /// Decision-table shapes (hash probes per packet); decision-table
     /// engine only.
     pub table_shapes: usize,
-    /// Shards in the guard-keyed index (distinct discriminating-word
-    /// literals); sharded engine only.
-    pub sharded_shard_count: usize,
-    /// Value-numbered tests shared between members; sharded engine only.
-    pub sharded_shared_tests: usize,
-    /// `(word, range-class)` tuples every packet probes in the geometric
-    /// index, including tuples only removed members still occupy (removal
+    /// Tuples every packet probes in the geometric index — exact
+    /// word-sets plus per-word range classes — including tuples only
+    /// removed members still occupy (removal
     /// tombstones; the probe goes on until the set compacts); geom engine
     /// only.
     pub geom_tuple_count: usize,
@@ -745,8 +723,8 @@ pub struct DemuxOutcome {
     /// Every filter application performed, in order. Empty under the
     /// compiled engines, which do not apply filters one at a time.
     pub applied: Vec<Application>,
-    /// Threaded-code operations executed, when the sharded or geom engine
-    /// handled the packet (the cost-accounting analogue of `applied`'s
+    /// Threaded-code operations executed, when the geom engine handled
+    /// the packet (the cost-accounting analogue of `applied`'s
     /// instruction counters).
     pub ir_ops: u32,
     /// Filters walked by the JIT engine (each a flat-cost native or
@@ -757,6 +735,69 @@ pub struct DemuxOutcome {
     pub budget_overruns: u32,
     /// Ports quarantined by this demux (first budget overrun).
     pub newly_quarantined: u32,
+}
+
+impl DemuxOutcome {
+    /// Charges this frame's engine work and bumps the counters it moves:
+    /// the one place an engine's cost curve is written down. `charge`
+    /// receives `(routine, cost)` in the order the work was done.
+    ///
+    /// `per_frame_setup` is the one difference between the callers.
+    /// `World` demultiplexes frame by frame and pays the filter set-up
+    /// with each frame's threaded-code run; the multi-core pipeline pays
+    /// one `batch_dispatch` per group instead and only the marginal
+    /// per-operation cost here.
+    pub(crate) fn charge_engine_work(
+        &self,
+        engine: DemuxEngine,
+        index_probes: usize,
+        costs: &CostModel,
+        per_frame_setup: bool,
+        counters: &mut Counters,
+        mut charge: impl FnMut(&'static str, SimDuration),
+    ) {
+        // One probe per decision-table shape or geom tuple, whatever the
+        // population.
+        let probes = (index_probes as u64).max(1);
+        match engine {
+            DemuxEngine::Sequential => {}
+            DemuxEngine::DecisionTable => charge("pf:dtree", costs.dtree_probe.times(probes)),
+            DemuxEngine::Geom => {
+                // The index probe, then the threaded-code operations of
+                // the members it could not rule out, on the interpreter's
+                // per-instruction curve.
+                charge("pf:geom", costs.geom_probe.times(probes));
+                counters.filter_instructions += u64::from(self.ir_ops);
+                let ops = costs.filter_instr.times(u64::from(self.ir_ops));
+                let setup = if per_frame_setup {
+                    costs.filter_setup
+                } else {
+                    SimDuration::ZERO
+                };
+                charge("pf:geom", setup + ops);
+            }
+            DemuxEngine::Jit => {
+                // Native straight-line code has no per-instruction
+                // dispatch; each member walked is one flat evaluation.
+                let walked = u64::from(self.jit_filters.max(1));
+                charge("pf:jit", costs.jit_eval.times(walked));
+            }
+        }
+        // Under the sequential engine `applied` is the walk itself; under
+        // the compiled engines it holds the checked fallback evaluations
+        // of quarantined filters — degradation work, on the same curve.
+        let applied_as = match engine {
+            DemuxEngine::Sequential => "pf:filter",
+            _ => "pf:quarantine",
+        };
+        for a in &self.applied {
+            counters.filters_applied += 1;
+            counters.filter_instructions += u64::from(a.stats.instructions);
+            charge(applied_as, costs.filter_cost(a.stats.instructions));
+        }
+        counters.filter_budget_overruns += u64::from(self.budget_overruns);
+        counters.filters_quarantined += u64::from(self.newly_quarantined);
+    }
 }
 
 /// The packet-filter device of one host.
@@ -1525,11 +1566,11 @@ impl PfDevice {
 /// use pf_kernel::device::{DemuxEngine, PfDevice};
 ///
 /// let d = PfDevice::builder()
-///     .engine(DemuxEngine::Sharded)
+///     .engine(DemuxEngine::Geom)
 ///     .instruction_budget(Some(64))
 ///     .adaptive_reorder(false)
 ///     .build();
-/// assert_eq!(d.engine(), DemuxEngine::Sharded);
+/// assert_eq!(d.engine(), DemuxEngine::Geom);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PfDeviceBuilder {
@@ -1732,7 +1773,6 @@ mod tests {
         for engine in [
             DemuxEngine::Sequential,
             DemuxEngine::DecisionTable,
-            DemuxEngine::Sharded,
             DemuxEngine::Geom,
             DemuxEngine::Jit,
         ] {
@@ -1776,7 +1816,7 @@ mod tests {
         // still match scalar demux exactly.
         let build = || {
             let mut d = PfDevice::builder()
-                .engine(DemuxEngine::Sharded)
+                .engine(DemuxEngine::Geom)
                 .instruction_budget(Some(4))
                 .build();
             let a = d.open((ProcId(0), Fd(0)));
@@ -1893,7 +1933,6 @@ mod tests {
         for engine in [
             DemuxEngine::Sequential,
             DemuxEngine::DecisionTable,
-            DemuxEngine::Sharded,
             DemuxEngine::Geom,
             DemuxEngine::Jit,
         ] {
@@ -2023,7 +2062,6 @@ mod tests {
     fn adaptive_toggle_changes_nothing_under_compiled_engines() {
         for engine in [
             DemuxEngine::DecisionTable,
-            DemuxEngine::Sharded,
             DemuxEngine::Geom,
             DemuxEngine::Jit,
         ] {
@@ -2081,73 +2119,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_agrees_with_sequential() {
-        let filters = vec![
-            samples::pup_socket_filter(10, 0, 35),
-            samples::pup_socket_filter(10, 0, 44),
-            samples::accept_all(5),
-            samples::fig_3_8_pup_type_range(),
-        ];
-        for sock in [35u16, 44, 99] {
-            let mut seq = dev_with(filters.clone());
-            seq.set_adaptive_reorder(false);
-            let mut sh = dev_with(filters.clone());
-            sh.set_adaptive_reorder(false);
-            sh.set_engine(DemuxEngine::Sharded);
-            let p = pkt(sock);
-            assert_eq!(seq.demux(&p).accepted, sh.demux(&p).accepted, "sock={sock}");
-        }
-    }
-
-    #[test]
-    fn sharded_engine_reports_ops_and_shards() {
-        let mut d = dev_with(vec![
-            samples::pup_socket_filter(10, 0, 35),
-            samples::pup_socket_filter(10, 0, 44),
-        ]);
-        d.set_engine(DemuxEngine::Sharded);
-        // Socket word discriminates: one shard per port; the hi-word and
-        // ethertype tests are shared between both members.
-        let stats = d.engine_stats();
-        assert_eq!(stats.sharded_shard_count, 2);
-        assert_eq!(stats.sharded_shared_tests, 2);
-        let out = d.demux(&pkt(35));
-        assert_eq!(out.accepted, vec![0]);
-        assert!(
-            out.applied.is_empty(),
-            "sharded engine does not itemize applications"
-        );
-        assert!(out.ir_ops > 0, "value-numbered work is accounted");
-    }
-
-    #[test]
-    fn sharded_engine_tracks_filter_rebinding_and_close() {
-        let mut d = dev_with(vec![samples::pup_socket_filter(10, 0, 35)]);
-        d.set_engine(DemuxEngine::Sharded);
-        assert!(d.demux(&pkt(44)).accepted.is_empty());
-        d.set_filter(0, samples::pup_socket_filter(10, 0, 44));
-        assert_eq!(d.demux(&pkt(44)).accepted, vec![0]);
-        d.close(0);
-        assert!(d.demux(&pkt(44)).accepted.is_empty());
-    }
-
-    #[test]
-    fn sharded_engine_respects_deliver_to_lower() {
-        let mut d = PfDevice::new();
-        let monitor = d.open((ProcId(0), Fd(0)));
-        d.set_filter(monitor, samples::accept_all(30));
-        d.port_mut(monitor).config.deliver_to_lower = true;
-        let consumer = d.open((ProcId(1), Fd(0)));
-        d.set_filter(consumer, samples::pup_socket_filter(10, 0, 35));
-        d.set_engine(DemuxEngine::Sharded);
-        let out = d.demux(&pkt(35));
-        assert_eq!(out.accepted, vec![monitor, consumer]);
-    }
-
-    #[test]
     fn geom_engine_agrees_with_sequential() {
         let filters = vec![
             samples::pup_socket_filter(10, 0, 35),
+            samples::pup_socket_filter(10, 0, 44),
             samples::socket_range_filter(10, 100, 200),
             samples::accept_all(5),
             samples::fig_3_8_pup_type_range(),
@@ -2190,27 +2165,63 @@ mod tests {
     }
 
     #[test]
-    fn geom_engine_tracks_filter_rebinding_and_close() {
-        let mut d = dev_with(vec![samples::socket_range_filter(10, 100, 200)]);
+    fn geom_engine_files_exact_filters_in_one_tuple() {
+        let mut d = dev_with(vec![
+            samples::pup_socket_filter(10, 0, 35),
+            samples::pup_socket_filter(10, 0, 44),
+        ]);
         d.set_engine(DemuxEngine::Geom);
-        assert!(d.demux(&pkt(250)).accepted.is_empty());
-        d.set_filter(0, samples::socket_range_filter(10, 240, 260));
-        assert_eq!(d.demux(&pkt(250)).accepted, vec![0]);
-        d.close(0);
-        assert!(d.demux(&pkt(250)).accepted.is_empty());
+        // Both members constrain the same three words (ethertype and the
+        // two socket words): one directory tuple, one probe per packet.
+        let stats = d.engine_stats();
+        assert_eq!(stats.geom_tuple_count, 1);
+        assert_eq!(d.index_probes(), 1);
+        let out = d.demux(&pkt(35));
+        assert_eq!(out.accepted, vec![0]);
+        assert!(
+            out.applied.is_empty(),
+            "geom engine does not itemize applications"
+        );
+        let one_member = out.ir_ops;
+        assert!(one_member > 0, "threaded-code work is accounted");
+        // A socket nobody holds selects no member at all.
+        assert_eq!(d.demux(&pkt(99)).ir_ops, 0);
+        assert_eq!(d.demux(&pkt(44)).ir_ops, one_member);
+    }
+
+    #[test]
+    fn geom_engine_tracks_filter_rebinding_and_close() {
+        // A range-keyed member, then an exact-keyed one.
+        let range = |lo| samples::socket_range_filter(10, lo, lo + 20);
+        let exact = |sock| samples::pup_socket_filter(10, 0, sock);
+        for (before, after) in [(range(100), range(240)), (exact(100), exact(250))] {
+            let mut d = dev_with(vec![before]);
+            d.set_engine(DemuxEngine::Geom);
+            assert!(d.demux(&pkt(250)).accepted.is_empty());
+            d.set_filter(0, after);
+            assert_eq!(d.demux(&pkt(250)).accepted, vec![0]);
+            assert!(d.demux(&pkt(100)).accepted.is_empty());
+            d.close(0);
+            assert!(d.demux(&pkt(250)).accepted.is_empty());
+        }
     }
 
     #[test]
     fn geom_engine_respects_deliver_to_lower() {
-        let mut d = PfDevice::new();
-        let monitor = d.open((ProcId(0), Fd(0)));
-        d.set_filter(monitor, samples::accept_all(30));
-        d.port_mut(monitor).config.deliver_to_lower = true;
-        let consumer = d.open((ProcId(1), Fd(0)));
-        d.set_filter(consumer, samples::socket_range_filter(10, 30, 40));
-        d.set_engine(DemuxEngine::Geom);
-        let out = d.demux(&pkt(35));
-        assert_eq!(out.accepted, vec![monitor, consumer]);
+        for consumer_filter in [
+            samples::socket_range_filter(10, 30, 40),
+            samples::pup_socket_filter(10, 0, 35),
+        ] {
+            let mut d = PfDevice::new();
+            let monitor = d.open((ProcId(0), Fd(0)));
+            d.set_filter(monitor, samples::accept_all(30));
+            d.port_mut(monitor).config.deliver_to_lower = true;
+            let consumer = d.open((ProcId(1), Fd(0)));
+            d.set_filter(consumer, consumer_filter);
+            d.set_engine(DemuxEngine::Geom);
+            let out = d.demux(&pkt(35));
+            assert_eq!(out.accepted, vec![monitor, consumer]);
+        }
     }
 
     #[test]
@@ -2348,12 +2359,12 @@ mod tests {
     #[test]
     fn builder_applies_construction_time_configuration() {
         let d = PfDevice::builder()
-            .engine(DemuxEngine::Sharded)
+            .engine(DemuxEngine::Geom)
             .instruction_budget(Some(64))
             .adaptive_reorder(false)
             .overflow_policy(OverflowPolicy::DropOldest)
             .build();
-        assert_eq!(d.engine(), DemuxEngine::Sharded);
+        assert_eq!(d.engine(), DemuxEngine::Geom);
         assert_eq!(d.instruction_budget(), Some(64));
         let mut d = d;
         let p = d.open((ProcId(0), Fd(0)));

@@ -455,10 +455,7 @@ impl McPipeline {
     /// latencies accumulated so far.
     pub fn report(&self) -> McReport {
         let per_core: Vec<Counters> = self.workers.iter().map(|w| w.counters).collect();
-        let mut total = Counters::new();
-        for c in &per_core {
-            total = add_counters(total, *c);
-        }
+        let total = per_core.iter().fold(Counters::new(), |sum, &c| sum + c);
         let finish = (0..self.config.cores)
             .map(|c| self.pool.core(c).free_at())
             .max()
@@ -559,7 +556,7 @@ impl McPipeline {
         for _ in 0..take {
             frames.push(self.workers[core].ring.pop_front().expect("take <= len"));
         }
-        let costs = self.config.costs.clone();
+        let costs = &self.config.costs;
         if polling {
             self.workers[core].counters.poll_batches += 1;
             self.pool.charge(core, "driver:poll", t, costs.poll_batch);
@@ -730,54 +727,21 @@ impl McPipeline {
                 .charge(core, "pf:dispatch", t, costs.batch_dispatch);
         }
         // Decision-table shapes or geom tuples: one read for the group.
-        let probes = (self.workers[origin].device.index_probes() as u64).max(1);
+        let probes = self.workers[origin].device.index_probes();
         for (f, out) in group.iter().zip(&outs) {
-            // Marginal per-frame engine cost (no per-frame setup — the
-            // dispatch above covers it), mirroring the single-core
-            // world's per-engine charging.
-            match engine {
-                DemuxEngine::Sequential => {
-                    for a in &out.applied {
-                        self.workers[core].counters.filters_applied += 1;
-                        self.workers[core].counters.filter_instructions +=
-                            u64::from(a.stats.instructions);
-                        let c = costs.filter_cost(a.stats.instructions);
-                        self.pool.charge(core, "pf:filter", t, c);
-                    }
-                }
-                DemuxEngine::DecisionTable => {
-                    let c = costs.dtree_probe.times(probes);
-                    self.pool.charge(core, "pf:dtree", t, c);
-                }
-                DemuxEngine::Sharded => {
-                    self.workers[core].counters.filter_instructions += u64::from(out.ir_ops);
-                    let c = costs.filter_instr.times(u64::from(out.ir_ops));
-                    self.pool.charge(core, "pf:sharded", t, c);
-                }
-                DemuxEngine::Geom => {
-                    let probe = costs.geom_probe.times(probes);
-                    self.pool.charge(core, "pf:geom", t, probe);
-                    self.workers[core].counters.filter_instructions += u64::from(out.ir_ops);
-                    let c = costs.filter_instr.times(u64::from(out.ir_ops));
-                    self.pool.charge(core, "pf:geom", t, c);
-                }
-                DemuxEngine::Jit => {
-                    let c = costs.jit_eval.times(u64::from(out.jit_filters.max(1)));
-                    self.pool.charge(core, "pf:jit", t, c);
-                }
-            }
-            if engine != DemuxEngine::Sequential {
-                // Quarantined fallbacks, on the interpreter's curve.
-                for a in &out.applied {
-                    self.workers[core].counters.filters_applied += 1;
-                    self.workers[core].counters.filter_instructions +=
-                        u64::from(a.stats.instructions);
-                    let c = costs.filter_cost(a.stats.instructions);
-                    self.pool.charge(core, "pf:quarantine", t, c);
-                }
-            }
-            self.workers[core].counters.filter_budget_overruns += u64::from(out.budget_overruns);
-            self.workers[core].counters.filters_quarantined += u64::from(out.newly_quarantined);
+            // Marginal per-frame engine cost: no per-frame set-up, the
+            // dispatch above covers it.
+            let pool = &mut self.pool;
+            out.charge_engine_work(
+                engine,
+                probes,
+                costs,
+                false,
+                &mut self.workers[core].counters,
+                |routine, cost| {
+                    pool.charge(core, routine, t, cost);
+                },
+            );
             if out.accepted.is_empty() {
                 self.workers[core].counters.drops_no_match += 1;
                 // Same mimicry-pressure feedback as the single-core world:
@@ -838,41 +802,6 @@ impl SimClock for McPipeline {
             None => false,
         }
     }
-}
-
-/// Element-wise sum of two counter sets (the inverse of the `Sub` impl).
-fn add_counters(a: Counters, b: Counters) -> Counters {
-    // Exploit `b - zero = b`: build the sum field-by-field via Sub's
-    // negation trick is uglier than just listing fields; keep it simple.
-    let mut s = a;
-    s.context_switches += b.context_switches;
-    s.syscalls += b.syscalls;
-    s.domain_crossings += b.domain_crossings;
-    s.copies += b.copies;
-    s.bytes_copied += b.bytes_copied;
-    s.packets_sent += b.packets_sent;
-    s.packets_received += b.packets_received;
-    s.packets_delivered += b.packets_delivered;
-    s.drops_queue_full += b.drops_queue_full;
-    s.drops_no_match += b.drops_no_match;
-    s.drops_interface += b.drops_interface;
-    s.filters_applied += b.filters_applied;
-    s.filter_instructions += b.filter_instructions;
-    s.signals_delivered += b.signals_delivered;
-    s.timestamps += b.timestamps;
-    s.filters_quarantined += b.filters_quarantined;
-    s.filter_budget_overruns += b.filter_budget_overruns;
-    s.drops_admission += b.drops_admission;
-    s.poll_batches += b.poll_batches;
-    s.rx_mode_switches += b.rx_mode_switches;
-    s.backpressure_signals += b.backpressure_signals;
-    s.frames_steered += b.frames_steered;
-    s.cross_core_wakeups += b.cross_core_wakeups;
-    s.queue_steals += b.queue_steals;
-    s.batches_executed += b.batches_executed;
-    s.drops_mimicry_shed += b.drops_mimicry_shed;
-    s.gate_resignature_events += b.gate_resignature_events;
-    s
 }
 
 #[cfg(test)]
@@ -973,7 +902,7 @@ mod tests {
 
     #[test]
     fn signature_filters_pin_to_their_flow_queue() {
-        let mut cfg = McConfig::single_core(DemuxEngine::Sharded);
+        let mut cfg = McConfig::single_core(DemuxEngine::Geom);
         cfg.cores = 4;
         cfg.rss = RssConfig::multi_queue(4, vec![SOCK_WORD]);
         let mut pl = McPipeline::new(cfg.clone());
@@ -1065,7 +994,7 @@ mod tests {
         let arrivals = steady_arrivals(400, 3_000, &socks);
         let mut totals = Vec::new();
         for cores in [1usize, 4] {
-            let mut cfg = McConfig::single_core(DemuxEngine::Sharded);
+            let mut cfg = McConfig::single_core(DemuxEngine::Geom);
             cfg.cores = cores;
             cfg.rss = if cores == 1 {
                 RssConfig::single_queue()
@@ -1091,11 +1020,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_one_sharded_cost_matches_legacy_curve() {
+    fn batch_one_geom_cost_matches_legacy_curve() {
         // dispatch(= filter_setup) + instr × filter_instr must equal the
-        // classic filter_cost(ops) charge: batching is an amortization,
-        // not a discount, so batch=1 reproduces single-frame costs.
-        let cfg = McConfig::single_core(DemuxEngine::Sharded);
+        // classic filter_cost(ops) charge (beside the one tuple probe):
+        // batching is an amortization, not a discount, so batch=1
+        // reproduces single-frame costs.
+        let cfg = McConfig::single_core(DemuxEngine::Geom);
         let costs = cfg.costs.clone();
         let mut pl = McPipeline::new(cfg);
         pl.add_filter(samples::pup_socket_filter(10, 0, 35));
@@ -1105,8 +1035,8 @@ mod tests {
         assert_eq!(report.total.packets_delivered, 1);
         let p = pl.pool.core(0).profiler();
         let ops = report.total.filter_instructions;
-        let charged = p.stats("pf:dispatch").time + p.stats("pf:sharded").time;
-        assert_eq!(charged, costs.filter_cost(ops as u32));
+        let charged = p.stats("pf:dispatch").time + p.stats("pf:geom").time;
+        assert_eq!(charged, costs.filter_cost(ops as u32) + costs.geom_probe);
     }
 
     #[test]
@@ -1116,7 +1046,7 @@ mod tests {
         let socks: Vec<u16> = (100..108).collect();
         let mut results = Vec::new();
         for batch in [1usize, 32] {
-            let mut cfg = McConfig::single_core(DemuxEngine::Sharded);
+            let mut cfg = McConfig::single_core(DemuxEngine::Geom);
             cfg.batch = batch;
             let mut pl = McPipeline::new(cfg);
             for &s in &socks {
@@ -1141,7 +1071,7 @@ mod tests {
 
     #[test]
     fn per_core_armor_engages_under_flood() {
-        let mut cfg = McConfig::single_core(DemuxEngine::Sharded);
+        let mut cfg = McConfig::single_core(DemuxEngine::Geom);
         cfg.cores = 2;
         cfg.rss = RssConfig::multi_queue(2, vec![SOCK_WORD]);
         cfg.armor = Some(OverloadConfig::default());
@@ -1173,7 +1103,7 @@ mod tests {
     fn cross_core_wakeups_charged_for_replicated_consumers() {
         // A replicated wildcard is homed on core 0; junk frames steered
         // to core 1 must pay a cross-core wakeup to deliver.
-        let mut cfg = McConfig::single_core(DemuxEngine::Sharded);
+        let mut cfg = McConfig::single_core(DemuxEngine::Geom);
         cfg.cores = 2;
         cfg.rss = RssConfig::multi_queue(2, vec![SOCK_WORD]);
         let mut pl = McPipeline::new(cfg.clone());
@@ -1200,7 +1130,7 @@ mod tests {
     fn idle_core_steals_from_a_deep_sibling() {
         // All flows chosen to steer to one queue, their filters pinned
         // there too — the other core is fully idle and must steal.
-        let mut cfg = McConfig::single_core(DemuxEngine::Sharded);
+        let mut cfg = McConfig::single_core(DemuxEngine::Geom);
         cfg.cores = 2;
         cfg.batch = 4;
         cfg.steal = true;
@@ -1230,7 +1160,7 @@ mod tests {
 
     #[test]
     fn latency_quantiles_are_ordered() {
-        let mut cfg = McConfig::single_core(DemuxEngine::Sharded);
+        let mut cfg = McConfig::single_core(DemuxEngine::Geom);
         cfg.batch = 8;
         let mut pl = McPipeline::new(cfg);
         pl.add_filter(samples::pup_socket_filter(10, 0, 35));
@@ -1253,7 +1183,7 @@ mod tests {
     fn schedule_then_clock_run_is_deterministic() {
         let arrivals = steady_arrivals(50, 10, &[35]);
         let drive = |arrivals: Vec<(SimTime, Vec<u8>)>| {
-            let mut pl = McPipeline::new(McConfig::single_core(DemuxEngine::Sharded));
+            let mut pl = McPipeline::new(McConfig::single_core(DemuxEngine::Geom));
             pl.add_filter(samples::pup_socket_filter(10, 0, 35));
             pl.schedule_arrivals(arrivals);
             SimClock::run(&mut pl);

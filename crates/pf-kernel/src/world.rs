@@ -965,65 +965,17 @@ impl World {
         let outcome = self.hosts[host.0].device.demux(&frame);
         {
             let h = &mut self.hosts[host.0];
-            match h.device.engine() {
-                DemuxEngine::Sequential => {
-                    for a in &outcome.applied {
-                        h.counters.filters_applied += 1;
-                        h.counters.filter_instructions += u64::from(a.stats.instructions);
-                        let cost = h.costs.filter_cost(a.stats.instructions);
-                        h.cpu.charge("pf:filter", now, cost);
-                    }
-                }
-                DemuxEngine::DecisionTable => {
-                    // One hash probe per shape, independent of population.
-                    let shapes = h.device.index_probes() as u64;
-                    let cost = h.costs.dtree_probe.times(shapes.max(1));
-                    h.cpu.charge("pf:dtree", now, cost);
-                }
-                DemuxEngine::Sharded => {
-                    // Threaded-code operations are comparable to interpreter
-                    // instructions; charge them on the same cost curve. The
-                    // sharded set reports value-numbered ops (memoized tests
-                    // are free, skipped members cost nothing).
-                    h.counters.filter_instructions += u64::from(outcome.ir_ops);
-                    let cost = h.costs.filter_cost(outcome.ir_ops);
-                    h.cpu.charge("pf:sharded", now, cost);
-                }
-                DemuxEngine::Geom => {
-                    // One index probe per `(word, range-class)` tuple —
-                    // O(log U) segment-tree work, independent of member
-                    // count — plus the threaded-code ops of the members
-                    // the index could not rule out.
-                    let tuples = h.device.index_probes() as u64;
-                    let probe = h.costs.geom_probe.times(tuples.max(1));
-                    h.cpu.charge("pf:geom", now, probe);
-                    h.counters.filter_instructions += u64::from(outcome.ir_ops);
-                    let cost = h.costs.filter_cost(outcome.ir_ops);
-                    h.cpu.charge("pf:geom", now, cost);
-                }
-                DemuxEngine::Jit => {
-                    // Native straight-line code has no per-instruction
-                    // dispatch; each member walked is one flat evaluation.
-                    let cost = h
-                        .costs
-                        .jit_eval
-                        .times(u64::from(outcome.jit_filters.max(1)));
-                    h.cpu.charge("pf:jit", now, cost);
-                }
-            }
-            // Under the compiled engines, `applied` holds the checked
-            // fallback evaluations of quarantined filters — degradation
-            // work, charged on the interpreter's cost curve.
-            if h.device.engine() != DemuxEngine::Sequential {
-                for a in &outcome.applied {
-                    h.counters.filters_applied += 1;
-                    h.counters.filter_instructions += u64::from(a.stats.instructions);
-                    let cost = h.costs.filter_cost(a.stats.instructions);
-                    h.cpu.charge("pf:quarantine", now, cost);
-                }
-            }
-            h.counters.filter_budget_overruns += u64::from(outcome.budget_overruns);
-            h.counters.filters_quarantined += u64::from(outcome.newly_quarantined);
+            let cpu = &mut h.cpu;
+            outcome.charge_engine_work(
+                h.device.engine(),
+                h.device.index_probes(),
+                &h.costs,
+                true,
+                &mut h.counters,
+                |routine, cost| {
+                    cpu.charge(routine, now, cost);
+                },
+            );
         }
         if outcome.accepted.is_empty() {
             let h = &mut self.hosts[host.0];

@@ -141,7 +141,6 @@ proptest! {
         };
         let mut seq = build(DemuxEngine::Sequential);
         let mut tab = build(DemuxEngine::DecisionTable);
-        let mut sharded = build(DemuxEngine::Sharded);
         let mut geom = build(DemuxEngine::Geom);
         let mut jit = build(DemuxEngine::Jit);
         for (et, sock, ptype) in traffic {
@@ -151,11 +150,6 @@ proptest! {
                 tab.demux(&pkt).accepted,
                 expect.clone(),
                 "table: et={} sock={} type={}", et, sock, ptype
-            );
-            prop_assert_eq!(
-                sharded.demux(&pkt).accepted,
-                expect.clone(),
-                "sharded: et={} sock={} type={}", et, sock, ptype
             );
             prop_assert_eq!(
                 geom.demux(&pkt).accepted,

@@ -216,7 +216,6 @@ fn admission_gate_is_deterministic() {
 fn device_churn_matches_fresh_build_and_oracle() {
     for (n, engine) in [
         DemuxEngine::DecisionTable,
-        DemuxEngine::Sharded,
         DemuxEngine::Geom,
         DemuxEngine::Jit,
     ]

@@ -6,7 +6,7 @@
 //! them.
 
 use core::fmt;
-use core::ops::Sub;
+use core::ops::{Add, Sub};
 
 /// Cumulative event counts for one simulated host.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -100,43 +100,79 @@ impl Counters {
     }
 }
 
-impl Sub for Counters {
-    type Output = Counters;
+/// Generates the element-wise `Add` and `Sub` from one list of field
+/// names. Both build the result with an exhaustive struct literal, so a
+/// field added to [`Counters`] but not to the list does not compile.
+macro_rules! elementwise {
+    ($($field:ident),* $(,)?) => {
+        impl Add for Counters {
+            type Output = Counters;
 
-    /// Element-wise difference: `end - start` gives the counts for an
-    /// interval.
-    fn sub(self, rhs: Counters) -> Counters {
-        Counters {
-            context_switches: self.context_switches - rhs.context_switches,
-            syscalls: self.syscalls - rhs.syscalls,
-            domain_crossings: self.domain_crossings - rhs.domain_crossings,
-            copies: self.copies - rhs.copies,
-            bytes_copied: self.bytes_copied - rhs.bytes_copied,
-            packets_sent: self.packets_sent - rhs.packets_sent,
-            packets_received: self.packets_received - rhs.packets_received,
-            packets_delivered: self.packets_delivered - rhs.packets_delivered,
-            drops_queue_full: self.drops_queue_full - rhs.drops_queue_full,
-            drops_no_match: self.drops_no_match - rhs.drops_no_match,
-            drops_interface: self.drops_interface - rhs.drops_interface,
-            filters_applied: self.filters_applied - rhs.filters_applied,
-            filter_instructions: self.filter_instructions - rhs.filter_instructions,
-            signals_delivered: self.signals_delivered - rhs.signals_delivered,
-            timestamps: self.timestamps - rhs.timestamps,
-            filters_quarantined: self.filters_quarantined - rhs.filters_quarantined,
-            filter_budget_overruns: self.filter_budget_overruns - rhs.filter_budget_overruns,
-            drops_admission: self.drops_admission - rhs.drops_admission,
-            poll_batches: self.poll_batches - rhs.poll_batches,
-            rx_mode_switches: self.rx_mode_switches - rhs.rx_mode_switches,
-            backpressure_signals: self.backpressure_signals - rhs.backpressure_signals,
-            frames_steered: self.frames_steered - rhs.frames_steered,
-            cross_core_wakeups: self.cross_core_wakeups - rhs.cross_core_wakeups,
-            queue_steals: self.queue_steals - rhs.queue_steals,
-            batches_executed: self.batches_executed - rhs.batches_executed,
-            drops_mimicry_shed: self.drops_mimicry_shed - rhs.drops_mimicry_shed,
-            gate_resignature_events: self.gate_resignature_events - rhs.gate_resignature_events,
+            /// Element-wise sum: the counts of two hosts (or cores) taken
+            /// together.
+            fn add(self, rhs: Counters) -> Counters {
+                Counters {
+                    $($field: self.$field + rhs.$field),*
+                }
+            }
         }
-    }
+
+        impl Sub for Counters {
+            type Output = Counters;
+
+            /// Element-wise difference: `end - start` gives the counts for an
+            /// interval.
+            fn sub(self, rhs: Counters) -> Counters {
+                Counters {
+                    $($field: self.$field - rhs.$field),*
+                }
+            }
+        }
+
+        /// A counter set whose fields are `base + 1, base + 2, …` in list
+        /// order: every field set, no two alike.
+        #[cfg(test)]
+        fn numbered(base: u64) -> Counters {
+            let mut n = base;
+            Counters {
+                $($field: {
+                    n += 1;
+                    n
+                }),*
+            }
+        }
+    };
 }
+
+elementwise!(
+    context_switches,
+    syscalls,
+    domain_crossings,
+    copies,
+    bytes_copied,
+    packets_sent,
+    packets_received,
+    packets_delivered,
+    drops_queue_full,
+    drops_no_match,
+    drops_interface,
+    filters_applied,
+    filter_instructions,
+    signals_delivered,
+    timestamps,
+    filters_quarantined,
+    filter_budget_overruns,
+    drops_admission,
+    poll_batches,
+    rx_mode_switches,
+    backpressure_signals,
+    frames_steered,
+    cross_core_wakeups,
+    queue_steals,
+    batches_executed,
+    drops_mimicry_shed,
+    gate_resignature_events,
+);
 
 impl fmt::Display for Counters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -202,6 +238,16 @@ mod tests {
         assert_eq!(d.syscalls, 15);
         assert_eq!(d.copies, 5);
         assert_eq!(d.context_switches, 0);
+    }
+
+    #[test]
+    fn sum_then_difference_is_the_identity_on_every_field() {
+        let (a, b) = (numbered(1_000), numbered(0));
+        let sum = a + b;
+        assert_eq!(sum - b, a);
+        assert_eq!(sum - a, b);
+        assert_eq!(sum.context_switches, 1_001 + 1);
+        assert_eq!(sum.gate_resignature_events, 1_027 + 27);
     }
 
     #[test]

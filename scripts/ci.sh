@@ -41,8 +41,9 @@ cargo run -p pf-bench --release --bin bench_mc -- --smoke --out "$mc_json" > /de
 python3 -m json.tool "$mc_json" > /dev/null
 rm -f "$mc_json"
 # Demux-scaling invariants: the smoke run carries sweep-internal asserts
-# (geom beats sharded-VN on the range-heavy ladder, stays within 2x on
-# pure-exact populations, sublinear probe growth up the ladder, churn
+# on geom's own work counters (at most two members evaluated per packet
+# on pure-exact populations, under a tenth of the population on the
+# range-heavy ladder, sublinear probe growth up the ladder, churn
 # compactions amortized); same temp-path treatment, and the artifact —
 # rows + range_rows + churn_rows — must parse as JSON.
 echo "==> cargo run -p pf-bench --release --bin bench_demux -- --smoke --out <tmp>"

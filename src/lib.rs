@@ -7,9 +7,9 @@
 //! * [`filter`] — the filter language and its execution engines (the
 //!   paper's core contribution);
 //! * [`ir`] — the control-flow-graph filter IR: optimizing passes, a
-//!   threaded-code engine, the sharded value-numbered filter set, the
-//!   geometric classifier, and (behind the off-by-default `jit` cargo
-//!   feature) a machine-code template JIT — surfaces 5 through 8;
+//!   threaded-code engine, the geometric classifier, and (behind the
+//!   off-by-default `jit` cargo feature) a machine-code template JIT —
+//!   surfaces 5 through 7;
 //! * [`sim`] — the deterministic simulated Unix-like kernel substrate;
 //! * [`net`] — simulated Ethernets and network interfaces;
 //! * [`kernel`] — the packet-filter pseudo-device driver and the

@@ -1,8 +1,8 @@
-//! End-to-end scenarios under the compiled set engines,
-//! [`DemuxEngine::Geom`] and [`DemuxEngine::Sharded`]: they drive the same
-//! full-stack conversations as the sequential engine — identical delivery
-//! and drops, deterministic runs — while charging their cost as index
-//! probes and threaded-code operations.
+//! End-to-end scenarios under the compiled set engine,
+//! [`DemuxEngine::Geom`]: it drives the same full-stack conversations as
+//! the sequential engine — identical delivery and drops, deterministic
+//! runs — while charging its cost as index probes and threaded-code
+//! operations.
 
 use packet_filter::filter::samples;
 use packet_filter::kernel::app::App;
@@ -167,53 +167,4 @@ fn geom_engine_delivery_matches_sequential_and_is_deterministic() {
     assert!(seq.1 && geom1.1, "both engines complete the transfer");
     assert_eq!(seq.2, geom1.2, "identical bytes delivered");
     assert_eq!(geom1, geom2, "geom runs are bit-deterministic");
-    let sh1 = run(DemuxEngine::Sharded);
-    let sh2 = run(DemuxEngine::Sharded);
-    assert!(sh1.1, "the sharded engine completes the transfer");
-    assert_eq!(seq.2, sh1.2, "identical bytes delivered under sharding");
-    assert_eq!(sh1, sh2, "sharded runs are bit-deterministic");
-}
-
-#[test]
-fn sharded_engine_coexists_with_kernel_protocols() {
-    use packet_filter::net::frame;
-    use packet_filter::proto::ip::IP_ETHERTYPE;
-
-    let medium = Medium::experimental_3mb();
-    let mut w = World::new(3);
-    let seg = w.add_segment(medium, FaultModel::default());
-    let h = w.add_host("dual", seg, 0x0B, CostModel::microvax_ii());
-    w.set_demux_engine(h, DemuxEngine::Sharded);
-    w.register_protocol(h, Box::new(KernelIp::new(11)));
-    let p = w.spawn(
-        h,
-        Box::new(DualStack {
-            udp_got: 0,
-            pf_got: 0,
-        }),
-    );
-
-    let udp = encode_ip(
-        &IpHeader {
-            proto: PROTO_UDP,
-            ttl: 30,
-            src: 10,
-            dst: 11,
-            total_len: 0,
-        },
-        &encode_udp(9, 77, b"hello"),
-    );
-    let udp_frame = frame::build(&medium, 0x0B, 0x0A, IP_ETHERTYPE, &udp).unwrap();
-    w.inject_frame(h, udp_frame, SimTime(1_000_000));
-    w.inject_frame(h, samples::pup_packet_3mb(2, 0, 35, 1), SimTime(2_000_000));
-    w.inject_frame(h, samples::pup_packet_3mb(2, 0, 99, 1), SimTime(3_000_000));
-    w.run();
-
-    let app = w.app_ref::<DualStack>(h, p).unwrap();
-    assert_eq!(app.udp_got, 1, "UDP went through the kernel stack");
-    assert_eq!(
-        app.pf_got, 1,
-        "the Pup went through the sharded demultiplexer"
-    );
-    assert_eq!(w.counters(h).drops_no_match, 1, "the stray Pup was dropped");
 }

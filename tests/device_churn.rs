@@ -12,9 +12,8 @@ use packet_filter::ir::GeomSet;
 use packet_filter::kernel::types::{Fd, ProcId};
 use packet_filter::{DemuxEngine, PfDevice};
 
-const COMPILED: [DemuxEngine; 4] = [
+const COMPILED: [DemuxEngine; 3] = [
     DemuxEngine::DecisionTable,
-    DemuxEngine::Sharded,
     DemuxEngine::Geom,
     DemuxEngine::Jit,
 ];
@@ -22,11 +21,6 @@ const COMPILED: [DemuxEngine; 4] = [
 #[test]
 fn churned_device_matches_a_fresh_build_and_the_oracle_dtree() {
     device_churn::run(DemuxEngine::DecisionTable, 0x5EED_0001, 2_000);
-}
-
-#[test]
-fn churned_device_matches_a_fresh_build_and_the_oracle_sharded() {
-    device_churn::run(DemuxEngine::Sharded, 0x5EED_0003, 2_000);
 }
 
 #[test]
