@@ -27,9 +27,10 @@ pub struct SockId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PipeId(pub usize);
 
-/// A pending-timer handle.
+/// A pending-timer handle: the timer's event in the queue, whose stamp makes
+/// the handle of a fired or cancelled timer name nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(pub u64);
+pub struct TimerId(pub(crate) pf_sim::queue::EventHandle);
 
 /// How a `read` on a packet-filter port behaves when packets are queued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -35,7 +35,7 @@ use pf_sim::profile::Profiler;
 use pf_sim::queue::{EventHandle, EventQueue};
 use pf_sim::time::{SimDuration, SimTime};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Default NIC receive-ring capacity (frames buffered ahead of the driver).
 pub const DEFAULT_NIC_CAPACITY: usize = 32;
@@ -103,11 +103,13 @@ impl std::error::Error for SendError {}
 enum Event {
     /// First scheduling of a process.
     Start { host: HostId, proc: ProcId },
-    /// A frame has fully arrived at a host's network interface.
-    FrameArrival { host: HostId, frame: Vec<u8> },
-    /// The driver finished receive processing for one frame (frees a NIC
-    /// ring slot).
-    DriverDone { host: HostId },
+    /// A frame has fully arrived at a host's network interface. `seq` is
+    /// this event's own tie-break (`EventQueue::next_seq` when scheduled).
+    FrameArrival {
+        host: HostId,
+        frame: Vec<u8>,
+        seq: u64,
+    },
     /// Completion of a packet-filter read.
     DeliverPackets {
         host: HostId,
@@ -131,7 +133,6 @@ enum Event {
         host: HostId,
         proc: ProcId,
         token: u64,
-        timer: u64,
     },
     /// Pipe data reaching its reader.
     PipeDeliver {
@@ -215,7 +216,13 @@ pub(crate) struct Host {
     protocols: Vec<Option<Box<dyn KernelProtocol>>>,
     socks: Vec<Sock>,
     pipes: Vec<Pipe>,
-    nic_inflight: usize,
+    /// The receive ring: `(completion time, tie-break)` of each frame the
+    /// driver was charged for and `frame_arrival` has not retired, oldest
+    /// first (`Cpu::free_at` only grows). The tie-break is the one an event
+    /// scheduled at the charge would have had, so an arrival retires what
+    /// would have fired before it. A frame is taken in only while fewer than
+    /// `nic_capacity` are here: that is the ring's memory bound.
+    rx_ring: VecDeque<(SimTime, u64)>,
     pub(crate) nic_capacity: usize,
     /// Receive-livelock armor parameters; `None` leaves the paper's pure
     /// interrupt-driven receive path.
@@ -233,8 +240,6 @@ pub(crate) struct Host {
     /// depending on which process last ran.
     contended: bool,
     tx_free_at: SimTime,
-    next_timer: u64,
-    timer_events: HashMap<u64, EventHandle>,
 }
 
 impl Host {
@@ -367,7 +372,7 @@ impl World {
             protocols: Vec::new(),
             socks: Vec::new(),
             pipes: Vec::new(),
-            nic_inflight: 0,
+            rx_ring: VecDeque::new(),
             nic_capacity: DEFAULT_NIC_CAPACITY,
             overload: None,
             polling: false,
@@ -375,8 +380,6 @@ impl World {
             rx_backlog: VecDeque::new(),
             contended: false,
             tx_free_at: SimTime::ZERO,
-            next_timer: 0,
-            timer_events: HashMap::new(),
         });
         id
     }
@@ -646,8 +649,9 @@ impl World {
     /// Injects a frame as if it arrived from the wire at time `at` (test
     /// and trace-replay hook).
     pub fn inject_frame(&mut self, host: HostId, frame: Vec<u8>, at: SimTime) {
+        let seq = self.events.next_seq();
         self.events
-            .schedule(at, Event::FrameArrival { host, frame });
+            .schedule(at, Event::FrameArrival { host, frame, seq });
     }
 
     /// Schedules `frame` for transmission from `host`'s NIC at time `at`:
@@ -662,11 +666,7 @@ impl World {
             Event::Start { host, proc } => {
                 self.invoke_app(host, proc, |app, k| app.start(k));
             }
-            Event::FrameArrival { host, frame } => self.frame_arrival(host, frame, now),
-            Event::DriverDone { host } => {
-                let h = &mut self.hosts[host.0];
-                h.nic_inflight = h.nic_inflight.saturating_sub(1);
-            }
+            Event::FrameArrival { host, frame, seq } => self.frame_arrival(host, frame, now, seq),
             Event::DeliverPackets {
                 host,
                 proc,
@@ -699,13 +699,7 @@ impl World {
             Event::Signal { host, proc, fd } => {
                 self.invoke_app(host, proc, |app, k| app.on_signal(fd, k));
             }
-            Event::Timer {
-                host,
-                proc,
-                token,
-                timer,
-            } => {
-                self.hosts[host.0].timer_events.remove(&timer);
+            Event::Timer { host, proc, token } => {
                 self.invoke_app(host, proc, |app, k| app.on_timer(token, k));
             }
             Event::PipeDeliver {
@@ -809,7 +803,7 @@ impl World {
     /// batches; under per-packet interrupts the full driver receive cost is
     /// charged here, and sustained ring occupancy at the high-water mark
     /// flips the host into polling mode.
-    fn frame_arrival(&mut self, host: HostId, frame: Vec<u8>, now: SimTime) {
+    fn frame_arrival(&mut self, host: HostId, frame: Vec<u8>, now: SimTime, seq: u64) {
         {
             let h = &mut self.hosts[host.0];
             h.counters.packets_received += 1;
@@ -827,16 +821,20 @@ impl World {
                 }
                 return;
             }
-            if h.nic_inflight >= h.nic_capacity {
+            while h.rx_ring.front().is_some_and(|&done| done <= (now, seq)) {
+                h.rx_ring.pop_front();
+            }
+            if h.rx_ring.len() >= h.nic_capacity {
                 h.counters.drops_interface += 1;
                 return;
             }
-            h.nic_inflight += 1;
             let cost = h.costs.driver_rx_cost(frame.len());
             let done = h.cpu.charge("driver:rx", now, cost);
-            self.events.schedule(done, Event::DriverDone { host });
+            // Read, not taken: what is scheduled next fires after it.
+            h.rx_ring.push_back((done, self.events.next_seq()));
+            debug_assert!(h.rx_ring.len() <= h.nic_capacity);
             if let Some(cfg) = h.overload {
-                if h.nic_inflight >= cfg.hi_watermark {
+                if h.rx_ring.len() >= cfg.hi_watermark {
                     // The driver can no longer keep up with per-packet
                     // interrupts: switch to polling. Frames already charged
                     // keep their scheduled processing; new arrivals park in
@@ -1144,6 +1142,7 @@ impl World {
                 StationOwner::Host(h) => Event::FrameArrival {
                     host: HostId(h),
                     frame: d.frame,
+                    seq: self.events.next_seq(),
                 },
                 StationOwner::Router { router, iface } => Event::RouterForward {
                     router: RouterId(router),
@@ -1414,36 +1413,52 @@ impl ProcCtx<'_> {
         Some(h.device.port(idx).stats())
     }
 
+    /// Whether a frame of `len` bytes fits the medium.
+    fn check_frame_len(&self, len: usize) -> Result<(), SendError> {
+        let (medium, _) = self.link_info();
+        match len {
+            _ if len < medium.header_len => Err(SendError::FrameTooShort),
+            _ if len > medium.max_packet => Err(SendError::FrameTooLong),
+            _ => Ok(()),
+        }
+    }
+
+    /// One written frame, the system call paid for: copy in, output work,
+    /// driver, wire. The copy is a charge; the buffer itself moves.
+    fn queue_for_transmit(&mut self, frame: Vec<u8>) {
+        let now = self.world.events.now();
+        let h = self.h();
+        h.counters.copies += 1;
+        h.counters.bytes_copied += frame.len() as u64;
+        let c_copy = h.costs.copy(frame.len());
+        h.cpu.charge("pf:write-copyin", now, c_copy);
+        let c_out = h.costs.pf_send_fixed;
+        h.cpu.charge("pf:output", now, c_out);
+        let c_tx = h.costs.driver_tx_cost(frame.len());
+        let done = h.cpu.charge("driver:tx", now, c_tx);
+        self.world.transmit_frame(self.host, frame, done);
+    }
+
     /// Transmits a complete frame (data-link header included) — §3's
     /// packet transmission: "control returns to the user once the packet is
-    /// queued for transmission"; delivery is unreliable.
+    /// queued for transmission"; delivery is unreliable. Takes the buffer:
+    /// it is the one that reaches the wire.
     ///
     /// # Errors
     ///
     /// Returns a [`SendError`] if the frame violates the medium's size
     /// limits.
-    pub fn pf_write(&mut self, _fd: Fd, frame_bytes: &[u8]) -> Result<(), SendError> {
-        let (medium, _) = self.link_info();
-        if frame_bytes.len() < medium.header_len {
-            return Err(SendError::FrameTooShort);
-        }
-        if frame_bytes.len() > medium.max_packet {
-            return Err(SendError::FrameTooLong);
-        }
+    pub fn pf_write_owned(&mut self, _fd: Fd, frame: Vec<u8>) -> Result<(), SendError> {
+        self.check_frame_len(frame.len())?;
         self.charge_syscall("pf:write");
-        let now = self.world.events.now();
-        let h = self.h();
-        h.counters.copies += 1;
-        h.counters.bytes_copied += frame_bytes.len() as u64;
-        let c_copy = h.costs.copy(frame_bytes.len());
-        h.cpu.charge("pf:write-copyin", now, c_copy);
-        let c_out = h.costs.pf_send_fixed;
-        h.cpu.charge("pf:output", now, c_out);
-        let c_tx = h.costs.driver_tx_cost(frame_bytes.len());
-        let done = h.cpu.charge("driver:tx", now, c_tx);
-        let host = self.host;
-        self.world.transmit_frame(host, frame_bytes.to_vec(), done);
+        self.queue_for_transmit(frame);
         Ok(())
+    }
+
+    /// [`pf_write_owned`](Self::pf_write_owned), errors included, for a
+    /// caller that keeps its frame.
+    pub fn pf_write(&mut self, fd: Fd, frame_bytes: &[u8]) -> Result<(), SendError> {
+        self.pf_write_owned(fd, frame_bytes.to_vec())
     }
 
     /// Transmits several complete frames in one system call — §7's
@@ -1457,27 +1472,10 @@ impl ProcCtx<'_> {
     /// Returns the first frame's size violation, if any; frames before it
     /// are already queued (matching `writev` semantics).
     pub fn pf_write_batch(&mut self, _fd: Fd, frames: &[Vec<u8>]) -> Result<(), SendError> {
-        let (medium, _) = self.link_info();
         self.charge_syscall("pf:writev");
         for frame_bytes in frames {
-            if frame_bytes.len() < medium.header_len {
-                return Err(SendError::FrameTooShort);
-            }
-            if frame_bytes.len() > medium.max_packet {
-                return Err(SendError::FrameTooLong);
-            }
-            let now = self.world.events.now();
-            let h = self.h();
-            h.counters.copies += 1;
-            h.counters.bytes_copied += frame_bytes.len() as u64;
-            let c_copy = h.costs.copy(frame_bytes.len());
-            h.cpu.charge("pf:write-copyin", now, c_copy);
-            let c_out = h.costs.pf_send_fixed;
-            h.cpu.charge("pf:output", now, c_out);
-            let c_tx = h.costs.driver_tx_cost(frame_bytes.len());
-            let done = h.cpu.charge("driver:tx", now, c_tx);
-            let host = self.host;
-            self.world.transmit_frame(host, frame_bytes.clone(), done);
+            self.check_frame_len(frame_bytes.len())?;
+            self.queue_for_transmit(frame_bytes.clone());
         }
         Ok(())
     }
@@ -1558,32 +1556,18 @@ impl ProcCtx<'_> {
 
     /// Sets a one-shot timer; [`App::on_timer`] fires with `token`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        let host = self.host;
-        let proc = self.proc;
+        let (host, proc) = (self.host, self.proc);
         let at = self.world.events.now() + delay;
-        let h = &mut self.world.hosts[host.0];
-        let timer = h.next_timer;
-        h.next_timer += 1;
-        let handle = self.world.events.schedule(
-            at,
-            Event::Timer {
-                host,
-                proc,
-                token,
-                timer,
-            },
-        );
-        self.world.hosts[host.0].timer_events.insert(timer, handle);
-        TimerId(timer)
+        TimerId(
+            self.world
+                .events
+                .schedule(at, Event::Timer { host, proc, token }),
+        )
     }
 
-    /// Cancels a pending timer; `false` if it already fired.
+    /// Cancels a pending timer; `false` if it already fired or was cancelled.
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
-        let h = &mut self.world.hosts[self.host.0];
-        match h.timer_events.remove(&id.0) {
-            Some(handle) => self.world.events.cancel(handle),
-            None => false,
-        }
+        self.world.events.cancel(id.0)
     }
 
     /// Creates a pipe whose read end belongs to `reader`.
@@ -1739,14 +1723,15 @@ impl KernelCtx<'_> {
         &mut self.world.hosts[self.host.0].counters
     }
 
-    /// Transmits a frame from kernel context (charges driver costs).
-    pub fn transmit(&mut self, frame_bytes: &[u8]) {
+    /// Transmits a frame from kernel context (charges driver costs). Takes
+    /// the buffer: it is the one that reaches the wire.
+    pub fn transmit(&mut self, frame: Vec<u8>) {
         let now = self.world.events.now();
         let host = self.host;
         let h = &mut self.world.hosts[host.0];
-        let c = h.costs.driver_tx_cost(frame_bytes.len());
+        let c = h.costs.driver_tx_cost(frame.len());
         let done = h.cpu.charge("driver:tx", now, c);
-        self.world.transmit_frame(host, frame_bytes.to_vec(), done);
+        self.world.transmit_frame(host, frame, done);
     }
 
     /// Sets a kernel timer; [`KernelProtocol::on_timer`] fires with `token`.

@@ -146,7 +146,7 @@ impl KernelProtocol for KernelArp {
                 tha: pkt.sha,
                 tpa: pkt.spa,
             };
-            k.transmit(&reply.encode_frame(&medium, ARP_ETHERTYPE, pkt.sha, my_eth));
+            k.transmit(reply.encode_frame(&medium, ARP_ETHERTYPE, pkt.sha, my_eth));
         }
     }
 

@@ -254,7 +254,7 @@ impl SenderMachine {
     /// Offers payload bytes to the stream.
     pub fn offer(&mut self, data: &[u8]) -> Vec<Effect> {
         assert!(!self.eof, "offer() after finish()");
-        self.buffer.extend(data.iter().copied());
+        self.buffer.extend(data);
         let mut fx = Vec::new();
         self.pump(&mut fx);
         fx
@@ -405,7 +405,11 @@ impl SenderMachine {
                 break;
             }
             let n = self.buffer.len().min(self.cfg.segment);
-            let chunk: Vec<u8> = self.buffer.drain(..n).collect();
+            // The first `n` bytes lie in at most two runs of the ring.
+            let (head, tail) = self.buffer.as_slices();
+            let from_head = n.min(head.len());
+            let chunk = [&head[..from_head], &tail[..n - from_head]].concat();
+            self.buffer.drain(..n);
             let seq = self.next_seq;
             self.next_seq += 1;
             // Ask for an ack when this fills the window or drains the
@@ -1062,6 +1066,79 @@ mod machine_tests {
             |e| matches!(e, Effect::Send(p) if p.ptype == types::BSP_THROTTLE && p.dst == sa)
         ));
         assert_eq!(r.stats.throttles_sent, 1);
+    }
+
+    /// Segment boundaries are what they were when `pump` drained a byte at
+    /// a time — whole segments off the front of the stream while the window
+    /// has room — wherever in its ring the buffer's head happens to be.
+    #[test]
+    fn segments_cut_from_a_wrapped_buffer_are_byte_exact() {
+        let (sa, ra) = addrs();
+        let cfg = BspConfig {
+            window: 3,
+            segment: 100,
+            ..Default::default()
+        };
+        let (window, segment) = (cfg.window, cfg.segment);
+        let mut s = SenderMachine::new(sa, ra, cfg);
+        let _ = s.connect();
+        let _ = s.on_pup(&Pup::new(types::BSP_OPEN, 0, sa, ra, Vec::new()));
+
+        let stream: Vec<u8> = (0..20_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let mut offered = 0;
+        let mut sent: Vec<Vec<u8>> = Vec::new();
+        let mut next_ack = 1u32;
+        let mut most_buffered = 0;
+        let mut laps_worth = 0;
+        let take = |fx: Vec<Effect>, sent: &mut Vec<Vec<u8>>| {
+            for e in fx {
+                match e {
+                    Effect::Send(p) if p.ptype != types::BSP_END => {
+                        assert_eq!(p.id as usize, sent.len() + 1, "in sequence");
+                        sent.push(p.data);
+                    }
+                    _ => {}
+                }
+            }
+        };
+        // Uneven offers against a draining window: the buffer's head walks
+        // round its ring, so segments straddle the wrap.
+        for chunk in [37usize, 211, 5, 149, 83].iter().cycle() {
+            if offered == stream.len() {
+                break;
+            }
+            let hi = (offered + chunk).min(stream.len());
+            take(s.offer(&stream[offered..hi]), &mut sent);
+            offered = hi;
+            most_buffered = most_buffered.max(s.buffered_bytes());
+            if s.inflight() == window {
+                next_ack += 1;
+                let ack = Pup::new(types::BSP_ACK, next_ack, sa, ra, Vec::new());
+                take(s.on_pup(&ack), &mut sent);
+                laps_worth += segment;
+            }
+        }
+        take(s.finish(), &mut sent);
+        while s.inflight() > 0 {
+            next_ack += 1;
+            let ack = Pup::new(types::BSP_ACK, next_ack, sa, ra, Vec::new());
+            take(s.on_pup(&ack), &mut sent);
+        }
+        // The ring never held more than `most_buffered` bytes (it grows by
+        // doubling, so its capacity is under twice that), yet far more went
+        // through it.
+        let ring = 2 * most_buffered;
+        assert!(
+            laps_worth >= 3 * ring,
+            "{laps_worth} bytes through a {ring}-byte ring"
+        );
+        // Full segments until the stream runs out, as when they were
+        // drained a byte at a time.
+        let want: Vec<&[u8]> = stream.chunks(segment).collect();
+        assert_eq!(sent.len(), want.len());
+        for (i, (got, want)) in sent.iter().zip(want).enumerate() {
+            assert_eq!(got, want, "segment {}", i + 1);
+        }
     }
 
     #[test]

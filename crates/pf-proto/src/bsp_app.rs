@@ -71,7 +71,8 @@ impl Endpoint {
     }
 
     /// Applies machine effects that do not feed back into the machine;
-    /// returns the feedback events (connected / closed / delivered bytes).
+    /// returns the feedback events (connected / closed / bytes delivered:
+    /// a count — the bytes themselves are in the machine's `Effect::Deliver`).
     fn apply(&mut self, fx: Vec<Effect>, k: &mut ProcCtx<'_>) -> Feedback {
         let medium = Medium::experimental_3mb();
         let mut fb = Feedback::default();
@@ -83,7 +84,7 @@ impl Endpoint {
                         k.compute("user:pup-cksum", cksum_cost(pup.data.len()));
                     }
                     let frame = pup.encode_frame(&medium, self.checksummed);
-                    let _ = k.pf_write(self.fd.expect("port open"), &frame);
+                    let _ = k.pf_write_owned(self.fd.expect("port open"), frame);
                 }
                 Effect::SetTimer(d, token) => {
                     if let Some(t) = self.timer.take() {
@@ -96,7 +97,7 @@ impl Endpoint {
                         k.cancel_timer(t);
                     }
                 }
-                Effect::Deliver(data) => fb.delivered.extend(data),
+                Effect::Deliver(data) => fb.delivered += data.len(),
                 Effect::Connected => fb.connected = true,
                 Effect::Closed => fb.closed = true,
                 Effect::Failed => fb.failed = true,
@@ -111,7 +112,7 @@ struct Feedback {
     connected: bool,
     closed: bool,
     failed: bool,
-    delivered: Vec<u8>,
+    delivered: usize,
 }
 
 /// A user-level BSP bulk sender: connects, streams `payload`, closes.
@@ -211,9 +212,8 @@ impl BspSenderApp {
                 while self.offered < self.payload.len() && self.machine.buffered_bytes() < chunk {
                     let hi = (self.offered + chunk).min(self.payload.len());
                     k.compute("user:disk-read", cost);
-                    let slice: Vec<u8> = self.payload[self.offered..hi].to_vec();
+                    let fx = self.machine.offer(&self.payload[self.offered..hi]);
                     self.offered = hi;
-                    let fx = self.machine.offer(&slice);
                     let _ = self.ep.apply(fx, k);
                 }
             }
@@ -366,14 +366,14 @@ impl App for BspReceiverApp {
             self.ep.charge_rx_cksum(k, pup.data.len());
             let fx = self.machine.on_pup(&pup);
             let fb = self.ep.apply(fx, k);
-            if !fb.delivered.is_empty() {
+            if fb.delivered > 0 {
                 if self.first_byte_at.is_none() {
                     self.first_byte_at = Some(k.now());
                 }
-                self.bytes += fb.delivered.len() as u64;
+                self.bytes += fb.delivered as u64;
                 if self.per_byte_cost > SimDuration::ZERO {
                     let total = SimDuration::from_nanos(
-                        self.per_byte_cost.as_nanos() * fb.delivered.len() as u64,
+                        self.per_byte_cost.as_nanos() * fb.delivered as u64,
                     );
                     k.compute("user:consume", total);
                 }

@@ -50,7 +50,7 @@ impl App for EchoServer {
             }
             self.answered += 1;
             let reply = Pup::new(types::IM_AN_ECHO, pup.id, pup.src, self.local, pup.data);
-            let _ = k.pf_write(fd, &reply.encode_frame(&medium, false));
+            let _ = k.pf_write_owned(fd, reply.encode_frame(&medium, false));
         }
         k.pf_read(fd);
     }
@@ -121,7 +121,7 @@ impl EchoClient {
             self.local,
             self.payload.clone(),
         );
-        let _ = k.pf_write(self.fd.expect("open"), &pup.encode_frame(&medium, false));
+        let _ = k.pf_write_owned(self.fd.expect("open"), pup.encode_frame(&medium, false));
         self.sent_at = Some(k.now());
         // …read with timeout…
         k.pf_read(self.fd.expect("open"));

@@ -168,7 +168,7 @@ impl App for GroupSender {
                 seq: i as u32 + 1,
                 data,
             };
-            let _ = k.pf_write(fd, &m.encode_frame(&medium, my_eth));
+            let _ = k.pf_write_owned(fd, m.encode_frame(&medium, my_eth));
             self.sent += 1;
         }
     }

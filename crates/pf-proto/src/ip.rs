@@ -204,7 +204,7 @@ pub(crate) fn ip_output_raw(
     let (medium, my_eth) = k.link_info();
     let f = frame::build(&medium, dst_eth, my_eth, IP_ETHERTYPE, &ip)
         .expect("IP packet sized for the medium");
-    k.transmit(&f);
+    k.transmit(f);
 }
 
 impl KernelProtocol for KernelIp {

@@ -174,23 +174,26 @@ impl Pup {
 
     /// The Pup software checksum over a Pup image (all words except the
     /// trailing checksum word): 16-bit one's-complement add-and-left-cycle.
+    /// That is arithmetic modulo 2¹⁶ − 1 (the add is modular, the cycle
+    /// doubles): word `i` of `n` enters doubled `n − i` times, a shift by
+    /// `(n − i) mod 16` as 2¹⁶ ≡ 1, so sixteen lanes of equal shift take the
+    /// words with no carry chained between them. The sum's all-ones zero and
+    /// the mapped-away sentinel are both the residue 0 that `%` returns.
     pub fn checksum(image: &[u8]) -> u16 {
-        let mut sum: u16 = 0;
-        let mut i = 0;
-        while i < image.len() {
-            let hi = image[i];
-            let lo = if i + 1 < image.len() { image[i + 1] } else { 0 };
-            let w = u16::from_be_bytes([hi, lo]);
-            let (s, carry) = sum.overflowing_add(w);
-            sum = s + u16::from(carry); // end-around carry
-            sum = sum.rotate_left(1); // and cycle
-            i += 2;
+        let mut lanes = [0u64; 16];
+        let mut blocks = image.chunks_exact(32);
+        for block in &mut blocks {
+            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(2)) {
+                *lane += u64::from(u16::from_be_bytes([w[0], w[1]]));
+            }
         }
-        if sum == NO_CHECKSUM {
-            0
-        } else {
-            sum
+        // An odd image's last byte is the high half of a zero-padded word.
+        for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(2)) {
+            *lane += u64::from(u16::from_be_bytes([w[0], *w.get(1).unwrap_or(&0)]));
         }
+        let n = image.len().div_ceil(2);
+        let shifted = |(j, lane): (usize, &u64)| lane << ((n % 16 + 16 - j) % 16);
+        (lanes.iter().enumerate().map(shifted).sum::<u64>() % 0xFFFF) as u16
     }
 
     /// Encodes as the Pup body (header + data + checksum), without the
@@ -443,6 +446,47 @@ mod tests {
         let big = big.encode_frame(&medium(), false);
         assert!(interp.eval(&f_big, PacketView::new(&big)));
         assert!(!interp.eval(&f_big, PacketView::new(&hit)));
+    }
+
+    /// The checksum as the Pup specification words it, a byte pair at a
+    /// time: the sum before the sentinel is mapped away.
+    fn byte_pair_sum(image: &[u8]) -> u16 {
+        let mut sum: u16 = 0;
+        let mut i = 0;
+        while i < image.len() {
+            let hi = image[i];
+            let lo = if i + 1 < image.len() { image[i + 1] } else { 0 };
+            let w = u16::from_be_bytes([hi, lo]);
+            let (s, carry) = sum.overflowing_add(w);
+            sum = s + u16::from(carry);
+            sum = sum.rotate_left(1);
+            i += 2;
+        }
+        sum
+    }
+
+    fn byte_pair_checksum(image: &[u8]) -> u16 {
+        match byte_pair_sum(image) {
+            NO_CHECKSUM => 0,
+            sum => sum,
+        }
+    }
+
+    #[test]
+    fn checksum_equals_the_byte_pair_loop_at_every_length() {
+        let mut rng = pf_sim::rng::SplitMix64::new(0xC5);
+        for len in 0..=MAX_PUP {
+            for _ in 0..4 {
+                let image: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                assert_eq!(Pup::checksum(&image), byte_pair_checksum(&image), "{len}");
+            }
+            // The word that completes a sum to all-ones, appended: the
+            // image whose checksum would be the "unchecked" sentinel.
+            let mut image: Vec<u8> = (0..len & !1).map(|_| rng.next_u64() as u8).collect();
+            image.extend((!byte_pair_sum(&image)).to_be_bytes());
+            assert_eq!(byte_pair_sum(&image), NO_CHECKSUM);
+            assert_eq!(Pup::checksum(&image), 0, "sentinel at {}", image.len());
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl App for RarpServer {
                         tpa: ip,
                     };
                     let f = reply.encode_frame(&medium, RARP_ETHERTYPE, req.sha, my_eth);
-                    let _ = k.pf_write(fd, &f);
+                    let _ = k.pf_write_owned(fd, f);
                 }
                 None => self.unknown += 1,
             }
@@ -141,7 +141,7 @@ impl RarpClient {
             tpa: 0,
         };
         let f = req.encode_frame(&medium, RARP_ETHERTYPE, medium.broadcast, my_eth);
-        let _ = k.pf_write(self.fd.expect("port open"), &f);
+        let _ = k.pf_write_owned(self.fd.expect("port open"), f);
         self.requests_sent += 1;
         k.pf_read(self.fd.expect("port open"));
     }

@@ -106,7 +106,7 @@ impl TelnetBspServer {
                 Effect::Send(pup) => {
                     k.compute("user:bsp", crate::bsp_app::USER_PROTO_COST);
                     let f = pup.encode_frame(&medium, false);
-                    let _ = k.pf_write(self.fd.expect("open"), &f);
+                    let _ = k.pf_write_owned(self.fd.expect("open"), f);
                 }
                 Effect::SetTimer(d, token) => {
                     if let Some(t) = self.timer.take() {

@@ -75,7 +75,7 @@ impl KernelVmtp {
             match e {
                 VEffect::Send(pkt, eth_dst) => {
                     k.charge("vmtp:output", VMTP_KOUT);
-                    k.transmit(&pkt.encode_frame(&medium, eth_dst, my_eth));
+                    k.transmit(pkt.encode_frame(&medium, eth_dst, my_eth));
                 }
                 VEffect::SetTimer(d, _) => {
                     let slot = self.clients.get_mut(&sock).expect("client slot");
@@ -109,7 +109,7 @@ impl KernelVmtp {
             match e {
                 VEffect::Send(pkt, eth_dst) => {
                     k.charge("vmtp:output", VMTP_KOUT);
-                    k.transmit(&pkt.encode_frame(&medium, eth_dst, my_eth));
+                    k.transmit(pkt.encode_frame(&medium, eth_dst, my_eth));
                 }
                 VEffect::DeliverRequest {
                     client,

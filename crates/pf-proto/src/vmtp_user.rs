@@ -225,7 +225,7 @@ impl VmtpUserClient {
                 VEffect::Send(pkt, eth_dst) => {
                     k.compute("user:vmtp", USER_VMTP_COST);
                     let f = pkt.encode_frame_opts(&medium, eth_dst, my_eth, self.checksummed);
-                    let _ = k.pf_write(self.fd.expect("port open"), &f);
+                    let _ = k.pf_write_owned(self.fd.expect("port open"), f);
                 }
                 VEffect::SetTimer(d, token) => {
                     if let Some(t) = self.timer.take() {
@@ -405,7 +405,7 @@ impl VmtpUserServer {
                 VEffect::Send(pkt, eth_dst) => {
                     k.compute("user:vmtp", USER_VMTP_COST);
                     let f = pkt.encode_frame_opts(&medium, eth_dst, my_eth, self.checksummed);
-                    let _ = k.pf_write(self.fd.expect("port open"), &f);
+                    let _ = k.pf_write_owned(self.fd.expect("port open"), f);
                 }
                 VEffect::DeliverRequest {
                     client,

@@ -17,6 +17,17 @@ use std::fmt;
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
     routines: Vec<(&'static str, RoutineStats)>,
+    /// The row last found for a literal, direct-mapped by its address: a
+    /// hit skips the search. Rows never move.
+    memo: [Option<(&'static str, u32)>; MEMO_SLOTS],
+}
+
+const MEMO_SLOTS: usize = 32;
+
+/// Where `routine` sits in the memo: the top bits of its address, mixed.
+fn memo_slot(routine: &'static str) -> usize {
+    let mixed = (routine.as_ptr() as usize as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mixed >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
 }
 
 /// Statistics for one profiled routine.
@@ -47,13 +58,21 @@ impl Profiler {
     /// Adds `calls` calls costing `time` in all to `routine`'s row.
     fn add(&mut self, routine: &'static str, calls: u64, time: SimDuration) {
         let rows = &mut self.routines;
-        let by_address = rows.iter().position(|r| std::ptr::eq(r.0, routine));
-        let at = by_address
-            .or_else(|| rows.iter().position(|r| r.0 == routine))
-            .unwrap_or_else(|| {
-                rows.push((routine, RoutineStats::default()));
-                rows.len() - 1
-            });
+        let slot = memo_slot(routine);
+        let at = match self.memo[slot] {
+            Some((name, row)) if std::ptr::eq(name, routine) => row as usize,
+            _ => {
+                let by_address = rows.iter().position(|r| std::ptr::eq(r.0, routine));
+                let at = by_address
+                    .or_else(|| rows.iter().position(|r| r.0 == routine))
+                    .unwrap_or_else(|| {
+                        rows.push((routine, RoutineStats::default()));
+                        rows.len() - 1
+                    });
+                self.memo[slot] = Some((routine, at as u32));
+                at
+            }
+        };
         rows[at].1.calls += calls;
         rows[at].1.time += time;
     }
@@ -189,6 +208,82 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.stats("x").time, SimDuration::from_micros(12));
         assert_eq!(a.stats("y").calls, 1);
+    }
+
+    /// Forty four-byte routines cut from one literal: distinct texts at
+    /// addresses four bytes apart.
+    fn cut_routines() -> Vec<&'static str> {
+        const NAMES: &str = "r00:r01:r02:r03:r04:r05:r06:r07:r08:r09:\
+                             r10:r11:r12:r13:r14:r15:r16:r17:r18:r19:\
+                             r20:r21:r22:r23:r24:r25:r26:r27:r28:r29:\
+                             r30:r31:r32:r33:r34:r35:r36:r37:r38:r39:";
+        (0..40).map(|i| &NAMES[4 * i..4 * i + 4]).collect()
+    }
+
+    #[test]
+    fn one_text_at_two_addresses_is_one_row() {
+        // Two crates each carry their own copy of a literal.
+        const TWICE: &str = "pf:filter|pf:filter";
+        let (a, b) = (&TWICE[..9], &TWICE[10..]);
+        assert!(a == b && !std::ptr::eq(a, b));
+        let mut p = Profiler::new();
+        for _ in 0..3 {
+            p.record(a, SimDuration::from_micros(2));
+            p.record(b, SimDuration::from_micros(5));
+        }
+        assert_eq!(p.flat_profile().len(), 1);
+        assert_eq!(p.stats("pf:filter").calls, 6);
+        assert_eq!(p.stats("pf:filter").time, SimDuration::from_micros(21));
+    }
+
+    #[test]
+    fn routines_sharing_a_memo_slot_keep_exact_rows() {
+        let routines = cut_routines();
+        assert!(routines.len() > MEMO_SLOTS, "so two of them share a slot");
+        let shared = (0..routines.len())
+            .any(|i| (0..i).any(|j| memo_slot(routines[i]) == memo_slot(routines[j])));
+        assert!(shared);
+        let mut p = Profiler::new();
+        // Interleaved, so routines sharing a slot evict each other on
+        // every round.
+        for round in 1..=5u64 {
+            for (i, r) in routines.iter().enumerate() {
+                p.record(r, SimDuration::from_nanos(round * (i as u64 + 1)));
+            }
+        }
+        for (i, r) in routines.iter().enumerate() {
+            let s = p.stats(r);
+            assert_eq!(s.calls, 5, "{r}");
+            assert_eq!(s.time, SimDuration::from_nanos(15 * (i as u64 + 1)), "{r}");
+        }
+        assert_eq!(p.flat_profile().len(), routines.len());
+    }
+
+    #[test]
+    fn merge_and_clone_of_a_memoised_profiler_agree_with_stats() {
+        let routines = cut_routines();
+        let mut a = Profiler::new();
+        let mut b = Profiler::new();
+        for (i, r) in routines.iter().enumerate() {
+            a.record(r, SimDuration::from_nanos(i as u64));
+            // The other way round, so `b`'s rows and memo differ from `a`'s.
+            b.record(routines[routines.len() - 1 - i], SimDuration::from_nanos(7));
+        }
+        let mut copy = a.clone();
+        copy.merge(&b);
+        // The clone's memo is its own: charging it leaves `a` alone.
+        copy.record(routines[0], SimDuration::from_nanos(100));
+        for (i, r) in routines.iter().enumerate() {
+            let extra = if i == 0 { (1, 100) } else { (0, 0) };
+            assert_eq!(a.stats(r).calls, 1);
+            assert_eq!(copy.stats(r).calls, 2 + extra.0, "{r}");
+            let want = i as u64 + 7 + extra.1;
+            assert_eq!(copy.stats(r).time, SimDuration::from_nanos(want), "{r}");
+        }
+        assert_eq!(
+            copy.total_time(),
+            a.total_time() + b.total_time() + SimDuration::from_nanos(100)
+        );
     }
 
     #[test]

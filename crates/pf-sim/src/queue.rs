@@ -95,6 +95,12 @@ impl<E> EventQueue<E> {
         self.now
     }
 
+    /// The tie-break the next [`schedule`](Self::schedule) will give: where
+    /// work a caller keeps out of the queue would stand in the firing order.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Schedules `event` at absolute time `at`.
     ///
     /// Scheduling in the past is clamped to the current time: the event

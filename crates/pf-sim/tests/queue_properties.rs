@@ -67,8 +67,12 @@ fn run_against_model(seed: u64) {
                 // the past (clamped to `now`).
                 let spread = [1 << 10, 1 << 20, 1 << 34][rng.below(3) as usize];
                 let at = SimTime((q.now().as_nanos() + rng.below(spread)).saturating_sub(512));
+                // Ids and the queue's tie-breaks are both issued in
+                // schedule order: the one read ahead is this event's.
                 let id = handles.len();
+                assert_eq!(q.next_seq(), id as u64);
                 handles.push(q.schedule(at, id));
+                assert_eq!(q.next_seq(), id as u64 + 1, "one schedule, one step");
                 model.schedule(at, id);
             }
             6 | 7 if !handles.is_empty() => {
@@ -93,6 +97,7 @@ fn run_against_model(seed: u64) {
         assert_eq!(q.len(), model.pending.len(), "len() excludes tombstones");
         assert_eq!(q.is_empty(), model.pending.is_empty());
         assert_eq!(q.now(), model.now);
+        assert_eq!(q.next_seq(), handles.len() as u64, "only schedule moves it");
     }
     loop {
         let (got, want) = (q.pop(), model.pop());

@@ -15,6 +15,7 @@ run() {
     "$@"
 }
 
+run bash -n scripts/pairs.sh
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --release

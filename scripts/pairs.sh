@@ -1,0 +1,83 @@
+#!/usr/bin/env bash
+# Parent against change on one benchmark workload, in alternating pairs —
+# the comparison a performance claim rests on (bench/README.md; wall rows
+# move between runs on a shared box, so one run of each says nothing).
+#
+#   scripts/pairs.sh <parent-binary> <change-binary> <workload> [pairs=10] [seed=7]
+#
+# The binaries are two builds of `pf-benchmark` (bench/target/release/ of
+# each checkout), built once each. Every run is untraced (`--trace 0`) at
+# the benchmark's own run length; the side that goes first alternates.
+# Prints, per end-to-end metric: each side's median and quartiles, the
+# change's median over the parent's, pairs won (ties count for neither),
+# and whether every change run beat every parent run.
+set -euo pipefail
+
+if [[ $# -lt 3 ]]; then
+    sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//' >&2
+    exit 2
+fi
+parent="$1" change="$2" workload="$3" pairs="${4:-10}" seed="${5:-7}"
+
+runs="$(mktemp)"
+trap 'rm -f "$runs"' EXIT
+
+run() { # <side> <binary> <pair>: appends "<side> <pair> <result object>"
+    local result
+    result="$("$2" --workload "$workload" --seed "$seed" --trace 0 | tail -n 1)"
+    echo "$1 $3 $result" >> "$runs"
+    echo "pair $3 $1 done" >&2
+}
+
+for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2)); then
+        run parent "$parent" "$i"
+        run change "$change" "$i"
+    else
+        run change "$change" "$i"
+        run parent "$parent" "$i"
+    fi
+done
+
+python3 - "$runs" "$workload" "$seed" "$(dirname "$0")/../BENCHMARK.json" <<'EOF'
+import json, sys
+
+LOWER_IS_BETTER = {m["name"] for m in json.load(open(sys.argv[4]))["end_to_end"] if m["better"] == "lower"}
+
+def quartiles(xs):
+    xs = sorted(xs)
+    def at(q):
+        pos = q * (len(xs) - 1)
+        lo = int(pos)
+        hi = min(lo + 1, len(xs) - 1)
+        return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
+    return at(0.25), at(0.5), at(0.75)
+
+sides = {"parent": {}, "change": {}}
+failed = {"parent": 0, "change": 0}
+for line in open(sys.argv[1]):
+    side, pair, result = line.split(" ", 2)
+    result = json.loads(result)
+    assert result["correct"], f"{side} run of pair {pair} failed its own checks"
+    failed[side] += result["failed"]
+    for name, m in result["metrics"].items():
+        sides[side].setdefault(name, []).append(m["value"])
+
+n = len(next(iter(sides["parent"].values())))
+print(f"{sys.argv[2]}, seed {sys.argv[3]}, {n} pairs; ops failed: parent {failed['parent']}, change {failed['change']}")
+print(f"{'metric':<20}{'side':<8}{'median':>14}{'q1':>14}{'q3':>14}")
+for name, parent in sides["parent"].items():
+    change = sides["change"][name]
+    better = (lambda c, p: c < p) if name in LOWER_IS_BETTER else (lambda c, p: c > p)
+    for side, xs in (("parent", parent), ("change", change)):
+        q1, med, q3 = quartiles(xs)
+        print(f"{name:<20}{side:<8}{med:>14.6g}{q1:>14.6g}{q3:>14.6g}")
+    (pq1, pmed, pq3), (_, cmed, _) = quartiles(parent), quartiles(change)
+    wins = sum(better(c, p) for c, p in zip(change, parent))
+    losses = sum(better(p, c) for c, p in zip(change, parent))
+    clean = all(better(c, p) for c in change for p in parent)
+    ratio = f"{cmed / pmed:.3f}x" if pmed else "n/a"
+    print(f"{'':<20}change/parent {ratio}, change ahead in {wins}/{n} pairs (behind in {losses}), "
+          f"medians apart {abs(cmed - pmed):.6g} vs parent IQR {pq3 - pq1:.6g}, "
+          f"every change run ahead of every parent run: {'yes' if clean else 'no'}")
+EOF

@@ -14,44 +14,16 @@ use packet_filter::proto::router::deploy;
 use packet_filter::sim::cost::CostModel;
 use packet_filter::sim::time::SimTime;
 use packet_filter::SimClock;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Allocations made by this thread (tests run on threads of their own,
-    /// so neither sees the other's). Const-initialized and without a
-    /// destructor: touching it never allocates.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every request is passed to `System` unchanged and its answer
-// returned unchanged, so `System`'s guarantees are this allocator's; the
-// counter is a plain thread-local integer. `realloc` is the trait's
-// default, which calls `alloc` here and so counts as one allocation.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
-        // `layout`, which is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc` above, that is from `System`,
-        // with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{count_during, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
 fn allocations_during(work: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    work();
-    ALLOCATIONS.with(Cell::get) - before
+    count_during(usize::MAX, work).0
 }
 
 /// Heap allocations while `frames` minimum-size datagrams cross a chain of

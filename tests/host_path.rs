@@ -1,0 +1,226 @@
+//! The host's per-frame path between the wire and the process: the receive
+//! ring's tie-breaks, timer handles that outlive their timer, and what one
+//! BSP data Pup costs the heap.
+//!
+//! The receive ring is not in the event queue: a host retires the driver
+//! completions that are due when the next frame arrives. The literals in
+//! `ring_ties_fire_in_schedule_order` were recorded at the commit where
+//! every completion was still an event of its own, so they pin the order
+//! that event would have fired in — after everything scheduled before it at
+//! the same instant, before everything scheduled after.
+
+use packet_filter::filter::samples;
+use packet_filter::kernel::app::App;
+use packet_filter::kernel::types::{Fd, HostId, RecvPacket, TimerId};
+use packet_filter::kernel::world::{OverloadConfig, ProcCtx, World};
+use packet_filter::net::medium::Medium;
+use packet_filter::net::segment::FaultModel;
+use packet_filter::proto::bsp::BspConfig;
+use packet_filter::proto::bsp_app::{BspReceiverApp, BspSenderApp};
+use packet_filter::proto::pup::PupAddr;
+use packet_filter::sim::cost::CostModel;
+use packet_filter::sim::time::{SimDuration, SimTime};
+use packet_filter::SimClock;
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{count_during, Counting};
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Reads socket 35 for ever.
+struct Reader;
+
+impl App for Reader {
+    fn start(&mut self, k: &mut ProcCtx<'_>) {
+        let fd = k.pf_open();
+        k.pf_set_filter(fd, samples::pup_socket_filter(10, 0, 35));
+        k.pf_read(fd);
+    }
+
+    fn on_packets(&mut self, fd: Fd, _packets: Vec<RecvPacket>, k: &mut ProcCtx<'_>) {
+        k.pf_read(fd);
+    }
+}
+
+/// `(drops_interface, rx_mode_switches, packets_delivered, busy ns)` of one
+/// host after rounds of bursts aimed at its ring's ties.
+///
+/// A round starts on an idle CPU at `t`: one frame at `t`, whose driver
+/// completion is therefore exactly `t + driver_rx_cost`, then `fillers`
+/// frames inside that interval (each completes later, behind the first
+/// frame's filter and wakeup work), then frames *at* the completion time.
+/// Those scheduled before the run reaches `t` precede the completion and
+/// find its slot taken; those scheduled after it follow the completion and
+/// find it free. Wanted frames (socket 35) and unwanted ones (36) alternate
+/// between the two sides so that swapping which side is dropped shows in
+/// `packets_delivered` too.
+fn ring_ties(capacity: usize, armor: bool) -> (u64, u64, u64, u64) {
+    let costs = CostModel::microvax_ii();
+    let mut w = World::new(11);
+    let seg = w.add_segment(Medium::experimental_3mb(), FaultModel::default());
+    let h = w.add_host("ring", seg, 0x0B, costs.clone());
+    w.set_nic_capacity(h, capacity);
+    if armor {
+        w.set_overload_armor(
+            h,
+            Some(OverloadConfig {
+                hi_watermark: capacity,
+                lo_watermark: 1,
+                poll_batch: 2,
+                poll_interval: SimDuration::from_micros(1_000),
+            }),
+        );
+    }
+    w.spawn(h, Box::new(Reader));
+
+    let wanted = samples::pup_packet_3mb(2, 0, 35, 1);
+    let unwanted = samples::pup_packet_3mb(2, 0, 36, 1);
+    let done = costs.driver_rx_cost(wanted.len());
+    // (frames at the tie scheduled before the completing frame runs, after)
+    let patterns = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)];
+    let mut round = 0u64;
+    for fillers in [capacity - 2, capacity - 1] {
+        for (before, after) in patterns {
+            round += 1;
+            let t = SimTime(round * 1_000_000_000);
+            let side = |i: usize| [&wanted, &unwanted][(i + round as usize) % 2];
+            w.inject_frame(h, wanted.clone(), t);
+            for i in 0..fillers {
+                w.inject_frame(h, wanted.clone(), t + SimDuration::from_nanos(1 + i as u64));
+            }
+            for i in 0..before {
+                w.inject_frame(h, side(i).clone(), t + done);
+            }
+            w.run_until(t);
+            for i in 0..after {
+                w.inject_frame(h, side(i + 1).clone(), t + done);
+            }
+        }
+    }
+    w.run();
+    let c = w.counters(h);
+    (
+        c.drops_interface,
+        c.rx_mode_switches,
+        c.packets_delivered,
+        w.cpu(h).busy_time().as_nanos(),
+    )
+}
+
+#[test]
+fn ring_ties_fire_in_schedule_order() {
+    let recorded = [
+        ((2, false), (8, 0, 20, 38_852_800)),
+        ((2, true), (2, 18, 23, 43_220_000)),
+        ((3, false), (8, 0, 30, 55_596_800)),
+        ((3, true), (0, 18, 35, 62_812_000)),
+        ((4, false), (8, 0, 40, 72_340_800)),
+        ((4, true), (0, 18, 45, 79_556_000)),
+    ];
+    for ((capacity, armor), want) in recorded {
+        assert_eq!(
+            ring_ties(capacity, armor),
+            want,
+            "capacity {capacity}, armor {armor}"
+        );
+    }
+}
+
+/// Sets timer A; when A fires sets B; when B fires reports.
+#[derive(Default)]
+struct StaleTimer {
+    a: Option<TimerId>,
+    fired: Vec<u64>,
+    cancel_of_fired_a: Option<bool>,
+}
+
+impl App for StaleTimer {
+    fn start(&mut self, k: &mut ProcCtx<'_>) {
+        self.a = Some(k.set_timer(SimDuration::from_micros(10), 1));
+    }
+
+    fn on_timer(&mut self, token: u64, k: &mut ProcCtx<'_>) {
+        self.fired.push(token);
+        if token == 1 {
+            // A has fired, so B takes the storage A's event had.
+            k.set_timer(SimDuration::from_micros(10), 2);
+            self.cancel_of_fired_a = Some(k.cancel_timer(self.a.expect("set at start")));
+        }
+    }
+}
+
+#[test]
+fn a_fired_timers_handle_cancels_nothing() {
+    let mut w = World::new(1);
+    let seg = w.add_segment(Medium::experimental_3mb(), FaultModel::default());
+    let h = w.add_host("timers", seg, 0x0A, CostModel::microvax_ii());
+    let p = w.spawn(h, Box::new(StaleTimer::default()));
+    w.run();
+    let app = w.app_ref::<StaleTimer>(h, p).expect("the app");
+    assert_eq!(app.cancel_of_fired_a, Some(false), "A already fired");
+    assert_eq!(app.fired, [1, 2], "and B, in A's old slot, still fires");
+}
+
+/// `(heap allocations, allocations of at least a segment)` per BSP data Pup
+/// between `SenderMachine::offer` and `BspReceiverApp`, on a lossless
+/// two-host wire in table 6-6's configuration, in the steady state (the
+/// difference between a long transfer and a short one, so connection
+/// set-up, the payload and the buffers that only grow cancel).
+fn heap_per_data_pup() -> (f64, f64) {
+    let cfg = BspConfig {
+        window: 2,
+        checksummed: true,
+        batch: false,
+        ..Default::default()
+    };
+    let segment = cfg.segment;
+    let transfer = |pups: usize| {
+        let mut w = World::new(5);
+        let seg = w.add_segment(Medium::experimental_3mb(), FaultModel::default());
+        let hosts: [HostId; 2] = [0x0A, 0x0B]
+            .map(|addr| w.add_host(format!("h{addr}"), seg, addr, CostModel::microvax_ii()));
+        let (src, dst) = (PupAddr::new(1, 0x0A, 0x300), PupAddr::new(1, 0x0B, 0x400));
+        let rx = w.spawn(hosts[1], Box::new(BspReceiverApp::new(dst, cfg.clone())));
+        let payload = vec![0x5A; pups * segment];
+        w.spawn(
+            hosts[0],
+            Box::new(BspSenderApp::new(src, dst, payload, cfg.clone())),
+        );
+        let counted = count_during(segment, || {
+            w.run();
+        });
+        let r = w.app_ref::<BspReceiverApp>(hosts[1], rx).expect("the app");
+        assert_eq!(r.bytes, (pups * segment) as u64, "lossless");
+        assert_eq!(r.stats().delivered_packets, pups as u64);
+        counted
+    };
+    let (short, long) = (64, 576);
+    let (a, b) = (transfer(short), transfer(long));
+    let per = |x: u64, y: u64| (y - x) as f64 / (long - short) as f64;
+    (per(a.0, b.0), per(a.1, b.1))
+}
+
+/// Measured where `pf_write` still copied: 15.5 allocations per data Pup,
+/// 8.0 of them payload-sized — the segment collected out of the send
+/// buffer, its clone into the Pup, the encoded body, the built frame,
+/// `pf_write`'s copy of that frame, the decoded Pup's data, the receiver
+/// machine's `Deliver`, and `Endpoint::apply`'s copy of that into its
+/// feedback. Now: 13.0 and 6.0. `pf_write_owned` takes the frame it is
+/// handed and the feedback carries a count. `pump`'s collect was one
+/// allocation then and is one now: what changed there is a byte-at-a-time
+/// drain becoming two `memcpy`s, which an allocator cannot see and
+/// `bsp.rs`'s own tests pin byte for byte.
+#[test]
+fn a_data_pup_costs_the_heap_two_copies_fewer() {
+    let (allocations, payload_sized) = heap_per_data_pup();
+    assert!(
+        allocations <= 13.5,
+        "{allocations:.2} allocations per data Pup (was 15.5)"
+    );
+    assert!(
+        payload_sized <= 6.0,
+        "{payload_sized:.2} payload-sized allocations per data Pup (was 8.0)"
+    );
+}
