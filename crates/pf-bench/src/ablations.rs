@@ -293,7 +293,6 @@ pub fn report_ablations() -> Report {
         DemuxEngine::Sequential,
         DemuxEngine::DecisionTable,
         DemuxEngine::Geom,
-        DemuxEngine::Jit,
     ] {
         let ms = demux_cpu_ms_per_packet(engine);
         let label = match engine {
@@ -304,7 +303,6 @@ pub fn report_ablations() -> Report {
             DemuxEngine::Sequential => "sequential interpreter (figure 4-1)",
             DemuxEngine::DecisionTable => "decision table (§7)",
             DemuxEngine::Geom => "geometric tuple-space classifier",
-            DemuxEngine::Jit => "per-filter template JIT",
         };
         r.row(&[
             label.into(),
@@ -368,10 +366,6 @@ mod tests {
         // member per packet.
         assert!(table < seq, "table {table:.3} vs sequential {seq:.3}");
         assert!(geom < seq, "geom {geom:.3} vs sequential {seq:.3}");
-        // The JIT engine's flat per-member native cost (16 × 10 µs) is far
-        // below the worst-case sequential interpretation bill.
-        let jit = demux_cpu_ms_per_packet(DemuxEngine::Jit);
-        assert!(jit < seq, "jit {jit:.3} vs sequential {seq:.3}");
     }
 
     #[test]

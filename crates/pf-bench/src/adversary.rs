@@ -711,7 +711,6 @@ fn run_rss_collision(hardened: bool, smoke: bool, seed: u64) -> AdversaryPoint {
     };
 
     let mut cfg = McConfig::single_core(DemuxEngine::Geom);
-    cfg.cores = RSS_CORES;
     cfg.batch = 16;
     cfg.rss = rss;
     cfg.nic_ring = NIC_RING;

@@ -1,8 +1,8 @@
 //! Writes `BENCH_demux.json`: the demux-scaling race between the
-//! flat-sequential, decision-table, geometric tuple-space, and (with the
-//! `jit` feature) template-JIT engines over growing multi-ethertype
-//! populations, plus the geometric classifier's mixed exact/range ladder
-//! to 100k filters and its insert/delete churn column.
+//! flat-sequential, decision-table and geometric tuple-space engines
+//! over growing multi-ethertype populations, plus the geometric
+//! classifier's mixed exact/range ladder to 100k filters and its
+//! insert/delete churn column.
 //!
 //! ```text
 //! cargo run -p pf-bench --release --bin bench_demux            # full sweep, 1..512 + 1k..100k ladder

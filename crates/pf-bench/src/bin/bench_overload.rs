@@ -1,7 +1,7 @@
 //! Writes `BENCH_overload.json`: the saturation campaign sweeping
 //! offered load from 0.5× to 8× of unarmored receive capacity across the
 //! overload-armor tiers {none, polling, shedding, full} and the demux
-//! engines {dtree, geom, jit}. Every signature claim — flat full-armor
+//! engines {dtree, geom}. Every signature claim — flat full-armor
 //! goodput past saturation, the no-armor livelock cliff, drop-at-NIC vs
 //! drop-after-demux accounting — is an `assert!`, so a zero exit *is* the
 //! campaign's proof.

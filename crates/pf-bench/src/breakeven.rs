@@ -94,19 +94,16 @@ pub fn report_break_even() -> Report {
         "kernel demux (ms/pkt)",
         "kernel, §7 decision table",
         "kernel, geom",
-        "kernel, JIT",
         "user demux (ms/pkt)",
     ]);
     for (f, c) in &kernel {
         let table = kernel_engine_cost_ms(*f, DemuxEngine::DecisionTable);
         let geom = kernel_engine_cost_ms(*f, DemuxEngine::Geom);
-        let jit = kernel_engine_cost_ms(*f, DemuxEngine::Jit);
         r.row(&[
             f.to_string(),
             format!("{c:.2}"),
             format!("{table:.2}"),
             format!("{geom:.2}"),
-            format!("{jit:.2}"),
             format!("{user:.2}"),
         ]);
     }
@@ -173,25 +170,6 @@ mod tests {
         assert!(
             at_48 < sequential_at_48 - 1.0,
             "geom {at_48:.2} well under sequential {sequential_at_48:.2} at 48 filters"
-        );
-    }
-
-    #[test]
-    fn jit_engine_scales_gently_and_beats_sequential() {
-        // Each JIT member costs a flat 10 µs of native execution, so the
-        // per-packet bill grows only mildly with the population (48 members
-        // is still under half a millisecond of filter work) and stays far
-        // below the sequential interpreter at the sweep's high end.
-        let at_1 = kernel_engine_cost_ms(1, DemuxEngine::Jit);
-        let at_48 = kernel_engine_cost_ms(48, DemuxEngine::Jit);
-        assert!(
-            (at_48 - at_1).abs() < 1.0,
-            "jit engine scales gently: {at_1:.2} vs {at_48:.2} ms/pkt"
-        );
-        let sequential_at_48 = kernel_cost_ms(48);
-        assert!(
-            at_48 < sequential_at_48 - 1.0,
-            "jit {at_48:.2} well under sequential {sequential_at_48:.2} at 48 filters"
         );
     }
 }

@@ -3,12 +3,10 @@
 //! The breakeven sweep and the ablation table live in EXPERIMENTS.md
 //! prose; this module races the demultiplexing engines
 //! (flat-sequential interpreter, §7 decision table, geometric
-//! tuple-space classifier, and — with the `jit` feature — a
-//! priority-ordered walk of template-JIT native filters) over growing
-//! multi-ethertype populations and writes the results as JSON — engine,
-//! population size, ns/packet, and members evaluated per packet — so the
-//! perf trajectory can be tracked across PRs by a machine instead of a
-//! reader.
+//! tuple-space classifier) over growing multi-ethertype populations and
+//! writes the results as JSON — engine, population size, ns/packet, and
+//! members evaluated per packet — so the perf trajectory can be tracked
+//! across PRs by a machine instead of a reader.
 //!
 //! Two further sections target the geometric classifier specifically: a
 //! mixed exact/range *ladder* to 100k+ filters (where a member walk is
@@ -42,13 +40,13 @@ use std::time::Instant;
 /// mix, so neither "everything shares one guard" nor "nothing shares".
 pub const ETHERTYPES: [u16; 8] = [2, 3, 5, 8, 11, 17, 23, 29];
 
-/// Engines raced per population point (the `jit` feature adds one more).
-pub const ENGINES_RACED: usize = 3 + if cfg!(feature = "jit") { 1 } else { 0 };
+/// Engines raced per population point.
+pub const ENGINES_RACED: usize = 3;
 
 /// One engine × population measurement.
 #[derive(Debug, Clone)]
 pub struct DemuxPoint {
-    /// Engine label: `sequential`, `dtree`, `geom`, or `jit`.
+    /// Engine label: `sequential`, `dtree`, or `geom`.
     pub engine: &'static str,
     /// Active filters.
     pub population: usize,
@@ -181,38 +179,6 @@ pub fn measure(population: usize, packets_per_point: usize) -> Vec<DemuxPoint> {
         ns_per_packet: ns,
         filters_evaluated_per_packet: fe as f64 / n,
     });
-
-    // Template JIT: a priority-ordered first-match walk of per-member
-    // native code (the kernel's `DemuxEngine::Jit` shape), no set-level
-    // sharing at all — the race shows where raw per-member speed beats
-    // structural work-sharing and where it stops scaling.
-    #[cfg(feature = "jit")]
-    {
-        let jitted: Vec<pf_ir::JitFilter> = filters
-            .iter()
-            .map(|(_, f)| pf_ir::JitFilter::compile(f.clone()).expect("population validates"))
-            .collect();
-        let ns = time_per_packet(&packets, |p| {
-            let view = PacketView::new(p);
-            black_box(jitted.iter().position(|f| f.eval(view)));
-        });
-        let mut fe = 0u64;
-        for p in &packets {
-            let view = PacketView::new(p);
-            for f in &jitted {
-                fe += 1;
-                if f.eval(view) {
-                    break;
-                }
-            }
-        }
-        out.push(DemuxPoint {
-            engine: "jit",
-            population,
-            ns_per_packet: ns,
-            filters_evaluated_per_packet: fe as f64 / n,
-        });
-    }
 
     out
 }
@@ -667,31 +633,6 @@ mod tests {
         );
         for engine in ["sequential", "dtree", "geom"] {
             assert!(points.iter().any(|p| p.engine == engine));
-        }
-        assert_eq!(
-            points.iter().any(|p| p.engine == "jit"),
-            cfg!(feature = "jit")
-        );
-    }
-
-    /// Feature `jit`: the native walk agrees with the checked first-match
-    /// over the whole traffic mix (timing is raced in the binary; verdict
-    /// parity is what the test suite pins).
-    #[cfg(feature = "jit")]
-    #[test]
-    fn jit_walk_matches_checked_first_match() {
-        let n = 40;
-        let filters: Vec<FilterProgram> = (0..n).map(multi_ethertype_filter).collect();
-        let jitted: Vec<pf_ir::JitFilter> = filters
-            .iter()
-            .map(|f| pf_ir::JitFilter::compile(f.clone()).expect("validates"))
-            .collect();
-        let interp = CheckedInterpreter::default();
-        for p in traffic(n, 200) {
-            let view = PacketView::new(&p);
-            let expect = filters.iter().position(|f| interp.eval(f, view));
-            let got = jitted.iter().position(|f| f.eval(view));
-            assert_eq!(got, expect);
         }
     }
 }

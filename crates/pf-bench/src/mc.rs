@@ -55,12 +55,10 @@ pub const CORES: [usize; 4] = [1, 2, 4, 8];
 /// Batch sizes the full campaign sweeps.
 pub const BATCHES: [usize; 4] = [1, 8, 32, 128];
 
-/// The engines the campaign sweeps (the compiled ladder; `Jit` degrades
-/// to per-member threaded code when the `jit` feature is off).
-pub const ENGINES: [(DemuxEngine, &str); 3] = [
+/// The engines the campaign sweeps (the compiled ladder).
+pub const ENGINES: [(DemuxEngine, &str); 2] = [
     (DemuxEngine::Geom, "geom"),
     (DemuxEngine::DecisionTable, "dtree"),
-    (DemuxEngine::Jit, "jit"),
 ];
 
 /// A population frame: flow `i` sends to socket `FIRST_SOCK + i`.
@@ -140,7 +138,6 @@ pub fn run_cell(
     n: usize,
 ) -> McPoint {
     let mut cfg = McConfig::single_core(engine);
-    cfg.cores = cores;
     cfg.batch = batch;
     cfg.rss = if cores == 1 {
         RssConfig::single_queue()

@@ -1,7 +1,7 @@
 //! Saturation campaign: `BENCH_overload.json`.
 //!
 //! Sweeps offered load from 0.5× to 8× of the unarmored receive path's
-//! nominal capacity, across the four overload-armor tiers and three
+//! nominal capacity, across the four overload-armor tiers and two
 //! demultiplexing engines, and measures what each configuration actually
 //! *delivers* under that load:
 //!
@@ -141,12 +141,10 @@ impl Armor {
     }
 }
 
-/// The engines the campaign sweeps (the compiled ladder; `Jit` degrades
-/// to per-member threaded code when the `jit` feature is off).
-pub const ENGINES: [(DemuxEngine, &str); 3] = [
+/// The engines the campaign sweeps (the compiled ladder).
+pub const ENGINES: [(DemuxEngine, &str); 2] = [
     (DemuxEngine::DecisionTable, "dtree"),
     (DemuxEngine::Geom, "geom"),
-    (DemuxEngine::Jit, "jit"),
 ];
 
 /// The consumer of the wanted stream: batch reads, per-packet compute,
@@ -467,7 +465,7 @@ pub fn to_json(report: &OverloadReport) -> String {
     s.push_str(
         "  \"workload\": \"protected high-priority stream plus a best-effort flood, \
          offered at 0.5x-8x of unarmored receive capacity, across armor tiers \
-         {none, polling, shedding, full} and demux engines {dtree, geom, jit}\",\n",
+         {none, polling, shedding, full} and demux engines {dtree, geom}\",\n",
     );
     s.push_str(&format!("  \"seed\": {},\n", report.seed));
     s.push_str(&format!(
@@ -553,8 +551,8 @@ mod tests {
     #[test]
     fn smoke_sweep_holds_every_invariant() {
         let report = sweep(true, DEFAULT_SEED);
-        // 3 engines x 4 tiers x 2 multiples.
-        assert_eq!(report.rows.len(), 24);
+        // 2 engines x 4 tiers x 2 multiples.
+        assert_eq!(report.rows.len(), 16);
         let json = to_json(&report);
         assert!(json.contains("\"experiment\": \"overload\""));
         assert!(json.contains("\"signature\""));

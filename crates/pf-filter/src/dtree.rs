@@ -265,60 +265,6 @@ impl FilterSet {
         // dominant cost (hash probes + residual interpretation) is shared.
         self.matches(packet).into_iter().next()
     }
-
-    /// [`Self::matches`] over a batch of packets, shape-major: each shape's
-    /// word list is walked once and probed for every packet before moving
-    /// to the next shape, so the shape metadata and one key buffer stay
-    /// hot across the batch. Returns per-packet id lists identical to
-    /// calling `matches` on each packet in turn.
-    pub fn matches_batch(&self, packets: &[PacketView<'_>]) -> Vec<Vec<FilterId>> {
-        let mut hits: Vec<Vec<(u8, u64, FilterId)>> = vec![Vec::new(); packets.len()];
-        let mut key: Vec<u16> = Vec::new();
-
-        for shape in &self.shapes {
-            for (p, packet) in packets.iter().enumerate() {
-                key.clear();
-                let mut complete = true;
-                for &w in &shape.words {
-                    match packet.word(usize::from(w)) {
-                        Some(v) => key.push(v),
-                        None => {
-                            complete = false;
-                            break;
-                        }
-                    }
-                }
-                if !complete {
-                    continue;
-                }
-                if let Some(entries) = shape.table.get(key.as_slice()) {
-                    hits[p].extend(entries.iter().map(|e| (e.priority, e.seq, e.id)));
-                }
-            }
-        }
-
-        for r in &self.residual {
-            for (p, packet) in packets.iter().enumerate() {
-                if interp::eval_words(InterpConfig::default(), r.program.words(), *packet).0 {
-                    hits[p].push((r.priority, r.seq, r.id));
-                }
-            }
-        }
-
-        hits.into_iter()
-            .map(|mut h| {
-                // Same stable order and dedup as the scalar path: shapes
-                // append before residuals for every packet, so the sort
-                // keys and tie-breaks line up exactly.
-                h.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                let mut seen = std::collections::HashSet::new();
-                h.into_iter()
-                    .map(|(_, _, id)| id)
-                    .filter(|id| seen.insert(*id))
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 /// Result of symbolically analyzing a program.
@@ -610,31 +556,6 @@ mod tests {
         set.insert(11, samples::ethertype_filter(5, 2));
         let pkt = samples::pup_packet_3mb(2, 0, 35, 1);
         assert_eq!(set.matches(PacketView::new(&pkt)), vec![10, 11]);
-    }
-
-    #[test]
-    fn batch_matches_equals_scalar_matches() {
-        // Every member kind at once: table-compiled, residual (range
-        // test), never-matches, and a wildcard; packets include matching,
-        // non-matching, truncated, and empty frames.
-        let mut set = FilterSet::new();
-        set.insert(1, samples::pup_socket_filter(10, 0, 35));
-        set.insert(2, samples::fig_3_8_pup_type_range());
-        set.insert(3, samples::reject_all(10));
-        set.insert(4, samples::accept_all(1));
-        set.insert(5, samples::ethertype_filter(5, 2));
-
-        let full = samples::pup_packet_3mb(2, 0, 35, 50);
-        let miss = samples::pup_packet_3mb(2, 0, 99, 1);
-        let truncated = &full[..6];
-        let frames: Vec<&[u8]> = vec![&full, &miss, truncated, &[], &[0x00, 0x02]];
-        let views: Vec<PacketView<'_>> = frames.iter().map(|f| PacketView::new(f)).collect();
-
-        let batched = set.matches_batch(&views);
-        assert_eq!(batched.len(), views.len());
-        for (i, v) in views.iter().enumerate() {
-            assert_eq!(batched[i], set.matches(*v), "packet {i} diverged");
-        }
     }
 
     #[test]

@@ -30,16 +30,6 @@ pub trait FilterEngine {
     fn name(&self) -> &'static str;
     /// Id of the first (highest-priority) filter accepting `packet`.
     fn matches(&mut self, packet: &[u8]) -> Option<u16>;
-    /// Per-packet verdicts for a batch of frames, element `i` equal to
-    /// what `matches(packets[i])` would return.
-    ///
-    /// The default loops `matches`; set engines override it with batch
-    /// walks that amortize dispatch and index-probe work across the
-    /// frames. Overrides must stay verdict-identical to the loop — the
-    /// differential suite holds every engine to that.
-    fn eval_batch(&mut self, packets: &[&[u8]]) -> Vec<Option<u16>> {
-        packets.iter().map(|p| self.matches(p)).collect()
-    }
 }
 
 /// Every surface that can bind `program` under `config`, in ladder order.
@@ -147,14 +137,6 @@ impl FilterEngine for DtreeEngine {
             .first_match(PacketView::new(packet))
             .map(|id| u16::try_from(id).unwrap_or(u16::MAX))
     }
-    fn eval_batch(&mut self, packets: &[&[u8]]) -> Vec<Option<u16>> {
-        let views: Vec<PacketView<'_>> = packets.iter().map(|p| PacketView::new(p)).collect();
-        self.0
-            .matches_batch(&views)
-            .into_iter()
-            .map(|ids| ids.first().map(|&id| u16::try_from(id).unwrap_or(u16::MAX)))
-            .collect()
-    }
 }
 
 struct IrEngine(IrFilter);
@@ -179,13 +161,6 @@ impl FilterEngine for GeomEngine {
             .first_match(PacketView::new(packet))
             .map(|id| u16::try_from(id).unwrap_or(u16::MAX))
     }
-    fn eval_batch(&mut self, packets: &[&[u8]]) -> Vec<Option<u16>> {
-        let views: Vec<PacketView<'_>> = packets.iter().map(|p| PacketView::new(p)).collect();
-        let (all, _) = self.0.matches_batch_with_stats(&views);
-        all.into_iter()
-            .map(|ids| ids.first().map(|&id| u16::try_from(id).unwrap_or(u16::MAX)))
-            .collect()
-    }
 }
 
 #[cfg(feature = "jit")]
@@ -198,15 +173,6 @@ impl FilterEngine for JitEngine {
     }
     fn matches(&mut self, packet: &[u8]) -> Option<u16> {
         self.0.eval(PacketView::new(packet)).then_some(0)
-    }
-    fn eval_batch(&mut self, packets: &[&[u8]]) -> Vec<Option<u16>> {
-        // One virtual dispatch for the whole batch; the template code is
-        // then invoked back-to-back, keeping its instruction stream hot.
-        let filter = &self.0;
-        packets
-            .iter()
-            .map(|p| filter.eval(PacketView::new(p)).then_some(0))
-            .collect()
     }
 }
 
@@ -238,20 +204,6 @@ mod tests {
         for engine in &mut singleton_engines(&prog, InterpConfig::default()) {
             assert_eq!(engine.matches(&hit), Some(0), "{}", engine.name());
             assert_eq!(engine.matches(&miss), None, "{}", engine.name());
-        }
-    }
-
-    #[test]
-    fn eval_batch_agrees_with_matches_on_every_surface() {
-        let prog = samples::fig_3_9_pup_socket_35();
-        let hit = samples::pup_packet_3mb(2, 0, 35, 1);
-        let miss = samples::pup_packet_3mb(2, 0, 36, 1);
-        let truncated = &hit[..5];
-        let frames: Vec<&[u8]> = vec![&hit, &miss, truncated, &[], &hit];
-        for engine in &mut singleton_engines(&prog, InterpConfig::default()) {
-            let batched = engine.eval_batch(&frames);
-            let scalar: Vec<Option<u16>> = frames.iter().map(|p| engine.matches(p)).collect();
-            assert_eq!(batched, scalar, "{}", engine.name());
         }
     }
 

@@ -924,73 +924,6 @@ impl GeomSet {
         stats.filters_skipped = *live as u32 - stats.filters_evaluated;
         (stats, scratch)
     }
-
-    /// [`GeomSet::matches`] over a batch of packets, with per-packet
-    /// counters. Verdicts are identical to calling `matches` per packet;
-    /// what the batch amortizes is the index probe — the candidate list
-    /// (and its probe counters) is computed once per *run* of packets
-    /// whose tuple-key words all agree, the common case under RSS
-    /// flow-grouped delivery.
-    pub fn matches_batch_with_stats(
-        &mut self,
-        packets: &[PacketView<'_>],
-    ) -> (Vec<Vec<FilterId>>, Vec<GeomStats>) {
-        let mut out = Vec::with_capacity(packets.len());
-        let mut out_stats = Vec::with_capacity(packets.len());
-        let mut words: Vec<u16> = self.index.ranges.keys().copied().collect();
-        words.extend(self.index.exact.keys().flat_map(|t| t.as_slice()));
-        words.sort_unstable();
-        words.dedup();
-        let mut cached_key: Option<Vec<Option<u16>>> = None;
-        let mut cached_probe = (0u32, 0u32);
-        let mut cached_pruned = 0u64;
-        let mut key_buf: Vec<Option<u16>> = Vec::with_capacity(words.len());
-        for &packet in packets {
-            let mut stats = GeomStats::default();
-            let mut ids = Vec::new();
-            if packet.word_len() >= self.fast_min_words {
-                key_buf.clear();
-                key_buf.extend(words.iter().map(|&w| packet.word(usize::from(w))));
-                if cached_key.as_deref() != Some(key_buf.as_slice()) {
-                    let Self {
-                        slots,
-                        index,
-                        cand,
-                        candidate_cap,
-                        ..
-                    } = &mut *self;
-                    cached_pruned =
-                        Self::gather(index, slots, packet, cand, &mut stats, *candidate_cap);
-                    cached_probe = (stats.tuples_probed, stats.nodes_visited);
-                    cached_key = Some(key_buf.clone());
-                } else {
-                    // Same probe the scalar walk would have performed.
-                    stats.tuples_probed = cached_probe.0;
-                    stats.nodes_visited = cached_probe.1;
-                }
-                self.candidates_capped += cached_pruned;
-                for &s in self.cand.iter() {
-                    let m = self.slots[s as usize].as_ref().expect("retained live");
-                    if eval_member(m, packet, self.config, &mut stats) {
-                        ids.push(m.id);
-                    }
-                }
-            } else {
-                for &(_, _, s) in self.order.iter() {
-                    let Some(m) = self.slots[s as usize].as_ref() else {
-                        continue;
-                    };
-                    if eval_member(m, packet, self.config, &mut stats) {
-                        ids.push(m.id);
-                    }
-                }
-            }
-            stats.filters_skipped = self.live as u32 - stats.filters_evaluated;
-            out.push(ids);
-            out_stats.push(stats);
-        }
-        (out, out_stats)
-    }
 }
 
 /// Evaluates one member. [`IrFilter::eval_with_stats`] routes packets
@@ -1254,34 +1187,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar() {
-        let mut set = GeomSet::new();
-        for (id, sock) in [(1u32, 35u16), (2, 44), (3, 55)] {
-            set.insert(id, samples::pup_socket_filter(10, 0, sock));
-        }
-        set.insert(4, samples::socket_range_filter(20, 40, 60));
-        set.insert(5, samples::accept_all(1));
-        let frames: Vec<Vec<u8>> = vec![
-            pkt(35),
-            pkt(44),
-            pkt(44), // same-key run: exercises the cached candidates
-            pkt(99),
-            pkt(55)[..6].to_vec(), // truncated: slow path
-            Vec::new(),            // empty frame
-        ];
-        let views: Vec<PacketView<'_>> = frames.iter().map(|f| PacketView::new(f)).collect();
-        let (batched, stats) = set.matches_batch_with_stats(&views);
-        for (i, v) in views.iter().enumerate() {
-            let (expect, expect_stats) = {
-                let (ids, s) = set.matches_with_stats(*v);
-                (ids.to_vec(), s)
-            };
-            assert_eq!(batched[i], expect, "packet {i} diverged");
-            assert_eq!(stats[i], expect_stats, "packet {i} stats diverged");
-        }
-    }
-
-    #[test]
     fn replace_keeps_single_entry() {
         let mut set = GeomSet::new();
         set.insert(1, samples::socket_range_filter(10, 0, 100));
@@ -1346,15 +1251,6 @@ mod tests {
         assert!(capped.filters_evaluated <= 8, "{capped:?}");
         assert_eq!(set.candidates_capped(), 32);
         assert_eq!(set.first_match(PacketView::new(&p)), Some(0));
-        // The batch path prunes identically (and counts per packet).
-        let before = set.candidates_capped();
-        let views = [PacketView::new(&p), PacketView::new(&p)];
-        let (ids, stats) = set.matches_batch_with_stats(&views);
-        assert!(stats.iter().all(|s| s.filters_evaluated <= 8));
-        assert_eq!(ids[0].first(), Some(&0));
-        // 32 pruned for each of the two packets (the cached key-run
-        // replays the probe's pruning per packet).
-        assert_eq!(set.candidates_capped() - before, 64);
     }
 
     #[test]

@@ -40,7 +40,9 @@
 //!    — each threaded program's blocks are template-expanded into native
 //!    x86-64 or aarch64 code in an mmap'd W^X buffer; programs or
 //!    platforms the emitter cannot handle fall back to the threaded
-//!    engine per filter, invisibly to callers.
+//!    engine per filter, invisibly to callers. It is a single-filter
+//!    surface: one mapping per filter, so no kernel engine walks a set
+//!    of them (EXPERIMENTS.md, "Retired, and why (PR 19)").
 //!
 //! Semantics are pinned to the checked interpreter: translation consumes
 //! only validated programs, runtime faults (out-of-bounds indirect loads,

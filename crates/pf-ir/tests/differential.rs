@@ -299,95 +299,6 @@ fn set_engines_agree_on_seeded_populations() {
     }
 }
 
-/// Batched evaluation pin: `eval_batch` must be bit-identical to looping
-/// `matches`, for every surface, in all four dialect × short-circuit
-/// configurations, over seeded programs and packet batches that mix full
-/// frames with corrupted, truncated, and empty ones.
-#[test]
-fn eval_batch_agrees_with_scalar_on_seeded_pairs() {
-    let mut rng = SplitMix64::new(0x0ba7_c4ed);
-    for case in 0..250 {
-        let words = if case % 2 == 0 {
-            random_balanced_words(&mut rng)
-        } else {
-            random_words(&mut rng)
-        };
-        // A batch mixing normal frames with adversarial shapes: an empty
-        // frame, a one-byte frame, and truncations of a full frame.
-        let full = random_packet(&mut rng);
-        let mut batch: Vec<Vec<u8>> = (0..3).map(|_| random_packet(&mut rng)).collect();
-        batch.push(Vec::new());
-        batch.push(vec![rng.next_u64() as u8]);
-        for cut in [1, 3, 5] {
-            batch.push(full[..full.len().min(cut)].to_vec());
-        }
-        batch.push(full.clone());
-        let refs: Vec<&[u8]> = batch.iter().map(|p| p.as_slice()).collect();
-        for cfg in CONFIGS {
-            let prog = FilterProgram::from_words(10, words.clone());
-            for engine in &mut singleton_engines(&prog, cfg) {
-                let scalar: Vec<Option<u16>> = refs.iter().map(|p| engine.matches(p)).collect();
-                let batched = engine.eval_batch(&refs);
-                assert_eq!(
-                    batched,
-                    scalar,
-                    "{} batch vs scalar: case {case} cfg {cfg:?}",
-                    engine.name()
-                );
-            }
-        }
-    }
-}
-
-/// Set-level batch pin: the geometric and decision-table batch walks
-/// agree with their own scalar walks over mixed populations — including
-/// after removals, so the batch path sees tombstoned directory buckets.
-#[test]
-fn set_batch_walks_agree_under_churn() {
-    let mut rng = SplitMix64::new(0x0bea_d5e7);
-    for case in 0..60 {
-        let mut geom = GeomSet::new();
-        let mut table = FilterSet::new();
-        let mut ids = Vec::new();
-        for id in 0..(4 + rng.below(12) as u32) {
-            let prio = rng.below(30) as u8;
-            let f = match rng.below(3) {
-                0 => samples::pup_socket_filter(prio, 0, 30 + rng.below(8) as u16),
-                1 => samples::ethertype_filter(prio, rng.below(6) as u16),
-                _ => FilterProgram::from_words(prio, random_words(&mut rng)),
-            };
-            geom.insert(id, f.clone());
-            table.insert(id, f);
-            ids.push(id);
-        }
-        // Churn: remove a random subset so the batch walk runs against
-        // tombstoned (and possibly compacted) state.
-        for &id in ids.iter().filter(|_| rng.chance(0.3)) {
-            geom.remove(id);
-            table.remove(id);
-        }
-        let batch: Vec<Vec<u8>> = (0..8)
-            .map(|i| {
-                let pkt =
-                    samples::pup_packet_3mb(rng.below(6) as u16, 0, 28 + rng.below(12) as u16, 1);
-                match i {
-                    0 => Vec::new(),
-                    1 => pkt[..5].to_vec(),
-                    _ if rng.chance(0.2) => random_packet(&mut rng),
-                    _ => pkt,
-                }
-            })
-            .collect();
-        let views: Vec<PacketView<'_>> = batch.iter().map(|p| PacketView::new(p)).collect();
-        let scalar_geom: Vec<Vec<u32>> = views.iter().map(|v| geom.matches(*v)).collect();
-        let (batched_geom, _) = geom.matches_batch_with_stats(&views);
-        assert_eq!(batched_geom, scalar_geom, "geom: case {case}");
-        let scalar_table: Vec<Vec<u32>> = views.iter().map(|v| table.matches(*v)).collect();
-        let batched_table = table.matches_batch(&views);
-        assert_eq!(batched_table, scalar_table, "table: case {case}");
-    }
-}
-
 /// Six word equalities in the figure 3-9 idiom: more exact atoms than
 /// one directory key packs, so the ethertype stays out of the key and
 /// same-socket members of different protocols share a bucket.
@@ -412,10 +323,9 @@ fn wide_exact_filter(priority: u8, ethertype: u16, socket: u16) -> FilterProgram
 /// range, wider-than-one-key exact and unvalidatable members under
 /// inserts, rebinds of a live id, removals (tombstones), and the
 /// compactions they trigger stays equivalent to a sequential walk of
-/// the checked interpreter, to a from-scratch rebuild, and to itself
-/// across the scalar and batched entry points. Directory buckets and
-/// interval-tree nodes are where a stale tombstone or a mis-filed key
-/// would surface.
+/// the checked interpreter and to a from-scratch rebuild. Directory
+/// buckets and interval-tree nodes are where a stale tombstone or a
+/// mis-filed key would surface.
 #[test]
 fn geom_set_survives_churn() {
     let mut rng = SplitMix64::new(0x9e0_37a7e);
@@ -477,7 +387,6 @@ fn geom_set_survives_churn() {
             })
             .collect();
         let views: Vec<PacketView<'_>> = batch.iter().map(|p| PacketView::new(p)).collect();
-        let (batched, stats) = set.matches_batch_with_stats(&views);
         for (i, view) in views.iter().enumerate() {
             let expect: Vec<u32> = {
                 let mut order: Vec<usize> = (0..live.len()).collect();
@@ -488,16 +397,11 @@ fn geom_set_survives_churn() {
                     .map(|j| live[j].0)
                     .collect()
             };
-            assert_eq!(
-                set.matches(*view),
-                expect,
-                "step {step} pkt {i}: vs checked"
-            );
-            assert_eq!(batched[i], expect, "step {step} pkt {i}: batch vs checked");
+            let (ids, stats) = set.matches_with_stats(*view);
+            assert_eq!(ids, expect, "step {step} pkt {i}: vs checked");
             assert_eq!(fresh.matches(*view), expect, "step {step} pkt {i}: fresh");
             assert!(
-                stats[i].filters_evaluated as usize + stats[i].filters_skipped as usize
-                    >= expect.len(),
+                stats.filters_evaluated as usize + stats.filters_skipped as usize >= expect.len(),
                 "step {step} pkt {i}: stats account for every match"
             );
         }

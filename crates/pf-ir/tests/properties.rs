@@ -158,8 +158,8 @@ proptest! {
 
     /// The validator accepts the range-program shape, and the checked
     /// interpreter, the threaded code, and the geometric classifier all
-    /// agree on it — scalar and batched, on arbitrary packets, including
-    /// short ones that force the classifier's fallback.
+    /// agree on it, on arbitrary packets, including short ones that force
+    /// the classifier's fallback.
     #[test]
     fn geom_agrees_on_random_range_programs(
         members in prop::collection::vec(range_member(), 1..6),
@@ -181,17 +181,14 @@ proptest! {
         }
         let mut order: Vec<usize> = (0..members.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(members[i].priority()));
-        let views: Vec<PacketView<'_>> = pkts.iter().map(|p| PacketView::new(p)).collect();
-        let (batch, _) = set.matches_batch_with_stats(&views);
-        for (p, batched) in pkts.iter().zip(batch) {
+        for p in &pkts {
             let view = PacketView::new(p);
             let expect: Vec<u32> = order
                 .iter()
                 .filter(|&&i| checked.eval(&members[i], view))
                 .map(|&i| i as u32)
                 .collect();
-            prop_assert_eq!(set.matches(view), expect.clone(), "geom scalar");
-            prop_assert_eq!(batched, expect, "geom batch");
+            prop_assert_eq!(set.matches(view), expect, "geom");
         }
     }
 }

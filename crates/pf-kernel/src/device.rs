@@ -42,86 +42,9 @@ use pf_sim::rng::SplitMix64;
 use pf_sim::time::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 
-/// The per-port member the [`DemuxEngine::Jit`] engine maintains. With the
-/// `jit` feature it is pf-ir's template JIT (native code where the emitter
-/// supports the target, threaded code otherwise); without the feature the
-/// variant still exists and every member is plain threaded code, so
-/// selecting the engine is always safe.
-#[cfg(feature = "jit")]
-type JitMember = pf_ir::JitFilter;
-#[cfg(not(feature = "jit"))]
-type JitMember = pf_ir::IrFilter;
-
-/// Whether a JIT-engine member actually runs native code (always false
-/// without the `jit` feature: the member is threaded code).
-#[cfg(feature = "jit")]
-fn member_is_jitted(m: &JitMember) -> bool {
-    m.is_jitted()
-}
-#[cfg(not(feature = "jit"))]
-fn member_is_jitted(_m: &JitMember) -> bool {
-    false
-}
-
-/// Compiles one validated filter into a JIT-engine member; `force_fallback`
-/// refuses native emission (inert without the `jit` feature, where every
-/// member is the threaded-code fallback anyway).
-#[cfg(feature = "jit")]
-fn compile_jit_member(v: &ValidatedProgram, force_fallback: bool) -> JitMember {
-    if force_fallback {
-        JitMember::from_validated_forced_fallback(v)
-    } else {
-        JitMember::from_validated(v)
-    }
-}
-#[cfg(not(feature = "jit"))]
-fn compile_jit_member(v: &ValidatedProgram, _force_fallback: bool) -> JitMember {
-    JitMember::from_validated(v)
-}
-
-/// One port's compiled filter under [`DemuxEngine::Jit`].
-#[derive(Debug)]
-struct JitEntry {
-    priority: u8,
-    id: FilterId,
-    code: JitMember,
-}
-
-/// The [`DemuxEngine::Jit`] member list, in match order — priority
-/// descending, bind order within a priority — every member evaluated for
-/// every packet at a flat cost.
-#[derive(Debug, Default)]
-struct JitSet {
-    members: Vec<JitEntry>,
-    /// Reused match-result buffer.
-    hits: Vec<FilterId>,
-    force_fallback: bool,
-}
-
-impl JitSet {
-    fn remove(&mut self, id: FilterId) -> bool {
-        let before = self.members.len();
-        self.members.retain(|m| m.id != id);
-        self.members.len() != before
-    }
-
-    fn insert(&mut self, id: FilterId, program: FilterProgram) {
-        self.remove(id);
-        // Members validated at bind time (a program that does not validate
-        // is quarantined and never offered to a compiled set).
-        let Ok(v) = ValidatedProgram::new(program) else {
-            return;
-        };
-        let priority = v.program().priority();
-        let at = self.members.partition_point(|m| m.priority >= priority);
-        let code = compile_jit_member(&v, self.force_fallback);
-        self.members.insert(at, JitEntry { priority, id, code });
-    }
-}
-
 /// The compiled set behind a non-sequential engine, keyed by port index:
 /// the one seam through which the device inserts, removes and evaluates
-/// members whichever engine is active. All three order matches by
+/// members whichever engine is active. Both order matches by
 /// `(priority descending, own insertion sequence)`, and inserting an id
 /// again moves it to the back of its priority class.
 // One per device, so the spread in variant sizes costs nothing; a `Box`
@@ -132,13 +55,12 @@ enum EngineSet {
     /// The decision table, with the match list of its last evaluation.
     Table(FilterSet, Vec<FilterId>),
     Geom(GeomSet),
-    Jit(JitSet),
 }
 
 impl EngineSet {
     /// An empty set for `engine`; `None` for the sequential engine, which
     /// keeps no compiled state.
-    fn new(engine: DemuxEngine, geom_cap: Option<usize>, jit_force_fallback: bool) -> Option<Self> {
+    fn new(engine: DemuxEngine, geom_cap: Option<usize>) -> Option<Self> {
         Some(match engine {
             DemuxEngine::Sequential => return None,
             DemuxEngine::DecisionTable => EngineSet::Table(FilterSet::new(), Vec::new()),
@@ -147,10 +69,6 @@ impl EngineSet {
                 set.set_candidate_cap(geom_cap);
                 EngineSet::Geom(set)
             }
-            DemuxEngine::Jit => EngineSet::Jit(JitSet {
-                force_fallback: jit_force_fallback,
-                ..Default::default()
-            }),
         })
     }
 
@@ -158,7 +76,6 @@ impl EngineSet {
         match self {
             EngineSet::Table(s, _) => s.insert(id, program),
             EngineSet::Geom(s) => s.insert(id, program),
-            EngineSet::Jit(s) => s.insert(id, program),
         }
     }
 
@@ -167,7 +84,6 @@ impl EngineSet {
         match self {
             EngineSet::Table(s, _) => s.remove(id),
             EngineSet::Geom(s) => s.remove(id),
-            EngineSet::Jit(s) => s.remove(id),
         }
     }
 
@@ -185,54 +101,15 @@ impl EngineSet {
                 out.ir_ops = stats.ops_executed;
                 matches
             }
-            EngineSet::Jit(s) => {
-                out.jit_filters = s.members.len() as u32;
-                s.hits.clear();
-                let accepting = s.members.iter().filter(|m| m.code.eval(packet));
-                s.hits.extend(accepting.map(|m| m.id));
-                &s.hits
-            }
-        }
-    }
-
-    /// [`Self::matches`] over a batch: element `i` is what `matches` gives
-    /// for `packets[i]`. The table and geom sets amortize their
-    /// probe across the batch; the JIT list walks packet by packet.
-    fn matches_batch(&mut self, packets: &[PacketView<'_>]) -> Vec<(Vec<FilterId>, DemuxOutcome)> {
-        let with_ops = |(m, ir_ops): (Vec<FilterId>, u32)| {
-            let out = DemuxOutcome {
-                ir_ops,
-                ..Default::default()
-            };
-            (m, out)
-        };
-        match self {
-            EngineSet::Table(s, _) => {
-                let all = s.matches_batch(packets);
-                all.into_iter().map(|m| with_ops((m, 0))).collect()
-            }
-            EngineSet::Geom(s) => {
-                let (all, stats) = s.matches_batch_with_stats(packets);
-                let ops = stats.iter().map(|st| st.ops_executed);
-                all.into_iter().zip(ops).map(with_ops).collect()
-            }
-            EngineSet::Jit(_) => packets
-                .iter()
-                .map(|&p| {
-                    let mut out = DemuxOutcome::default();
-                    (self.matches(p, &mut out).to_vec(), out)
-                })
-                .collect(),
         }
     }
 
     /// Index probes one packet costs whatever the population: decision-table
-    /// shapes or geom tuples, zero for the sets that walk their members.
+    /// shapes or geom tuples.
     fn index_probes(&self) -> usize {
         match self {
             EngineSet::Table(s, _) => s.shape_count(),
             EngineSet::Geom(s) => s.tuple_count(),
-            _ => 0,
         }
     }
 
@@ -246,11 +123,6 @@ impl EngineSet {
                 stats.geom_overlaps = s.overlap_count();
                 stats.geom_shadows = s.shadow_count();
                 stats.geom_candidates_capped = s.candidates_capped();
-            }
-            EngineSet::Jit(s) => {
-                let native = s.members.iter().filter(|m| member_is_jitted(&m.code));
-                stats.jit_compiled = native.count();
-                stats.jit_fallback = s.members.len() - stats.jit_compiled;
             }
         }
     }
@@ -279,12 +151,6 @@ pub enum DemuxEngine {
     /// still demultiplex in O(#tuples · log U) index work. Unlike the
     /// decision table this accepts *every* filter program.
     Geom,
-    /// Each filter compiled to straight-line native code by pf-ir's
-    /// template JIT (cargo feature `jit`), walked in priority order like
-    /// the sequential loop. Members the emitter refuses — and the whole
-    /// set when the feature is off or the target unsupported — degrade to
-    /// per-member threaded code; verdicts never change, only speed.
-    Jit,
 }
 
 /// How many demultiplex operations between adaptive re-sorts of
@@ -699,11 +565,6 @@ pub struct EngineStats {
     /// quarantined something, and rebinds that land mid-class. Binds of
     /// fresh ports and closes update the set in place and never count.
     pub engine_rebuilds: u64,
-    /// JIT-engine members running native code (always zero without the
-    /// `jit` feature or on targets the emitter does not support).
-    pub jit_compiled: usize,
-    /// JIT-engine members serving the threaded-code fallback.
-    pub jit_fallback: usize,
     /// Frames shed at the gate as signature mimics (adversarial-drop
     /// attribution; never folded into `drops_admission`).
     pub drops_mimicry_shed: u64,
@@ -727,10 +588,6 @@ pub struct DemuxOutcome {
     /// the packet (the cost-accounting analogue of `applied`'s
     /// instruction counters).
     pub ir_ops: u32,
-    /// Filters walked by the JIT engine (each a flat-cost native or
-    /// threaded-code evaluation; quarantined fallbacks appear in `applied`
-    /// instead).
-    pub jit_filters: u32,
     /// Evaluations terminated by the instruction budget during this demux.
     pub budget_overruns: u32,
     /// Ports quarantined by this demux (first budget overrun).
@@ -776,12 +633,6 @@ impl DemuxOutcome {
                 };
                 charge("pf:geom", setup + ops);
             }
-            DemuxEngine::Jit => {
-                // Native straight-line code has no per-instruction
-                // dispatch; each member walked is one flat evaluation.
-                let walked = u64::from(self.jit_filters.max(1));
-                charge("pf:jit", costs.jit_eval.times(walked));
-            }
         }
         // Under the sequential engine `applied` is the walk itself; under
         // the compiled engines it holds the checked fallback evaluations
@@ -822,10 +673,6 @@ pub struct PfDevice {
     /// ports, and its match order is `order` restricted to them.
     set: Option<EngineSet>,
     engine_rebuilds: u64,
-    /// Test hook: refuse native emission so every JIT member takes the
-    /// threaded-code fallback (inert without the `jit` feature, where
-    /// members are threaded code anyway).
-    jit_force_fallback: bool,
     interp: CheckedInterpreter,
     /// Per-evaluation instruction budget; `None` means unbounded. Enforced
     /// by the sequential engine on every filter and by every engine on
@@ -862,7 +709,6 @@ impl PfDevice {
             engine: DemuxEngine::Sequential,
             set: None,
             engine_rebuilds: 0,
-            jit_force_fallback: false,
             interp: CheckedInterpreter::default(),
             budget: None,
             default_overflow: OverflowPolicy::default(),
@@ -1179,11 +1025,7 @@ impl PfDevice {
     /// a rebind the set's own insert would put in the wrong place
     /// ([`Self::rehome`]).
     fn rebuild_engine(&mut self) {
-        self.set = EngineSet::new(
-            self.engine,
-            self.geom_candidate_cap,
-            self.jit_force_fallback,
-        );
+        self.set = EngineSet::new(self.engine, self.geom_candidate_cap);
         let Some(set) = &mut self.set else { return };
         self.engine_rebuilds += 1;
         for &idx in &self.order {
@@ -1430,36 +1272,9 @@ impl PfDevice {
         out
     }
 
-    /// Demultiplexes a batch of received packets, element `i` of the
-    /// result identical to what `demux(packets[i])` would return (same
-    /// outcomes, same `demux_ops`/per-port `accepts` bookkeeping).
-    ///
-    /// The compiled engines evaluate the whole batch through their set's
-    /// batch walk, amortizing dispatch and index-probe work where the set
-    /// has one. The sequential engine and any configuration with
-    /// quarantined ports fall back to per-frame demultiplexing: the
-    /// sequential path's adaptive resort and the quarantine merge are
-    /// stateful per frame, and splitting them across a batch would change
-    /// observable behavior.
-    pub fn demux_batch(&mut self, packets: &[&[u8]]) -> Vec<DemuxOutcome> {
-        let batchable = packets.len() > 1 && self.quarantined == 0;
-        let Some(set) = self.set.as_mut().filter(|_| batchable) else {
-            return packets.iter().map(|p| self.demux(p)).collect();
-        };
-        self.demux_ops += packets.len() as u64;
-        let views: Vec<PacketView<'_>> = packets.iter().map(|p| PacketView::new(p)).collect();
-        let all = set.matches_batch(&views);
-        all.into_iter()
-            .map(|(matches, mut out)| {
-                Self::deliver_matches(&mut self.ports, &matches, &mut out);
-                out
-            })
-            .collect()
-    }
-
     /// Applies the §3.2 deliver-to-lower rule to a priority-ordered match
-    /// list and records the per-port accept bookkeeping — the common tail
-    /// of every unquarantined compiled-engine demux.
+    /// list and records the per-port accept bookkeeping — the tail of an
+    /// unquarantined compiled-engine demux.
     fn deliver_matches(ports: &mut [Port], matches: &[FilterId], out: &mut DemuxOutcome) {
         for &id in matches {
             let port = &mut ports[id as PortIdx];
@@ -1578,7 +1393,6 @@ pub struct PfDeviceBuilder {
     budget: Option<u32>,
     adaptive: bool,
     overflow: OverflowPolicy,
-    jit_force_fallback: bool,
     admission: Option<AdmissionConfig>,
     geom_candidate_cap: Option<usize>,
 }
@@ -1592,7 +1406,6 @@ impl Default for PfDeviceBuilder {
             budget: None,
             adaptive: true,
             overflow: OverflowPolicy::default(),
-            jit_force_fallback: false,
             admission: None,
             geom_candidate_cap: None,
         }
@@ -1625,14 +1438,6 @@ impl PfDeviceBuilder {
         self
     }
 
-    /// Test hook: refuse native emission under [`DemuxEngine::Jit`], so
-    /// every member exercises the threaded-code fallback. Inert without
-    /// the `jit` feature (members are threaded code anyway).
-    pub fn jit_force_fallback(mut self, on: bool) -> Self {
-        self.jit_force_fallback = on;
-        self
-    }
-
     /// Enables the pre-demux admission gate.
     pub fn admission_control(mut self, config: AdmissionConfig) -> Self {
         self.admission = Some(config);
@@ -1652,7 +1457,6 @@ impl PfDeviceBuilder {
         d.adaptive = self.adaptive;
         d.budget = self.budget;
         d.default_overflow = self.overflow;
-        d.jit_force_fallback = self.jit_force_fallback;
         d.geom_candidate_cap = self.geom_candidate_cap;
         d.set_engine(self.engine);
         d.set_admission_control(self.admission);
@@ -1749,92 +1553,6 @@ mod tests {
         assert!(out.accepted.is_empty());
         assert_eq!(out.applied.len(), 1);
         assert!(!out.applied[0].accepted);
-    }
-
-    fn assert_outcomes_eq(a: &DemuxOutcome, b: &DemuxOutcome, ctx: &str) {
-        assert_eq!(a.accepted, b.accepted, "{ctx}: accepted");
-        assert_eq!(a.ir_ops, b.ir_ops, "{ctx}: ir_ops");
-        assert_eq!(a.jit_filters, b.jit_filters, "{ctx}: jit_filters");
-        assert_eq!(a.budget_overruns, b.budget_overruns, "{ctx}: overruns");
-        assert_eq!(a.applied.len(), b.applied.len(), "{ctx}: applied");
-    }
-
-    #[test]
-    fn demux_batch_equals_per_frame_demux_on_every_engine() {
-        let frames: Vec<Vec<u8>> = vec![
-            pkt(35),
-            pkt(44),
-            pkt(44),
-            pkt(99),
-            pkt(35)[..6].to_vec(), // truncated
-            Vec::new(),            // empty frame
-        ];
-        let frame_refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
-        for engine in [
-            DemuxEngine::Sequential,
-            DemuxEngine::DecisionTable,
-            DemuxEngine::Geom,
-            DemuxEngine::Jit,
-        ] {
-            let build = || {
-                let mut d = PfDevice::builder().engine(engine).build();
-                for (i, f) in [
-                    samples::pup_socket_filter(10, 0, 35),
-                    samples::pup_socket_filter(10, 0, 44),
-                    samples::accept_all(1),
-                ]
-                .into_iter()
-                .enumerate()
-                {
-                    let idx = d.open((ProcId(i), Fd(0)));
-                    d.set_filter(idx, f);
-                }
-                d
-            };
-            let mut batched = build();
-            let mut scalar = build();
-            let outs = batched.demux_batch(&frame_refs);
-            assert_eq!(outs.len(), frames.len());
-            for (i, out) in outs.iter().enumerate() {
-                let expect = scalar.demux(&frames[i]);
-                assert_outcomes_eq(out, &expect, &format!("{engine:?} frame {i}"));
-            }
-            assert_eq!(batched.demux_ops, scalar.demux_ops, "{engine:?}");
-            for idx in 0..3 {
-                assert_eq!(
-                    batched.port(idx).accepts,
-                    scalar.port(idx).accepts,
-                    "{engine:?} port {idx} accepts"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn demux_batch_with_quarantined_port_takes_merged_walk() {
-        // A quarantined port forces the per-frame fallback; verdicts must
-        // still match scalar demux exactly.
-        let build = || {
-            let mut d = PfDevice::builder()
-                .engine(DemuxEngine::Geom)
-                .instruction_budget(Some(4))
-                .build();
-            let a = d.open((ProcId(0), Fd(0)));
-            d.set_filter(a, samples::pup_socket_filter(10, 0, 35));
-            let b = d.open((ProcId(1), Fd(0)));
-            d.set_filter(b, samples::fig_3_8_pup_type_range()); // > 4 instrs
-            d
-        };
-        let mut batched = build();
-        let mut scalar = build();
-        assert!(batched.quarantined > 0, "range filter must be over budget");
-        let frames: Vec<Vec<u8>> = vec![pkt(35), pkt(99)];
-        let frame_refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
-        let outs = batched.demux_batch(&frame_refs);
-        for (i, out) in outs.iter().enumerate() {
-            let expect = scalar.demux(&frames[i]);
-            assert_outcomes_eq(out, &expect, &format!("frame {i}"));
-        }
     }
 
     #[test]
@@ -1934,7 +1652,6 @@ mod tests {
             DemuxEngine::Sequential,
             DemuxEngine::DecisionTable,
             DemuxEngine::Geom,
-            DemuxEngine::Jit,
         ] {
             let mut d = PfDevice::new();
             let clean = d.open((ProcId(0), Fd(0)));
@@ -2060,11 +1777,7 @@ mod tests {
     /// `order`'s (the quarantine-merge walk) cannot part company.
     #[test]
     fn adaptive_toggle_changes_nothing_under_compiled_engines() {
-        for engine in [
-            DemuxEngine::DecisionTable,
-            DemuxEngine::Geom,
-            DemuxEngine::Jit,
-        ] {
+        for engine in [DemuxEngine::DecisionTable, DemuxEngine::Geom] {
             for quarantine in [false, true] {
                 let ctx = format!("{engine:?}, quarantined port: {quarantine}");
                 let mut d = PfDevice::builder().engine(engine).build();
@@ -2222,138 +1935,6 @@ mod tests {
             let out = d.demux(&pkt(35));
             assert_eq!(out.accepted, vec![monitor, consumer]);
         }
-    }
-
-    #[test]
-    fn jit_engine_agrees_with_sequential() {
-        let filters = vec![
-            samples::pup_socket_filter(10, 0, 35),
-            samples::pup_socket_filter(10, 0, 44),
-            samples::accept_all(5),
-            samples::fig_3_8_pup_type_range(),
-        ];
-        for sock in [35u16, 44, 99] {
-            let mut seq = dev_with(filters.clone());
-            seq.set_adaptive_reorder(false);
-            let mut jit = PfDevice::builder()
-                .engine(DemuxEngine::Jit)
-                .adaptive_reorder(false)
-                .build();
-            for (i, f) in filters.iter().enumerate() {
-                let idx = jit.open((ProcId(i), Fd(0)));
-                jit.set_filter(idx, f.clone());
-            }
-            let p = pkt(sock);
-            assert_eq!(
-                seq.demux(&p).accepted,
-                jit.demux(&p).accepted,
-                "sock={sock}"
-            );
-        }
-    }
-
-    #[test]
-    fn jit_engine_reports_members_and_flat_cost() {
-        let mut d = dev_with(vec![
-            samples::pup_socket_filter(10, 0, 35),
-            samples::pup_socket_filter(10, 0, 44),
-        ]);
-        d.set_engine(DemuxEngine::Jit);
-        let stats = d.engine_stats();
-        assert_eq!(stats.engine, DemuxEngine::Jit);
-        assert_eq!(
-            stats.jit_compiled + stats.jit_fallback,
-            2,
-            "every member is either native or threaded fallback"
-        );
-        // Where the emitter supports this target, simple guard programs
-        // always compile.
-        #[cfg(all(
-            feature = "jit",
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        assert_eq!(stats.jit_compiled, 2);
-        let out = d.demux(&pkt(35));
-        assert_eq!(out.accepted, vec![0]);
-        assert_eq!(out.jit_filters, 2, "both members walked at flat cost");
-        assert!(
-            out.applied.is_empty(),
-            "JIT engine does not itemize applications"
-        );
-    }
-
-    #[test]
-    fn jit_engine_tracks_filter_rebinding_and_close() {
-        let mut d = dev_with(vec![samples::pup_socket_filter(10, 0, 35)]);
-        d.set_engine(DemuxEngine::Jit);
-        assert!(d.demux(&pkt(44)).accepted.is_empty());
-        d.set_filter(0, samples::pup_socket_filter(10, 0, 44));
-        assert_eq!(d.demux(&pkt(44)).accepted, vec![0]);
-        d.close(0);
-        assert!(d.demux(&pkt(44)).accepted.is_empty());
-    }
-
-    #[test]
-    fn jit_engine_respects_deliver_to_lower() {
-        let mut d = PfDevice::new();
-        let monitor = d.open((ProcId(0), Fd(0)));
-        d.set_filter(monitor, samples::accept_all(30));
-        d.port_mut(monitor).config.deliver_to_lower = true;
-        let consumer = d.open((ProcId(1), Fd(0)));
-        d.set_filter(consumer, samples::pup_socket_filter(10, 0, 35));
-        d.set_engine(DemuxEngine::Jit);
-        let out = d.demux(&pkt(35));
-        assert_eq!(out.accepted, vec![monitor, consumer]);
-    }
-
-    /// Satellite: with emission artificially refused, the JIT engine must
-    /// report every member as fallback and keep verdicts identical.
-    #[cfg(feature = "jit")]
-    #[test]
-    fn forced_fallback_keeps_verdicts_and_reports_stats() {
-        let filters = [
-            samples::pup_socket_filter(10, 0, 35),
-            samples::fig_3_8_pup_type_range(),
-            samples::accept_all(2),
-        ];
-        let mut forced = PfDevice::builder()
-            .engine(DemuxEngine::Jit)
-            .jit_force_fallback(true)
-            .build();
-        let mut native = PfDevice::builder().engine(DemuxEngine::Jit).build();
-        for (i, f) in filters.iter().enumerate() {
-            let idx = forced.open((ProcId(i), Fd(0)));
-            forced.set_filter(idx, f.clone());
-            let idx = native.open((ProcId(i), Fd(0)));
-            native.set_filter(idx, f.clone());
-        }
-        let stats = forced.engine_stats();
-        assert_eq!(stats.jit_compiled, 0, "emission refused everywhere");
-        assert_eq!(stats.jit_fallback, 3);
-        for sock in [35u16, 44, 99] {
-            let p = pkt(sock);
-            assert_eq!(
-                forced.demux(&p).accepted,
-                native.demux(&p).accepted,
-                "sock={sock}"
-            );
-        }
-    }
-
-    /// Satellite: the default build must still offer `DemuxEngine::Jit`,
-    /// degraded to threaded code — the `jit` gate never leaks out.
-    #[cfg(not(feature = "jit"))]
-    #[test]
-    fn jit_engine_without_the_feature_is_threaded_fallback() {
-        let mut d = PfDevice::builder().engine(DemuxEngine::Jit).build();
-        let p0 = d.open((ProcId(0), Fd(0)));
-        d.set_filter(p0, samples::pup_socket_filter(10, 0, 35));
-        let stats = d.engine_stats();
-        assert_eq!(stats.jit_compiled, 0, "no native code without the feature");
-        assert_eq!(stats.jit_fallback, 1);
-        assert_eq!(d.demux(&pkt(35)).accepted, vec![p0]);
-        assert!(d.demux(&pkt(44)).accepted.is_empty());
     }
 
     #[test]

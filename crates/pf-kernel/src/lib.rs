@@ -4,9 +4,11 @@
 //! system around it, rebuilt on the `pf-sim` substrate:
 //!
 //! * [`device`] — the packet-filter character-special device: ports,
-//!   per-filter priorities, the figure 4-1 demultiplexing loop, adaptive
-//!   same-priority reordering, bounded per-port input queues, the
-//!   deliver-to-lower-priority option;
+//!   per-filter priorities, the figure 4-1 demultiplexing loop and the
+//!   two compiled sets that can stand in for it ([`DemuxEngine`]: the §7
+//!   decision table and the geometric classifier, one per-packet path
+//!   through each), adaptive same-priority reordering, bounded per-port
+//!   input queues, the deliver-to-lower-priority option;
 //! * [`world`] — hosts, user processes, the event loop, and the system
 //!   call surface (open/close/read/write/ioctl on packet-filter ports,
 //!   pipes, timers, signals, kernel sockets), all charged against the

@@ -18,9 +18,9 @@
 //!   [`CpuPool`]; cross-core handoffs and work stealing pay explicit
 //!   `mc_wakeup`/`queue_steal` costs.
 //! * Batched execution — workers drain their queue in runs of at most
-//!   `batch` frames and demultiplex each run through
-//!   [`PfDevice::demux_batch`], paying the fixed `batch_dispatch` cost
-//!   once per run instead of a per-frame setup.
+//!   `batch` frames and pay the fixed `batch_dispatch` cost once per run
+//!   instead of a per-frame setup. Batching is a property of the cost
+//!   model: each frame of a run still goes through [`PfDevice::demux`].
 //!
 //! # Filter sharding soundness
 //!
@@ -146,13 +146,11 @@ impl RssConfig {
 /// Configuration of one multi-core receive pipeline.
 #[derive(Debug, Clone)]
 pub struct McConfig {
-    /// Worker cores (one per receive queue). Must equal `rss.queues`.
-    pub cores: usize,
     /// Frames demultiplexed per batched engine dispatch. Must be ≥ 1.
     pub batch: usize,
     /// The demultiplexing engine every core's device runs.
     pub engine: DemuxEngine,
-    /// The NIC front end.
+    /// The NIC front end; one worker core per receive queue.
     pub rss: RssConfig,
     /// Per-core receive-ring capacity (arrivals beyond it drop at the
     /// interface, exactly like the single-core NIC ring).
@@ -177,7 +175,6 @@ impl McConfig {
     /// the classic one-CPU receive path.
     pub fn single_core(engine: DemuxEngine) -> Self {
         McConfig {
-            cores: 1,
             batch: 1,
             engine,
             rss: RssConfig::single_queue(),
@@ -296,13 +293,10 @@ pub struct McPipeline {
 impl McPipeline {
     /// Builds the pipeline: one worker, device, and queue per core.
     pub fn new(config: McConfig) -> Self {
-        assert!(config.cores >= 1, "need at least one core");
+        let cores = config.rss.queues;
+        assert!(cores >= 1, "need at least one receive queue");
         assert!(config.batch >= 1, "batch must be at least 1");
-        assert_eq!(
-            config.cores, config.rss.queues,
-            "one worker core per receive queue"
-        );
-        let workers = (0..config.cores)
+        let workers = (0..cores)
             .map(|_| {
                 let mut b = PfDevice::builder().engine(config.engine);
                 if let Some(a) = config.admission {
@@ -320,8 +314,8 @@ impl McPipeline {
             })
             .collect();
         McPipeline {
-            pool: CpuPool::new(config.cores),
-            home: vec![Vec::new(); config.cores],
+            pool: CpuPool::new(cores),
+            home: vec![Vec::new(); cores],
             workers,
             ports: Vec::new(),
             latencies: Vec::new(),
@@ -337,7 +331,7 @@ impl McPipeline {
     pub fn add_filter(&mut self, program: FilterProgram) -> usize {
         let handle = self.ports.len();
         let placement = self.placement_of(&program);
-        let mut on_core = vec![None; self.config.cores];
+        let mut on_core = vec![None; self.workers.len()];
         match placement {
             Placement::Pinned { core } => {
                 let idx = self.open_on(core, handle, &program);
@@ -361,7 +355,7 @@ impl McPipeline {
     /// Where `program` may live: pinned iff every RSS-hashed word is
     /// provably pinned to one value by the filter (see the module docs).
     fn placement_of(&self, program: &FilterProgram) -> Placement {
-        if self.config.cores == 1 {
+        if self.workers.len() == 1 {
             return Placement::Pinned { core: 0 };
         }
         if self.config.rss.hash_words.is_empty() {
@@ -430,6 +424,11 @@ impl McPipeline {
         &self.workers[core].counters
     }
 
+    /// The worker cores' CPUs: per-core busy time and per-routine profile.
+    pub fn pool(&self) -> &CpuPool {
+        &self.pool
+    }
+
     /// Schedules one frame's arrival at the NIC front end. The hardware
     /// steers it to its receive queue immediately (DMA costs nothing on a
     /// CPU; the hash cost is charged to the owning core at service time).
@@ -456,14 +455,14 @@ impl McPipeline {
     pub fn report(&self) -> McReport {
         let per_core: Vec<Counters> = self.workers.iter().map(|w| w.counters).collect();
         let total = per_core.iter().fold(Counters::new(), |sum, &c| sum + c);
-        let finish = (0..self.config.cores)
+        let finish = (0..self.workers.len())
             .map(|c| self.pool.core(c).free_at())
             .max()
             .unwrap_or(SimTime::ZERO);
         McReport {
             total,
             finish,
-            busy: (0..self.config.cores)
+            busy: (0..self.workers.len())
                 .map(|c| self.pool.core(c).busy_time())
                 .collect(),
             latencies: self.latencies.clone(),
@@ -477,7 +476,7 @@ impl McPipeline {
     /// queue is deep enough.
     fn next_step(&self) -> Option<(SimTime, usize)> {
         let mut best: Option<(SimTime, usize)> = None;
-        for c in 0..self.config.cores {
+        for c in 0..self.workers.len() {
             let w = &self.workers[c];
             let mut base = if !w.ring.is_empty() {
                 Some(w.ring.front().map(|f| f.arrival).unwrap_or(SimTime::ZERO))
@@ -521,7 +520,7 @@ impl McPipeline {
     /// leaving the last core to drain its queue alone.
     fn steal_victim(&self, thief: usize) -> Option<usize> {
         let trigger = (2 * self.config.batch).min(8);
-        (0..self.config.cores)
+        (0..self.workers.len())
             .filter(|&v| v != thief)
             .filter(|&v| self.workers[v].ring.len() >= trigger)
             .max_by_key(|&v| (self.workers[v].ring.len(), std::cmp::Reverse(v)))
@@ -715,8 +714,8 @@ impl McPipeline {
     /// delivering accepts.
     fn demux_group(&mut self, core: usize, origin: usize, group: &[Frame], t: SimTime) {
         let costs = &self.config.costs;
-        let refs: Vec<&[u8]> = group.iter().map(|f| f.bytes.as_slice()).collect();
-        let outs = self.workers[origin].device.demux_batch(&refs);
+        let device = &mut self.workers[origin].device;
+        let outs: Vec<_> = group.iter().map(|f| device.demux(&f.bytes)).collect();
         self.workers[core].counters.batches_executed += 1;
         let engine = self.config.engine;
         // One dispatch launch per batched group for the compiled engines;
@@ -726,7 +725,9 @@ impl McPipeline {
             self.pool
                 .charge(core, "pf:dispatch", t, costs.batch_dispatch);
         }
-        // Decision-table shapes or geom tuples: one read for the group.
+        // Decision-table shapes or geom tuples: one read for the group,
+        // after all of it is demultiplexed (a budget quarantine inside a
+        // demux can change the tuple count).
         let probes = self.workers[origin].device.index_probes();
         for (f, out) in group.iter().zip(&outs) {
             // Marginal per-frame engine cost: no per-frame set-up, the
@@ -903,7 +904,6 @@ mod tests {
     #[test]
     fn signature_filters_pin_to_their_flow_queue() {
         let mut cfg = McConfig::single_core(DemuxEngine::Geom);
-        cfg.cores = 4;
         cfg.rss = RssConfig::multi_queue(4, vec![SOCK_WORD]);
         let mut pl = McPipeline::new(cfg.clone());
         for sock in 100..120u16 {
@@ -925,7 +925,6 @@ mod tests {
         // required constraint, so the compiled analysis pins the pair —
         // the old single-word rule had to replicate this.
         let mut cfg = McConfig::single_core(DemuxEngine::Geom);
-        cfg.cores = 4;
         cfg.rss = RssConfig::multi_queue(4, vec![u16::from(samples::WORD_DSTSOCKET_HI), SOCK_WORD]);
         let mut pl = McPipeline::new(cfg.clone());
         let h = pl.add_filter(samples::pup_socket_filter(10, 0, 35));
@@ -937,7 +936,6 @@ mod tests {
         // A range filter pins when the hash reads its equality *guard*
         // (every accepted packet carries ethertype == 2)…
         let mut cfg = McConfig::single_core(DemuxEngine::Geom);
-        cfg.cores = 4;
         cfg.rss = RssConfig::multi_queue(4, vec![u16::from(samples::WORD_ETHERTYPE)]);
         let mut pl = McPipeline::new(cfg.clone());
         let h = pl.add_filter(samples::socket_range_filter(10, 100, 200));
@@ -949,7 +947,6 @@ mod tests {
         // …but never when the hash reads the *ranged* word: different
         // in-range values hash to different queues.
         let mut cfg = McConfig::single_core(DemuxEngine::Geom);
-        cfg.cores = 4;
         cfg.rss = RssConfig::multi_queue(4, vec![SOCK_WORD]);
         let mut pl = McPipeline::new(cfg);
         let h = pl.add_filter(samples::socket_range_filter(10, 100, 200));
@@ -966,7 +963,6 @@ mod tests {
         let mut totals = Vec::new();
         for cores in [1usize, 4] {
             let mut cfg = McConfig::single_core(DemuxEngine::Geom);
-            cfg.cores = cores;
             cfg.rss = if cores == 1 {
                 RssConfig::single_queue()
             } else {
@@ -995,7 +991,6 @@ mod tests {
         let mut totals = Vec::new();
         for cores in [1usize, 4] {
             let mut cfg = McConfig::single_core(DemuxEngine::Geom);
-            cfg.cores = cores;
             cfg.rss = if cores == 1 {
                 RssConfig::single_queue()
             } else {
@@ -1072,7 +1067,6 @@ mod tests {
     #[test]
     fn per_core_armor_engages_under_flood() {
         let mut cfg = McConfig::single_core(DemuxEngine::Geom);
-        cfg.cores = 2;
         cfg.rss = RssConfig::multi_queue(2, vec![SOCK_WORD]);
         cfg.armor = Some(OverloadConfig::default());
         let mut pl = McPipeline::new(cfg);
@@ -1104,7 +1098,6 @@ mod tests {
         // A replicated wildcard is homed on core 0; junk frames steered
         // to core 1 must pay a cross-core wakeup to deliver.
         let mut cfg = McConfig::single_core(DemuxEngine::Geom);
-        cfg.cores = 2;
         cfg.rss = RssConfig::multi_queue(2, vec![SOCK_WORD]);
         let mut pl = McPipeline::new(cfg.clone());
         pl.add_filter(samples::accept_all(1));
@@ -1131,7 +1124,6 @@ mod tests {
         // All flows chosen to steer to one queue, their filters pinned
         // there too — the other core is fully idle and must steal.
         let mut cfg = McConfig::single_core(DemuxEngine::Geom);
-        cfg.cores = 2;
         cfg.batch = 4;
         cfg.steal = true;
         cfg.rss = RssConfig::multi_queue(2, vec![SOCK_WORD]);

@@ -214,13 +214,9 @@ fn admission_gate_is_deterministic() {
 /// interpreter, and its quarantine count equals a recount.
 #[test]
 fn device_churn_matches_fresh_build_and_oracle() {
-    for (n, engine) in [
-        DemuxEngine::DecisionTable,
-        DemuxEngine::Geom,
-        DemuxEngine::Jit,
-    ]
-    .into_iter()
-    .enumerate()
+    for (n, engine) in [DemuxEngine::DecisionTable, DemuxEngine::Geom]
+        .into_iter()
+        .enumerate()
     {
         device_churn::run(engine, 0xC4_0000 + n as u64, ITERS);
     }

@@ -55,11 +55,6 @@ pub struct CostModel {
     /// One decision-table hash probe (per filter *shape*) for the §7
     /// compiled-demultiplexer engine.
     pub dtree_probe: SimDuration,
-    /// One native (template-JIT) filter application: straight-line machine
-    /// code with no per-instruction dispatch, so the whole evaluation is
-    /// charged as a flat cost comparable to a couple of interpreted
-    /// instructions.
-    pub jit_eval: SimDuration,
     /// `microtime()` for received-packet timestamps (§7: ~70 µs).
     pub microtime: SimDuration,
     /// Kernel IP input processing, IP layer only (§6.1: ~0.49 ms).
@@ -150,7 +145,6 @@ impl CostModel {
             filter_setup: SimDuration::from_micros(50),
             filter_instr: SimDuration::from_micros(28),
             dtree_probe: SimDuration::from_micros(25),
-            jit_eval: SimDuration::from_micros(10),
             microtime: SimDuration::from_micros(70),
             ip_input: SimDuration::from_micros(490),
             transport_input: SimDuration::from_micros(1_280),

@@ -20,6 +20,11 @@ run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --release
 run cargo test --workspace -q
+# The native template JIT (pf-ir's off-by-default `jit` feature: no
+# dependencies, so this lane is as hermetic as the rest). Linux
+# x86-64/aarch64 run emitted code; elsewhere it is the threaded fallback.
+run cargo clippy -p pf-ir --all-targets --features jit -- -D warnings
+run cargo test -p pf-ir -q --features jit
 # Chaos-campaign invariants (zero panics, eventual delivery, bounded
 # retries); --stdout keeps the checked-in full-sweep BENCH_chaos.json.
 echo "==> cargo run -p pf-bench --release --bin bench_chaos -- --smoke --stdout"

@@ -8,12 +8,14 @@
 //!   paper's core contribution);
 //! * [`ir`] — the control-flow-graph filter IR: optimizing passes, a
 //!   threaded-code engine, the geometric classifier, and (behind the
-//!   off-by-default `jit` cargo feature) a machine-code template JIT —
-//!   surfaces 5 through 7;
+//!   off-by-default `jit` cargo feature) a machine-code template JIT, a
+//!   single-filter surface — surfaces 5 through 7;
 //! * [`sim`] — the deterministic simulated Unix-like kernel substrate;
 //! * [`net`] — simulated Ethernets and network interfaces;
-//! * [`kernel`] — the packet-filter pseudo-device driver and the
-//!   demultiplexing baselines it is evaluated against;
+//! * [`kernel`] — the packet-filter pseudo-device driver, its three
+//!   demultiplexing engines ([`DemuxEngine`]: the paper's loop, its §7
+//!   decision table, the geometric classifier) and the baselines it is
+//!   evaluated against;
 //! * [`proto`] — the Pup/BSP, VMTP, IP/UDP/TCP-lite, ARP/RARP protocol
 //!   implementations used in the paper's evaluation;
 //! * [`monitor`] — network-monitoring tools (§5.4).

@@ -12,11 +12,7 @@ use packet_filter::ir::GeomSet;
 use packet_filter::kernel::types::{Fd, ProcId};
 use packet_filter::{DemuxEngine, PfDevice};
 
-const COMPILED: [DemuxEngine; 3] = [
-    DemuxEngine::DecisionTable,
-    DemuxEngine::Geom,
-    DemuxEngine::Jit,
-];
+const COMPILED: [DemuxEngine; 2] = [DemuxEngine::DecisionTable, DemuxEngine::Geom];
 
 #[test]
 fn churned_device_matches_a_fresh_build_and_the_oracle_dtree() {
@@ -26,11 +22,6 @@ fn churned_device_matches_a_fresh_build_and_the_oracle_dtree() {
 #[test]
 fn churned_device_matches_a_fresh_build_and_the_oracle_geom() {
     device_churn::run(DemuxEngine::Geom, 0x5EED_0004, 2_000);
-}
-
-#[test]
-fn churned_device_matches_a_fresh_build_and_the_oracle_jit() {
-    device_churn::run(DemuxEngine::Jit, 0x5EED_0005, 2_000);
 }
 
 /// One disjoint 4-socket range or one exact socket per slot, all of one

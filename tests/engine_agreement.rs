@@ -111,7 +111,6 @@ fn a_device_under_every_kernel_engine_agrees_with_the_checked_interpreter() {
         DemuxEngine::Sequential,
         DemuxEngine::DecisionTable,
         DemuxEngine::Geom,
-        DemuxEngine::Jit,
     ] {
         let mut dev = PfDevice::builder()
             .engine(engine)

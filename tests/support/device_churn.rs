@@ -93,9 +93,7 @@ fn pick(rng: &mut SplitMix64, of: &[usize]) -> Option<usize> {
 }
 
 /// Drives a device under `engine` through `steps` seeded operations,
-/// checking it against both references after every one. The probes go
-/// through `demux_batch`, which takes the batch walk while nothing is
-/// quarantined and per-frame `demux` otherwise.
+/// checking it against both references after every one.
 ///
 /// # Panics
 ///
@@ -106,7 +104,6 @@ pub fn run(engine: DemuxEngine, seed: u64, steps: u32) {
     let mut shadow: Vec<Shadow> = Vec::new();
     let mut budget: Option<u32> = None;
     let probes = probes();
-    let probe_refs: Vec<&[u8]> = probes.iter().map(Vec::as_slice).collect();
 
     // A step that finds no port to act on is drawn again, not counted.
     let mut step = 0;
@@ -256,8 +253,8 @@ pub fn run(engine: DemuxEngine, seed: u64, steps: u32) {
             accepted
         };
 
-        let outs = dev.demux_batch(&probe_refs);
-        for (n, (out, frame)) in outs.iter().zip(&probes).enumerate() {
+        for (n, frame) in probes.iter().enumerate() {
+            let out = dev.demux(frame);
             let rebuilt: Vec<usize> = fresh
                 .demux(frame)
                 .accepted
