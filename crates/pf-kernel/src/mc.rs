@@ -684,7 +684,10 @@ impl McPipeline {
     }
 
     /// Steals the back half of the deepest eligible sibling queue into
-    /// `core`'s ring, tagging frames with their origin.
+    /// `core`'s ring, in arrival order. A frame keeps the origin
+    /// `admit_arrivals` gave it however often it is stolen: the victim's
+    /// ring may itself hold stolen frames, and only the shard the NIC
+    /// steered a frame to is sure to hold its pinned filter.
     fn steal_into(&mut self, core: usize, t: SimTime) {
         let Some(victim) = self.steal_victim(core) else {
             return;
@@ -696,17 +699,9 @@ impl McPipeline {
         self.pool
             .charge(core, "mc:steal", t, self.config.costs.queue_steal);
         self.workers[core].counters.queue_steals += 1;
-        let mut stolen = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut f = self.workers[victim].ring.pop_back().expect("n <= len");
-            f.origin = victim;
-            stolen.push(f);
-        }
-        // Preserve arrival order within the stolen run.
-        stolen.reverse();
-        for f in stolen {
-            self.workers[core].ring.push_back(f);
-        }
+        let keep = self.workers[victim].ring.len() - n;
+        let stolen = self.workers[victim].ring.split_off(keep);
+        self.workers[core].ring.extend(stolen);
     }
 
     /// Demultiplexes one same-origin group on `core`'s CPU through the

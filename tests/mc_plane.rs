@@ -1,10 +1,11 @@
-//! The multi-core data plane, held to a contract no artifact shows on its
-//! own: batching is a property of the cost model alone — one `pf:dispatch`
-//! per group, every frame through `PfDevice::demux` — pinned to literals
-//! recorded from the batch walks this replaced.
+//! The multi-core data plane, held to two contracts no artifact shows on
+//! its own: a frame is judged by the shard the NIC steered it to however
+//! often it is stolen, and batching is a property of the cost model alone
+//! — one `pf:dispatch` per group, every frame through `PfDevice::demux` —
+//! pinned to literals recorded from the batch walks this replaced.
 
 use packet_filter::filter::samples;
-use packet_filter::kernel::mc::{McConfig, McPipeline, RssConfig};
+use packet_filter::kernel::mc::{McConfig, McPipeline, Placement, RssConfig};
 use packet_filter::kernel::world::OverloadConfig;
 use packet_filter::sim::counters::Counters;
 use packet_filter::sim::time::{SimDuration, SimTime};
@@ -15,6 +16,28 @@ const HASH_WORD: u16 = 8;
 
 fn pup(sock: u16) -> Vec<u8> {
     samples::pup_packet_3mb(2, 0, sock, 1)
+}
+
+#[test]
+fn a_frame_stolen_twice_is_still_judged_by_its_own_shard() {
+    for cores in [4usize, 8] {
+        let mut cfg = McConfig::single_core(DemuxEngine::Geom);
+        cfg.batch = 4;
+        cfg.steal = true;
+        cfg.nic_ring = 4096;
+        cfg.rss = RssConfig::multi_queue(cores, vec![HASH_WORD]);
+        let mut pl = McPipeline::new(cfg);
+        // One pinned filter and a burst on its queue alone: every other
+        // core is idle, steals from the owner, and is stolen from in turn.
+        let h = pl.add_filter(samples::pup_socket_filter(10, 0, 35));
+        assert!(matches!(pl.placement(h), Placement::Pinned { .. }));
+        pl.schedule_arrivals((0..1_000).map(|_| (SimTime::ZERO, pup(35))));
+        SimClock::run(&mut pl);
+        let total = pl.report().total;
+        assert!(total.queue_steals > 0, "{cores} cores: nothing was stolen");
+        assert_eq!(total.packets_delivered, 1_000, "{cores} cores");
+        assert_eq!(total.drops_no_match, 0, "{cores} cores");
+    }
 }
 
 /// `pf_bench::mc::burst`: 100 µs spacing, every 20th frame junk on a
@@ -32,9 +55,9 @@ fn burst(n: usize) -> Vec<(SimTime, Vec<u8>)> {
         .collect()
 }
 
-/// What one `BENCH_mc.json` cell is computed from, as the last commit
-/// with a batch walk in the device produced it. Counters not listed were
-/// zero.
+/// What one `BENCH_mc.json` cell is computed from, as the parent of the
+/// PR that deleted `PfDevice::demux_batch` produced it. Counters not
+/// listed were zero.
 struct Cell {
     engine: DemuxEngine,
     cores: usize,
