@@ -55,9 +55,9 @@ fn burst(n: usize) -> Vec<(SimTime, Vec<u8>)> {
         .collect()
 }
 
-/// What one `BENCH_mc.json` cell is computed from, as the parent of the
-/// PR that deleted `PfDevice::demux_batch` produced it. Counters not
-/// listed were zero.
+/// What one `BENCH_mc.json` cell is computed from, as the last commit
+/// with a batch walk in the device produced it. Counters not listed
+/// were zero.
 struct Cell {
     engine: DemuxEngine,
     cores: usize,
