@@ -16,8 +16,10 @@
 //! in which an interval occupies its O(log U) canonical nodes, so a
 //! *stabbing query* — "which intervals contain this packet's word
 //! value?" — walks one root-to-leaf path and reports exactly the covering
-//! members. A packet therefore probes O(#tuples · log U) index nodes plus
-//! the members its own bytes select, instead of O(n) members.
+//! members. The tree is an arena of nodes linked by index, so the walk
+//! follows the value's bits and hashes nothing. A packet therefore probes
+//! O(#tuples · log U) index nodes plus the members its own bytes select,
+//! instead of O(n) members.
 //!
 //! Updates are incremental: an insert touches only the member's own tuple
 //! (O(log U) segment-tree nodes or one directory bucket), a remove
@@ -80,9 +82,11 @@ pub struct GeomStats {
     pub filters_skipped: u32,
     /// Tuple sub-structures probed (one literal map or one range tree).
     pub tuples_probed: u32,
-    /// Index nodes visited across all probes (one per literal-map lookup,
-    /// one per segment-tree level) — the sublinearity witness: this grows
-    /// with tuple count and log of the domain, never with member count.
+    /// Index nodes visited across all probes: one per literal-map lookup,
+    /// and the segment-tree levels the probe actually visited, at most 17
+    /// a range tuple (a walk ends where the tree does) — the sublinearity
+    /// witness: this is bounded by tuple count and log of the domain,
+    /// whatever the member count.
     pub nodes_visited: u32,
     /// Threaded-code (or fallback interpreter) instructions executed.
     pub ops_executed: u32,
@@ -262,82 +266,96 @@ fn accept_reachable_without(
 // The sparse segment tree backing one range tuple.
 // ---------------------------------------------------------------------
 
-const ROOT: u32 = 1;
 const DOMAIN_HI: u32 = u16::MAX as u32;
+
+/// One node of a [`RangeTree`]: the intervals for which it is a canonical
+/// node, and its two halves of the domain by arena index (0 — the root,
+/// which is nobody's child — means the half holds nothing).
+#[derive(Debug, Default)]
+struct RangeNode {
+    kids: [u32; 2],
+    list: Vec<u32>,
+}
 
 /// A sparse segment tree over the 16-bit word domain. An interval is
 /// stored in its O(log U) canonical nodes; a stabbing query for value `v`
 /// walks the root-to-leaf(`v`) path and reports each covering interval
-/// exactly once. Nodes are implicit heap indices, materialized in a hash
-/// map only when occupied, so memory is O(intervals · log U) regardless
-/// of the domain.
-#[derive(Debug, Default)]
+/// exactly once. Nodes live in an arena, the root at 0, and exist only on
+/// the path to some interval's canonical node, so memory is
+/// O(intervals · log U) regardless of the domain. Halving `[0, 65535]`
+/// level by level is reading `v`'s bits from the top, so a probe follows
+/// at most sixteen child indices and stops where the tree does. An arena
+/// and not a map keyed by implicit heap index: the map pays one hash per
+/// level, occupied or not, and a cheaper hasher keeps the seventeen
+/// probes (EXPERIMENTS.md, "The range path, before and after").
+#[derive(Debug)]
 struct RangeTree {
-    nodes: HashMap<u32, Vec<u32>>,
+    nodes: Vec<RangeNode>,
     /// Interval start → member slots, for output-sensitive overlap
     /// enumeration: everything intersecting `[lo,hi]` either *starts*
     /// inside it (this map) or covers `lo` (a stab).
     starts: BTreeMap<u16, Vec<u32>>,
 }
 
+impl Default for RangeTree {
+    fn default() -> Self {
+        RangeTree {
+            nodes: vec![RangeNode::default()],
+            starts: BTreeMap::new(),
+        }
+    }
+}
+
 impl RangeTree {
     fn insert(&mut self, lo: u16, hi: u16, slot: u32) {
         self.starts.entry(lo).or_default().push(slot);
-        Self::cover(
-            &mut self.nodes,
-            ROOT,
-            0,
-            DOMAIN_HI,
-            u32::from(lo),
-            u32::from(hi),
-            slot,
-        );
+        self.cover(0, 0, DOMAIN_HI, u32::from(lo), u32::from(hi), slot);
     }
 
-    fn cover(
-        nodes: &mut HashMap<u32, Vec<u32>>,
-        node: u32,
-        nlo: u32,
-        nhi: u32,
-        lo: u32,
-        hi: u32,
-        slot: u32,
-    ) {
-        if hi < nlo || nhi < lo {
-            return;
-        }
+    /// Files `slot` under the canonical nodes of `[lo, hi]` at or below
+    /// `node`, which spans `[nlo, nhi]` and meets the interval.
+    fn cover(&mut self, node: usize, nlo: u32, nhi: u32, lo: u32, hi: u32, slot: u32) {
         if lo <= nlo && nhi <= hi {
-            nodes.entry(node).or_default().push(slot);
+            self.nodes[node].list.push(slot);
             return;
         }
         let mid = (nlo + nhi) / 2;
-        Self::cover(nodes, 2 * node, nlo, mid, lo, hi, slot);
-        Self::cover(nodes, 2 * node + 1, mid + 1, nhi, lo, hi, slot);
+        if lo <= mid {
+            let kid = self.kid(node, 0);
+            self.cover(kid, nlo, mid, lo, hi, slot);
+        }
+        if hi > mid {
+            let kid = self.kid(node, 1);
+            self.cover(kid, mid + 1, nhi, lo, hi, slot);
+        }
+    }
+
+    /// The arena index of `node`'s lower (0) or upper (1) half, created if
+    /// this is the first interval to reach into it.
+    fn kid(&mut self, node: usize, half: usize) -> usize {
+        if self.nodes[node].kids[half] == 0 {
+            self.nodes[node].kids[half] = self.nodes.len() as u32;
+            self.nodes.push(RangeNode::default());
+        }
+        self.nodes[node].kids[half] as usize
     }
 
     /// Collects every stored interval containing `v` into `out`; returns
     /// the number of tree levels visited.
     fn stab(&self, v: u16, out: &mut Vec<u32>) -> u32 {
-        let v = u32::from(v);
-        let (mut node, mut nlo, mut nhi) = (ROOT, 0u32, DOMAIN_HI);
-        let mut levels = 0;
-        loop {
+        let mut node = &self.nodes[0];
+        out.extend_from_slice(&node.list);
+        let mut levels = 1;
+        for bit in (0..16).rev() {
+            let kid = node.kids[usize::from(v >> bit & 1)];
+            if kid == 0 {
+                break;
+            }
+            node = &self.nodes[kid as usize];
+            out.extend_from_slice(&node.list);
             levels += 1;
-            if let Some(list) = self.nodes.get(&node) {
-                out.extend_from_slice(list);
-            }
-            if nlo == nhi {
-                return levels;
-            }
-            let mid = (nlo + nhi) / 2;
-            if v <= mid {
-                node *= 2;
-                nhi = mid;
-            } else {
-                node = 2 * node + 1;
-                nlo = mid + 1;
-            }
         }
+        levels
     }
 }
 
@@ -957,6 +975,7 @@ mod tests {
     use pf_filter::program::Assembler;
     use pf_filter::samples;
     use pf_filter::word::BinaryOp;
+    use pf_sim::rng::SplitMix64;
 
     fn pkt(sock: u16) -> Vec<u8> {
         samples::pup_packet_3mb(2, 0, sock, 1)
@@ -1025,6 +1044,143 @@ mod tests {
             t.stab(v, &mut got);
             got.sort_unstable();
             assert_eq!(got, expect, "v={v}");
+        }
+    }
+
+    /// One seeded interval: a point, the whole domain, a range touching
+    /// either end, one nested in or abutting an earlier interval, or any
+    /// range at all.
+    fn seeded_interval(rng: &mut SplitMix64, earlier: &[(u16, u16)]) -> (u16, u16) {
+        let any = |rng: &mut SplitMix64| rng.below(1 << 16) as u16;
+        let prev = earlier.get(rng.below(earlier.len() as u64) as usize);
+        match (rng.below(7), prev) {
+            (0, _) => {
+                let v = any(rng);
+                (v, v)
+            }
+            (1, _) => (0, u16::MAX),
+            (2, _) => (0, any(rng)),
+            (3, _) => (any(rng), u16::MAX),
+            (4, Some(&(lo, hi))) => {
+                let a = lo + rng.below(u64::from(hi - lo) + 1) as u16;
+                (a, a + rng.below(u64::from(hi - a) + 1) as u16)
+            }
+            (5, Some(&(_, hi))) if hi < u16::MAX => {
+                let a = hi + 1;
+                (
+                    a,
+                    a + rng.below(u64::from((u16::MAX - a).min(255)) + 1) as u16,
+                )
+            }
+            _ => {
+                let (a, b) = (any(rng), any(rng));
+                (a.min(b), a.max(b))
+            }
+        }
+    }
+
+    /// Both ends of the domain, every interval's ends and their outside
+    /// neighbours in turn, then anything, up to `n` values.
+    fn seeded_probes(rng: &mut SplitMix64, intervals: &[(u16, u16)], n: usize) -> Vec<u16> {
+        let mut probes = vec![0, u16::MAX];
+        while probes.len() < n {
+            let (lo, hi) = intervals[rng.below(intervals.len() as u64) as usize];
+            probes.push(match rng.below(5) {
+                0 => lo,
+                1 => hi,
+                2 => lo.saturating_sub(1),
+                3 => hi.saturating_add(1),
+                _ => rng.below(1 << 16) as u16,
+            });
+        }
+        probes
+    }
+
+    #[test]
+    fn stabs_agree_with_brute_force_on_seeded_intervals() {
+        const INTERVALS: usize = 2_000;
+        let iterations = if cfg!(feature = "fuzz-tests") { 10 } else { 1 };
+        for iteration in 0..iterations {
+            let mut rng = SplitMix64::new(0x57AB_0000 + iteration);
+            let mut intervals: Vec<(u16, u16)> = Vec::with_capacity(INTERVALS);
+            let mut tree = RangeTree::default();
+            for slot in 0..INTERVALS {
+                let (lo, hi) = seeded_interval(&mut rng, &intervals);
+                tree.insert(lo, hi, slot as u32);
+                intervals.push((lo, hi));
+            }
+            let mut got = Vec::new();
+            for v in seeded_probes(&mut rng, &intervals, 4_096) {
+                got.clear();
+                let levels = tree.stab(v, &mut got);
+                assert!((1..=17).contains(&levels), "v={v}: {levels} levels");
+                got.sort_unstable();
+                let covering: Vec<u32> = (0..INTERVALS as u32)
+                    .filter(|&s| {
+                        let (lo, hi) = intervals[s as usize];
+                        lo <= v && v <= hi
+                    })
+                    .collect();
+                assert_eq!(got, covering, "iteration {iteration}, v={v}");
+            }
+
+            // The same intervals as range filters of seeded priority in a
+            // set, against the checked interpreter applied in priority
+            // order: at full population, over tombstones, across the
+            // compaction the removes force, and after binding again.
+            let program = |slot: usize| {
+                let (lo, hi) = intervals[slot];
+                samples::socket_range_filter(1 + (slot * 7 % 5) as u8, lo, hi)
+            };
+            let checked = CheckedInterpreter::default();
+            let mut set = GeomSet::new();
+            // Live members as `(id, slot)`, in insertion order.
+            let mut live: Vec<(FilterId, usize)> = Vec::new();
+            for slot in 0..INTERVALS {
+                set.insert(slot as FilterId, program(slot));
+                live.push((slot as FilterId, slot));
+            }
+            let check = |set: &mut GeomSet,
+                         live: &[(FilterId, usize)],
+                         rng: &mut SplitMix64,
+                         stage: &str| {
+                let mut order: Vec<(FilterId, FilterProgram)> =
+                    live.iter().map(|&(id, slot)| (id, program(slot))).collect();
+                order.sort_by_key(|(_, f)| Reverse(f.priority()));
+                for v in seeded_probes(rng, &intervals, 48) {
+                    let frame = pkt(v);
+                    let view = PacketView::new(&frame);
+                    let expect: Vec<FilterId> = order
+                        .iter()
+                        .filter(|(_, f)| checked.eval(f, view))
+                        .map(|&(id, _)| id)
+                        .collect();
+                    assert_eq!(
+                        set.matches(view),
+                        expect,
+                        "iteration {iteration}, {stage}, v={v}"
+                    );
+                }
+            };
+            check(&mut set, &live, &mut rng, "full");
+            for _ in 0..INTERVALS * 2 / 5 {
+                let (id, _) = live.remove(rng.below(live.len() as u64) as usize);
+                assert!(set.remove(id));
+            }
+            assert_eq!(set.compaction_count(), 0, "iteration {iteration}");
+            check(&mut set, &live, &mut rng, "over tombstones");
+            while set.compaction_count() == 0 {
+                let (id, _) = live.remove(rng.below(live.len() as u64) as usize);
+                assert!(set.remove(id));
+            }
+            check(&mut set, &live, &mut rng, "compacted");
+            for n in 0..INTERVALS / 4 {
+                let slot = rng.below(INTERVALS as u64) as usize;
+                let id = (INTERVALS + n) as FilterId;
+                set.insert(id, program(slot));
+                live.push((id, slot));
+            }
+            check(&mut set, &live, &mut rng, "bound again");
         }
     }
 

@@ -146,10 +146,11 @@ pub enum DemuxEngine {
     /// (`packet[word] ∈ [lo, hi]`; equality is the degenerate case).
     /// Members keyed on an equality share one hash bucket per joint value
     /// of all their exact words — one probe per distinct word-set — and
-    /// members keyed on a range sit in a sparse segment tree per word, so
-    /// port-*range* rules, which have no equality literal to key on,
-    /// still demultiplex in O(#tuples · log U) index work. Unlike the
-    /// decision table this accepts *every* filter program.
+    /// members keyed on a range sit in a sparse segment tree per word (an
+    /// arena walked by the packet word's bits, at most 17 nodes and no
+    /// hashing), so port-*range* rules, which have no equality literal to
+    /// key on, still demultiplex in O(#tuples · log U) index work. Unlike
+    /// the decision table this accepts *every* filter program.
     Geom,
 }
 
@@ -466,6 +467,38 @@ pub struct Port {
 }
 
 impl Port {
+    /// A freshly opened port: no filter, default configuration.
+    fn new(owner: (ProcId, Fd), insertion: u64, overflow: OverflowPolicy) -> Self {
+        Port {
+            owner,
+            filter: None,
+            config: PortConfig {
+                overflow,
+                ..PortConfig::default()
+            },
+            queue: VecDeque::new(),
+            pending: None,
+            drops: 0,
+            accepts: 0,
+            insertion,
+            open: true,
+            next_generation: 0,
+            quarantined: None,
+            budget_overruns: 0,
+            quota: None,
+            admission_drops: 0,
+            backpressured: false,
+        }
+    }
+
+    /// A closed port that never was anybody's: it owns no heap.
+    fn closed() -> Self {
+        Port {
+            open: false,
+            ..Port::new((ProcId(0), Fd(0)), 0, OverflowPolicy::default())
+        }
+    }
+
     /// The filter's priority (ports with no filter sort last).
     pub fn priority(&self) -> u8 {
         self.filter.as_ref().map_or(0, |f| f.priority())
@@ -514,6 +547,90 @@ impl Port {
             budget_overruns: self.budget_overruns,
             admission_drops: self.admission_drops,
         }
+    }
+}
+
+/// Marks a port index whose port has been closed in [`PortTable::slot_of`].
+const CLOSED: u32 = u32::MAX;
+
+/// The device's ports, by port index. Indices are handed out in open order
+/// and never reused — `order_key` ties on insertion, and callers keep
+/// tables of their own by port index — but a closed port gives its storage
+/// back: the table costs O(open ports) plus four bytes per port ever
+/// opened.
+#[derive(Debug)]
+struct PortTable {
+    /// Port index → slot in `slab`, or [`CLOSED`].
+    slot_of: Vec<u32>,
+    /// The open ports, and vacated slots (which hold a closed port with no
+    /// heap of its own) until `free` hands them out again.
+    slab: Vec<Port>,
+    free: Vec<u32>,
+    /// What every closed index answers: not open, no filter, empty queue.
+    closed: Port,
+}
+
+impl PortTable {
+    fn new() -> Self {
+        PortTable {
+            slot_of: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            closed: Port::closed(),
+        }
+    }
+
+    /// Stores `port` under the next index and returns it.
+    fn push(&mut self, port: Port) -> PortIdx {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = port;
+                slot
+            }
+            None => {
+                self.slab.push(port);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.slot_of.push(slot);
+        self.slot_of.len() - 1
+    }
+
+    /// The open port at `idx`; `None` once closed, or if never opened.
+    fn open_mut(&mut self, idx: PortIdx) -> Option<&mut Port> {
+        match *self.slot_of.get(idx)? {
+            CLOSED => None,
+            slot => Some(&mut self.slab[slot as usize]),
+        }
+    }
+
+    /// Gives the storage of the open port at `idx` back and returns what
+    /// was in it.
+    fn vacate(&mut self, idx: PortIdx) -> Option<Port> {
+        let entry = self.slot_of.get_mut(idx).filter(|slot| **slot != CLOSED)?;
+        let slot = std::mem::replace(entry, CLOSED);
+        self.free.push(slot);
+        Some(std::mem::replace(
+            &mut self.slab[slot as usize],
+            Port::closed(),
+        ))
+    }
+}
+
+impl std::ops::Index<PortIdx> for PortTable {
+    type Output = Port;
+
+    fn index(&self, idx: PortIdx) -> &Port {
+        match self.slot_of[idx] {
+            CLOSED => &self.closed,
+            slot => &self.slab[slot as usize],
+        }
+    }
+}
+
+impl std::ops::IndexMut<PortIdx> for PortTable {
+    fn index_mut(&mut self, idx: PortIdx) -> &mut Port {
+        self.open_mut(idx).expect("an open port")
     }
 }
 
@@ -595,6 +712,15 @@ pub struct DemuxOutcome {
 }
 
 impl DemuxOutcome {
+    /// Empties the outcome, keeping what its vectors have allocated.
+    fn clear(&mut self) {
+        self.accepted.clear();
+        self.applied.clear();
+        self.ir_ops = 0;
+        self.budget_overruns = 0;
+        self.newly_quarantined = 0;
+    }
+
     /// Charges this frame's engine work and bumps the counters it moves:
     /// the one place an engine's cost curve is written down. `charge`
     /// receives `(routine, cost)` in the order the work was done.
@@ -654,7 +780,7 @@ impl DemuxOutcome {
 /// The packet-filter device of one host.
 #[derive(Debug)]
 pub struct PfDevice {
-    ports: Vec<Port>,
+    ports: PortTable,
     /// Demultiplex order: indices of the open ports, sorted by priority
     /// descending, then port insertion. The sequential engine's adaptive
     /// reordering puts busyness between the two keys; a compiled engine
@@ -686,6 +812,11 @@ pub struct PfDevice {
     /// Per-packet candidate bound applied to the geom engine
     /// ([`GeomSet::set_candidate_cap`]); survives engine rebuilds.
     geom_candidate_cap: Option<usize>,
+    /// What [`Self::demux`] fills and lends out, call after call.
+    outcome: DemuxOutcome,
+    /// The compiled set's matches, copied out of its scratch while the
+    /// quarantined merge may evict a member from under them.
+    matched: Vec<FilterId>,
 }
 
 impl Default for PfDevice {
@@ -699,7 +830,7 @@ impl PfDevice {
     /// engine (the paper's production configuration).
     pub fn new() -> Self {
         PfDevice {
-            ports: Vec::new(),
+            ports: PortTable::new(),
             order: Vec::new(),
             owners: HashMap::new(),
             quarantined: 0,
@@ -714,6 +845,8 @@ impl PfDevice {
             default_overflow: OverflowPolicy::default(),
             admission: None,
             geom_candidate_cap: None,
+            outcome: DemuxOutcome::default(),
+            matched: Vec::new(),
         }
     }
 
@@ -739,7 +872,8 @@ impl PfDevice {
         self.budget = budget;
         let mut newly = 0;
         if let Some(b) = budget {
-            for p in &mut self.ports {
+            for &idx in &self.order {
+                let p = &mut self.ports[idx];
                 let Some(f) = p.member_filter() else { continue };
                 let overlong =
                     ValidatedProgram::new(f.clone()).is_ok_and(|v| v.instructions() > b as usize);
@@ -780,7 +914,7 @@ impl PfDevice {
     /// Overrides (or, with `None`, restores the default for) one port's
     /// admission quota.
     pub fn set_port_quota(&mut self, idx: PortIdx, quota: Option<AdmissionQuota>) {
-        if let Some(p) = self.ports.get_mut(idx) {
+        if let Some(p) = self.ports.open_mut(idx) {
             p.quota = quota;
         }
         self.rebuild_gate();
@@ -978,9 +1112,9 @@ impl PfDevice {
     pub fn engine_stats(&self) -> EngineStats {
         debug_assert_eq!(
             self.quarantined,
-            self.ports
+            self.order
                 .iter()
-                .filter(|p| p.quarantined.is_some())
+                .filter(|&&idx| self.ports[idx].quarantined.is_some())
                 .count(),
             "quarantine count out of step with the ports"
         );
@@ -1095,27 +1229,9 @@ impl PfDevice {
     /// Opens a new port owned by `(proc, fd)` and returns its index. A
     /// port without a filter is in neither the compiled set nor the gate.
     pub fn open(&mut self, owner: (ProcId, Fd)) -> PortIdx {
-        let idx = self.ports.len();
-        self.ports.push(Port {
-            owner,
-            filter: None,
-            config: PortConfig {
-                overflow: self.default_overflow,
-                ..PortConfig::default()
-            },
-            queue: VecDeque::new(),
-            pending: None,
-            drops: 0,
-            accepts: 0,
-            insertion: self.insertions,
-            open: true,
-            next_generation: 0,
-            quarantined: None,
-            budget_overruns: 0,
-            quota: None,
-            admission_drops: 0,
-            backpressured: false,
-        });
+        let idx = self
+            .ports
+            .push(Port::new(owner, self.insertions, self.default_overflow));
         self.insertions += 1;
         // The first open port of an owner answers `port_of`.
         self.owners.entry(owner).or_insert(idx);
@@ -1128,17 +1244,14 @@ impl PfDevice {
         idx
     }
 
-    /// Closes a port; its queue is discarded.
+    /// Closes a port; its queue, filter and counters are discarded.
     pub fn close(&mut self, idx: PortIdx) {
-        let Some(p) = self.ports.get_mut(idx).filter(|p| p.open) else {
+        // The index is never handed out again; all it keeps is its marker
+        // in the table, and `port(idx)` answers the shared closed port.
+        let Some(p) = self.ports.vacate(idx) else {
             return;
         };
-        p.open = false;
-        // A closed port's index is never reused: leave it no heap.
-        p.queue = VecDeque::new();
-        p.pending = None;
-        p.filter = None;
-        self.quarantined -= usize::from(p.quarantined.take().is_some());
+        self.quarantined -= usize::from(p.quarantined.is_some());
         if self.owners.get(&p.owner) == Some(&idx) {
             self.owners.remove(&p.owner);
         }
@@ -1171,7 +1284,7 @@ impl PfDevice {
             Err(e) => Some(QuarantineReason::Validation(e)),
         };
         let clean = quarantined.is_none();
-        let Some(p) = self.ports.get_mut(idx).filter(|p| p.open) else {
+        let Some(p) = self.ports.open_mut(idx) else {
             return clean;
         };
         self.quarantined += usize::from(!clean);
@@ -1189,20 +1302,21 @@ impl PfDevice {
         clean
     }
 
-    /// Access a port.
+    /// Access a port. Every closed index answers one shared closed port:
+    /// `open == false`, no filter, an empty queue, counters at zero.
     ///
     /// # Panics
     ///
-    /// Panics on an unknown index.
+    /// Panics on an index `open` never returned.
     pub fn port(&self, idx: PortIdx) -> &Port {
         &self.ports[idx]
     }
 
-    /// Mutable access to a port.
+    /// Mutable access to an open port.
     ///
     /// # Panics
     ///
-    /// Panics on an unknown index.
+    /// Panics on an index that is not an open port's.
     pub fn port_mut(&mut self, idx: PortIdx) -> &mut Port {
         &mut self.ports[idx]
     }
@@ -1226,23 +1340,41 @@ impl PfDevice {
     /// until one accepts (continuing past accepting ports that set
     /// `deliver_to_lower`), recording every application.
     ///
+    /// The outcome is the device's own, lent until the next call, which
+    /// overwrites it: a demux allocates nothing once the outcome's vectors
+    /// have grown to what the traffic needs. A caller that must change the
+    /// device while it reads the outcome keeps one of its own and calls
+    /// [`Self::demux_into`].
+    ///
     /// Queueing is *not* performed here — the world model enqueues to the
     /// accepted ports so it can charge bookkeeping costs and handle wakeups.
-    pub fn demux(&mut self, packet: &[u8]) -> DemuxOutcome {
+    pub fn demux(&mut self, packet: &[u8]) -> &DemuxOutcome {
+        let mut out = std::mem::take(&mut self.outcome);
+        self.demux_into(packet, &mut out);
+        self.outcome = out;
+        &self.outcome
+    }
+
+    /// [`Self::demux`] into an outcome the caller owns and reuses: `out`
+    /// is cleared first, so nothing of an earlier packet survives in it.
+    pub fn demux_into(&mut self, packet: &[u8], out: &mut DemuxOutcome) {
+        out.clear();
         self.demux_ops += 1;
-        let mut out = DemuxOutcome::default();
         if let Some(set) = &mut self.set {
             // A compiled engine: evaluate its set, then walk the
             // priority-ordered matches — merged with checked evaluations of
             // the quarantined ports, which the set excludes, if there are any.
-            let matches = set.matches(PacketView::new(packet), &mut out);
+            let matches = set.matches(PacketView::new(packet), out);
             if self.quarantined == 0 {
-                Self::deliver_matches(&mut self.ports, matches, &mut out);
+                Self::deliver_matches(&mut self.ports, matches, out);
             } else {
-                let matched: Vec<PortIdx> = matches.iter().map(|&id| id as PortIdx).collect();
-                self.merge_quarantined(&matched, packet, &mut out);
+                let mut matched = std::mem::take(&mut self.matched);
+                matched.clear();
+                matched.extend_from_slice(matches);
+                self.merge_quarantined(&matched, packet, out);
+                self.matched = matched;
             }
-            return out;
+            return;
         }
         if self.adaptive && self.demux_ops.is_multiple_of(REORDER_INTERVAL) {
             self.resort();
@@ -1251,7 +1383,7 @@ impl PfDevice {
         while i < self.order.len() {
             let idx = self.order[i];
             i += 1;
-            let Some((accepted, stats)) = self.eval_checked(idx, packet, &mut out) else {
+            let Some((accepted, stats)) = self.eval_checked(idx, packet, out) else {
                 continue;
             };
             out.applied.push(Application {
@@ -1269,13 +1401,12 @@ impl PfDevice {
         for &idx in &out.accepted {
             self.ports[idx].accepts += 1;
         }
-        out
     }
 
     /// Applies the §3.2 deliver-to-lower rule to a priority-ordered match
     /// list and records the per-port accept bookkeeping — the tail of an
     /// unquarantined compiled-engine demux.
-    fn deliver_matches(ports: &mut [Port], matches: &[FilterId], out: &mut DemuxOutcome) {
+    fn deliver_matches(ports: &mut PortTable, matches: &[FilterId], out: &mut DemuxOutcome) {
         for &id in matches {
             let port = &mut ports[id as PortIdx];
             port.accepts += 1;
@@ -1321,7 +1452,7 @@ impl PfDevice {
     /// Walks the demux order merging compiled-set verdicts with checked
     /// evaluations of quarantined ports (which the compiled sets exclude),
     /// preserving priority order and the §3.2 deliver-to-lower rule.
-    fn merge_quarantined(&mut self, matched: &[PortIdx], packet: &[u8], out: &mut DemuxOutcome) {
+    fn merge_quarantined(&mut self, matched: &[FilterId], packet: &[u8], out: &mut DemuxOutcome) {
         let mut i = 0;
         while i < self.order.len() {
             let idx = self.order[i];
@@ -1337,7 +1468,7 @@ impl PfDevice {
                 });
                 accepted
             } else {
-                matched.contains(&idx)
+                matched.contains(&(idx as FilterId))
             };
             if accepted {
                 out.accepted.push(idx);
@@ -1574,6 +1705,88 @@ mod tests {
     }
 
     #[test]
+    fn a_closed_index_answers_the_shared_closed_port_and_a_new_port_its_own_index() {
+        let mut d = dev_with(vec![
+            samples::accept_all(10),
+            samples::pup_socket_filter(5, 0, 35),
+        ]);
+        let _ = d.port_mut(0).enqueue(recv(&pkt(1)));
+        d.close(0);
+        let closed = d.port(0);
+        assert!(!closed.open && closed.filter.is_none() && closed.queue.is_empty());
+        assert!(!d.set_filter(0, shortcircuit_then_garbage(10, 1)));
+        assert!(d.set_filter(0, samples::accept_all(10)), "binds nothing");
+        assert!(d.port(0).filter.is_none());
+        d.close(0);
+        assert_eq!(d.open_ports(), 1);
+        // The vacated storage is handed out again, the index is not.
+        let reopened = d.open((ProcId(9), Fd(0)));
+        assert_eq!(reopened, 2);
+        assert_eq!(d.port(reopened).owner, (ProcId(9), Fd(0)));
+        assert!(d.port(reopened).open && d.port(reopened).queue.is_empty());
+        assert!(!d.port(0).open);
+        assert_eq!(d.demux(&pkt(35)).accepted, vec![1]);
+        assert!(d.set_filter(reopened, samples::accept_all(10)));
+        assert_eq!(d.demux(&pkt(35)).accepted, vec![reopened]);
+        assert_eq!(d.order(), [reopened, 1]);
+    }
+
+    #[test]
+    fn a_demux_outcome_carries_nothing_over_from_the_call_before() {
+        type Fields = (Vec<PortIdx>, usize, u32, u32, u32);
+        fn fields(o: &DemuxOutcome) -> Fields {
+            (
+                o.accepted.clone(),
+                o.applied.len(),
+                o.ir_ops,
+                o.budget_overruns,
+                o.newly_quarantined,
+            )
+        }
+        let stray = samples::pup_packet_3mb(3, 0, 99, 1);
+        for engine in [
+            DemuxEngine::Sequential,
+            DemuxEngine::DecisionTable,
+            DemuxEngine::Geom,
+        ] {
+            let build = |budget: Option<u32>| {
+                let mut d = dev_with(vec![
+                    samples::fig_3_8_pup_type_range(),    // priority 10, 10 instrs
+                    samples::pup_socket_filter(5, 0, 35), // priority 5, 6 instrs
+                ]);
+                d.set_engine(engine);
+                d.set_instruction_budget(budget);
+                d
+            };
+            // What a device that has seen nothing else says of one frame.
+            let alone = |budget, frame: &[u8]| fields(build(budget).demux(frame));
+
+            let mut d = build(None);
+            let full = fields(d.demux(&pkt(35)));
+            assert_eq!(full.0, vec![0], "{engine:?}");
+            assert_eq!(fields(d.demux(&stray)), alone(None, &stray), "{engine:?}");
+            // Across a budget quarantine: the long filter now overruns in
+            // the checked fallback, and the short one takes the frame.
+            assert_eq!(d.set_instruction_budget(Some(6)), 1);
+            let overrun = fields(d.demux(&pkt(35)));
+            assert_eq!(overrun, alone(Some(6), &pkt(35)), "{engine:?}");
+            assert_eq!((overrun.0, overrun.3), (vec![1], 1), "{engine:?}");
+            assert!(overrun.1 >= 1, "{engine:?}: the fallback is an application");
+            assert_eq!(
+                fields(d.demux(&stray)),
+                alone(Some(6), &stray),
+                "{engine:?}"
+            );
+
+            // The same through an outcome the caller owns, handed in dirty.
+            let mut out = d.demux(&pkt(35)).clone();
+            (out.ir_ops, out.newly_quarantined) = (7, 3);
+            d.demux_into(&stray, &mut out);
+            assert_eq!(fields(&out), alone(Some(6), &stray), "{engine:?}");
+        }
+    }
+
+    #[test]
     fn queue_limit_drops_and_counts() {
         let mut d = dev_with(vec![samples::accept_all(10)]);
         d.port_mut(0).config.max_queue = 2;
@@ -1800,8 +2013,9 @@ mod tests {
                 // A bind after traffic is where busyness used to leak in.
                 assert!(bind(&mut d, samples::pup_socket_filter(20, 0, 7)));
                 let order = d.order().to_vec();
-                let verdicts =
-                    |d: &mut PfDevice| [7, 38, 45, 99].map(|sock| d.demux(&pkt(sock)).accepted);
+                let verdicts = |d: &mut PfDevice| {
+                    [7, 38, 45, 99].map(|sock| d.demux(&pkt(sock)).accepted.clone())
+                };
                 let before = verdicts(&mut d);
                 assert_eq!(before[1], vec![0], "{ctx}: insertion breaks the tie");
                 for on in [false, true, false] {

@@ -710,7 +710,12 @@ impl McPipeline {
     fn demux_group(&mut self, core: usize, origin: usize, group: &[Frame], t: SimTime) {
         let costs = &self.config.costs;
         let device = &mut self.workers[origin].device;
-        let outs: Vec<_> = group.iter().map(|f| device.demux(&f.bytes)).collect();
+        // The whole group's outcomes are held at once: each is a copy of
+        // the one the device lends.
+        let outs: Vec<_> = group
+            .iter()
+            .map(|f| device.demux(&f.bytes).clone())
+            .collect();
         self.workers[core].counters.batches_executed += 1;
         let engine = self.config.engine;
         // One dispatch launch per batched group for the compiled engines;

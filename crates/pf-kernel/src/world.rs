@@ -14,8 +14,8 @@
 
 use crate::app::App;
 use crate::device::{
-    AdmissionConfig, AdmissionQuota, AdmissionVerdict, DemuxEngine, EnqueueOutcome, PendingRead,
-    PfDevice, PortIdx,
+    AdmissionConfig, AdmissionQuota, AdmissionVerdict, DemuxEngine, DemuxOutcome, EnqueueOutcome,
+    PendingRead, PfDevice, PortIdx,
 };
 use crate::kproto::KernelProtocol;
 use crate::types::{
@@ -186,9 +186,15 @@ enum Event {
     },
 }
 
+/// The first descriptor a process is handed; 0–2 are taken, as on Unix.
+const FIRST_FD: usize = 3;
+
 struct ProcSlot {
     app: Option<Box<dyn App>>,
-    next_fd: usize,
+    /// The process's descriptor table: descriptors are dense from
+    /// [`FIRST_FD`] and only `pf_open` hands them out, so entry
+    /// `fd - FIRST_FD` is the port behind `fd` (`None` once closed).
+    ports: Vec<Option<PortIdx>>,
 }
 
 struct Sock {
@@ -210,6 +216,8 @@ pub(crate) struct Host {
     pub(crate) cpu: Cpu,
     pub(crate) counters: Counters,
     pub(crate) device: PfDevice,
+    /// The demux outcome `pf_demux` fills for every frame.
+    outcome: DemuxOutcome,
     procs: Vec<ProcSlot>,
     /// The process the CPU last ran (context-switch accounting).
     current: Option<ProcId>,
@@ -243,6 +251,12 @@ pub(crate) struct Host {
 }
 
 impl Host {
+    /// The open packet-filter port behind `proc`'s descriptor `fd`.
+    fn port_of(&self, proc: ProcId, fd: Fd) -> Option<PortIdx> {
+        let entry = fd.0.checked_sub(FIRST_FD)?;
+        *self.procs[proc.0].ports.get(entry)?
+    }
+
     /// Charges the context-switch cost of waking `proc` from a blocked
     /// state at `now`; returns the completion time of the charged work.
     ///
@@ -367,6 +381,7 @@ impl World {
             cpu: Cpu::new(),
             counters: Counters::new(),
             device: PfDevice::new(),
+            outcome: DemuxOutcome::default(),
             procs: Vec::new(),
             current: None,
             protocols: Vec::new(),
@@ -437,7 +452,7 @@ impl World {
         let proc = ProcId(h.procs.len());
         h.procs.push(ProcSlot {
             app: Some(app),
-            next_fd: 3,
+            ports: Vec::new(),
         });
         let now = self.events.now();
         self.events.schedule(now, Event::Start { host, proc });
@@ -685,11 +700,12 @@ impl World {
             } => {
                 if let Some(generation) = generation {
                     // A timeout: only valid if that exact read is still
-                    // pending (completions cancel the event, but be safe).
-                    let p = self.hosts[host.0].device.port_mut(port);
-                    match &p.pending {
+                    // pending (completions cancel the event, but be safe;
+                    // a port closed since has none).
+                    let device = &mut self.hosts[host.0].device;
+                    match &device.port(port).pending {
                         Some(pr) if pr.generation == generation => {
-                            p.pending = None;
+                            device.port_mut(port).pending = None;
                         }
                         _ => return,
                     }
@@ -959,8 +975,24 @@ impl World {
     }
 
     /// The packet-filter demultiplexing path (figure 4-1 + §3.2).
-    fn pf_demux(&mut self, host: HostId, mut frame: Vec<u8>, now: SimTime) {
-        let outcome = self.hosts[host.0].device.demux(&frame);
+    fn pf_demux(&mut self, host: HostId, frame: Vec<u8>, now: SimTime) {
+        // Delivery changes the device while it walks the outcome, so the
+        // host lends its own (and gets it back, grown vectors and all).
+        let mut outcome = std::mem::take(&mut self.hosts[host.0].outcome);
+        self.hosts[host.0].device.demux_into(&frame, &mut outcome);
+        self.pf_deliver(host, frame, &outcome, now);
+        self.hosts[host.0].outcome = outcome;
+    }
+
+    /// Charges a demultiplexed frame's engine work and queues the frame on
+    /// the ports that accepted it.
+    fn pf_deliver(
+        &mut self,
+        host: HostId,
+        mut frame: Vec<u8>,
+        outcome: &DemuxOutcome,
+        now: SimTime,
+    ) {
         {
             let h = &mut self.hosts[host.0];
             let cpu = &mut h.cpu;
@@ -989,7 +1021,7 @@ impl World {
         // The last acceptor takes the frame itself; only the ports before it
         // (deliver-to-lower) are handed copies.
         let last = outcome.accepted.len() - 1;
-        for (i, idx) in outcome.accepted.into_iter().enumerate() {
+        for (i, &idx) in outcome.accepted.iter().enumerate() {
             let enqueued = {
                 let h = &mut self.hosts[host.0];
                 let cost = h.costs.pf_bookkeeping;
@@ -1333,9 +1365,9 @@ impl ProcCtx<'_> {
         self.charge_syscall("pf:open");
         let proc = self.proc;
         let h = self.h();
-        let fd = Fd(h.procs[proc.0].next_fd);
-        h.procs[proc.0].next_fd += 1;
-        h.device.open((proc, fd));
+        let fd = Fd(FIRST_FD + h.procs[proc.0].ports.len());
+        let idx = h.device.open((proc, fd));
+        h.procs[proc.0].ports.push(Some(idx));
         fd
     }
 
@@ -1344,8 +1376,9 @@ impl ProcCtx<'_> {
         self.charge_syscall("pf:close");
         let proc = self.proc;
         let h = self.h();
-        if let Some(idx) = h.device.port_of((proc, fd)) {
+        if let Some(idx) = h.port_of(proc, fd) {
             h.device.close(idx);
+            h.procs[proc.0].ports[fd.0 - FIRST_FD] = None;
         }
     }
 
@@ -1362,7 +1395,7 @@ impl ProcCtx<'_> {
         let h = self.h();
         let cost = h.costs.pf_bookkeeping;
         h.cpu.charge("pf:ioctl", now, cost);
-        if let Some(idx) = h.device.port_of((proc, fd)) {
+        if let Some(idx) = h.port_of(proc, fd) {
             let clean = h.device.set_filter(idx, filter);
             if !clean {
                 h.counters.filters_quarantined += 1;
@@ -1378,7 +1411,7 @@ impl ProcCtx<'_> {
         self.charge_syscall("pf:ioctl");
         let proc = self.proc;
         let h = self.h();
-        if let Some(idx) = h.device.port_of((proc, fd)) {
+        if let Some(idx) = h.port_of(proc, fd) {
             h.device.port_mut(idx).config = config;
         }
     }
@@ -1390,7 +1423,7 @@ impl ProcCtx<'_> {
         self.charge_syscall("pf:ioctl");
         let proc = self.proc;
         let h = self.h();
-        if let Some(idx) = h.device.port_of((proc, fd)) {
+        if let Some(idx) = h.port_of(proc, fd) {
             h.device.set_port_quota(idx, quota);
         }
     }
@@ -1399,8 +1432,7 @@ impl ProcCtx<'_> {
     pub fn pf_drops(&mut self, fd: Fd) -> u64 {
         let proc = self.proc;
         let h = self.h();
-        h.device
-            .port_of((proc, fd))
+        h.port_of(proc, fd)
             .map_or(0, |idx| h.device.port(idx).drops)
     }
 
@@ -1409,7 +1441,7 @@ impl ProcCtx<'_> {
     pub fn pf_port_stats(&mut self, fd: Fd) -> Option<PortStats> {
         let proc = self.proc;
         let h = self.h();
-        let idx = h.device.port_of((proc, fd))?;
+        let idx = h.port_of(proc, fd)?;
         Some(h.device.port(idx).stats())
     }
 
@@ -1487,7 +1519,7 @@ impl ProcCtx<'_> {
         self.charge_syscall("pf:read");
         let proc = self.proc;
         let host = self.host;
-        let Some(idx) = self.world.hosts[host.0].device.port_of((proc, fd)) else {
+        let Some(idx) = self.world.hosts[host.0].port_of(proc, fd) else {
             return;
         };
         let has_data = !self.world.hosts[host.0].device.port(idx).queue.is_empty();

@@ -111,8 +111,8 @@ proptest! {
         let mut without = build(false);
         for &s in &traffic {
             let pkt = samples::pup_packet_3mb(2, 0, s, 1);
-            let a = with.demux(&pkt).accepted;
-            let b = without.demux(&pkt).accepted;
+            let a = with.demux(&pkt).accepted.clone();
+            let b = without.demux(&pkt).accepted.clone();
             prop_assert_eq!(a, b, "same destination regardless of ordering");
         }
     }
@@ -144,15 +144,15 @@ proptest! {
         let mut geom = build(DemuxEngine::Geom);
         for (et, sock, ptype) in traffic {
             let pkt = samples::pup_packet_3mb(et, 0, sock, ptype);
-            let expect = seq.demux(&pkt).accepted;
+            let expect = seq.demux(&pkt).accepted.clone();
             prop_assert_eq!(
-                tab.demux(&pkt).accepted,
-                expect.clone(),
+                &tab.demux(&pkt).accepted,
+                &expect,
                 "table: et={} sock={} type={}", et, sock, ptype
             );
             prop_assert_eq!(
-                geom.demux(&pkt).accepted,
-                expect,
+                &geom.demux(&pkt).accepted,
+                &expect,
                 "geom: et={} sock={} type={}", et, sock, ptype
             );
         }

@@ -102,7 +102,8 @@ done
 # schedules; the admission gate under config churn; device-level bind/
 # close churn per compiled engine) — hermetic but too slow for the
 # default `cargo test`, so it rides its own feature. pf-sim's lane is the
-# event-queue model test at ten times its default length.
+# event-queue model test at ten times its default length; pf-ir's also
+# runs geom's seeded stab-against-brute-force property ten times over.
 run cargo test -p pf-sim --release --features fuzz-tests -q
 run cargo test -p pf-ir --release --features fuzz-tests -q
 run cargo test -p pf-net --release --features fuzz-tests -q

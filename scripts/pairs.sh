@@ -3,28 +3,31 @@
 # the comparison a performance claim rests on (bench/README.md; wall rows
 # move between runs on a shared box, so one run of each says nothing).
 #
-#   scripts/pairs.sh <parent-binary> <change-binary> <workload> [pairs=10] [seed=7]
+#   scripts/pairs.sh <parent-binary> <change-binary> <workload> [pairs=10] [seed=7] [seconds]
 #
 # The binaries are two builds of `pf-benchmark` (bench/target/release/ of
 # each checkout), built once each. Every run is untraced (`--trace 0`) at
-# the benchmark's own run length; the side that goes first alternates.
+# the benchmark's own run length — or `seconds`, passed through as
+# `--seconds`, for a table of one metric against run length; a claim
+# rests on the benchmark's own. The side that goes first alternates.
 # Prints, per end-to-end metric: each side's median and quartiles, the
 # change's median over the parent's, pairs won (ties count for neither),
 # and whether every change run beat every parent run.
 set -euo pipefail
 
 if [[ $# -lt 3 ]]; then
-    sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent="$1" change="$2" workload="$3" pairs="${4:-10}" seed="${5:-7}"
+length=(${6:+--seconds "$6"})
 
 runs="$(mktemp)"
 trap 'rm -f "$runs"' EXIT
 
 run() { # <side> <binary> <pair>: appends "<side> <pair> <result object>"
     local result
-    result="$("$2" --workload "$workload" --seed "$seed" --trace 0 | tail -n 1)"
+    result="$("$2" --workload "$workload" --seed "$seed" --trace 0 "${length[@]}" | tail -n 1)"
     echo "$1 $3 $result" >> "$runs"
     echo "pair $3 $1 done" >&2
 }

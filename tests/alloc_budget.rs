@@ -2,8 +2,14 @@
 //! allocator of this test binary's own: a frame crossing a router must not
 //! cost the heap more than one allocation in the steady state (it cost six
 //! while every layer copied the frame it was handed), and a shared wire
-//! copies a frame once per *extra* receiver, not once per receiver.
+//! copies a frame once per *extra* receiver, not once per receiver. And the
+//! bare device, once its buffers have grown, demultiplexes without touching
+//! the heap at all (it allocated an outcome per accepted frame while
+//! `demux` returned one by value).
 
+use packet_filter::filter::program::FilterProgram;
+use packet_filter::filter::samples;
+use packet_filter::kernel::types::{Fd, ProcId};
 use packet_filter::kernel::world::World;
 use packet_filter::net::frame;
 use packet_filter::net::medium::Medium;
@@ -13,7 +19,7 @@ use packet_filter::proto::ip::{encode_ip, IpHeader, IP_ETHERTYPE, PROTO_UDP};
 use packet_filter::proto::router::deploy;
 use packet_filter::sim::cost::CostModel;
 use packet_filter::sim::time::SimTime;
-use packet_filter::SimClock;
+use packet_filter::{DemuxEngine, PfDevice, SimClock};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -110,4 +116,88 @@ fn a_snooped_unicast_frame_is_copied_once() {
     });
     assert_eq!(out.len(), 2, "the addressee and the snoop");
     assert!(copies <= 1, "{copies} allocations for two receivers");
+}
+
+/// Ports of the device populations below; each has a slot of 32 sockets.
+const PORTS: usize = 512;
+
+fn slot_base(slot: usize) -> u16 {
+    64 + 32 * slot as u16
+}
+
+/// The two populations the benchmark's device workloads bind, 512 ports
+/// each: figure 3-9 socket filters alone (`demux_exact`), or every fourth
+/// one of those and `socket_range_filter`s between (`demux_range_churn`).
+fn slot_filter(slot: usize, ranges: bool) -> FilterProgram {
+    let base = slot_base(slot);
+    if ranges && !slot.is_multiple_of(4) {
+        samples::socket_range_filter(10, base + 12, base + 19)
+    } else {
+        samples::pup_socket_filter(10, 0, base + 15)
+    }
+}
+
+/// Of every eight frames six are wanted by exactly one port and two stray:
+/// a bound socket under a foreign Ethernet type, and a socket beyond every
+/// slot.
+fn device_frames() -> Vec<Vec<u8>> {
+    let pup = samples::PUP_ETHERTYPE_3MB;
+    (0..64)
+        .map(|i| {
+            let wanted = slot_base(i * 37 % PORTS) + 15;
+            match i % 8 {
+                6 => samples::pup_packet_3mb(pup + 1, 0, wanted, 1),
+                7 => samples::pup_packet_3mb(pup, 0, slot_base(PORTS) + i as u16, 1),
+                _ => samples::pup_packet_3mb(pup, 0, wanted, 1),
+            }
+        })
+        .collect()
+}
+
+/// `(allocations, frames accepted)` over 10,000 `demux` calls on a device
+/// of `engine` holding one of the populations, after every frame has been
+/// through it four times.
+fn demux_allocations(engine: DemuxEngine, ranges: bool) -> (u64, u64) {
+    let mut dev = PfDevice::builder().engine(engine).build();
+    for slot in 0..PORTS {
+        let p = dev.open((ProcId(0), Fd(slot)));
+        assert!(dev.set_filter(p, slot_filter(slot, ranges)));
+    }
+    let frames = device_frames();
+    for f in frames.iter().cycle().take(4 * frames.len()) {
+        dev.demux(f);
+    }
+    let mut accepted = 0;
+    let allocations = allocations_during(|| {
+        for f in frames.iter().cycle().take(10_000) {
+            accepted += dev.demux(f).accepted.len() as u64;
+        }
+    });
+    assert_eq!(accepted, 7_500, "{engine:?}: six frames of every eight");
+    (allocations, accepted)
+}
+
+/// (The sequential walk re-sorts its order every 256 frames; at 512 ports
+/// the sort's scratch fits the stack.)
+#[test]
+fn a_warm_device_demultiplexes_without_allocating() {
+    for engine in [DemuxEngine::Geom, DemuxEngine::Sequential] {
+        for ranges in [false, true] {
+            let (allocations, _) = demux_allocations(engine, ranges);
+            assert_eq!(allocations, 0, "{engine:?}, ranges: {ranges}");
+        }
+    }
+}
+
+/// The §7 baseline is left as it is: `FilterSet::matches` builds a key
+/// `Vec` per shape for every packet and, for a packet somebody wants, a
+/// hit list, a seen-set and the list it returns. Pinned so that the number
+/// EXPERIMENTS.md quotes stays the code's.
+#[test]
+fn the_decision_table_allocates_per_shape_and_per_hit() {
+    // One shape in either population: the range filters are residual.
+    for ranges in [false, true] {
+        let (allocations, accepted) = demux_allocations(DemuxEngine::DecisionTable, ranges);
+        assert_eq!(allocations, 10_000 + 3 * accepted, "ranges: {ranges}");
+    }
 }

@@ -1,10 +1,15 @@
 //! The device's incremental engine maintenance, held to references that do
 //! not share it: a seeded churn differential per compiled engine (harness
-//! in `support/device_churn.rs`), and complexity pins that count rebuilds
-//! and tombstones instead of reading a clock.
+//! in `support/device_churn.rs`), and complexity pins that count rebuilds,
+//! tombstones and live heap bytes instead of reading a clock.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 #[path = "support/device_churn.rs"]
 mod device_churn;
+
+#[global_allocator]
+static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 
 use packet_filter::filter::packet::PacketView;
 use packet_filter::filter::samples;
@@ -70,6 +75,53 @@ fn fresh_binds_and_closes_never_rebuild_the_engine() {
         assert!(dev.set_filter(newest, slot_filter(601)));
         assert_eq!(dev.engine_stats().engine_rebuilds, after, "{engine:?}");
     }
+}
+
+#[test]
+fn a_closed_port_costs_the_device_four_bytes() {
+    const STANDING: usize = 512;
+    const CYCLES: usize = 50_000;
+    let mut dev = PfDevice::builder().engine(DemuxEngine::Geom).build();
+    let mut live: Vec<usize> = Vec::with_capacity(STANDING);
+    let mut opened = 0;
+    // Runs `cycles` close/open/bind cycles (opens alone until the device
+    // is full); returns the fewest live heap bytes seen after one.
+    let mut churn = |cycles: usize| {
+        let mut floor = i64::MAX;
+        for _ in 0..cycles {
+            if live.len() == STANDING {
+                dev.close(live.swap_remove((opened * 37) % STANDING));
+            }
+            let p = dev.open((ProcId(0), Fd(opened)));
+            assert!(dev.set_filter(p, slot_filter(opened)));
+            live.push(p);
+            opened += 1;
+            floor = floor.min(counting_alloc::live_bytes());
+        }
+        floor
+    };
+    // Fill the device and churn it until every structure whose size
+    // follows the standing population has reached it. The geom set's slab
+    // and index breathe with its compactions — one every `STANDING`
+    // removes or so — so the heap is read at its lowest over two such
+    // periods, which is the same phase of that cycle wherever it is taken.
+    churn(3 * STANDING);
+    let before = churn(2 * STANDING);
+    churn(CYCLES - 2 * STANDING);
+    let after = churn(2 * STANDING);
+    let per_cycle = (after - before) as f64 / CYCLES as f64;
+    // The port table's index, and nothing else, grows with ports ever
+    // opened (a whole `Port` is 264 bytes).
+    assert!(per_cycle <= 8.0, "{per_cycle:.1} live bytes per cycle");
+
+    assert_eq!(dev.open_ports(), STANDING);
+    let gone = (0..opened)
+        .find(|p| !live.contains(p))
+        .expect("closed ports");
+    assert!(!dev.port(gone).open && dev.port(gone).filter.is_none());
+    assert!(dev.set_filter(gone, slot_filter(gone)), "a clean program");
+    assert!(dev.port(gone).filter.is_none(), "bound to nothing");
+    assert_eq!(dev.open_ports(), STANDING);
 }
 
 #[test]
