@@ -25,6 +25,12 @@ run cargo test --workspace -q
 # x86-64/aarch64 run emitted code; elsewhere it is the threaded fallback.
 run cargo clippy -p pf-ir --all-targets --features jit -- -D warnings
 run cargo test -p pf-ir -q --features jit
+# The paper's tables run on the simulated clock, so they are exact:
+# paper-report, minus the six wall-clock engine-ladder lines, must equal
+# the committed copy (regenerate it with this same pipeline into the file).
+echo "==> paper-report | diff - docs/paper_report.txt"
+cargo run -q -p pf-bench --release --bin paper-report \
+    | grep -v 'checked [0-9]*ns, ' | diff - docs/paper_report.txt
 # Chaos-campaign invariants (zero panics, eventual delivery, bounded
 # retries); --stdout keeps the checked-in full-sweep BENCH_chaos.json.
 echo "==> cargo run -p pf-bench --release --bin bench_chaos -- --smoke --stdout"

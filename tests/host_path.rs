@@ -1,6 +1,7 @@
 //! The host's per-frame path between the wire and the process: the receive
-//! ring's tie-breaks, timer handles that outlive their timer, and what one
-//! BSP data Pup costs the heap.
+//! ring's tie-breaks, an armored host under a sliced open-loop flood, timer
+//! handles that outlive their timer, and what one BSP data Pup costs the
+//! heap.
 //!
 //! The receive ring is not in the event queue: a host retires the driver
 //! completions that are due when the next frame arrives. The literals in
@@ -11,14 +12,16 @@
 
 use packet_filter::filter::samples;
 use packet_filter::kernel::app::App;
-use packet_filter::kernel::types::{Fd, HostId, RecvPacket, TimerId};
+use packet_filter::kernel::types::{Fd, HostId, PortConfig, ReadMode, RecvPacket, TimerId};
 use packet_filter::kernel::world::{OverloadConfig, ProcCtx, World};
+use packet_filter::kernel::{AdmissionConfig, AdmissionQuota, DemuxEngine};
 use packet_filter::net::medium::Medium;
 use packet_filter::net::segment::FaultModel;
 use packet_filter::proto::bsp::BspConfig;
 use packet_filter::proto::bsp_app::{BspReceiverApp, BspSenderApp};
 use packet_filter::proto::pup::PupAddr;
 use packet_filter::sim::cost::CostModel;
+use packet_filter::sim::rng::SplitMix64;
 use packet_filter::sim::time::{SimDuration, SimTime};
 use packet_filter::SimClock;
 
@@ -126,6 +129,122 @@ fn ring_ties_fire_in_schedule_order() {
             "capacity {capacity}, armor {armor}"
         );
     }
+}
+
+/// Reads socket 35 in batches at priority 200 (above the admission gate's
+/// protection line) and works 200 µs on every packet.
+struct Consumer;
+
+impl App for Consumer {
+    fn start(&mut self, k: &mut ProcCtx<'_>) {
+        let fd = k.pf_open();
+        k.pf_set_filter(fd, samples::pup_socket_filter(200, 0, 35));
+        k.pf_configure(
+            fd,
+            PortConfig {
+                read_mode: ReadMode::Batch,
+                max_queue: 64,
+                backpressure_mark: Some(48),
+                ..Default::default()
+            },
+        );
+        k.pf_read(fd);
+    }
+
+    fn on_packets(&mut self, fd: Fd, packets: Vec<RecvPacket>, k: &mut ProcCtx<'_>) {
+        k.compute(
+            "user:consume",
+            SimDuration::from_micros(200).times(packets.len() as u64),
+        );
+        k.pf_read(fd);
+    }
+}
+
+/// Owns socket 99's port under a trickle quota and never reads it.
+struct JunkSink;
+
+impl App for JunkSink {
+    fn start(&mut self, k: &mut ProcCtx<'_>) {
+        let fd = k.pf_open();
+        k.pf_set_filter(fd, samples::pup_socket_filter(10, 0, 99));
+        k.pf_configure(
+            fd,
+            PortConfig {
+                max_queue: 64,
+                backpressure_mark: Some(48),
+                ..Default::default()
+            },
+        );
+        k.pf_set_quota(
+            fd,
+            Some(AdmissionQuota {
+                rate_pps: 50,
+                burst: 32,
+            }),
+        );
+    }
+}
+
+/// `(packets_delivered, drops_admission, drops_queue_full,
+/// rx_mode_switches, poll_batches, end time in ns)` of one fully armored
+/// host under the benchmark's `overload_flood` in miniature: per 250 ms
+/// slice, a protected stream (272 pps) is scheduled whole and *then* a
+/// junk stream (8,500 pps) over the same interval, each periodic with its
+/// arrivals jittered inside their own period, and the world runs to the
+/// slice's end before the next slice is offered. So the event queue is
+/// handed two interleaved sorted streams a slice, on top of whatever poll
+/// ticks and reads the last slice left pending.
+fn sliced_flood() -> (u64, u64, u64, u64, u64, u64) {
+    const SLICE_NS: u64 = 250_000_000;
+    const START_NS: u64 = 1_000_000;
+    let mut w = World::new(7);
+    let seg = w.add_segment(Medium::experimental_3mb(), FaultModel::default());
+    let h = w.add_host("flooded", seg, 0x0B, CostModel::microvax_ii());
+    w.set_nic_capacity(h, 256);
+    w.set_demux_engine(h, DemuxEngine::DecisionTable);
+    w.set_overload_armor(
+        h,
+        Some(OverloadConfig {
+            hi_watermark: 16,
+            lo_watermark: 4,
+            poll_batch: 16,
+            poll_interval: SimDuration::from_millis(8),
+        }),
+    );
+    w.set_admission_control(h, Some(AdmissionConfig::default()));
+    w.spawn(h, Box::new(Consumer));
+    w.spawn(h, Box::new(JunkSink));
+
+    let mut rng = SplitMix64::new(0xF100D);
+    for slice in 0..6u64 {
+        let start = START_NS + slice * SLICE_NS;
+        for (per_slice, sock) in [(68, 35), (2_125, 99)] {
+            let frame = samples::pup_packet_3mb(2, 0, sock, 1);
+            let period = SLICE_NS / per_slice;
+            for k in 0..per_slice {
+                let at = start + k * period + rng.below(period);
+                w.inject_frame(h, frame.clone(), SimTime(at));
+            }
+        }
+        w.run_until(SimTime(start + SLICE_NS));
+    }
+    let end = w.run();
+    let c = w.counters(h);
+    (
+        c.packets_delivered,
+        c.drops_admission,
+        c.drops_queue_full,
+        c.rx_mode_switches,
+        c.poll_batches,
+        end.as_nanos(),
+    )
+}
+
+/// Literals recorded where the event queue was one binary heap: how the
+/// queue stores these events may change, the order they fire in may not.
+#[test]
+fn a_sliced_flood_fires_in_the_order_one_heap_gave_it() {
+    assert_eq!(sliced_flood(), (472, 12_644, 42, 306, 154, 1_508_746_875));
 }
 
 /// Sets timer A; when A fires sets B; when B fires reports.
