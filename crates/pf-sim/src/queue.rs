@@ -4,19 +4,29 @@
 //! the order they were scheduled (a monotonic sequence number breaks
 //! ties), so every simulation run is exactly reproducible.
 //!
-//! Payloads sit in a slab and one global `BinaryHeap` orders 24-byte
-//! `(time, seq, slot)` keys, O(log n) per operation. A slot is stamped with
-//! the `seq` of the event it holds, so a key or an [`EventHandle`] names a
-//! live event exactly when its slot still carries its `seq` *and* a
-//! payload. Cancelling drops the payload and frees the slot at once; the
-//! key stays as a counted tombstone until it surfaces at `pop`/`peek_time`.
-//! When tombstones outnumber live keys the queue compacts in O(n), so a
-//! schedule/cancel churn loop holds memory proportional to the *live*
-//! population, not the all-time schedule count.
+//! Payloads sit in a slab; what is ordered is 24-byte `(time, seq, slot)`
+//! keys, each in exactly one of `RUNS + 1` stores. A key whose time is not
+//! before the tail of one of the `RUNS` append-only sorted runs is appended
+//! there in O(1) — `seq` only grows, so such a key is the run's greatest —
+//! and any other goes to the one `BinaryHeap`, O(log n). The next event is
+//! the least of the runs' fronts and the heap's top, so the firing order is
+//! that of a single heap over all the keys, and input no run takes is
+//! stored exactly as that heap would store it. Open-loop generators and
+//! `now + constant` timers are sorted by construction: they fill the runs,
+//! and the heap keeps only what arrives out of order.
+//!
+//! A slot is stamped with the `seq` of the event it holds, so a key or an
+//! [`EventHandle`] names a live event exactly when its slot still carries
+//! its `seq` *and* a payload. Cancelling drops the payload and frees the
+//! slot at once; the key stays where it is as a counted tombstone until it
+//! surfaces at `pop`/`peek_time`. When tombstones outnumber live keys the
+//! queue compacts every store in O(n), so a schedule/cancel churn loop
+//! holds memory proportional to the *live* population, not the all-time
+//! schedule count.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Handle to a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,7 +35,7 @@ pub struct EventHandle {
     slot: u32,
 }
 
-/// What the heap orders, by field: firing time, tie-break, slab slot.
+/// What the stores order, by field: firing time, tie-break, slab slot.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     at: SimTime,
@@ -43,6 +53,16 @@ struct Slot<E> {
 /// does not compact on every other cancel.
 const MIN_TOMBSTONES: usize = 16;
 
+/// Sorted runs beside the heap. A driver that offers a slice of k sorted
+/// streams one after the other and then runs needs k runs for the streams
+/// and more for the timers its events set behind their far tails; the
+/// benchmark's flood is k = 2, where one run takes 3% of the schedules, two
+/// take 97% and four take all of them. Every `pop` reads each run's front,
+/// so the count stays small.
+const RUNS: usize = 4;
+/// `least`'s name for the heap, after the runs' indices.
+const HEAP: usize = RUNS;
+
 /// A discrete-event queue over event payloads of type `E`.
 ///
 /// # Examples
@@ -58,8 +78,10 @@ const MIN_TOMBSTONES: usize = 16;
 /// assert_eq!((t, e), (SimTime(1_000), "early"));
 /// ```
 pub struct EventQueue<E> {
+    /// Each run ascending front to back. With the heap they hold one key
+    /// per live event plus the counted tombstones.
+    runs: [VecDeque<Key>; RUNS],
     /// `BinaryHeap` is a max-heap; reversed keys make it earliest-first.
-    /// Holds one key per live event plus the counted tombstones.
     heap: BinaryHeap<Reverse<Key>>,
     slots: Vec<Slot<E>>,
     /// Slab slots whose event fired or was cancelled, ready for reuse.
@@ -80,6 +102,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
+            runs: std::array::from_fn(|_| VecDeque::new()),
             heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
@@ -118,8 +141,51 @@ impl<E> EventQueue<E> {
             seq,
             event: Some(event),
         };
-        self.heap.push(Reverse(Key { at, seq, slot }));
+        let key = Key { at, seq, slot };
+        match self.run_for(at) {
+            Some(run) => self.runs[run].push_back(key),
+            None => self.heap.push(Reverse(key)),
+        }
         EventHandle { seq, slot }
+    }
+
+    /// The run a new key at `at` extends: the one whose tail is latest
+    /// among those not after `at` (best fit, so a stream keeps the run it
+    /// started and leaves earlier tails to earlier keys), an empty run when
+    /// no tail fits — `None` orders before every `Some` — and `None` when
+    /// there is neither. The new key's `seq` exceeds every stored one, so
+    /// `tail.at <= at` is the whole test.
+    fn run_for(&self, at: SimTime) -> Option<usize> {
+        let mut best: Option<(usize, Option<SimTime>)> = None;
+        for (i, run) in self.runs.iter().enumerate() {
+            let tail = run.back().map(|k| k.at);
+            if tail <= Some(at) && best.is_none_or(|(_, b)| tail > b) {
+                best = Some((i, tail));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// The store holding the least key, and that key.
+    fn least(&self) -> Option<(usize, Key)> {
+        let mut least = self.heap.peek().map(|k| (HEAP, k.0));
+        for (i, run) in self.runs.iter().enumerate() {
+            if let Some(&k) = run.front() {
+                if least.is_none_or(|(_, l)| k < l) {
+                    least = Some((i, k));
+                }
+            }
+        }
+        least
+    }
+
+    /// Removes the key `least` found in `store`.
+    fn remove_least(&mut self, store: usize) {
+        if store == HEAP {
+            self.heap.pop();
+        } else {
+            self.runs[store].pop_front();
+        }
     }
 
     /// Takes event `seq` out of `slot` and frees the slot. `None`: it has
@@ -145,7 +211,8 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest pending event, advancing `now`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(k)) = self.heap.pop() {
+        while let Some((store, k)) = self.least() {
+            self.remove_least(store);
             if let Some(event) = self.take(k.seq, k.slot) {
                 self.now = k.at;
                 return Some((k.at, event));
@@ -164,18 +231,18 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Pop tombstones off the front first.
         loop {
-            let k = self.heap.peek()?.0;
+            let (store, k) = self.least()?;
             if Self::is_live(&self.slots, &k) {
                 return Some(k.at);
             }
-            self.heap.pop();
+            self.remove_least(store);
             self.tombstones -= 1;
         }
     }
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.tombstones
+        self.stored_len() - self.tombstones
     }
 
     /// Whether no events are pending.
@@ -187,7 +254,7 @@ impl<E> EventQueue<E> {
     /// Exposed so tests can pin that schedule/cancel churn keeps storage
     /// proportional to the live population.
     pub fn stored_len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.runs.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// Drops the tombstones once they outnumber live keys. Each compaction
@@ -197,6 +264,9 @@ impl<E> EventQueue<E> {
             return;
         }
         self.heap.retain(|k| Self::is_live(&self.slots, &k.0));
+        for run in &mut self.runs {
+            run.retain(|k| Self::is_live(&self.slots, k));
+        }
         self.tombstones = 0;
     }
 }
@@ -306,6 +376,87 @@ mod tests {
                 round + 1
             );
         }
+    }
+
+    /// What an open-loop driver offers: a whole sorted stream, then a second
+    /// one over the same interval. Neither touches the heap.
+    #[test]
+    fn two_interleaved_sorted_streams_leave_the_heap_empty() {
+        let mut q = EventQueue::new();
+        for stream in 0..2u64 {
+            for k in 0..100u64 {
+                q.schedule(SimTime(1_000 + 20 * k + 7 * stream), (stream, k));
+            }
+        }
+        // Best fit: the second stream's last key is past the first's tail
+        // and goes there, which is as sorted as its own run.
+        assert!(q.heap.is_empty());
+        assert_eq!((q.runs[0].len(), q.runs[1].len()), (101, 99));
+        // A timer set while the streams are pending lies behind both tails
+        // and takes a run of its own; one past the tails extends the later.
+        q.schedule(SimTime(10), (2, 0));
+        q.schedule(SimTime(2_987), (2, 1));
+        assert!(q.heap.is_empty());
+        assert_eq!((q.runs[0].len(), q.runs[2].len()), (102, 1));
+        assert!(q.runs[3].is_empty());
+        assert_eq!(q.pop(), Some((SimTime(10), (2, 0))));
+        for k in 0..100 {
+            for stream in 0..2 {
+                let at = SimTime(1_000 + 20 * k + 7 * stream);
+                assert_eq!(q.pop(), Some((at, (stream, k))));
+            }
+        }
+        assert_eq!(q.pop(), Some((SimTime(2_987), (2, 1))));
+        assert_eq!((q.pop(), q.stored_len()), (None, 0));
+    }
+
+    /// With every run's tail in the far future, input that is not monotone
+    /// is stored as the one heap always stored it, and fires in `(at, seq)`
+    /// order among the runs' keys.
+    #[test]
+    fn a_descending_sequence_behind_far_tails_lands_in_the_heap() {
+        let mut q = EventQueue::new();
+        for run in 0..RUNS as u64 {
+            // Descending, so no tail fits the next and each opens a run.
+            q.schedule(SimTime(1_000_000 - run), u64::MAX - run);
+        }
+        assert!(q.heap.is_empty() && q.runs.iter().all(|r| r.len() == 1));
+        for i in 0..50u64 {
+            q.schedule(SimTime(500 - 10 * (i / 2)), i);
+        }
+        assert_eq!(q.heap.len(), 50);
+        assert!(q.runs.iter().all(|r| r.len() == 1));
+        // Pairs share a time and fire in schedule order, later pairs first.
+        for pair in (0..25u64).rev() {
+            for i in [2 * pair, 2 * pair + 1] {
+                assert_eq!(q.pop(), Some((SimTime(500 - 10 * pair), i)));
+            }
+        }
+        for run in (0..RUNS as u64).rev() {
+            assert_eq!(q.pop(), Some((SimTime(1_000_000 - run), u64::MAX - run)));
+        }
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn compaction_drops_tombstones_from_runs() {
+        let mut q = EventQueue::new();
+        let handles: Vec<EventHandle> = (0..100).map(|i| q.schedule(SimTime(10 + i), i)).collect();
+        q.schedule(SimTime(5), 100); // behind the run's tail: a second run
+        assert_eq!((q.runs[0].len(), q.runs[1].len()), (100, 1));
+        // The 51st cancel leaves 51 tombstones to 50 live keys.
+        for h in &handles[10..60] {
+            assert!(q.cancel(*h));
+        }
+        assert_eq!((q.runs[0].len(), q.tombstones), (100, 50));
+        assert!(q.cancel(handles[60]));
+        assert_eq!((q.runs[0].len(), q.tombstones), (49, 0));
+        assert_eq!((q.len(), q.stored_len()), (50, 50));
+        assert_eq!(q.pop(), Some((SimTime(5), 100)));
+        for i in (0..10).chain(61..100) {
+            assert_eq!(q.pop(), Some((SimTime(10 + i), i)));
+        }
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Model tests for the simulation substrate: the event queue against a
-//! naive sorted list under seeded schedule/pop/peek/cancel interleavings,
-//! and CPU-accounting monotonicity. Hermetic: all randomness is the
-//! in-tree `SplitMix64`, so a failure reproduces from its seed. The
-//! default suite runs 2k steps per seed;
+//! naive sorted list under seeded schedule/pop/peek/cancel interleavings —
+//! times scattered about the clock, then interleaved sorted streams, the
+//! input the queue's runs take — and CPU-accounting monotonicity. Hermetic:
+//! all randomness is the in-tree `SplitMix64`, so a failure reproduces from
+//! its seed. The default suite runs 2k steps per seed;
 //! `cargo test -p pf-sim --release --features fuzz-tests` runs 20k.
 
 use pf_sim::cpu::Cpu;
@@ -116,6 +117,84 @@ fn run_against_model(seed: u64) {
 fn queue_matches_the_sorted_list_model() {
     for seed in 0..4 {
         run_against_model(0x51AB ^ seed);
+    }
+}
+
+/// One seeded interleaving of what open-loop drivers and timers offer: 1 to
+/// 6 streams, each scheduling at its own nondecreasing clock, singly or in
+/// equal-time bursts, with one key in eight a straggler behind its stream.
+/// Cancels mostly pick a recent handle, whose key is still pending inside
+/// whichever store took it. Same model, same rules as `run_against_model`.
+fn run_streams_against_model(seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let mut q: EventQueue<usize> = EventQueue::new();
+    let mut model = Model::default();
+    let mut handles: Vec<EventHandle> = Vec::new();
+    let mut streams = vec![0u64; 1 + rng.below(6) as usize];
+    // Phases of growth, churn and drain, so runs empty and are taken again.
+    for step in 0..STEPS {
+        let bias = [8, 5, 2][step * 3 / STEPS];
+        match rng.below(16) {
+            r if r < bias => {
+                let s = rng.below(streams.len() as u64) as usize;
+                let gap = [0, 1 << 8, 1 << 16][rng.below(3) as usize];
+                streams[s] = streams[s].max(q.now().as_nanos()) + rng.below(gap + 1);
+                for _ in 0..[1, 1, 1, 5][rng.below(4) as usize] {
+                    let behind = if rng.below(8) == 0 {
+                        rng.below(1 << 14)
+                    } else {
+                        0
+                    };
+                    let at = SimTime(streams[s].saturating_sub(behind));
+                    let id = handles.len();
+                    handles.push(q.schedule(at, id));
+                    model.schedule(at, id);
+                }
+            }
+            8..=10 if !handles.is_empty() => {
+                let span = if rng.below(4) == 0 {
+                    handles.len()
+                } else {
+                    handles.len().min(256)
+                };
+                let id = handles.len() - 1 - rng.below(span as u64) as usize;
+                let cancelled = q.cancel(handles[id]);
+                assert_eq!(cancelled, model.cancel(id), "cancel of event {id}");
+                assert!(!q.cancel(handles[id]), "a second cancel is always false");
+                if cancelled {
+                    assert!(
+                        q.stored_len() <= 2 * q.len() + 2 * MIN_TOMBSTONES,
+                        "{} keys stored for {} live",
+                        q.stored_len(),
+                        q.len()
+                    );
+                }
+            }
+            11 | 12 => assert_eq!(q.peek_time(), model.pending.first().map(|p| p.0)),
+            _ => assert_eq!(q.pop(), model.pop()),
+        }
+        assert_eq!(q.len(), model.pending.len(), "len() excludes tombstones");
+        assert_eq!(q.now(), model.now);
+        assert_eq!(q.next_seq(), handles.len() as u64, "only schedule moves it");
+    }
+    loop {
+        assert_eq!(q.peek_time(), model.pending.first().map(|p| p.0));
+        let (got, want) = (q.pop(), model.pop());
+        assert_eq!(got, want);
+        if got.is_none() {
+            break;
+        }
+    }
+    for (id, h) in handles.iter().enumerate() {
+        assert!(!q.cancel(*h), "event {id} fired or was cancelled long ago");
+    }
+    assert_eq!((q.len(), q.stored_len()), (0, 0));
+}
+
+#[test]
+fn interleaved_sorted_streams_match_the_sorted_list_model() {
+    for seed in 0..8 {
+        run_streams_against_model(0x5EED ^ seed);
     }
 }
 

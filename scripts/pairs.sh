@@ -12,11 +12,14 @@
 # rests on the benchmark's own. The side that goes first alternates.
 # Prints, per end-to-end metric: each side's median and quartiles, the
 # change's median over the parent's, pairs won (ties count for neither),
-# and whether every change run beat every parent run.
+# whether every change run beat every parent run, and whether the rule a
+# claimed gain must meet holds: at least ten pairs, the change ahead in nine
+# tenths of them and the medians apart, the change's way, by more than the
+# parent's interquartile range.
 set -euo pipefail
 
 if [[ $# -lt 3 ]]; then
-    sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent="$1" change="$2" workload="$3" pairs="${4:-10}" seed="${5:-7}"
@@ -79,8 +82,11 @@ for name, parent in sides["parent"].items():
     wins = sum(better(c, p) for c, p in zip(change, parent))
     losses = sum(better(p, c) for c, p in zip(change, parent))
     clean = all(better(c, p) for c in change for p in parent)
+    claim = 10 * wins >= 9 * n and better(cmed, pmed) and abs(cmed - pmed) > pq3 - pq1
     ratio = f"{cmed / pmed:.3f}x" if pmed else "n/a"
     print(f"{'':<20}change/parent {ratio}, change ahead in {wins}/{n} pairs (behind in {losses}), "
           f"medians apart {abs(cmed - pmed):.6g} vs parent IQR {pq3 - pq1:.6g}, "
           f"every change run ahead of every parent run: {'yes' if clean else 'no'}")
+    verdict = "not judged on fewer than 10 pairs" if n < 10 else "holds" if claim else "does not hold"
+    print(f"{'':<20}claim rule (ahead in >= 9/10 of pairs, medians apart by more than the parent's IQR): {verdict}")
 EOF
