@@ -1047,13 +1047,16 @@ mod tests {
         }
     }
 
-    /// One seeded interval: a point, the whole domain, a range touching
-    /// either end, one nested in or abutting an earlier interval, or any
-    /// range at all.
+    /// One seeded interval: a point (anywhere, or at either end of the
+    /// domain), the whole domain, a range touching either end, one that
+    /// straddles a multiple of 16, 256 or 4,096, a block of one of those
+    /// widths exactly aligned, one nested in or abutting an earlier
+    /// interval, or any range at all.
     fn seeded_interval(rng: &mut SplitMix64, earlier: &[(u16, u16)]) -> (u16, u16) {
         let any = |rng: &mut SplitMix64| rng.below(1 << 16) as u16;
+        let width = |rng: &mut SplitMix64| [16u32, 256, 4_096][rng.below(3) as usize];
         let prev = earlier.get(rng.below(earlier.len() as u64) as usize);
-        match (rng.below(7), prev) {
+        match (rng.below(11), prev) {
             (0, _) => {
                 let v = any(rng);
                 (v, v)
@@ -1072,6 +1075,21 @@ mod tests {
                     a + rng.below(u64::from((u16::MAX - a).min(255)) + 1) as u16,
                 )
             }
+            (6, _) => {
+                // Ends up to a block's width either side of a boundary.
+                let w = width(rng);
+                let at = w * (1 + rng.below(u64::from((1 << 16) / w - 1)) as u32);
+                let lo = at - 1 - rng.below(u64::from(w)) as u32;
+                let hi = at + rng.below(u64::from(w)) as u32;
+                (lo as u16, hi as u16)
+            }
+            (7, _) => {
+                let w = width(rng);
+                let lo = w * rng.below(u64::from((1 << 16) / w)) as u32;
+                (lo as u16, (lo + w - 1) as u16)
+            }
+            (8, _) => (0, 0),
+            (9, _) => (u16::MAX, u16::MAX),
             _ => {
                 let (a, b) = (any(rng), any(rng));
                 (a.min(b), a.max(b))
@@ -1109,8 +1127,16 @@ mod tests {
                 tree.insert(lo, hi, slot as u32);
                 intervals.push((lo, hi));
             }
+            // Every interval's ends and their outside neighbours, then the
+            // seeded draw.
+            let ends = intervals
+                .iter()
+                .flat_map(|&(lo, hi)| [lo.saturating_sub(1), lo, hi, hi.saturating_add(1)]);
+            let probes: Vec<u16> = ends
+                .chain(seeded_probes(&mut rng, &intervals, 4_096))
+                .collect();
             let mut got = Vec::new();
-            for v in seeded_probes(&mut rng, &intervals, 4_096) {
+            for v in probes {
                 got.clear();
                 let levels = tree.stab(v, &mut got);
                 assert!((1..=17).contains(&levels), "v={v}: {levels} levels");
