@@ -12,23 +12,25 @@
 //! 3-9 port demultiplexers cost one probe and one member evaluation
 //! whatever the population. A member keyed on a proper interval — a
 //! port-*range* rule has no equality literal to key on — goes into its
-//! word's range tuple, a sparse segment tree over the 16-bit word domain
-//! in which an interval occupies its O(log U) canonical nodes, so a
-//! *stabbing query* — "which intervals contain this packet's word
-//! value?" — walks one root-to-leaf path and reports exactly the covering
-//! members. The tree is an arena of nodes linked by index, so the walk
-//! follows the value's bits and hashes nothing. A packet therefore probes
-//! O(#tuples · log U) index nodes plus the members its own bytes select,
-//! instead of O(n) members.
+//! word's range tuple, a sparse radix-16 segment tree over the 16-bit
+//! word domain in which an interval is listed under the widest parts it
+//! covers whole, so a *stabbing query* — "which intervals contain this
+//! packet's word value?" — walks one root-to-leaf path, at most five
+//! nodes, and reports exactly the covering members. The tree is an arena
+//! of nodes linked by index, so the walk follows the value's four-bit
+//! digits and hashes nothing. A packet therefore probes at most five
+//! index nodes a range tuple and one a directory tuple, plus the members
+//! its own bytes select, instead of O(n) members.
 //!
 //! Updates are incremental: an insert touches only the member's own tuple
-//! (O(log U) segment-tree nodes or one directory bucket), a remove
-//! tombstones the slot, and the slab is compacted — members re-keyed
-//! against fresh word statistics — only once tombstones outnumber live
-//! members. Inserts also report *conflicts* on the key word: how many
-//! existing key intervals the new one overlaps, and whether one fully
-//! shadows the other at a priority that makes the narrower filter unable
-//! to win first-match (see [`GeomSet::overlap_count`]).
+//! (at most thirty lists a level of the segment tree, or one directory
+//! bucket), a remove tombstones the slot, and the slab is compacted —
+//! members re-keyed against fresh word statistics — only once tombstones
+//! outnumber live members. Inserts also report *conflicts* on the key
+//! word: how many existing key intervals the new one overlaps, and
+//! whether one fully shadows the other at a priority that makes the
+//! narrower filter unable to win first-match (see
+//! [`GeomSet::overlap_count`]).
 //!
 //! Skipping a member its tuple does not select is sound because every
 //! key atom is a *required* interval: the member's compiled path cannot
@@ -83,8 +85,8 @@ pub struct GeomStats {
     /// Tuple sub-structures probed (one literal map or one range tree).
     pub tuples_probed: u32,
     /// Index nodes visited across all probes: one per literal-map lookup,
-    /// and the segment-tree levels the probe actually visited, at most 17
-    /// a range tuple (a walk ends where the tree does) — the sublinearity
+    /// and the segment-tree levels the probe actually visited, ≤ 5 a
+    /// range tuple (a walk ends where the tree does) — the sublinearity
     /// witness: this is bounded by tuple count and log of the domain,
     /// whatever the member count.
     pub nodes_visited: u32,
@@ -266,31 +268,45 @@ fn accept_reachable_without(
 // The sparse segment tree backing one range tuple.
 // ---------------------------------------------------------------------
 
-const DOMAIN_HI: u32 = u16::MAX as u32;
+/// Bits of the word one level of a [`RangeTree`] consumes. Four: a stab
+/// reads five lists and an insert files its interval under at most
+/// 15 + 15 parts a level, in 88-byte nodes. Eight would be three reads,
+/// but up to 510 list pushes an insert and 1 KB nodes; one — the binary
+/// tree this replaced — is seventeen dependent loads a packet.
+const DIGIT_BITS: u32 = 4;
+const FAN: usize = 1 << DIGIT_BITS;
 
-/// One node of a [`RangeTree`]: the intervals for which it is a canonical
-/// node, and its two halves of the domain by arena index (0 — the root,
-/// which is nobody's child — means the half holds nothing).
+/// One inner node of a [`RangeTree`]: the intervals that cover its whole
+/// span, and the `FAN` equal parts of that span by index (0 — the root
+/// among nodes, a reserved entry among leaves, neither anybody's child —
+/// means the part holds nothing).
 #[derive(Debug, Default)]
 struct RangeNode {
-    kids: [u32; 2],
+    kids: [u32; FAN],
     list: Vec<u32>,
 }
 
-/// A sparse segment tree over the 16-bit word domain. An interval is
-/// stored in its O(log U) canonical nodes; a stabbing query for value `v`
-/// walks the root-to-leaf(`v`) path and reports each covering interval
-/// exactly once. Nodes live in an arena, the root at 0, and exist only on
-/// the path to some interval's canonical node, so memory is
-/// O(intervals · log U) regardless of the domain. Halving `[0, 65535]`
-/// level by level is reading `v`'s bits from the top, so a probe follows
-/// at most sixteen child indices and stops where the tree does. An arena
-/// and not a map keyed by implicit heap index: the map pays one hash per
-/// level, occupied or not, and a cheaper hasher keeps the seventeen
-/// probes (EXPERIMENTS.md, "The range path, before and after").
+/// A sparse radix-16 segment tree over the 16-bit word domain. The root
+/// spans the domain and every inner node splits its span in sixteen by
+/// the word's next four bits: four inner levels (spans of 65,536, 4,096,
+/// 256 and 16 values) over a fifth of single-value leaves, which have no
+/// children and are bare lists. An interval is filed under the widest
+/// parts it covers whole — at most 15 + 15 a level, the ragged edge on
+/// each side — and a stabbing query for `v` reads the lists on the path
+/// `v`'s digits spell, at most five, stopping where the tree does, and
+/// reports each covering interval exactly once. Nodes exist only where
+/// some interval reached, and the arena is bounded by the domain whatever
+/// the population: at most 1 + 16 + 256 + 4,096 = 4,369 inner nodes and
+/// 65,536 leaves. Nodes are linked by index, so a probe hashes nothing
+/// (EXPERIMENTS.md, "The range path, before and after"), and the fan-out
+/// is what it is because a probe's cost is its dependent loads
+/// ("A range stab in five nodes").
 #[derive(Debug)]
 struct RangeTree {
+    /// Inner nodes, the root at 0.
     nodes: Vec<RangeNode>,
+    /// Single-value leaves; entry 0 is reserved and stays empty.
+    leaves: Vec<Vec<u32>>,
     /// Interval start → member slots, for output-sensitive overlap
     /// enumeration: everything intersecting `[lo,hi]` either *starts*
     /// inside it (this map) or covers `lo` (a stab).
@@ -301,6 +317,7 @@ impl Default for RangeTree {
     fn default() -> Self {
         RangeTree {
             nodes: vec![RangeNode::default()],
+            leaves: vec![Vec::new()],
             starts: BTreeMap::new(),
         }
     }
@@ -309,53 +326,84 @@ impl Default for RangeTree {
 impl RangeTree {
     fn insert(&mut self, lo: u16, hi: u16, slot: u32) {
         self.starts.entry(lo).or_default().push(slot);
-        self.cover(0, 0, DOMAIN_HI, u32::from(lo), u32::from(hi), slot);
+        self.cover(0, 16 - DIGIT_BITS, 0, u32::from(lo), u32::from(hi), slot);
     }
 
-    /// Files `slot` under the canonical nodes of `[lo, hi]` at or below
-    /// `node`, which spans `[nlo, nhi]` and meets the interval.
-    fn cover(&mut self, node: usize, nlo: u32, nhi: u32, lo: u32, hi: u32, slot: u32) {
+    /// Files `slot` under the widest parts of `[lo, hi]` at or below
+    /// `node`, whose span starts at `nlo`, meets the interval, and splits
+    /// into parts of `1 << shift` values.
+    fn cover(&mut self, node: usize, shift: u32, nlo: u32, lo: u32, hi: u32, slot: u32) {
+        let nhi = nlo + ((FAN as u32) << shift) - 1;
         if lo <= nlo && nhi <= hi {
             self.nodes[node].list.push(slot);
             return;
         }
-        let mid = (nlo + nhi) / 2;
-        if lo <= mid {
-            let kid = self.kid(node, 0);
-            self.cover(kid, nlo, mid, lo, hi, slot);
-        }
-        if hi > mid {
-            let kid = self.kid(node, 1);
-            self.cover(kid, mid + 1, nhi, lo, hi, slot);
+        let first = (lo.max(nlo) - nlo) >> shift;
+        let last = (hi.min(nhi) - nlo) >> shift;
+        for digit in first..=last {
+            if shift == 0 {
+                // A part of one value the interval meets is covered.
+                let leaf = self.leaf(node, digit as usize);
+                self.leaves[leaf].push(slot);
+            } else {
+                let kid = self.kid(node, digit as usize);
+                self.cover(
+                    kid,
+                    shift - DIGIT_BITS,
+                    nlo + (digit << shift),
+                    lo,
+                    hi,
+                    slot,
+                );
+            }
         }
     }
 
-    /// The arena index of `node`'s lower (0) or upper (1) half, created if
-    /// this is the first interval to reach into it.
-    fn kid(&mut self, node: usize, half: usize) -> usize {
-        if self.nodes[node].kids[half] == 0 {
-            self.nodes[node].kids[half] = self.nodes.len() as u32;
+    /// The arena index of inner `node`'s part `digit`, itself an inner
+    /// node, created if this is the first interval to reach into it.
+    fn kid(&mut self, node: usize, digit: usize) -> usize {
+        if self.nodes[node].kids[digit] == 0 {
+            self.nodes[node].kids[digit] = self.nodes.len() as u32;
             self.nodes.push(RangeNode::default());
         }
-        self.nodes[node].kids[half] as usize
+        self.nodes[node].kids[digit] as usize
+    }
+
+    /// The same for a node of the last inner level, whose parts are
+    /// leaves.
+    fn leaf(&mut self, node: usize, digit: usize) -> usize {
+        if self.nodes[node].kids[digit] == 0 {
+            self.nodes[node].kids[digit] = self.leaves.len() as u32;
+            self.leaves.push(Vec::new());
+        }
+        self.nodes[node].kids[digit] as usize
     }
 
     /// Collects every stored interval containing `v` into `out`; returns
     /// the number of tree levels visited.
     fn stab(&self, v: u16, out: &mut Vec<u32>) -> u32 {
+        let digit = |shift: u32| usize::from(v >> shift) % FAN;
         let mut node = &self.nodes[0];
         out.extend_from_slice(&node.list);
         let mut levels = 1;
-        for bit in (0..16).rev() {
-            let kid = node.kids[usize::from(v >> bit & 1)];
+        let mut shift = 16 - DIGIT_BITS;
+        while shift > 0 {
+            let kid = node.kids[digit(shift)];
             if kid == 0 {
-                break;
+                return levels;
             }
             node = &self.nodes[kid as usize];
             out.extend_from_slice(&node.list);
             levels += 1;
+            shift -= DIGIT_BITS;
         }
-        levels
+        match node.kids[digit(0)] {
+            0 => levels,
+            leaf => {
+                out.extend_from_slice(&self.leaves[leaf as usize]);
+                levels + 1
+            }
+        }
     }
 }
 
@@ -439,17 +487,30 @@ impl Hasher for PackedKeyHasher {
 /// *every* key literal the packet carries.
 type ExactTuple = HashMap<u64, Vec<u32>, BuildHasherDefault<PackedKeyHasher>>;
 
-/// What a packet probes on the fast path.
+/// What a packet probes on the fast path. Every packet walks both tuple
+/// lists whole and a set has one to three tuples, so they are vectors
+/// kept sorted by key, not maps.
 #[derive(Debug, Default)]
 struct TupleIndex {
     /// The exact-tuple directory: members keyed on an exact atom, by the
     /// word-set of all their exact atoms. One hash probe per entry per
     /// packet.
-    exact: BTreeMap<TupleWords, ExactTuple>,
+    exact: Vec<(TupleWords, ExactTuple)>,
     /// The range tuples: members keyed on a proper interval, by word.
-    ranges: BTreeMap<u16, RangeTree>,
+    ranges: Vec<(u16, RangeTree)>,
     /// Members with no usable key, candidates for every packet.
     residue: Vec<u32>,
+}
+
+/// The tuple filed under `key` in a list sorted by key, made if absent.
+fn tuple_entry<K: Ord + Copy, T: Default>(tuples: &mut Vec<(K, T)>, key: K) -> &mut T {
+    let at = tuples
+        .binary_search_by_key(&key, |t| t.0)
+        .unwrap_or_else(|at| {
+            tuples.insert(at, (key, T::default()));
+            at
+        });
+    &mut tuples[at].1
 }
 
 impl TupleIndex {
@@ -466,8 +527,8 @@ impl TupleIndex {
                 cand.extend_from_slice(list);
             }
         }
-        for (&word, tree) in &self.ranges {
-            let Some(v) = packet.word(usize::from(word)) else {
+        for (word, tree) in &self.ranges {
+            let Some(v) = packet.word(usize::from(*word)) else {
                 continue;
             };
             stats.tuples_probed += 1;
@@ -749,18 +810,14 @@ impl GeomSet {
             (Some(k), GeomMemberKind::Compiled(filter)) => {
                 if k.is_exact() {
                     let (words, key) = exact_tuple(&member.atoms);
-                    let tuple = self.index.exact.entry(words).or_default();
+                    let tuple = tuple_entry(&mut self.index.exact, words);
                     tuple.entry(key).or_default().push(slot);
                     self.exact_keys
                         .entry((k.word, k.lo))
                         .or_default()
                         .push(slot);
                 } else {
-                    self.index
-                        .ranges
-                        .entry(k.word)
-                        .or_default()
-                        .insert(k.lo, k.hi, slot);
+                    tuple_entry(&mut self.index.ranges, k.word).insert(k.lo, k.hi, slot);
                 }
                 self.fast_min_words = self.fast_min_words.max(filter.min_packet_words());
             }
@@ -777,7 +834,9 @@ impl GeomSet {
         for (_, list) in self.exact_keys.range(literals) {
             seen.extend_from_slice(list);
         }
-        if let Some(tree) = self.index.ranges.get(&key.word) {
+        let ranges = &self.index.ranges;
+        if let Ok(at) = ranges.binary_search_by_key(&key.word, |t| t.0) {
+            let tree = &ranges[at].1;
             for (_, list) in tree.starts.range(key.lo..=key.hi) {
                 seen.extend_from_slice(list);
             }
@@ -1139,7 +1198,7 @@ mod tests {
             for v in probes {
                 got.clear();
                 let levels = tree.stab(v, &mut got);
-                assert!((1..=17).contains(&levels), "v={v}: {levels} levels");
+                assert!((1..=5).contains(&levels), "v={v}: {levels} levels");
                 got.sort_unstable();
                 let covering: Vec<u32> = (0..INTERVALS as u32)
                     .filter(|&s| {
@@ -1208,6 +1267,27 @@ mod tests {
             }
             check(&mut set, &live, &mut rng, "bound again");
         }
+    }
+
+    #[test]
+    fn the_arena_is_bounded_by_the_domain_not_the_population() {
+        let intervals = if cfg!(feature = "fuzz-tests") {
+            200_000
+        } else {
+            20_000
+        };
+        let mut rng = SplitMix64::new(0xA7E4_A000);
+        let mut drawn: Vec<(u16, u16)> = Vec::with_capacity(intervals);
+        let mut tree = RangeTree::default();
+        for slot in 0..intervals {
+            let (lo, hi) = seeded_interval(&mut rng, &drawn);
+            tree.insert(lo, hi, slot as u32);
+            drawn.push((lo, hi));
+        }
+        // 1 + 16 + 256 + 4,096 inner nodes; a leaf a value, entry 0 apart.
+        let (inner, leaves) = (tree.nodes.len(), tree.leaves.len() - 1);
+        assert!(inner <= 4_369, "{inner} inner nodes");
+        assert!(leaves <= 65_536, "{leaves} leaves");
     }
 
     #[test]

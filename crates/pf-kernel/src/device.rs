@@ -146,11 +146,12 @@ pub enum DemuxEngine {
     /// (`packet[word] ∈ [lo, hi]`; equality is the degenerate case).
     /// Members keyed on an equality share one hash bucket per joint value
     /// of all their exact words — one probe per distinct word-set — and
-    /// members keyed on a range sit in a sparse segment tree per word (an
-    /// arena walked by the packet word's bits, at most 17 nodes and no
-    /// hashing), so port-*range* rules, which have no equality literal to
-    /// key on, still demultiplex in O(#tuples · log U) index work. Unlike
-    /// the decision table this accepts *every* filter program.
+    /// members keyed on a range sit in a sparse radix-16 segment tree per
+    /// word (an arena walked four bits of the packet word at a time, at
+    /// most 5 nodes and no hashing), so port-*range* rules, which have no
+    /// equality literal to key on, still demultiplex in
+    /// O(#tuples · log U) index work. Unlike the decision table this
+    /// accepts *every* filter program.
     Geom,
 }
 

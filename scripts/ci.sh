@@ -62,6 +62,27 @@ echo "==> cargo run -p pf-bench --release --bin bench_demux -- --smoke --out <tm
 demux_json="$(mktemp)"
 cargo run -p pf-bench --release --bin bench_demux -- --smoke --out "$demux_json" > /dev/null
 python3 -m json.tool "$demux_json" > /dev/null
+# Then the sweep whole (under 15 s), so that the committed BENCH_demux.json
+# still describes the code: its exact fields — engine, population and the
+# work counters, never an ns_* field — must equal a fresh run's.
+echo "==> cargo run -p pf-bench --release --bin bench_demux -- --out <tmp> | exact fields vs BENCH_demux.json"
+cargo run -p pf-bench --release --bin bench_demux -- --out "$demux_json" > /dev/null
+python3 - "$demux_json" BENCH_demux.json <<'EOF'
+import json, sys
+
+EXACT = ("engine", "population", "filters_evaluated_per_packet", "ops_executed_per_packet",
+         "nodes_visited_per_packet", "updates", "rebuilds")
+
+def exact_rows(path):
+    tables = {name: rows for name, rows in json.load(open(path)).items() if isinstance(rows, list)}
+    return [(name, {f: row[f] for f in EXACT if f in row}) for name, rows in tables.items() for row in rows]
+
+fresh, committed = exact_rows(sys.argv[1]), exact_rows(sys.argv[2])
+for was, now in zip(committed, fresh):
+    if was != now:
+        print(f"BENCH_demux.json says {was}, the code says {now}", file=sys.stderr)
+sys.exit(fresh != committed)
+EOF
 rm -f "$demux_json"
 # Adversarial-traffic campaign invariants: every family's undefended row
 # must collapse and its hardened row must hold goodput/coverage — the
