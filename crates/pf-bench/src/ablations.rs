@@ -144,8 +144,7 @@ fn time_ns<F: FnMut() -> bool>(iters: u32, mut f: F) -> f64 {
 /// the paper's two workhorse filters. The surfaces come from
 /// [`pf_ir::singleton_engines`], so the ladder automatically covers every
 /// rung the workspace has — including the template JIT when the `jit`
-/// feature is on. This is the in-report summary of the `filter_exec`
-/// criterion bench, runnable offline.
+/// feature is on.
 pub fn engine_ladder(iters: u32) -> Vec<LadderRow> {
     let packet = samples::pup_packet_3mb(2, 0, 35, 50);
     let shapes: Vec<(String, FilterProgram)> = [0usize, 1, 9, 21]

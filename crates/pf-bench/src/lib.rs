@@ -29,8 +29,11 @@
 //! (`BENCH_net.json`).
 //!
 //! Run `cargo run -p pf-bench --release --bin paper-report` for everything
-//! at once, or the individual `table_*` / `figures` / `section_6_1` /
-//! `break_even` / `ablations` binaries.
+//! at once, or name the sections wanted (`paper-report table_6_3 figures`;
+//! the names are `table_6_1` … `table_6_10`, `section_6_1`, `figures`,
+//! `break_even` and `ablations`). `paper-report --cells` prints the
+//! paper-versus-measured cells of the same reports, one per line, with
+//! their relative errors ([`report::cells_tsv`]).
 
 pub mod ablations;
 pub mod adversary;

@@ -120,19 +120,6 @@ fn run_kernel(costs: CostModel, ops: u64, response_bytes: u32) -> (World, HostId
     (w, c, p)
 }
 
-/// Debug helper: bulk run with counters (used by the dbg binary).
-pub fn debug_bulk(variant: Variant) -> String {
-    let (w, c, p) = run_user(variant, BULK_OPS, SEGMENT_BYTES as u32);
-    let app = w.app_ref::<VmtpUserClient>(c, p).expect("client");
-    format!(
-        "done={} bulk={:?} KB/s retries={} client: {} ",
-        app.is_done(),
-        app.throughput_bps().map(|b| (b / 1024.0) as u64),
-        app.machine_retries(),
-        w.counters(c)
-    )
-}
-
 /// Measures one variant: minimal RTT and bulk throughput.
 pub fn measure(variant: Variant) -> VmtpMeasurement {
     let (per_op_ms, bulk_kbs);

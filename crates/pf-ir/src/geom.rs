@@ -1176,7 +1176,7 @@ mod tests {
     #[test]
     fn stabs_agree_with_brute_force_on_seeded_intervals() {
         const INTERVALS: usize = 2_000;
-        let iterations = if cfg!(feature = "fuzz-tests") { 10 } else { 1 };
+        let iterations = if cfg!(debug_assertions) { 1 } else { 10 };
         for iteration in 0..iterations {
             let mut rng = SplitMix64::new(0x57AB_0000 + iteration);
             let mut intervals: Vec<(u16, u16)> = Vec::with_capacity(INTERVALS);
@@ -1271,10 +1271,10 @@ mod tests {
 
     #[test]
     fn the_arena_is_bounded_by_the_domain_not_the_population() {
-        let intervals = if cfg!(feature = "fuzz-tests") {
-            200_000
-        } else {
+        let intervals = if cfg!(debug_assertions) {
             20_000
+        } else {
+            200_000
         };
         let mut rng = SplitMix64::new(0xA7E4_A000);
         let mut drawn: Vec<(u16, u16)> = Vec::with_capacity(intervals);

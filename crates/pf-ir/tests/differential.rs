@@ -6,11 +6,11 @@
 //! The surfaces come from [`pf_ir::engine::singleton_engines`], so a new
 //! engine is pinned here by registering one [`pf_ir::FilterEngine`] impl.
 //!
-//! Unlike the proptest suites (feature-gated because the default build is
-//! hermetic), this loop runs in every `cargo test`: programs and packets
-//! come from the workspace's own [`pf_sim::rng::SplitMix64`], so the cases
-//! are reproducible from the printed seed and need no external crates.
+//! Programs and packets come from the workspace's own
+//! [`pf_sim::rng::SplitMix64`], so every case is reproducible from its
+//! test's constant seed.
 
+use pf_filter::builder::Expr;
 use pf_filter::dtree::FilterSet;
 use pf_filter::interp::{CheckedInterpreter, Dialect, InterpConfig, ShortCircuitStyle};
 use pf_filter::packet::PacketView;
@@ -243,8 +243,9 @@ fn all_engines_agree_on_seeded_pairs() {
 
 /// Set-level pin (default configuration): the geometric set and the
 /// decision-table set agree with a sequential priority-ordered walk of
-/// the checked interpreter over mixed filter populations, including
-/// programs that fail validation.
+/// the checked interpreter over mixed filter populations — socket and
+/// ethertype equalities, builder-compiled COR chains, figure 3-8's range —
+/// including programs that fail validation.
 #[test]
 fn set_engines_agree_on_seeded_populations() {
     let mut rng = SplitMix64::new(0xdeca_f00d);
@@ -266,8 +267,21 @@ fn set_engines_agree_on_seeded_populations() {
             id += 1;
         }
         for _ in 0..rng.below(3) {
+            // A COR chain: ethertype in a set of one to three.
+            let mut e = Expr::word(1).eq(rng.below(6) as u16);
+            for _ in 0..rng.below(3) {
+                e = e.or(Expr::word(1).eq(rng.below(6) as u16));
+            }
+            let prio = rng.below(30) as u8;
+            filters.push((id, e.compile(prio).expect("compiles")));
+            id += 1;
+        }
+        for _ in 0..rng.below(3) {
             filters.push((id, FilterProgram::from_words(7, random_words(&mut rng))));
             id += 1;
+        }
+        if rng.chance(0.5) {
+            filters.push((id, samples::fig_3_8_pup_type_range()));
         }
         let mut geom = GeomSet::new();
         let mut table = FilterSet::new();
@@ -279,7 +293,7 @@ fn set_engines_agree_on_seeded_populations() {
             let pkt = if rng.chance(0.7) {
                 let et = rng.below(6) as u16;
                 let sock = 28 + rng.below(12) as u16;
-                samples::pup_packet_3mb(et, 0, sock, 1)
+                samples::pup_packet_3mb(et, 0, sock, rng.below(120) as u8)
             } else {
                 random_packet(&mut rng)
             };
@@ -297,6 +311,89 @@ fn set_engines_agree_on_seeded_populations() {
             assert_eq!(table.matches(view), expect, "table vs sequential: {ctx}");
         }
     }
+}
+
+/// A figure-3-8-style *range* program with everything randomized: one to
+/// three `lo <= packet[w] <= hi` constraints, each ordering compare feeding
+/// a `CNOR 0` (reject at once when false), closed by an equality guard —
+/// the shape `samples::socket_range_filter` pins down. Beside it, a
+/// `(word, value)` list that satisfies it unless two constraints on one
+/// word disagree.
+fn random_range_program(rng: &mut SplitMix64) -> (FilterProgram, Vec<(u8, u16)>) {
+    let mut a = Assembler::new(rng.below(30) as u8);
+    let mut witness = Vec::new();
+    for _ in 0..1 + rng.below(3) {
+        let w = rng.below(10) as u8;
+        let (x, y) = (rng.next_u64() as u16, rng.next_u64() as u16);
+        let (lo, hi) = (x.min(y), x.max(y));
+        a = a
+            .pushword(w)
+            .pushlit_op(BinaryOp::Ge, lo)
+            .pushzero_op(BinaryOp::Cnor)
+            .pushword(w)
+            .pushlit_op(BinaryOp::Le, hi)
+            .pushzero_op(BinaryOp::Cnor);
+        witness.push((w, if rng.chance(0.5) { lo } else { hi }));
+    }
+    let (w, lit) = (rng.below(10) as u8, rng.next_u64() as u16);
+    witness.push((w, lit));
+    (
+        a.pushword(w).pushlit_op(BinaryOp::Eq, lit).finish(),
+        witness,
+    )
+}
+
+/// The validator accepts the range-program shape, and the checked
+/// interpreter, the threaded code and the geometric classifier agree on
+/// populations of it — on packets written to satisfy a member, on noise,
+/// and on short ones that force the classifier's fallback.
+#[test]
+fn geom_agrees_on_random_range_programs() {
+    let mut rng = SplitMix64::new(0x4a46_e000);
+    let checked = CheckedInterpreter::default();
+    let mut matched = 0u32;
+    for case in 0..200 {
+        let (members, witnesses): (Vec<_>, Vec<_>) = (0..1 + rng.below(5))
+            .map(|_| random_range_program(&mut rng))
+            .unzip();
+        // Noise almost never passes a 16-bit equality guard, so every other
+        // packet carries one member's witness.
+        let packets: Vec<Vec<u8>> = (0..6)
+            .map(|n| {
+                let mut pkt = random_packet(&mut rng);
+                if n % 2 == 0 {
+                    pkt.resize(20, 0);
+                    for &(w, value) in &witnesses[rng.below(members.len() as u64) as usize] {
+                        pkt[2 * usize::from(w)..][..2].copy_from_slice(&value.to_be_bytes());
+                    }
+                }
+                pkt
+            })
+            .collect();
+        let mut set = GeomSet::new();
+        for (i, f) in members.iter().enumerate() {
+            assert!(ValidatedProgram::new(f.clone()).is_ok(), "case {case}");
+            let ir = IrFilter::compile(f.clone()).expect("validated, so compiles");
+            set.insert(i as u32, f.clone());
+            for p in &packets {
+                let view = PacketView::new(p);
+                assert_eq!(ir.eval(view), checked.eval(f, view), "case {case}: ir");
+            }
+        }
+        let mut order: Vec<usize> = (0..members.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(members[i].priority()));
+        for p in &packets {
+            let view = PacketView::new(p);
+            let expect: Vec<u32> = order
+                .iter()
+                .filter(|&&i| checked.eval(&members[i], view))
+                .map(|&i| i as u32)
+                .collect();
+            matched += expect.len() as u32;
+            assert_eq!(set.matches(view), expect, "case {case}: geom");
+        }
+    }
+    assert!(matched > 300, "only {matched} matches: the packets miss");
 }
 
 /// Six word equalities in the figure 3-9 idiom: more exact atoms than

@@ -40,10 +40,9 @@
 //! the test is *replicated* to every core instead: correctness never
 //! depends on the hash, only the pinning optimization does.
 
-use crate::device::{admission_signature, AdmissionVerdict, DemuxEngine, PfDevice, PortIdx};
+use crate::device::{admission_signature, DemuxEngine, PfDevice, PortIdx};
 use crate::types::{Fd, ProcId};
 use crate::world::OverloadConfig;
-use crate::AdmissionConfig;
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use pf_ir::geom::required_constraints;
@@ -158,8 +157,6 @@ pub struct McConfig {
     /// Per-core interrupt→polling overload armor; `None` leaves every
     /// core on per-packet interrupts.
     pub armor: Option<OverloadConfig>,
-    /// Pre-demux admission gate, installed on every core's device.
-    pub admission: Option<AdmissionConfig>,
     /// Idle cores steal the back half of the deepest sibling queue when
     /// it holds at least `2 × batch` frames.
     pub steal: bool,
@@ -180,7 +177,6 @@ impl McConfig {
             rss: RssConfig::single_queue(),
             nic_ring: 256,
             armor: None,
-            admission: None,
             steal: false,
             consume: SimDuration::from_micros(200),
             costs: CostModel::microvax_ii(),
@@ -198,14 +194,6 @@ pub enum Placement {
     },
     /// Replicated to every core's device; deliveries consume on core 0.
     Replicated,
-}
-
-/// One registered filter's bookkeeping.
-#[derive(Debug)]
-struct McPort {
-    placement: Placement,
-    /// This port's index on each core's device (`None` where absent).
-    on_core: Vec<Option<PortIdx>>,
 }
 
 /// A frame waiting in a core's receive ring.
@@ -280,7 +268,8 @@ pub struct McPipeline {
     config: McConfig,
     pool: CpuPool,
     workers: Vec<Worker>,
-    ports: Vec<McPort>,
+    /// How each registered filter was placed, by handle.
+    ports: Vec<Placement>,
     /// Home core per (core, device-port): where deliveries consume.
     home: Vec<Vec<usize>>,
     latencies: Vec<SimDuration>,
@@ -297,20 +286,14 @@ impl McPipeline {
         assert!(cores >= 1, "need at least one receive queue");
         assert!(config.batch >= 1, "batch must be at least 1");
         let workers = (0..cores)
-            .map(|_| {
-                let mut b = PfDevice::builder().engine(config.engine);
-                if let Some(a) = config.admission {
-                    b = b.admission_control(a);
-                }
-                Worker {
-                    device: b.build(),
-                    ring: VecDeque::new(),
-                    arrivals: VecDeque::new(),
-                    handoffs: Vec::new(),
-                    counters: Counters::new(),
-                    polling: false,
-                    poll_due: SimTime::ZERO,
-                }
+            .map(|_| Worker {
+                device: PfDevice::builder().engine(config.engine).build(),
+                ring: VecDeque::new(),
+                arrivals: VecDeque::new(),
+                handoffs: Vec::new(),
+                counters: Counters::new(),
+                polling: false,
+                poll_due: SimTime::ZERO,
             })
             .collect();
         McPipeline {
@@ -331,24 +314,21 @@ impl McPipeline {
     pub fn add_filter(&mut self, program: FilterProgram) -> usize {
         let handle = self.ports.len();
         let placement = self.placement_of(&program);
-        let mut on_core = vec![None; self.workers.len()];
         match placement {
             Placement::Pinned { core } => {
                 let idx = self.open_on(core, handle, &program);
-                on_core[core] = Some(idx);
                 self.home[core].resize(idx + 1, core);
                 self.home[core][idx] = core;
             }
             Placement::Replicated => {
-                for (core, slot) in on_core.iter_mut().enumerate() {
+                for core in 0..self.workers.len() {
                     let idx = self.open_on(core, handle, &program);
-                    *slot = Some(idx);
                     self.home[core].resize(idx + 1, 0);
                     self.home[core][idx] = 0;
                 }
             }
         }
-        self.ports.push(McPort { placement, on_core });
+        self.ports.push(placement);
         handle
     }
 
@@ -410,13 +390,7 @@ impl McPipeline {
 
     /// How a registered filter was placed.
     pub fn placement(&self, handle: usize) -> Placement {
-        self.ports[handle].placement
-    }
-
-    /// The device port a registered filter occupies on `core`, if it
-    /// lives there (pinned filters live on exactly one core).
-    pub fn port_on_core(&self, handle: usize, core: usize) -> Option<PortIdx> {
-        self.ports[handle].on_core[core]
+        self.ports[handle]
     }
 
     /// Per-core counters (after a run).
@@ -583,27 +557,6 @@ impl McPipeline {
             }
         }
 
-        // Admission gate, ahead of the filter ladder.
-        if self.config.admission.is_some() {
-            let mut admitted = Vec::with_capacity(frames.len());
-            for f in frames {
-                self.pool.charge(core, "pf:admit", t, costs.admission_probe);
-                match self.workers[f.origin].device.admit(&f.bytes, t) {
-                    AdmissionVerdict::Shed { .. } => {
-                        self.workers[core].counters.drops_admission += 1;
-                    }
-                    AdmissionVerdict::ShedMimic { .. } => {
-                        self.workers[core].counters.drops_mimicry_shed += 1;
-                    }
-                    AdmissionVerdict::Admit => admitted.push(f),
-                }
-            }
-            frames = admitted;
-            if frames.is_empty() {
-                return;
-            }
-        }
-
         // Batched demultiplexing: group the run by origin device (stolen
         // frames are judged by their origin core's shard), one batched
         // dispatch per group. Groups never exceed the engine batch size
@@ -745,13 +698,6 @@ impl McPipeline {
             );
             if out.accepted.is_empty() {
                 self.workers[core].counters.drops_no_match += 1;
-                // Same mimicry-pressure feedback as the single-core world:
-                // an admitted frame no filter wanted.
-                if self.config.admission.is_some()
-                    && self.workers[origin].device.note_unmatched_admit(&f.bytes)
-                {
-                    self.workers[core].counters.gate_resignature_events += 1;
-                }
                 continue;
             }
             for &idx in &out.accepted {

@@ -3,26 +3,27 @@
 // soup must never panic, and the gate's verdicts must stay conservation-
 // accurate (every shed charged to exactly one port counter) and
 // bit-reproducible from the seed. Beside it, the device-level churn
-// differential of the facade's tests/device_churn.rs at fuzz length.
-// Each target runs >= 10,000 seeded iterations, so the suite is gated
-// behind a feature and runs in its own CI lane:
-//
-//   cargo test -p pf-kernel --release --features fuzz-tests
-//
-// All randomness comes from the in-tree `pf_sim::rng::SplitMix64`, so a
-// failure reproduces from the constant seed with no external crates.
-#![cfg(feature = "fuzz-tests")]
+// differential of the facade's tests/device_churn.rs at fuzz length, and
+// the port-queue and adaptive-reordering contracts on seeded inputs. All
+// randomness comes from the in-tree `pf_sim::rng::SplitMix64`, so a
+// failure reproduces from the constant seed. Each target runs 1,000
+// seeded iterations under the debug profile and 10,000 under
+// `cargo test --release`.
 
 #[path = "../../../tests/support/device_churn.rs"]
 mod device_churn;
 
 use pf_filter::samples;
 use pf_kernel::device::{AdmissionConfig, AdmissionQuota, AdmissionVerdict, DemuxEngine, PfDevice};
-use pf_kernel::types::{Fd, ProcId};
+use pf_kernel::types::{Fd, ProcId, RecvPacket};
 use pf_sim::rng::SplitMix64;
 use pf_sim::time::SimTime;
 
-const ITERS: u32 = 10_000;
+const ITERS: u32 = if cfg!(debug_assertions) {
+    1_000
+} else {
+    10_000
+};
 
 /// A random filter drawn from every admission-signature class the gate
 /// distinguishes: leading-equality, range, ethertype, signatureless
@@ -208,7 +209,7 @@ fn admission_gate_is_deterministic() {
     }
 }
 
-/// Incremental engine maintenance over a 10k-step bind/rebind/close/
+/// Incremental engine maintenance over an `ITERS`-step bind/rebind/close/
 /// quarantine/budget history per compiled engine: after every step the
 /// device answers like one built from scratch and like the checked
 /// interpreter, and its quarantine count equals a recount.
@@ -220,4 +221,78 @@ fn device_churn_matches_fresh_build_and_oracle() {
     {
         device_churn::run(engine, 0xC4_0000 + n as u64, ITERS);
     }
+}
+
+/// A port's queue never outgrows its bound under any arrival count, the
+/// drop counter accounts exactly for the overflow, and the
+/// `dropped_before` marks of what is queued never go backwards.
+#[test]
+fn queue_bound_and_drop_accounting() {
+    let mut rng = SplitMix64::new(0x6A7E_9E0E);
+    for _ in 0..ITERS / 10 {
+        let max_queue = 1 + rng.below(19) as usize;
+        let arrivals = rng.below(60) as usize;
+        let mut dev = PfDevice::new();
+        let idx = dev.open((ProcId(0), Fd(0)));
+        dev.set_filter(idx, samples::accept_all(10));
+        dev.port_mut(idx).config.max_queue = max_queue;
+        for i in 0..arrivals {
+            let pkt = RecvPacket {
+                bytes: vec![i as u8],
+                stamp: None,
+                dropped_before: dev.port(idx).drops,
+            };
+            let _ = dev.port_mut(idx).enqueue(pkt);
+        }
+        let port = dev.port(idx);
+        assert_eq!(port.queue.len(), arrivals.min(max_queue));
+        assert_eq!(port.queue.len() + port.drops as usize, arrivals);
+        let marks: Vec<u64> = port.queue.iter().map(|p| p.dropped_before).collect();
+        assert!(marks.windows(2).all(|w| w[0] <= w[1]));
+    }
+}
+
+/// Adaptive reordering never changes *who* gets a packet when filters of
+/// one priority accept disjoint packet sets (the §3.2 contract: the same
+/// priority requires disjoint filters).
+#[test]
+fn adaptive_reordering_preserves_disjoint_semantics() {
+    let mut rng = SplitMix64::new(0x6A7E_ADA9);
+    let mut reordered = 0;
+    for case in 0..ITERS / 50 {
+        // One to seven distinct sockets: the head of a partial shuffle.
+        let mut socks: Vec<u16> = (20..60).collect();
+        let n = 1 + rng.below(7) as usize;
+        for i in 0..n {
+            let j = i + rng.below((socks.len() - i) as u64) as usize;
+            socks.swap(i, j);
+        }
+        socks.truncate(n);
+        let build = |adaptive: bool| {
+            let mut dev = PfDevice::builder().adaptive_reorder(adaptive).build();
+            for (i, &s) in socks.iter().enumerate() {
+                let idx = dev.open((ProcId(i), Fd(0)));
+                dev.set_filter(idx, samples::pup_socket_filter(10, 0, s));
+            }
+            dev
+        };
+        let (mut with, mut without) = (build(true), build(false));
+        for frame in 0..rng.below(400) {
+            // Three frames in four to the last-bound socket, so that the
+            // adaptive device has a reason to reorder.
+            let sock = if frame % 4 != 0 {
+                socks[socks.len() - 1]
+            } else {
+                20 + rng.below(40) as u16
+            };
+            let pkt = samples::pup_packet_3mb(2, 0, sock, 1);
+            assert_eq!(
+                with.demux(&pkt).accepted,
+                without.demux(&pkt).accepted,
+                "case {case} frame {frame}: socket {sock}"
+            );
+        }
+        reordered += u32::from(with.order() != without.order());
+    }
+    assert!(reordered > 0, "no case ever reordered");
 }

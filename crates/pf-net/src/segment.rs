@@ -206,11 +206,6 @@ impl Network {
         self.segments[segment.0].up = up;
     }
 
-    /// A segment's administrative link state.
-    pub fn link_up(&self, segment: SegmentId) -> bool {
-        self.segments[segment.0].up
-    }
-
     /// Attaches a station with link address `addr` to a segment and
     /// returns its id; use [`Network::station`] for the handle carrying
     /// the per-station operations (promiscuous mode, multicast groups).

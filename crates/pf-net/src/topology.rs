@@ -522,14 +522,6 @@ impl Topology {
         self.nodes[node.0].kind
     }
 
-    /// All node ids of a given kind, in index order.
-    pub fn nodes_of_kind(&self, kind: NodeKind) -> Vec<NodeId> {
-        (0..self.nodes.len())
-            .filter(|&n| self.nodes[n].kind == kind)
-            .map(NodeId)
-            .collect()
-    }
-
     /// The node's interfaces in attachment order.
     pub fn interfaces(&self, node: NodeId) -> &[Interface] {
         &self.ifaces[node.0]

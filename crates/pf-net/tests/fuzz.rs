@@ -1,26 +1,24 @@
 // Structured fuzzing for pf-net's hostile-input surfaces: the frame
-// codec (build / parse / payload / pad) on both media, and the fabric
-// fault-schedule builder. Each target runs >= 10,000 seeded
-// iterations, so the suite is slow enough to keep out of the default
-// `cargo test` — gate it behind a feature and run it in its own CI
-// lane:
-//
-//   cargo test -p pf-net --release --features fuzz-tests
-//
-// Like pf-ir's `tests/fuzz.rs` these are hermetic proptest-style
-// loops: all randomness comes from the in-tree `pf_sim::rng::SplitMix64`,
-// so a failure reproduces from the constant seed with no external
-// crates.
-#![cfg(feature = "fuzz-tests")]
+// codec (build / parse / payload / pad) on both media, the fabric
+// fault-schedule builder, and who a segment delivers a frame to. All
+// randomness comes from the in-tree `pf_sim::rng::SplitMix64`, so a
+// failure reproduces from the constant seed. Each target runs 1,000
+// seeded iterations under the debug profile and 10,000 under
+// `cargo test --release`.
 
 use pf_net::fabric::{FabricAction, FabricSchedule};
 use pf_net::frame;
 use pf_net::medium::Medium;
+use pf_net::segment::{FaultModel, Network};
 use pf_net::{LinkId, NodeId};
 use pf_sim::rng::SplitMix64;
 use pf_sim::time::{SimDuration, SimTime};
 
-const ITERS: u32 = 10_000;
+const ITERS: u32 = if cfg!(debug_assertions) {
+    1_000
+} else {
+    10_000
+};
 
 fn media() -> [Medium; 2] {
     [Medium::experimental_3mb(), Medium::standard_10mb()]
@@ -214,5 +212,68 @@ fn fabric_schedule_stays_sorted_and_deterministic() {
             seed,
         );
         assert_eq!(a.events(), b.events());
+    }
+}
+
+/// A longer frame never takes less time on either wire, and the 3 Mb
+/// wire is strictly slower for any non-empty frame.
+#[test]
+fn transmission_delay_is_monotonic() {
+    let mut rng = SplitMix64::new(0xF8A_0005);
+    let [slow, fast] = media();
+    for _ in 0..ITERS {
+        let (a, b) = (rng.below(2_000) as usize, rng.below(2_000) as usize);
+        for m in [&slow, &fast] {
+            assert!(m.transmission_delay(a.min(b)) <= m.transmission_delay(a.max(b)));
+        }
+        assert!(slow.transmission_delay(a + 1) > fast.transmission_delay(a + 1));
+    }
+}
+
+/// Stations 1..=n on one 3 Mb segment with the given loss rate, station 1
+/// transmitting.
+fn one_segment(seed: u64, n: u64, loss: f64) -> (Network, Vec<pf_net::StationId>) {
+    let mut net = Network::new(seed);
+    let seg = net.add_segment(
+        Medium::experimental_3mb(),
+        FaultModel {
+            loss,
+            ..FaultModel::default()
+        },
+    );
+    let stations = (1..=n).map(|addr| net.add_station(seg, addr)).collect();
+    (net, stations)
+}
+
+/// With loss a unicast frame arrives once or not at all — and never at
+/// anyone but its addressee.
+#[test]
+fn unicast_never_leaks_to_third_parties() {
+    let mut rng = SplitMix64::new(0xF8A_0006);
+    let m = Medium::experimental_3mb();
+    for _ in 0..ITERS {
+        let n = 3 + rng.below(5);
+        let dst = 1 + rng.below(n - 1) as usize;
+        let (mut net, stations) = one_segment(rng.next_u64(), n, rng.next_f64() * 0.5);
+        let f = frame::build(&m, dst as u64 + 1, 1, 2, &[0; 10]).unwrap();
+        let (_, deliveries) = net.transmit(stations[0], &f, SimTime::ZERO);
+        assert!(deliveries.len() <= 1);
+        assert!(deliveries.iter().all(|d| d.station == stations[dst]));
+    }
+}
+
+#[test]
+fn fault_free_broadcast_reaches_everyone_else() {
+    let mut rng = SplitMix64::new(0xF8A_0007);
+    let m = Medium::experimental_3mb();
+    for _ in 0..ITERS {
+        let n = 2 + rng.below(8);
+        let (mut net, stations) = one_segment(rng.next_u64(), n, 0.0);
+        let f = frame::build(&m, m.broadcast, 1, 2, &[]).unwrap();
+        let (_, deliveries) = net.transmit(stations[0], &f, SimTime::ZERO);
+        let mut reached: Vec<usize> = deliveries.iter().map(|d| d.station.0).collect();
+        reached.sort_unstable();
+        let others: Vec<usize> = stations[1..].iter().map(|s| s.0).collect();
+        assert_eq!(reached, others);
     }
 }

@@ -61,11 +61,6 @@ impl Cpu {
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
     }
-
-    /// Mutable access to the profiler (e.g. to merge or reset).
-    pub fn profiler_mut(&mut self) -> &mut Profiler {
-        &mut self.profiler
-    }
 }
 
 /// A fixed-size pool of simulated CPUs for multi-core hosts.
@@ -100,11 +95,6 @@ impl CpuPool {
     /// Shared access to core `i`.
     pub fn core(&self, i: usize) -> &Cpu {
         &self.cores[i]
-    }
-
-    /// Mutable access to core `i`.
-    pub fn core_mut(&mut self, i: usize) -> &mut Cpu {
-        &mut self.cores[i]
     }
 
     /// Charges `cost` for `routine` on core `i`, requested at `now`.

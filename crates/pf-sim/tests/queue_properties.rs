@@ -3,18 +3,18 @@
 //! times scattered about the clock, then interleaved sorted streams, the
 //! input the queue's runs take — and CPU-accounting monotonicity. Hermetic:
 //! all randomness is the in-tree `SplitMix64`, so a failure reproduces from
-//! its seed. The default suite runs 2k steps per seed;
-//! `cargo test -p pf-sim --release --features fuzz-tests` runs 20k.
+//! its seed. The debug profile runs 2k steps per seed, `cargo test --release`
+//! 20k.
 
 use pf_sim::cpu::Cpu;
 use pf_sim::queue::{EventHandle, EventQueue};
 use pf_sim::rng::SplitMix64;
 use pf_sim::time::{SimDuration, SimTime};
 
-const STEPS: usize = if cfg!(feature = "fuzz-tests") {
-    20_000
-} else {
+const STEPS: usize = if cfg!(debug_assertions) {
     2_000
+} else {
+    20_000
 };
 
 /// `queue.rs`'s `MIN_TOMBSTONES`: the tombstone count compaction tolerates
