@@ -35,8 +35,9 @@
 //! the undefended row measurably degrades, the hardened row holds
 //! goodput (or capture coverage) at ≥ 0.95 under the same offered load.
 
+use crate::json::Json;
 use crate::overload::{capacity_pps, wanted_pps, BENCH_ARMOR, NIC_RING, WANTED_SOCK};
-use crate::report::{fmt_f64, p99_us};
+use crate::report::p99_us;
 use pf_filter::program::{Assembler, FilterProgram};
 use pf_filter::samples;
 use pf_filter::word::BinaryOp;
@@ -1078,72 +1079,64 @@ pub fn sweep(smoke: bool, seed: u64) -> AdversaryReport {
     report
 }
 
-/// Renders the campaign as JSON (hand-rolled: the build is hermetic, no
-/// serde).
-pub fn to_json(report: &AdversaryReport) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"adversary\",\n");
-    s.push_str(
-        "  \"workload\": \"state-machine-generated hostile flows (RSS collision flood, \
-         admission-signature mimicry, quota-gamed bursts, geom overlap bomb, \
-         monitor-evading shaping), each against the undefended and the hardened \
-         build of the mechanism it targets\",\n",
-    );
-    s.push_str(&format!(
-        "  \"seed\": {},\n  \"capacity_pps\": {},\n  \"wanted_pps\": {},\n",
-        report.seed, report.capacity_pps, report.wanted_pps
-    ));
-    s.push_str("  \"rows\": [\n");
-    for (i, p) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"family\": \"{}\", \"mode\": \"{}\", \"wanted_offered\": {}, \
-             \"attack_offered\": {}, \"goodput_ratio\": {}, \"p99_latency_us\": {}, \
-             \"drops_admission\": {}, \"drops_interface\": {}, \"drops_queue_full\": {}, \
-             \"drops_mimicry_shed\": {}, \"gate_resignatures\": {}, \
-             \"candidates_capped\": {}}}{}\n",
-            p.family,
-            p.mode,
-            p.wanted_offered,
-            p.attack_offered,
-            fmt_f64(p.goodput_ratio, 3),
-            p.p99_latency_us,
-            p.drops_admission,
-            p.drops_interface,
-            p.drops_queue_full,
-            p.drops_mimicry_shed,
-            p.gate_resignatures,
-            p.candidates_capped,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
+impl AdversaryPoint {
+    fn json(&self) -> Json {
+        Json::object([
+            ("family", self.family.into()),
+            ("mode", self.mode.into()),
+            ("wanted_offered", self.wanted_offered.into()),
+            ("attack_offered", self.attack_offered.into()),
+            ("goodput_ratio", Json::Float(self.goodput_ratio, 3)),
+            ("p99_latency_us", self.p99_latency_us.into()),
+            ("drops_admission", self.drops_admission.into()),
+            ("drops_interface", self.drops_interface.into()),
+            ("drops_queue_full", self.drops_queue_full.into()),
+            ("drops_mimicry_shed", self.drops_mimicry_shed.into()),
+            ("gate_resignatures", self.gate_resignatures.into()),
+            ("candidates_capped", self.candidates_capped.into()),
+        ])
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"signature\": {\n");
-    let fams = [
-        "rss_collision",
-        "mimicry",
-        "quota_gaming",
-        "geom_bomb",
-        "monitor_evasion",
-    ];
-    for (i, fam) in fams.iter().enumerate() {
-        let u = report.cell(fam, "undefended");
-        let h = report.cell(fam, "hardened");
-        s.push_str(&format!(
-            "    \"{fam}\": {{\"undefended_ratio\": {}, \"hardened_ratio\": {}, \
-             \"undefended_p99_us\": {}, \"hardened_p99_us\": {}}}{}\n",
-            fmt_f64(u.goodput_ratio, 3),
-            fmt_f64(h.goodput_ratio, 3),
-            u.p99_latency_us,
-            h.p99_latency_us,
-            if i + 1 == fams.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  }\n}\n");
-    s
 }
 
-/// Default output path: the repository root's `BENCH_adversary.json`.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adversary.json")
+impl AdversaryReport {
+    /// The campaign's artifact: every cell, and per family the undefended
+    /// cell beside the hardened one.
+    pub fn json(&self) -> Json {
+        let families = [
+            "rss_collision",
+            "mimicry",
+            "quota_gaming",
+            "geom_bomb",
+            "monitor_evasion",
+        ];
+        let signature = families.map(|family| {
+            let u = self.cell(family, "undefended");
+            let h = self.cell(family, "hardened");
+            let pair = Json::object([
+                ("undefended_ratio", Json::Float(u.goodput_ratio, 3)),
+                ("hardened_ratio", Json::Float(h.goodput_ratio, 3)),
+                ("undefended_p99_us", u.p99_latency_us.into()),
+                ("hardened_p99_us", h.p99_latency_us.into()),
+            ]);
+            (family, pair)
+        });
+        Json::object([
+            ("experiment", "adversary".into()),
+            (
+                "workload",
+                "state-machine-generated hostile flows (RSS collision flood, \
+                 admission-signature mimicry, quota-gamed bursts, geom overlap bomb, \
+                 monitor-evading shaping), each against the undefended and the hardened \
+                 build of the mechanism it targets"
+                    .into(),
+            ),
+            ("seed", self.seed.into()),
+            ("capacity_pps", self.capacity_pps.into()),
+            ("wanted_pps", self.wanted_pps.into()),
+            ("rows", Json::array(&self.rows, AdversaryPoint::json)),
+            ("signature", Json::object(signature)),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -1238,14 +1231,6 @@ mod tests {
         let report = sweep(true, DEFAULT_SEED);
         // 4 two-row families + monitor evasion's pair.
         assert_eq!(report.rows.len(), 10);
-        let json = to_json(&report);
-        assert!(json.contains("\"experiment\": \"adversary\""));
-        assert!(json.contains(&format!("\"seed\": {DEFAULT_SEED}")));
-        assert!(json.contains("\"signature\""));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
+        assert_eq!(report.seed, DEFAULT_SEED);
     }
 }

@@ -19,7 +19,7 @@
 //! campaign's own completion is the zero-panic invariant: every
 //! violation is an `assert!` with the seed in its message.
 
-use crate::report::fmt_f64;
+use crate::json::Json;
 use pf_filter::interp::{CheckedInterpreter, InterpConfig};
 use pf_filter::packet::PacketView;
 use pf_filter::program::{Assembler, FilterProgram};
@@ -735,73 +735,72 @@ pub fn sweep(smoke: bool, base_seed: u64) -> ChaosReport {
     }
 }
 
-/// Renders the campaign as JSON (hand-rolled: the build is hermetic, no
-/// serde).
-pub fn to_json(report: &ChaosReport) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"chaos\",\n");
-    s.push_str(
-        "  \"workload\": \"checksummed BSP transfers and VMTP transactions through a \
-         seeded fault channel (loss/corruption/truncation/reorder/duplication), plus \
-         engine-agreement and kernel-degradation scenarios\",\n",
-    );
-    s.push_str(&format!("  \"seed\": {},\n", report.seed));
-    s.push_str("  \"rows\": [\n");
-    for (i, p) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"loss\": {}, \"corruption\": {}, \
-             \"truncation\": {}, \"reorder\": {}, \"duplication\": {}, \
-             \"delivered\": {}, \"gave_up\": {}, \"data_packets\": {}, \
-             \"retransmits\": {}, \"discards\": {}, \"duplicates\": {}, \
-             \"out_of_order\": {}, \"faults_injected\": {}, \"steps\": {}}}{}\n",
-            p.scenario,
-            fmt_f64(p.faults.loss, 2),
-            fmt_f64(p.faults.corruption, 2),
-            fmt_f64(p.faults.truncation, 2),
-            fmt_f64(p.faults.reorder, 2),
-            fmt_f64(p.faults.duplication, 2),
-            p.run.delivered,
-            p.run.gave_up,
-            p.run.data_packets,
-            p.run.retransmits,
-            p.run.discards,
-            p.run.duplicates,
-            p.run.out_of_order,
-            p.run.injected.total(),
-            p.run.steps,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
+impl ChaosPoint {
+    fn json(&self) -> Json {
+        let (faults, run) = (&self.faults, &self.run);
+        Json::object([
+            ("scenario", self.scenario.into()),
+            ("loss", Json::Float(faults.loss, 2)),
+            ("corruption", Json::Float(faults.corruption, 2)),
+            ("truncation", Json::Float(faults.truncation, 2)),
+            ("reorder", Json::Float(faults.reorder, 2)),
+            ("duplication", Json::Float(faults.duplication, 2)),
+            ("delivered", run.delivered.into()),
+            ("gave_up", run.gave_up.into()),
+            ("data_packets", run.data_packets.into()),
+            ("retransmits", run.retransmits.into()),
+            ("discards", run.discards.into()),
+            ("duplicates", run.duplicates.into()),
+            ("out_of_order", run.out_of_order.into()),
+            ("faults_injected", run.injected.total().into()),
+            ("steps", run.steps.into()),
+        ])
     }
-    s.push_str("  ],\n");
-    let e = &report.engines;
-    s.push_str(&format!(
-        "  \"engine_agreement\": {{\"programs\": {}, \"packets\": {}, \
-         \"verdicts\": {}, \"disagreements\": {}}},\n",
-        e.programs, e.packets, e.verdicts, e.disagreements
-    ));
-    let k = &report.kernel;
-    s.push_str(&format!(
-        "  \"kernel_degradation\": {{\"quarantined_ports\": {}, \
-         \"quarantine_accepts\": {}, \"compiled_accepts\": {}, \
-         \"budget_overruns\": {}, \"drop_tail_drops\": {}, \
-         \"drop_oldest_drops\": {}, \"drop_tail_keeps_oldest\": {}, \
-         \"drop_oldest_keeps_newest\": {}}}\n",
-        k.quarantined_ports,
-        k.quarantine_accepts,
-        k.compiled_accepts,
-        k.budget_overruns,
-        k.drop_tail_drops,
-        k.drop_oldest_drops,
-        k.drop_tail_keeps_oldest,
-        k.drop_oldest_keeps_newest
-    ));
-    s.push('}');
-    s.push('\n');
-    s
 }
 
-/// Default output path: the repository root's `BENCH_chaos.json`.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_chaos.json")
+impl ChaosReport {
+    /// The campaign's artifact: every protocol run, the engine-agreement
+    /// totals and the kernel-degradation counters.
+    pub fn json(&self) -> Json {
+        let (e, k) = (&self.engines, &self.kernel);
+        Json::object([
+            ("experiment", "chaos".into()),
+            (
+                "workload",
+                "checksummed BSP transfers and VMTP transactions through a seeded fault \
+                 channel (loss/corruption/truncation/reorder/duplication), plus \
+                 engine-agreement and kernel-degradation scenarios"
+                    .into(),
+            ),
+            ("seed", self.seed.into()),
+            ("rows", Json::array(&self.rows, ChaosPoint::json)),
+            (
+                "engine_agreement",
+                Json::object([
+                    ("programs", e.programs.into()),
+                    ("packets", e.packets.into()),
+                    ("verdicts", e.verdicts.into()),
+                    ("disagreements", e.disagreements.into()),
+                ]),
+            ),
+            (
+                "kernel_degradation",
+                Json::object([
+                    ("quarantined_ports", k.quarantined_ports.into()),
+                    ("quarantine_accepts", k.quarantine_accepts.into()),
+                    ("compiled_accepts", k.compiled_accepts.into()),
+                    ("budget_overruns", k.budget_overruns.into()),
+                    ("drop_tail_drops", k.drop_tail_drops.into()),
+                    ("drop_oldest_drops", k.drop_oldest_drops.into()),
+                    ("drop_tail_keeps_oldest", k.drop_tail_keeps_oldest.into()),
+                    (
+                        "drop_oldest_keeps_newest",
+                        k.drop_oldest_keeps_newest.into(),
+                    ),
+                ]),
+            ),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -893,14 +892,5 @@ mod tests {
         let report = sweep(true, DEFAULT_SEED);
         // 3 losses x 2 mixes x 2 protocols + 2 blackout rows.
         assert_eq!(report.rows.len(), 14);
-        let json = to_json(&report);
-        assert!(json.contains("\"experiment\": \"chaos\""));
-        assert!(json.contains("\"engine_agreement\""));
-        assert!(json.contains("\"kernel_degradation\""));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
     }
 }

@@ -1,39 +1,70 @@
-//! Shared command-line handling for the `bench_*` binaries.
+//! The campaigns and the command line of the one binary that runs them:
+//! `campaign [name …] [--smoke] [--stdout] [--out <path>] [--seed <u64>]`.
 //!
-//! Every bench binary accepts the same small vocabulary, parsed here once
-//! instead of copy-pasted per binary:
-//!
-//! * `--smoke` — the tiny CI sweep instead of the full one (only where a
-//!   binary declares it has one);
-//! * `--stdout` — print the artifact to stdout instead of writing a file;
-//! * `--out <path>` — write the artifact to `<path>` instead of the
-//!   binary's default location;
-//! * `--cores <list>` / `--batch <list>` — comma-separated worker-core
-//!   and batch-size sweeps for the multi-core binaries (`bench_mc`
-//!   sweeps them; `bench_overload` accepts them only to reject anything
-//!   but the single-core shape with a pointer to `bench_mc`).
+//! * a name selects a campaign of [`CAMPAIGNS`]; no name selects all seven;
+//! * `--smoke` — the tiny CI sweep instead of the full one, printed to
+//!   stdout so that it never replaces a committed full-sweep artifact;
+//! * `--stdout` — print the artifact instead of writing a file;
+//! * `--out <path>` — write the artifact to `<path>` instead of
+//!   `BENCH_<name>.json` at the repository root (one name only);
+//! * `--seed <u64>` — run under this seed instead of the campaign's own.
 
-use std::path::PathBuf;
+use crate::json::Json;
+use crate::{adversary, chaos, demux_json, fabric, mc, netbench, overload};
+use std::path::{Path, PathBuf};
 
-/// Parsed bench-binary arguments.
+/// A campaign: its name, the seed its committed artifact was run under,
+/// and the sweep as `fn(smoke, seed)`. Every claim a campaign makes is an
+/// `assert!` inside its sweep, so returning at all is the proof; the value
+/// returned is the artifact, wall-clock fields tagged [`Json::Wall`].
+pub type Campaign = (&'static str, u64, fn(bool, u64) -> Json);
+
+/// Every campaign, cheapest first.
+pub const CAMPAIGNS: [Campaign; 7] = [
+    ("chaos", chaos::DEFAULT_SEED, |smoke, seed| {
+        chaos::sweep(smoke, seed).json()
+    }),
+    ("adversary", adversary::DEFAULT_SEED, |smoke, seed| {
+        adversary::sweep(smoke, seed).json()
+    }),
+    ("mc", 0, |smoke, seed| mc::sweep(smoke, seed).json()),
+    ("overload", overload::DEFAULT_SEED, |smoke, seed| {
+        overload::sweep(smoke, seed).json()
+    }),
+    ("demux", 0, |smoke, seed| {
+        let (ladder, churn) = demux_json::range_sweep(smoke);
+        demux_json::json(&demux_json::sweep(smoke), &ladder, &churn, seed)
+    }),
+    ("fabric", netbench::DEFAULT_SEED, |smoke, seed| {
+        fabric::sweep(smoke, seed).json()
+    }),
+    ("net", netbench::DEFAULT_SEED, |smoke, seed| {
+        netbench::sweep(smoke, seed).json()
+    }),
+];
+
+/// Where the committed artifact of campaign `name` lives:
+/// `BENCH_<name>.json` at the repository root.
+pub fn artifact_path(name: &str) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+    root.expect("crates/pf-bench is two levels below the root")
+        .join(format!("BENCH_{name}.json"))
+}
+
+/// Parsed `campaign` arguments.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BenchArgs {
+pub struct CampaignArgs {
+    /// The campaigns named; empty selects every one.
+    pub names: Vec<String>,
     /// Run the tiny CI sweep.
     pub smoke: bool,
     /// Print to stdout instead of writing the output file.
     pub stdout: bool,
-    /// Explicit output path (overrides the binary's default).
+    /// Explicit output path (overrides the default location).
     pub out: Option<PathBuf>,
-    /// Worker-core counts to sweep (`--cores 1,2,4,8`); `None` leaves the
-    /// binary's default sweep in place.
-    pub cores: Option<Vec<usize>>,
-    /// Batch sizes to sweep (`--batch 1,8,32,128`); `None` leaves the
-    /// binary's default sweep in place.
-    pub batch: Option<Vec<usize>>,
     /// Campaign seed (`--seed <u64>`, decimal or `0x`-hex); `None` keeps
-    /// the binary's fixed default. Every campaign records the seed it ran
-    /// under in its JSON artifact, so any row is reproducible from the
-    /// record alone.
+    /// the campaign's own. Every campaign records the seed it ran under in
+    /// its artifact, so any row is reproducible from the record alone.
     pub seed: Option<u64>,
 }
 
@@ -47,95 +78,73 @@ fn parse_seed(value: &str) -> Result<u64, String> {
     parsed.map_err(|_| format!("--seed must be a u64 (decimal or 0x-hex), got `{value}`"))
 }
 
-/// Parses a `--cores`/`--batch` style comma-separated list of positive
-/// integers, naming the flag and the valid form in every error.
-fn parse_count_list(flag: &str, value: &str) -> Result<Vec<usize>, String> {
-    let example = match flag {
-        "--cores" => "--cores 1,2,4,8",
-        _ => "--batch 1,8,32,128",
-    };
-    let mut counts = Vec::new();
-    for part in value.split(',') {
-        let n: usize = part.trim().parse().map_err(|_| {
-            format!("{flag} values must be positive integers, got `{part}` (e.g. {example})")
-        })?;
-        if n == 0 {
-            return Err(format!(
-                "{flag} values must be at least 1, got `0` (e.g. {example})"
-            ));
-        }
-        counts.push(n);
+impl CampaignArgs {
+    /// Whether the command line selects campaign `name`.
+    pub fn selects(&self, name: &str) -> bool {
+        self.names.is_empty() || self.names.iter().any(|n| n == name)
     }
-    if counts.is_empty() {
-        return Err(format!("{flag} requires a non-empty list (e.g. {example})"));
-    }
-    Ok(counts)
-}
 
-impl BenchArgs {
-    /// The effective output destination: `None` means stdout was
-    /// requested, otherwise the explicit `--out` path or `default`.
-    pub fn out_path(&self, default: PathBuf) -> Option<PathBuf> {
-        if self.stdout {
-            None
-        } else {
-            Some(self.out.clone().unwrap_or(default))
+    /// Where campaign `name`'s artifact goes: `None` is stdout (asked for,
+    /// or a smoke sweep with no `--out`), otherwise the `--out` path or
+    /// the committed artifact's.
+    pub fn destination(&self, name: &str) -> Option<PathBuf> {
+        match &self.out {
+            _ if self.stdout => None,
+            Some(path) => Some(path.clone()),
+            None if self.smoke => None,
+            None => Some(artifact_path(name)),
         }
     }
 }
 
-/// Parses bench arguments from an iterator (exposed for tests).
-/// `accepts_smoke` is false for binaries with no smoke mode, making
-/// `--smoke` an error there rather than a silent no-op.
-pub fn try_parse<I>(args: I, accepts_smoke: bool) -> Result<BenchArgs, String>
+/// Parses `campaign` arguments from an iterator (exposed for tests).
+pub fn try_parse<I>(args: I) -> Result<CampaignArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut out = BenchArgs::default();
+    let mut out = CampaignArgs::default();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--smoke" if accepts_smoke => out.smoke = true,
+            "--smoke" => out.smoke = true,
             "--stdout" => out.stdout = true,
             "--out" => match it.next() {
                 Some(p) => out.out = Some(PathBuf::from(p)),
                 None => return Err("--out requires a path".into()),
             },
-            "--cores" => match it.next() {
-                Some(v) => out.cores = Some(parse_count_list("--cores", &v)?),
-                None => return Err("--cores requires a list (e.g. --cores 1,2,4,8)".into()),
-            },
-            "--batch" => match it.next() {
-                Some(v) => out.batch = Some(parse_count_list("--batch", &v)?),
-                None => return Err("--batch requires a list (e.g. --batch 1,8,32,128)".into()),
-            },
             "--seed" => match it.next() {
                 Some(v) => out.seed = Some(parse_seed(&v)?),
                 None => return Err("--seed requires a value (e.g. --seed 0xC0FFEE)".into()),
             },
+            name if CAMPAIGNS.iter().any(|(known, ..)| *known == name) => out.names.push(a),
             other => {
-                let smoke = if accepts_smoke { "--smoke, " } else { "" };
+                let names: Vec<&str> = CAMPAIGNS.iter().map(|(name, ..)| *name).collect();
                 return Err(format!(
-                    "unknown argument `{other}` (valid flags: {smoke}--stdout, --out <path>, \
-                     --cores <list>, --batch <list>, --seed <u64>)"
+                    "unknown argument `{other}` (valid campaigns: {}; valid flags: --smoke, \
+                     --stdout, --out <path>, --seed <u64>)",
+                    names.join(", ")
                 ));
             }
         }
     }
+    if out.out.is_some() && out.names.len() != 1 {
+        return Err(format!(
+            "--out takes one artifact, so it needs exactly one campaign name, got {}",
+            out.names.len()
+        ));
+    }
     Ok(out)
 }
 
-/// Parses `std::env::args()`; on error prints usage for `bin` to stderr
-/// and exits with status 2.
-pub fn parse_or_exit(bin: &str, accepts_smoke: bool) -> BenchArgs {
-    match try_parse(std::env::args().skip(1), accepts_smoke) {
+/// Parses `std::env::args()`; on error prints usage to stderr and exits
+/// with status 2.
+pub fn parse_or_exit() -> CampaignArgs {
+    match try_parse(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
-            let smoke = if accepts_smoke { "[--smoke] " } else { "" };
-            eprintln!("{bin}: {e}");
+            eprintln!("campaign: {e}");
             eprintln!(
-                "usage: {bin} {smoke}[--stdout] [--out <path>] [--cores <list>] [--batch <list>] \
-                 [--seed <u64>]"
+                "usage: campaign [name …] [--smoke] [--stdout] [--out <path>] [--seed <u64>]"
             );
             std::process::exit(2);
         }
@@ -146,97 +155,72 @@ pub fn parse_or_exit(bin: &str, accepts_smoke: bool) -> BenchArgs {
 mod tests {
     use super::*;
 
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    fn parse(v: &[&str]) -> Result<CampaignArgs, String> {
+        try_parse(v.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn parses_the_full_vocabulary() {
-        let a = try_parse(args(&["--smoke", "--out", "x.json"]), true).unwrap();
+        let a = parse(&["mc", "--smoke", "--out", "x.json"]).unwrap();
+        assert_eq!(a.names, ["mc"]);
         assert!(a.smoke);
         assert!(!a.stdout);
-        assert_eq!(a.out, Some(PathBuf::from("x.json")));
-        assert_eq!(a.out_path(PathBuf::from("d.json")), Some("x.json".into()));
+        assert_eq!(a.destination("mc"), Some("x.json".into()));
+        assert!(a.selects("mc") && !a.selects("net"));
     }
 
     #[test]
-    fn defaults_write_to_the_default_path() {
-        let a = try_parse(args(&[]), true).unwrap();
-        assert_eq!(a, BenchArgs::default());
-        assert_eq!(a.out_path(PathBuf::from("d.json")), Some("d.json".into()));
+    fn defaults_run_every_campaign_into_its_committed_artifact() {
+        let a = parse(&[]).unwrap();
+        assert_eq!(a, CampaignArgs::default());
+        for (name, ..) in CAMPAIGNS {
+            assert!(a.selects(name));
+            let path = a.destination(name).expect("a file");
+            assert!(path.ends_with(format!("BENCH_{name}.json")), "{path:?}");
+        }
     }
 
     #[test]
-    fn stdout_wins_over_paths() {
-        let a = try_parse(args(&["--stdout", "--out", "x.json"]), true).unwrap();
-        assert_eq!(a.out_path(PathBuf::from("d.json")), None);
+    fn stdout_wins_over_paths_and_smoke_never_replaces_an_artifact() {
+        let a = parse(&["net", "--stdout", "--out", "x.json"]).unwrap();
+        assert_eq!(a.destination("net"), None);
+        let a = parse(&["mc", "net", "--smoke"]).unwrap();
+        assert_eq!((a.destination("mc"), a.destination("net")), (None, None));
     }
 
     #[test]
-    fn rejects_unknown_flags_and_smoke_where_unsupported() {
-        assert!(try_parse(args(&["--frob"]), true).is_err());
-        assert!(try_parse(args(&["--smoke"]), false).is_err());
-        assert!(try_parse(args(&["--out"]), true).is_err(), "missing path");
-    }
-
-    #[test]
-    fn parses_core_and_batch_sweeps() {
-        let a = try_parse(args(&["--cores", "1,2,4,8", "--batch", "1,32"]), true).unwrap();
-        assert_eq!(a.cores, Some(vec![1, 2, 4, 8]));
-        assert_eq!(a.batch, Some(vec![1, 32]));
-        let a = try_parse(args(&["--cores", "4"]), false).unwrap();
-        assert_eq!(a.cores, Some(vec![4]));
-        assert_eq!(a.batch, None);
-    }
-
-    #[test]
-    fn rejects_zero_and_garbage_core_and_batch_values() {
-        // Zero cores/batch is meaningless; the error must say so and show
-        // the valid form rather than silently clamping.
-        let e = try_parse(args(&["--cores", "0"]), true).unwrap_err();
-        assert!(
-            e.contains("at least 1") && e.contains("--cores 1,2,4,8"),
-            "{e}"
-        );
-        let e = try_parse(args(&["--batch", "8,0"]), true).unwrap_err();
-        assert!(
-            e.contains("at least 1") && e.contains("--batch 1,8,32,128"),
-            "{e}"
-        );
-        let e = try_parse(args(&["--cores", "two"]), true).unwrap_err();
-        assert!(
-            e.contains("positive integers") && e.contains("`two`"),
-            "{e}"
-        );
-        assert!(try_parse(args(&["--cores"]), true).is_err(), "missing list");
-        assert!(try_parse(args(&["--batch", ""]), true).is_err(), "empty");
+    fn out_needs_exactly_one_name() {
+        let e = parse(&["--out", "x.json"]).unwrap_err();
+        assert!(e.contains("exactly one campaign name, got 0"), "{e}");
+        let e = parse(&["mc", "net", "--out", "x.json"]).unwrap_err();
+        assert!(e.contains("exactly one campaign name, got 2"), "{e}");
+        assert!(parse(&["mc", "--out"]).is_err(), "missing path");
     }
 
     #[test]
     fn parses_seed_in_decimal_and_hex() {
-        let a = try_parse(args(&["--seed", "12345"]), true).unwrap();
-        assert_eq!(a.seed, Some(12345));
-        let a = try_parse(args(&["--seed", "0xC0FFEE"]), false).unwrap();
-        assert_eq!(a.seed, Some(0xC0FFEE));
-        assert_eq!(try_parse(args(&[]), true).unwrap().seed, None);
-        let e = try_parse(args(&["--seed", "lucky"]), true).unwrap_err();
+        assert_eq!(parse(&["--seed", "12345"]).unwrap().seed, Some(12345));
+        assert_eq!(parse(&["--seed", "0xC0FFEE"]).unwrap().seed, Some(0xC0FFEE));
+        assert_eq!(parse(&[]).unwrap().seed, None);
+        let e = parse(&["--seed", "lucky"]).unwrap_err();
         assert!(e.contains("--seed") && e.contains("`lucky`"), "{e}");
-        assert!(try_parse(args(&["--seed"]), true).is_err(), "missing value");
+        assert!(parse(&["--seed"]).is_err(), "missing value");
     }
 
     #[test]
-    fn unknown_flag_errors_list_the_valid_vocabulary() {
-        // A misspelled `--smoke` must fail loudly (not silently run the
-        // full campaign) and tell the user what would have worked.
-        let e = try_parse(args(&["--smok"]), true).unwrap_err();
-        assert!(e.contains("--smok"), "{e}");
-        assert!(
-            e.contains("--smoke") && e.contains("--stdout") && e.contains("--out"),
-            "{e}"
-        );
-        // Where there is no smoke mode, the listing must not advertise it.
-        let e = try_parse(args(&["--smoke"]), false).unwrap_err();
-        assert!(!e.contains("--smoke,"), "{e}");
-        assert!(e.contains("--stdout") && e.contains("--out"), "{e}");
+    fn unknown_names_and_flags_list_the_valid_vocabulary() {
+        // A misspelled `--smoke` or campaign must fail loudly (not silently
+        // run the full sweep of all seven) and say what would have worked.
+        for wrong in ["--smok", "demuxx"] {
+            let e = parse(&["mc", wrong]).unwrap_err();
+            assert!(e.contains(wrong), "{e}");
+            assert!(
+                e.contains("--smoke") && e.contains("--stdout") && e.contains("--out"),
+                "{e}"
+            );
+            for (name, ..) in CAMPAIGNS {
+                assert!(e.contains(name), "{e}");
+            }
+        }
     }
 }

@@ -25,7 +25,7 @@
 //! mix. The work counters come from the sets' own stats and are exact;
 //! asserts and tests read those (deterministic), never the timing.
 
-use crate::report::fmt_f64;
+use crate::json::Json;
 use pf_filter::dtree::FilterSet;
 use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
@@ -401,82 +401,74 @@ pub fn range_sweep(smoke: bool) -> (Vec<RangePoint>, Vec<ChurnPoint>) {
     (ladder, churn)
 }
 
-/// Renders the sweep, the mixed exact/range ladder, and the churn
-/// column as one JSON document (hand-rolled: the build is hermetic, no
-/// serde).
-pub fn to_json(
-    points: &[DemuxPoint],
-    ladder: &[RangePoint],
-    churn: &[ChurnPoint],
-    seed: u64,
-) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"demux_scaling\",\n");
-    // This campaign draws no randomness (populations and traffic are
-    // pinned); the seed is recorded so every BENCH_*.json carries the
-    // same replay field.
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str("  \"unit\": \"ns/packet, wall clock\",\n");
-    s.push_str(
-        "  \"workload\": \"multi-ethertype population (8 ethertypes x n/8 sockets), \
-         round-robin traffic with 25% no-match strays\",\n",
+/// The campaign's artifact: the race, the mixed exact/range ladder and
+/// the churn column. This campaign draws no randomness (populations and
+/// traffic are pinned); the seed is recorded so every `BENCH_*.json`
+/// carries the same replay field.
+pub fn json(points: &[DemuxPoint], ladder: &[RangePoint], churn: &[ChurnPoint], seed: u64) -> Json {
+    let counted = |x: f64| Json::Float(x, 2);
+    let rows = Json::array(points, |p| {
+        Json::object([
+            ("engine", p.engine.into()),
+            ("population", p.population.into()),
+            ("ns_per_packet", Json::Wall(p.ns_per_packet, 2)),
+            (
+                "filters_evaluated_per_packet",
+                counted(p.filters_evaluated_per_packet),
+            ),
+        ])
+    });
+    let range_rows = Json::array(ladder, |p| {
+        Json::object([
+            ("engine", p.engine.into()),
+            ("population", p.population.into()),
+            ("ns_per_packet", Json::Wall(p.ns_per_packet, 2)),
+            (
+                "filters_evaluated_per_packet",
+                counted(p.filters_evaluated_per_packet),
+            ),
+            (
+                "ops_executed_per_packet",
+                counted(p.ops_executed_per_packet),
+            ),
+            (
+                "nodes_visited_per_packet",
+                counted(p.nodes_visited_per_packet),
+            ),
+        ])
+    });
+    let churn_rows = Json::array(churn, |p| {
+        Json::object([
+            ("engine", p.engine.into()),
+            ("population", p.population.into()),
+            ("updates", p.updates.into()),
+            ("ns_per_update", Json::Wall(p.ns_per_update, 2)),
+            ("rebuilds", p.rebuilds.into()),
+        ])
+    });
+    let range_workload = format!(
+        "mixed exact/range population ({RANGE_SHARE_PERCENT}% narrow socket-range filters), \
+         socket-probe traffic with 25% exact hits and 25% strays"
     );
-    s.push_str("  \"rows\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"population\": {}, \"ns_per_packet\": {}, \
-             \"filters_evaluated_per_packet\": {}}}{}\n",
-            p.engine,
-            p.population,
-            fmt_f64(p.ns_per_packet, 2),
-            fmt_f64(p.filters_evaluated_per_packet, 2),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"range_workload\": \"mixed exact/range population ({RANGE_SHARE_PERCENT}% narrow \
-         socket-range filters), socket-probe traffic with 25% exact hits and 25% strays\",\n",
-    ));
-    s.push_str("  \"range_rows\": [\n");
-    for (i, p) in ladder.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"population\": {}, \"ns_per_packet\": {}, \
-             \"filters_evaluated_per_packet\": {}, \"ops_executed_per_packet\": {}, \
-             \"nodes_visited_per_packet\": {}}}{}\n",
-            p.engine,
-            p.population,
-            fmt_f64(p.ns_per_packet, 2),
-            fmt_f64(p.filters_evaluated_per_packet, 2),
-            fmt_f64(p.ops_executed_per_packet, 2),
-            fmt_f64(p.nodes_visited_per_packet, 2),
-            if i + 1 == ladder.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(
-        "  \"churn_unit\": \"ns/update, wall clock, one update = remove + reinsert at a \
-         standing population\",\n",
-    );
-    s.push_str("  \"churn_rows\": [\n");
-    for (i, p) in churn.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"population\": {}, \"updates\": {}, \
-             \"ns_per_update\": {}, \"rebuilds\": {}}}{}\n",
-            p.engine,
-            p.population,
-            p.updates,
-            fmt_f64(p.ns_per_update, 2),
-            p.rebuilds,
-            if i + 1 == churn.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Default output path: the repository root's `BENCH_demux.json`.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_demux.json")
+    Json::object([
+        ("experiment", "demux_scaling".into()),
+        ("seed", seed.into()),
+        ("unit", "ns/packet, wall clock".into()),
+        (
+            "workload",
+            "multi-ethertype population (8 ethertypes x n/8 sockets), round-robin traffic \
+             with 25% no-match strays"
+                .into(),
+        ),
+        ("rows", rows),
+        ("range_workload", Json::Str(range_workload)),
+        ("range_rows", range_rows),
+        (
+            "churn_unit",
+            "ns/update, wall clock, one update = remove + reinsert at a standing population".into(),
+        ),
+        ("churn_rows", churn_rows),
+    ])
 }
 
 #[cfg(test)]
@@ -580,46 +572,6 @@ mod tests {
             p.rebuilds as usize <= 200 / 64 + 2,
             "geom churn amortization: {} rebuilds",
             p.rebuilds
-        );
-    }
-
-    #[test]
-    fn json_rows_are_well_formed() {
-        let points = vec![DemuxPoint {
-            engine: "geom",
-            population: 16,
-            ns_per_packet: 123.456,
-            filters_evaluated_per_packet: 0.75,
-        }];
-        let ladder = vec![RangePoint {
-            engine: "geom",
-            population: 100_000,
-            ns_per_packet: 512.0,
-            filters_evaluated_per_packet: 3.25,
-            ops_executed_per_packet: 19.5,
-            nodes_visited_per_packet: 24.0,
-        }];
-        let churn = vec![ChurnPoint {
-            engine: "geom",
-            population: 100_000,
-            updates: 2_000,
-            ns_per_update: 900.0,
-            rebuilds: 1,
-        }];
-        let json = to_json(&points, &ladder, &churn, 7);
-        assert!(json.contains("\"seed\": 7"));
-        assert!(json.contains("\"engine\": \"geom\""));
-        assert!(json.contains("\"population\": 16"));
-        assert!(json.contains("\"ns_per_packet\": 123.46"));
-        assert!(json.contains("\"filters_evaluated_per_packet\": 0.75"));
-        assert!(json.contains("\"range_rows\""));
-        assert!(json.contains("\"nodes_visited_per_packet\": 24.00"));
-        assert!(json.contains("\"churn_rows\""));
-        assert!(json.contains("\"rebuilds\": 1"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
         );
     }
 

@@ -25,8 +25,8 @@
 //!   transient disagreement never cycles a packet to death.
 
 use crate::flowgen::{self, Arrival, FlowSpec, Pattern, SizeMix, Transport};
-use crate::netbench::{ring_topology, DEFAULT_SEED};
-use crate::report::fmt_f64;
+use crate::json::Json;
+use crate::netbench::ring_topology;
 use pf_kernel::World;
 use pf_net::fabric::FabricSchedule;
 use pf_net::frame;
@@ -697,75 +697,60 @@ fn assert_cell(
     }
 }
 
-/// Renders the campaign as JSON (hand-rolled: the build is hermetic,
-/// no serde).
-pub fn to_json(report: &FabricReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"campaign\": \"fabric\",\n");
-    s.push_str(&format!("  \"seed\": {},\n", report.seed));
-    s.push_str(&format!("  \"smoke\": {},\n", report.smoke));
-    s.push_str(&format!(
-        "  \"hello_ms\": {}, \"dead_ms\": {}, \"conv_base_ms\": {}, \
-         \"conv_per_hop_ms\": {},\n",
-        report.hello_ms, report.dead_ms, report.conv_base_ms, report.conv_per_hop_ms
-    ));
-    s.push_str(
-        "  \"asserts\": [\"undefended losses equal blackhole drops exactly\", \
-         \"hardened delivers >=99% of surviving-path traffic post-settle\", \
-         \"zero TTL expiries in every cell\", \
-         \"route changes stop by the convergence deadline\", \
-         \"churn and reconvergences under closed-form caps\"],\n",
-    );
-    s.push_str("  \"rows\": [\n");
-    for (i, p) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"deploy\": \"{}\", \
-             \"nodes\": {}, \"routers\": {}, \"links\": {}, \"packets\": {}, \
-             \"delivered\": {}, \"delivered_frac\": {}, \"blackholed\": {}, \
-             \"expected_after_check\": {}, \"delivered_after_check\": {}, \
-             \"recovered_frac\": {}, \"ttl_expired\": {}, \"no_route\": {}, \
-             \"hellos_sent\": {}, \"control_in\": {}, \"neighbors_lost\": {}, \
-             \"neighbors_recovered\": {}, \"failovers\": {}, \"reconvergences\": {}, \
-             \"route_churn\": {}, \"convergence_ms\": {}, \"wall_ms\": {}}}{}\n",
-            p.scenario,
-            p.deploy,
-            p.nodes,
-            p.routers,
-            p.links,
-            p.packets,
-            p.delivered,
-            fmt_f64(p.delivered_frac, 3),
-            p.blackholed,
-            p.expected_after_check,
-            p.delivered_after_check,
-            fmt_f64(p.recovered_frac, 3),
-            p.ttl_expired,
-            p.no_route,
-            p.hellos_sent,
-            p.control_in,
-            p.neighbors_lost,
-            p.neighbors_recovered,
-            p.failovers,
-            p.reconvergences,
-            p.route_churn,
-            fmt_f64(p.convergence_ms, 3),
-            fmt_f64(p.wall_ms, 3),
-            if i + 1 < report.rows.len() { "," } else { "" }
-        ));
+impl FabricPoint {
+    fn json(&self) -> Json {
+        Json::object([
+            ("scenario", self.scenario.into()),
+            ("deploy", self.deploy.into()),
+            ("nodes", self.nodes.into()),
+            ("routers", self.routers.into()),
+            ("links", self.links.into()),
+            ("packets", self.packets.into()),
+            ("delivered", self.delivered.into()),
+            ("delivered_frac", Json::Float(self.delivered_frac, 3)),
+            ("blackholed", self.blackholed.into()),
+            ("expected_after_check", self.expected_after_check.into()),
+            ("delivered_after_check", self.delivered_after_check.into()),
+            ("recovered_frac", Json::Float(self.recovered_frac, 3)),
+            ("ttl_expired", self.ttl_expired.into()),
+            ("no_route", self.no_route.into()),
+            ("hellos_sent", self.hellos_sent.into()),
+            ("control_in", self.control_in.into()),
+            ("neighbors_lost", self.neighbors_lost.into()),
+            ("neighbors_recovered", self.neighbors_recovered.into()),
+            ("failovers", self.failovers.into()),
+            ("reconvergences", self.reconvergences.into()),
+            ("route_churn", self.route_churn.into()),
+            ("convergence_ms", Json::Float(self.convergence_ms, 3)),
+            ("wall_ms", Json::Wall(self.wall_ms, 3)),
+        ])
     }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
 }
 
-/// Where the committed artifact lives.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fabric.json")
+impl FabricReport {
+    /// The campaign's artifact: the hardened deployment's timers, the
+    /// claims the sweep asserted, and every cell.
+    pub fn json(&self) -> Json {
+        let asserts = [
+            "undefended losses equal blackhole drops exactly",
+            "hardened delivers >=99% of surviving-path traffic post-settle",
+            "zero TTL expiries in every cell",
+            "route changes stop by the convergence deadline",
+            "churn and reconvergences under closed-form caps",
+        ];
+        Json::object([
+            ("campaign", "fabric".into()),
+            ("seed", self.seed.into()),
+            ("smoke", self.smoke.into()),
+            ("hello_ms", self.hello_ms.into()),
+            ("dead_ms", self.dead_ms.into()),
+            ("conv_base_ms", self.conv_base_ms.into()),
+            ("conv_per_hop_ms", self.conv_per_hop_ms.into()),
+            ("asserts", Json::array(asserts, Json::from)),
+            ("rows", Json::array(&self.rows, FabricPoint::json)),
+        ])
+    }
 }
-
-/// Re-exported so the binary and the campaign agree on one default.
-pub const FABRIC_SEED: u64 = DEFAULT_SEED;
 
 #[cfg(test)]
 mod tests {
@@ -821,59 +806,5 @@ mod tests {
         assert!(hard.failovers >= 1 && hard.reconvergences >= 1);
         let after = sum(&hard.received) - sum(hard.snapshots.last().unwrap());
         assert!(after as f64 >= 0.99 * plan.expected_after_check as f64);
-    }
-
-    #[test]
-    fn json_has_the_campaign_shape() {
-        let report = FabricReport {
-            seed: 7,
-            smoke: true,
-            hello_ms: 20,
-            dead_ms: 60,
-            conv_base_ms: 100,
-            conv_per_hop_ms: 4,
-            rows: vec![FabricPoint {
-                scenario: "router_kill",
-                deploy: "hardened",
-                nodes: 16,
-                routers: 4,
-                links: 8,
-                packets: 240,
-                delivered: 230,
-                delivered_frac: 230.0 / 240.0,
-                blackholed: 10,
-                expected_after_check: 100,
-                delivered_after_check: 100,
-                recovered_frac: 1.0,
-                ttl_expired: 0,
-                no_route: 3,
-                hellos_sent: 1000,
-                control_in: 900,
-                neighbors_lost: 2,
-                neighbors_recovered: 0,
-                failovers: 2,
-                reconvergences: 6,
-                route_churn: 12,
-                convergence_ms: 81.2,
-                wall_ms: 3.5,
-            }],
-        };
-        let json = to_json(&report);
-        for key in [
-            "\"campaign\": \"fabric\"",
-            "\"seed\": 7",
-            "\"conv_base_ms\": 100",
-            "\"scenario\": \"router_kill\"",
-            "\"recovered_frac\": 1.000",
-            "\"convergence_ms\": 81.200",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces"
-        );
-        assert!(default_path().ends_with("BENCH_fabric.json"));
     }
 }

@@ -19,14 +19,23 @@
 //! | [`breakeven`] | §6.5 (filter-count break-even sweep) |
 //!
 //! [`ablations`] additionally measures the §3.2/§7 design-choice knobs
-//! (adaptive reordering, priority assignment, write batching), [`chaos`]
-//! runs the fault-injection campaign (`BENCH_chaos.json`), [`overload`]
-//! runs the saturation campaign (`BENCH_overload.json`): offered load to
-//! 8× capacity across the overload-armor tiers. [`flowgen`] synthesizes
-//! flow-level workloads (Poisson/Pareto arrivals, elephants and mice,
-//! incast, routing churn) and [`netbench`] drives them across routed
-//! multi-segment topologies for the internet-scale campaign
-//! (`BENCH_net.json`).
+//! (adaptive reordering, priority assignment, write batching).
+//!
+//! Seven campaigns go beyond the paper. Each is a typed report, a `sweep`
+//! whose claims are `assert!`s, and one `json()` that lists every field of
+//! its `BENCH_<name>.json` once; [`cli::CAMPAIGNS`] is the table of them,
+//! [`json`] the one value and renderer they share, and the `campaign`
+//! binary runs any or all (`campaign mc overload`, `campaign --smoke`):
+//!
+//! | campaign | module | sweeps |
+//! |----------|--------|--------|
+//! | `chaos` | [`chaos`] | fault injection over BSP and VMTP, engine agreement, kernel degradation |
+//! | `adversary` | [`adversary`] | five hostile-traffic families, undefended against hardened |
+//! | `mc` | [`mc`] | worker cores × batch sizes × engines under a saturating burst |
+//! | `overload` | [`overload`] | offered load to 8× capacity across the overload-armor tiers |
+//! | `demux` | [`demux_json`] | the engine race against population, the range ladder, churn |
+//! | `fabric` | [`fabric`] | router kill, link flap and partition over routed rings |
+//! | `net` | [`netbench`] | [`flowgen`] workloads (Poisson/Pareto arrivals, elephants and mice, incast, routing churn) over ring topologies to 256 nodes |
 //!
 //! Run `cargo run -p pf-bench --release --bin paper-report` for everything
 //! at once, or name the sections wanted (`paper-report table_6_3 figures`;
@@ -44,6 +53,7 @@ pub mod demux_json;
 pub mod fabric;
 pub mod figures;
 pub mod flowgen;
+pub mod json;
 pub mod mc;
 pub mod netbench;
 pub mod overload;

@@ -27,7 +27,7 @@
 //! beats batch=1 on per-packet cost for the geom engine at this
 //! population. A zero exit is the campaign's proof.
 
-use crate::report::fmt_f64;
+use crate::json::Json;
 use pf_filter::samples;
 use pf_kernel::mc::{McConfig, McPipeline, Placement, RssConfig};
 use pf_kernel::world::OverloadConfig;
@@ -231,19 +231,10 @@ impl McReportTable {
 /// population and steer real traffic; 4 cores deliver ≥ 3× the 1-core
 /// goodput at the same batch size; and batch=32 beats batch=1 per-packet
 /// cost for the geom engine. A violated invariant panics with the
-/// offending cell. `cores`/`batches` override the default sweeps (the
-/// scaling asserts need {1, 4} and {1, 32}; sweeps without them skip the
-/// corresponding gate).
-pub fn sweep(
-    smoke: bool,
-    cores: Option<&[usize]>,
-    batches: Option<&[usize]>,
-    seed: u64,
-) -> McReportTable {
-    let default_cores: &[usize] = if smoke { &[1, 4] } else { &CORES };
-    let default_batches: &[usize] = if smoke { &[1, 32] } else { &BATCHES };
-    let cores = cores.unwrap_or(default_cores);
-    let batches = batches.unwrap_or(default_batches);
+/// offending cell.
+pub fn sweep(smoke: bool, seed: u64) -> McReportTable {
+    let cores: &[usize] = if smoke { &[1, 4] } else { &CORES };
+    let batches: &[usize] = if smoke { &[1, 32] } else { &BATCHES };
     let engines: &[(DemuxEngine, &str)] = if smoke { &ENGINES[..1] } else { &ENGINES };
     let frames = if smoke { 800 } else { 2400 };
 
@@ -292,10 +283,7 @@ pub fn sweep(
         // claims up to 128 frames per drain and claimed frames cannot
         // be stolen, so the burst's tail serializes; the rows are in
         // the JSON and EXPERIMENTS.md discusses it.)
-        for &b in batches.iter() {
-            if !(cores.contains(&1) && cores.contains(&4)) {
-                continue;
-            }
+        for &b in batches {
             let one = report.cell(label, 1, b);
             let four = report.cell(label, 4, b);
             assert!(
@@ -307,105 +295,75 @@ pub fn sweep(
             );
         }
     }
-    if batches.contains(&1) && batches.contains(&32) {
-        for &c in cores {
-            let b1 = report.cell("geom", c, 1);
-            let b32 = report.cell("geom", c, 32);
-            assert!(
-                b32.cost_per_packet_us < b1.cost_per_packet_us,
-                "geom {c} cores: batch=32 must beat batch=1 per-packet cost: \
-                 {:.1} us vs {:.1} us",
-                b32.cost_per_packet_us,
-                b1.cost_per_packet_us
-            );
-        }
+    for &c in cores {
+        let b1 = report.cell("geom", c, 1);
+        let b32 = report.cell("geom", c, 32);
+        assert!(
+            b32.cost_per_packet_us < b1.cost_per_packet_us,
+            "geom {c} cores: batch=32 must beat batch=1 per-packet cost: \
+             {:.1} us vs {:.1} us",
+            b32.cost_per_packet_us,
+            b1.cost_per_packet_us
+        );
     }
     report
 }
 
-/// Renders the campaign as JSON (hand-rolled: the build is hermetic, no
-/// serde).
-pub fn to_json(report: &McReportTable) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"mc\",\n");
-    s.push_str(
-        "  \"workload\": \"saturating burst over a population of pinned single-socket \
-         flows plus ~5% junk caught by a replicated wildcard, swept across worker \
-         cores, engine batch sizes, and demux engines\",\n",
-    );
-    s.push_str(&format!(
-        "  \"seed\": {},\n  \"population\": {},\n  \"frames_per_cell\": {},\n",
-        report.seed, report.population, report.frames
-    ));
-    s.push_str("  \"rows\": [\n");
-    for (i, p) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"cores\": {}, \"batch\": {}, \
-             \"offered\": {}, \"delivered\": {}, \"goodput_pps\": {}, \
-             \"cost_per_packet_us\": {}, \"p50_latency_us\": {}, \
-             \"p99_latency_us\": {}, \"frames_steered\": {}, \
-             \"cross_core_wakeups\": {}, \"queue_steals\": {}, \
-             \"batches_executed\": {}, \"drops_interface\": {}, \
-             \"drops_no_match\": {}, \"pinned\": {}, \"replicated\": {}}}{}\n",
-            p.engine,
-            p.cores,
-            p.batch,
-            p.offered,
-            p.delivered,
-            fmt_f64(p.goodput_pps, 3),
-            fmt_f64(p.cost_per_packet_us, 3),
-            p.p50_latency_us,
-            p.p99_latency_us,
-            p.frames_steered,
-            p.cross_core_wakeups,
-            p.queue_steals,
-            p.batches_executed,
-            p.drops_interface,
-            p.drops_no_match,
-            p.pinned,
-            p.replicated,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
+impl McPoint {
+    fn json(&self) -> Json {
+        Json::object([
+            ("engine", self.engine.into()),
+            ("cores", self.cores.into()),
+            ("batch", self.batch.into()),
+            ("offered", self.offered.into()),
+            ("delivered", self.delivered.into()),
+            ("goodput_pps", Json::Float(self.goodput_pps, 3)),
+            (
+                "cost_per_packet_us",
+                Json::Float(self.cost_per_packet_us, 3),
+            ),
+            ("p50_latency_us", self.p50_latency_us.into()),
+            ("p99_latency_us", self.p99_latency_us.into()),
+            ("frames_steered", self.frames_steered.into()),
+            ("cross_core_wakeups", self.cross_core_wakeups.into()),
+            ("queue_steals", self.queue_steals.into()),
+            ("batches_executed", self.batches_executed.into()),
+            ("drops_interface", self.drops_interface.into()),
+            ("drops_no_match", self.drops_no_match.into()),
+            ("pinned", self.pinned.into()),
+            ("replicated", self.replicated.into()),
+        ])
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"signature\": {\n");
-    let engines: Vec<&str> = {
-        let mut v: Vec<&str> = report.rows.iter().map(|r| r.engine).collect();
-        v.dedup();
-        v
-    };
-    let scaling_batch = report
-        .rows
-        .iter()
-        .map(|r| r.batch)
-        .find(|&b| b == 32)
-        .unwrap_or(report.rows[0].batch);
-    for (ei, label) in engines.iter().enumerate() {
-        let gp = |cores: usize| {
-            report
-                .rows
-                .iter()
-                .find(|r| r.engine == *label && r.cores == cores && r.batch == scaling_batch)
-                .map(|r| r.goodput_pps)
-        };
-        let speedup = match (gp(1), gp(4)) {
-            (Some(one), Some(four)) if one > 0.0 => four / one,
-            _ => f64::NAN,
-        };
-        s.push_str(&format!(
-            "    \"{}\": {{\"speedup_4c_over_1c_at_batch_{}\": {}}}{}\n",
-            label,
-            scaling_batch,
-            fmt_f64(speedup, 3),
-            if ei + 1 == engines.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  }\n}\n");
-    s
 }
 
-/// Default output path: the repository root's `BENCH_mc.json`.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_mc.json")
+impl McReportTable {
+    /// The campaign's artifact: every cell, and per engine the 4-core over
+    /// 1-core goodput at batch 32.
+    pub fn json(&self) -> Json {
+        let mut engines: Vec<&'static str> = self.rows.iter().map(|r| r.engine).collect();
+        engines.dedup();
+        let signature = engines.into_iter().map(|label| {
+            let (one, four) = (self.cell(label, 1, 32), self.cell(label, 4, 32));
+            let speedup = Json::Float(four.goodput_pps / one.goodput_pps, 3);
+            let speedup = Json::object([("speedup_4c_over_1c_at_batch_32", speedup)]);
+            (label, speedup)
+        });
+        Json::object([
+            ("experiment", "mc".into()),
+            (
+                "workload",
+                "saturating burst over a population of pinned single-socket flows plus ~5% \
+                 junk caught by a replicated wildcard, swept across worker cores, engine \
+                 batch sizes, and demux engines"
+                    .into(),
+            ),
+            ("seed", self.seed.into()),
+            ("population", self.population.into()),
+            ("frames_per_cell", self.frames.into()),
+            ("rows", Json::array(&self.rows, McPoint::json)),
+            ("signature", Json::object(signature)),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -424,16 +382,8 @@ mod tests {
 
     #[test]
     fn smoke_sweep_holds_every_invariant() {
-        let report = sweep(true, None, None, 0);
+        let report = sweep(true, 0);
         // 1 engine x 2 core counts x 2 batch sizes.
         assert_eq!(report.rows.len(), 4);
-        let json = to_json(&report);
-        assert!(json.contains("\"experiment\": \"mc\""));
-        assert!(json.contains("\"signature\""));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
     }
 }

@@ -23,7 +23,7 @@
 //! It is wall-clock and asserts nothing.
 
 use crate::flowgen::{self, Arrival, FlowSpec, Pattern, SizeMix, Transport};
-use crate::report::fmt_f64;
+use crate::json::Json;
 use pf_kernel::World;
 use pf_net::frame;
 use pf_net::medium::Medium;
@@ -384,68 +384,47 @@ pub fn sweep(smoke: bool, seed: u64) -> NetReport {
     }
 }
 
-/// Renders the campaign as JSON (hand-rolled: the build is hermetic,
-/// no serde).
-pub fn to_json(report: &NetReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"campaign\": \"net\",\n");
-    s.push_str(&format!("  \"seed\": {},\n", report.seed));
-    s.push_str(&format!("  \"smoke\": {},\n", report.smoke));
-    s.push_str(
-        "  \"asserts\": [\"exact routed delivery per host\", \
-         \"rerun histories identical\"],\n",
-    );
-    s.push_str("  \"topology\": [\n");
-    for (i, p) in report.topology.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"nodes\": {}, \"routers\": {}, \"hosts\": {}, \"links\": {}, \
-             \"flows\": {}, \"packets\": {}, \"churn_events\": {}, \
-             \"delivered\": {}, \"delivery_frac\": {}, \"forwarded\": {}, \
-             \"sim_end_ns\": {}, \"wall_ms\": {}, \"pkts_per_sec\": {}}}{}\n",
-            p.nodes,
-            p.routers,
-            p.hosts,
-            p.links,
-            p.flows,
-            p.packets,
-            p.churn_events,
-            p.delivered,
-            fmt_f64(p.delivery_frac, 3),
-            p.forwarded,
-            p.sim_end_ns,
-            fmt_f64(p.wall_ms, 3),
-            fmt_f64(p.pkts_per_sec, 3),
-            if i + 1 < report.topology.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
+impl NetReport {
+    /// The campaign's artifact: the claims the sweep asserted, every
+    /// topology cell and the event-queue hold model.
+    pub fn json(&self) -> Json {
+        let topology = Json::array(&self.topology, |p| {
+            Json::object([
+                ("nodes", p.nodes.into()),
+                ("routers", p.routers.into()),
+                ("hosts", p.hosts.into()),
+                ("links", p.links.into()),
+                ("flows", p.flows.into()),
+                ("packets", p.packets.into()),
+                ("churn_events", p.churn_events.into()),
+                ("delivered", p.delivered.into()),
+                ("delivery_frac", Json::Float(p.delivery_frac, 3)),
+                ("forwarded", p.forwarded.into()),
+                ("sim_end_ns", p.sim_end_ns.into()),
+                ("wall_ms", Json::Wall(p.wall_ms, 3)),
+                ("pkts_per_sec", Json::Wall(p.pkts_per_sec, 3)),
+            ])
+        });
+        let event_core = Json::array(&self.event_core, |p| {
+            Json::object([
+                ("pending", p.pending.into()),
+                ("ops", p.ops.into()),
+                ("ops_per_sec", Json::Wall(p.ops_per_sec, 3)),
+            ])
+        });
+        let asserts = [
+            "exact routed delivery per host",
+            "rerun histories identical",
+        ];
+        Json::object([
+            ("campaign", "net".into()),
+            ("seed", self.seed.into()),
+            ("smoke", self.smoke.into()),
+            ("asserts", Json::array(asserts, Json::from)),
+            ("topology", topology),
+            ("event_core", event_core),
+        ])
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"event_core\": [\n");
-    for (i, p) in report.event_core.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"pending\": {}, \"ops\": {}, \"ops_per_sec\": {}}}{}\n",
-            p.pending,
-            p.ops,
-            fmt_f64(p.ops_per_sec, 3),
-            if i + 1 < report.event_core.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
-/// Where the committed artifact lives.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_net.json")
 }
 
 #[cfg(test)]
@@ -495,49 +474,5 @@ mod tests {
     fn hold_model_reports_finite_throughput() {
         let ops = hold_ops_per_sec(256, 2_000, 1);
         assert!(ops.is_finite() && ops > 0.0, "{ops}");
-    }
-
-    #[test]
-    fn json_has_the_campaign_shape() {
-        let report = NetReport {
-            seed: 7,
-            smoke: true,
-            topology: vec![TopoPoint {
-                nodes: 4,
-                routers: 1,
-                hosts: 3,
-                links: 1,
-                flows: 10,
-                packets: 13,
-                churn_events: 0,
-                delivered: 13,
-                delivery_frac: 1.0,
-                forwarded: 0,
-                sim_end_ns: 42,
-                wall_ms: 0.5,
-                pkts_per_sec: 26_000.0,
-            }],
-            event_core: vec![HoldPoint {
-                pending: 1_000,
-                ops: 100,
-                ops_per_sec: 1e6,
-            }],
-        };
-        let json = to_json(&report);
-        for key in [
-            "\"campaign\": \"net\"",
-            "\"topology\"",
-            "\"event_core\"",
-            "\"delivery_frac\": 1.000",
-            "\"pending\": 1000",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces"
-        );
-        assert!(default_path().ends_with("BENCH_net.json"));
     }
 }

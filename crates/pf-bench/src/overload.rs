@@ -21,7 +21,8 @@
 //! traffic it then throws away, and the consumer starves. A completed
 //! sweep is itself the proof: every claim is an `assert!`.
 
-use crate::report::{fmt_f64, p99_us};
+use crate::json::Json;
+use crate::report::p99_us;
 use pf_filter::program::{Assembler, FilterProgram};
 use pf_filter::samples;
 use pf_filter::word::BinaryOp;
@@ -458,80 +459,63 @@ pub fn sweep(smoke: bool, seed: u64) -> OverloadReport {
     report
 }
 
-/// Renders the campaign as JSON (hand-rolled: the build is hermetic, no
-/// serde).
-pub fn to_json(report: &OverloadReport) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"overload\",\n");
-    s.push_str(
-        "  \"workload\": \"protected high-priority stream plus a best-effort flood, \
-         offered at 0.5x-8x of unarmored receive capacity, across armor tiers \
-         {none, polling, shedding, full} and demux engines {dtree, geom}\",\n",
-    );
-    s.push_str(&format!("  \"seed\": {},\n", report.seed));
-    s.push_str(&format!(
-        "  \"capacity_pps\": {},\n  \"wanted_pps\": {},\n  \"duration_ms\": {},\n",
-        report.capacity_pps,
-        report.wanted_pps,
-        report.duration.as_nanos() / 1_000_000
-    ));
-    s.push_str("  \"rows\": [\n");
-    for (i, p) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"armor\": \"{}\", \"offered_x\": {}, \
-             \"offered_pps\": {}, \"wanted_offered\": {}, \"junk_offered\": {}, \
-             \"goodput_pps\": {}, \"useful_frac\": {}, \"demux_frac\": {}, \
-             \"driver_frac\": {}, \"drops_admission\": {}, \"drops_queue_full\": {}, \
-             \"drops_interface\": {}, \"drops_no_match\": {}, \"p99_latency_us\": {}, \
-             \"poll_batches\": {}, \"rx_mode_switches\": {}, \
-             \"backpressure_signals\": {}}}{}\n",
-            p.engine,
-            p.armor,
-            fmt_f64(p.offered_x, 3),
-            p.offered_pps,
-            p.wanted_offered,
-            p.junk_offered,
-            fmt_f64(p.goodput_pps, 3),
-            fmt_f64(p.useful_frac, 3),
-            fmt_f64(p.demux_frac, 3),
-            fmt_f64(p.driver_frac, 3),
-            p.drops_admission,
-            p.drops_queue_full,
-            p.drops_interface,
-            p.drops_no_match,
-            p.p99_latency_us,
-            p.poll_batches,
-            p.rx_mode_switches,
-            p.backpressure_signals,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
+impl OverloadPoint {
+    fn json(&self) -> Json {
+        Json::object([
+            ("engine", self.engine.into()),
+            ("armor", self.armor.into()),
+            ("offered_x", Json::Float(self.offered_x, 3)),
+            ("offered_pps", self.offered_pps.into()),
+            ("wanted_offered", self.wanted_offered.into()),
+            ("junk_offered", self.junk_offered.into()),
+            ("goodput_pps", Json::Float(self.goodput_pps, 3)),
+            ("useful_frac", Json::Float(self.useful_frac, 3)),
+            ("demux_frac", Json::Float(self.demux_frac, 3)),
+            ("driver_frac", Json::Float(self.driver_frac, 3)),
+            ("drops_admission", self.drops_admission.into()),
+            ("drops_queue_full", self.drops_queue_full.into()),
+            ("drops_interface", self.drops_interface.into()),
+            ("drops_no_match", self.drops_no_match.into()),
+            ("p99_latency_us", self.p99_latency_us.into()),
+            ("poll_batches", self.poll_batches.into()),
+            ("rx_mode_switches", self.rx_mode_switches.into()),
+            ("backpressure_signals", self.backpressure_signals.into()),
+        ])
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"signature\": {\n");
-    for (ei, (_, label)) in ENGINES.iter().enumerate() {
-        let ratio = |armor: &str| {
-            let one = report.cell(label, armor, 1.0).goodput_pps;
-            let eight = report.cell(label, armor, 8.0).goodput_pps;
-            if one > 0.0 {
-                eight / one
-            } else {
-                f64::NAN
-            }
-        };
-        s.push_str(&format!(
-            "    \"{}\": {{\"full_8x_over_1x\": {}, \"none_8x_over_1x\": {}}}{}\n",
-            label,
-            fmt_f64(ratio("full"), 3),
-            fmt_f64(ratio("none"), 3),
-            if ei + 1 == ENGINES.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  }\n}\n");
-    s
 }
 
-/// Default output path: the repository root's `BENCH_overload.json`.
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_overload.json")
+impl OverloadReport {
+    /// The campaign's artifact: every cell, and per engine the 8× over 1×
+    /// goodput with full armor and with none.
+    pub fn json(&self) -> Json {
+        let signature = ENGINES.map(|(_, label)| {
+            let ratio = |armor: &str| {
+                let eight = self.cell(label, armor, 8.0).goodput_pps;
+                Json::Float(eight / self.cell(label, armor, 1.0).goodput_pps, 3)
+            };
+            let ratios = Json::object([
+                ("full_8x_over_1x", ratio("full")),
+                ("none_8x_over_1x", ratio("none")),
+            ]);
+            (label, ratios)
+        });
+        Json::object([
+            ("experiment", "overload".into()),
+            (
+                "workload",
+                "protected high-priority stream plus a best-effort flood, offered at 0.5x-8x \
+                 of unarmored receive capacity, across armor tiers {none, polling, shedding, \
+                 full} and demux engines {dtree, geom}"
+                    .into(),
+            ),
+            ("seed", self.seed.into()),
+            ("capacity_pps", self.capacity_pps.into()),
+            ("wanted_pps", self.wanted_pps.into()),
+            ("duration_ms", (self.duration.as_nanos() / 1_000_000).into()),
+            ("rows", Json::array(&self.rows, OverloadPoint::json)),
+            ("signature", Json::object(signature)),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -553,13 +537,5 @@ mod tests {
         let report = sweep(true, DEFAULT_SEED);
         // 2 engines x 4 tiers x 2 multiples.
         assert_eq!(report.rows.len(), 16);
-        let json = to_json(&report);
-        assert!(json.contains("\"experiment\": \"overload\""));
-        assert!(json.contains("\"signature\""));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
     }
 }

@@ -7,20 +7,10 @@
 //! [`cells_tsv`] reads those pairs back out of the rows the text is
 //! rendered from, so the fidelity record cannot drift from the tables.
 //!
-//! Also home to the two helpers every campaign's `BENCH_*.json` writer
-//! shares: [`fmt_f64`] and [`p99_us`].
+//! Also home to [`p99_us`], the latency quantile the overload and
+//! adversary campaigns share.
 
 use std::fmt::Write as _;
-
-/// A float as a JSON number with `places` decimals; `null` when it is not
-/// finite (JSON has no NaN or infinity).
-pub(crate) fn fmt_f64(x: f64, places: usize) -> String {
-    if x.is_finite() {
-        format!("{x:.places$}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// p99 of nanosecond latencies by nearest rank, in µs; 0 for no samples.
 pub(crate) fn p99_us(mut lat: Vec<u64>) -> u64 {
