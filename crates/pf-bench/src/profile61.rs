@@ -264,10 +264,17 @@ pub fn report_section_6_1() -> Report {
         "6.3".into(),
         format!("{:.1}", r12.predicates_per_packet),
     ]);
+    // The paper states the model as one expression, `0.8 + 0.122n ms`; a
+    // cell compares one number, so each coefficient gets its row.
     r.row(&[
-        "linear model".into(),
-        "0.8 + 0.122n ms".into(),
-        format!("{a:.2} + {b:.3}n ms"),
+        "linear model: fixed cost".into(),
+        "0.8 ms".into(),
+        format!("{a:.2} ms"),
+    ]);
+    r.row(&[
+        "linear model: slope".into(),
+        "0.122 ms / pred".into(),
+        format!("{b:.3} ms / pred"),
     ]);
     r.row(&[
         "IP-layer time per packet".into(),
