@@ -12,13 +12,15 @@
 
 use std::fmt::Write as _;
 
-/// p99 of nanosecond latencies by nearest rank, in µs; 0 for no samples.
+/// p99 of nanosecond latencies by nearest rank — the smallest sample with
+/// at least 99% of the samples at or below it, the rule of
+/// `McReport::latency_quantile` — in µs; 0 for no samples.
 pub(crate) fn p99_us(mut lat: Vec<u64>) -> u64 {
     if lat.is_empty() {
         return 0;
     }
     lat.sort_unstable();
-    lat[(lat.len() - 1) * 99 / 100] / 1_000
+    lat[(lat.len() * 99).div_ceil(100) - 1] / 1_000
 }
 
 /// A rendered experiment table.
@@ -270,6 +272,26 @@ mod tests {
              Table Q\t128 bytes\tUDP\t41%\t41%\t0.000\n\
              # 4 cells, 2 skipped; relative error: median 0.250, worst 0.500 (Table Q, 128 bytes, pf)\n"
         );
+    }
+
+    #[test]
+    fn p99_is_the_multi_core_report_quantile() {
+        use pf_kernel::mc::McReport;
+        use pf_sim::time::{SimDuration, SimTime};
+        let mut rng = pf_sim::rng::SplitMix64::new(0x99);
+        for n in [1, 2, 99, 100, 101, 472] {
+            let lat: Vec<u64> = (0..n).map(|_| rng.below(5_000_000_000)).collect();
+            let report = McReport {
+                per_core: Vec::new(),
+                total: Default::default(),
+                finish: SimTime::ZERO,
+                busy: Vec::new(),
+                latencies: lat.iter().map(|&ns| SimDuration::from_nanos(ns)).collect(),
+            };
+            let theirs = report.latency_quantile(0.99).as_nanos() / 1_000;
+            assert_eq!(p99_us(lat), theirs, "{n} samples");
+        }
+        assert_eq!(p99_us(Vec::new()), 0);
     }
 
     #[test]
