@@ -88,12 +88,10 @@ impl CampaignArgs {
     /// or a smoke sweep with no `--out`), otherwise the `--out` path or
     /// the committed artifact's.
     pub fn destination(&self, name: &str) -> Option<PathBuf> {
-        match &self.out {
-            _ if self.stdout => None,
-            Some(path) => Some(path.clone()),
-            None if self.smoke => None,
-            None => Some(artifact_path(name)),
+        if self.stdout || (self.smoke && self.out.is_none()) {
+            return None;
         }
+        Some(self.out.clone().unwrap_or_else(|| artifact_path(name)))
     }
 }
 

@@ -11,6 +11,8 @@
 //! puts one child on a line; everything else is written inline. So a row is
 //! a line, and a changed cell is a one-line diff.
 
+use std::fmt::Write as _;
+
 /// A JSON value. Objects keep the order their fields were listed in.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -61,7 +63,8 @@ impl Json {
             Json::Bool(b) => return out.push_str(&b.to_string()),
             Json::Int(n) => return out.push_str(&n.to_string()),
             Json::Float(x, places) | Json::Wall(x, places) if x.is_finite() => {
-                return out.push_str(&format!("{x:.places$}"));
+                let _ = write!(out, "{x:.places$}");
+                return;
             }
             Json::Float(..) | Json::Wall(..) => return out.push_str("null"),
         };
@@ -83,7 +86,7 @@ impl Json {
                 out.push(' ');
             }
             if let Some(key) = key {
-                out.push_str(&format!("\"{key}\": "));
+                let _ = write!(out, "\"{key}\": ");
             }
             value.write(out, depth + 1);
         }
@@ -100,7 +103,9 @@ fn write_string(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' | '\\' => out.extend(['\\', c]),
-            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
