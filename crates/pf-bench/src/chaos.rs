@@ -285,8 +285,11 @@ pub fn run_vmtp(seed: u64, faults: ChaosFaults, ops: u32, response_len: usize) -
     let mut completed = 0u32;
     let mut gave_up = false;
     let mut exact = true;
+    // The effects of a machine call, and of one made while handling them.
+    let (mut fx, mut nested) = (Vec::new(), Vec::new());
 
-    for e in client.invoke(0, vec![0x55; 64]) {
+    client.invoke(0, vec![0x55; 64], &mut fx);
+    for e in fx.drain(..) {
         if let VEffect::Send(p, _eth) = e {
             sent += 1;
             to_server.push(p.encode_body_opts(true), &mut rng);
@@ -303,7 +306,8 @@ pub fn run_vmtp(seed: u64, faults: ChaosFaults, ops: u32, response_len: usize) -
         if let Some(bytes) = to_server.pop() {
             match VmtpPacket::decode_body(&bytes) {
                 Some(p) => {
-                    for e in server.on_packet(&p, CLIENT_ETH) {
+                    server.on_packet(&p, CLIENT_ETH, &mut fx);
+                    for e in fx.drain(..) {
                         match e {
                             VEffect::Send(p, _eth) => {
                                 sent += 1;
@@ -315,7 +319,8 @@ pub fn run_vmtp(seed: u64, faults: ChaosFaults, ops: u32, response_len: usize) -
                                 trans,
                                 ..
                             } => {
-                                for e in server.respond(c, client_eth, trans, response.clone()) {
+                                server.respond(c, client_eth, trans, response.clone(), &mut nested);
+                                for e in nested.drain(..) {
                                     if let VEffect::Send(p, _eth) = e {
                                         sent += 1;
                                         to_client.push(p.encode_body_opts(true), &mut rng);
@@ -332,7 +337,8 @@ pub fn run_vmtp(seed: u64, faults: ChaosFaults, ops: u32, response_len: usize) -
         if let Some(bytes) = to_client.pop() {
             match VmtpPacket::decode_body(&bytes) {
                 Some(p) => {
-                    for e in client.on_packet(&p) {
+                    client.on_packet(&p, &mut fx);
+                    for e in fx.drain(..) {
                         match e {
                             VEffect::Send(p, _eth) => {
                                 sent += 1;
@@ -342,7 +348,8 @@ pub fn run_vmtp(seed: u64, faults: ChaosFaults, ops: u32, response_len: usize) -
                                 exact &= data == response;
                                 completed += 1;
                                 if completed < ops {
-                                    for e in client.invoke(0, vec![0x55; 64]) {
+                                    client.invoke(0, vec![0x55; 64], &mut nested);
+                                    for e in nested.drain(..) {
                                         if let VEffect::Send(p, _eth) = e {
                                             sent += 1;
                                             to_server.push(p.encode_body_opts(true), &mut rng);
@@ -359,7 +366,8 @@ pub fn run_vmtp(seed: u64, faults: ChaosFaults, ops: u32, response_len: usize) -
             }
         }
         if to_server.is_empty() && to_client.is_empty() && completed < ops && !gave_up {
-            for e in client.on_timer(VMTP_RTO_TOKEN) {
+            client.on_timer(VMTP_RTO_TOKEN, &mut fx);
+            for e in fx.drain(..) {
                 match e {
                     VEffect::Send(p, _eth) => {
                         sent += 1;

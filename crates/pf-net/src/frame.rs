@@ -99,9 +99,28 @@ pub fn build(
     ethertype: u16,
     payload: &[u8],
 ) -> Result<Vec<u8>, FrameError> {
-    let len = medium.header_len + payload.len();
-    check(medium, dst, src, len)?;
-    let mut f = Vec::with_capacity(len);
+    build_with(medium, dst, src, ethertype, payload.len(), |f| {
+        f.extend(payload)
+    })
+}
+
+/// Builds a complete frame in one buffer: writes the header, lets `body`
+/// append the payload after it, then makes [`build`]'s checks on the
+/// whole. `body_len` is what `body` is expected to append, reserved up
+/// front so that the buffer is allocated once.
+///
+/// # Errors
+///
+/// Exactly [`build`]'s, for the frame `body` wrote.
+pub fn build_with(
+    medium: &Medium,
+    dst: u64,
+    src: u64,
+    ethertype: u16,
+    body_len: usize,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Result<Vec<u8>, FrameError> {
+    let mut f = Vec::with_capacity(medium.header_len + body_len);
     match medium.kind {
         MediumKind::Experimental3Mb => {
             f.push(dst as u8);
@@ -113,7 +132,8 @@ pub fn build(
         }
     }
     f.extend_from_slice(&ethertype.to_be_bytes());
-    f.extend_from_slice(payload);
+    body(&mut f);
+    check(medium, dst, src, f.len())?;
     Ok(f)
 }
 
@@ -318,6 +338,27 @@ mod tests {
                 Err(FrameError::TooShort { .. })
             ));
             assert_eq!(f, before, "a refused frame is untouched");
+        }
+    }
+
+    #[test]
+    fn a_written_body_is_a_built_payload_in_one_buffer() {
+        for m in [Medium::experimental_3mb(), Medium::standard_10mb()] {
+            let f = build_with(&m, 0x0B, 0x0C, 0x0800, 3, |f| {
+                f.extend_from_slice(&[1, 2]);
+                f.push(3);
+            })
+            .unwrap();
+            assert_eq!(f, build(&m, 0x0B, 0x0C, 0x0800, &[1, 2, 3]).unwrap());
+            assert_eq!(f.capacity(), f.len(), "reserved once, exactly");
+            let long = m.max_packet - m.header_len + 1;
+            let wide = 1u64 << (m.addr_len * 8);
+            for (dst, len) in [(1, long), (wide, 3)] {
+                assert_eq!(
+                    build_with(&m, dst, 2, 2, len, |f| f.resize(f.len() + len, 0)),
+                    build(&m, dst, 2, 2, &vec![0; len])
+                );
+            }
         }
     }
 

@@ -24,6 +24,16 @@
 //! duplication draw, so raising the loss rate no longer skews the
 //! duplicate rate (or vice versa).
 //!
+//! ## Who is visited
+//!
+//! A transmit visits only the stations that can want the frame, in station
+//! order: the holders of its destination address merged with the segment's
+//! listeners (promiscuous or multicast-subscribed stations) — every station
+//! for a broadcast, the listeners alone for a frame whose header does not
+//! parse. Every other station would refuse it, and a refusal draws nothing,
+//! so the receivers served and the draws made are those of a scan of every
+//! station.
+//!
 //! The network layer is passive: the host simulation (in `pf-kernel`)
 //! schedules the returned deliveries on its event queue. That keeps this
 //! crate free of any event-loop coupling.
@@ -142,7 +152,13 @@ struct Segment {
     /// Station propagation delay (end-to-end cable time; tiny vs. the
     /// transmission delay, but nonzero keeps causality strict).
     propagation: SimDuration,
+    /// Every attached station, in station order.
     stations: Vec<StationId>,
+    /// Every attached station by `(addr, station)`: a unicast frame's
+    /// holders are one run of it.
+    by_addr: Vec<(u64, StationId)>,
+    /// Promiscuous or multicast-subscribed stations, in station order.
+    listeners: Vec<StationId>,
     /// The segment drops every delivery until this instant (transient
     /// partition fault).
     partition_until: SimTime,
@@ -183,6 +199,8 @@ impl Network {
             faults,
             propagation: SimDuration::from_micros(5),
             stations: Vec::new(),
+            by_addr: Vec::new(),
+            listeners: Vec::new(),
             partition_until: SimTime::ZERO,
             up: true,
         });
@@ -222,8 +240,27 @@ impl Network {
             promiscuous: false,
             multicast: Vec::new(),
         });
-        self.segments[segment.0].stations.push(id);
+        let seg = &mut self.segments[segment.0];
+        seg.stations.push(id);
+        // The newest station sorts last among the holders of its address.
+        let at = seg.by_addr.partition_point(|&(a, _)| a <= addr);
+        seg.by_addr.insert(at, (addr, id));
         id
+    }
+
+    /// Files a station under its segment's listeners, or takes it out,
+    /// after its promiscuous flag or multicast groups changed.
+    fn refile_listener(&mut self, id: StationId) {
+        let s = &self.stations[id.0];
+        let listens = s.promiscuous || !s.multicast.is_empty();
+        let listeners = &mut self.segments[s.segment.0].listeners;
+        match (listeners.binary_search_by_key(&id.0, |l| l.0), listens) {
+            (Err(at), true) => listeners.insert(at, id),
+            (Ok(at), false) => {
+                listeners.remove(at);
+            }
+            _ => {}
+        }
     }
 
     /// A borrow-handle for one station, carrying the per-station surface
@@ -322,13 +359,49 @@ impl Network {
                         || (medium.is_multicast(h.dst) && r.multicast.contains(&h.dst))
                 })
         };
+        // Who may want it (module docs, "Who is visited"): every station
+        // for a broadcast; otherwise the holders of the destination,
+        // `by_addr[i..hi]` (none for a runt), merged with the listeners.
+        let seg = &self.segments[seg_id];
+        let (everyone, mut i, hi) = match header {
+            Some(h) if medium.is_broadcast(h.dst) => (true, 0, 0),
+            Some(h) => (
+                false,
+                seg.by_addr.partition_point(|&(a, _)| a < h.dst),
+                seg.by_addr.partition_point(|&(a, _)| a <= h.dst),
+            ),
+            None => (false, 0, 0),
+        };
+        let mut j = 0;
         // The receiver whose delivery is still owed: it is served with a
         // copy once a later receiver turns up, with `frame` itself if none
         // does. Receivers are served, and their fault draws made, in
         // station order either way.
         let mut owed: Option<StationId> = None;
-        for i in 0..self.segments[seg_id].stations.len() {
-            let rcv = self.segments[seg_id].stations[i];
+        loop {
+            let seg = &self.segments[seg_id];
+            let (holder, listener) = if everyone {
+                (seg.stations.get(i).copied(), None)
+            } else {
+                let holder = seg.by_addr[..hi].get(i).map(|&(_, s)| s);
+                (holder, seg.listeners.get(j).copied())
+            };
+            let rcv = match (holder, listener) {
+                (None, None) => break,
+                (Some(h), Some(l)) if l.0 < h.0 => {
+                    j += 1;
+                    l
+                }
+                (Some(h), l) => {
+                    i += 1;
+                    j += usize::from(l == Some(h));
+                    h
+                }
+                (None, Some(l)) => {
+                    j += 1;
+                    l
+                }
+            };
             if rcv == station || !wants(&self.stations[rcv.0]) {
                 continue;
             }
@@ -452,6 +525,7 @@ impl StationHandle<'_> {
     /// interface does.
     pub fn set_promiscuous(&mut self, on: bool) {
         self.net.stations[self.id.0].promiscuous = on;
+        self.net.refile_listener(self.id);
     }
 
     /// Subscribes the station to a multicast group address.
@@ -460,6 +534,7 @@ impl StationHandle<'_> {
         if !s.multicast.contains(&group) {
             s.multicast.push(group);
         }
+        self.net.refile_listener(self.id);
     }
 
     /// Leaves a multicast group.
@@ -467,6 +542,7 @@ impl StationHandle<'_> {
         self.net.stations[self.id.0]
             .multicast
             .retain(|g| *g != group);
+        self.net.refile_listener(self.id);
     }
 }
 

@@ -9,8 +9,8 @@
 use pf_net::fabric::{FabricAction, FabricSchedule};
 use pf_net::frame;
 use pf_net::medium::Medium;
-use pf_net::segment::{FaultModel, Network};
-use pf_net::{LinkId, NodeId};
+use pf_net::segment::{Delivery, FaultCounters, FaultModel, Network, SegmentId};
+use pf_net::{LinkId, NodeId, StationId};
 use pf_sim::rng::SplitMix64;
 use pf_sim::time::{SimDuration, SimTime};
 
@@ -276,4 +276,269 @@ fn fault_free_broadcast_reaches_everyone_else() {
         let others: Vec<usize> = stations[1..].iter().map(|s| s.0).collect();
         assert_eq!(reached, others);
     }
+}
+
+/// A station as the reference sees it.
+struct RefStation {
+    segment: usize,
+    addr: u64,
+    promiscuous: bool,
+    groups: Vec<u64>,
+}
+
+/// A segment as the reference sees it.
+struct RefSegment {
+    medium: Medium,
+    faults: FaultModel,
+    up: bool,
+    partition_until: SimTime,
+    stations: Vec<StationId>,
+}
+
+/// `Network` as a scan of every station on the segment, in order, asking
+/// each whether it wants the frame: the specification the receiver walk is
+/// held to, including the module doc's fault-draw order.
+struct Reference {
+    rng: SplitMix64,
+    segments: Vec<RefSegment>,
+    stations: Vec<RefStation>,
+    tallies: Vec<FaultCounters>,
+}
+
+/// `Segment::propagation`: every segment's, and not public.
+const PROPAGATION: SimDuration = SimDuration::from_micros(5);
+
+impl Reference {
+    fn transmit(&mut self, from: StationId, f: &[u8], now: SimTime) -> (SimTime, Vec<Delivery>) {
+        let seg_id = self.stations[from.0].segment;
+        let seg = &mut self.segments[seg_id];
+        let (medium, faults, up) = (seg.medium, seg.faults, seg.up);
+        let tx_done = now + medium.transmission_delay(f.len());
+        let arrival = tx_done + PROPAGATION;
+        let tally = &mut self.tallies[seg_id];
+        if up && now >= seg.partition_until && self.rng.chance(faults.partition) {
+            seg.partition_until = now + faults.partition_duration;
+            tally.partition_events += 1;
+        }
+        let partitioned = now < seg.partition_until;
+        let header = frame::parse(&medium, f).ok();
+        let mut out = Vec::new();
+        for &rcv in &seg.stations {
+            let r = &self.stations[rcv.0];
+            let wants = r.promiscuous
+                || header.is_some_and(|h| {
+                    h.dst == r.addr
+                        || medium.is_broadcast(h.dst)
+                        || (medium.is_multicast(h.dst) && r.groups.contains(&h.dst))
+                });
+            if rcv == from || !wants {
+                continue;
+            }
+            if !up {
+                tally.link_down_drops += 1;
+                continue;
+            }
+            if partitioned {
+                tally.partition_drops += 1;
+                continue;
+            }
+            let rng = &mut self.rng;
+            let gates = [
+                faults.loss,
+                faults.duplication,
+                faults.corruption,
+                faults.truncation,
+                faults.reorder,
+            ];
+            let [lose, dup, corrupt, trunc, reorder] = gates.map(|p| rng.chance(p));
+            let mut primary = f.to_vec();
+            let mut primary_arrival = arrival;
+            if corrupt && !primary.is_empty() {
+                let byte = rng.below(primary.len() as u64) as usize;
+                primary[byte] ^= 1 << rng.below(8);
+                tally.corrupted += 1;
+            }
+            if trunc && primary.len() > 1 {
+                primary.truncate(1 + rng.below(primary.len() as u64 - 1) as usize);
+                tally.truncated += 1;
+            }
+            if reorder && faults.reorder_jitter > SimDuration::ZERO {
+                let jitter = 1 + rng.below(faults.reorder_jitter.as_nanos());
+                primary_arrival = arrival + SimDuration::from_nanos(jitter);
+                tally.reordered += 1;
+            }
+            if lose {
+                tally.lost += 1;
+            } else {
+                out.push(Delivery {
+                    station: rcv,
+                    arrival: primary_arrival,
+                    frame: primary,
+                });
+            }
+            if dup {
+                tally.duplicated += 1;
+                out.push(Delivery {
+                    station: rcv,
+                    arrival: arrival + PROPAGATION,
+                    frame: f.to_vec(),
+                });
+            }
+        }
+        (tx_done, out)
+    }
+}
+
+/// Multicast groups on the 10 Mb/s wire, and (as plain listeners that want
+/// nothing) on the 3 Mb/s one.
+const GROUPS: [u64; 2] = [0x0100_0000_0001, 0x0100_0000_0002];
+
+/// A segment visits only its receivers: on random segments with duplicate
+/// addresses, stations going promiscuous and back, joining and leaving
+/// groups, links going down and partitions starting under every fault
+/// gate, broadcasts, group frames, unicasts to held and unheld addresses,
+/// runts and empty frames — `Network`'s walk and the every-station scan
+/// hand out the same deliveries in the same order, keep the same tallies,
+/// and so draw their RNG for the same receivers in the same order.
+#[test]
+fn the_receiver_walk_matches_a_scan_of_every_station() {
+    let mut rng = SplitMix64::new(0xF8A_0008);
+    let mut total = FaultCounters::default();
+    let mut listener_runts = 0;
+    for run in 0..ITERS / 50 {
+        let seed = rng.next_u64();
+        let mut net = Network::new(seed);
+        let mut model = Reference {
+            rng: SplitMix64::new(seed),
+            segments: Vec::new(),
+            stations: Vec::new(),
+            tallies: Vec::new(),
+        };
+        let mut stations = Vec::new();
+        for s in 0..1 + rng.below(3) as usize {
+            let medium = media()[rng.below(2) as usize];
+            let faults = FaultModel {
+                loss: 0.05 + 0.2 * rng.next_f64(),
+                duplication: 0.05 + 0.2 * rng.next_f64(),
+                corruption: 0.05 + 0.2 * rng.next_f64(),
+                truncation: 0.05 + 0.2 * rng.next_f64(),
+                reorder: 0.05 + 0.2 * rng.next_f64(),
+                reorder_jitter: SimDuration::from_micros(1 + rng.below(300)),
+                partition: 0.005 + 0.02 * rng.next_f64(),
+                partition_duration: SimDuration::from_micros(1 + rng.below(400)),
+            };
+            assert_eq!(net.add_segment(medium, faults), SegmentId(s));
+            model.segments.push(RefSegment {
+                medium,
+                faults,
+                up: true,
+                partition_until: SimTime::ZERO,
+                stations: Vec::new(),
+            });
+            model.tallies.push(FaultCounters::default());
+            // Few addresses, so that several stations hold each.
+            for _ in 0..2 + rng.below(11) {
+                let addr = 1 + rng.below(4);
+                let id = net.add_station(SegmentId(s), addr);
+                model.segments[s].stations.push(id);
+                model.stations.push(RefStation {
+                    segment: s,
+                    addr,
+                    promiscuous: false,
+                    groups: Vec::new(),
+                });
+                stations.push(id);
+            }
+        }
+        let mut now = SimTime::ZERO;
+        let mut out = Vec::new();
+        for step in 0..300 {
+            let ctx = format!("run {run} step {step}");
+            // Stations change what they listen for, links go up and down.
+            let who = stations[rng.below(stations.len() as u64) as usize];
+            let r = &mut model.stations[who.0];
+            match rng.below(8) {
+                0 => {
+                    r.promiscuous = !r.promiscuous;
+                    net.station(who).set_promiscuous(r.promiscuous);
+                }
+                1 => {
+                    let g = GROUPS[rng.below(2) as usize];
+                    if !r.groups.contains(&g) {
+                        r.groups.push(g);
+                    }
+                    net.station(who).join_multicast(g);
+                }
+                2 => {
+                    let g = GROUPS[rng.below(2) as usize];
+                    r.groups.retain(|&x| x != g);
+                    net.station(who).leave_multicast(g);
+                }
+                3 if rng.chance(0.3) => {
+                    let s = rng.below(model.segments.len() as u64) as usize;
+                    let up = !model.segments[s].up;
+                    model.segments[s].up = up;
+                    net.set_link_state(SegmentId(s), up);
+                }
+                _ => {}
+            }
+
+            let from = stations[rng.below(stations.len() as u64) as usize];
+            let medium = *net.medium_of(from);
+            let dst = match rng.below(6) {
+                0 => medium.broadcast,
+                1 if medium.addr_len > 1 => GROUPS[rng.below(2) as usize],
+                // Held by nobody.
+                2 => 9,
+                _ => 1 + rng.below(4),
+            };
+            let mut f =
+                frame::build(&medium, dst, net.addr_of(from), 2, &[step as u8; 20]).unwrap();
+            let runt = rng.chance(0.1);
+            if runt {
+                f.truncate(rng.below(medium.header_len as u64) as usize);
+            }
+            now += SimDuration::from_micros(rng.below(200));
+            let (want_done, want) = model.transmit(from, &f, now);
+            out.clear();
+            let done = net.transmit_owned(from, f, now, &mut out);
+            assert_eq!(done, want_done, "{ctx}: tx_done");
+            let key = |d: &Delivery| (d.station, d.arrival, d.frame.clone());
+            assert_eq!(
+                out.iter().map(key).collect::<Vec<_>>(),
+                want.iter().map(key).collect::<Vec<_>>(),
+                "{ctx}: deliveries"
+            );
+            listener_runts += u64::from(runt) * out.len() as u64;
+            for s in 0..model.segments.len() {
+                assert_eq!(net.faults_on(SegmentId(s)), model.tallies[s], "{ctx}");
+            }
+        }
+        for t in &model.tallies {
+            total = FaultCounters {
+                lost: total.lost + t.lost,
+                duplicated: total.duplicated + t.duplicated,
+                corrupted: total.corrupted + t.corrupted,
+                truncated: total.truncated + t.truncated,
+                reordered: total.reordered + t.reordered,
+                partition_events: total.partition_events + t.partition_events,
+                partition_drops: total.partition_drops + t.partition_drops,
+                link_down_drops: total.link_down_drops + t.link_down_drops,
+            };
+        }
+    }
+    // Every gate and every drop fired somewhere, and runts reached their
+    // listeners, or the comparison is hollow.
+    let fired = [
+        total.lost,
+        total.duplicated,
+        total.corrupted,
+        total.truncated,
+        total.reordered,
+        total.partition_events,
+        total.partition_drops,
+        total.link_down_drops,
+        listener_runts,
+    ];
+    assert!(fired.iter().all(|&n| n > 0), "{total:?}, {listener_runts}");
 }

@@ -201,6 +201,14 @@ impl Pup {
     /// [`NO_CHECKSUM`] sentinel.
     pub fn encode_body(&self, checksummed: bool) -> Vec<u8> {
         let mut b = Vec::with_capacity(self.length());
+        self.encode_body_into(&mut b, checksummed);
+        b
+    }
+
+    /// Appends the Pup body to `b`: [`Self::encode_body`]'s bytes, its
+    /// checksum taken over the body's own range of `b`.
+    pub fn encode_body_into(&self, b: &mut Vec<u8>, checksummed: bool) {
+        let start = b.len();
         let len = self.length() as u16;
         b.extend_from_slice(&len.to_be_bytes());
         b.push(self.hops);
@@ -214,24 +222,24 @@ impl Pup {
         b.extend_from_slice(&self.src.socket.to_be_bytes());
         b.extend_from_slice(&self.data);
         let sum = if checksummed {
-            Self::checksum(&b)
+            Self::checksum(&b[start..])
         } else {
             NO_CHECKSUM
         };
         b.extend_from_slice(&sum.to_be_bytes());
-        b
     }
 
-    /// Encodes as a complete 3 Mb Ethernet frame. The Ethernet source and
-    /// destination are the Pup host bytes (local-network routing).
+    /// Encodes as a complete 3 Mb Ethernet frame, the body written straight
+    /// into it. The Ethernet source and destination are the Pup host bytes
+    /// (local-network routing).
     pub fn encode_frame(&self, medium: &Medium, checksummed: bool) -> Vec<u8> {
-        let body = self.encode_body(checksummed);
-        frame::build(
+        frame::build_with(
             medium,
             u64::from(self.dst.host),
             u64::from(self.src.host),
             PUP_ETHERTYPE,
-            &body,
+            self.length(),
+            |f| self.encode_body_into(f, checksummed),
         )
         .expect("MAX_PUP fits the 3 Mb medium")
     }
@@ -337,6 +345,18 @@ mod tests {
         let f = p.encode_frame(&medium(), true);
         let q = Pup::decode_frame(&medium(), &f).unwrap();
         assert_eq!(p, q);
+    }
+
+    #[test]
+    fn a_frame_is_its_body_behind_the_header() {
+        for len in [0, 1, 7, 100, MAX_PUP_DATA] {
+            let p = sample(&vec![0xA7; len]);
+            for checksummed in [false, true] {
+                let body = p.encode_body(checksummed);
+                let want = frame::build(&medium(), 0x0B, 0x0A, PUP_ETHERTYPE, &body).unwrap();
+                assert_eq!(p.encode_frame(&medium(), checksummed), want, "{len}");
+            }
+        }
     }
 
     #[test]

@@ -143,7 +143,20 @@ impl VmtpPacket {
     /// Encodes the body, optionally appending a trailing 16-bit checksum
     /// (and setting [`FLAG_CHECKSUM`] so receivers verify it).
     pub fn encode_body_opts(&self, checksummed: bool) -> Vec<u8> {
-        let mut b = Vec::with_capacity(VMTP_HEADER + self.data.len() + 2);
+        let mut b = Vec::with_capacity(self.body_len(checksummed));
+        self.encode_body_into(&mut b, checksummed);
+        b
+    }
+
+    /// The length of the encoded body.
+    fn body_len(&self, checksummed: bool) -> usize {
+        VMTP_HEADER + self.data.len() + if checksummed { 2 } else { 0 }
+    }
+
+    /// Appends the body to `b`: [`Self::encode_body_opts`]'s bytes, the
+    /// checksum taken over the body's own range of `b`.
+    pub fn encode_body_into(&self, b: &mut Vec<u8>, checksummed: bool) {
+        let start = b.len();
         b.extend_from_slice(&self.dst_entity.to_be_bytes());
         b.extend_from_slice(&self.src_entity.to_be_bytes());
         b.extend_from_slice(&self.trans.to_be_bytes());
@@ -155,10 +168,9 @@ impl VmtpPacket {
         b.extend_from_slice(&(self.data.len() as u32).to_be_bytes());
         b.extend_from_slice(&self.data);
         if checksummed {
-            let sum = vmtp_checksum(&b);
+            let sum = vmtp_checksum(&b[start..]);
             b.extend_from_slice(&sum.to_be_bytes());
         }
-        b
     }
 
     /// Encodes as a complete frame on `medium`.
@@ -166,7 +178,8 @@ impl VmtpPacket {
         self.encode_frame_opts(medium, eth_dst, eth_src, false)
     }
 
-    /// Encodes as a complete frame, optionally checksummed.
+    /// Encodes as a complete frame, optionally checksummed, the body
+    /// written straight into it.
     pub fn encode_frame_opts(
         &self,
         medium: &Medium,
@@ -174,12 +187,13 @@ impl VmtpPacket {
         eth_src: u64,
         checksummed: bool,
     ) -> Vec<u8> {
-        frame::build(
+        frame::build_with(
             medium,
             eth_dst,
             eth_src,
             VMTP_ETHERTYPE,
-            &self.encode_body_opts(checksummed),
+            self.body_len(checksummed),
+            |f| self.encode_body_into(f, checksummed),
         )
         .expect("VMTP packet fits the medium")
     }
@@ -242,7 +256,8 @@ impl VmtpPacket {
     }
 }
 
-/// An action a VMTP machine asks its embedding to perform.
+/// An action a VMTP machine asks its embedding to perform, pushed onto the
+/// vector the embedding lends each machine call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VEffect {
     /// Transmit to the given data-link address.
@@ -305,6 +320,8 @@ pub struct ClientMachine {
     paced_this_trans: bool,
     next_trans: u32,
     pending: Option<PendingTrans>,
+    /// The last completed transaction's `received`, emptied, for the next.
+    spare_received: Vec<Option<Vec<u8>>>,
     /// Requests retransmitted and retry masks sent.
     pub retries: u64,
     /// Transactions completed.
@@ -338,6 +355,7 @@ impl ClientMachine {
             paced_this_trans: false,
             next_trans: 1,
             pending: None,
+            spare_received: Vec::new(),
             retries: 0,
             completed: 0,
             giveups: 0,
@@ -400,9 +418,10 @@ impl ClientMachine {
         self.pace = SimDuration::from_nanos(next.min(self.rto_cap.as_nanos()));
     }
 
-    /// Starts a transaction. Transactions are sequential: panics if one is
-    /// outstanding (the paper's workloads are strictly request-response).
-    pub fn invoke(&mut self, opcode: u32, data: Vec<u8>) -> Vec<VEffect> {
+    /// Starts a transaction, pushing its effects onto `fx`. Transactions
+    /// are sequential: panics if one is outstanding (the paper's workloads
+    /// are strictly request-response).
+    pub fn invoke(&mut self, opcode: u32, data: Vec<u8>, fx: &mut Vec<VEffect>) {
         assert!(self.pending.is_none(), "sequential transactions only");
         self.paced_this_trans = false;
         let trans = self.next_trans;
@@ -420,26 +439,26 @@ impl ClientMachine {
         self.pending = Some(PendingTrans {
             trans,
             request: request.clone(),
-            received: Vec::new(),
+            received: std::mem::take(&mut self.spare_received),
             got_any: false,
         });
-        vec![
-            VEffect::Send(request, self.server_eth),
-            VEffect::SetTimer(self.rto, VMTP_RTO_TOKEN),
-        ]
+        fx.push(VEffect::Send(request, self.server_eth));
+        fx.push(VEffect::SetTimer(self.rto, VMTP_RTO_TOKEN));
     }
 
-    /// Handles a packet addressed to this entity.
-    pub fn on_packet(&mut self, pkt: &VmtpPacket) -> Vec<VEffect> {
+    /// Handles a packet addressed to this entity, pushing the effects onto
+    /// `fx`.
+    pub fn on_packet(&mut self, pkt: &VmtpPacket, fx: &mut Vec<VEffect>) {
         let Some(p) = self.pending.as_mut() else {
-            return Vec::new();
+            return;
         };
         if pkt.ptype != VmtpType::Response || pkt.trans != p.trans {
-            return Vec::new();
+            return;
         }
         let count = usize::from(pkt.count).clamp(1, MAX_GROUP);
         if p.received.len() != count {
-            p.received = vec![None; count];
+            p.received.clear();
+            p.received.resize(count, None);
         }
         p.got_any = true;
         // A response member for the live transaction is forward progress:
@@ -450,14 +469,15 @@ impl ClientMachine {
             p.received[idx] = Some(pkt.data.clone());
         }
         if p.received.iter().all(Option::is_some) {
-            let p = self.pending.take().expect("checked above");
+            let mut p = self.pending.take().expect("checked above");
             self.completed += 1;
             // Forward progress decays the backpressure pacing.
             self.pace = SimDuration::from_nanos(self.pace.as_nanos() / 2);
             let mut data = Vec::new();
-            for seg in p.received.into_iter().flatten() {
+            for seg in p.received.drain(..).flatten() {
                 data.extend(seg);
             }
+            self.spare_received = p.received;
             let ack = VmtpPacket {
                 dst_entity: self.server_entity,
                 src_entity: self.entity,
@@ -468,27 +488,24 @@ impl ClientMachine {
                 opcode: 0,
                 data: Vec::new(),
             };
-            vec![
-                VEffect::CancelTimer(VMTP_RTO_TOKEN),
-                VEffect::Send(ack, self.server_eth),
-                VEffect::Complete {
-                    trans: p.trans,
-                    data,
-                },
-            ]
-        } else {
-            Vec::new()
+            fx.push(VEffect::CancelTimer(VMTP_RTO_TOKEN));
+            fx.push(VEffect::Send(ack, self.server_eth));
+            fx.push(VEffect::Complete {
+                trans: p.trans,
+                data,
+            });
         }
     }
 
-    /// Handles the retransmission timer: resend the request if nothing
-    /// arrived, otherwise request exactly the missing group members.
-    pub fn on_timer(&mut self, token: u64) -> Vec<VEffect> {
+    /// Handles the retransmission timer, pushing the effects onto `fx`:
+    /// resend the request if nothing arrived, otherwise request exactly the
+    /// missing group members.
+    pub fn on_timer(&mut self, token: u64, fx: &mut Vec<VEffect>) {
         if token != VMTP_RTO_TOKEN {
-            return Vec::new();
+            return;
         }
         let Some(p) = self.pending.as_ref() else {
-            return Vec::new();
+            return;
         };
         if self.backoff >= self.max_retries {
             // Exhausted: abandon the transaction instead of retrying
@@ -497,7 +514,8 @@ impl ClientMachine {
             self.pending = None;
             self.backoff = 0;
             self.giveups += 1;
-            return vec![VEffect::Failed { trans }];
+            fx.push(VEffect::Failed { trans });
+            return;
         }
         self.backoff += 1;
         self.retries += 1;
@@ -521,10 +539,8 @@ impl ClientMachine {
                 data: Vec::new(),
             }
         };
-        vec![
-            VEffect::Send(pkt, self.server_eth),
-            VEffect::SetTimer(self.current_rto(), VMTP_RTO_TOKEN),
-        ]
+        fx.push(VEffect::Send(pkt, self.server_eth));
+        fx.push(VEffect::SetTimer(self.current_rto(), VMTP_RTO_TOKEN));
     }
 }
 
@@ -532,11 +548,23 @@ impl ClientMachine {
 #[derive(Debug, Default)]
 pub struct ServerMachine {
     entity: u32,
-    /// Cached response group per client entity (covers duplicate requests
-    /// and retry masks), plus the transaction it answers.
-    cache: HashMap<u32, (u32, Vec<VmtpPacket>, u64)>,
+    /// The last answer per client entity.
+    cache: HashMap<u32, Answer>,
     /// Duplicate requests answered from the cache.
     pub dup_requests: u64,
+}
+
+/// A client's last response group: replayed for duplicate requests and
+/// retry masks until the client acks it, its buffer refilled by the next.
+#[derive(Debug, Default)]
+struct Answer {
+    /// The transaction it answers.
+    trans: u32,
+    /// The client's data-link address.
+    eth: u64,
+    group: Vec<VmtpPacket>,
+    /// Not yet acked: duplicates and retries are answered from `group`.
+    live: bool,
 }
 
 impl ServerMachine {
@@ -549,77 +577,58 @@ impl ServerMachine {
         }
     }
 
-    /// Handles a packet addressed to this entity. `eth_src` is the
-    /// data-link source, kept for replies.
-    pub fn on_packet(&mut self, pkt: &VmtpPacket, eth_src: u64) -> Vec<VEffect> {
-        match pkt.ptype {
-            VmtpType::Request => {
-                if let Some((trans, group, eth)) = self.cache.get(&pkt.src_entity) {
-                    if *trans == pkt.trans {
-                        // Duplicate request: replay the whole group.
-                        self.dup_requests += 1;
-                        let eth = *eth;
-                        return group
-                            .clone()
-                            .into_iter()
-                            .map(|g| VEffect::Send(g, eth))
-                            .collect();
-                    }
-                }
-                vec![VEffect::DeliverRequest {
-                    client: pkt.src_entity,
-                    client_eth: eth_src,
-                    trans: pkt.trans,
-                    opcode: pkt.opcode,
-                    data: pkt.data.clone(),
-                }]
+    /// Handles a packet addressed to this entity, pushing the effects onto
+    /// `fx`. `eth_src` is the data-link source, kept for replies.
+    pub fn on_packet(&mut self, pkt: &VmtpPacket, eth_src: u64, fx: &mut Vec<VEffect>) {
+        let answer = self.cache.get_mut(&pkt.src_entity);
+        let answer = answer.filter(|a| a.live && a.trans == pkt.trans);
+        match (pkt.ptype, answer) {
+            (VmtpType::Request, Some(a)) => {
+                // Duplicate request: replay the whole group.
+                self.dup_requests += 1;
+                fx.extend(a.group.iter().map(|g| VEffect::Send(g.clone(), a.eth)));
             }
-            VmtpType::Retry => {
-                let Some((trans, group, eth)) = self.cache.get(&pkt.src_entity) else {
-                    return Vec::new();
-                };
-                if *trans != pkt.trans {
-                    return Vec::new();
-                }
-                let eth = *eth;
-                group
+            (VmtpType::Request, None) => fx.push(VEffect::DeliverRequest {
+                client: pkt.src_entity,
+                client_eth: eth_src,
+                trans: pkt.trans,
+                opcode: pkt.opcode,
+                data: pkt.data.clone(),
+            }),
+            (VmtpType::Retry, Some(a)) => {
+                let missing = a
+                    .group
                     .iter()
-                    .filter(|g| pkt.opcode & (1 << u32::from(g.index)) != 0)
-                    .cloned()
-                    .map(|g| VEffect::Send(g, eth))
-                    .collect()
+                    .filter(|g| pkt.opcode & (1 << u32::from(g.index)) != 0);
+                fx.extend(missing.map(|g| VEffect::Send(g.clone(), a.eth)));
             }
-            VmtpType::Ack => {
-                if let Some((trans, _, _)) = self.cache.get(&pkt.src_entity) {
-                    if *trans == pkt.trans {
-                        self.cache.remove(&pkt.src_entity);
-                    }
-                }
-                Vec::new()
-            }
-            VmtpType::Response => Vec::new(),
+            (VmtpType::Ack, Some(a)) => a.live = false,
+            _ => {}
         }
     }
 
     /// Answers a previously delivered request: segments `data` into a
-    /// packet group, caches it, and sends it.
+    /// packet group, caches it, and pushes a send of each member onto `fx`.
     pub fn respond(
         &mut self,
         client: u32,
         client_eth: u64,
         trans: u32,
         data: Vec<u8>,
-    ) -> Vec<VEffect> {
+        fx: &mut Vec<VEffect>,
+    ) {
         let count = data.len().div_ceil(DATA_PER_PACKET).max(1);
         assert!(
             count <= MAX_GROUP,
             "response exceeds one VMTP segment group"
         );
-        let mut group = Vec::with_capacity(count);
-        for i in 0..count {
+        let a = self.cache.entry(client).or_default();
+        (a.trans, a.eth, a.live) = (trans, client_eth, true);
+        a.group.clear();
+        a.group.extend((0..count).map(|i| {
             let lo = i * DATA_PER_PACKET;
             let hi = (lo + DATA_PER_PACKET).min(data.len());
-            group.push(VmtpPacket {
+            VmtpPacket {
                 dst_entity: client,
                 src_entity: self.entity,
                 trans,
@@ -628,14 +637,9 @@ impl ServerMachine {
                 count: count as u8,
                 opcode: 0,
                 data: data[lo.min(data.len())..hi].to_vec(),
-            });
-        }
-        self.cache
-            .insert(client, (trans, group.clone(), client_eth));
-        group
-            .into_iter()
-            .map(|g| VEffect::Send(g, client_eth))
-            .collect()
+            }
+        }));
+        fx.extend(a.group.iter().map(|g| VEffect::Send(g.clone(), client_eth)));
     }
 }
 
@@ -689,15 +693,31 @@ mod tests {
         assert!(!interp.eval(&filt, PacketView::new(&mk(0x0002_0002))));
     }
 
+    /// The effects one machine call pushes onto an empty vector.
+    fn effects(call: impl FnOnce(&mut Vec<VEffect>)) -> Vec<VEffect> {
+        let mut fx = Vec::new();
+        call(&mut fx);
+        fx
+    }
+
+    /// The packets among `fx`'s sends.
+    fn sent(fx: Vec<VEffect>) -> Vec<VmtpPacket> {
+        let sends = fx.into_iter().filter_map(|e| match e {
+            VEffect::Send(p, _) => Some(p),
+            _ => None,
+        });
+        sends.collect()
+    }
+
     #[test]
     fn minimal_transaction() {
         let mut c = ClientMachine::new(1, 2, 0x0B, SimDuration::from_millis(100));
         let mut s = ServerMachine::new(2);
-        let fx = c.invoke(0, Vec::new());
+        let fx = effects(|fx| c.invoke(0, Vec::new(), fx));
         let VEffect::Send(req, _) = &fx[0] else {
             panic!("request first")
         };
-        let fx = s.on_packet(req, 0x0A);
+        let fx = effects(|fx| s.on_packet(req, 0x0A, fx));
         let VEffect::DeliverRequest {
             client,
             trans,
@@ -707,12 +727,12 @@ mod tests {
         else {
             panic!("deliver")
         };
-        let fx = s.respond(*client, *client_eth, *trans, Vec::new());
+        let fx = effects(|fx| s.respond(*client, *client_eth, *trans, Vec::new(), fx));
         assert_eq!(fx.len(), 1, "zero-byte response is one packet");
         let VEffect::Send(resp, _) = &fx[0] else {
             panic!()
         };
-        let fx = c.on_packet(resp);
+        let fx = effects(|fx| c.on_packet(resp, fx));
         assert!(fx
             .iter()
             .any(|e| matches!(e, VEffect::Complete { data, .. } if data.is_empty())));
@@ -727,17 +747,18 @@ mod tests {
         let mut c = ClientMachine::new(1, 2, 0x0B, SimDuration::from_millis(100));
         let mut s = ServerMachine::new(2);
         let payload: Vec<u8> = (0..SEGMENT_BYTES).map(|i| (i % 241) as u8).collect();
-        let fx = c.invoke(1, Vec::new());
+        let fx = effects(|fx| c.invoke(1, Vec::new(), fx));
         let VEffect::Send(req, _) = &fx[0] else {
             panic!()
         };
-        let _ = s.on_packet(req, 0x0A);
-        let group = s.respond(1, 0x0A, req.trans, payload.clone());
+        effects(|fx| s.on_packet(req, 0x0A, fx));
+        let group = sent(effects(|fx| {
+            s.respond(1, 0x0A, req.trans, payload.clone(), fx)
+        }));
         assert_eq!(group.len(), SEGMENT_BYTES / DATA_PER_PACKET);
         let mut complete = None;
-        for e in group {
-            let VEffect::Send(p, _) = e else { continue };
-            for fx in c.on_packet(&p) {
+        for p in group {
+            for fx in effects(|fx| c.on_packet(&p, fx)) {
                 if let VEffect::Complete { data, .. } = fx {
                     complete = Some(data);
                 }
@@ -751,23 +772,18 @@ mod tests {
         let mut c = ClientMachine::new(1, 2, 0x0B, SimDuration::from_millis(100));
         let mut s = ServerMachine::new(2);
         let payload = vec![9u8; 3 * DATA_PER_PACKET];
-        let fx = c.invoke(1, Vec::new());
+        let fx = effects(|fx| c.invoke(1, Vec::new(), fx));
         let VEffect::Send(req, _) = &fx[0] else {
             panic!()
         };
-        let _ = s.on_packet(req, 0x0A);
-        let mut group: Vec<VmtpPacket> = s
-            .respond(1, 0x0A, req.trans, payload.clone())
-            .into_iter()
-            .filter_map(|e| match e {
-                VEffect::Send(p, _) => Some(p),
-                _ => None,
-            })
-            .collect();
+        effects(|fx| s.on_packet(req, 0x0A, fx));
+        let mut group = sent(effects(|fx| {
+            s.respond(1, 0x0A, req.trans, payload.clone(), fx)
+        }));
         group.reverse();
         let mut complete = None;
         for p in &group {
-            for fx in c.on_packet(p) {
+            for fx in effects(|fx| c.on_packet(p, fx)) {
                 if let VEffect::Complete { data, .. } = fx {
                     complete = Some(data);
                 }
@@ -781,25 +797,20 @@ mod tests {
         let mut c = ClientMachine::new(1, 2, 0x0B, SimDuration::from_millis(100));
         let mut s = ServerMachine::new(2);
         let payload = vec![7u8; 4 * DATA_PER_PACKET];
-        let fx = c.invoke(1, Vec::new());
+        let fx = effects(|fx| c.invoke(1, Vec::new(), fx));
         let VEffect::Send(req, _) = &fx[0] else {
             panic!()
         };
-        let _ = s.on_packet(req, 0x0A);
-        let group: Vec<VmtpPacket> = s
-            .respond(1, 0x0A, req.trans, payload.clone())
-            .into_iter()
-            .filter_map(|e| match e {
-                VEffect::Send(p, _) => Some(p),
-                _ => None,
-            })
-            .collect();
+        effects(|fx| s.on_packet(req, 0x0A, fx));
+        let group = sent(effects(|fx| {
+            s.respond(1, 0x0A, req.trans, payload.clone(), fx)
+        }));
         // Deliver all but member 2.
         for p in group.iter().filter(|p| p.index != 2) {
-            assert!(c.on_packet(p).is_empty());
+            assert!(effects(|fx| c.on_packet(p, fx)).is_empty());
         }
         // Timeout: client asks for exactly member 2.
-        let fx = c.on_timer(VMTP_RTO_TOKEN);
+        let fx = effects(|fx| c.on_timer(VMTP_RTO_TOKEN, fx));
         let retry = fx
             .iter()
             .find_map(|e| match e {
@@ -808,17 +819,10 @@ mod tests {
             })
             .expect("retry sent");
         assert_eq!(retry.opcode, 1 << 2);
-        let resent: Vec<VmtpPacket> = s
-            .on_packet(&retry, 0x0A)
-            .into_iter()
-            .filter_map(|e| match e {
-                VEffect::Send(p, _) => Some(p),
-                _ => None,
-            })
-            .collect();
+        let resent = sent(effects(|fx| s.on_packet(&retry, 0x0A, fx)));
         assert_eq!(resent.len(), 1);
         assert_eq!(resent[0].index, 2);
-        let fx = c.on_packet(&resent[0]);
+        let fx = effects(|fx| c.on_packet(&resent[0], fx));
         assert!(fx.iter().any(|e| matches!(e, VEffect::Complete { .. })));
         assert_eq!(c.retries, 1);
     }
@@ -836,10 +840,10 @@ mod tests {
             opcode: 0,
             data: vec![],
         };
-        let _ = s.on_packet(&req, 0x0A);
-        let _ = s.respond(1, 0x0A, 5, vec![1u8; 10]);
+        effects(|fx| s.on_packet(&req, 0x0A, fx));
+        effects(|fx| s.respond(1, 0x0A, 5, vec![1u8; 10], fx));
         // Lost response: the client retransmits its request.
-        let fx = s.on_packet(&req, 0x0A);
+        let fx = effects(|fx| s.on_packet(&req, 0x0A, fx));
         assert_eq!(fx.len(), 1, "cached group replayed, handler not re-run");
         assert_eq!(s.dup_requests, 1);
     }
@@ -857,23 +861,48 @@ mod tests {
             opcode: 0,
             data: vec![],
         };
-        let _ = s.on_packet(&req, 0x0A);
-        let _ = s.respond(1, 0x0A, 5, vec![1u8; 10]);
+        effects(|fx| s.on_packet(&req, 0x0A, fx));
+        effects(|fx| s.respond(1, 0x0A, 5, vec![1u8; 10], fx));
         let ack = VmtpPacket {
             ptype: VmtpType::Ack,
             ..req.clone()
         };
-        let _ = s.on_packet(&ack, 0x0A);
+        effects(|fx| s.on_packet(&ack, 0x0A, fx));
         // A duplicate request after the ack is treated as new.
-        let fx = s.on_packet(&req, 0x0A);
+        let fx = effects(|fx| s.on_packet(&req, 0x0A, fx));
         assert!(matches!(fx[0], VEffect::DeliverRequest { .. }));
+    }
+
+    #[test]
+    fn a_later_answer_replaces_the_cached_group() {
+        let mut s = ServerMachine::new(2);
+        let req = |trans, ptype, opcode| VmtpPacket {
+            dst_entity: 2,
+            src_entity: 1,
+            trans,
+            ptype,
+            index: 0,
+            count: 1,
+            opcode,
+            data: vec![],
+        };
+        effects(|fx| s.respond(1, 0x0A, 5, vec![1; 3 * DATA_PER_PACKET], fx));
+        effects(|fx| s.on_packet(&req(5, VmtpType::Ack, 0), 0x0A, fx));
+        let fx = effects(|fx| s.respond(1, 0x0C, 6, vec![2; 10], fx));
+        assert_eq!(sent(fx).len(), 1);
+        // The acked transaction's members are gone, the live one's answer.
+        let stale = effects(|fx| s.on_packet(&req(5, VmtpType::Retry, 0b111), 0x0A, fx));
+        assert!(stale.is_empty());
+        let fx = effects(|fx| s.on_packet(&req(6, VmtpType::Request, 0), 0x0A, fx));
+        assert!(matches!(&fx[..], [VEffect::Send(p, 0x0C)] if p.trans == 6 && p.data == [2; 10]));
+        assert_eq!(s.dup_requests, 1);
     }
 
     #[test]
     fn request_retransmitted_before_any_response() {
         let mut c = ClientMachine::new(1, 2, 0x0B, SimDuration::from_millis(100));
-        let _ = c.invoke(9, vec![1, 2]);
-        let fx = c.on_timer(VMTP_RTO_TOKEN);
+        effects(|fx| c.invoke(9, vec![1, 2], fx));
+        let fx = effects(|fx| c.on_timer(VMTP_RTO_TOKEN, fx));
         let VEffect::Send(p, _) = &fx[0] else {
             panic!()
         };
@@ -897,6 +926,9 @@ mod tests {
         let body = p.encode_body_opts(true);
         assert_eq!(body.len(), VMTP_HEADER + 5 + 2);
         assert_eq!(VmtpPacket::decode_body(&body).unwrap(), p);
+        // A frame's checksum covers its body alone.
+        let f = p.encode_frame_opts(&medium(), 0x0B, 0x0A, true);
+        assert_eq!(frame::payload(&medium(), &f).unwrap(), &body[..]);
         // Any single bit flip anywhere in the body must be caught (the
         // flags byte itself is covered: clearing the checksum flag changes
         // the advertised length check or simply skips verification of a
@@ -943,29 +975,29 @@ mod tests {
     fn client_backs_off_and_gives_up() {
         let mut c = ClientMachine::new(1, 2, 0x0B, SimDuration::from_millis(100))
             .with_retry_policy(SimDuration::from_millis(350), 3);
-        let _ = c.invoke(0, Vec::new());
+        effects(|fx| c.invoke(0, Vec::new(), fx));
         let mut rtos = Vec::new();
         for _ in 0..3 {
-            let fx = c.on_timer(VMTP_RTO_TOKEN);
+            let fx = effects(|fx| c.on_timer(VMTP_RTO_TOKEN, fx));
             rtos.extend(fx.iter().filter_map(|e| match e {
                 VEffect::SetTimer(d, _) => Some(d.as_micros()),
                 _ => None,
             }));
         }
         assert_eq!(rtos, vec![200_000, 350_000, 350_000], "doubling, capped");
-        let fx = c.on_timer(VMTP_RTO_TOKEN);
+        let fx = effects(|fx| c.on_timer(VMTP_RTO_TOKEN, fx));
         assert!(matches!(fx[..], [VEffect::Failed { trans: 1 }]));
         assert!(!c.busy(), "abandoned transaction cleared");
         assert_eq!(c.giveups, 1);
         // The client is reusable after a give-up.
-        let fx = c.invoke(0, Vec::new());
+        let fx = effects(|fx| c.invoke(0, Vec::new(), fx));
         assert!(matches!(fx[0], VEffect::Send(ref p, _) if p.trans == 2));
     }
 
     #[test]
     fn stale_response_ignored() {
         let mut c = ClientMachine::new(1, 2, 0x0B, SimDuration::from_millis(100));
-        let fx = c.invoke(0, Vec::new());
+        let fx = effects(|fx| c.invoke(0, Vec::new(), fx));
         let VEffect::Send(req, _) = &fx[0] else {
             panic!()
         };
@@ -979,7 +1011,7 @@ mod tests {
             opcode: 0,
             data: vec![1],
         };
-        assert!(c.on_packet(&stale).is_empty());
+        assert!(effects(|fx| c.on_packet(&stale, fx)).is_empty());
         assert!(c.busy());
     }
 }

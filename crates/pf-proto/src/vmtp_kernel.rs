@@ -54,6 +54,9 @@ pub struct KernelVmtp {
     clients: HashMap<SockId, ClientSlot>,
     /// Server entity → (machine, owning socket).
     servers: HashMap<u32, (ServerMachine, SockId)>,
+    /// The effect vector lent to every machine call; `apply_*` drain it
+    /// (no effect's handling calls a machine again).
+    fx: Vec<VEffect>,
     /// Packets processed by the kernel input routine.
     pub packets_in: u64,
     /// Frames discarded by the input routine (undecodable or corrupt).
@@ -68,10 +71,11 @@ impl KernelVmtp {
         Self::default()
     }
 
-    fn apply_client(&mut self, sock: SockId, fx: Vec<VEffect>, k: &mut KernelCtx<'_>) {
+    fn apply_client(&mut self, sock: SockId, k: &mut KernelCtx<'_>) {
         let medium = Medium::standard_10mb();
         let (_, my_eth) = k.link_info();
-        for e in fx {
+        let mut fx = std::mem::take(&mut self.fx);
+        for e in fx.drain(..) {
             match e {
                 VEffect::Send(pkt, eth_dst) => {
                     k.charge("vmtp:output", VMTP_KOUT);
@@ -100,12 +104,14 @@ impl KernelVmtp {
                 VEffect::DeliverRequest { .. } => unreachable!("client machine"),
             }
         }
+        self.fx = fx;
     }
 
-    fn apply_server(&mut self, entity: u32, fx: Vec<VEffect>, k: &mut KernelCtx<'_>) {
+    fn apply_server(&mut self, entity: u32, k: &mut KernelCtx<'_>) {
         let medium = Medium::standard_10mb();
         let (_, my_eth) = k.link_info();
-        for e in fx {
+        let mut fx = std::mem::take(&mut self.fx);
+        for e in fx.drain(..) {
             match e {
                 VEffect::Send(pkt, eth_dst) => {
                     k.charge("vmtp:output", VMTP_KOUT);
@@ -137,6 +143,7 @@ impl KernelVmtp {
                 }
             }
         }
+        self.fx = fx;
     }
 }
 
@@ -159,8 +166,8 @@ impl KernelProtocol for KernelVmtp {
         k.charge("vmtp:input", VMTP_KIN);
         let dst = pkt.dst_entity;
         if let Some((machine, _)) = self.servers.get_mut(&dst) {
-            let fx = machine.on_packet(&pkt, eth_src);
-            self.apply_server(dst, fx, k);
+            machine.on_packet(&pkt, eth_src, &mut self.fx);
+            self.apply_server(dst, k);
             return;
         }
         // Route to the client socket whose machine owns this entity.
@@ -170,11 +177,9 @@ impl KernelProtocol for KernelVmtp {
             .find(|(_, slot)| slot.machine.entity() == dst)
             .map(|(s, _)| *s);
         if let Some(sock) = target {
-            let fx = {
-                let slot = self.clients.get_mut(&sock).expect("slot");
-                slot.machine.on_packet(&pkt)
-            };
-            self.apply_client(sock, fx, k);
+            let slot = self.clients.get_mut(&sock).expect("slot");
+            slot.machine.on_packet(&pkt, &mut self.fx);
+            self.apply_client(sock, k);
         }
     }
 
@@ -207,8 +212,8 @@ impl KernelProtocol for KernelVmtp {
                     ),
                     timer: None,
                 });
-                let fx = slot.machine.invoke(response_bytes, data);
-                self.apply_client(sock, fx, k);
+                slot.machine.invoke(response_bytes, data, &mut self.fx);
+                self.apply_client(sock, k);
             }
             ops::RESPOND => {
                 let client = meta[0] as u32;
@@ -221,11 +226,9 @@ impl KernelProtocol for KernelVmtp {
                     .find(|(_, (_, s))| *s == sock)
                     .map(|(e, _)| *e);
                 if let Some(entity) = entity {
-                    let fx = {
-                        let (machine, _) = self.servers.get_mut(&entity).expect("found");
-                        machine.respond(client, client_eth, trans, data)
-                    };
-                    self.apply_server(entity, fx, k);
+                    let (machine, _) = self.servers.get_mut(&entity).expect("found");
+                    machine.respond(client, client_eth, trans, data, &mut self.fx);
+                    self.apply_server(entity, k);
                 }
             }
             _ => {}
@@ -234,14 +237,13 @@ impl KernelProtocol for KernelVmtp {
 
     fn on_timer(&mut self, token: u64, k: &mut KernelCtx<'_>) {
         let sock = SockId(token as usize);
-        let fx = match self.clients.get_mut(&sock) {
-            Some(slot) => {
-                slot.timer = None;
-                slot.machine.on_timer(crate::vmtp::VMTP_RTO_TOKEN)
-            }
-            None => return,
+        let Some(slot) = self.clients.get_mut(&sock) else {
+            return;
         };
-        self.apply_client(sock, fx, k);
+        slot.timer = None;
+        slot.machine
+            .on_timer(crate::vmtp::VMTP_RTO_TOKEN, &mut self.fx);
+        self.apply_client(sock, k);
     }
 
     fn sock_closed(&mut self, sock: SockId, k: &mut KernelCtx<'_>) {

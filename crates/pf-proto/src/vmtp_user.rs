@@ -94,6 +94,8 @@ pub struct VmtpUserClient {
     per_byte_cost: SimDuration,
     fd: Option<Fd>,
     timer: Option<TimerId>,
+    /// Effect vectors to lend the machine, one a call in progress.
+    spare_fx: Vec<Vec<VEffect>>,
     /// Completed transactions.
     pub completed: u64,
     /// Response payload bytes received across all transactions.
@@ -124,6 +126,7 @@ impl VmtpUserClient {
             per_byte_cost: SimDuration::ZERO,
             fd: None,
             timer: None,
+            spare_fx: Vec::new(),
             completed: 0,
             bytes: 0,
             discards: 0,
@@ -217,10 +220,28 @@ impl VmtpUserClient {
         VmtpPacket::entity_filter(10, self.entity)
     }
 
-    fn apply(&mut self, fx: Vec<VEffect>, k: &mut ProcCtx<'_>) {
+    /// Runs one machine call on a lent effect vector and applies what it
+    /// pushed.
+    fn drive(
+        &mut self,
+        k: &mut ProcCtx<'_>,
+        call: impl FnOnce(&mut ClientMachine, &mut Vec<VEffect>),
+    ) {
+        let mut fx = self.spare_fx.pop().unwrap_or_default();
+        call(&mut self.machine, &mut fx);
+        self.apply(&mut fx, k);
+        self.spare_fx.push(fx);
+    }
+
+    fn next_transaction(&mut self, k: &mut ProcCtx<'_>) {
+        let bytes = self.workload.response_bytes;
+        self.drive(k, |m, fx| m.invoke(bytes, Vec::new(), fx));
+    }
+
+    fn apply(&mut self, fx: &mut Vec<VEffect>, k: &mut ProcCtx<'_>) {
         let medium = Medium::standard_10mb();
         let (_, my_eth) = k.link_info();
-        for e in fx {
+        for e in fx.drain(..) {
             match e {
                 VEffect::Send(pkt, eth_dst) => {
                     k.compute("user:vmtp", USER_VMTP_COST);
@@ -254,10 +275,7 @@ impl VmtpUserClient {
                             // instead of re-filling the saturated queue.
                             k.set_timer(pace, VMTP_PACE_TOKEN);
                         } else {
-                            let fx = self
-                                .machine
-                                .invoke(self.workload.response_bytes, Vec::new());
-                            self.apply(fx, k);
+                            self.next_transaction(k);
                         }
                     }
                 }
@@ -277,8 +295,7 @@ impl VmtpUserClient {
                     );
                     k.compute("user:consume", total);
                 }
-                let fx = self.machine.on_packet(&pkt);
-                self.apply(fx, k);
+                self.drive(k, |m, fx| m.on_packet(&pkt, fx));
             }
             None => self.discards += 1,
         }
@@ -312,10 +329,7 @@ impl App for VmtpUserClient {
         }
         self.fd = Some(fd);
         self.started_at = Some(k.now());
-        let fx = self
-            .machine
-            .invoke(self.workload.response_bytes, Vec::new());
-        self.apply(fx, k);
+        self.next_transaction(k);
     }
 
     fn on_packets(&mut self, fd: Fd, packets: Vec<RecvPacket>, k: &mut ProcCtx<'_>) {
@@ -334,17 +348,13 @@ impl App for VmtpUserClient {
             // The backpressure pacing delay elapsed: issue the next
             // transaction (unless the workload ended meanwhile).
             if self.finished_at.is_none() && self.failed_at.is_none() && !self.machine.busy() {
-                let fx = self
-                    .machine
-                    .invoke(self.workload.response_bytes, Vec::new());
-                self.apply(fx, k);
+                self.next_transaction(k);
             }
             return;
         }
         self.timer = None;
         if token == VMTP_RTO_TOKEN {
-            let fx = self.machine.on_timer(token);
-            self.apply(fx, k);
+            self.drive(k, |m, fx| m.on_timer(token, fx));
         }
     }
 
@@ -364,6 +374,8 @@ pub struct VmtpUserServer {
     batch: bool,
     checksummed: bool,
     fd: Option<Fd>,
+    /// Effect vectors to lend the machine, one a call in progress.
+    spare_fx: Vec<Vec<VEffect>>,
     /// Requests served (handler invocations; duplicates excluded).
     pub served: u64,
     /// Received frames discarded (bad checksum, truncated, not VMTP).
@@ -379,6 +391,7 @@ impl VmtpUserServer {
             batch: true,
             checksummed: false,
             fd: None,
+            spare_fx: Vec::new(),
             served: 0,
             discards: 0,
         }
@@ -397,10 +410,23 @@ impl VmtpUserServer {
         self
     }
 
-    fn apply(&mut self, fx: Vec<VEffect>, k: &mut ProcCtx<'_>) {
+    /// Runs one machine call on a lent effect vector and applies what it
+    /// pushed.
+    fn drive(
+        &mut self,
+        k: &mut ProcCtx<'_>,
+        call: impl FnOnce(&mut ServerMachine, &mut Vec<VEffect>),
+    ) {
+        let mut fx = self.spare_fx.pop().unwrap_or_default();
+        call(&mut self.machine, &mut fx);
+        self.apply(&mut fx, k);
+        self.spare_fx.push(fx);
+    }
+
+    fn apply(&mut self, fx: &mut Vec<VEffect>, k: &mut ProcCtx<'_>) {
         let medium = Medium::standard_10mb();
         let (_, my_eth) = k.link_info();
-        for e in fx {
+        for e in fx.drain(..) {
             match e {
                 VEffect::Send(pkt, eth_dst) => {
                     k.compute("user:vmtp", USER_VMTP_COST);
@@ -417,8 +443,9 @@ impl VmtpUserServer {
                     self.served += 1;
                     let response = file_read_response(opcode);
                     k.compute("user:fsread", fs_read_cost(response.len()));
-                    let fx = self.machine.respond(client, client_eth, trans, response);
-                    self.apply(fx, k);
+                    self.drive(k, |m, fx| {
+                        m.respond(client, client_eth, trans, response, fx)
+                    });
                 }
                 VEffect::SetTimer(..) | VEffect::CancelTimer(_) => {}
                 VEffect::Complete { .. } | VEffect::Failed { .. } => {
@@ -454,10 +481,7 @@ impl App for VmtpUserServer {
         for p in packets {
             k.compute("user:vmtp", USER_VMTP_COST);
             match VmtpPacket::decode_frame(&medium, &p.bytes) {
-                Some((pkt, eth_src)) => {
-                    let fx = self.machine.on_packet(&pkt, eth_src);
-                    self.apply(fx, k);
-                }
+                Some((pkt, eth_src)) => self.drive(k, |m, fx| m.on_packet(&pkt, eth_src, fx)),
                 None => self.discards += 1,
             }
         }

@@ -192,6 +192,13 @@ fn bsp_survives_the_saved_window_5_segment_64_schedule() {
     assert!(bsp_transfer(&payload, cfg, channel) == payload);
 }
 
+/// The effects one machine call pushes onto an empty vector.
+fn effects(call: impl FnOnce(&mut Vec<VEffect>)) -> Vec<VEffect> {
+    let mut fx = Vec::new();
+    call(&mut fx);
+    fx
+}
+
 /// Sequential transactions against a file-read server: every one
 /// completes with exactly the requested bytes, in order, whatever the
 /// channel does.
@@ -218,7 +225,7 @@ fn vmtp_transactions_complete_exactly() {
             })
         };
 
-        for p in sends(client.invoke(0, Vec::new())) {
+        for p in sends(effects(|fx| client.invoke(0, Vec::new(), fx))) {
             channel.carry(p, &mut to_server);
         }
         let mut steps = 0u32;
@@ -227,14 +234,16 @@ fn vmtp_transactions_complete_exactly() {
             assert!(steps < 100_000, "{ctx}: livelock");
 
             if let Some(p) = to_server.pop_front() {
-                for e in server.on_packet(&p, 0x0A) {
+                for e in effects(|fx| server.on_packet(&p, 0x0A, fx)) {
                     let answer = match e {
                         VEffect::DeliverRequest {
                             client,
                             client_eth,
                             trans,
                             ..
-                        } => server.respond(client, client_eth, trans, response.clone()),
+                        } => effects(|fx| {
+                            server.respond(client, client_eth, trans, response.clone(), fx)
+                        }),
                         other => vec![other],
                     };
                     for p in sends(answer) {
@@ -244,7 +253,7 @@ fn vmtp_transactions_complete_exactly() {
             }
 
             if let Some(p) = to_client.pop_front() {
-                for e in client.on_packet(&p) {
+                for e in effects(|fx| client.on_packet(&p, fx)) {
                     let next = match e {
                         VEffect::Complete { data, .. } => {
                             assert!(data == response, "{ctx}: response bytes");
@@ -252,7 +261,7 @@ fn vmtp_transactions_complete_exactly() {
                             if completed == ops {
                                 break;
                             }
-                            client.invoke(0, Vec::new())
+                            effects(|fx| client.invoke(0, Vec::new(), fx))
                         }
                         VEffect::Failed { .. } => panic!("{ctx}: the client gave up"),
                         other => vec![other],
@@ -265,7 +274,7 @@ fn vmtp_transactions_complete_exactly() {
 
             // Quiescent but unfinished: the client's timer fires.
             if to_server.is_empty() && to_client.is_empty() && completed < ops {
-                for p in sends(client.on_timer(VMTP_RTO_TOKEN)) {
+                for p in sends(effects(|fx| client.on_timer(VMTP_RTO_TOKEN, fx))) {
                     channel.carry(p, &mut to_server);
                 }
             }

@@ -30,6 +30,7 @@ impl Cpu {
     ///
     /// Returns the completion time: `max(now, free) + cost`. Schedule any
     /// dependent event at the returned time.
+    #[inline]
     pub fn charge(&mut self, routine: &'static str, now: SimTime, cost: SimDuration) -> SimTime {
         let start = now.max(self.free_at);
         self.free_at = start + cost;

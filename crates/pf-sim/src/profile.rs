@@ -25,6 +25,7 @@ pub struct Profiler {
 const MEMO_SLOTS: usize = 32;
 
 /// Where `routine` sits in the memo: the top bits of its address, mixed.
+#[inline]
 fn memo_slot(routine: &'static str) -> usize {
     let mixed = (routine.as_ptr() as usize as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     (mixed >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
@@ -55,29 +56,39 @@ impl Profiler {
         Self::default()
     }
 
-    /// Adds `calls` calls costing `time` in all to `routine`'s row.
+    /// Adds `calls` calls costing `time` in all to `routine`'s row. A memo
+    /// hit is inlined into the caller; the search is not.
+    #[inline]
     fn add(&mut self, routine: &'static str, calls: u64, time: SimDuration) {
-        let rows = &mut self.routines;
         let slot = memo_slot(routine);
         let at = match self.memo[slot] {
             Some((name, row)) if std::ptr::eq(name, routine) => row as usize,
-            _ => {
-                let by_address = rows.iter().position(|r| std::ptr::eq(r.0, routine));
-                let at = by_address
-                    .or_else(|| rows.iter().position(|r| r.0 == routine))
-                    .unwrap_or_else(|| {
-                        rows.push((routine, RoutineStats::default()));
-                        rows.len() - 1
-                    });
-                self.memo[slot] = Some((routine, at as u32));
-                at
-            }
+            _ => self.find_row(routine, slot),
         };
-        rows[at].1.calls += calls;
-        rows[at].1.time += time;
+        let row = &mut self.routines[at].1;
+        row.calls += calls;
+        row.time += time;
+    }
+
+    /// `routine`'s row — found by address, then by text, else appended —
+    /// memoised in `slot`.
+    #[cold]
+    #[inline(never)]
+    fn find_row(&mut self, routine: &'static str, slot: usize) -> usize {
+        let rows = &mut self.routines;
+        let by_address = rows.iter().position(|r| std::ptr::eq(r.0, routine));
+        let at = by_address
+            .or_else(|| rows.iter().position(|r| r.0 == routine))
+            .unwrap_or_else(|| {
+                rows.push((routine, RoutineStats::default()));
+                rows.len() - 1
+            });
+        self.memo[slot] = Some((routine, at as u32));
+        at
     }
 
     /// Records one call to `routine` costing `time`.
+    #[inline]
     pub fn record(&mut self, routine: &'static str, time: SimDuration) {
         self.add(routine, 1, time);
     }

@@ -50,11 +50,13 @@ for c in chaos overload mc demux adversary net fabric; do
     cargo run -q -p pf-bench --release --bin campaign -- "$c" --smoke | python3 -m json.tool > /dev/null
 done
 # The repository's benchmark (bench/, its own workspace): its helper,
-# generator and contract tests, then one --smoke pass per workload — every
-# code path and correctness check at sizes that take seconds. The last
-# output line is the result object; it must parse and say "correct":true.
+# generator and contract tests, then one --smoke pass per workload of
+# BENCHMARK.json (read from it, so that none can be skipped) — every code
+# path and correctness check at sizes that take seconds. The last output
+# line is the result object; it must parse and say "correct":true.
 run cargo test --offline --manifest-path bench/Cargo.toml -q
-for workload in lan_paper routed_fabric demux_exact demux_range_churn overload_flood; do
+workloads="$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+for workload in $workloads; do
     echo "==> pf-benchmark --workload $workload --smoke --trace 0"
     result="$(cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
         --workload "$workload" --smoke --trace 0 | tail -n 1)"
