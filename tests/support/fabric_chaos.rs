@@ -63,6 +63,7 @@ pub type RouterStats = (u64, u64, u64, u64, u64, u64, u64, u64);
 #[derive(Debug, PartialEq)]
 pub struct History {
     pub end_ns: u64,
+    pub digest: u64,
     pub received: Vec<u64>,
     pub router_stats: Vec<RouterStats>,
     pub router_frames: Vec<(u64, u64, u64)>,
@@ -117,6 +118,7 @@ pub fn run(ring: usize, seed: u64) -> History {
     SimClock::run_until(&mut w, SimTime(9_000_000_000));
     History {
         end_ns: w.now().0,
+        digest: w.history_digest(),
         received: hosts
             .iter()
             .map(|h| w.counters(d.host(*h)).packets_received)
