@@ -42,10 +42,9 @@ use pf_filter::program::{Assembler, FilterProgram};
 use pf_filter::samples;
 use pf_filter::word::BinaryOp;
 use pf_kernel::app::App;
-use pf_kernel::mc::{McConfig, McPipeline, RssConfig};
 use pf_kernel::types::{Fd, PortConfig, ReadError, ReadMode, RecvPacket};
-use pf_kernel::world::{OverloadConfig, ProcCtx, World};
-use pf_kernel::{AdmissionConfig, AdmissionQuota, DemuxEngine};
+use pf_kernel::world::{ProcCtx, World};
+use pf_kernel::{AdmissionConfig, AdmissionQuota, DemuxEngine, RssConfig};
 use pf_net::frame;
 use pf_net::medium::Medium;
 use pf_net::segment::FaultModel;
@@ -295,16 +294,19 @@ impl AdversaryPoint {
     }
 }
 
-/// The wanted stream's consumer: protected filter, per-packet compute,
-/// end-to-end latency recovered from the frame's stamped tail.
-struct AdvConsumer {
+/// The wanted stream's consumer (and each reader of the mc campaign): one
+/// filter, read in batches, per-packet compute, end-to-end latency
+/// recovered from the frame's stamped tail.
+pub(crate) struct AdvConsumer {
     filter: FilterProgram,
-    got: u64,
-    latencies_ns: Vec<u64>,
+    /// Packets read.
+    pub(crate) got: u64,
+    /// Emission → read latency of each stamped packet, ns.
+    pub(crate) latencies_ns: Vec<u64>,
 }
 
 impl AdvConsumer {
-    fn new(filter: FilterProgram) -> Self {
+    pub(crate) fn new(filter: FilterProgram) -> Self {
         AdvConsumer {
             filter,
             got: 0,
@@ -663,7 +665,7 @@ fn run_geom_bomb(hardened: bool, smoke: bool, seed: u64) -> AdversaryPoint {
 // Family: RSS collision flood.
 // ---------------------------------------------------------------------------
 
-/// Worker cores in the collision cell.
+/// Cores of the host in the collision cell.
 const RSS_CORES: usize = 4;
 /// Collision flows the adversary precomputes.
 const RSS_FLOWS: usize = 48;
@@ -672,11 +674,10 @@ const RSS_HASH_WORD: u16 = 8;
 
 /// RSS collision flood: the adversary knows the NIC's well-known
 /// default hash key, precomputes [`RSS_FLOWS`] sockets that all steer
-/// to the wanted flow's queue, and floods them — the whole attack
-/// lands on one core while the others idle (stealing is off: in the
-/// modeled deployment the siblings are busy with their own queues).
-/// Hardened, the per-boot keyed hash invalidates the precomputation
-/// and the same flood spreads across all queues.
+/// to the wanted flow's queue, and floods them — the whole attack lands
+/// on the core the wanted reader runs on while the other cores idle.
+/// Hardened, the per-boot keyed hash invalidates the precomputation and
+/// the same flood spreads across all queues.
 fn run_rss_collision(hardened: bool, smoke: bool, seed: u64) -> AdversaryPoint {
     let default_rss = RssConfig::multi_queue(RSS_CORES, vec![RSS_HASH_WORD]);
     let victim_queue = default_rss.steer(&wanted_frame());
@@ -711,27 +712,20 @@ fn run_rss_collision(hardened: bool, smoke: bool, seed: u64) -> AdversaryPoint {
         default_rss
     };
 
-    let mut cfg = McConfig::single_core(DemuxEngine::Geom);
-    cfg.batch = 16;
-    cfg.rss = rss;
-    cfg.nic_ring = NIC_RING;
-    cfg.steal = false;
-    cfg.consume = CONSUME;
-    cfg.armor = Some(OverloadConfig {
-        hi_watermark: 16,
-        lo_watermark: 4,
-        poll_batch: 16,
-        poll_interval: SimDuration::from_millis(2),
-    });
-    let mut pl = McPipeline::new(cfg);
-    pl.add_filter(samples::pup_socket_filter(200, 0, WANTED_SOCK));
+    let (mut w, host) = armored_world(seed ^ 0x5C01, DemuxEngine::Geom);
+    w.set_rss(host, rss);
+    let consumer = w.spawn(
+        host,
+        Box::new(AdvConsumer::new(samples::pup_socket_filter(
+            200,
+            0,
+            WANTED_SOCK,
+        ))),
+    );
 
-    // Anchored to the *single-core interrupt-path* capacity, but the mc
-    // pipeline's polling + batched path services frames several times
-    // cheaper, so the collision flood must offer well past that anchor
-    // to overrun one core: 12× collapses the undefended victim queue
-    // while the same load spread over 4 keyed queues stays comfortable.
-    let attack_pps = capacity_pps() * 12;
+    // Three times the single-core anchor: past what one core's poll tick
+    // drains (16 frames per 8 ms), within it once spread over 4 queues.
+    let attack_pps = capacity_pps() * 3;
     let flood = TrafficMachine {
         states: vec![State {
             name: "collision-flood",
@@ -748,26 +742,21 @@ fn run_rss_collision(hardened: bool, smoke: bool, seed: u64) -> AdversaryPoint {
         }],
     };
     let start = SimTime(1_000_000);
-    let end = SimTime(start.0 + window(smoke).as_nanos());
-    let m = Medium::experimental_3mb();
-    let mut arrivals = wanted_machine().schedule(seed, &m, start, end);
-    let wanted_offered = arrivals.len() as u64;
-    let attack = flood.schedule(seed ^ 0xC011, &m, start, end);
-    let attack_offered = attack.len() as u64;
-    arrivals.extend(attack);
-    arrivals.sort_by_key(|(t, _)| t.0);
+    let traffic_end = SimTime(start.0 + window(smoke).as_nanos());
+    let drain_end = SimTime(traffic_end.0 + 600_000_000);
+    let wanted_offered = inject_machine(&mut w, host, &wanted_machine(), seed, start, traffic_end);
+    let attack_offered = inject_machine(&mut w, host, &flood, seed ^ 0xC011, start, traffic_end);
+    w.run_until(drain_end);
 
-    pl.schedule_arrivals(arrivals);
-    SimClock::run(&mut pl);
-    let report = pl.report();
-    // Only the wanted filter exists, so every delivery is a wanted one.
-    let delivered = report.total.packets_delivered;
+    let app = w.app_ref::<AdvConsumer>(host, consumer).expect("consumer");
+    let c = w.counters(host);
     AdversaryPoint {
         wanted_offered,
         attack_offered,
-        goodput_ratio: delivered as f64 / wanted_offered as f64,
-        p99_latency_us: report.latency_quantile(0.99).as_nanos() / 1_000,
-        drops_interface: report.total.drops_interface,
+        goodput_ratio: app.got as f64 / wanted_offered as f64,
+        p99_latency_us: p99_us(app.latencies_ns.clone()),
+        drops_interface: c.drops_interface,
+        drops_queue_full: c.drops_queue_full,
         ..AdversaryPoint::zeroed(
             "rss_collision",
             if hardened { "hardened" } else { "undefended" },

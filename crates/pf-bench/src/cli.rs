@@ -1,4 +1,6 @@
-//! The campaigns and the command line of the one binary that runs them:
+//! What the two binaries run. `paper-report [--cells] [section …]` prints
+//! the [`SECTIONS`] named, every one by default ([`paper_report`]). The
+//! campaigns have a command line of their own:
 //! `campaign [name …] [--smoke] [--stdout] [--out <path>] [--seed <u64>]`.
 //!
 //! * a name selects a campaign of [`CAMPAIGNS`]; no name selects all seven;
@@ -10,8 +12,59 @@
 //! * `--seed <u64>` — run under this seed instead of the campaign's own.
 
 use crate::json::Json;
+use crate::report::{cells_tsv, Report};
+use crate::{ablations, breakeven, figures, profile61, recvcost, sendcost};
 use crate::{adversary, chaos, demux_json, fabric, mc, netbench, overload};
+use crate::{streams, telnet_exp, vmtp_exp};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+/// A `paper-report` section: the name that selects it, and a report it
+/// prints.
+pub type Section = (&'static str, fn() -> Report);
+
+/// Every `paper-report` section in print order (`figures` selects three).
+pub const SECTIONS: [Section; 16] = [
+    ("table_6_1", sendcost::report),
+    ("section_6_1", profile61::report_section_6_1),
+    ("table_6_2", vmtp_exp::report_table_6_2),
+    ("table_6_3", vmtp_exp::report_table_6_3),
+    ("table_6_4", vmtp_exp::report_table_6_4),
+    ("table_6_5", vmtp_exp::report_table_6_5),
+    ("table_6_6", streams::report_table_6_6),
+    ("table_6_7", telnet_exp::report_table_6_7),
+    ("table_6_8", recvcost::report_table_6_8),
+    ("table_6_9", recvcost::report_table_6_9),
+    ("table_6_10", recvcost::report_table_6_10),
+    ("figures", figures::report_fig_2_1_2_2),
+    ("figures", figures::report_fig_2_3),
+    ("figures", figures::report_fig_3_4_3_5),
+    ("break_even", breakeven::report_break_even),
+    ("ablations", ablations::report_ablations),
+];
+
+/// What `paper-report` prints for the sections `names` (every section when
+/// there are none): the tables under a title, or with `cells` their
+/// paper-versus-measured cells ([`cells_tsv`]).
+pub fn paper_report(names: &[String], cells: bool) -> String {
+    let reports: Vec<Report> = SECTIONS
+        .iter()
+        .filter(|(name, _)| names.is_empty() || names.iter().any(|n| n == name))
+        .map(|(_, report)| report())
+        .collect();
+    if cells {
+        return cells_tsv(&reports);
+    }
+    let mut out = String::new();
+    if names.is_empty() {
+        out.push_str("Reproduction report: The Packet Filter (SOSP 1987)\n");
+        out.push_str("===================================================\n\n");
+    }
+    for report in reports {
+        let _ = writeln!(out, "{report}");
+    }
+    out
+}
 
 /// A campaign: its name, the seed its committed artifact was run under,
 /// and the sweep as `fn(smoke, seed)`. Every claim a campaign makes is an

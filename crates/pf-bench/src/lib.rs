@@ -31,7 +31,7 @@
 //! |----------|--------|--------|
 //! | `chaos` | [`chaos`] | fault injection over BSP and VMTP, engine agreement, kernel degradation |
 //! | `adversary` | [`adversary`] | five hostile-traffic families, undefended against hardened |
-//! | `mc` | [`mc`] | worker cores × batch sizes × engines under a saturating burst |
+//! | `mc` | [`mc`] | one host's cores × the armor's poll batch × engines under a saturating burst |
 //! | `overload` | [`overload`] | offered load to 8× capacity across the overload-armor tiers |
 //! | `demux` | [`demux_json`] | the engine race against population, the range ladder, churn |
 //! | `fabric` | [`fabric`] | router kill, link flap and partition over routed rings |
@@ -42,7 +42,8 @@
 //! the names are `table_6_1` … `table_6_10`, `section_6_1`, `figures`,
 //! `break_even` and `ablations`). `paper-report --cells` prints the
 //! paper-versus-measured cells of the same reports, one per line, with
-//! their relative errors ([`report::cells_tsv`]).
+//! their relative errors ([`report::cells_tsv`]). `tests/paper.rs` holds
+//! both outputs to their committed copies under `docs/`.
 
 pub mod ablations;
 pub mod adversary;

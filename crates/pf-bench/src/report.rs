@@ -7,14 +7,13 @@
 //! [`cells_tsv`] reads those pairs back out of the rows the text is
 //! rendered from, so the fidelity record cannot drift from the tables.
 //!
-//! Also home to [`p99_us`], the latency quantile the overload and
-//! adversary campaigns share.
+//! Also home to [`p99_us`], the latency quantile the overload,
+//! adversary and mc campaigns share.
 
 use std::fmt::Write as _;
 
 /// p99 of nanosecond latencies by nearest rank — the smallest sample with
-/// at least 99% of the samples at or below it, the rule of
-/// `McReport::latency_quantile` — in µs; 0 for no samples.
+/// at least 99% of the samples at or below it — in µs; 0 for no samples.
 pub(crate) fn p99_us(mut lat: Vec<u64>) -> u64 {
     if lat.is_empty() {
         return 0;
@@ -275,21 +274,17 @@ mod tests {
     }
 
     #[test]
-    fn p99_is_the_multi_core_report_quantile() {
-        use pf_kernel::mc::McReport;
-        use pf_sim::time::{SimDuration, SimTime};
+    fn p99_is_the_nearest_rank() {
         let mut rng = pf_sim::rng::SplitMix64::new(0x99);
         for n in [1, 2, 99, 100, 101, 472] {
             let lat: Vec<u64> = (0..n).map(|_| rng.below(5_000_000_000)).collect();
-            let report = McReport {
-                per_core: Vec::new(),
-                total: Default::default(),
-                finish: SimTime::ZERO,
-                busy: Vec::new(),
-                latencies: lat.iter().map(|&ns| SimDuration::from_nanos(ns)).collect(),
-            };
-            let theirs = report.latency_quantile(0.99).as_nanos() / 1_000;
-            assert_eq!(p99_us(lat), theirs, "{n} samples");
+            // The smallest sample with at least 99% of them at or below it.
+            let nearest = lat
+                .iter()
+                .filter(|&&x| 100 * lat.iter().filter(|&&y| y <= x).count() >= 99 * n)
+                .min()
+                .expect("the largest sample qualifies");
+            assert_eq!(p99_us(lat.clone()), nearest / 1_000, "{n} samples");
         }
         assert_eq!(p99_us(Vec::new()), 0);
     }

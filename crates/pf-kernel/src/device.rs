@@ -371,8 +371,8 @@ struct AdmissionState {
 
 /// Extracts a filter's admission signature: the leading
 /// `packet[word] == literal` test whose failure rejects the packet.
-/// Also the soundness witness for RSS flow pinning (`crate::mc`): a
-/// matching packet *must* carry `packet[word] == literal`.
+/// Also the witness for RSS placement (`crate::rss`): a matching packet
+/// *must* carry `packet[word] == literal`.
 pub(crate) fn admission_signature(f: &FilterProgram) -> Option<(u8, u16)> {
     let words = f.words();
     let first = Instr::decode(*words.first()?)?;
@@ -725,18 +725,11 @@ impl DemuxOutcome {
     /// Charges this frame's engine work and bumps the counters it moves:
     /// the one place an engine's cost curve is written down. `charge`
     /// receives `(routine, cost)` in the order the work was done.
-    ///
-    /// `per_frame_setup` is the one difference between the callers.
-    /// `World` demultiplexes frame by frame and pays the filter set-up
-    /// with each frame's threaded-code run; the multi-core pipeline pays
-    /// one `batch_dispatch` per group instead and only the marginal
-    /// per-operation cost here.
     pub(crate) fn charge_engine_work(
         &self,
         engine: DemuxEngine,
         index_probes: usize,
         costs: &CostModel,
-        per_frame_setup: bool,
         counters: &mut Counters,
         mut charge: impl FnMut(&'static str, SimDuration),
     ) {
@@ -753,12 +746,7 @@ impl DemuxOutcome {
                 charge("pf:geom", costs.geom_probe.times(probes));
                 counters.filter_instructions += u64::from(self.ir_ops);
                 let ops = costs.filter_instr.times(u64::from(self.ir_ops));
-                let setup = if per_frame_setup {
-                    costs.filter_setup
-                } else {
-                    SimDuration::ZERO
-                };
-                charge("pf:geom", setup + ops);
+                charge("pf:geom", costs.filter_setup + ops);
             }
         }
         // Under the sequential engine `applied` is the walk itself; under

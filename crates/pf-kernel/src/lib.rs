@@ -13,6 +13,8 @@
 //!   call surface (open/close/read/write/ioctl on packet-filter ports,
 //!   pipes, timers, signals, kernel sockets), all charged against the
 //!   calibrated cost model;
+//! * [`rss`] — receive-side scaling: the cores of a host, which frame and
+//!   which process each one is charged for;
 //! * [`app`] — the event-driven user-process trait;
 //! * [`kproto`] — the hook kernel-resident protocols (in `pf-proto`)
 //!   implement, so both networking models coexist as in figure 3-3.
@@ -20,7 +22,7 @@
 pub mod app;
 pub mod device;
 pub mod kproto;
-pub mod mc;
+pub mod rss;
 pub mod types;
 pub mod world;
 
@@ -30,8 +32,8 @@ pub use device::{
     PfDeviceBuilder, PortIdx,
 };
 pub use kproto::KernelProtocol;
-pub use mc::{McConfig, McPipeline, McReport, Placement, RssConfig};
 pub use pf_sim::SimClock;
+pub use rss::RssConfig;
 pub use types::{
     BlockPolicy, Fd, HostId, PipeId, PortConfig, ProcId, ReadError, ReadMode, RecvPacket, RouterId,
     SockId, TimerId,

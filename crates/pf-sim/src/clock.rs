@@ -1,14 +1,10 @@
 //! The unified run-loop abstraction every simulation driver implements.
 //!
-//! Before this trait existed the workspace had three bespoke entry
-//! points — `World::run`, `World::run_until`, and `McPipeline::run`
-//! (which took a pre-sorted arrival vector) — each with its own loop.
-//! [`SimClock`] collapses them: a driver exposes *one* step of progress
-//! plus the time of its next event, and the default `run`/`run_until`
-//! methods drive any of them identically. Multi-core pipelines, routed
-//! topologies, and protocol stacks now share one clock discipline, so
-//! callers can pause any simulation at a deadline, interleave external
-//! actions (fault injection, routing churn), and resume.
+//! A driver exposes *one* step of progress plus the time of its next
+//! event, and the default `run`/`run_until` methods drive it. `World` —
+//! hosts of one core or many, routed topologies, protocol stacks — is the
+//! driver, so callers can pause any simulation at a deadline, interleave
+//! external actions (fault injection, routing churn), and resume.
 
 use crate::time::SimTime;
 

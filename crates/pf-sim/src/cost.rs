@@ -86,24 +86,15 @@ pub struct CostModel {
     /// while the gate is enabled.
     pub admission_probe: SimDuration,
     /// One RSS steering hash over a frame's configured header words (a few
-    /// word loads plus integer mixing), charged per frame on multi-queue
-    /// receive paths. Single-queue configurations charge nothing — the
-    /// default steering is the identity.
+    /// word loads plus integer mixing), charged per received frame on a
+    /// host with more than one receive queue. A single-queue host charges
+    /// nothing — its steering is the identity.
     pub rss_hash: SimDuration,
     /// Cross-core wakeup (IPI send plus the cache-line bounce of the
-    /// handoff) when a demultiplexing core delivers to a consumer homed on
+    /// handoff) when a demultiplexing core delivers to a reader running on
     /// another core. Much cheaper than a full context switch: the target
     /// core does not change address spaces.
     pub mc_wakeup: SimDuration,
-    /// One work-steal: an idle core locking a sibling's receive queue and
-    /// migrating a run of frames.
-    pub queue_steal: SimDuration,
-    /// Fixed cost to launch one batched engine evaluation (fetching the
-    /// compiled set, priming scratch). Replaces the per-packet
-    /// `filter_setup` on batch paths: at batch size 1 it equals
-    /// `filter_setup`, so batching is a pure amortization, never a
-    /// discount.
-    pub batch_dispatch: SimDuration,
     /// One geometric-classifier tuple probe: a hash on the tuple key plus
     /// a logarithmic descent of that tuple's interval structure. Charged
     /// per probed tuple per packet — dearer than a flat decision-table
@@ -157,8 +148,6 @@ impl CostModel {
             admission_probe: SimDuration::from_micros(8),
             rss_hash: SimDuration::from_micros(2),
             mc_wakeup: SimDuration::from_micros(150),
-            queue_steal: SimDuration::from_micros(60),
-            batch_dispatch: SimDuration::from_micros(50),
             geom_probe: SimDuration::from_micros(30),
             ip_forward: SimDuration::from_micros(250),
             hello_emit: SimDuration::from_micros(20),
@@ -262,21 +251,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_dispatch_amortizes_but_never_discounts() {
-        // Batch paths charge `batch_dispatch` once per batch instead of
-        // `filter_setup` once per packet. At batch size 1 the two must be
-        // equal — batching is an amortization, not a pricing change — and
-        // a 32-frame batch must save 31 setups' worth of work.
+    fn a_cross_core_wakeup_sits_between_a_hash_and_a_switch() {
+        // Handing a frame to a reader on another core is dearer than
+        // steering it but cheaper than a full context switch: the target
+        // core does not change address spaces.
         let m = CostModel::microvax_ii();
-        assert_eq!(m.batch_dispatch, m.filter_setup);
-        let per_packet = m.filter_setup.times(32);
-        assert!(m.batch_dispatch < per_packet);
-        // Cross-core handoff is cheaper than a full context switch but
-        // dearer than an in-core wakeup; stealing beats idling only if it
-        // costs less than the work migrated.
         assert!(m.mc_wakeup < m.context_switch);
         assert!(m.mc_wakeup > m.rss_hash);
-        assert!(m.queue_steal < m.driver_rx);
     }
 
     #[test]

@@ -65,14 +65,9 @@ pub struct Counters {
     /// Frames steered to a non-default receive queue by the RSS hash
     /// (single-queue configurations never increment this).
     pub frames_steered: u64,
-    /// Cross-core wakeups: a demultiplexing core delivered to a consumer
-    /// homed on another core.
+    /// Cross-core wakeups: a demultiplexing core delivered to a reader
+    /// running on another core.
     pub cross_core_wakeups: u64,
-    /// Work-steal operations: an idle core migrated frames from a
-    /// sibling's receive queue.
-    pub queue_steals: u64,
-    /// Batched engine evaluations launched (each covers 1..=batch frames).
-    pub batches_executed: u64,
     /// Frames shed at the NIC as signature mimics: they wore a protected
     /// port's admission signature but failed a word the protected filter
     /// provably requires. Kept separate from `drops_admission` — these
@@ -168,8 +163,6 @@ elementwise!(
     backpressure_signals,
     frames_steered,
     cross_core_wakeups,
-    queue_steals,
-    batches_executed,
     drops_mimicry_shed,
     gate_resignature_events,
 );
@@ -211,8 +204,8 @@ impl fmt::Display for Counters {
         )?;
         writeln!(
             f,
-            "multi-core:          {} steered, {} cross-core wakeups, {} steals, {} batches",
-            self.frames_steered, self.cross_core_wakeups, self.queue_steals, self.batches_executed
+            "multi-core:          {} steered, {} cross-core wakeups",
+            self.frames_steered, self.cross_core_wakeups
         )?;
         write!(
             f,
@@ -247,7 +240,7 @@ mod tests {
         assert_eq!(sum - b, a);
         assert_eq!(sum - a, b);
         assert_eq!(sum.context_switches, 1_001 + 1);
-        assert_eq!(sum.gate_resignature_events, 1_027 + 27);
+        assert_eq!(sum.gate_resignature_events, 1_025 + 25);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Single-CPU serialization of virtual work.
 //!
 //! Every host in the simulation has one processor (the paper's VAXes did,
-//! too, except the Pyramid port). Work items — interrupt service, filter
+//! too, except the Pyramid port) unless it is given one per receive queue,
+//! each a [`Cpu`] of its own. Work items — interrupt service, filter
 //! interpretation, copies, protocol processing — execute serially: a work
 //! item requested at time *t* starts at `max(t, cpu_free)` and completes
 //! `cost` later. This is what makes throughput experiments (tables 6-3
@@ -64,66 +65,6 @@ impl Cpu {
     }
 }
 
-/// A fixed-size pool of simulated CPUs for multi-core hosts.
-///
-/// Each core serializes its own work independently; there is no implicit
-/// coordination. Cross-core costs (wakeups, steals) are modeled by the
-/// `pf_kernel::mc` layer charging the appropriate core explicitly.
-#[derive(Debug)]
-pub struct CpuPool {
-    cores: Vec<Cpu>,
-}
-
-impl CpuPool {
-    /// A pool of `n` idle cores. `n` must be at least 1.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "a host needs at least one CPU");
-        CpuPool {
-            cores: (0..n).map(|_| Cpu::new()).collect(),
-        }
-    }
-
-    /// Number of cores in the pool.
-    pub fn len(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Whether the pool is empty (never true — `new` requires ≥1 core).
-    pub fn is_empty(&self) -> bool {
-        self.cores.is_empty()
-    }
-
-    /// Shared access to core `i`.
-    pub fn core(&self, i: usize) -> &Cpu {
-        &self.cores[i]
-    }
-
-    /// Charges `cost` for `routine` on core `i`, requested at `now`.
-    pub fn charge(
-        &mut self,
-        i: usize,
-        routine: &'static str,
-        now: SimTime,
-        cost: SimDuration,
-    ) -> SimTime {
-        self.cores[i].charge(routine, now, cost)
-    }
-
-    /// Total busy time summed across all cores.
-    pub fn busy_total(&self) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for c in &self.cores {
-            total += c.busy_time();
-        }
-        total
-    }
-
-    /// Per-core utilization over `[0, now]`.
-    pub fn utilizations(&self, now: SimTime) -> Vec<f64> {
-        self.cores.iter().map(|c| c.utilization(now)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,29 +99,5 @@ mod tests {
         cpu.charge("pf:filter", SimTime(0), SimDuration::from_micros(28));
         cpu.charge("pf:filter", SimTime(0), SimDuration::from_micros(28));
         assert_eq!(cpu.profiler().stats("pf:filter").calls, 2);
-    }
-
-    #[test]
-    fn pool_cores_are_independent() {
-        let mut pool = CpuPool::new(4);
-        assert_eq!(pool.len(), 4);
-        assert!(!pool.is_empty());
-        // Work on core 0 does not delay core 1.
-        let t0 = pool.charge(0, "a", SimTime(0), SimDuration::from_micros(500));
-        let t1 = pool.charge(1, "a", SimTime(0), SimDuration::from_micros(100));
-        assert_eq!(t0, SimTime(500_000));
-        assert_eq!(t1, SimTime(100_000));
-        assert_eq!(pool.busy_total(), SimDuration::from_micros(600));
-        let u = pool.utilizations(SimTime(1_000_000));
-        assert!((u[0] - 0.5).abs() < 1e-9);
-        assert!((u[1] - 0.1).abs() < 1e-9);
-        assert_eq!(u[2], 0.0);
-        assert_eq!(pool.core(0).profiler().stats("a").calls, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one CPU")]
-    fn pool_rejects_zero_cores() {
-        let _ = CpuPool::new(0);
     }
 }

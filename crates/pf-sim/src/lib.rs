@@ -23,7 +23,7 @@ pub mod time;
 pub use clock::SimClock;
 pub use cost::CostModel;
 pub use counters::Counters;
-pub use cpu::{Cpu, CpuPool};
+pub use cpu::Cpu;
 pub use profile::Profiler;
 pub use queue::{EventHandle, EventQueue};
 pub use rng::SplitMix64;

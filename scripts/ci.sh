@@ -20,31 +20,24 @@ run cargo test --workspace -q
 # x86-64/aarch64 run emitted code; elsewhere it is the threaded fallback.
 run cargo clippy -p pf-ir --all-targets --features jit -- -D warnings
 run cargo test -p pf-ir -q --features jit
-# The paper's tables run on the simulated clock, so they are exact:
-# paper-report, minus the six wall-clock engine-ladder lines, must equal
-# the committed copy (regenerate it with this same pipeline into the file).
-echo "==> paper-report | diff - docs/paper_report.txt"
-cargo run -q -p pf-bench --release --bin paper-report \
-    | grep -v 'checked [0-9]*ns, ' | diff - docs/paper_report.txt
-# The same rows as cells: one line per paper-versus-measured pair with its
-# relative error, and on the last line the median and the worst error the
-# README quotes.
-echo "==> paper-report --cells | diff - docs/paper_cells.tsv"
-cargo run -q -p pf-bench --release --bin paper-report -- --cells | diff - docs/paper_cells.tsv
 # The campaigns' --smoke sweeps. What each one claims is a sweep-internal
 # assert, so the run is the proof and no wall clock can fail it: zero
 # panics and eventual delivery under chaos; flat full-armor goodput past
-# saturation and the no-armor livelock cliff; frame conservation, RSS
-# pinning and 4-core >= 3x one-core goodput; geom's work counters (at most
-# two members evaluated per packet on pure-exact populations, under a tenth
-# of the population on the range-heavy ladder, amortized churn
-# compactions); every adversary family collapsing undefended and holding
-# hardened; exact routed delivery and identical histories when a cell runs
-# twice; exact blackhole accounting and bounded reconvergence. A smoke sweep
-# prints its artifact, so that the committed full-sweep BENCH_*.json stays
-# intact; what it prints must parse as JSON. (The full sweeps are held to
-# the committed artifacts by crates/pf-bench/tests/artifacts.rs, all seven
-# in the release run that ends this script.)
+# saturation and the no-armor livelock cliff; on one World host given 1 or
+# 4 cores, every frame delivered or dropped once, every flow reader pinned
+# to its flow's core, junk crossing cores to the wildcard reader, 4-core >=
+# 3x one-core goodput and poll batch 32 cheaper per packet than poll batch
+# 1; geom's work counters (at most two members evaluated per packet on
+# pure-exact populations, under a tenth of the population on the
+# range-heavy ladder, amortized churn compactions); every adversary family
+# collapsing undefended and holding hardened; exact routed delivery and
+# identical histories when a cell runs twice; exact blackhole accounting
+# and bounded reconvergence. A smoke sweep prints its artifact, so that the
+# committed full-sweep BENCH_*.json stays intact; what it prints must parse
+# as JSON. (The full sweeps are held to the committed artifacts by
+# crates/pf-bench/tests/artifacts.rs, all seven in the release run that
+# ends this script, and paper-report and its cells to docs/ by
+# crates/pf-bench/tests/paper.rs.)
 for c in chaos overload mc demux adversary net fabric; do
     echo "==> campaign $c --smoke"
     cargo run -q -p pf-bench --release --bin campaign -- "$c" --smoke | python3 -m json.tool > /dev/null

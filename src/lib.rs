@@ -55,6 +55,6 @@ pub use pf_sim as sim;
 // surfaces generically.
 pub use pf_ir::{singleton_engines, singleton_surface_count, FilterEngine};
 pub use pf_kernel::{DemuxEngine, EngineStats, PfDevice, PfDeviceBuilder};
-// The one run-loop: `World`, `McPipeline`, and any other clocked model
-// drive through this trait.
+// The one run-loop: `World`, and any other clocked model, drives through
+// this trait.
 pub use pf_sim::SimClock;
