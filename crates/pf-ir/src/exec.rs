@@ -9,12 +9,23 @@
 //! executes as a couple of fused word-equality tests with no register
 //! traffic at all.
 //!
+//! Most demultiplexing filters are then a *plain conjunction*: a path of
+//! word-interval tests, each rejecting at once when it fails, ending in an
+//! accept. [`lower`]'s output is walked once for that shape, and when it
+//! matches, the filter also keeps it as a [`Conjunction`] — an ordered
+//! inline list of `(word, lo, hi, ops if this test fails)` plus the ops of
+//! an accept — which evaluation runs instead of the threaded code. The
+//! op counts are read off the threaded path the list replaces, so verdict
+//! and `ops_executed` are the threaded code's on every packet; any other
+//! program runs as threaded code.
+//!
 //! Short packets take the same route as [`ValidatedProgram::eval`]: when
 //! the packet is shorter than the validator's `min_packet_words`, the
 //! whole evaluation falls back to the checked interpreter, preserving the
 //! paper's §4 semantics exactly (a short-circuit accept can legitimately
 //! precede an out-of-bounds load).
 
+use crate::geom::Interval;
 use crate::ir::{BlockId, IrBinOp, IrProgram, Terminator};
 use crate::opt::optimize;
 use crate::translate::translate;
@@ -77,6 +88,84 @@ pub(crate) enum TOp {
     ReturnReg { reg: u16 },
 }
 
+/// Most tests a [`Conjunction`] holds; a longer conjunction runs as
+/// threaded code. The widest filter of the samples and the suites tests
+/// six words.
+const CONJUNCTION_TESTS: usize = 8;
+
+/// One test of a [`Conjunction`]: `packet[word] ∈ [lo, hi]`, and the
+/// threaded-code instructions executed when the evaluation rejects here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WordTest {
+    pub(crate) interval: Interval,
+    fail_ops: u16,
+}
+
+/// A filter whose threaded code is a plain conjunction of word-interval
+/// tests, as an ordered list kept inline (no heap): a packet is accepted
+/// iff it passes every test, and the first test it fails decides the
+/// rejection and its op count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Conjunction {
+    tests: [WordTest; CONJUNCTION_TESTS],
+    len: u8,
+    accept_ops: u16,
+}
+
+impl Conjunction {
+    /// The tests, in the order the threaded code runs them.
+    pub(crate) fn tests(&self) -> &[WordTest] {
+        &self.tests[..usize::from(self.len)]
+    }
+
+    /// The mask of the tests `proven` does not hold: a bit per test, in
+    /// order.
+    pub(crate) fn unproven(&self, proven: impl Fn(&Interval) -> bool) -> u8 {
+        self.tests()
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| !proven(&t.interval))
+            .fold(0, |mask, (i, _)| mask | 1 << i)
+    }
+
+    /// Runs the tests `mask` selects, in order, for the verdict and the op
+    /// count of the threaded code — exact whenever every test left out
+    /// passes. The packet must be at least the filter's
+    /// [`IrFilter::min_packet_words`] long.
+    #[inline]
+    pub(crate) fn run(&self, packet: PacketView<'_>, mask: u8) -> (bool, u32) {
+        let mut left = mask;
+        while left != 0 {
+            let t = self.tests[left.trailing_zeros() as usize];
+            left &= left - 1;
+            let Interval { word, lo, hi } = t.interval;
+            if !packet
+                .word(usize::from(word))
+                .is_some_and(|v| lo <= v && v <= hi)
+            {
+                return (false, u32::from(t.fail_ops));
+            }
+        }
+        (true, u32::from(self.accept_ops))
+    }
+
+    /// Every test.
+    fn all(&self) -> u8 {
+        ((1u16 << self.len) - 1) as u8
+    }
+
+    /// Appends a test; `None` when the list is full.
+    fn push(&mut self, interval: Interval, fail_ops: u32) -> Option<()> {
+        let slot = self.tests.get_mut(usize::from(self.len))?;
+        *slot = WordTest {
+            interval,
+            fail_ops: u16::try_from(fail_ops).ok()?,
+        };
+        self.len += 1;
+        Some(())
+    }
+}
+
 /// Counters from one IR-engine evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IrEvalStats {
@@ -108,6 +197,8 @@ pub struct IrFilter {
     min_packet_words: usize,
     reg_count: usize,
     code: Vec<TOp>,
+    /// The code as a test list, when it is a plain conjunction.
+    conjunction: Option<Conjunction>,
 }
 
 impl IrFilter {
@@ -146,6 +237,7 @@ impl IrFilter {
             config: validated.config(),
             min_packet_words: validated.min_packet_words(),
             reg_count: ir.reg_count as usize,
+            conjunction: conjunction(&code),
             code,
         }
     }
@@ -181,6 +273,11 @@ impl IrFilter {
         &self.code
     }
 
+    /// The code as a plain conjunction of word tests, if it is one.
+    pub(crate) fn conjunction(&self) -> Option<&Conjunction> {
+        self.conjunction.as_ref()
+    }
+
     /// Live registers after optimization.
     pub fn reg_count(&self) -> usize {
         self.reg_count
@@ -204,7 +301,10 @@ impl IrFilter {
                 },
             );
         }
-        let (accept, ops) = self.exec(packet);
+        let (accept, ops) = match &self.conjunction {
+            Some(c) => c.run(packet, c.all()),
+            None => self.exec(packet),
+        };
         (
             accept,
             IrEvalStats {
@@ -503,6 +603,149 @@ fn merge_range_guards(code: &mut Vec<TOp>) {
     *code = out;
 }
 
+/// What the program's registers hold, where one instruction decides it:
+/// the literal of each `Const` and the packet word of each `LoadWord`.
+/// Registers are single-assignment, so one map each serves every path.
+pub(crate) struct Operands {
+    literals: HashMap<u16, u16>,
+    words: HashMap<u16, u16>,
+}
+
+impl Operands {
+    pub(crate) fn of<'a>(code: impl IntoIterator<Item = &'a TOp>) -> Self {
+        let mut operands = Operands {
+            literals: HashMap::new(),
+            words: HashMap::new(),
+        };
+        for op in code {
+            match *op {
+                TOp::Const { dst, value } => {
+                    operands.literals.insert(dst, value);
+                }
+                TOp::LoadWord { dst, index } => {
+                    operands.words.insert(dst, index);
+                }
+                _ => {}
+            }
+        }
+        operands
+    }
+
+    /// The interval `packet[word] ∈ [lo, hi]` (unsigned) on which the
+    /// compare `op(regs[a], regs[b])` is true, when one operand holds a
+    /// packet word and the other a literal. `None` for any other operator
+    /// or operands, and for an ordering compare no word passes (`< 0`,
+    /// `> 0xFFFF`).
+    pub(crate) fn compare_interval(&self, op: IrBinOp, a: u16, b: u16) -> Option<Interval> {
+        // `word_is_left`: the ordering operators are not symmetric.
+        let (word, lit, word_is_left) = match (
+            self.words.get(&a),
+            self.literals.get(&b),
+            self.words.get(&b),
+            self.literals.get(&a),
+        ) {
+            (Some(&w), Some(&l), _, _) => (w, l, true),
+            (_, _, Some(&w), Some(&l)) => (w, l, false),
+            _ => return None,
+        };
+        let (lo, hi) = match (op, word_is_left) {
+            (IrBinOp::Eq, _) => (lit, lit),
+            (IrBinOp::Lt, true) | (IrBinOp::Gt, false) => (0, lit.checked_sub(1)?),
+            (IrBinOp::Le, true) | (IrBinOp::Ge, false) => (0, lit),
+            (IrBinOp::Gt, true) | (IrBinOp::Lt, false) => (lit.checked_add(1)?, u16::MAX),
+            (IrBinOp::Ge, true) | (IrBinOp::Le, false) => (lit, u16::MAX),
+            _ => return None,
+        };
+        Some(Interval { word, lo, hi })
+    }
+}
+
+/// The threaded code as a [`Conjunction`], when it is a plain one: from
+/// the entry, one path of straight-line `Const`/`LoadWord`, word-literal
+/// compares and `Jump`s, on which every branch — a fused guard, or a
+/// `BranchIf`/`BranchIfNot` on a compare — continues when its interval
+/// holds and otherwise reaches `Return { accept: false }` through jumps
+/// alone, ending in `Return { accept: true }` or a `ReturnReg` of a
+/// compare. Each test's op count is the path's up to the rejection. Any
+/// other instruction on the path (`LoadInd`, a compare that is no interval
+/// test, a branch on anything else) leaves the program threaded.
+fn conjunction(code: &[TOp]) -> Option<Conjunction> {
+    let operands = Operands::of(code);
+    // Compare registers defined so far on the path.
+    let mut tests: HashMap<u16, Interval> = HashMap::new();
+    let mut conj = Conjunction::default();
+    let mut ops = 0u32;
+    let mut pc = 0usize;
+    // The path is acyclic, so it visits each instruction at most once.
+    for _ in 0..code.len() {
+        ops += 1;
+        let exact = |word, lit| Interval {
+            word,
+            lo: lit,
+            hi: lit,
+        };
+        // The test a branch makes, and where it goes when the test passes
+        // and when it fails.
+        let (test, pass, fail) = match *code.get(pc)? {
+            TOp::Const { .. } | TOp::LoadWord { .. } => {
+                pc += 1;
+                continue;
+            }
+            TOp::Bin { op, dst, a, b } => {
+                tests.insert(dst, operands.compare_interval(op, a, b)?);
+                pc += 1;
+                continue;
+            }
+            TOp::Jump { target } => {
+                pc = target as usize;
+                continue;
+            }
+            TOp::GuardEqBr { word, lit, target } => (exact(word, lit), target as usize, pc + 1),
+            TOp::GuardNeBr { word, lit, target } => (exact(word, lit), pc + 1, target as usize),
+            TOp::GuardInBr {
+                word,
+                lo,
+                hi,
+                target,
+            } => (Interval { word, lo, hi }, target as usize, pc + 1),
+            TOp::GuardOutBr {
+                word,
+                lo,
+                hi,
+                target,
+            } => (Interval { word, lo, hi }, pc + 1, target as usize),
+            TOp::BranchIf { cond, target } => (*tests.get(&cond)?, target as usize, pc + 1),
+            TOp::BranchIfNot { cond, target } => (*tests.get(&cond)?, pc + 1, target as usize),
+            TOp::ReturnReg { reg } => {
+                conj.push(*tests.get(&reg)?, ops)?;
+                conj.accept_ops = u16::try_from(ops).ok()?;
+                return Some(conj);
+            }
+            TOp::Return { accept: true } => {
+                conj.accept_ops = u16::try_from(ops).ok()?;
+                return Some(conj);
+            }
+            TOp::Return { accept: false } | TOp::LoadInd { .. } => return None,
+        };
+        conj.push(test, ops + reject_ops(code, fail)?)?;
+        pc = pass;
+    }
+    None
+}
+
+/// The instructions executed from `pc` when they reach
+/// `Return { accept: false }` through jumps alone, the return included.
+fn reject_ops(code: &[TOp], mut pc: usize) -> Option<u32> {
+    for ops in 1..=code.len() as u32 {
+        match *code.get(pc)? {
+            TOp::Jump { target } => pc = target as usize,
+            TOp::Return { accept: false } => return Some(ops),
+            _ => return None,
+        }
+    }
+    None
+}
+
 /// Fuses the `LoadWord / Const / eq / branch` tail of a block into a
 /// single guard instruction when the intermediate registers have no other
 /// consumers.
@@ -510,25 +753,10 @@ fn fuse_guards(chunks: &mut [Vec<TOp>], ir: &IrProgram) {
     let uses = register_use_counts(ir);
     let used_once = |r: u16| uses.get(usize::from(r)).is_some_and(|&c| c == 1);
     // Registers with statically known values, and registers holding a
-    // packet word (single assignment makes both maps global); lets a
-    // CSE-shared constant or a CSE-shared load fuse without being removed
-    // — the dead-definition sweep below reclaims either once every
-    // consumer has been fused away.
-    let mut const_val: HashMap<u16, u16> = HashMap::new();
-    let mut load_val: HashMap<u16, u16> = HashMap::new();
-    for chunk in chunks.iter() {
-        for op in chunk {
-            match *op {
-                TOp::Const { dst, value } => {
-                    const_val.insert(dst, value);
-                }
-                TOp::LoadWord { dst, index } => {
-                    load_val.insert(dst, index);
-                }
-                _ => {}
-            }
-        }
-    }
+    // packet word, let a CSE-shared constant or a CSE-shared load fuse
+    // without being removed — the dead-definition sweep below reclaims
+    // either once every consumer has been fused away.
+    let operands = Operands::of(chunks.iter().flatten());
     for chunk in chunks.iter_mut() {
         let k = chunk.len();
         if k < 3 {
@@ -545,72 +773,40 @@ fn fuse_guards(chunks: &mut [Vec<TOp>], ir: &IrProgram) {
         let TOp::Bin { op, dst, a, b } = chunk[k - 2] else {
             continue;
         };
-        if dst != cond
-            || !matches!(
-                op,
-                IrBinOp::Eq | IrBinOp::Lt | IrBinOp::Le | IrBinOp::Gt | IrBinOp::Ge
-            )
-        {
+        if dst != cond {
             continue;
         }
         // The compare's operands: one register holding a packet word, one
         // holding a constant (each either single-use and removable, or
         // shared and kept — kept definitions that lose their last
-        // consumer are reclaimed by the sweep below). `word_is_left`
-        // records whether the packet word was `T2` — the ordering
-        // operators are not symmetric.
-        let (word, lit, word_is_left) = match (
-            load_val.get(&a),
-            const_val.get(&b),
-            load_val.get(&b),
-            const_val.get(&a),
-        ) {
-            (Some(&w), Some(&l), _, _) => (w, l, true),
-            (_, _, Some(&w), Some(&l)) => (w, l, false),
-            _ => continue,
+        // consumer are reclaimed by the sweep below). A constantly-false
+        // ordering compare is left unfused; it is rare and correct as-is.
+        let Some(Interval { word, lo, hi }) = operands.compare_interval(op, a, b) else {
+            continue;
         };
-        let fused = match op {
-            IrBinOp::Eq => {
-                if jump_on_cond {
-                    TOp::GuardEqBr { word, lit, target }
-                } else {
-                    TOp::GuardNeBr { word, lit, target }
-                }
-            }
-            _ => {
-                // Rewrite the ordering compare as an inclusive interval on
-                // the packet word. Literal-edge cases (a constantly-false
-                // compare) are left unfused; they are rare and correct as-is.
-                let interval = match (op, word_is_left) {
-                    (IrBinOp::Lt, true) | (IrBinOp::Gt, false) => {
-                        lit.checked_sub(1).map(|h| (0, h))
-                    }
-                    (IrBinOp::Le, true) | (IrBinOp::Ge, false) => Some((0, lit)),
-                    (IrBinOp::Gt, true) | (IrBinOp::Lt, false) => {
-                        lit.checked_add(1).map(|l| (l, u16::MAX))
-                    }
-                    (IrBinOp::Ge, true) | (IrBinOp::Le, false) => Some((lit, u16::MAX)),
-                    _ => unreachable!("ordering ops only"),
-                };
-                let Some((lo, hi)) = interval else {
-                    continue;
-                };
-                if jump_on_cond {
-                    TOp::GuardInBr {
-                        word,
-                        lo,
-                        hi,
-                        target,
-                    }
-                } else {
-                    TOp::GuardOutBr {
-                        word,
-                        lo,
-                        hi,
-                        target,
-                    }
-                }
-            }
+        let fused = match (op, jump_on_cond) {
+            (IrBinOp::Eq, true) => TOp::GuardEqBr {
+                word,
+                lit: lo,
+                target,
+            },
+            (IrBinOp::Eq, false) => TOp::GuardNeBr {
+                word,
+                lit: lo,
+                target,
+            },
+            (_, true) => TOp::GuardInBr {
+                word,
+                lo,
+                hi,
+                target,
+            },
+            (_, false) => TOp::GuardOutBr {
+                word,
+                lo,
+                hi,
+                target,
+            },
         };
         // Drop the compare and branch; peel the trailing single-use
         // definitions that fed only this window.
@@ -705,9 +901,12 @@ fn register_use_counts(ir: &IrProgram) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pf_filter::builder::Expr;
+    use pf_filter::interp::{Dialect, ShortCircuitStyle};
     use pf_filter::program::Assembler;
     use pf_filter::samples;
-    use pf_filter::word::BinaryOp;
+    use pf_filter::word::{BinaryOp, StackAction};
+    use pf_sim::rng::SplitMix64;
 
     #[test]
     fn fig_3_9_fuses_to_guards() {
@@ -807,5 +1006,328 @@ mod tests {
                 assert_eq!(checked.eval(&prog, view), f.eval(view));
             }
         }
+    }
+
+    /// `f` with its conjunction set aside: the threaded code alone.
+    fn threaded(f: &IrFilter) -> IrFilter {
+        IrFilter {
+            conjunction: None,
+            ..f.clone()
+        }
+    }
+
+    /// Packets of every byte length from empty to two words past `f`'s
+    /// minimum, odd counts included. Each writes every test's word — half
+    /// of them all inside their intervals, the rest at an end, just
+    /// outside one, or anywhere — so that each test both passes and fails.
+    fn probe_packets(f: &IrFilter, rng: &mut SplitMix64) -> Vec<Vec<u8>> {
+        let tests: Vec<Interval> = f.conjunction().map_or(Vec::new(), |c| {
+            c.tests().iter().map(|t| t.interval).collect()
+        });
+        let mut packets = Vec::new();
+        for len in 0..=2 * (f.min_packet_words() + 2) + 1 {
+            for _ in 0..4 {
+                let mut p: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                let all_pass = rng.chance(0.5);
+                for iv in &tests {
+                    let inside = iv.lo + rng.below(u64::from(iv.hi - iv.lo) + 1) as u16;
+                    let v = match if all_pass { 0 } else { rng.below(6) } {
+                        0 => inside,
+                        1 => iv.lo,
+                        2 => iv.hi,
+                        3 => iv.lo.wrapping_sub(1),
+                        4 => iv.hi.wrapping_add(1),
+                        _ => rng.next_u64() as u16,
+                    };
+                    if let Some(at) =
+                        p.get_mut(2 * usize::from(iv.word)..2 * usize::from(iv.word) + 2)
+                    {
+                        at.copy_from_slice(&v.to_be_bytes());
+                    }
+                }
+                packets.push(p);
+            }
+        }
+        packets
+    }
+
+    /// `f` and its threaded code give one verdict and one op count on
+    /// every [`probe_packets`] packet.
+    fn assert_pinned(f: &IrFilter, rng: &mut SplitMix64, ctx: &str) {
+        let reference = threaded(f);
+        for p in probe_packets(f, rng) {
+            let view = PacketView::new(&p);
+            assert_eq!(
+                f.eval_with_stats(view),
+                reference.eval_with_stats(view),
+                "{ctx}, {} bytes: {p:?}\n{}",
+                p.len(),
+                f.disassemble()
+            );
+        }
+    }
+
+    /// A word test as `(word, lo, hi, ops when it rejects)`.
+    fn test_tuple(t: &WordTest) -> (u16, u16, u16, u16) {
+        (t.interval.word, t.interval.lo, t.interval.hi, t.fail_ops)
+    }
+
+    #[test]
+    fn fig_3_9_is_a_conjunction_of_three_word_tests() {
+        let f = IrFilter::compile(samples::fig_3_9_pup_socket_35()).unwrap();
+        let c = f.conjunction().expect("a CAND chain");
+        // Two guards that reject one instruction later, then the load,
+        // constant, compare and return of the ethertype test.
+        let tests: Vec<_> = c.tests().iter().map(test_tuple).collect();
+        assert_eq!(tests, [(8, 35, 35, 2), (7, 0, 0, 3), (1, 2, 2, 6)]);
+        assert_eq!(c.accept_ops, 6);
+    }
+
+    #[test]
+    fn conjunction_form_runs_op_for_op_with_the_threaded_code_on_the_samples() {
+        let wide = Assembler::new(10)
+            .pushword(8)
+            .pushlit_op(BinaryOp::Cand, 35)
+            .pushword(7)
+            .pushlit_op(BinaryOp::Cand, 0)
+            .pushword(6)
+            .pushlit_op(BinaryOp::Cand, 0x0A0B)
+            .pushword(4)
+            .pushlit_op(BinaryOp::Cand, 0xBEEF)
+            .pushword(0)
+            .pushlit_op(BinaryOp::Cand, 0x0102)
+            .pushword(1)
+            .pushlit_op(BinaryOp::Eq, 2)
+            .finish();
+        // One compare both branched on and returned: CSE shares it, so it
+        // stays an unfused compare under a `BranchIfNot`.
+        let shared = Assembler::new(10)
+            .pushword(8)
+            .pushlit_op(BinaryOp::Ge, 100)
+            .pushzero_op(BinaryOp::Cnor)
+            .pushword(1)
+            .pushlit_op(BinaryOp::Cand, 2)
+            .pushword(8)
+            .pushlit_op(BinaryOp::Ge, 100)
+            .finish();
+        let corpus = [
+            ("fig 3-9", samples::fig_3_9_pup_socket_35(), true),
+            ("socket 1:35", samples::pup_socket_filter(3, 1, 35), true),
+            ("range", samples::socket_range_filter(10, 100, 200), true),
+            ("point range", samples::socket_range_filter(10, 7, 7), true),
+            (
+                "full range",
+                samples::socket_range_filter(10, 0, u16::MAX),
+                true,
+            ),
+            ("ethertype", samples::ethertype_filter(5, 2), true),
+            ("accept all", samples::accept_all(1), true),
+            ("empty", FilterProgram::empty(0), true),
+            ("padded", samples::padded_accept_filter(0, 9), true),
+            ("six words", wide, true),
+            ("shared compare", shared, true),
+            ("fig 3-8", samples::fig_3_8_pup_type_range(), false),
+            ("reject all", samples::reject_all(1), false),
+        ];
+        let mut rng = SplitMix64::new(0xC04A_0001);
+        for (name, program, conjunctive) in corpus {
+            let f = IrFilter::compile(program).unwrap();
+            assert_eq!(
+                f.conjunction().is_some(),
+                conjunctive,
+                "{name}\n{}",
+                f.disassemble()
+            );
+            assert_pinned(&f, &mut rng, name);
+        }
+    }
+
+    #[test]
+    fn programs_outside_the_fragment_stay_threaded() {
+        let extended = InterpConfig {
+            dialect: Dialect::Extended,
+            ..InterpConfig::default()
+        };
+        let word_eq = |w: u16, lit: u16| Expr::word(w).eq(lit);
+        let cases = [
+            (
+                "OR",
+                word_eq(1, 2).or(word_eq(1, 3)).compile(1).unwrap(),
+                InterpConfig::default(),
+            ),
+            (
+                "COR",
+                Assembler::new(1)
+                    .pushword(1)
+                    .pushlit_op(BinaryOp::Cor, 2)
+                    .pushword(1)
+                    .pushlit_op(BinaryOp::Eq, 3)
+                    .finish(),
+                InterpConfig::default(),
+            ),
+            (
+                "Div",
+                Assembler::new(1)
+                    .pushword(1)
+                    .pushlit_op(BinaryOp::Div, 2)
+                    .pushlit_op(BinaryOp::Eq, 3)
+                    .finish(),
+                extended,
+            ),
+            (
+                "LoadInd",
+                Assembler::new(1)
+                    .pushword(1)
+                    .pushlit_op(BinaryOp::Cand, 2)
+                    .pushlit(3)
+                    .push_op(StackAction::PushInd, BinaryOp::Nop)
+                    .pushlit_op(BinaryOp::Eq, 3)
+                    .finish(),
+                extended,
+            ),
+            (
+                "BranchIf on a masked word",
+                Assembler::new(1)
+                    .pushword(3)
+                    .push_op(StackAction::Push00FF, BinaryOp::And)
+                    .pushzero_op(BinaryOp::Cnor)
+                    .pushword(1)
+                    .pushlit_op(BinaryOp::Eq, 2)
+                    .finish(),
+                InterpConfig::default(),
+            ),
+            (
+                "Lt 0",
+                Assembler::new(1)
+                    .pushword(8)
+                    .pushzero_op(BinaryOp::Lt)
+                    .pushzero_op(BinaryOp::Cnor)
+                    .pushword(1)
+                    .pushlit_op(BinaryOp::Eq, 2)
+                    .finish(),
+                InterpConfig::default(),
+            ),
+            (
+                "Gt 0xFFFF",
+                Assembler::new(1)
+                    .pushword(1)
+                    .pushlit_op(BinaryOp::Cand, 2)
+                    .pushword(8)
+                    .push_op(StackAction::PushFFFF, BinaryOp::Gt)
+                    .finish(),
+                InterpConfig::default(),
+            ),
+        ];
+        let mut rng = SplitMix64::new(0xC04A_0002);
+        for (name, program, config) in cases {
+            let f = IrFilter::compile_with_config(program, config).unwrap();
+            assert!(f.conjunction().is_none(), "{name}\n{}", f.disassemble());
+            assert_pinned(&f, &mut rng, name);
+        }
+    }
+
+    /// A seeded program built mostly of the clauses a conjunction is made
+    /// of — `CAND` equalities, ordering compares (literal either side)
+    /// closed by `CNOR 0`, a final compare — with clauses that leave the
+    /// fragment mixed in: `CNOR`/`COR` on a literal, a masked word, an
+    /// `OR` verdict. Literals favour the domain's ends.
+    fn seeded_clause_program(rng: &mut SplitMix64) -> FilterProgram {
+        const ORDER: [BinaryOp; 4] = [BinaryOp::Lt, BinaryOp::Le, BinaryOp::Gt, BinaryOp::Ge];
+        const VERDICT: [BinaryOp; 5] = [
+            BinaryOp::Eq,
+            BinaryOp::Lt,
+            BinaryOp::Le,
+            BinaryOp::Gt,
+            BinaryOp::Ge,
+        ];
+        let lit = |rng: &mut SplitMix64| match rng.below(4) {
+            0 => 0,
+            1 => u16::MAX,
+            2 => rng.below(8) as u16,
+            _ => rng.next_u64() as u16,
+        };
+        let word = |rng: &mut SplitMix64| rng.below(12) as u8;
+        let mut a = Assembler::new(rng.below(30) as u8);
+        for _ in 0..rng.below(7) {
+            let (w, l) = (word(rng), lit(rng));
+            let order = ORDER[rng.below(4) as usize];
+            a = match rng.below(9) {
+                0..=2 => a.pushword(w).pushlit_op(BinaryOp::Cand, l),
+                3 | 4 => a
+                    .pushword(w)
+                    .pushlit_op(order, l)
+                    .pushzero_op(BinaryOp::Cnor),
+                5 => a
+                    .pushlit(l)
+                    .pushword_op(w, order)
+                    .pushzero_op(BinaryOp::Cnor),
+                6 => a.pushword(w).pushlit_op(BinaryOp::Cnor, l),
+                7 => a.pushword(w).pushlit_op(BinaryOp::Cor, l),
+                _ => a
+                    .pushword(w)
+                    .push_op(StackAction::Push00FF, BinaryOp::And)
+                    .pushzero_op(BinaryOp::Cnor),
+            };
+        }
+        let (w, l) = (word(rng), lit(rng));
+        match rng.below(5) {
+            0..=2 => a.pushword(w).pushlit_op(VERDICT[rng.below(5) as usize], l),
+            3 => a
+                .pushword(w)
+                .pushlit_op(BinaryOp::Eq, l)
+                .pushword(word(rng))
+                .pushlit_op(BinaryOp::Eq, lit(rng))
+                .op(BinaryOp::Or),
+            _ => a.pushone(),
+        }
+        .finish()
+    }
+
+    #[test]
+    fn conjunction_form_runs_op_for_op_with_the_threaded_code_on_seeded_programs() {
+        const CONFIGS: [InterpConfig; 4] = [
+            InterpConfig {
+                dialect: Dialect::Classic,
+                short_circuit: ShortCircuitStyle::Paper,
+            },
+            InterpConfig {
+                dialect: Dialect::Classic,
+                short_circuit: ShortCircuitStyle::Historical,
+            },
+            InterpConfig {
+                dialect: Dialect::Extended,
+                short_circuit: ShortCircuitStyle::Paper,
+            },
+            InterpConfig {
+                dialect: Dialect::Extended,
+                short_circuit: ShortCircuitStyle::Historical,
+            },
+        ];
+        let programs = if cfg!(debug_assertions) { 300 } else { 3_000 };
+        let mut rng = SplitMix64::new(0xC04A_0003);
+        let (mut conjunctive, mut threaded) = (0u32, 0u32);
+        for case in 0..programs {
+            let program = seeded_clause_program(&mut rng);
+            for config in CONFIGS {
+                let Ok(f) = IrFilter::compile_with_config(program.clone(), config) else {
+                    continue;
+                };
+                if f.conjunction().is_some() {
+                    conjunctive += 1;
+                } else {
+                    threaded += 1;
+                }
+                assert_pinned(&f, &mut rng, &format!("case {case}, {config:?}"));
+            }
+        }
+        // The generator must reach both paths.
+        assert!(
+            conjunctive > programs / 2,
+            "{conjunctive} conjunctive, {threaded} threaded"
+        );
+        assert!(
+            threaded > programs / 2,
+            "{conjunctive} conjunctive, {threaded} threaded"
+        );
     }
 }

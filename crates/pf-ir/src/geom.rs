@@ -42,9 +42,12 @@
 //! validation run on the checked interpreter in the always-walked
 //! residue. Match results are priority-ordered with insertion-order
 //! ties, exactly like every other engine.
+//!
+//! The same argument lets a candidate skip work: a member whose code is a
+//! plain conjunction ([`crate::exec`]) runs only the tests its own slot
+//! does not prove, and is charged the whole filter's op count.
 
-use crate::exec::{IrFilter, TOp};
-use crate::ir::IrBinOp;
+use crate::exec::{IrFilter, Operands, TOp};
 use pf_filter::dtree::FilterId;
 use pf_filter::interp::{CheckedInterpreter, InterpConfig};
 use pf_filter::packet::PacketView;
@@ -54,7 +57,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A required constraint `packet[word] ∈ [lo, hi]` (inclusive, unsigned).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Interval {
     /// Packet word index the constraint reads.
     pub word: u16,
@@ -72,6 +75,11 @@ impl Interval {
 
     fn contains(&self, other: &Interval) -> bool {
         self.lo <= other.lo && other.hi <= self.hi
+    }
+
+    /// Whether every packet satisfying `other` satisfies this.
+    fn implied_by(&self, other: &Interval) -> bool {
+        self.word == other.word && self.contains(other)
     }
 }
 
@@ -92,6 +100,10 @@ pub struct GeomStats {
     pub nodes_visited: u32,
     /// Threaded-code (or fallback interpreter) instructions executed.
     pub ops_executed: u32,
+    /// Candidates rejected by a test their index slot does not prove: the
+    /// index selected the member, and a required atom other than its key
+    /// turned the packet away.
+    pub residual_rejects: u32,
 }
 
 // ---------------------------------------------------------------------
@@ -121,20 +133,7 @@ pub fn required_constraints(program: &FilterProgram) -> Vec<Interval> {
 /// [`TOp::ReturnReg`] of an unrelated register is treated as a possible
 /// accept, and compares the analysis cannot resolve contribute nothing.
 pub(crate) fn required_intervals(code: &[TOp]) -> Vec<Interval> {
-    // Single-assignment registers: one global resolution pass suffices.
-    let mut const_val: HashMap<u16, u16> = HashMap::new();
-    let mut load_val: HashMap<u16, u16> = HashMap::new();
-    for op in code {
-        match *op {
-            TOp::Const { dst, value } => {
-                const_val.insert(dst, value);
-            }
-            TOp::LoadWord { dst, index } => {
-                load_val.insert(dst, index);
-            }
-            _ => {}
-        }
-    }
+    let operands = Operands::of(code);
     let mut atoms: Vec<Interval> = Vec::new();
     let mut atom_ids: HashMap<Interval, usize> = HashMap::new();
     let mut reg_atom: HashMap<u16, usize> = HashMap::new();
@@ -149,33 +148,7 @@ pub(crate) fn required_intervals(code: &[TOp]) -> Vec<Interval> {
             TOp::GuardInBr { word, lo, hi, .. } | TOp::GuardOutBr { word, lo, hi, .. } => {
                 Some(Interval { word, lo, hi })
             }
-            TOp::Bin { op, a, b, .. } => {
-                let resolved = match (
-                    load_val.get(&a),
-                    const_val.get(&b),
-                    load_val.get(&b),
-                    const_val.get(&a),
-                ) {
-                    (Some(&w), Some(&l), _, _) => Some((w, l, true)),
-                    (_, _, Some(&w), Some(&l)) => Some((w, l, false)),
-                    _ => None,
-                };
-                resolved.and_then(|(w, l, word_is_left)| {
-                    let span = match (op, word_is_left) {
-                        (IrBinOp::Eq, _) => Some((l, l)),
-                        (IrBinOp::Lt, true) | (IrBinOp::Gt, false) => {
-                            l.checked_sub(1).map(|h| (0, h))
-                        }
-                        (IrBinOp::Le, true) | (IrBinOp::Ge, false) => Some((0, l)),
-                        (IrBinOp::Gt, true) | (IrBinOp::Lt, false) => {
-                            l.checked_add(1).map(|lo| (lo, u16::MAX))
-                        }
-                        (IrBinOp::Ge, true) | (IrBinOp::Le, false) => Some((l, u16::MAX)),
-                        _ => None,
-                    };
-                    span.map(|(lo, hi)| Interval { word: w, lo, hi })
-                })
-            }
+            TOp::Bin { op, a, b, .. } => operands.compare_interval(op, a, b),
             _ => None,
         };
         if let Some(iv) = iv {
@@ -431,6 +404,20 @@ impl TupleWords {
             Some(key << 16 | u64::from(packet.word(usize::from(w))?))
         })
     }
+
+    /// The exact atoms a packet whose [`TupleWords::key_of`] is `key`
+    /// satisfies: each word at its literal.
+    fn pinned(&self, key: u64) -> impl Iterator<Item = Interval> + '_ {
+        let words = self.as_slice();
+        words.iter().enumerate().map(move |(i, &word)| {
+            let lit = (key >> (16 * (words.len() - 1 - i))) as u16;
+            Interval {
+                word,
+                lo: lit,
+                hi: lit,
+            }
+        })
+    }
 }
 
 /// Where a member keyed on an exact atom is filed: the words its exact
@@ -563,6 +550,10 @@ struct GeomMember {
     /// residue): a proper interval files it in that word's range tuple,
     /// an exact one in the directory under *all* its exact atoms.
     key: Option<Interval>,
+    /// For an indexed member whose code is a plain conjunction, the mask
+    /// of its tests the slot does not prove (see
+    /// [`GeomSet::index_member`]); `None` for every other member.
+    residual: Option<u8>,
     kind: GeomMemberKind,
 }
 
@@ -748,15 +739,16 @@ impl GeomSet {
             self.record_conflicts(k, priority);
         }
         let slot = self.slots.len() as u32;
-        let member = GeomMember {
+        let mut member = GeomMember {
             id,
             priority,
             seq,
             atoms,
             key,
+            residual: None,
             kind,
         };
-        self.index_member(slot, &member);
+        self.index_member(slot, &mut member);
         self.slots.push(Some(member));
         self.id_to_slot.insert(id, slot);
         let entry = (Reverse(priority), seq, slot);
@@ -805,11 +797,20 @@ impl GeomSet {
         })
     }
 
-    fn index_member(&mut self, slot: u32, member: &GeomMember) {
+    /// Files `member` under its key in slot `slot`, and drops from its
+    /// test list what the slot proves of every packet it selects the
+    /// member for: a directory bucket, every literal packed into its key;
+    /// a range tuple, the key interval. A test left out would pass on each
+    /// such packet, so the rest decide verdict and op count alike.
+    fn index_member(&mut self, slot: u32, member: &mut GeomMember) {
+        member.residual = None;
         match (member.key, &member.kind) {
             (Some(k), GeomMemberKind::Compiled(filter)) => {
+                let conjunction = filter.conjunction();
                 if k.is_exact() {
                     let (words, key) = exact_tuple(&member.atoms);
+                    member.residual = conjunction
+                        .map(|c| c.unproven(|t| words.pinned(key).any(|p| t.implied_by(&p))));
                     let tuple = tuple_entry(&mut self.index.exact, words);
                     tuple.entry(key).or_default().push(slot);
                     self.exact_keys
@@ -817,6 +818,7 @@ impl GeomSet {
                         .or_default()
                         .push(slot);
                 } else {
+                    member.residual = conjunction.map(|c| c.unproven(|t| t.implied_by(&k)));
                     tuple_entry(&mut self.index.ranges, k.word).insert(k.lo, k.hi, slot);
                 }
                 self.fast_min_words = self.fast_min_words.max(filter.min_packet_words());
@@ -891,7 +893,7 @@ impl GeomSet {
         for m in &mut members {
             m.key = self.choose_key(&m.atoms);
         }
-        for (slot, m) in members.iter().enumerate() {
+        for (slot, m) in members.iter_mut().enumerate() {
             self.index_member(slot as u32, m);
         }
         self.order = members
@@ -924,6 +926,30 @@ impl GeomSet {
     pub fn matches_with_stats(&mut self, packet: PacketView<'_>) -> (&[FilterId], GeomStats) {
         let (stats, ids) = self.walk(packet, false);
         (ids, stats)
+    }
+
+    /// Ids of the members an evaluation of `packet` runs, in match order:
+    /// those the index selects (after the candidate cap), or every live
+    /// member when the packet is too short for the index.
+    pub fn candidates(&self, packet: PacketView<'_>) -> Vec<FilterId> {
+        let mut slots = Vec::new();
+        if packet.word_len() >= self.fast_min_words {
+            let mut stats = GeomStats::default();
+            Self::gather(
+                &self.index,
+                &self.slots,
+                packet,
+                &mut slots,
+                &mut stats,
+                self.candidate_cap,
+            );
+        } else {
+            slots.extend(self.order.iter().map(|&(_, _, s)| s));
+        }
+        slots
+            .iter()
+            .filter_map(|&s| self.slots[s as usize].as_ref().map(|m| m.id))
+            .collect()
     }
 
     /// Gathers the candidate slots the tuple index selects for `packet`
@@ -976,7 +1002,7 @@ impl GeomSet {
                 Self::gather(index, slots, packet, cand, &mut stats, *candidate_cap);
             for &s in cand.iter() {
                 let m = slots[s as usize].as_ref().expect("retained live");
-                if eval_member(m, packet, *config, &mut stats) {
+                if eval_candidate(m, packet, *config, &mut stats) {
                     scratch.push(m.id);
                     if stop_at_first {
                         break;
@@ -1001,6 +1027,27 @@ impl GeomSet {
         stats.filters_skipped = *live as u32 - stats.filters_evaluated;
         (stats, scratch)
     }
+}
+
+/// Evaluates a member the index selected for a packet at least
+/// `fast_min_words` long: a conjunction runs only the tests its slot does
+/// not prove, which gives the whole filter's verdict and op count.
+fn eval_candidate(
+    m: &GeomMember,
+    packet: PacketView<'_>,
+    config: InterpConfig,
+    stats: &mut GeomStats,
+) -> bool {
+    if let (Some(mask), GeomMemberKind::Compiled(filter)) = (m.residual, &m.kind) {
+        if let Some(conjunction) = filter.conjunction() {
+            stats.filters_evaluated += 1;
+            let (accept, ops) = conjunction.run(packet, mask);
+            stats.ops_executed += ops;
+            stats.residual_rejects += u32::from(!accept);
+            return accept;
+        }
+    }
+    eval_member(m, packet, config, stats)
 }
 
 /// Evaluates one member. [`IrFilter::eval_with_stats`] routes packets
@@ -1655,6 +1702,8 @@ mod tests {
         let (ids, stats) = set.matches_with_stats(PacketView::new(&pkt(35)));
         assert_eq!(ids, [1]);
         assert_eq!(stats.filters_evaluated, 2, "{stats:?}");
+        // Member 2's ethertype test, outside the key, turned it away.
+        assert_eq!(stats.residual_rejects, 1, "{stats:?}");
         let (ids, stats) = set.matches_with_stats(PacketView::new(&pkt(36)));
         assert!(ids.is_empty());
         assert_eq!(stats.filters_evaluated, 0, "{stats:?}");
@@ -1724,5 +1773,57 @@ mod tests {
         let (ids, stats) = set.matches_with_stats(PacketView::new(&pkt(35)));
         assert_eq!(ids, [1, 2]);
         assert_eq!(stats.tuples_probed, 1, "{stats:?}");
+    }
+
+    /// The residual test mask of member `id`.
+    fn residual(set: &GeomSet, id: FilterId) -> Option<u8> {
+        set.slots[set.id_to_slot[&id] as usize]
+            .as_ref()
+            .unwrap()
+            .residual
+    }
+
+    #[test]
+    fn a_slot_drops_the_tests_it_proves() {
+        let programs = [
+            // A directory bucket proves every literal of figure 3-9.
+            samples::fig_3_9_pup_socket_35(),
+            // A range slot proves the socket range, not the ethertype:
+            // tests run range first, so the second is left.
+            samples::socket_range_filter(10, 40, 60),
+            // Figure 3-8 is no conjunction, and the residue holds no slot.
+            samples::fig_3_8_pup_type_range(),
+            samples::accept_all(1),
+        ];
+        let mut set = GeomSet::new();
+        for (id, f) in programs.iter().enumerate() {
+            set.insert(id as FilterId, f.clone());
+        }
+        assert_eq!(residual(&set, 0), Some(0));
+        assert_eq!(residual(&set, 1), Some(0b10));
+        assert_eq!(residual(&set, 2), None);
+        assert_eq!(residual(&set, 3), None);
+
+        let hit = samples::pup_packet_3mb(2, 0, 50, 1);
+        let (ids, stats) = set.matches_with_stats(PacketView::new(&hit));
+        assert_eq!(ids, [1, 2, 3]);
+        assert_eq!(stats.residual_rejects, 0, "{stats:?}");
+        // Selected by its range, refused by its ethertype.
+        let stray = samples::pup_packet_3mb(3, 0, 50, 1);
+        let view = PacketView::new(&stray);
+        let whole: u32 = set
+            .candidates(view)
+            .iter()
+            .map(|&id| {
+                let f = IrFilter::compile(programs[id as usize].clone()).unwrap();
+                f.eval_with_stats(view).1.ops_executed
+            })
+            .sum();
+        let (ids, stats) = set.matches_with_stats(view);
+        assert_eq!(ids, [3]);
+        assert_eq!(stats.filters_evaluated, 3, "{stats:?}");
+        assert_eq!(stats.residual_rejects, 1, "{stats:?}");
+        // The op count is the whole filters', proven tests included.
+        assert_eq!(stats.ops_executed, whole, "{stats:?}");
     }
 }

@@ -416,17 +416,68 @@ fn wide_exact_filter(priority: u8, ethertype: u16, socket: u16) -> FilterProgram
         .finish()
 }
 
+/// A socket-range filter under any Ethernet type: the range and the type
+/// are both required, so either word can key it.
+fn typed_range_filter(priority: u8, ethertype: u16, lo: u16, hi: u16) -> FilterProgram {
+    Assembler::new(priority)
+        .pushword(8)
+        .pushlit_op(BinaryOp::Ge, lo)
+        .pushzero_op(BinaryOp::Cnor)
+        .pushword(8)
+        .pushlit_op(BinaryOp::Le, hi)
+        .pushzero_op(BinaryOp::Cnor)
+        .pushword(1)
+        .pushlit_op(BinaryOp::Eq, ethertype)
+        .finish()
+}
+
+/// `set` answers `view` as a priority-ordered walk of the checked
+/// interpreter over `live` does, and its `ops_executed` is the sum of
+/// its candidates' whole evaluations — threaded code for a member that
+/// compiles, the checked interpreter's count for one that does not —
+/// however few of their tests the index left it to run.
+fn assert_geom_answers(
+    set: &mut GeomSet,
+    live: &[(u32, FilterProgram)],
+    view: PacketView<'_>,
+    ctx: &str,
+) -> Vec<u32> {
+    let checked = CheckedInterpreter::default();
+    let mut order: Vec<usize> = (0..live.len()).collect();
+    order.sort_by_key(|&j| std::cmp::Reverse(live[j].1.priority()));
+    let expect: Vec<u32> = order
+        .into_iter()
+        .filter(|&j| checked.eval(&live[j].1, view))
+        .map(|j| live[j].0)
+        .collect();
+    let ops: u32 = set
+        .candidates(view)
+        .iter()
+        .map(|id| {
+            let (_, f) = live.iter().find(|(fid, _)| fid == id).expect("live");
+            match IrFilter::compile(f.clone()) {
+                Ok(ir) => ir.eval_with_stats(view).1.ops_executed,
+                Err(_) => checked.eval_with_stats(f, view).1.instructions,
+            }
+        })
+        .sum();
+    let (ids, stats) = set.matches_with_stats(view);
+    assert_eq!(ids, expect, "{ctx}: vs checked");
+    assert_eq!(stats.ops_executed, ops, "{ctx}: ops vs whole evaluations");
+    expect
+}
+
 /// Seeded churn for the geometric classifier: a population mixing exact,
 /// range, wider-than-one-key exact and unvalidatable members under
 /// inserts, rebinds of a live id, removals (tombstones), and the
 /// compactions they trigger stays equivalent to a sequential walk of
-/// the checked interpreter and to a from-scratch rebuild. Directory
-/// buckets and interval-tree nodes are where a stale tombstone or a
-/// mis-filed key would surface.
+/// the checked interpreter and to a from-scratch rebuild, op count
+/// included. Directory buckets and interval-tree nodes are where a stale
+/// tombstone or a mis-filed key would surface; a member re-keyed by a
+/// compaction is where a test list trimmed for its old slot would.
 #[test]
 fn geom_set_survives_churn() {
     let mut rng = SplitMix64::new(0x9e0_37a7e);
-    let checked = CheckedInterpreter::default();
     let mut live: Vec<(u32, FilterProgram)> = Vec::new();
     let mut set = GeomSet::new();
     let mut rebinds = 0u32;
@@ -485,18 +536,10 @@ fn geom_set_survives_churn() {
             .collect();
         let views: Vec<PacketView<'_>> = batch.iter().map(|p| PacketView::new(p)).collect();
         for (i, view) in views.iter().enumerate() {
-            let expect: Vec<u32> = {
-                let mut order: Vec<usize> = (0..live.len()).collect();
-                order.sort_by_key(|&j| std::cmp::Reverse(live[j].1.priority()));
-                order
-                    .into_iter()
-                    .filter(|&j| checked.eval(&live[j].1, *view))
-                    .map(|j| live[j].0)
-                    .collect()
-            };
-            let (ids, stats) = set.matches_with_stats(*view);
-            assert_eq!(ids, expect, "step {step} pkt {i}: vs checked");
-            assert_eq!(fresh.matches(*view), expect, "step {step} pkt {i}: fresh");
+            let ctx = format!("step {step} pkt {i}");
+            let expect = assert_geom_answers(&mut set, &live, *view, &ctx);
+            let stats = set.matches_with_stats(*view).1;
+            assert_eq!(fresh.matches(*view), expect, "{ctx}: fresh");
             assert!(
                 stats.filters_evaluated as usize + stats.filters_skipped as usize >= expect.len(),
                 "step {step} pkt {i}: stats account for every match"
@@ -507,6 +550,76 @@ fn geom_set_survives_churn() {
     // tombstone path, at least one compaction, and the rebind path.
     assert!(set.compaction_count() > 0, "compaction never fired");
     assert!(rebinds > 10, "only {rebinds} rebinds");
+
+    // A key that drifts across a compaction. Sixteen ranges over one
+    // socket window under sixteen Ethernet types key on the type word, so
+    // each sits in a directory bucket and is left its range test. Forty
+    // distinct ranges under one type then make the socket word the more
+    // diverse; removals force a compaction, and the four survivors of the
+    // first group are re-keyed into the socket word's range tree, where
+    // only their type test tells them apart. Kept from the old slot, their
+    // range tests would accept a stray type.
+    let mut set = GeomSet::new();
+    let mut live: Vec<(u32, FilterProgram)> = Vec::new();
+    for i in 0..16u16 {
+        let f = typed_range_filter(10, 100 + i, 20, 40);
+        set.insert(u32::from(i), f.clone());
+        live.push((u32::from(i), f));
+    }
+    for i in 0..40u16 {
+        let f = typed_range_filter(10, 100, 20 + 2 * i, 25 + 2 * i);
+        set.insert(u32::from(100 + i), f.clone());
+        live.push((u32::from(100 + i), f));
+    }
+    assert_eq!(set.tuple_count(), 2, "type directory and socket ranges");
+    let probes = |live: &[(u32, FilterProgram)]| -> Vec<Vec<u8>> {
+        let mut types: Vec<u16> = vec![7, 100, 131];
+        types.extend(
+            live.iter()
+                .map(|(id, _)| 100 + *id as u16)
+                .filter(|&t| t < 116),
+        );
+        types
+            .iter()
+            .flat_map(|&t| {
+                (15..110)
+                    .step_by(3)
+                    .map(move |s| samples::pup_packet_3mb(t, 0, s, 1))
+            })
+            .collect()
+    };
+    let mut compactions = set.compaction_count();
+    for (i, p) in probes(&live).iter().enumerate() {
+        assert_geom_answers(
+            &mut set,
+            &live,
+            PacketView::new(p),
+            &format!("drift, before, pkt {i}"),
+        );
+    }
+    while set.compaction_count() == compactions {
+        // The first group down to ids 12..16, then the second from the back.
+        let at = live
+            .iter()
+            .position(|(id, _)| *id < 12)
+            .unwrap_or(live.len() - 1);
+        let (id, _) = live.remove(at);
+        assert!(set.remove(id));
+    }
+    compactions = set.compaction_count();
+    assert_eq!(set.tuple_count(), 1, "everyone re-keyed on the socket word");
+    let mut accepted = 0;
+    for (i, p) in probes(&live).iter().enumerate() {
+        let ids = assert_geom_answers(
+            &mut set,
+            &live,
+            PacketView::new(p),
+            &format!("drift, after, pkt {i}"),
+        );
+        accepted += ids.iter().filter(|&&id| id < 16).count();
+    }
+    assert!(accepted > 0, "no survivor of the first group ever matched");
+    assert_eq!(set.compaction_count(), compactions);
 }
 
 /// Chaos differential: damaged packets — seeded single-bit corruptions

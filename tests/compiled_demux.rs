@@ -4,10 +4,12 @@
 //! runs — while charging its cost as index probes and threaded-code
 //! operations.
 
+use packet_filter::filter::packet::PacketView;
 use packet_filter::filter::samples;
+use packet_filter::ir::{GeomSet, IrFilter};
 use packet_filter::kernel::app::App;
 use packet_filter::kernel::device::DemuxEngine;
-use packet_filter::kernel::types::{Fd, RecvPacket, SockId};
+use packet_filter::kernel::types::{Fd, ProcId, RecvPacket, SockId};
 use packet_filter::kernel::world::{ProcCtx, World};
 use packet_filter::net::medium::Medium;
 use packet_filter::net::segment::FaultModel;
@@ -17,7 +19,7 @@ use packet_filter::proto::ip::{encode_ip, encode_udp, IpHeader, KernelIp, PROTO_
 use packet_filter::proto::pup::PupAddr;
 use packet_filter::sim::cost::CostModel;
 use packet_filter::sim::time::SimTime;
-use packet_filter::SimClock;
+use packet_filter::{PfDevice, SimClock};
 
 #[test]
 fn bsp_transfer_with_loss_under_geom_engine() {
@@ -167,4 +169,63 @@ fn geom_engine_delivery_matches_sequential_and_is_deterministic() {
     assert!(seq.1 && geom1.1, "both engines complete the transfer");
     assert_eq!(seq.2, geom1.2, "identical bytes delivered");
     assert_eq!(geom1, geom2, "geom runs are bit-deterministic");
+}
+
+#[test]
+fn geom_charges_each_candidate_its_threaded_op_count() {
+    // The simulated clock bills a geom demux by `ir_ops`. The index lets
+    // a candidate skip the tests its slot proves, and the bill must still
+    // be each candidate's whole threaded-code evaluation, summed — here
+    // over the paper's figure filters plus a socket range, on hits,
+    // near misses and a truncated frame.
+    let filters = [
+        samples::fig_3_8_pup_type_range(),
+        samples::fig_3_9_pup_socket_35(),
+        samples::pup_socket_filter(10, 0, 44),
+        samples::socket_range_filter(10, 40, 60),
+        samples::ethertype_filter(5, 3),
+    ];
+    let mut dev = PfDevice::builder().engine(DemuxEngine::Geom).build();
+    let mut twin = GeomSet::new();
+    for (i, f) in filters.iter().enumerate() {
+        let port = dev.open((ProcId(0), Fd(i)));
+        assert!(dev.set_filter(port, f.clone()));
+        twin.insert(i as u32, f.clone());
+    }
+    let mut frames = Vec::new();
+    for ethertype in [2u16, 3] {
+        for socket in [35u16, 44, 50, 99] {
+            for ptype in [0u8, 50, 101] {
+                frames.push(samples::pup_packet_3mb_typed(
+                    ethertype, ptype, 0, socket, 1,
+                ));
+            }
+        }
+    }
+    frames.push(samples::pup_packet_3mb(2, 0, 35, 1)[..12].to_vec());
+    let mut billed = 0;
+    for (i, frame) in frames.iter().enumerate() {
+        let view = PacketView::new(frame);
+        let threaded: u32 = twin
+            .candidates(view)
+            .iter()
+            .map(|&id| {
+                let f = IrFilter::compile(filters[id as usize].clone()).unwrap();
+                f.eval_with_stats(view).1.ops_executed
+            })
+            .sum();
+        assert_eq!(dev.demux(frame).ir_ops, threaded, "frame {i}");
+        billed += threaded;
+    }
+    assert!(billed > 0, "no candidate was evaluated");
+    // Figure 3-9's hit: two guards, then load, constant, compare, return.
+    let hit = samples::pup_packet_3mb(2, 0, 35, 1);
+    let fig_3_9 = IrFilter::compile(samples::fig_3_9_pup_socket_35()).unwrap();
+    assert_eq!(
+        fig_3_9
+            .eval_with_stats(PacketView::new(&hit))
+            .1
+            .ops_executed,
+        6
+    );
 }
