@@ -1,5 +1,5 @@
 //! Runs the campaigns behind the committed `BENCH_*.json` artifacts: all
-//! seven with no argument, or the named ones (`campaign mc overload`).
+//! six with no argument, or the named ones (`campaign mc overload`).
 //! Every claim a campaign makes is an `assert!` inside its sweep, so a
 //! zero exit *is* the proof; the artifact is one row per line.
 //!
@@ -7,7 +7,7 @@
 //! cargo run -p pf-bench --release --bin campaign                 # every full sweep, each into its BENCH_<name>.json
 //! cargo run -p pf-bench --release --bin campaign -- mc           # one full sweep into BENCH_mc.json
 //! cargo run -p pf-bench --release --bin campaign -- mc --smoke   # the tiny CI sweep, printed
-//! cargo run -p pf-bench --release --bin campaign -- net --out /tmp/net.json
+//! cargo run -p pf-bench --release --bin campaign -- fabric --out /tmp/fabric.json
 //! cargo run -p pf-bench --release --bin campaign -- adversary --stdout --seed 0xC0FFEE
 //! ```
 

@@ -8,8 +8,6 @@
 //!   under any fault mix with loss ≤ 30% (checksums discard the damaged
 //!   frames, retransmission recovers them), and a total blackout ends in
 //!   a *bounded* give-up rather than an unbounded retry storm;
-//! * **engines**: corrupted and truncated packets get one verdict from
-//!   every execution engine in the workspace;
 //! * **kernel**: overflowing ports shed packets per their configured
 //!   policy, and quarantined filters (validation-rejected or
 //!   over-budget) keep being served by the checked interpreter.
@@ -20,12 +18,9 @@
 //! violation is an `assert!` with the seed in its message.
 
 use crate::json::Json;
-use pf_filter::interp::{CheckedInterpreter, InterpConfig};
-use pf_filter::packet::PacketView;
 use pf_filter::program::{Assembler, FilterProgram};
 use pf_filter::samples;
 use pf_filter::word::BinaryOp;
-use pf_ir::{singleton_engines, FilterEngine};
 use pf_kernel::device::DemuxEngine;
 use pf_kernel::types::{Fd, OverflowPolicy, ProcId, RecvPacket};
 use pf_kernel::PfDevice;
@@ -408,98 +403,6 @@ pub fn shortcircuit_then_garbage(priority: u8, sock: u16) -> FilterProgram {
     FilterProgram::from_words(priority, words)
 }
 
-/// One engine-agreement tally over mutated packets.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineAgreement {
-    /// Filter programs exercised.
-    pub programs: usize,
-    /// Mutated packets evaluated (bit-flip mutants plus every prefix).
-    pub packets: u64,
-    /// Individual engine verdicts compared against the checked reference.
-    pub verdicts: u64,
-    /// Verdicts that differed (must be zero).
-    pub disagreements: u64,
-}
-
-/// Feeds corrupted and truncated packets to every execution surface the
-/// workspace has — the full [`pf_ir::singleton_engines`] ladder, from the
-/// checked interpreter through the set engines to the template JIT when
-/// the `jit` feature is on — and counts verdicts that disagree with the
-/// checked reference.
-pub fn engine_agreement(seed: u64, rounds: usize) -> EngineAgreement {
-    let mut rng = SplitMix64::new(seed);
-    let checked = CheckedInterpreter::default();
-    let valid: Vec<FilterProgram> = vec![
-        samples::fig_3_8_pup_type_range(),
-        samples::fig_3_9_pup_socket_35(),
-        samples::pup_socket_filter(10, 0, 35),
-        samples::ethertype_filter(9, samples::PUP_ETHERTYPE_3MB),
-        samples::padded_accept_filter(5, 12),
-    ];
-    // Per-program engine stack, built once by the shared factory.
-    struct Stack {
-        program: FilterProgram,
-        engines: Vec<Box<dyn FilterEngine>>,
-    }
-    let build = |program: FilterProgram| -> Stack {
-        let engines = singleton_engines(&program, InterpConfig::default());
-        Stack { program, engines }
-    };
-    let mut stacks: Vec<Stack> = valid.into_iter().map(build).collect();
-    // One validation-rejected program rides along: the factory hands out
-    // only the checked-fallback surfaces for it, and they must still agree.
-    stacks.push(build(shortcircuit_then_garbage(7, 35)));
-    {
-        let rejected = stacks.last().expect("non-empty");
-        assert!(rejected.engines.len() < stacks[0].engines.len());
-    }
-
-    let mut out = EngineAgreement {
-        programs: stacks.len(),
-        ..Default::default()
-    };
-    for round in 0..rounds {
-        let base: Vec<u8> = match round % 3 {
-            0 => samples::pup_packet_3mb(samples::PUP_ETHERTYPE_3MB, 0, 35, 1),
-            1 => samples::pup_packet_3mb(
-                rng.below(6) as u16,
-                rng.below(2) as u16,
-                30 + rng.below(12) as u16,
-                rng.below(120) as u8,
-            ),
-            _ => (0..rng.below(64) as usize)
-                .map(|_| rng.next_u64() as u8)
-                .collect(),
-        };
-        // Corruption mutants: four independent single-bit flips.
-        let mut mutants: Vec<Vec<u8>> = (0..4)
-            .filter(|_| !base.is_empty())
-            .map(|_| {
-                let mut m = base.clone();
-                let at = rng.below(m.len() as u64) as usize;
-                m[at] ^= 1u8 << rng.below(8);
-                m
-            })
-            .collect();
-        // Truncation mutants: every prefix, including empty.
-        mutants.extend((0..=base.len()).map(|k| base[..k].to_vec()));
-        for m in &mutants {
-            out.packets += 1;
-            let view = PacketView::new(m);
-            for s in &mut stacks {
-                let expect = checked.eval(&s.program, view);
-                for engine in &mut s.engines {
-                    out.verdicts += 1;
-                    if engine.matches(m).is_some() != expect {
-                        out.disagreements += 1;
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Kernel-degradation scenario results.
 #[derive(Debug, Clone, Copy)]
 pub struct DegradationReport {
@@ -605,16 +508,14 @@ pub struct ChaosPoint {
     pub run: ProtoRun,
 }
 
-/// The whole campaign: protocol sweep plus the engine-agreement and
-/// kernel-degradation scenarios.
+/// The whole campaign: protocol sweep plus the kernel-degradation
+/// scenario.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// Base seed the campaign ran under (recorded for replay).
     pub seed: u64,
     /// Protocol sweep rows.
     pub rows: Vec<ChaosPoint>,
-    /// Engine-agreement tally (disagreements must be zero).
-    pub engines: EngineAgreement,
     /// Kernel-degradation scenario results.
     pub kernel: DegradationReport,
 }
@@ -622,9 +523,9 @@ pub struct ChaosReport {
 /// Runs the campaign and asserts its invariants: under any swept fault
 /// mix with loss ≤ 30% every BSP byte and VMTP transaction arrives
 /// exactly; under a blackout the sender gives up after a bounded number
-/// of retransmissions; every engine agrees on damaged packets; the
-/// kernel degrades per policy. A violated invariant panics with the
-/// offending seed, so a completed sweep *is* the zero-panic proof.
+/// of retransmissions; the kernel degrades per policy. A violated
+/// invariant panics with the offending seed, so a completed sweep *is*
+/// the zero-panic proof.
 pub fn sweep(smoke: bool, base_seed: u64) -> ChaosReport {
     // XOR-mixing against the default keeps every historic sub-seed
     // intact when `base_seed == DEFAULT_SEED` and reshuffles all of them
@@ -718,13 +619,6 @@ pub fn sweep(smoke: bool, base_seed: u64) -> ChaosReport {
         run: vmtp,
     });
 
-    let engines = engine_agreement(0xE6E1_5EED ^ mix, if smoke { 8 } else { 40 });
-    assert_eq!(
-        engines.disagreements, 0,
-        "engines disagreed on damaged packets: {engines:?}"
-    );
-    assert!(engines.verdicts > 0);
-
     let kernel = kernel_degradation(0xDE6_0001 ^ mix);
     assert_eq!(kernel.quarantined_ports, 2, "{kernel:?}");
     assert!(kernel.quarantine_accepts > 0, "{kernel:?}");
@@ -738,7 +632,6 @@ pub fn sweep(smoke: bool, base_seed: u64) -> ChaosReport {
     ChaosReport {
         seed: base_seed,
         rows,
-        engines,
         kernel,
     }
 }
@@ -767,30 +660,21 @@ impl ChaosPoint {
 }
 
 impl ChaosReport {
-    /// The campaign's artifact: every protocol run, the engine-agreement
-    /// totals and the kernel-degradation counters.
+    /// The campaign's artifact: every protocol run and the
+    /// kernel-degradation counters.
     pub fn json(&self) -> Json {
-        let (e, k) = (&self.engines, &self.kernel);
+        let k = &self.kernel;
         Json::object([
             ("experiment", "chaos".into()),
             (
                 "workload",
                 "checksummed BSP transfers and VMTP transactions through a seeded fault \
                  channel (loss/corruption/truncation/reorder/duplication), plus \
-                 engine-agreement and kernel-degradation scenarios"
+                 kernel-degradation scenarios"
                     .into(),
             ),
             ("seed", self.seed.into()),
             ("rows", Json::array(&self.rows, ChaosPoint::json)),
-            (
-                "engine_agreement",
-                Json::object([
-                    ("programs", e.programs.into()),
-                    ("packets", e.packets.into()),
-                    ("verdicts", e.verdicts.into()),
-                    ("disagreements", e.disagreements.into()),
-                ]),
-            ),
             (
                 "kernel_degradation",
                 Json::object([
@@ -874,14 +758,6 @@ mod tests {
         let vmtp = run_vmtp(6, blackout, 1, 50);
         assert!(vmtp.gave_up && !vmtp.delivered, "{vmtp:?}");
         assert_eq!(vmtp.retransmits, u64::from(MAX_RETRIES), "{vmtp:?}");
-    }
-
-    #[test]
-    fn engines_agree_on_damaged_packets() {
-        let a = engine_agreement(0xA6EE, 6);
-        assert_eq!(a.disagreements, 0, "{a:?}");
-        assert!(a.packets > 100, "{a:?}");
-        assert_eq!(a.programs, 6);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! campaigns have a command line of their own:
 //! `campaign [name …] [--smoke] [--stdout] [--out <path>] [--seed <u64>]`.
 //!
-//! * a name selects a campaign of [`CAMPAIGNS`]; no name selects all seven;
+//! * a name selects a campaign of [`CAMPAIGNS`]; no name selects all six;
 //! * `--smoke` — the tiny CI sweep instead of the full one, printed to
 //!   stdout so that it never replaces a committed full-sweep artifact;
 //! * `--stdout` — print the artifact instead of writing a file;
@@ -14,7 +14,7 @@
 use crate::json::Json;
 use crate::report::{cells_tsv, Report};
 use crate::{ablations, breakeven, figures, profile61, recvcost, sendcost};
-use crate::{adversary, chaos, demux_json, fabric, mc, netbench, overload};
+use crate::{adversary, chaos, demux_json, fabric, mc, overload};
 use crate::{streams, telnet_exp, vmtp_exp};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -73,7 +73,7 @@ pub fn paper_report(names: &[String], cells: bool) -> String {
 pub type Campaign = (&'static str, u64, fn(bool, u64) -> Json);
 
 /// Every campaign, cheapest first.
-pub const CAMPAIGNS: [Campaign; 7] = [
+pub const CAMPAIGNS: [Campaign; 6] = [
     ("chaos", chaos::DEFAULT_SEED, |smoke, seed| {
         chaos::sweep(smoke, seed).json()
     }),
@@ -88,11 +88,8 @@ pub const CAMPAIGNS: [Campaign; 7] = [
         let (ladder, churn) = demux_json::range_sweep(smoke);
         demux_json::json(&demux_json::sweep(smoke), &ladder, &churn, seed)
     }),
-    ("fabric", netbench::DEFAULT_SEED, |smoke, seed| {
+    ("fabric", fabric::DEFAULT_SEED, |smoke, seed| {
         fabric::sweep(smoke, seed).json()
-    }),
-    ("net", netbench::DEFAULT_SEED, |smoke, seed| {
-        netbench::sweep(smoke, seed).json()
     }),
 ];
 
@@ -217,7 +214,7 @@ mod tests {
         assert!(a.smoke);
         assert!(!a.stdout);
         assert_eq!(a.destination("mc"), Some("x.json".into()));
-        assert!(a.selects("mc") && !a.selects("net"));
+        assert!(a.selects("mc") && !a.selects("fabric"));
     }
 
     #[test]
@@ -233,17 +230,17 @@ mod tests {
 
     #[test]
     fn stdout_wins_over_paths_and_smoke_never_replaces_an_artifact() {
-        let a = parse(&["net", "--stdout", "--out", "x.json"]).unwrap();
-        assert_eq!(a.destination("net"), None);
-        let a = parse(&["mc", "net", "--smoke"]).unwrap();
-        assert_eq!((a.destination("mc"), a.destination("net")), (None, None));
+        let a = parse(&["fabric", "--stdout", "--out", "x.json"]).unwrap();
+        assert_eq!(a.destination("fabric"), None);
+        let a = parse(&["mc", "fabric", "--smoke"]).unwrap();
+        assert_eq!((a.destination("mc"), a.destination("fabric")), (None, None));
     }
 
     #[test]
     fn out_needs_exactly_one_name() {
         let e = parse(&["--out", "x.json"]).unwrap_err();
         assert!(e.contains("exactly one campaign name, got 0"), "{e}");
-        let e = parse(&["mc", "net", "--out", "x.json"]).unwrap_err();
+        let e = parse(&["mc", "fabric", "--out", "x.json"]).unwrap_err();
         assert!(e.contains("exactly one campaign name, got 2"), "{e}");
         assert!(parse(&["mc", "--out"]).is_err(), "missing path");
     }
@@ -261,7 +258,7 @@ mod tests {
     #[test]
     fn unknown_names_and_flags_list_the_valid_vocabulary() {
         // A misspelled `--smoke` or campaign must fail loudly (not silently
-        // run the full sweep of all seven) and say what would have worked.
+        // run the full sweep of all six) and say what would have worked.
         for wrong in ["--smok", "demuxx"] {
             let e = parse(&["mc", wrong]).unwrap_err();
             assert!(e.contains(wrong), "{e}");

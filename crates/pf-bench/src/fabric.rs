@@ -1,14 +1,26 @@
-//! The fault-tolerant-fabric campaign (`BENCH_fabric.json`): routed
-//! topologies under router/link chaos, undefended versus hardened,
-//! with the recovery claims asserted inside the sweep.
+//! The routed-fabric campaign (`BENCH_fabric.json`): [`flowgen`]
+//! workloads over rings of routers, fault-free and under router/link
+//! chaos.
 //!
-//! Each cell builds the standard ring-of-routers topology, attaches a
-//! [`FabricSchedule`] (router kill, link flap train, or a partition
-//! that isolates one router and later heals), drives a flowgen
-//! workload through it, and runs the same world twice: once with plain
-//! static routers ([`deploy`]) and once with the hardened resilience
-//! plane ([`deploy_hardened`] — hello probing, backup failover, LSU
-//! flooding, residual reconvergence). The sweep is its own referee:
+//! Every cell builds the standard [`ring_topology`], synthesizes a flowgen
+//! schedule and injects it as IP-over-Ethernet frames from the hosts. The
+//! artifact has two sections, and each is its own referee.
+//!
+//! **`steady`** sweeps ring size × flow count with no fault schedule, under
+//! plain static routers ([`deploy`]): Poisson arrivals, elephants and mice,
+//! a 20% incast hot spot on host 0, all three transports, and two mid-run
+//! flips of router 0's route to the antipodal LAN. Each cell runs once and
+//! asserts **exact routed delivery**: every host receives precisely the
+//! packets addressed to it, with no interface drop, no routing black hole,
+//! no TTL death and no unroutable frame, at every size up to 256 nodes ×
+//! 100k flows. Its row records `World::history_digest`, so the committed
+//! artifact holds the run's history, not only its totals.
+//!
+//! **`rows`** attaches a [`FabricSchedule`] (router kill, link flap train,
+//! or a partition that isolates one router and later heals) and runs each
+//! cell twice: once with plain static routers ([`deploy`]) and once with
+//! the hardened resilience plane ([`deploy_hardened`] — hello probing,
+//! backup failover, LSU flooding, residual reconvergence):
 //!
 //! * **Undefended blackholes are exact**: with no control plane and no
 //!   stochastic faults, every lost packet is accounted one-for-one at
@@ -24,19 +36,57 @@
 //!   downhill and LSU floods precede rerouted data FIFO-wise, so even
 //!   transient disagreement never cycles a packet to death.
 
-use crate::flowgen::{self, Arrival, FlowSpec, Pattern, SizeMix, Transport};
+use crate::flowgen::{self, Arrival, FlowPacket, FlowSpec, Pattern, SizeMix, Transport};
 use crate::json::Json;
-use crate::netbench::ring_topology;
 use pf_kernel::World;
 use pf_net::fabric::FabricSchedule;
-use pf_net::frame;
+use pf_net::medium::Medium;
+use pf_net::segment::FaultModel;
+use pf_net::topology::Route;
 use pf_net::{LinkId, NodeId, Topology};
-use pf_proto::ip::{encode_ip, IpHeader, IP_ETHERTYPE};
-use pf_proto::router::{deploy, deploy_hardened, HelloConfig};
+use pf_proto::router::{deploy, deploy_hardened, ip_frame, DeployedTopology, HelloConfig};
 use pf_sim::cost::CostModel;
 use pf_sim::time::{SimDuration, SimTime};
 use pf_sim::SimClock;
-use std::collections::HashMap;
+
+/// Default workload seed (spells "flow seed", squinting).
+pub const DEFAULT_SEED: u64 = 0xF10E_5EED;
+
+/// A ring of `nodes/4` routers, each with a 3-host LAN: the sweep's
+/// standard shape. Returns the frozen plan plus the router and host
+/// node ids (hosts in endpoint order).
+pub fn ring_topology(nodes: usize) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
+    assert!(nodes >= 2, "need at least one router and one host");
+    let r_count = (nodes / 4).max(1);
+    let h_count = nodes - r_count;
+    let mut b = Topology::builder();
+    let routers: Vec<NodeId> = (0..r_count).map(|i| b.router(format!("r{i}"))).collect();
+    let hosts: Vec<NodeId> = (0..h_count).map(|i| b.host(format!("h{i}"))).collect();
+    let m = Medium::standard_10mb();
+    // Ring links first (link ids 0..r_count), then one LAN per router
+    // (link id r_count + r) — the churn flips and the fault scenarios
+    // depend on this order.
+    if r_count >= 3 {
+        for i in 0..r_count {
+            b.link(
+                routers[i],
+                routers[(i + 1) % r_count],
+                m,
+                FaultModel::default(),
+            );
+        }
+    } else if r_count == 2 {
+        b.link(routers[0], routers[1], m, FaultModel::default());
+    }
+    for (r, router) in routers.iter().enumerate() {
+        let mut members = vec![*router];
+        members.extend(hosts.iter().skip(r).step_by(r_count));
+        if members.len() >= 2 {
+            b.lan(&members, m, FaultModel::default());
+        }
+    }
+    (b.build(), routers, hosts)
+}
 
 /// When the first fault hits (traffic starts at ~0 and runs to ~2.3s,
 /// so there is ample pre-fault and post-fault signal).
@@ -124,7 +174,7 @@ impl Scenario {
     }
 }
 
-/// One campaign row: a (scenario × size × deploy) cell.
+/// One `rows` entry: a (scenario × size × deploy) cell.
 #[derive(Debug, Clone)]
 pub struct FabricPoint {
     pub scenario: &'static str,
@@ -161,6 +211,37 @@ pub struct FabricPoint {
     /// Latest route-table change across all routers, relative to the
     /// first fault, milliseconds (0 when no table ever changed).
     pub convergence_ms: f64,
+    /// `World::history_digest` at the horizon.
+    pub history_digest: u64,
+    pub wall_ms: f64,
+}
+
+/// One `steady` row: a fault-free (size × flows) cell under static routes.
+#[derive(Debug, Clone)]
+pub struct SteadyPoint {
+    /// Total nodes (routers + hosts).
+    pub nodes: usize,
+    /// Router count (ring size).
+    pub routers: usize,
+    /// Host count.
+    pub hosts: usize,
+    /// Segment count (ring links + host LANs).
+    pub links: usize,
+    /// Flows synthesized.
+    pub flows: usize,
+    /// Packets scheduled (elephants make this > flows).
+    pub packets: usize,
+    /// Route flips injected mid-run.
+    pub churn_events: usize,
+    /// Packets received by their addressed host (asserted: all of them).
+    pub delivered: u64,
+    /// Router forward operations summed over the run.
+    pub forwarded: u64,
+    /// Final virtual time, nanoseconds.
+    pub sim_end_ns: u64,
+    /// `World::history_digest` at the end of the run.
+    pub history_digest: u64,
+    /// Wall-clock run time, milliseconds.
     pub wall_ms: f64,
 }
 
@@ -175,10 +256,11 @@ pub struct FabricReport {
     pub conv_base_ms: u64,
     pub conv_per_hop_ms: u64,
     pub rows: Vec<FabricPoint>,
+    pub steady: Vec<SteadyPoint>,
 }
 
 /// Everything simulated that a run produced (wall time excluded).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct RunOutcome {
     received: Vec<u64>,
     snapshots: Vec<Vec<u64>>,
@@ -197,9 +279,10 @@ struct RunOutcome {
     last_change_ns: u64,
     /// Routers whose forwarder ran at least one reconvergence.
     reconverged_routers: usize,
+    digest: u64,
 }
 
-fn cell_spec(flows: usize) -> FlowSpec {
+fn fault_spec(flows: usize) -> FlowSpec {
     FlowSpec {
         flows,
         // Spread arrivals across the whole pre/during/post-fault
@@ -217,11 +300,187 @@ fn cell_spec(flows: usize) -> FlowSpec {
     }
 }
 
+/// The `steady` workload: Poisson flow arrivals scaled to the flow count,
+/// a bimodal size mix, a 20% incast hot spot on host 0, all three
+/// transports cycled, and two route flips whenever the ring is big enough
+/// to have antipodal paths.
+fn steady_spec(flows: usize, routers: usize) -> FlowSpec {
+    FlowSpec {
+        flows,
+        arrival: Arrival::Poisson {
+            rate_fps: flows as f64 * 50.0,
+        },
+        sizes: SizeMix::ElephantsAndMice {
+            mice: 1,
+            elephants: 4,
+            elephant_fraction: 0.1,
+        },
+        pattern: Pattern::Incast { fraction: 0.2 },
+        transports: vec![Transport::Udp, Transport::Bsp, Transport::Vmtp],
+        payload: 64,
+        packet_gap_ns: 200_000,
+        churn_events: if routers >= 4 && routers.is_multiple_of(2) {
+            2
+        } else {
+            0
+        },
+        start: SimTime(1_000),
+    }
+}
+
 fn ip_proto(t: Transport) -> u8 {
     match t {
         Transport::Udp => 17,
         Transport::Bsp => 99,
         Transport::Vmtp => 81,
+    }
+}
+
+/// A cell's own seed: the campaign's, mixed with the cell's shape.
+fn cell_seed(seed: u64, nodes: usize, flows: usize) -> u64 {
+    seed ^ ((nodes as u64) << 32) ^ flows as u64
+}
+
+/// A world running `topo` — hardened routers under `hello`, plain static
+/// ones without — with `packets` scheduled as IP frames of TTL `ttl` from
+/// their source hosts. Every host's NIC ring is deep enough for the
+/// incast victim's standing backlog, so an interface drop is a routing
+/// fault, not luck.
+fn loaded_world(
+    topo: &Topology,
+    hosts: &[NodeId],
+    packets: &[FlowPacket],
+    hello: Option<HelloConfig>,
+    ttl: u8,
+    seed: u64,
+) -> (World, DeployedTopology) {
+    let mut w = World::new(seed);
+    let costs = CostModel::microvax_ii();
+    let d = match hello {
+        Some(cfg) => deploy_hardened(topo, &mut w, &costs, cfg),
+        None => deploy(topo, &mut w, &costs),
+    };
+    for h in hosts {
+        w.set_nic_capacity(d.host(*h), 1 << 20);
+    }
+    for p in packets {
+        let (src, dst) = (hosts[p.src], hosts[p.dst]);
+        let payload = vec![0xA5; p.payload];
+        let frame = ip_frame(topo, src, dst, ip_proto(p.transport), ttl, &payload);
+        w.send_frame_at(d.host(src), frame, p.at);
+    }
+    (w, d)
+}
+
+/// Per-host receive counts, the routers' stats summed and the history
+/// digest, asserting what every cell of both sections must hold: no
+/// host's NIC overran and no router saw an unroutable frame.
+fn outcome(w: &World, d: &DeployedTopology, routers: &[NodeId], hosts: &[NodeId]) -> RunOutcome {
+    let mut out = RunOutcome {
+        received: hosts
+            .iter()
+            .map(|h| w.counters(d.host(*h)).packets_received)
+            .collect(),
+        digest: w.history_digest(),
+        ..RunOutcome::default()
+    };
+    for (i, h) in hosts.iter().enumerate() {
+        let overruns = w.counters(d.host(*h)).drops_interface;
+        assert_eq!(overruns, 0, "host {i}: a NIC overrun");
+    }
+    for r in routers {
+        let id = d.router(*r);
+        let s = w.router_stats(id);
+        out.forwarded += s.forwarded;
+        out.ttl_expired += s.ttl_expired;
+        out.no_route += s.no_route;
+        out.hellos_sent += s.hellos_sent;
+        out.control_in += s.control_in;
+        out.neighbors_lost += s.neighbors_lost;
+        out.neighbors_recovered += s.neighbors_recovered;
+        out.failovers += s.failovers;
+        out.reconvergences += s.reconvergences;
+        out.route_churn += s.route_churn;
+        out.last_change_ns = out.last_change_ns.max(s.last_route_change_ns);
+        if s.reconvergences > 0 {
+            out.reconverged_routers += 1;
+        }
+        out.dropped_down += w.router_counters(id).frames_dropped_down;
+        assert_eq!(s.not_routable, 0, "every injected frame is routable");
+    }
+    out
+}
+
+/// Router 0's route to the antipodal router's LAN: clockwise over ring
+/// link 0, or counter-clockwise over the last ring link. Router 0 sits
+/// exactly between these two equal-cost paths, so flipping between them
+/// keeps delivery exact.
+fn antipodal_route(topo: &Topology, routers: &[NodeId], counter: bool) -> Route {
+    let r_count = routers.len();
+    let (iface, neighbor) = if counter { (1, r_count - 1) } else { (0, 1) };
+    let link = LinkId(if counter { r_count - 1 } else { 0 });
+    let next_hop = topo
+        .interfaces(routers[neighbor])
+        .iter()
+        .find(|i| i.link == link)
+        .expect("the neighbor is on the ring link")
+        .ip;
+    Route {
+        prefix: topo.subnet(LinkId(r_count + r_count / 2)),
+        len: 24,
+        iface,
+        next_hop: Some(next_hop),
+    }
+}
+
+/// Runs one `steady` cell: injects the whole schedule, runs it to the
+/// end (pausing at each churn instant to flip router 0's antipodal
+/// route), and asserts exact, drop-free delivery.
+fn run_steady(nodes: usize, flows: usize, seed: u64) -> SteadyPoint {
+    let (topo, routers, hosts) = ring_topology(nodes);
+    let spec = steady_spec(flows, routers.len());
+    let seed = cell_seed(seed, nodes, flows);
+    let packets = flowgen::generate(&spec, hosts.len(), seed);
+    let churn = flowgen::churn_times(&spec, &packets);
+    let (mut w, d) = loaded_world(&topo, &hosts, &packets, None, 64, seed);
+
+    let started = std::time::Instant::now();
+    for (k, &at) in churn.iter().enumerate() {
+        SimClock::run_until(&mut w, at);
+        let route = antipodal_route(&topo, &routers, k % 2 == 1);
+        assert!(
+            w.update_route(d.router(routers[0]), route),
+            "router 0 must accept the churn route"
+        );
+    }
+    SimClock::run(&mut w);
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+
+    let out = outcome(&w, &d, &routers, &hosts);
+    let cell = format!("steady {nodes} nodes/{flows} flows");
+    assert_eq!(out.no_route, 0, "{cell}: static routes cover every subnet");
+    assert_eq!(out.ttl_expired, 0, "{cell}: TTL 64 outlives the ring");
+    let mut expected = vec![0u64; hosts.len()];
+    for p in &packets {
+        expected[p.dst] += 1;
+    }
+    assert_eq!(
+        out.received, expected,
+        "{cell}: every host receives exactly its addressed packets"
+    );
+    SteadyPoint {
+        nodes,
+        routers: routers.len(),
+        hosts: hosts.len(),
+        links: topo.link_count(),
+        flows,
+        packets: packets.len(),
+        churn_events: spec.churn_events,
+        delivered: sum(&out.received),
+        forwarded: out.forwarded,
+        sim_end_ns: w.now().0,
+        history_digest: out.digest,
+        wall_ms,
     }
 }
 
@@ -233,31 +492,6 @@ fn lan_router(topo: &Topology, host: NodeId) -> NodeId {
         .iter()
         .find(|m| topo.kind(**m) == pf_net::topology::NodeKind::Router)
         .expect("every LAN hangs off a router")
-}
-
-/// The router sequence a packet takes under the static plan, by
-/// walking the plan route tables from the source's LAN router.
-fn plan_path(
-    topo: &Topology,
-    ip2router: &HashMap<u32, NodeId>,
-    src_host: NodeId,
-    dst_ip: u32,
-) -> Vec<NodeId> {
-    let mut cur = lan_router(topo, src_host);
-    let mut path = vec![cur];
-    loop {
-        let r = topo
-            .route_table(cur)
-            .lookup(dst_ip)
-            .expect("the plan covers every subnet");
-        match r.next_hop {
-            None => return path,
-            Some(nh) => {
-                cur = *ip2router.get(&nh).expect("next hop is a router iface");
-                path.push(cur);
-            }
-        }
-    }
 }
 
 /// Builds the cell's world (with the scenario's fault schedule
@@ -272,52 +506,15 @@ fn run_cell(
 ) -> (RunOutcome, f64) {
     let (base, routers, hosts) = ring_topology(nodes);
     let topo = base.with_fabric(scenario.schedule(&routers));
-    let cell_seed = seed ^ ((nodes as u64) << 32) ^ flows as u64;
-    let packets = flowgen::generate(&cell_spec(flows), hosts.len(), cell_seed);
-
-    let mut w = World::new(cell_seed);
-    let costs = CostModel::microvax_ii();
-    let d = if hardened {
-        deploy_hardened(&topo, &mut w, &costs, HelloConfig::default())
-    } else {
-        deploy(&topo, &mut w, &costs)
-    };
-    for h in &hosts {
-        w.set_nic_capacity(d.host(*h), 1 << 20);
-    }
-
-    for p in &packets {
-        let src = hosts[p.src];
-        let dst_ip = topo.ip(hosts[p.dst]);
-        let (iface, next_eth) = topo.first_hop(src, dst_ip).expect("ring is connected");
-        let src_if = topo.interfaces(src)[iface];
-        let packet = encode_ip(
-            &IpHeader {
-                proto: ip_proto(p.transport),
-                // A reroute can double a packet's path mid-flight
-                // (forward progress toward the cut, then the full
-                // detour the other way around the ring): 64-router
-                // rings legitimately need ~95 hops. With the budget
-                // covering any single detour, every TTL expiry left is
-                // a genuine forwarding loop — which the campaign
-                // asserts never happens.
-                ttl: 255,
-                src: topo.ip(src),
-                dst: dst_ip,
-                total_len: 0,
-            },
-            &vec![0xA5u8; p.payload],
-        );
-        let f = frame::build(
-            topo.medium(src_if.link),
-            next_eth,
-            src_if.eth,
-            IP_ETHERTYPE,
-            &packet,
-        )
-        .expect("frame fits the medium");
-        w.send_frame_at(d.host(src), f, p.at);
-    }
+    let seed = cell_seed(seed, nodes, flows);
+    let packets = flowgen::generate(&fault_spec(flows), hosts.len(), seed);
+    // A reroute can double a packet's path mid-flight (forward progress
+    // toward the cut, then the full detour the other way around the
+    // ring): 64-router rings legitimately need ~95 hops. With TTL 255
+    // covering any single detour, every TTL expiry left is a genuine
+    // forwarding loop — which the campaign asserts never happens.
+    let hello = hardened.then(HelloConfig::default);
+    let (mut w, d) = loaded_world(&topo, &hosts, &packets, hello, 255, seed);
 
     let check = scenario.check_at(routers.len());
     let snapshot_times: Vec<SimTime> = match scenario {
@@ -343,55 +540,8 @@ fn run_cell(
     SimClock::run_until(&mut w, DRAIN_AT);
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
-    let received: Vec<u64> = hosts
-        .iter()
-        .map(|h| w.counters(d.host(*h)).packets_received)
-        .collect();
-    for (i, h) in hosts.iter().enumerate() {
-        assert_eq!(
-            w.counters(d.host(*h)).drops_interface,
-            0,
-            "host {i}: NIC overruns would corrupt the loss accounting"
-        );
-    }
-    let mut out = RunOutcome {
-        received,
-        snapshots,
-        dropped_down: 0,
-        cut_link_drops: 0,
-        forwarded: 0,
-        ttl_expired: 0,
-        no_route: 0,
-        hellos_sent: 0,
-        control_in: 0,
-        neighbors_lost: 0,
-        neighbors_recovered: 0,
-        failovers: 0,
-        reconvergences: 0,
-        route_churn: 0,
-        last_change_ns: 0,
-        reconverged_routers: 0,
-    };
-    for r in &routers {
-        let id = d.router(*r);
-        let s = w.router_stats(id);
-        out.forwarded += s.forwarded;
-        out.ttl_expired += s.ttl_expired;
-        out.no_route += s.no_route;
-        out.hellos_sent += s.hellos_sent;
-        out.control_in += s.control_in;
-        out.neighbors_lost += s.neighbors_lost;
-        out.neighbors_recovered += s.neighbors_recovered;
-        out.failovers += s.failovers;
-        out.reconvergences += s.reconvergences;
-        out.route_churn += s.route_churn;
-        out.last_change_ns = out.last_change_ns.max(s.last_route_change_ns);
-        if s.reconvergences > 0 {
-            out.reconverged_routers += 1;
-        }
-        out.dropped_down += w.router_counters(id).frames_dropped_down;
-        assert_eq!(s.not_routable, 0, "every injected frame is routable");
-    }
+    let mut out = outcome(&w, &d, &routers, &hosts);
+    out.snapshots = snapshots;
     let cut_links: &[usize] = match scenario {
         Scenario::RouterKill => &[],
         Scenario::LinkFlap => &[0],
@@ -417,14 +567,11 @@ struct CellPlan {
 
 fn plan_cell(scenario: Scenario, nodes: usize, flows: usize, seed: u64) -> CellPlan {
     let (topo, routers, hosts) = ring_topology(nodes);
-    let cell_seed = seed ^ ((nodes as u64) << 32) ^ flows as u64;
-    let packets = flowgen::generate(&cell_spec(flows), hosts.len(), cell_seed);
-    let mut ip2router = HashMap::new();
-    for r in &routers {
-        for i in topo.interfaces(*r) {
-            ip2router.insert(i.ip, *r);
-        }
-    }
+    let packets = flowgen::generate(
+        &fault_spec(flows),
+        hosts.len(),
+        cell_seed(seed, nodes, flows),
+    );
     let victim = routers[1];
     let check = scenario.check_at(routers.len());
     let mut expected_after_check = 0;
@@ -447,8 +594,6 @@ fn plan_cell(scenario: Scenario, nodes: usize, flows: usize, seed: u64) -> CellP
             // Surviving-path traffic the hardened fabric must carry
             // *through* the partition (detour around the isolated
             // router), not merely after the heal.
-            let path = plan_path(&topo, &ip2router, src, topo.ip(dst));
-            let _ = path; // endpoints decide survival; path kept for clarity
             expected_during += 1;
         }
     }
@@ -463,11 +608,22 @@ fn sum(v: &[u64]) -> u64 {
     v.iter().sum()
 }
 
-/// Runs the campaign. `smoke` shrinks the grid for CI; every assert
-/// still fires. Panics (never lies) when undefended loss accounting is
-/// inexact, hardened recovery misses its bound, any TTL expires, or
-/// churn exceeds its cap.
+/// Runs the campaign. `smoke` shrinks both grids for CI; every assert
+/// still fires. Panics (never lies) when steady delivery is not exact,
+/// undefended loss accounting is inexact, hardened recovery misses its
+/// bound, any TTL expires, or churn exceeds its cap.
 pub fn sweep(smoke: bool, seed: u64) -> FabricReport {
+    let (steady_nodes, steady_flows): (&[usize], &[usize]) = if smoke {
+        (&[4, 16], &[1_000])
+    } else {
+        (&[4, 16, 64, 256], &[1_000, 10_000, 100_000])
+    };
+    let steady = steady_nodes
+        .iter()
+        .flat_map(|&nodes| steady_flows.iter().map(move |&flows| (nodes, flows)))
+        .map(|(nodes, flows)| run_steady(nodes, flows, seed))
+        .collect();
+
     let node_sizes: &[usize] = if smoke { &[16] } else { &[16, 64, 256] };
     let scenarios = [
         Scenario::RouterKill,
@@ -479,21 +635,21 @@ pub fn sweep(smoke: bool, seed: u64) -> FabricReport {
 
     for &nodes in node_sizes {
         let flows = if smoke { 200 } else { 8 * nodes };
+        let (shape, routers, _) = ring_topology(nodes);
+        let (r_count, links) = (routers.len(), shape.link_count());
         for scenario in scenarios {
             let plan = plan_cell(scenario, nodes, flows, seed);
-            let mut cell: HashMap<&'static str, RunOutcome> = HashMap::new();
+            let mut runs = Vec::new();
             for hardened in [false, true] {
-                let deploy_name = if hardened { "hardened" } else { "undefended" };
                 let (out, wall_ms) = run_cell(scenario, hardened, nodes, flows, seed);
-                let (topo_shape, routers, _) = ring_topology(nodes);
                 let delivered = sum(&out.received);
                 let delivered_after = delivered - sum(out.snapshots.last().unwrap());
                 rows.push(FabricPoint {
                     scenario: scenario.name(),
-                    deploy: deploy_name,
+                    deploy: if hardened { "hardened" } else { "undefended" },
                     nodes,
-                    routers: routers.len(),
-                    links: topo_shape.link_count(),
+                    routers: r_count,
+                    links,
                     packets: plan.packets,
                     delivered,
                     delivered_frac: delivered as f64 / plan.packets as f64,
@@ -516,18 +672,12 @@ pub fn sweep(smoke: bool, seed: u64) -> FabricReport {
                     } else {
                         (out.last_change_ns.saturating_sub(T_FAULT.0)) as f64 / 1e6
                     },
+                    history_digest: out.digest,
                     wall_ms,
                 });
-                cell.insert(deploy_name, out);
+                runs.push(out);
             }
-            assert_cell(
-                scenario,
-                nodes,
-                &plan,
-                &cell["undefended"],
-                &cell["hardened"],
-                &cfg,
-            );
+            assert_cell(scenario, nodes, r_count, links, &plan, &runs[0], &runs[1]);
         }
     }
 
@@ -539,25 +689,22 @@ pub fn sweep(smoke: bool, seed: u64) -> FabricReport {
         conv_base_ms: 100,
         conv_per_hop_ms: 4,
         rows,
+        steady,
     }
 }
 
-/// The campaign's referee: every recovery claim, checked per cell.
+/// The fault scenarios' referee: every recovery claim, checked per cell
+/// of `r_count` routers and `links` links.
 fn assert_cell(
     scenario: Scenario,
     nodes: usize,
+    r_count: usize,
+    links: usize,
     plan: &CellPlan,
     undef: &RunOutcome,
     hard: &RunOutcome,
-    _cfg: &HelloConfig,
 ) {
     let name = scenario.name();
-    let (_, routers, _) = ring_topology(nodes);
-    let r_count = routers.len() as u64;
-    let links = {
-        let (topo, _, _) = ring_topology(nodes);
-        topo.link_count() as u64
-    };
 
     // No loops, anywhere, ever: strictly-downhill backups plus
     // FIFO-ordered LSU wavefronts mean reconvergence never cycles a
@@ -617,7 +764,7 @@ fn assert_cell(
 
     // Convergence is bounded: no route table changes after the
     // scenario's deadline.
-    let deadline = scenario.check_at(routers.len());
+    let deadline = scenario.check_at(r_count);
     assert!(
         hard.last_change_ns > 0 && hard.last_change_ns <= deadline.0,
         "{name}/{nodes}: last route change at {}ns, deadline {}ns",
@@ -629,8 +776,8 @@ fn assert_cell(
     // transition, a router reconverges only on fresh LSUs (at most a
     // handful per transition) and each pass rewrites at most one route
     // per subnet.
-    let cap_churn = scenario.transitions() * r_count * links * 3;
-    let cap_reconv = scenario.transitions() * r_count * 6;
+    let cap_churn = scenario.transitions() * r_count as u64 * links as u64 * 3;
+    let cap_reconv = scenario.transitions() * r_count as u64 * 6;
     assert!(
         hard.route_churn <= cap_churn,
         "{name}/{nodes}: churn {} exceeds cap {}",
@@ -658,7 +805,7 @@ fn assert_cell(
             assert!(hard.failovers >= 1, "backup next-hops must engage");
             assert_eq!(
                 hard.reconverged_routers,
-                routers.len() - 1,
+                r_count - 1,
                 "{name}/{nodes}: every surviving router reconverges"
             );
         }
@@ -722,14 +869,40 @@ impl FabricPoint {
             ("reconvergences", self.reconvergences.into()),
             ("route_churn", self.route_churn.into()),
             ("convergence_ms", Json::Float(self.convergence_ms, 3)),
+            ("history_digest", self.history_digest.into()),
             ("wall_ms", Json::Wall(self.wall_ms, 3)),
+        ])
+    }
+}
+
+impl SteadyPoint {
+    fn json(&self) -> Json {
+        let secs = (self.wall_ms / 1e3).max(1e-9);
+        Json::object([
+            ("nodes", self.nodes.into()),
+            ("routers", self.routers.into()),
+            ("hosts", self.hosts.into()),
+            ("links", self.links.into()),
+            ("flows", self.flows.into()),
+            ("packets", self.packets.into()),
+            ("churn_events", self.churn_events.into()),
+            ("delivered", self.delivered.into()),
+            (
+                "delivery_frac",
+                Json::Float(self.delivered as f64 / self.packets as f64, 3),
+            ),
+            ("forwarded", self.forwarded.into()),
+            ("sim_end_ns", self.sim_end_ns.into()),
+            ("history_digest", self.history_digest.into()),
+            ("wall_ms", Json::Wall(self.wall_ms, 3)),
+            ("pkts_per_sec", Json::Wall(self.packets as f64 / secs, 3)),
         ])
     }
 }
 
 impl FabricReport {
     /// The campaign's artifact: the hardened deployment's timers, the
-    /// claims the sweep asserted, and every cell.
+    /// claims each section asserted, and every cell.
     pub fn json(&self) -> Json {
         let asserts = [
             "undefended losses equal blackhole drops exactly",
@@ -737,6 +910,10 @@ impl FabricReport {
             "zero TTL expiries in every cell",
             "route changes stop by the convergence deadline",
             "churn and reconvergences under closed-form caps",
+        ];
+        let steady_asserts = [
+            "exact routed delivery per host",
+            "zero no-route, TTL, unroutable and NIC-overrun drops",
         ];
         Json::object([
             ("campaign", "fabric".into()),
@@ -748,6 +925,8 @@ impl FabricReport {
             ("conv_per_hop_ms", self.conv_per_hop_ms.into()),
             ("asserts", Json::array(asserts, Json::from)),
             ("rows", Json::array(&self.rows, FabricPoint::json)),
+            ("steady_asserts", Json::array(steady_asserts, Json::from)),
+            ("steady", Json::array(&self.steady, SteadyPoint::json)),
         ])
     }
 }
@@ -757,22 +936,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_paths_walk_the_ring() {
+    fn ring_shape_matches_the_sweep_contract() {
         let (topo, routers, hosts) = ring_topology(16);
-        let mut ip2router = HashMap::new();
-        for r in &routers {
-            for i in topo.interfaces(*r) {
-                ip2router.insert(i.ip, *r);
+        assert_eq!(routers.len(), 4);
+        assert_eq!(hosts.len(), 12);
+        // 4 ring links + 4 host LANs.
+        assert_eq!(topo.link_count(), 8);
+        assert_eq!(topo.node_count(), 16);
+        // Every host can reach every other host's IP.
+        for a in &hosts {
+            for b in &hosts {
+                if a != b {
+                    assert!(topo.first_hop(*a, topo.ip(*b)).is_some());
+                }
             }
         }
-        // hosts[0] hangs off router 0, hosts[1] off router 1 (LANs are
-        // dealt round-robin).
-        let path = plan_path(&topo, &ip2router, hosts[0], topo.ip(hosts[1]));
-        assert_eq!(path.first(), Some(&routers[0]));
-        assert_eq!(path.last(), Some(&routers[1]));
-        // Same-LAN traffic never leaves the first router.
-        let path = plan_path(&topo, &ip2router, hosts[0], topo.ip(hosts[4]));
-        assert_eq!(path, vec![routers[0]]);
+    }
+
+    #[test]
+    fn tiny_ring_degenerates_to_one_lan() {
+        let (topo, routers, hosts) = ring_topology(4);
+        assert_eq!(routers.len(), 1);
+        assert_eq!(hosts.len(), 3);
+        assert_eq!(topo.link_count(), 1, "one router, no ring: a single LAN");
     }
 
     #[test]
@@ -787,6 +973,22 @@ mod tests {
         assert_eq!(
             part.events().last().unwrap().at,
             Scenario::Partition.last_transition()
+        );
+    }
+
+    #[test]
+    fn a_steady_cell_with_churn_delivers_exactly_and_replays() {
+        // 16 nodes → 4 routers, so the churn path (run_until +
+        // update_route) is exercised, on a workload small enough for
+        // debug builds. The cell asserts exact delivery itself.
+        let first = run_steady(16, 300, 0xD0_0D);
+        assert_eq!(first.churn_events, 2);
+        assert!(first.forwarded > 0, "inter-LAN traffic crossed the ring");
+        assert_eq!(first.delivered as usize, first.packets);
+        let again = run_steady(16, 300, 0xD0_0D);
+        assert_eq!(
+            (again.sim_end_ns, again.history_digest),
+            (first.sim_end_ns, first.history_digest)
         );
     }
 

@@ -21,7 +21,7 @@
 //! [`ablations`] additionally measures the §3.2/§7 design-choice knobs
 //! (adaptive reordering, priority assignment, write batching).
 //!
-//! Seven campaigns go beyond the paper. Each is a typed report, a `sweep`
+//! Six campaigns go beyond the paper. Each is a typed report, a `sweep`
 //! whose claims are `assert!`s, and one `json()` that lists every field of
 //! its `BENCH_<name>.json` once; [`cli::CAMPAIGNS`] is the table of them,
 //! [`json`] the one value and renderer they share, and the `campaign`
@@ -29,13 +29,12 @@
 //!
 //! | campaign | module | sweeps |
 //! |----------|--------|--------|
-//! | `chaos` | [`chaos`] | fault injection over BSP and VMTP, engine agreement, kernel degradation |
+//! | `chaos` | [`chaos`] | fault injection over BSP and VMTP, kernel degradation |
 //! | `adversary` | [`adversary`] | five hostile-traffic families, undefended against hardened |
 //! | `mc` | [`mc`] | one host's cores × the armor's poll batch × engines under a saturating burst |
 //! | `overload` | [`overload`] | offered load to 8× capacity across the overload-armor tiers |
 //! | `demux` | [`demux_json`] | the engine race against population, the range ladder, churn |
-//! | `fabric` | [`fabric`] | router kill, link flap and partition over routed rings |
-//! | `net` | [`netbench`] | [`flowgen`] workloads (Poisson/Pareto arrivals, elephants and mice, incast, routing churn) over ring topologies to 256 nodes |
+//! | `fabric` | [`fabric`] | [`flowgen`] workloads over routed rings: fault-free to 256 nodes × 100k flows (`steady`), and under router kill, link flap and partition |
 //!
 //! Run `cargo run -p pf-bench --release --bin paper-report` for everything
 //! at once, or name the sections wanted (`paper-report table_6_3 figures`;
@@ -56,7 +55,6 @@ pub mod figures;
 pub mod flowgen;
 pub mod json;
 pub mod mc;
-pub mod netbench;
 pub mod overload;
 pub mod profile61;
 pub mod recvcost;

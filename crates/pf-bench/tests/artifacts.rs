@@ -12,7 +12,7 @@ use pf_bench::json::Json;
 use std::collections::BTreeSet;
 
 /// The four campaigns a debug build sweeps whole in about a second
-/// together; demux, fabric and net take over a minute there and ten seconds
+/// together; demux and fabric take over a minute there and ten seconds
 /// under `--release`, so they are held to their artifacts in that run.
 const QUICK: [&str; 4] = ["chaos", "adversary", "mc", "overload"];
 
@@ -77,6 +77,32 @@ fn every_committed_artifact_is_what_the_code_writes() {
         }
     }
     assert!(stale.is_empty(), "{}", stale.join("\n"));
+}
+
+/// CI smokes the campaigns by listing these files, so a campaign without
+/// an artifact, or an artifact whose campaign is gone, fails here.
+#[test]
+fn every_artifact_at_the_root_belongs_to_a_campaign() {
+    let root = artifact_path("").parent().expect("the root").to_path_buf();
+    let found: BTreeSet<String> = std::fs::read_dir(&root)
+        .unwrap_or_else(|e| panic!("cannot list {}: {e}", root.display()))
+        .filter_map(|entry| {
+            let file = entry.ok()?.file_name().into_string().ok()?;
+            Some(
+                file.strip_prefix("BENCH_")?
+                    .strip_suffix(".json")?
+                    .to_string(),
+            )
+        })
+        .collect();
+    let campaigns: BTreeSet<String> = CAMPAIGNS
+        .iter()
+        .map(|(name, ..)| name.to_string())
+        .collect();
+    assert_eq!(
+        found, campaigns,
+        "BENCH_<name>.json files against CAMPAIGNS"
+    );
 }
 
 #[test]

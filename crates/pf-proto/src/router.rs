@@ -662,6 +662,42 @@ impl DeployedTopology {
     }
 }
 
+/// What host `src` hands its NIC to send `payload` to node `dst`: an IP
+/// datagram addressed to `src`'s first hop toward `dst`, framed for the
+/// medium of the interface it leaves by.
+///
+/// # Panics
+///
+/// If the plan gives `src` no route to `dst`, or the datagram does not fit
+/// that medium.
+pub fn ip_frame(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    proto: u8,
+    ttl: u8,
+    payload: &[u8],
+) -> Vec<u8> {
+    let dst_ip = topo.ip(dst);
+    let (iface, next_eth) = topo.first_hop(src, dst_ip).expect("dst is reachable");
+    let out = topo.interfaces(src)[iface];
+    let header = IpHeader {
+        proto,
+        ttl,
+        src: topo.ip(src),
+        dst: dst_ip,
+        total_len: 0,
+    };
+    frame::build(
+        topo.medium(out.link),
+        next_eth,
+        out.eth,
+        IP_ETHERTYPE,
+        &encode_ip(&header, payload),
+    )
+    .expect("the datagram fits the medium")
+}
+
 /// Materializes a [`Topology`] into `world`: one segment per link, one
 /// host per host node (station on its LAN), and one router per router
 /// node running an [`IpRouter`] over all its interfaces. Any

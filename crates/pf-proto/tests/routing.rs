@@ -4,12 +4,11 @@
 //! apply independently per segment.
 
 use pf_kernel::{SimClock, World};
-use pf_net::frame;
 use pf_net::medium::Medium;
 use pf_net::segment::FaultModel;
 use pf_net::{NodeId, Topology};
-use pf_proto::ip::{encode_ip, IpHeader, IP_ETHERTYPE};
-use pf_proto::router::deploy;
+use pf_proto::ip::PROTO_UDP;
+use pf_proto::router::{deploy, ip_frame};
 use pf_sim::cost::CostModel;
 use pf_sim::time::SimTime;
 
@@ -28,24 +27,6 @@ fn line_topology(mid_faults: FaultModel) -> (Topology, [NodeId; 4]) {
     (b.build(), [h1, r1, r2, h2])
 }
 
-/// An IP frame from `src` node to `dst` node, handed to `src`'s first hop.
-fn ip_frame_between(topo: &Topology, src: NodeId, dst: NodeId, ttl: u8, payload: &[u8]) -> Vec<u8> {
-    let (iface, next_eth) = topo.first_hop(src, topo.ip(dst)).expect("reachable");
-    let src_if = topo.interfaces(src)[iface];
-    let m = topo.medium(src_if.link);
-    let packet = encode_ip(
-        &IpHeader {
-            proto: 17,
-            ttl,
-            src: topo.ip(src),
-            dst: topo.ip(dst),
-            total_len: 0,
-        },
-        payload,
-    );
-    frame::build(m, next_eth, src_if.eth, IP_ETHERTYPE, &packet).unwrap()
-}
-
 #[test]
 fn frame_traverses_host_router_router_host() {
     let (topo, [h1, r1, r2, h2]) = line_topology(FaultModel::default());
@@ -53,7 +34,7 @@ fn frame_traverses_host_router_router_host() {
     let d = deploy(&topo, &mut w, &CostModel::microvax_ii());
 
     for k in 0..4u64 {
-        let f = ip_frame_between(&topo, h1, h2, 64, b"across the internet");
+        let f = ip_frame(&topo, h1, h2, PROTO_UDP, 64, b"across the internet");
         w.send_frame_at(d.host(h1), f, SimTime(1_000 + k * 5_000_000));
     }
     let end = SimClock::run(&mut w);
@@ -79,7 +60,7 @@ fn routed_delivery_is_deterministic() {
         let mut w = World::new(99);
         let d = deploy(&topo, &mut w, &CostModel::microvax_ii());
         for k in 0..8u64 {
-            let f = ip_frame_between(&topo, h1, h2, 32, &k.to_be_bytes());
+            let f = ip_frame(&topo, h1, h2, PROTO_UDP, 32, &k.to_be_bytes());
             w.send_frame_at(d.host(h1), f, SimTime(k * 777_777));
         }
         let end = SimClock::run(&mut w);
@@ -95,7 +76,7 @@ fn ttl_expires_at_the_second_router() {
     let d = deploy(&topo, &mut w, &CostModel::microvax_ii());
 
     // TTL 2: r1 forwards at TTL 1; r2 must refuse to forward it further.
-    let f = ip_frame_between(&topo, h1, h2, 2, b"too old");
+    let f = ip_frame(&topo, h1, h2, PROTO_UDP, 2, b"too old");
     w.send_frame_at(d.host(h1), f, SimTime(1_000));
     SimClock::run(&mut w);
 
@@ -116,7 +97,7 @@ fn per_link_faults_apply_to_one_segment_only() {
     let d = deploy(&topo, &mut w, &CostModel::microvax_ii());
 
     for k in 0..3u64 {
-        let f = ip_frame_between(&topo, h1, h2, 64, b"doomed");
+        let f = ip_frame(&topo, h1, h2, PROTO_UDP, 64, b"doomed");
         w.send_frame_at(d.host(h1), f, SimTime(1_000 + k * 5_000_000));
     }
     SimClock::run(&mut w);

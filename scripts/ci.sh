@@ -30,15 +30,19 @@ run cargo test -p pf-ir -q --features jit
 # 1; geom's work counters (at most two members evaluated per packet on
 # pure-exact populations, under a tenth of the population on the
 # range-heavy ladder, amortized churn compactions); every adversary family
-# collapsing undefended and holding hardened; exact routed delivery and
-# identical histories when a cell runs twice; exact blackhole accounting
-# and bounded reconvergence. A smoke sweep prints its artifact, so that the
+# collapsing undefended and holding hardened; exact, drop-free routed
+# delivery in every fault-free fabric cell; exact blackhole accounting and
+# bounded reconvergence. A smoke sweep prints its artifact, so that the
 # committed full-sweep BENCH_*.json stays intact; what it prints must parse
-# as JSON. (The full sweeps are held to the committed artifacts by
-# crates/pf-bench/tests/artifacts.rs, all seven in the release run that
-# ends this script, and paper-report and its cells to docs/ by
-# crates/pf-bench/tests/paper.rs.)
-for c in chaos overload mc demux adversary net fabric; do
+# as JSON. The campaigns are the BENCH_<name>.json files at the root, which
+# crates/pf-bench/tests/artifacts.rs keeps equal to the campaign table, so
+# none can be skipped. (The full sweeps are held to the committed
+# artifacts, and each fabric cell's recorded history digest to its run, by
+# that test in the release run that ends this script; paper-report and its
+# cells are held to docs/ by crates/pf-bench/tests/paper.rs.)
+for artifact in BENCH_*.json; do
+    c="${artifact#BENCH_}"
+    c="${c%.json}"
     echo "==> campaign $c --smoke"
     cargo run -q -p pf-bench --release --bin campaign -- "$c" --smoke | python3 -m json.tool > /dev/null
 done

@@ -17,8 +17,8 @@ use packet_filter::net::frame;
 use packet_filter::net::medium::Medium;
 use packet_filter::net::segment::{FaultModel, Network};
 use packet_filter::net::topology::Topology;
-use packet_filter::proto::ip::{encode_ip, IpHeader, IP_ETHERTYPE, PROTO_UDP};
-use packet_filter::proto::router::deploy;
+use packet_filter::proto::ip::PROTO_UDP;
+use packet_filter::proto::router::{deploy, ip_frame};
 use packet_filter::proto::vmtp_user::{VmtpUserClient, VmtpUserServer, Workload};
 use packet_filter::sim::cost::CostModel;
 use packet_filter::sim::time::SimTime;
@@ -53,23 +53,7 @@ fn allocations_crossing(routers: usize, frames: u64) -> u64 {
 
     let mut w = World::new(1);
     let d = deploy(&topo, &mut w, &CostModel::microvax_ii());
-    let (first_iface, first_eth) = topo.first_hop(src, topo.ip(dst)).expect("a chain");
-    let header = IpHeader {
-        proto: PROTO_UDP,
-        ttl: 255,
-        src: topo.ip(src),
-        dst: topo.ip(dst),
-        total_len: 0,
-    };
-    let own = topo.interfaces(src)[first_iface];
-    let datagram = frame::build(
-        &m,
-        first_eth,
-        own.eth,
-        IP_ETHERTYPE,
-        &encode_ip(&header, &[0xA5; 64]),
-    )
-    .expect("fits the medium");
+    let datagram = ip_frame(&topo, src, dst, PROTO_UDP, 255, &[0xA5; 64]);
 
     let batch = |w: &mut World| {
         let start = w.now().as_nanos();

@@ -4,7 +4,7 @@
 //! live behind `--workspace` and the fuzz lanes: every execution surface
 //! [`singleton_engines`] yields, and a [`PfDevice`] under each kernel
 //! engine, over the `samples` corpus and 2,000 seeded frames — whole,
-//! truncated and random — with zero disagreements.
+//! bit-flipped, truncated and random — with zero disagreements.
 
 use packet_filter::filter::interp::{CheckedInterpreter, InterpConfig};
 use packet_filter::filter::packet::PacketView;
@@ -42,8 +42,9 @@ fn corpus() -> Vec<FilterProgram> {
     ]
 }
 
-/// Pup frames around the corpus's sockets and types; one in four cut to a
-/// random prefix (down to empty), one in eight random bytes.
+/// Pup frames around the corpus's sockets and types; one in eight cut to a
+/// random prefix (down to empty), one in eight with one bit flipped, one in
+/// eight random bytes.
 fn frames(seed: u64) -> Vec<Vec<u8>> {
     let mut rng = SplitMix64::new(seed);
     (0..FRAMES)
@@ -57,8 +58,13 @@ fn frames(seed: u64) -> Vec<Vec<u8>> {
                 28 + rng.below(20) as u16,
                 rng.below(120) as u8,
             );
-            if i % 4 == 3 {
-                frame.truncate(rng.below(frame.len() as u64 + 1) as usize);
+            match i % 8 {
+                3 => frame.truncate(rng.below(frame.len() as u64 + 1) as usize),
+                5 => {
+                    let at = rng.below(frame.len() as u64) as usize;
+                    frame[at] ^= 1 << rng.below(8);
+                }
+                _ => {}
             }
             frame
         })

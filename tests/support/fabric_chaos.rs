@@ -13,12 +13,11 @@
 
 use pf_kernel::{SimClock, World};
 use pf_net::fabric::FabricSchedule;
-use pf_net::frame;
 use pf_net::medium::Medium;
 use pf_net::segment::FaultModel;
 use pf_net::{LinkId, NodeId, Topology};
-use pf_proto::ip::{encode_ip, IpHeader, IP_ETHERTYPE};
-use pf_proto::router::{deploy_hardened, HelloConfig};
+use pf_proto::ip::PROTO_UDP;
+use pf_proto::router::{deploy_hardened, ip_frame, HelloConfig};
 use pf_sim::cost::CostModel;
 use pf_sim::time::{SimDuration, SimTime};
 
@@ -86,28 +85,7 @@ pub fn run(ring: usize, seed: u64) -> History {
     for round in 0..SENDS / (2 * ring) {
         for (i, &src) in hosts.iter().enumerate() {
             for dst in [hosts[(i + ring / 2) % ring], hosts[(i + 1) % ring]] {
-                let (iface, next_eth) = topo
-                    .first_hop(src, topo.ip(dst))
-                    .expect("ring is connected");
-                let src_if = topo.interfaces(src)[iface];
-                let packet = encode_ip(
-                    &IpHeader {
-                        proto: 17,
-                        ttl: 64,
-                        src: topo.ip(src),
-                        dst: topo.ip(dst),
-                        total_len: 0,
-                    },
-                    &[round as u8; 32],
-                );
-                let f = frame::build(
-                    topo.medium(src_if.link),
-                    next_eth,
-                    src_if.eth,
-                    IP_ETHERTYPE,
-                    &packet,
-                )
-                .expect("frame fits");
+                let f = ip_frame(&topo, src, dst, PROTO_UDP, 64, &[round as u8; 32]);
                 w.send_frame_at(d.host(src), f, at);
                 at = SimTime(at.0 + 25_000_000);
             }
