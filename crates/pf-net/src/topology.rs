@@ -89,18 +89,27 @@ fn prefix_mask(len: u8) -> u32 {
 /// A static longest-prefix-match forwarding table.
 ///
 /// Entries are kept sorted longest-prefix-first, and by prefix within one
-/// length, so [`lookup`](RouteTable::lookup) is one binary search per
-/// prefix length in use: a ring router's hundred-odd /24s cost seven
-/// probes, not a scan.
-#[derive(Debug, Clone, Default)]
+/// length. Beside each sits its key, `(32 − len) << 32 | prefix`, so that
+/// order is the keys' ascending order and [`lookup`](RouteTable::lookup)
+/// is one integer binary search per prefix length in use: a ring router's
+/// hundred-odd /24s cost seven probes, not a scan.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteTable {
     routes: Vec<Route>,
+    /// `route_key` of `routes[i]` at `i`.
+    keys: Vec<u64>,
+    /// Bit `len` set for every prefix length some route has.
+    lengths: u64,
+}
+
+fn route_key(prefix: u32, len: u8) -> u64 {
+    u64::from(32 - len) << 32 | u64::from(prefix)
 }
 
 impl RouteTable {
     /// An empty table (every lookup misses).
     pub fn new() -> Self {
-        RouteTable { routes: Vec::new() }
+        RouteTable::default()
     }
 
     /// Inserts a route, replacing any existing entry with the same
@@ -111,35 +120,30 @@ impl RouteTable {
             route.prefix,
             "host bits must be zero in a route prefix"
         );
-        if let Some(r) = self
-            .routes
-            .iter_mut()
-            .find(|r| r.prefix == route.prefix && r.len == route.len)
-        {
-            *r = route;
-            return true;
+        match self.keys.binary_search(&route_key(route.prefix, route.len)) {
+            Ok(i) => {
+                self.routes[i] = route;
+                true
+            }
+            Err(i) => {
+                self.keys.insert(i, route_key(route.prefix, route.len));
+                self.routes.insert(i, route);
+                self.lengths |= 1 << route.len;
+                false
+            }
         }
-        // Longest prefix first; equal lengths by prefix for determinism.
-        let key = |r: &Route| (std::cmp::Reverse(r.len), r.prefix);
-        let pos = self.routes.partition_point(|r| key(r) < key(&route));
-        self.routes.insert(pos, route);
-        false
     }
 
     /// The most specific route matching `dst`, if any.
     pub fn lookup(&self, dst: u32) -> Option<&Route> {
-        let key = |r: &Route| (std::cmp::Reverse(r.len), r.prefix);
-        // `rest` always starts at the head of a run of one prefix length.
-        let mut rest = &self.routes[..];
-        while let Some(&Route { len, .. }) = rest.first() {
-            let want = (std::cmp::Reverse(len), dst & prefix_mask(len));
-            match rest.binary_search_by_key(&want, key) {
-                Ok(i) => return Some(&rest[i]),
-                // Not in this run: skip what is left of it.
-                Err(i) => {
-                    let tail = &rest[i..];
-                    rest = &tail[tail.partition_point(|r| r.len == len)..];
-                }
+        let mut lengths = self.lengths;
+        while lengths != 0 {
+            let len = 63 - lengths.leading_zeros() as u8;
+            lengths ^= 1 << len;
+            let want = route_key(dst & prefix_mask(len), len);
+            let i = self.keys.partition_point(|&k| k < want);
+            if self.keys.get(i) == Some(&want) {
+                return Some(&self.routes[i]);
             }
         }
         None
@@ -347,7 +351,13 @@ impl TopologyBuilder {
                 }
             }
         }
-        let (routes, backups) = compute_routes(&self.nodes, &self.links, &ifaces, &|_, _| false);
+        let (routes, backups) = compute_routes(
+            &self.nodes,
+            &self.links,
+            &ifaces,
+            &|_, _| false,
+            downhill_parents,
+        );
         Topology {
             nodes: self.nodes,
             links: self.links,
@@ -383,9 +393,11 @@ fn compute_routes(
     links: &[LinkSpec],
     ifaces: &[Vec<Interface>],
     blocked: &dyn Fn(NodeId, NodeId) -> bool,
+    parents_of: DownhillParents,
 ) -> (Vec<RouteTable>, Vec<RouteTable>) {
     let mut tables = vec![RouteTable::new(); nodes.len()];
     let mut backups = vec![RouteTable::new(); nodes.len()];
+    let mut parents = Vec::new();
     let iface_on = |n: usize, l: LinkId| -> Option<(usize, &Interface)> {
         ifaces[n].iter().enumerate().find(|(_, i)| i.link == l)
     };
@@ -438,50 +450,74 @@ fn compute_routes(
             next.dedup();
             frontier = next;
         }
-        // Backup next-hops: walk each reached router's downhill parents
-        // in the same priority order the BFS used (parent index, then
-        // the parent's interface order) — the first is the primary, the
-        // first with a *different* parent node becomes the backup.
+        // Backup next-hops: each reached router's downhill parents in the
+        // priority order the BFS used (parent index, then the parent's
+        // interface order) — the first is the primary, the first with a
+        // *different* parent node becomes the backup.
         for u in 0..nodes.len() {
-            let Some(d) = dist[u] else { continue };
-            if d == 0 {
-                continue; // directly attached: no downhill alternate
+            if dist[u].is_none_or(|d| d == 0) {
+                continue; // unreached, or directly attached: no downhill alternate
             }
-            let mut primary_parent: Option<usize> = None;
-            'scan: for v in 0..nodes.len() {
-                if dist[v] != Some(d - 1) || nodes[v].kind != NodeKind::Router {
-                    continue;
-                }
-                for vi in &ifaces[v] {
-                    if !links[vi.link.0].members.contains(&NodeId(u))
-                        || blocked(NodeId(v), NodeId(u))
-                    {
-                        continue;
-                    }
-                    match primary_parent {
-                        None => {
-                            primary_parent = Some(v);
-                            // A second link to the same parent is not a
-                            // useful backup against that parent dying.
-                            break;
-                        }
-                        Some(p) if p != v => {
-                            let (uidx, _) = iface_on(u, vi.link).expect("member has iface");
-                            backups[u].set(Route {
-                                prefix: subnet,
-                                len: 24,
-                                iface: uidx,
-                                next_hop: Some(vi.ip),
-                            });
-                            break 'scan;
-                        }
-                        Some(_) => {}
-                    }
-                }
+            parents_of(links, ifaces, blocked, &dist, u, &mut parents);
+            // A second link to the same parent is not a useful backup
+            // against that parent dying.
+            let Some(&(primary, _)) = parents.first() else {
+                continue;
+            };
+            if let Some(&(v, j)) = parents.iter().find(|&&(v, _)| v != primary) {
+                let vi = &ifaces[v][j];
+                let (uidx, _) = iface_on(u, vi.link).expect("member has iface");
+                backups[u].set(Route {
+                    prefix: subnet,
+                    len: 24,
+                    iface: uidx,
+                    next_hop: Some(vi.ip),
+                });
             }
         }
     }
     (tables, backups)
+}
+
+/// Fills `out` with router `u`'s downhill parents toward one destination:
+/// every `(parent, parent's interface)` such that the parent is at BFS
+/// distance `dist[u] − 1`, the interface's link holds `u`, and the
+/// adjacency is not blocked, sorted — the BFS's priority order.
+type DownhillParents = fn(
+    &[LinkSpec],
+    &[Vec<Interface>],
+    &dyn Fn(NodeId, NodeId) -> bool,
+    &[Option<u32>],
+    usize,
+    &mut Vec<(usize, usize)>,
+);
+
+/// [`DownhillParents`] over `u`'s own links' members: O(degree).
+fn downhill_parents(
+    links: &[LinkSpec],
+    ifaces: &[Vec<Interface>],
+    blocked: &dyn Fn(NodeId, NodeId) -> bool,
+    dist: &[Option<u32>],
+    u: usize,
+    out: &mut Vec<(usize, usize)>,
+) {
+    out.clear();
+    let want = dist[u].map(|d| d - 1);
+    for ui in &ifaces[u] {
+        for &NodeId(v) in &links[ui.link.0].members {
+            // Hosts have no distance, and `u` is not at `want`.
+            if dist[v] != want || blocked(NodeId(v), NodeId(u)) {
+                continue;
+            }
+            for (j, vi) in ifaces[v].iter().enumerate() {
+                if vi.link == ui.link {
+                    out.push((v, j));
+                }
+            }
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// A frozen network plan; see the module docs for the model.
@@ -576,7 +612,14 @@ impl Topology {
         let norm = |a: NodeId, b: NodeId| (a.0.min(b.0), a.0.max(b.0));
         let set: HashSet<(usize, usize)> = blocked_pairs.iter().map(|&(a, b)| norm(a, b)).collect();
         let blocked = move |a: NodeId, b: NodeId| set.contains(&norm(a, b));
-        compute_routes(&self.nodes, &self.links, &self.ifaces, &blocked).0
+        compute_routes(
+            &self.nodes,
+            &self.links,
+            &self.ifaces,
+            &blocked,
+            downhill_parents,
+        )
+        .0
     }
 
     /// The plan's routing-plane fault schedule (empty unless set via
@@ -741,13 +784,29 @@ mod tests {
             for i in 0..rng.below(160) as usize {
                 let len = [32, 32, 24, 24, 24, 16, 8, rng.below(33) as u8][rng.below(8) as usize];
                 let near = sites[rng.below(4) as usize] ^ (rng.next_u64() as u32 & 0x0003_FFFF);
+                let prefix = near & prefix_mask(len);
                 // Re-setting an existing (prefix, len) must replace it.
-                t.set(Route {
-                    prefix: near & prefix_mask(len),
+                let present = t
+                    .routes()
+                    .iter()
+                    .any(|r| (r.prefix, r.len) == (prefix, len));
+                let replaced = t.set(Route {
+                    prefix,
                     len,
                     iface: i,
                     next_hop: rng.chance(0.5).then_some(near),
                 });
+                assert_eq!(replaced, present, "set({prefix:#010x}/{len})");
+                let order = |r: &Route| (std::cmp::Reverse(r.len), r.prefix);
+                assert!(t.routes().windows(2).all(|w| order(&w[0]) < order(&w[1])));
+                let keys: Vec<u64> = t
+                    .routes()
+                    .iter()
+                    .map(|r| route_key(r.prefix, r.len))
+                    .collect();
+                assert_eq!(t.keys, keys);
+                let lengths = t.routes().iter().fold(0u64, |m, r| m | 1 << r.len);
+                assert_eq!(t.lengths, lengths);
             }
             for _ in 0..400 {
                 let dst = match rng.below(3) {
@@ -938,5 +997,135 @@ mod tests {
         let ev = t.fabric_schedule().events();
         assert_eq!(ev.len(), 2);
         assert_eq!(ev[0].action, FabricAction::RouterDown(r));
+    }
+
+    /// The backup search `downhill_parents` replaced: a scan of every
+    /// node for one at the right distance (so a router) with a link to `u`.
+    fn downhill_parents_by_scan(
+        links: &[LinkSpec],
+        ifaces: &[Vec<Interface>],
+        blocked: &dyn Fn(NodeId, NodeId) -> bool,
+        dist: &[Option<u32>],
+        u: usize,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        out.clear();
+        let want = dist[u].map(|d| d - 1);
+        for v in 0..dist.len() {
+            if dist[v] != want {
+                continue;
+            }
+            for (j, vi) in ifaces[v].iter().enumerate() {
+                if links[vi.link.0].members.contains(&NodeId(u)) && !blocked(NodeId(v), NodeId(u)) {
+                    out.push((v, j));
+                }
+            }
+        }
+    }
+
+    /// Primary and backup tables from the walk over a router's own links
+    /// equal the all-node scan's, with `blocked_pairs` removed (and then
+    /// `routes_avoiding`'s tables equal them too). Returns the backup
+    /// routes found, so a caller can see the comparison was not vacuous.
+    fn assert_walk_matches_scan(t: &Topology, blocked_pairs: &[(NodeId, NodeId)]) -> usize {
+        let norm = |a: NodeId, b: NodeId| (a.0.min(b.0), a.0.max(b.0));
+        let set: HashSet<(usize, usize)> = blocked_pairs.iter().map(|&(a, b)| norm(a, b)).collect();
+        let blocked = |a: NodeId, b: NodeId| set.contains(&norm(a, b));
+        let run = |parents: DownhillParents| {
+            compute_routes(&t.nodes, &t.links, &t.ifaces, &blocked, parents)
+        };
+        let (walk, scan) = (run(downhill_parents), run(downhill_parents_by_scan));
+        assert!(walk == scan, "primaries or backups differ");
+        assert!(
+            t.routes_avoiding(blocked_pairs) == scan.0,
+            "residual tables differ"
+        );
+        scan.1.iter().map(|b| b.routes().len()).sum()
+    }
+
+    /// `n` routers in a ring, each with one host LAN.
+    fn ring(n: usize) -> (Topology, Vec<NodeId>) {
+        let mut b = Topology::builder();
+        let routers: Vec<NodeId> = (0..n).map(|i| b.router(format!("r{i}"))).collect();
+        for i in 0..n {
+            b.link(routers[i], routers[(i + 1) % n], m(), f());
+            let h = b.host(format!("h{i}"));
+            b.lan(&[routers[i], h], m(), f());
+        }
+        (b.build(), routers)
+    }
+
+    #[test]
+    fn backups_from_own_links_match_the_all_node_scan_on_rings() {
+        for n in [4, 16, 64, 256] {
+            let (t, routers) = ring(n);
+            assert!(assert_walk_matches_scan(&t, &[]) > 0, "ring of {n}");
+            // A dead adjacency and a dead router (all its adjacencies).
+            let dead = [
+                (routers[0], routers[1]),
+                (routers[n / 2 - 1], routers[n / 2]),
+                (routers[n / 2], routers[n / 2 + 1]),
+            ];
+            // A cut ring is a path: one parent each, so no backup is left.
+            assert_eq!(assert_walk_matches_scan(&t, &dead), 0, "ring of {n}, cut");
+        }
+    }
+
+    #[test]
+    fn backups_from_own_links_match_the_all_node_scan_over_parallel_links() {
+        let mut b = Topology::builder();
+        let r: Vec<NodeId> = (0..4).map(|i| b.router(format!("r{i}"))).collect();
+        for (x, y) in [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 0)] {
+            b.link(r[x], r[y], m(), f());
+        }
+        let hosts: Vec<NodeId> = (0..5).map(|i| b.host(format!("h{i}"))).collect();
+        for i in 0..4 {
+            b.link(r[i], hosts[i], m(), f());
+        }
+        b.lan(&[r[1], r[3], r[0], hosts[4]], m(), f());
+        let t = b.build();
+        assert!(assert_walk_matches_scan(&t, &[]) > 0);
+        assert!(assert_walk_matches_scan(&t, &[(r[0], r[1]), (r[3], r[2])]) > 0);
+    }
+
+    #[test]
+    fn backups_from_own_links_match_the_all_node_scan_on_a_seeded_plan() {
+        let mut rng = pf_sim::rng::SplitMix64::new(0xB4C6);
+        for _ in 0..8 {
+            let mut b = Topology::builder();
+            let r: Vec<NodeId> = (0..24).map(|i| b.router(format!("r{i}"))).collect();
+            let pick = |rng: &mut pf_sim::rng::SplitMix64| r[rng.below(24) as usize];
+            let mut pairs = Vec::new();
+            // A random tree, then random links (parallel ones included)
+            // and LANs of three or four routers.
+            for i in 1..24 {
+                let parent = r[rng.below(i as u64) as usize];
+                b.link(r[i], parent, m(), f());
+                pairs.push((r[i], parent));
+            }
+            for _ in 0..20 {
+                let mut members = vec![pick(&mut rng)];
+                let size = if rng.chance(0.3) { 3 + rng.below(2) } else { 2 };
+                while members.len() < size as usize {
+                    let x = pick(&mut rng);
+                    if !members.contains(&x) {
+                        pairs.push((members[0], x));
+                        members.push(x);
+                    }
+                }
+                b.lan(&members, m(), f());
+            }
+            for i in 0..12 {
+                let h = b.host(format!("h{i}"));
+                let x = pick(&mut rng);
+                b.link(x, h, m(), f());
+            }
+            let t = b.build();
+            assert!(assert_walk_matches_scan(&t, &[]) > 0);
+            let blocked: Vec<(NodeId, NodeId)> = (0..6)
+                .map(|_| pairs[rng.below(pairs.len() as u64) as usize])
+                .collect();
+            assert_walk_matches_scan(&t, &blocked);
+        }
     }
 }

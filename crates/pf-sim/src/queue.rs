@@ -4,16 +4,18 @@
 //! the order they were scheduled (a monotonic sequence number breaks
 //! ties), so every simulation run is exactly reproducible.
 //!
-//! Payloads sit in a slab; what is ordered is 24-byte `(time, seq, slot)`
-//! keys, each in exactly one of `RUNS + 1` stores. A key whose time is not
-//! before the tail of one of the `RUNS` append-only sorted runs is appended
-//! there in O(1) — `seq` only grows, so such a key is the run's greatest —
-//! and any other goes to the one `BinaryHeap`, O(log n). The next event is
-//! the least of the runs' fronts and the heap's top, so the firing order is
-//! that of a single heap over all the keys, and input no run takes is
-//! stored exactly as that heap would store it. Open-loop generators and
-//! `now + constant` timers are sorted by construction: they fill the runs,
-//! and the heap keeps only what arrives out of order.
+//! Payloads sit in a slab; what is ordered is 16-byte keys, each one
+//! integer `time << 64 | seq << 24 | slot` (so one wide compare is the
+//! `(time, seq, slot)` order) in exactly one of `RUNS + 1` stores. A key
+//! whose time is not before the tail of one of the `RUNS` append-only
+//! sorted runs is appended there in O(1) — `seq` only grows, so such a key
+//! is the run's greatest — and any other goes to the one `BinaryHeap`,
+//! O(log n). The next event is the least of the runs' fronts and the
+//! heap's top, so the firing order is that of a single heap over all the
+//! keys, and input no run takes is stored exactly as that heap would store
+//! it. Open-loop generators and `now + constant` timers are sorted by
+//! construction: they fill the runs, and the heap keeps only what arrives
+//! out of order.
 //!
 //! A slot is stamped with the `seq` of the event it holds, so a key or an
 //! [`EventHandle`] names a live event exactly when its slot still carries
@@ -23,6 +25,9 @@
 //! queue compacts every store in O(n), so a schedule/cancel churn loop
 //! holds memory proportional to the *live* population, not the all-time
 //! schedule count.
+//!
+//! The packing bounds a queue to fewer than 2^24 events pending at once
+//! and 2^40 scheduled over its life; `schedule` asserts both.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -35,12 +40,34 @@ pub struct EventHandle {
     slot: u32,
 }
 
-/// What the stores order, by field: firing time, tie-break, slab slot.
+/// What the stores order: firing time, tie-break and slab slot packed as
+/// `at << 64 | seq << SLOT_BITS | slot`, so the derived order is theirs.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
+struct Key(u128);
+
+/// A key's low bits: the slab slot.
+const SLOT_BITS: u32 = 24;
+/// Slab slots a key can name, so events pending at once.
+const SLOTS: usize = 1 << SLOT_BITS;
+/// Tie-breaks a key can carry, so events one queue ever schedules.
+const SEQS: u64 = 1 << (64 - SLOT_BITS);
+
+impl Key {
+    fn new(at: SimTime, seq: u64, slot: u32) -> Key {
+        Key(u128::from(at.0) << 64 | u128::from(seq) << SLOT_BITS | u128::from(slot))
+    }
+
+    fn at(self) -> SimTime {
+        SimTime((self.0 >> 64) as u64)
+    }
+
+    fn seq(self) -> u64 {
+        self.0 as u64 >> SLOT_BITS
+    }
+
+    fn slot(self) -> u32 {
+        self.0 as u32 & (SLOTS as u32 - 1)
+    }
 }
 
 /// A slab entry: event `seq`'s payload until it fires or is cancelled.
@@ -129,19 +156,32 @@ impl<E> EventQueue<E> {
     /// Scheduling in the past is clamped to the current time: the event
     /// fires next, preserving determinism rather than panicking (callers
     /// computing `now + cost` never hit this; it guards direct misuse).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the 2^40th event a queue schedules, and on the 2^24th
+    /// pending at once: a key has no room for more.
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventHandle {
         let at = at.max(self.now);
         let seq = self.next_seq;
+        assert!(
+            seq < SEQS,
+            "under 2^40 events scheduled over a queue's life"
+        );
         self.next_seq += 1;
         let slot = self.free.pop().unwrap_or_else(|| {
+            assert!(
+                self.slots.len() < SLOTS,
+                "under 2^24 events pending at once"
+            );
             self.slots.push(Slot { seq, event: None });
-            u32::try_from(self.slots.len() - 1).expect("under 2^32 events pending at once")
+            (self.slots.len() - 1) as u32
         });
         self.slots[slot as usize] = Slot {
             seq,
             event: Some(event),
         };
-        let key = Key { at, seq, slot };
+        let key = Key::new(at, seq, slot);
         match self.run_for(at) {
             Some(run) => self.runs[run].push_back(key),
             None => self.heap.push(Reverse(key)),
@@ -158,7 +198,7 @@ impl<E> EventQueue<E> {
     fn run_for(&self, at: SimTime) -> Option<usize> {
         let mut best: Option<(usize, Option<SimTime>)> = None;
         for (i, run) in self.runs.iter().enumerate() {
-            let tail = run.back().map(|k| k.at);
+            let tail = run.back().map(|k| k.at());
             if tail <= Some(at) && best.is_none_or(|(_, b)| tail > b) {
                 best = Some((i, tail));
             }
@@ -213,9 +253,9 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some((store, k)) = self.least() {
             self.remove_least(store);
-            if let Some(event) = self.take(k.seq, k.slot) {
-                self.now = k.at;
-                return Some((k.at, event));
+            if let Some(event) = self.take(k.seq(), k.slot()) {
+                self.now = k.at();
+                return Some((k.at(), event));
             }
             self.tombstones -= 1;
         }
@@ -223,8 +263,8 @@ impl<E> EventQueue<E> {
     }
 
     fn is_live(slots: &[Slot<E>], k: &Key) -> bool {
-        let s = &slots[k.slot as usize];
-        s.seq == k.seq && s.event.is_some()
+        let s = &slots[k.slot() as usize];
+        s.seq == k.seq() && s.event.is_some()
     }
 
     /// The timestamp of the next pending event, if any.
@@ -233,7 +273,7 @@ impl<E> EventQueue<E> {
         loop {
             let (store, k) = self.least()?;
             if Self::is_live(&self.slots, &k) {
-                return Some(k.at);
+                return Some(k.at());
             }
             self.remove_least(store);
             self.tombstones -= 1;
@@ -468,5 +508,59 @@ mod tests {
         q.cancel(a);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+    }
+
+    /// A key keeps all 40 bits of `seq`: ties between runs, between a run
+    /// and the heap, cancels and a compaction all straddle `seq = 2^32`,
+    /// where a key that kept 32 bits would put the later events first.
+    #[test]
+    fn keys_order_across_the_2_pow_32_seq_boundary() {
+        let mut q = EventQueue::new();
+        let b = 1u64 << 32;
+        q.next_seq = b - 3;
+        let handles: Vec<EventHandle> = [100, 300, 100, 250, 100, 175, 150, 100, 100, 50, 100]
+            .into_iter()
+            .enumerate()
+            .map(|(i, at)| q.schedule(SimTime(at), i))
+            .collect();
+        assert_eq!(q.next_seq, b + 8);
+        // Runs hold (100, 300), (100, 250), (100, 175) and (150), keyed
+        // b - 3 .. b + 3; the heap holds the rest, keyed b + 4 and up.
+        let lens: Vec<usize> = q.runs.iter().map(VecDeque::len).collect();
+        assert_eq!((lens, q.heap.len()), (vec![2, 2, 2, 1], 4));
+        assert!(q.cancel(handles[2]) && q.cancel(handles[8]));
+        // Fifteen more (behind run 0's tail) and cancelled: the last
+        // cancel compacts, keeping live keys from both sides of 2^32.
+        let fillers: Vec<EventHandle> = (0..15).map(|i| q.schedule(SimTime(400 + i), 99)).collect();
+        for h in fillers {
+            assert!(q.cancel(h));
+        }
+        assert_eq!((q.tombstones, q.stored_len(), q.len()), (0, 9, 9));
+        let order: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, i)| (t.0, i))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (50, 9),
+                (100, 0),
+                (100, 4),
+                (100, 7),
+                (100, 10),
+                (150, 6),
+                (175, 5),
+                (250, 3),
+                (300, 1)
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "under 2^40 events scheduled")]
+    fn the_2_pow_40th_schedule_panics() {
+        let mut q = EventQueue::new();
+        q.next_seq = SEQS - 1;
+        q.schedule(SimTime(1), ()); // the last tie-break a key can carry
+        q.schedule(SimTime(1), ());
     }
 }

@@ -6,6 +6,9 @@
 //! build is hermetic (no external crates), so workload generation, fault
 //! injection, and the differential fuzz loops all seed from here.
 
+/// What each draw adds to the state.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// A SplitMix64 generator.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
@@ -20,7 +23,7 @@ impl SplitMix64 {
 
     /// The next 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -42,9 +45,15 @@ impl SplitMix64 {
         }
     }
 
-    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
+    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`; NaN
+    /// never hits). Always one draw, so a rate never shifts the stream.
     pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p.clamp(0.0, 1.0)
+        if p > 0.0 && p < 1.0 {
+            return self.next_f64() < p;
+        }
+        // A draw in [0, 1) cannot change the answer: step past it unmixed.
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        p >= 1.0
     }
 }
 
@@ -84,6 +93,25 @@ mod tests {
         assert!(r.chance(1.0));
         assert!(!r.chance(-1.0));
         assert!(r.chance(2.0));
+    }
+
+    /// `chance` as it was before its fixed answers skipped the mix.
+    fn chance_by_drawing(r: &mut SplitMix64, p: f64) -> bool {
+        r.next_f64() < p.clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn chance_answers_and_steps_as_a_full_draw_would() {
+        let ps = [-1.0, 0.0, 1e-12, 0.25, 1.0, 2.0, f64::NAN];
+        for seed in 0..64 {
+            let (mut fast, mut full) = (SplitMix64::new(seed), SplitMix64::new(seed));
+            let mut pick = SplitMix64::new(!seed);
+            for _ in 0..1_000 {
+                let p = ps[pick.below(ps.len() as u64) as usize];
+                assert_eq!(fast.chance(p), chance_by_drawing(&mut full, p), "p = {p}");
+                assert_eq!(fast.next_u64(), full.next_u64(), "stream after p = {p}");
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@ run() {
 }
 
 run bash -n scripts/pairs.sh
+run bash -n scripts/profile.sh
+run gcc -fsyntax-only scripts/sampler.c
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --release
