@@ -122,9 +122,8 @@ pub struct LadderRow {
     /// Shape label (instruction count or figure name).
     pub shape: String,
     /// `(engine name, ns/eval)` per surface, in
-    /// [`pf_ir::singleton_engines`] ladder order — so a new surface (like
-    /// the feature-gated template JIT) shows up here without this module
-    /// changing.
+    /// [`pf_ir::singleton_engines`] ladder order — so a new surface shows
+    /// up here without this module changing.
     pub ns: Vec<(&'static str, f64)>,
 }
 
@@ -143,8 +142,7 @@ fn time_ns<F: FnMut() -> bool>(iters: u32, mut f: F) -> f64 {
 /// evaluation on each execution surface, over the table 6-10 shapes plus
 /// the paper's two workhorse filters. The surfaces come from
 /// [`pf_ir::singleton_engines`], so the ladder automatically covers every
-/// rung the workspace has — including the template JIT when the `jit`
-/// feature is on.
+/// rung the workspace has.
 pub fn engine_ladder(iters: u32) -> Vec<LadderRow> {
     let packet = samples::pup_packet_3mb(2, 0, 35, 50);
     let shapes: Vec<(String, FilterProgram)> = [0usize, 1, 9, 21]
@@ -370,18 +368,12 @@ mod tests {
     #[test]
     fn engine_ladder_covers_every_execution_surface() {
         // The ladder is a timing harness; pin that it times exactly the
-        // surfaces `singleton_engines` hands out — the JIT rung appears iff
-        // the `jit` feature is on — and that every timing is sane (the real
-        // equivalence suite lives in pf-ir's differential tests).
+        // surfaces `singleton_engines` hands out and that every timing is
+        // sane (the real equivalence suite lives in pf-ir's differential
+        // tests).
         let expected = pf_ir::singleton_surface_count(InterpConfig::default());
         for row in engine_ladder(16) {
             assert_eq!(row.ns.len(), expected, "{}", row.shape);
-            assert_eq!(
-                row.ns.iter().any(|&(name, _)| name == "jit"),
-                cfg!(feature = "jit"),
-                "{}",
-                row.shape
-            );
             assert!(row.ns.iter().all(|&(_, ns)| ns >= 0.0), "{}", row.shape);
         }
     }

@@ -11,6 +11,8 @@
 //! cargo run -p pf-bench --release --bin campaign -- adversary --stdout --seed 0xC0FFEE
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pf_bench::cli::{self, CAMPAIGNS};
 
 fn main() {

@@ -2,6 +2,9 @@
 //! with no argument, or the named sections (`paper-report table_6_3
 //! figures`). `--cells` prints the paper-versus-measured cells of the same
 //! reports as tab-separated lines instead of the tables.
+
+#![forbid(unsafe_code)]
+
 use pf_bench::cli::{paper_report, SECTIONS};
 
 fn main() {

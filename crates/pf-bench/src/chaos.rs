@@ -431,10 +431,9 @@ pub struct DegradationReport {
 /// configured [`OverflowPolicy`].
 pub fn kernel_degradation(seed: u64) -> DegradationReport {
     let mut rng = SplitMix64::new(seed);
-    let mut d = PfDevice::builder()
-        .engine(DemuxEngine::Geom)
-        .instruction_budget(Some(8))
-        .build();
+    let mut d = PfDevice::new();
+    d.set_engine(DemuxEngine::Geom);
+    d.set_instruction_budget(Some(8));
 
     // Healthy: compiled into the geom set (6 instructions ≤ budget).
     let clean = d.open((ProcId(0), Fd(0)));

@@ -44,6 +44,8 @@
 //! their relative errors ([`report::cells_tsv`]). `tests/paper.rs` holds
 //! both outputs to their committed copies under `docs/`.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod adversary;
 pub mod breakeven;

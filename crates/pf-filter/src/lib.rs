@@ -21,8 +21,8 @@
 //!    into a decision table");
 //! 5. `pf_ir::IrFilter` (sibling crate) — programs translated to a
 //!    register-based control-flow-graph IR, optimized, and lowered to
-//!    threaded code; `pf_ir` builds its set engine (`GeomSet`) and the
-//!    optional JIT on top of it.
+//!    threaded code; `pf_ir` builds its set engine (`GeomSet`) on top of
+//!    it.
 //!
 //! Filters are built three ways: raw words
 //! ([`program::FilterProgram::from_words`]), the fluent
@@ -49,6 +49,8 @@
 //! let pkt = samples::pup_packet_3mb(2, 0, 35, 1);
 //! assert!(CheckedInterpreter::default().eval(&filter, PacketView::new(&pkt)));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod asm;
 pub mod builder;

@@ -2,9 +2,8 @@
 //!
 //! Every rung of the workspace's execution ladder — checked interpreter,
 //! validated-program evaluator, compiled closures, decision-table set,
-//! threaded code, geometric (tuple-space) classifier, and (feature
-//! `jit`) the template JIT — answers the same
-//! question: *which filter, if any, accepts this packet?*
+//! threaded code and geometric (tuple-space) classifier — answers the
+//! same question: *which filter, if any, accepts this packet?*
 //! [`FilterEngine`] makes that the whole API, so differential suites and
 //! bench ladders iterate a `Vec<Box<dyn FilterEngine>>` instead of
 //! hand-written per-engine match arms, and a new surface registers by
@@ -37,12 +36,12 @@ pub trait FilterEngine {
 /// Always includes the checked interpreter (the reference semantics) and
 /// the set engines that serve even validation-rejected programs through
 /// their checked fallback. The compiled surfaces (validated, compiled,
-/// ir, jit) appear only when the program validates; the decision-table
-/// set only under the default configuration (it has no config knob).
+/// ir) appear only when the program validates; the decision-table set
+/// only under the default configuration (it has no config knob).
 ///
 /// The length is therefore: 3 surfaces for an invalid program under the
-/// default config (2 otherwise), and 6 — 7 with the `jit` feature — for
-/// a valid one under the default config (5/6 otherwise).
+/// default config (2 otherwise), and 6 for a valid one under the default
+/// config (5 otherwise).
 pub fn singleton_engines(
     program: &FilterProgram,
     config: InterpConfig,
@@ -69,23 +68,16 @@ pub fn singleton_engines(
     let mut geom = GeomSet::with_config(config);
     geom.insert(0, program.clone());
     engines.push(Box::new(GeomEngine(geom)));
-    #[cfg(feature = "jit")]
-    if let Some(v) = &validated {
-        engines.push(Box::new(JitEngine(crate::jit::JitFilter::from_validated(
-            v,
-        ))));
-    }
     engines
 }
 
 /// Number of surfaces [`singleton_engines`] yields for a valid program.
 pub fn singleton_surface_count(config: InterpConfig) -> usize {
-    let base = if config == InterpConfig::default() {
+    if config == InterpConfig::default() {
         6
     } else {
         5
-    };
-    base + usize::from(cfg!(feature = "jit"))
+    }
 }
 
 struct CheckedEngine {
@@ -163,19 +155,6 @@ impl FilterEngine for GeomEngine {
     }
 }
 
-#[cfg(feature = "jit")]
-struct JitEngine(crate::jit::JitFilter);
-
-#[cfg(feature = "jit")]
-impl FilterEngine for JitEngine {
-    fn name(&self) -> &'static str {
-        "jit"
-    }
-    fn matches(&mut self, packet: &[u8]) -> Option<u16> {
-        self.0.eval(PacketView::new(packet)).then_some(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,10 +169,10 @@ mod tests {
             singleton_surface_count(InterpConfig::default())
         );
         let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
-        assert_eq!(&names[..3], &["checked", "validated", "compiled"]);
-        assert!(names.contains(&"dtree"));
-        assert!(names.contains(&"geom"));
-        assert_eq!(names.contains(&"jit"), cfg!(feature = "jit"));
+        assert_eq!(
+            names,
+            ["checked", "validated", "compiled", "dtree", "ir", "geom"]
+        );
     }
 
     #[test]

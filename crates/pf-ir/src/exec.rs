@@ -278,11 +278,6 @@ impl IrFilter {
         self.conjunction.as_ref()
     }
 
-    /// Live registers after optimization.
-    pub fn reg_count(&self) -> usize {
-        self.reg_count
-    }
-
     /// Evaluates against a packet; `true` means *accept*.
     pub fn eval(&self, packet: PacketView<'_>) -> bool {
         self.eval_with_stats(packet).0

@@ -5,13 +5,11 @@
 //! safe, and — as §6 measures — expensive to interpret, because every
 //! boolean connective pushes and pops intermediate truth values that a
 //! conventional compiler would keep in registers or branch on directly.
-//! This crate is surfaces five through seven of the workspace's
-//! execution ladder: it *compiles* validated stack programs into a small
-//! SSA-ish register IR ([`ir`]), optimizes the result ([`opt`]), flattens
-//! it into threaded code that evaluates with no operand stack at all
-//! ([`exec`]), and — behind the off-by-default `jit` cargo feature — emits
-//! straight-line native machine code per CFG block (the `jit` module,
-//! surface seven).
+//! This crate is surfaces five and six of the workspace's execution
+//! ladder: it *compiles* validated stack programs into a small SSA-ish
+//! register IR ([`ir`]), optimizes the result ([`opt`]), flattens it into
+//! threaded code that evaluates with no operand stack at all ([`exec`]),
+//! and indexes sets of such programs geometrically ([`geom`]).
 //!
 //! The pipeline:
 //!
@@ -36,35 +34,25 @@
 //!    probe whatever the population and port-*range* rules — which have
 //!    no equality literal to key on — still demultiplex in
 //!    O(#tuples · log U) index work instead of O(n) member walks.
-//! 5. **JIT** (`jit::JitFilter`, the seventh surface, cargo feature `jit`)
-//!    — each threaded program's blocks are template-expanded into native
-//!    x86-64 or aarch64 code in an mmap'd W^X buffer; programs or
-//!    platforms the emitter cannot handle fall back to the threaded
-//!    engine per filter, invisibly to callers. It is a single-filter
-//!    surface: one mapping per filter, so no kernel engine walks a set
-//!    of them (EXPERIMENTS.md, "Retired, and why (PR 19)").
 //!
 //! Semantics are pinned to the checked interpreter: translation consumes
 //! only validated programs, runtime faults (out-of-bounds indirect loads,
 //! zero divisors) reject exactly as the interpreter does, and packets
 //! shorter than the validator's static minimum fall back to
 //! [`pf_filter::interp::CheckedInterpreter`] verbatim. The differential
-//! suites in `tests/` hold every execution surface — seven with the `jit`
-//! feature on — to one verdict, iterating them generically through the
-//! [`engine::FilterEngine`] trait and [`engine::singleton_engines`]
-//! factory.
+//! suites in `tests/` hold all six execution surfaces to one verdict,
+//! iterating them generically through the [`engine::FilterEngine`] trait
+//! and [`engine::singleton_engines`] factory.
+
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod exec;
 pub mod geom;
 pub mod ir;
-#[cfg(feature = "jit")]
-pub mod jit;
 pub mod opt;
 pub mod translate;
 
 pub use engine::{singleton_engines, singleton_surface_count, FilterEngine};
 pub use exec::{IrEvalStats, IrFilter};
 pub use geom::{required_constraints, GeomSet, GeomStats, Interval};
-#[cfg(feature = "jit")]
-pub use jit::JitFilter;

@@ -1,8 +1,8 @@
 //! Deterministic differential verification: every execution surface in
 //! the workspace — checked interpreter, validated fast interpreter,
 //! compiled micro-ops, the decision-table set, the IR threaded-code
-//! engine, the geometric range classifier, and (feature `jit`) the
-//! template JIT — must be observationally identical.
+//! engine and the geometric range classifier — must be observationally
+//! identical.
 //! The surfaces come from [`pf_ir::engine::singleton_engines`], so a new
 //! engine is pinned here by registering one [`pf_ir::FilterEngine`] impl.
 //!
@@ -179,8 +179,8 @@ fn random_packet(rng: &mut SplitMix64) -> Vec<u8> {
 
 /// The core pin: for every seeded (program, packet) pair, in all four
 /// dialect × short-circuit configurations, every execution surface
-/// [`singleton_engines`] yields — seven under the default configuration
-/// with the `jit` feature on — agrees with the checked interpreter.
+/// [`singleton_engines`] yields — six under the default configuration —
+/// agrees with the checked interpreter.
 #[test]
 fn all_engines_agree_on_seeded_pairs() {
     let mut rng = SplitMix64::new(0x5eed_0087);
@@ -205,11 +205,6 @@ fn all_engines_agree_on_seeded_pairs() {
                 assert!(
                     IrFilter::compile_with_config(prog.clone(), cfg).is_err(),
                     "case {case}: IR compiled a program validation rejects"
-                );
-                #[cfg(feature = "jit")]
-                assert!(
-                    pf_ir::JitFilter::compile_with_config(prog.clone(), cfg).is_err(),
-                    "case {case}: JIT compiled a program validation rejects"
                 );
             }
             let mut engines = singleton_engines(&prog, cfg);

@@ -1,6 +1,5 @@
 // Structured fuzzing for the hostile-input surfaces: the word decoder,
-// the validator, every execution engine (including the JIT and its
-// fallback path when the `jit` feature is on), and the geometric
+// the validator, all six execution engines, and the geometric
 // classifier's insert/remove churn. Like `tests/differential.rs` these
 // are hermetic seeded loops: all randomness comes from the in-tree
 // `pf_sim::rng::SplitMix64`, so a failure reproduces from the constant
@@ -100,7 +99,7 @@ fn fuzz_words(rng: &mut SplitMix64) -> Vec<u16> {
 
 /// Stack-balanced word stream: pops never outrun pushes, so a large
 /// fraction validates and the accepted-program paths (fast interpreter,
-/// compiled engines, JIT) see deep execution rather than early rejects.
+/// compiled engines) see deep execution rather than early rejects.
 fn fuzz_balanced_words(rng: &mut SplitMix64) -> Vec<u16> {
     let n = 1 + rng.below(16);
     let mut depth = 0u64;
@@ -253,11 +252,9 @@ fn fuzz_validator_verdicts_are_total_and_accepts_are_safe() {
 }
 
 /// Target 3 — engine differential: on arbitrary (program, packet) pairs
-/// every execution surface `singleton_engines` yields — with the `jit`
-/// feature on, that includes the template JIT and exercises its
-/// fall-back-to-interpreter path on programs it declines — must agree
-/// with the checked interpreter bit for bit. Zero disagreements over
-/// `ITERS` pairs.
+/// every execution surface `singleton_engines` yields — six for a valid
+/// program under the default configuration — must agree with the checked
+/// interpreter bit for bit. Zero disagreements over `ITERS` pairs.
 #[test]
 fn fuzz_engines_agree_with_checked_interpreter() {
     let mut rng = SplitMix64::new(0xF022_E46E);

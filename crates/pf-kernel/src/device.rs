@@ -469,14 +469,11 @@ pub struct Port {
 
 impl Port {
     /// A freshly opened port: no filter, default configuration.
-    fn new(owner: (ProcId, Fd), insertion: u64, overflow: OverflowPolicy) -> Self {
+    fn new(owner: (ProcId, Fd), insertion: u64) -> Self {
         Port {
             owner,
             filter: None,
-            config: PortConfig {
-                overflow,
-                ..PortConfig::default()
-            },
+            config: PortConfig::default(),
             queue: VecDeque::new(),
             pending: None,
             drops: 0,
@@ -496,7 +493,7 @@ impl Port {
     fn closed() -> Self {
         Port {
             open: false,
-            ..Port::new((ProcId(0), Fd(0)), 0, OverflowPolicy::default())
+            ..Port::new((ProcId(0), Fd(0)), 0)
         }
     }
 
@@ -793,9 +790,6 @@ pub struct PfDevice {
     /// by the sequential engine on every filter and by every engine on
     /// quarantined (checked-fallback) filters.
     budget: Option<u32>,
-    /// Overflow policy newly opened ports start with (a device-level
-    /// default; each port's [`PortConfig`] can still override it).
-    default_overflow: OverflowPolicy,
     /// The pre-demux admission gate, when enabled.
     admission: Option<AdmissionState>,
     /// Per-packet candidate bound applied to the geom engine
@@ -831,19 +825,11 @@ impl PfDevice {
             engine_rebuilds: 0,
             interp: CheckedInterpreter::default(),
             budget: None,
-            default_overflow: OverflowPolicy::default(),
             admission: None,
             geom_candidate_cap: None,
             outcome: DemuxOutcome::default(),
             matched: Vec::new(),
         }
-    }
-
-    /// A builder configuring the device up front (engine, instruction
-    /// budget, adaptive reordering, default overflow policy) instead of
-    /// mutating a fresh device with the individual setters.
-    pub fn builder() -> PfDeviceBuilder {
-        PfDeviceBuilder::default()
     }
 
     /// Sets (or clears) the per-evaluation instruction budget. A filter
@@ -1128,8 +1114,10 @@ impl PfDevice {
         self.set.as_ref().map_or(0, EngineSet::index_probes)
     }
 
-    /// Selects the demultiplexing engine (§4's interpreter loop, §7's
-    /// decision table, or the pf-ir threaded-code compiler).
+    /// Selects the demultiplexing engine: [`DemuxEngine::Sequential`]
+    /// (§4's interpreter loop), [`DemuxEngine::DecisionTable`] (§7's
+    /// decision table) or [`DemuxEngine::Geom`] (pf-ir's geometric
+    /// classifier).
     pub fn set_engine(&mut self, engine: DemuxEngine) {
         self.engine = engine;
         self.resort();
@@ -1218,9 +1206,7 @@ impl PfDevice {
     /// Opens a new port owned by `(proc, fd)` and returns its index. A
     /// port without a filter is in neither the compiled set nor the gate.
     pub fn open(&mut self, owner: (ProcId, Fd)) -> PortIdx {
-        let idx = self
-            .ports
-            .push(Port::new(owner, self.insertions, self.default_overflow));
+        let idx = self.ports.push(Port::new(owner, self.insertions));
         self.insertions += 1;
         // The first open port of an owner answers `port_of`.
         self.owners.entry(owner).or_insert(idx);
@@ -1490,97 +1476,6 @@ impl PfDevice {
                 .then(busy)
                 .then(pa.insertion.cmp(&pb.insertion))
         });
-    }
-}
-
-/// Builds a [`PfDevice`] with its construction-time configuration applied
-/// up front, replacing the post-hoc `set_engine`/`set_instruction_budget`
-/// mutation dance. Obtained from [`PfDevice::builder`].
-///
-/// ```
-/// use pf_kernel::device::{DemuxEngine, PfDevice};
-///
-/// let d = PfDevice::builder()
-///     .engine(DemuxEngine::Geom)
-///     .instruction_budget(Some(64))
-///     .adaptive_reorder(false)
-///     .build();
-/// assert_eq!(d.engine(), DemuxEngine::Geom);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PfDeviceBuilder {
-    engine: DemuxEngine,
-    budget: Option<u32>,
-    adaptive: bool,
-    overflow: OverflowPolicy,
-    admission: Option<AdmissionConfig>,
-    geom_candidate_cap: Option<usize>,
-}
-
-impl Default for PfDeviceBuilder {
-    /// The paper's production configuration: sequential engine, unbounded
-    /// budget, adaptive reordering on, drop-tail overflow.
-    fn default() -> Self {
-        PfDeviceBuilder {
-            engine: DemuxEngine::Sequential,
-            budget: None,
-            adaptive: true,
-            overflow: OverflowPolicy::default(),
-            admission: None,
-            geom_candidate_cap: None,
-        }
-    }
-}
-
-impl PfDeviceBuilder {
-    /// Selects the demultiplexing engine.
-    pub fn engine(mut self, engine: DemuxEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the per-evaluation instruction budget (`None` = unbounded).
-    pub fn instruction_budget(mut self, budget: Option<u32>) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Enables or disables adaptive same-priority reordering (§3.2).
-    pub fn adaptive_reorder(mut self, on: bool) -> Self {
-        self.adaptive = on;
-        self
-    }
-
-    /// Overflow policy newly opened ports start with (each port's
-    /// [`PortConfig`] can still override it afterwards).
-    pub fn overflow_policy(mut self, policy: OverflowPolicy) -> Self {
-        self.overflow = policy;
-        self
-    }
-
-    /// Enables the pre-demux admission gate.
-    pub fn admission_control(mut self, config: AdmissionConfig) -> Self {
-        self.admission = Some(config);
-        self
-    }
-
-    /// Bounds candidates evaluated per packet under the geom engine
-    /// ([`PfDevice::set_geom_candidate_cap`]).
-    pub fn geom_candidate_cap(mut self, cap: Option<usize>) -> Self {
-        self.geom_candidate_cap = cap;
-        self
-    }
-
-    /// Builds the device.
-    pub fn build(self) -> PfDevice {
-        let mut d = PfDevice::new();
-        d.adaptive = self.adaptive;
-        d.budget = self.budget;
-        d.default_overflow = self.overflow;
-        d.geom_candidate_cap = self.geom_candidate_cap;
-        d.set_engine(self.engine);
-        d.set_admission_control(self.admission);
-        d
     }
 }
 
@@ -1982,7 +1877,8 @@ mod tests {
         for engine in [DemuxEngine::DecisionTable, DemuxEngine::Geom] {
             for quarantine in [false, true] {
                 let ctx = format!("{engine:?}, quarantined port: {quarantine}");
-                let mut d = PfDevice::builder().engine(engine).build();
+                let mut d = PfDevice::new();
+                d.set_engine(engine);
                 let bind = |d: &mut PfDevice, f: FilterProgram| {
                     let p = d.open((ProcId(d.open_ports()), Fd(0)));
                     d.set_filter(p, f)
@@ -2140,36 +2036,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn builder_applies_construction_time_configuration() {
-        let d = PfDevice::builder()
-            .engine(DemuxEngine::Geom)
-            .instruction_budget(Some(64))
-            .adaptive_reorder(false)
-            .overflow_policy(OverflowPolicy::DropOldest)
-            .build();
-        assert_eq!(d.engine(), DemuxEngine::Geom);
-        assert_eq!(d.instruction_budget(), Some(64));
-        let mut d = d;
-        let p = d.open((ProcId(0), Fd(0)));
-        assert_eq!(
-            d.port(p).config.overflow,
-            OverflowPolicy::DropOldest,
-            "device-level default applied at open()"
-        );
-    }
-
-    #[test]
-    fn builder_budget_quarantines_overlong_binds() {
-        let mut d = PfDevice::builder().instruction_budget(Some(6)).build();
-        let p = d.open((ProcId(0), Fd(0)));
-        assert!(!d.set_filter(p, samples::fig_3_8_pup_type_range()));
-        assert_eq!(
-            d.port(p).quarantined,
-            Some(QuarantineReason::BudgetExceeded)
-        );
-    }
-
     fn tight_quota() -> AdmissionQuota {
         AdmissionQuota {
             rate_pps: 0,
@@ -2179,13 +2045,12 @@ mod tests {
 
     #[test]
     fn admission_gate_protects_high_priority_and_sheds_best_effort() {
-        let mut d = PfDevice::builder()
-            .admission_control(AdmissionConfig {
-                protected_priority: 100,
-                default_quota: tight_quota(),
-                ..Default::default()
-            })
-            .build();
+        let mut d = PfDevice::new();
+        d.set_admission_control(Some(AdmissionConfig {
+            protected_priority: 100,
+            default_quota: tight_quota(),
+            ..Default::default()
+        }));
         let vip = d.open((ProcId(0), Fd(0)));
         d.set_filter(vip, samples::pup_socket_filter(200, 0, 35));
         let be = d.open((ProcId(1), Fd(0)));
@@ -2208,16 +2073,15 @@ mod tests {
 
     #[test]
     fn admission_gate_refills_with_time() {
-        let mut d = PfDevice::builder()
-            .admission_control(AdmissionConfig {
-                protected_priority: 255,
-                default_quota: AdmissionQuota {
-                    rate_pps: 1_000,
-                    burst: 1,
-                },
-                ..Default::default()
-            })
-            .build();
+        let mut d = PfDevice::new();
+        d.set_admission_control(Some(AdmissionConfig {
+            protected_priority: 255,
+            default_quota: AdmissionQuota {
+                rate_pps: 1_000,
+                burst: 1,
+            },
+            ..Default::default()
+        }));
         let p = d.open((ProcId(0), Fd(0)));
         d.set_filter(p, samples::pup_socket_filter(10, 0, 35));
         assert_eq!(d.admit(&pkt(35), SimTime(0)), AdmissionVerdict::Admit);
@@ -2235,16 +2099,15 @@ mod tests {
 
     #[test]
     fn admission_gate_never_sheds_unclassifiable_traffic() {
-        let mut d = PfDevice::builder()
-            .admission_control(AdmissionConfig {
-                protected_priority: 255,
-                default_quota: AdmissionQuota {
-                    rate_pps: 0,
-                    burst: 0,
-                },
-                ..Default::default()
-            })
-            .build();
+        let mut d = PfDevice::new();
+        d.set_admission_control(Some(AdmissionConfig {
+            protected_priority: 255,
+            default_quota: AdmissionQuota {
+                rate_pps: 0,
+                burst: 0,
+            },
+            ..Default::default()
+        }));
         // accept_all has no admission signature: the gate cannot attribute
         // its traffic, so it never sheds it.
         let p = d.open((ProcId(0), Fd(0)));
@@ -2257,13 +2120,12 @@ mod tests {
 
     #[test]
     fn per_port_quota_overrides_the_default() {
-        let mut d = PfDevice::builder()
-            .admission_control(AdmissionConfig {
-                protected_priority: 255,
-                default_quota: tight_quota(),
-                ..Default::default()
-            })
-            .build();
+        let mut d = PfDevice::new();
+        d.set_admission_control(Some(AdmissionConfig {
+            protected_priority: 255,
+            default_quota: tight_quota(),
+            ..Default::default()
+        }));
         let p = d.open((ProcId(0), Fd(0)));
         d.set_filter(p, samples::pup_socket_filter(10, 0, 35));
         d.set_port_quota(
@@ -2284,13 +2146,12 @@ mod tests {
 
     #[test]
     fn rebinding_does_not_mint_burst_capacity() {
-        let mut d = PfDevice::builder()
-            .admission_control(AdmissionConfig {
-                protected_priority: 255,
-                default_quota: tight_quota(),
-                ..Default::default()
-            })
-            .build();
+        let mut d = PfDevice::new();
+        d.set_admission_control(Some(AdmissionConfig {
+            protected_priority: 255,
+            default_quota: tight_quota(),
+            ..Default::default()
+        }));
         let p = d.open((ProcId(0), Fd(0)));
         d.set_filter(p, samples::pup_socket_filter(10, 0, 35));
         assert_eq!(d.admit(&pkt(35), SimTime::ZERO), AdmissionVerdict::Admit);
@@ -2335,16 +2196,15 @@ mod tests {
 
     #[test]
     fn admission_gate_sheds_range_filter_traffic_to_the_right_port() {
-        let mut d = PfDevice::builder()
-            .admission_control(AdmissionConfig {
-                protected_priority: 255,
-                default_quota: AdmissionQuota {
-                    rate_pps: 0,
-                    burst: 1,
-                },
-                ..Default::default()
-            })
-            .build();
+        let mut d = PfDevice::new();
+        d.set_admission_control(Some(AdmissionConfig {
+            protected_priority: 255,
+            default_quota: AdmissionQuota {
+                rate_pps: 0,
+                burst: 1,
+            },
+            ..Default::default()
+        }));
         // Two port-range filters share the ethertype guard; the gate must
         // classify on the socket word (two distinct intervals) so each
         // port's overload is charged to that port, not the first entry.
@@ -2376,14 +2236,13 @@ mod tests {
 
     #[test]
     fn mimicry_pressure_resignatures_the_gate_and_sheds_mimics() {
-        let mut d = PfDevice::builder()
-            .admission_control(AdmissionConfig {
-                protected_priority: 192,
-                default_quota: tight_quota(),
-                mimicry_threshold: Some(3),
-                ..Default::default()
-            })
-            .build();
+        let mut d = PfDevice::new();
+        d.set_admission_control(Some(AdmissionConfig {
+            protected_priority: 192,
+            default_quota: tight_quota(),
+            mimicry_threshold: Some(3),
+            ..Default::default()
+        }));
         let vip = d.open((ProcId(0), Fd(0)));
         d.set_filter(vip, samples::pup_socket_filter(200, 0, 35));
         // A mimic wears the protected signature word (socket-lo == 35)
@@ -2414,13 +2273,12 @@ mod tests {
 
     #[test]
     fn mimicry_threshold_off_keeps_the_classic_gate() {
-        let mut d = PfDevice::builder()
-            .admission_control(AdmissionConfig {
-                protected_priority: 192,
-                default_quota: tight_quota(),
-                ..Default::default()
-            })
-            .build();
+        let mut d = PfDevice::new();
+        d.set_admission_control(Some(AdmissionConfig {
+            protected_priority: 192,
+            default_quota: tight_quota(),
+            ..Default::default()
+        }));
         let vip = d.open((ProcId(0), Fd(0)));
         d.set_filter(vip, samples::pup_socket_filter(200, 0, 35));
         let mimic = samples::pup_packet_3mb(9, 0, 35, 1);
@@ -2435,17 +2293,16 @@ mod tests {
     #[test]
     fn refill_jitter_caps_banked_burst_unpredictably() {
         let burst_after_idle = |jitter: Option<u64>| {
-            let mut d = PfDevice::builder()
-                .admission_control(AdmissionConfig {
-                    protected_priority: 255,
-                    default_quota: AdmissionQuota {
-                        rate_pps: 1_000,
-                        burst: 64,
-                    },
-                    refill_jitter_key: jitter,
-                    ..Default::default()
-                })
-                .build();
+            let mut d = PfDevice::new();
+            d.set_admission_control(Some(AdmissionConfig {
+                protected_priority: 255,
+                default_quota: AdmissionQuota {
+                    rate_pps: 1_000,
+                    burst: 64,
+                },
+                refill_jitter_key: jitter,
+                ..Default::default()
+            }));
             let p = d.open((ProcId(0), Fd(0)));
             d.set_filter(p, samples::pup_socket_filter(10, 0, 35));
             // A long silence banks the full burst; then fire back-to-back
@@ -2468,7 +2325,8 @@ mod tests {
     /// reconcile with the injected totals.
     #[test]
     fn drop_oldest_evicts_on_the_budgeted_fallback_path() {
-        let mut d = PfDevice::builder().instruction_budget(Some(16)).build();
+        let mut d = PfDevice::new();
+        d.set_instruction_budget(Some(16));
         let p = d.open((ProcId(0), Fd(0)));
         // Quarantined by validation; the CNAND accepts any socket != 35
         // through the budgeted checked interpreter.

@@ -19,6 +19,8 @@
 //! * [`kproto`] — the hook kernel-resident protocols (in `pf-proto`)
 //!   implement, so both networking models coexist as in figure 3-3.
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod device;
 pub mod kproto;
@@ -28,8 +30,7 @@ pub mod world;
 
 pub use app::App;
 pub use device::{
-    AdmissionConfig, AdmissionQuota, AdmissionVerdict, DemuxEngine, EngineStats, PfDevice,
-    PfDeviceBuilder, PortIdx,
+    AdmissionConfig, AdmissionQuota, AdmissionVerdict, DemuxEngine, EngineStats, PfDevice, PortIdx,
 };
 pub use kproto::KernelProtocol;
 pub use pf_sim::SimClock;

@@ -269,7 +269,8 @@ fn adaptive_reordering_preserves_disjoint_semantics() {
         }
         socks.truncate(n);
         let build = |adaptive: bool| {
-            let mut dev = PfDevice::builder().adaptive_reorder(adaptive).build();
+            let mut dev = PfDevice::new();
+            dev.set_adaptive_reorder(adaptive);
             for (i, &s) in socks.iter().enumerate() {
                 let idx = dev.open((ProcId(i), Fd(0)));
                 dev.set_filter(idx, samples::pup_socket_filter(10, 0, s));

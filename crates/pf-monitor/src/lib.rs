@@ -7,6 +7,8 @@
 //! protocol decoders producing trace lines ([`mod@decode`]), and trace
 //! analyses ([`stats`]).
 
+#![forbid(unsafe_code)]
+
 pub mod capture;
 pub mod decode;
 pub mod stats;

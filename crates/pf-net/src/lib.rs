@@ -11,6 +11,8 @@
 //! hosts and routers (the forwarding plane itself plugs in through
 //! [`topology::Forwarder`]; the IP implementation lives in `pf-proto`).
 
+#![forbid(unsafe_code)]
+
 pub mod fabric;
 pub mod frame;
 pub mod medium;

@@ -22,6 +22,8 @@
 //! provably run the same code — the paper's "essentially the same pattern
 //! of packet transport", made literal.
 
+#![forbid(unsafe_code)]
+
 pub mod arp;
 pub mod bsp;
 pub mod bsp_app;

@@ -11,6 +11,8 @@
 //! The simulated Unix-like host, its scheduler, and the packet-filter
 //! device itself live in `pf-kernel`, layered on these pieces.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod cost;
 pub mod counters;

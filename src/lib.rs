@@ -7,9 +7,7 @@
 //! * [`filter`] — the filter language and its execution engines (the
 //!   paper's core contribution);
 //! * [`ir`] — the control-flow-graph filter IR: optimizing passes, a
-//!   threaded-code engine, the geometric classifier, and (behind the
-//!   off-by-default `jit` cargo feature) a machine-code template JIT, a
-//!   single-filter surface — surfaces 5 through 7;
+//!   threaded-code engine and the geometric classifier — surfaces 5 and 6;
 //! * [`sim`] — the deterministic simulated Unix-like kernel substrate;
 //! * [`net`] — simulated Ethernets and network interfaces;
 //! * [`kernel`] — the packet-filter pseudo-device driver, its three
@@ -42,6 +40,8 @@
 //! assert!(CheckedInterpreter::default().eval(&filter, PacketView::new(&pkt)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use pf_filter as filter;
 pub use pf_ir as ir;
 pub use pf_kernel as kernel;
@@ -50,11 +50,11 @@ pub use pf_net as net;
 pub use pf_proto as proto;
 pub use pf_sim as sim;
 
-// The working set for embedding the device: construct with the builder,
-// pick an engine, observe with one stats struct, and iterate execution
+// The working set for embedding the device: construct it, pick an engine
+// with its setters, observe with one stats struct, and iterate execution
 // surfaces generically.
 pub use pf_ir::{singleton_engines, singleton_surface_count, FilterEngine};
-pub use pf_kernel::{DemuxEngine, EngineStats, PfDevice, PfDeviceBuilder};
+pub use pf_kernel::{DemuxEngine, EngineStats, PfDevice};
 // The one run-loop: `World`, and any other clocked model, drives through
 // this trait.
 pub use pf_sim::SimClock;

@@ -191,7 +191,8 @@ fn device_frames() -> Vec<Vec<u8>> {
 /// of `engine` holding one of the populations, after every frame has been
 /// through it four times.
 fn demux_allocations(engine: DemuxEngine, ranges: bool) -> (u64, u64) {
-    let mut dev = PfDevice::builder().engine(engine).build();
+    let mut dev = PfDevice::new();
+    dev.set_engine(engine);
     for slot in 0..PORTS {
         let p = dev.open((ProcId(0), Fd(slot)));
         assert!(dev.set_filter(p, slot_filter(slot, ranges)));

@@ -185,7 +185,8 @@ fn geom_charges_each_candidate_its_threaded_op_count() {
         samples::socket_range_filter(10, 40, 60),
         samples::ethertype_filter(5, 3),
     ];
-    let mut dev = PfDevice::builder().engine(DemuxEngine::Geom).build();
+    let mut dev = PfDevice::new();
+    dev.set_engine(DemuxEngine::Geom);
     let mut twin = GeomSet::new();
     for (i, f) in filters.iter().enumerate() {
         let port = dev.open((ProcId(0), Fd(i)));

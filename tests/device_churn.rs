@@ -43,7 +43,8 @@ fn slot_filter(slot: usize) -> packet_filter::filter::program::FilterProgram {
 #[test]
 fn fresh_binds_and_closes_never_rebuild_the_engine() {
     for engine in COMPILED {
-        let mut dev = PfDevice::builder().engine(engine).build();
+        let mut dev = PfDevice::new();
+        dev.set_engine(engine);
         let mut live: Vec<usize> = Vec::new();
         for slot in 0..512 {
             let p = dev.open((ProcId(0), Fd(slot)));
@@ -81,7 +82,8 @@ fn fresh_binds_and_closes_never_rebuild_the_engine() {
 fn a_closed_port_costs_the_device_four_bytes() {
     const STANDING: usize = 512;
     const CYCLES: usize = 50_000;
-    let mut dev = PfDevice::builder().engine(DemuxEngine::Geom).build();
+    let mut dev = PfDevice::new();
+    dev.set_engine(DemuxEngine::Geom);
     let mut live: Vec<usize> = Vec::with_capacity(STANDING);
     let mut opened = 0;
     // Runs `cycles` close/open/bind cycles (opens alone until the device

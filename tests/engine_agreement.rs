@@ -118,10 +118,9 @@ fn a_device_under_every_kernel_engine_agrees_with_the_checked_interpreter() {
         DemuxEngine::DecisionTable,
         DemuxEngine::Geom,
     ] {
-        let mut dev = PfDevice::builder()
-            .engine(engine)
-            .adaptive_reorder(false)
-            .build();
+        let mut dev = PfDevice::new();
+        dev.set_engine(engine);
+        dev.set_adaptive_reorder(false);
         for (i, program) in corpus.iter().enumerate() {
             let port = dev.open((ProcId(0), Fd(i)));
             assert_eq!(port, i);

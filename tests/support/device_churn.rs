@@ -100,7 +100,8 @@ fn pick(rng: &mut SplitMix64, of: &[usize]) -> Option<usize> {
 /// On the first disagreement, naming the engine, the step and the probe.
 pub fn run(engine: DemuxEngine, seed: u64, steps: u32) {
     let mut rng = SplitMix64::new(seed);
-    let mut dev = PfDevice::builder().engine(engine).build();
+    let mut dev = PfDevice::new();
+    dev.set_engine(engine);
     let mut shadow: Vec<Shadow> = Vec::new();
     let mut budget: Option<u32> = None;
     let probes = probes();
@@ -214,10 +215,9 @@ pub fn run(engine: DemuxEngine, seed: u64, steps: u32) {
 
         // Reference (i): a device built from scratch with the live ports.
         let live: Vec<usize> = (0..shadow.len()).filter(|&i| shadow[i].open).collect();
-        let mut fresh = PfDevice::builder()
-            .engine(engine)
-            .instruction_budget(budget)
-            .build();
+        let mut fresh = PfDevice::new();
+        fresh.set_engine(engine);
+        fresh.set_instruction_budget(budget);
         for &i in &live {
             let p = fresh.open((ProcId(0), Fd(i)));
             if let Some(f) = &shadow[i].filter {
