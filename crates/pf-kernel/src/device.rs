@@ -278,6 +278,16 @@ pub enum AdmissionVerdict {
 /// for any rate expressible in packets per second).
 const MICRO_TOKENS: u64 = 1_000_000;
 
+/// Micro-tokens `rate_pps` packets per second earn in `elapsed_ns`: in
+/// `u64` when the product fits, else in `u128` with the quotient cast to
+/// `u64`.
+fn micro_tokens_gained(rate_pps: u64, elapsed_ns: u64) -> u64 {
+    match rate_pps.checked_mul(elapsed_ns) {
+        Some(product) => product / 1_000,
+        None => (u128::from(rate_pps) * u128::from(elapsed_ns) / 1_000) as u64,
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct TokenBucket {
     quota: AdmissionQuota,
@@ -326,7 +336,7 @@ impl TokenBucket {
     fn admit(&mut self, now: SimTime) -> bool {
         let elapsed_ns = now.saturating_since(self.last_refill).as_nanos();
         self.last_refill = now;
-        let gained = (u128::from(self.quota.rate_pps) * u128::from(elapsed_ns) / 1_000) as u64;
+        let gained = micro_tokens_gained(self.quota.rate_pps, elapsed_ns);
         self.micro_tokens = (self.micro_tokens.saturating_add(gained))
             .min(self.burst_cap(now).saturating_mul(MICRO_TOKENS));
         if self.micro_tokens >= MICRO_TOKENS {
@@ -1487,6 +1497,38 @@ mod tests {
 
     fn pkt(sock: u16) -> Vec<u8> {
         samples::pup_packet_3mb(2, 0, sock, 1)
+    }
+
+    #[test]
+    fn micro_tokens_agree_with_the_u128_formula_across_u64_overflow() {
+        let wide = |rate: u64, ns: u64| (u128::from(rate) * u128::from(ns) / 1_000) as u64;
+        // u64::MAX = 65_537 × 281_470_681_808_895: a product of exactly
+        // u64::MAX, then one just above it.
+        let (rate, ns) = (65_537u64, u64::MAX / 65_537);
+        assert_eq!(u128::from(rate) * u128::from(ns), u128::from(u64::MAX));
+        for (rate, ns) in [(rate, ns), (rate, ns + 1), (ns, rate), (ns + 1, rate)] {
+            assert_eq!(
+                micro_tokens_gained(rate, ns),
+                wide(rate, ns),
+                "{rate} × {ns}"
+            );
+        }
+        assert!(
+            rate.checked_mul(ns + 1).is_none(),
+            "the u128 side was taken"
+        );
+        for (rate, ns) in [
+            (0, u64::MAX),
+            (u64::MAX, u64::MAX),
+            (1_000_000, 999),
+            (7, 3),
+        ] {
+            assert_eq!(
+                micro_tokens_gained(rate, ns),
+                wide(rate, ns),
+                "{rate} × {ns}"
+            );
+        }
     }
 
     fn recv(bytes: &[u8]) -> RecvPacket {

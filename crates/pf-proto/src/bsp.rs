@@ -28,7 +28,7 @@
 
 use crate::pup::{types, Pup, PupAddr, MAX_PUP_DATA};
 use pf_sim::time::SimDuration;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// The sender's retransmission-timer token.
@@ -147,9 +147,13 @@ pub struct SenderMachine {
     next_seq: u32,
     /// Lowest unacknowledged sequence number.
     base: u32,
-    /// Sent, unacknowledged segments.
-    inflight: BTreeMap<u32, Vec<u8>>,
-    /// Bytes offered but not yet packetized.
+    /// Sent, unacknowledged segments as `(seq, len)` spans over the front
+    /// of `buffer`, in sequence order: a retransmission re-slices them.
+    inflight: VecDeque<(u32, usize)>,
+    /// Bytes the spans in `inflight` cover.
+    inflight_bytes: usize,
+    /// Unacknowledged bytes: the in-flight spans, then the bytes offered
+    /// but not yet packetized. An ack drains its spans off the front.
     buffer: VecDeque<u8>,
     /// The application has finished offering data.
     eof: bool,
@@ -184,7 +188,8 @@ impl SenderMachine {
             state: SendState::Idle,
             next_seq: 1,
             base: 1,
-            inflight: BTreeMap::new(),
+            inflight: VecDeque::new(),
+            inflight_bytes: 0,
             buffer: VecDeque::new(),
             eof: false,
             end_seq: None,
@@ -239,7 +244,7 @@ impl SenderMachine {
 
     /// Bytes offered but not yet packetized.
     pub fn buffered_bytes(&self) -> usize {
-        self.buffer.len()
+        self.buffer.len() - self.inflight_bytes
     }
 
     /// Initiates the connection.
@@ -255,6 +260,23 @@ impl SenderMachine {
     pub fn offer(&mut self, data: &[u8]) -> Vec<Effect> {
         assert!(!self.eof, "offer() after finish()");
         self.buffer.extend(data);
+        self.pumped()
+    }
+
+    /// Offers payload bytes the caller hands over: into an empty buffer
+    /// they move without a copy (`VecDeque::from` a `Vec` keeps its
+    /// allocation), so the send buffer *is* the payload.
+    pub fn offer_owned(&mut self, data: Vec<u8>) -> Vec<Effect> {
+        assert!(!self.eof, "offer() after finish()");
+        if self.buffer.is_empty() {
+            self.buffer = VecDeque::from(data);
+        } else {
+            self.buffer.extend(data);
+        }
+        self.pumped()
+    }
+
+    fn pumped(&mut self) -> Vec<Effect> {
         let mut fx = Vec::new();
         self.pump(&mut fx);
         fx
@@ -286,15 +308,17 @@ impl SenderMachine {
                 self.stats.acks += 1;
                 let acked_to = pup.id;
                 if acked_to > self.base {
-                    while let Some((&seq, _)) = self.inflight.first_key_value() {
-                        if seq < acked_to {
-                            let (_, seg) =
-                                self.inflight.pop_first().expect("first_key_value saw it");
-                            self.stats.bytes_acked += seg.len() as u64;
-                        } else {
+                    let mut acked = 0;
+                    while let Some(&(seq, len)) = self.inflight.front() {
+                        if seq >= acked_to {
                             break;
                         }
+                        self.inflight.pop_front();
+                        acked += len;
                     }
+                    self.buffer.drain(..acked);
+                    self.inflight_bytes -= acked;
+                    self.stats.bytes_acked += acked as u64;
                     self.base = acked_to;
                     self.dup_acks = 0;
                     self.backoff = 0;
@@ -392,37 +416,43 @@ impl SenderMachine {
         )
     }
 
+    /// The `n` buffered bytes from offset `at`, which lie in at most two
+    /// runs of the ring.
+    fn segment(&self, at: usize, n: usize) -> Vec<u8> {
+        let (head, tail) = self.buffer.as_slices();
+        let (lo, hi) = (at.min(head.len()), (at + n).min(head.len()));
+        let (lo_t, hi_t) = (at - lo, at + n - hi);
+        [&head[lo..hi], &tail[lo_t..hi_t]].concat()
+    }
+
     /// Sends as much of the buffer as the window allows.
     fn pump(&mut self, fx: &mut Vec<Effect>) {
         if self.state != SendState::Established {
             return;
         }
         loop {
+            let unsent = self.buffered_bytes();
             let window_open = (self.next_seq - self.base) < self.cwnd as u32;
-            let full = self.buffer.len() >= self.cfg.segment;
-            let flushable = !self.buffer.is_empty() && (self.eof || self.cfg.push);
+            let full = unsent >= self.cfg.segment;
+            let flushable = unsent > 0 && (self.eof || self.cfg.push);
             if !window_open || !(full || flushable) {
                 break;
             }
-            let n = self.buffer.len().min(self.cfg.segment);
-            // The first `n` bytes lie in at most two runs of the ring.
-            let (head, tail) = self.buffer.as_slices();
-            let from_head = n.min(head.len());
-            let chunk = [&head[..from_head], &tail[..n - from_head]].concat();
-            self.buffer.drain(..n);
+            let n = unsent.min(self.cfg.segment);
+            let chunk = self.segment(self.inflight_bytes, n);
             let seq = self.next_seq;
             self.next_seq += 1;
+            self.inflight.push_back((seq, n));
+            self.inflight_bytes += n;
             // Ask for an ack when this fills the window or drains the
             // buffer — the end of a burst either way.
-            let burst_end =
-                (self.next_seq - self.base) >= self.cwnd as u32 || self.buffer.is_empty();
+            let burst_end = (self.next_seq - self.base) >= self.cwnd as u32 || unsent == n;
             let ptype = if burst_end {
                 types::BSP_ADATA
             } else {
                 types::BSP_DATA
             };
-            let pup = Pup::new(ptype, seq, self.remote, self.local, chunk.clone());
-            self.inflight.insert(seq, chunk);
+            let pup = Pup::new(ptype, seq, self.remote, self.local, chunk);
             self.stats.data_packets += 1;
             fx.push(Effect::Send(pup));
             if !self.timer_armed {
@@ -433,26 +463,27 @@ impl SenderMachine {
 
     /// Go-back-N: resend everything in flight, last packet asking for ack.
     fn retransmit(&mut self, fx: &mut Vec<Effect>) {
-        if self.inflight.is_empty() {
+        let Some(&(last, _)) = self.inflight.back() else {
             return;
-        }
-        let last = *self.inflight.keys().next_back().expect("non-empty");
-        let packets: Vec<Pup> = self
-            .inflight
-            .iter()
-            .map(|(&seq, seg)| {
-                let ptype = if seq == last {
-                    types::BSP_ADATA
-                } else {
-                    types::BSP_DATA
-                };
-                Pup::new(ptype, seq, self.remote, self.local, seg.clone())
-            })
-            .collect();
-        for p in packets {
+        };
+        let mut at = 0;
+        for &(seq, len) in &self.inflight {
+            let ptype = if seq == last {
+                types::BSP_ADATA
+            } else {
+                types::BSP_DATA
+            };
+            let seg = self.segment(at, len);
+            at += len;
             self.stats.retransmits += 1;
             self.stats.data_packets += 1;
-            fx.push(Effect::Send(p));
+            fx.push(Effect::Send(Pup::new(
+                ptype,
+                seq,
+                self.remote,
+                self.local,
+                seg,
+            )));
         }
         self.disarm(fx);
         self.arm(fx);
@@ -557,6 +588,19 @@ impl ReceiverMachine {
 
     /// Handles a received Pup addressed to this endpoint.
     pub fn on_pup(&mut self, pup: &Pup) -> Vec<Effect> {
+        self.receive(pup, Cow::Borrowed(&pup.data))
+    }
+
+    /// Handles a received Pup the caller hands over: in-order data moves
+    /// into `Effect::Deliver` instead of being copied there.
+    pub fn on_pup_owned(&mut self, mut pup: Pup) -> Vec<Effect> {
+        let data = std::mem::take(&mut pup.data);
+        self.receive(&pup, Cow::Owned(data))
+    }
+
+    /// Handles `pup` carrying `data`: the owned entry has taken the data
+    /// out of `pup.data`, the borrowed one lends it.
+    fn receive(&mut self, pup: &Pup, data: Cow<'_, [u8]>) -> Vec<Effect> {
         let mut fx = Vec::new();
         self.peer = Some(pup.src);
         match pup.ptype {
@@ -573,8 +617,8 @@ impl ReceiverMachine {
                 if pup.id == self.expected {
                     self.expected += 1;
                     self.stats.delivered_packets += 1;
-                    self.stats.delivered_bytes += pup.data.len() as u64;
-                    fx.push(Effect::Deliver(pup.data.clone()));
+                    self.stats.delivered_bytes += data.len() as u64;
+                    fx.push(Effect::Deliver(data.into_owned()));
                     if pup.ptype == types::BSP_ADATA {
                         self.ack(pup.src, &mut fx);
                     }
@@ -1110,7 +1154,7 @@ mod machine_tests {
             let hi = (offered + chunk).min(stream.len());
             take(s.offer(&stream[offered..hi]), &mut sent);
             offered = hi;
-            most_buffered = most_buffered.max(s.buffered_bytes());
+            most_buffered = most_buffered.max(s.buffer.len());
             if s.inflight() == window {
                 next_ack += 1;
                 let ack = Pup::new(types::BSP_ACK, next_ack, sa, ra, Vec::new());
@@ -1139,6 +1183,76 @@ mod machine_tests {
         for (i, (got, want)) in sent.iter().zip(want).enumerate() {
             assert_eq!(got, want, "segment {}", i + 1);
         }
+    }
+
+    /// Go-back-N re-slices its spans from the send buffer: a segment whose
+    /// span straddles the ring's wrap goes out again byte for byte as it
+    /// first went.
+    #[test]
+    fn go_back_n_resends_a_span_across_the_wrap_byte_for_byte() {
+        let (sa, ra) = addrs();
+        let cfg = BspConfig {
+            window: 4,
+            segment: 100,
+            ..Default::default()
+        };
+        let segment = cfg.segment;
+        let mut s = SenderMachine::new(sa, ra, cfg);
+        let _ = s.connect();
+        let _ = s.on_pup(&Pup::new(types::BSP_OPEN, 0, sa, ra, Vec::new()));
+        let stream: Vec<u8> = (0..50_000u32).map(|i| (i * 13 % 251) as u8).collect();
+        // Data Pups by sequence number, first transmissions only.
+        let mut sent: Vec<Vec<u8>> = Vec::new();
+        let take = |fx: Vec<Effect>, sent: &mut Vec<Vec<u8>>| {
+            for e in fx {
+                if let Effect::Send(p) = e {
+                    if p.id as usize == sent.len() + 1 {
+                        sent.push(p.data);
+                    }
+                }
+            }
+        };
+        let straddles = |s: &SenderMachine| {
+            let head = s.buffer.as_slices().0.len();
+            let mut at = 0;
+            s.inflight.iter().any(|&(_, len)| {
+                at += len;
+                at - len < head && head < at
+            })
+        };
+        // Offer in uneven chunks and ack two segments whenever the window
+        // is full, until an in-flight span crosses the wrap.
+        let mut offered = 0;
+        for chunk in [130usize, 70, 290, 45].iter().cycle() {
+            if straddles(&s) || offered == stream.len() {
+                break;
+            }
+            let hi = (offered + chunk).min(stream.len());
+            take(s.offer(&stream[offered..hi]), &mut sent);
+            offered = hi;
+            if s.inflight() == 4 && !straddles(&s) {
+                let ack = Pup::new(types::BSP_ACK, s.base + 2, sa, ra, Vec::new());
+                take(s.on_pup(&ack), &mut sent);
+            }
+        }
+        assert!(straddles(&s), "a span crosses the ring's wrap");
+        // The base segment is lost: the timer fires and every span goes
+        // out again.
+        let fx = s.on_timer(RTO_TOKEN);
+        let resent: Vec<Pup> = fx
+            .into_iter()
+            .filter_map(|e| match e {
+                Effect::Send(p) => Some(p),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(resent.len(), 4);
+        for p in &resent {
+            let seq = p.id as usize;
+            assert_eq!(p.data, sent[seq - 1], "segment {seq} as first sent");
+            assert_eq!(p.data, stream[(seq - 1) * segment..seq * segment]);
+        }
+        assert_eq!(resent[3].ptype, types::BSP_ADATA);
     }
 
     #[test]

@@ -119,6 +119,8 @@ struct Feedback {
 pub struct BspSenderApp {
     local: PupAddr,
     remote: PupAddr,
+    /// The payload not yet handed to the machine (a memory source hands
+    /// it all over at once).
     payload: Vec<u8>,
     offered: usize,
     /// If set, the payload is read from a chunked source (a disk file):
@@ -195,16 +197,18 @@ impl BspSenderApp {
         }
     }
 
-    /// Offers payload to the machine: everything at once from memory, or
-    /// chunk by chunk (with per-chunk cost) from a simulated disk source.
+    /// Offers payload to the machine: everything at once from memory —
+    /// moved in, so the machine's send buffer is the payload — or chunk by
+    /// chunk (with per-chunk cost) from a simulated disk source.
     fn offer_more(&mut self, k: &mut ProcCtx<'_>) {
         if self.offered >= self.payload.len() {
             return;
         }
         match self.source {
             None => {
-                let fx = self.machine.offer(&self.payload[self.offered..]);
-                self.offered = self.payload.len();
+                let payload = std::mem::take(&mut self.payload);
+                self.offered = payload.len();
+                let fx = self.machine.offer_owned(payload);
                 let _ = self.ep.apply(fx, k);
             }
             Some((chunk, cost)) => {
@@ -364,7 +368,7 @@ impl App for BspReceiverApp {
                 }
             };
             self.ep.charge_rx_cksum(k, pup.data.len());
-            let fx = self.machine.on_pup(&pup);
+            let fx = self.machine.on_pup_owned(pup);
             let fb = self.ep.apply(fx, k);
             if fb.delivered > 0 {
                 if self.first_byte_at.is_none() {

@@ -14,21 +14,62 @@ use std::fmt;
 /// A host charges a dozen or so routines, millions of times, each by a
 /// string literal: the table is a short array, and a row is found by the
 /// literal's address before its text (two crates may each carry a copy).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Profiler {
     routines: Vec<(&'static str, RoutineStats)>,
-    /// The row last found for a literal, direct-mapped by its address: a
-    /// hit skips the search. Rows never move.
-    memo: [Option<(&'static str, u32)>; MEMO_SLOTS],
+    /// Each literal seen, by address and length, with its row:
+    /// open-addressed by the address and probed linearly. Nothing is ever
+    /// evicted, so after its first charge a literal is always a hit; past
+    /// `MEMO_HELD` literals a new one pays the search on every charge.
+    /// Rows never move. Inline and 768 bytes: a `Cpu` of another size
+    /// moved where glibc placed a freed `World`'s chunks, and with that
+    /// whether it trimmed the heap between two `overload_flood` set-ups
+    /// (four to six times the page faults, twice the set-up time).
+    memo: [MemoSlot; MEMO_SLOTS],
 }
 
-const MEMO_SLOTS: usize = 32;
+/// One memo entry; `addr` 0 (no literal's) marks it empty.
+#[derive(Debug, Clone, Copy)]
+struct MemoSlot {
+    addr: usize,
+    len: u32,
+    row: u32,
+}
 
-/// Where `routine` sits in the memo: the top bits of its address, mixed.
+const MEMO_SLOTS: usize = 48;
+/// At most three quarters full, so every probe meets an empty slot.
+const MEMO_HELD: usize = MEMO_SLOTS / 4 * 3;
+
+/// Where the probe for the literal at `addr` starts: the address, mixed,
+/// scaled onto the slots by its top 32 bits.
 #[inline]
-fn memo_slot(routine: &'static str) -> usize {
-    let mixed = (routine.as_ptr() as usize as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (mixed >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+fn memo_slot(addr: usize) -> usize {
+    let mixed = (addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (((mixed >> 32) * MEMO_SLOTS as u64) >> 32) as usize
+}
+
+/// The slot a probe visits after `slot`.
+#[inline]
+fn memo_next(slot: usize) -> usize {
+    if slot + 1 == MEMO_SLOTS {
+        0
+    } else {
+        slot + 1
+    }
+}
+
+impl Default for Profiler {
+    fn default() -> Self {
+        let empty = MemoSlot {
+            addr: 0,
+            len: 0,
+            row: 0,
+        };
+        Profiler {
+            routines: Vec::new(),
+            memo: [empty; MEMO_SLOTS],
+        }
+    }
 }
 
 /// Statistics for one profiled routine.
@@ -60,21 +101,38 @@ impl Profiler {
     /// hit is inlined into the caller; the search is not.
     #[inline]
     fn add(&mut self, routine: &'static str, calls: u64, time: SimDuration) {
-        let slot = memo_slot(routine);
-        let at = match self.memo[slot] {
-            Some((name, row)) if std::ptr::eq(name, routine) => row as usize,
-            _ => self.find_row(routine, slot),
+        let at = match self.memo_probe(routine) {
+            Some(row) => row,
+            None => self.find_row(routine),
         };
         let row = &mut self.routines[at].1;
         row.calls += calls;
         row.time += time;
     }
 
+    /// `routine`'s memoised row, if its probe finds it before an empty
+    /// slot.
+    #[inline]
+    fn memo_probe(&self, routine: &'static str) -> Option<usize> {
+        let addr = routine.as_ptr() as usize;
+        let mut slot = memo_slot(addr);
+        loop {
+            let m = self.memo[slot];
+            if m.addr == addr && m.len as usize == routine.len() {
+                return Some(m.row as usize);
+            }
+            if m.addr == 0 {
+                return None;
+            }
+            slot = memo_next(slot);
+        }
+    }
+
     /// `routine`'s row — found by address, then by text, else appended —
-    /// memoised in `slot`.
+    /// memoised while the memo has room.
     #[cold]
     #[inline(never)]
-    fn find_row(&mut self, routine: &'static str, slot: usize) -> usize {
+    fn find_row(&mut self, routine: &'static str) -> usize {
         let rows = &mut self.routines;
         let by_address = rows.iter().position(|r| std::ptr::eq(r.0, routine));
         let at = by_address
@@ -83,7 +141,16 @@ impl Profiler {
                 rows.push((routine, RoutineStats::default()));
                 rows.len() - 1
             });
-        self.memo[slot] = Some((routine, at as u32));
+        let held = self.memo.iter().filter(|m| m.addr != 0).count();
+        let key = (u32::try_from(routine.len()), u32::try_from(at));
+        if let ((Ok(len), Ok(row)), true) = (key, held < MEMO_HELD) {
+            let addr = routine.as_ptr() as usize;
+            let mut slot = memo_slot(addr);
+            while self.memo[slot].addr != 0 {
+                slot = memo_next(slot);
+            }
+            self.memo[slot] = MemoSlot { addr, len, row };
+        }
         at
     }
 
@@ -221,14 +288,12 @@ mod tests {
         assert_eq!(a.stats("y").calls, 1);
     }
 
-    /// Forty four-byte routines cut from one literal: distinct texts at
-    /// addresses four bytes apart.
-    fn cut_routines() -> Vec<&'static str> {
-        const NAMES: &str = "r00:r01:r02:r03:r04:r05:r06:r07:r08:r09:\
-                             r10:r11:r12:r13:r14:r15:r16:r17:r18:r19:\
-                             r20:r21:r22:r23:r24:r25:r26:r27:r28:r29:\
-                             r30:r31:r32:r33:r34:r35:r36:r37:r38:r39:";
-        (0..40).map(|i| &NAMES[4 * i..4 * i + 4]).collect()
+    /// `n` four-byte routines cut from one leaked string: distinct texts
+    /// at addresses four bytes apart.
+    fn cut_routines(n: usize) -> Vec<&'static str> {
+        let names: String = (0..n).map(|i| format!("{i:03}:")).collect();
+        let names: &'static str = Box::leak(names.into_boxed_str());
+        (0..n).map(|i| &names[4 * i..4 * i + 4]).collect()
     }
 
     #[test]
@@ -249,19 +314,32 @@ mod tests {
 
     #[test]
     fn routines_sharing_a_memo_slot_keep_exact_rows() {
-        let routines = cut_routines();
-        assert!(routines.len() > MEMO_SLOTS, "so two of them share a slot");
-        let shared = (0..routines.len())
-            .any(|i| (0..i).any(|j| memo_slot(routines[i]) == memo_slot(routines[j])));
-        assert!(shared);
+        // As many as the memo holds, two of which start their probe at one
+        // slot.
+        let pool = &cut_routines(400);
+        let start = |r: &str| memo_slot(r.as_ptr() as usize);
+        let (a, b) = (0..pool.len())
+            .flat_map(|i| (0..i).map(move |j| (pool[i], pool[j])))
+            .find(|&(a, b)| start(a) == start(b))
+            .expect("a pair whose probes start at one slot");
+        let others = pool.iter().filter(|&&r| r != a && r != b);
+        let routines: Vec<&'static str> = [a, b]
+            .into_iter()
+            .chain(others.copied())
+            .take(MEMO_HELD)
+            .collect();
         let mut p = Profiler::new();
-        // Interleaved, so routines sharing a slot evict each other on
-        // every round.
+        // Interleaved, so routines whose probes start at one slot
+        // alternate on every round.
         for round in 1..=5u64 {
             for (i, r) in routines.iter().enumerate() {
                 p.record(r, SimDuration::from_nanos(round * (i as u64 + 1)));
             }
         }
+        assert!(
+            routines.iter().all(|r| p.memo_probe(r).is_some()),
+            "no literal was evicted"
+        );
         for (i, r) in routines.iter().enumerate() {
             let s = p.stats(r);
             assert_eq!(s.calls, 5, "{r}");
@@ -271,8 +349,36 @@ mod tests {
     }
 
     #[test]
+    fn the_memo_stays_768_bytes() {
+        assert_eq!(std::mem::size_of::<[MemoSlot; MEMO_SLOTS]>(), 768);
+    }
+
+    #[test]
+    fn literals_past_the_memo_and_prefixes_keep_exact_rows() {
+        // More literals than the memo holds: the rest pay the search.
+        let routines = cut_routines(100);
+        // First, a literal and its own prefix: one address, two texts.
+        const FILTER: &str = "pf:filter";
+        let all: Vec<&'static str> = [FILTER, &FILTER[..4]].into_iter().chain(routines).collect();
+        let mut p = Profiler::new();
+        for round in 1..=3u64 {
+            for r in &all {
+                p.record(r, SimDuration::from_nanos(round));
+            }
+        }
+        let held: Vec<bool> = all.iter().map(|r| p.memo_probe(r).is_some()).collect();
+        assert!(held[0] && held[1], "both memoised");
+        assert_eq!(held.iter().filter(|&&h| h).count(), MEMO_HELD);
+        for r in &all {
+            assert_eq!(p.stats(r).calls, 3, "{r}");
+            assert_eq!(p.stats(r).time, SimDuration::from_nanos(6), "{r}");
+        }
+        assert_eq!(p.flat_profile().len(), 102);
+    }
+
+    #[test]
     fn merge_and_clone_of_a_memoised_profiler_agree_with_stats() {
-        let routines = cut_routines();
+        let routines = cut_routines(40);
         let mut a = Profiler::new();
         let mut b = Profiler::new();
         for (i, r) in routines.iter().enumerate() {
