@@ -9,7 +9,6 @@
 //!   packets in one system call) might also improve performance".
 
 use crate::report::Report;
-use pf_filter::interp::InterpConfig;
 use pf_filter::program::FilterProgram;
 use pf_filter::samples;
 use pf_ir::singleton_engines;
@@ -167,7 +166,7 @@ pub fn engine_ladder(iters: u32) -> Vec<LadderRow> {
     shapes
         .into_iter()
         .map(|(shape, program)| {
-            let ns = singleton_engines(&program, InterpConfig::default())
+            let ns = singleton_engines(&program)
                 .iter_mut()
                 .map(|engine| {
                     let name = engine.name();
@@ -371,7 +370,7 @@ mod tests {
         // surfaces `singleton_engines` hands out and that every timing is
         // sane (the real equivalence suite lives in pf-ir's differential
         // tests).
-        let expected = pf_ir::singleton_surface_count(InterpConfig::default());
+        let expected = pf_ir::singleton_surface_count();
         for row in engine_ladder(16) {
             assert_eq!(row.ns.len(), expected, "{}", row.shape);
             assert!(row.ns.iter().all(|&(_, ns)| ns >= 0.0), "{}", row.shape);

@@ -117,7 +117,7 @@ pub fn measure(population: usize, packets_per_point: usize) -> Vec<DemuxPoint> {
     let mut out = Vec::new();
 
     // Flat-sequential: the figure 4-1 loop over checked interpretations.
-    let interp = CheckedInterpreter::default();
+    let interp = CheckedInterpreter;
     let ns = time_per_packet(&packets, |p| {
         let view = PacketView::new(p);
         black_box(filters.iter().find(|(_, f)| interp.eval(f, view)));
@@ -480,7 +480,7 @@ mod tests {
     /// pure data-structure cost.
     #[test]
     fn engines_agree_on_the_synthetic_populations() {
-        let interp = CheckedInterpreter::default();
+        let interp = CheckedInterpreter;
         type Population = (usize, fn(usize) -> FilterProgram, Vec<Vec<u8>>);
         let populations: [Population; 2] = [
             (40, multi_ethertype_filter, traffic(40, 200)),

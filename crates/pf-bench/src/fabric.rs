@@ -27,7 +27,7 @@
 //!   the dead router (`frames_dropped_down`) or the downed link
 //!   (`link_down_drops`) — delivered + blackholed == injected, always.
 //! * **Hardened recovery is bounded**: after the detection/flooding
-//!   window ([`conv_bound`]), ≥ 99% of packets whose endpoints survive
+//!   window (`conv_bound`), ≥ 99% of packets whose endpoints survive
 //!   are delivered; every router's `last_route_change_ns` falls inside
 //!   the scenario's convergence deadline; route churn and triggered
 //!   reconvergences stay under closed-form caps.
@@ -109,11 +109,11 @@ const DRAIN_AT: SimTime = SimTime(3_000_000_000);
 /// The three chaos shapes the campaign sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
-    /// Ring router 1 crashes at [`T_FAULT`] and never comes back.
+    /// Ring router 1 crashes at `T_FAULT` (1 s) and never comes back.
     RouterKill,
     /// Ring link 0 flaps: 100ms down / 150ms up, three cycles.
     LinkFlap,
-    /// Ring links 0 and 1 go down together at [`T_FAULT`] (isolating
+    /// Ring links 0 and 1 go down together at `T_FAULT` (isolating
     /// router 1 and its LAN) and heal at `T_FAULT + 600ms`.
     Partition,
 }

@@ -7,7 +7,7 @@
 //! [`cells_tsv`] reads those pairs back out of the rows the text is
 //! rendered from, so the fidelity record cannot drift from the tables.
 //!
-//! Also home to [`p99_us`], the latency quantile the overload,
+//! Also home to `p99_us`, the latency quantile the overload,
 //! adversary and mc campaigns share.
 
 use std::fmt::Write as _;

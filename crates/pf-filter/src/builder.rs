@@ -22,18 +22,6 @@ use core::fmt;
 /// An error constructing a filter program from an expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
-    /// A packet-word index exceeds `PUSHWORD`'s 6-bit field and the target
-    /// dialect has no indirect push to reach it.
-    WordIndexTooLarge {
-        /// The offending word index.
-        index: u16,
-    },
-    /// The expression requires an extended-dialect feature (arithmetic,
-    /// indirect indexing) but the classic dialect was requested.
-    NeedsExtendedDialect {
-        /// Human-readable name of the feature.
-        feature: &'static str,
-    },
     /// The compiled program failed validation (e.g. exceeds
     /// [`MAX_PROGRAM_WORDS`] or the evaluation stack).
     Validate(ValidateError),
@@ -42,12 +30,6 @@ pub enum BuildError {
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BuildError::WordIndexTooLarge { index } => {
-                write!(f, "packet word index {index} exceeds PUSHWORD range")
-            }
-            BuildError::NeedsExtendedDialect { feature } => {
-                write!(f, "{feature} requires the extended dialect")
-            }
             BuildError::Validate(e) => write!(f, "compiled program invalid: {e}"),
         }
     }
@@ -61,7 +43,7 @@ impl From<ValidateError> for BuildError {
     }
 }
 
-/// Arithmetic operators available in the extended dialect.
+/// The §7 arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
     /// Wrapping addition.
@@ -153,7 +135,7 @@ pub enum Expr {
     /// A literal constant.
     Lit(u16),
     /// The packet word whose index is the value of the inner expression
-    /// (extended dialect: `PUSHIND`).
+    /// (§7: `PUSHIND`).
     WordAt(Box<Expr>),
     /// Bitwise AND of two values.
     BitAnd(Box<Expr>, Box<Expr>),
@@ -161,7 +143,7 @@ pub enum Expr {
     BitOr(Box<Expr>, Box<Expr>),
     /// Bitwise XOR of two values.
     BitXor(Box<Expr>, Box<Expr>),
-    /// Arithmetic on two values (extended dialect).
+    /// Arithmetic on two values (§7).
     Arith(ArithOp, Box<Expr>, Box<Expr>),
     /// Comparison of two values, producing a boolean.
     Cmp(CmpOp, Box<Expr>, Box<Expr>),
@@ -190,7 +172,7 @@ impl Expr {
         Expr::Lit(v)
     }
 
-    /// The packet word indexed by this expression's value (extended).
+    /// The packet word indexed by this expression's value (§7).
     pub fn word_at(index: Expr) -> Expr {
         Expr::WordAt(Box::new(index))
     }
@@ -261,37 +243,19 @@ impl Expr {
         Expr::BitOr(Box::new(self), Box::new(rhs.into()))
     }
 
-    /// Arithmetic (extended dialect).
+    /// Arithmetic (§7).
     pub fn arith(self, op: ArithOp, rhs: impl Into<Expr>) -> Expr {
         Expr::Arith(op, Box::new(self), Box::new(rhs.into()))
     }
 
-    /// Compiles to a classic-dialect program with short-circuit
-    /// optimization enabled.
+    /// Compiles with short-circuit optimization enabled. A word index
+    /// above [`MAX_PUSHWORD_INDEX`] lowers to `PUSHLIT n; PUSHIND`.
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildError`] if the expression needs extended features,
-    /// a word index is out of `PUSHWORD` range, or the result fails
-    /// validation.
+    /// Returns a [`BuildError`] if the result fails validation.
     pub fn compile(&self, priority: u8) -> Result<FilterProgram, BuildError> {
         self.compile_with(priority, &CompileOptions::default())
-    }
-
-    /// Compiles for the extended dialect (arithmetic and indirect pushes
-    /// allowed; word indexes above 47 lowered to `PUSHLIT; PUSHIND`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BuildError`] if compilation or validation fails.
-    pub fn compile_extended(&self, priority: u8) -> Result<FilterProgram, BuildError> {
-        self.compile_with(
-            priority,
-            &CompileOptions {
-                extended: true,
-                ..Default::default()
-            },
-        )
     }
 
     /// Compiles with explicit options.
@@ -315,16 +279,8 @@ impl Expr {
             }));
         }
         let program = FilterProgram::from_words(priority, c.words);
-        // Re-validate under the target dialect to catch stack-depth issues.
-        let cfg = if opts.extended {
-            crate::interp::InterpConfig {
-                dialect: crate::interp::Dialect::Extended,
-                ..Default::default()
-            }
-        } else {
-            crate::interp::InterpConfig::default()
-        };
-        ValidatedProgram::with_config(program.clone(), cfg)?;
+        // Re-validate to catch stack-depth issues.
+        ValidatedProgram::new(program.clone())?;
         Ok(program)
     }
 }
@@ -332,8 +288,6 @@ impl Expr {
 /// Options controlling expression compilation.
 #[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
-    /// Target the extended (§7) dialect.
-    pub extended: bool,
     /// Disable the `CAND`/`COR` short-circuit optimization (for ablation;
     /// the output then uses only plain `AND`/`OR`/`EQ` combinations).
     pub no_short_circuit: bool,
@@ -414,14 +368,7 @@ impl Compiler<'_> {
             Expr::BitAnd(a, b) => self.emit_binary(a, b, BinaryOp::And),
             Expr::BitOr(a, b) => self.emit_binary(a, b, BinaryOp::Or),
             Expr::BitXor(a, b) => self.emit_binary(a, b, BinaryOp::Xor),
-            Expr::Arith(op, a, b) => {
-                if !self.opts.extended {
-                    return Err(BuildError::NeedsExtendedDialect {
-                        feature: "arithmetic operator",
-                    });
-                }
-                self.emit_binary(a, b, op.binary_op())
-            }
+            Expr::Arith(op, a, b) => self.emit_binary(a, b, op.binary_op()),
             Expr::Cmp(op, a, b) => self.emit_binary(a, b, op.binary_op()),
             Expr::And(a, b) => self.emit_binary(a, b, BinaryOp::And),
             Expr::Or(a, b) => self.emit_binary(a, b, BinaryOp::Or),
@@ -477,13 +424,11 @@ impl Compiler<'_> {
             Expr::Word(n) => {
                 if *n <= MAX_PUSHWORD_INDEX {
                     self.push_instr(Instr::push(StackAction::PushWord(*n as u8)));
-                } else if self.opts.extended {
+                } else {
                     // Lower to PUSHLIT index; PUSHIND.
                     self.push_instr(Instr::push(StackAction::PushLit));
                     self.words.push(*n);
                     self.push_instr(Instr::push(StackAction::PushInd));
-                } else {
-                    return Err(BuildError::WordIndexTooLarge { index: *n });
                 }
                 Ok(())
             }
@@ -504,11 +449,6 @@ impl Compiler<'_> {
                 Ok(())
             }
             Expr::WordAt(idx) => {
-                if !self.opts.extended {
-                    return Err(BuildError::NeedsExtendedDialect {
-                        feature: "indirect packet indexing",
-                    });
-                }
                 self.emit_value(idx)?;
                 self.push_instr(Instr::push(StackAction::PushInd));
                 Ok(())
@@ -554,11 +494,7 @@ mod tests {
     use crate::word::StackAction;
 
     fn accepts(prog: &FilterProgram, pkt: &[u8]) -> bool {
-        CheckedInterpreter::default().eval(prog, PacketView::new(pkt))
-    }
-
-    fn accepts_ext(prog: &FilterProgram, pkt: &[u8]) -> bool {
-        CheckedInterpreter::extended().eval(prog, PacketView::new(pkt))
+        CheckedInterpreter.eval(prog, PacketView::new(pkt))
     }
 
     #[test]
@@ -615,7 +551,6 @@ mod tests {
     fn short_circuit_can_be_disabled() {
         let opts = CompileOptions {
             no_short_circuit: true,
-            ..Default::default()
         };
         let f = Expr::word(8)
             .eq(35)
@@ -708,49 +643,33 @@ mod tests {
     }
 
     #[test]
-    fn classic_rejects_arithmetic_and_big_indexes() {
-        let e = Expr::word(0).arith(ArithOp::Add, 1).eq(5);
-        assert!(matches!(
-            e.compile(0),
-            Err(BuildError::NeedsExtendedDialect { .. })
-        ));
-        assert!(matches!(
-            Expr::word(100).eq(1).compile(0),
-            Err(BuildError::WordIndexTooLarge { index: 100 })
-        ));
-    }
-
-    #[test]
-    fn extended_arithmetic_works() {
+    fn arithmetic_works() {
         let f = Expr::word(0)
             .arith(ArithOp::Add, 1)
             .eq(0x1235)
-            .compile_extended(0)
+            .compile(0)
             .unwrap();
-        assert!(accepts_ext(&f, &[0x12, 0x34]));
-        assert!(!accepts_ext(&f, &[0x12, 0x35]));
+        assert!(accepts(&f, &[0x12, 0x34]));
+        assert!(!accepts(&f, &[0x12, 0x35]));
     }
 
     #[test]
-    fn extended_big_word_index_lowers_to_pushind() {
-        let f = Expr::word(100).eq(0xCAFE).compile_extended(0).unwrap();
+    fn big_word_index_lowers_to_pushind() {
+        let f = Expr::word(100).eq(0xCAFE).compile(0).unwrap();
         let mut pkt = vec![0u8; 202];
         pkt[200] = 0xCA;
         pkt[201] = 0xFE;
-        assert!(accepts_ext(&f, &pkt));
+        assert!(accepts(&f, &pkt));
         pkt[201] = 0xFF;
-        assert!(!accepts_ext(&f, &pkt));
+        assert!(!accepts(&f, &pkt));
     }
 
     #[test]
     fn indirect_expression() {
         // word[word[0]] == 0xCAFE — the §7 variable-offset-header use case.
-        let f = Expr::word_at(Expr::word(0))
-            .eq(0xCAFE)
-            .compile_extended(0)
-            .unwrap();
-        assert!(accepts_ext(&f, &[0x00, 0x02, 0x00, 0x00, 0xCA, 0xFE]));
-        assert!(!accepts_ext(&f, &[0x00, 0x01, 0x00, 0x00, 0xCA, 0xFE]));
+        let f = Expr::word_at(Expr::word(0)).eq(0xCAFE).compile(0).unwrap();
+        assert!(accepts(&f, &[0x00, 0x02, 0x00, 0x00, 0xCA, 0xFE]));
+        assert!(!accepts(&f, &[0x00, 0x01, 0x00, 0x00, 0xCA, 0xFE]));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's `struct enfilter` examples (figures 3-8 and 3-9) were
 //! written against the CMU/Stanford header, whose concrete opcode numbers
-//! differ from this crate's canonical dialect (the *field layout* — 10-bit
+//! differ from this crate's canonical encoding (the *field layout* — 10-bit
 //! operator over 6-bit stack action — is the same). This module translates
 //! filter words between the two, so historical filters can be loaded
 //! verbatim and filters built here can be exported for comparison against
@@ -110,7 +110,7 @@ impl core::fmt::Display for CompatError {
 impl std::error::Error for CompatError {}
 
 /// Imports a historical `struct enfilter` (priority + instruction words)
-/// into the canonical dialect.
+/// into the canonical encoding.
 ///
 /// # Errors
 ///
@@ -259,7 +259,7 @@ mod tests {
     fn imported_fig_3_8_behaves_like_the_native_one() {
         let imported = import_enfilter(10, &paper_fig_3_8()).unwrap();
         let native = samples::fig_3_8_pup_type_range();
-        let interp = CheckedInterpreter::default();
+        let interp = CheckedInterpreter;
         for et in [2u16, 3] {
             for ptype in [0u8, 1, 50, 100, 101] {
                 let pkt = samples::pup_packet_3mb(et, 0, 35, ptype);
@@ -276,7 +276,7 @@ mod tests {
     fn imported_fig_3_9_behaves_like_the_native_one() {
         let imported = import_enfilter(10, &paper_fig_3_9()).unwrap();
         let native = samples::fig_3_9_pup_socket_35();
-        let interp = CheckedInterpreter::default();
+        let interp = CheckedInterpreter;
         for (et, hi, lo) in [(2u16, 0u16, 35u16), (2, 0, 36), (2, 1, 35), (3, 0, 35)] {
             let pkt = samples::pup_packet_3mb(et, hi, lo, 1);
             assert_eq!(

@@ -11,8 +11,8 @@
 //! evaluation then does no instruction decoding, no literal fetches, and no
 //! safety checks beyond one up-front packet-length comparison.
 //!
-//! The Criterion bench `filter_exec` measures this engine against the
-//! checked and validated interpreters, reproducing the §7 improvement
+//! The engine ladder of `paper-report ablations` times this engine against
+//! the checked and validated interpreters, reproducing the §7 improvement
 //! ladder with real wall-clock numbers.
 
 use crate::error::ValidateError;
@@ -82,12 +82,8 @@ enum MicroOp {
     /// Pop two, push bitwise XOR.
     BitXor,
     /// Pop two, compare for equality; terminate with `verdict` when the
-    /// result equals `when`, else push the result if `push`.
-    Sc {
-        when: bool,
-        verdict: bool,
-        push: bool,
-    },
+    /// result equals `when`, else push the result.
+    Sc { when: bool, verdict: bool },
     /// Fused `PUSHWORD+n; PUSHLIT|cmp, lit`: push `(pkt[n] cmp lit)`.
     WordCmpConst { word: u16, lit: u16, cmp: Cmp },
     /// Fused `PUSHWORD+n; PUSHLIT|sc, lit` short-circuit test against a
@@ -97,9 +93,8 @@ enum MicroOp {
         lit: u16,
         when: bool,
         verdict: bool,
-        push: bool,
     },
-    /// Pop two, push arithmetic result (extended dialect).
+    /// Pop two, push arithmetic result (§7).
     Add,
     /// See [`MicroOp::Add`].
     Sub,
@@ -140,7 +135,7 @@ pub struct CompiledFilter {
 }
 
 impl CompiledFilter {
-    /// Validates (classic dialect, paper short-circuit style) and compiles.
+    /// Validates and compiles.
     ///
     /// # Errors
     ///
@@ -173,12 +168,7 @@ impl CompiledFilter {
     /// Evaluates against a packet; `true` means *accept*.
     pub fn eval(&self, packet: PacketView<'_>) -> bool {
         if packet.word_len() < self.validated.min_packet_words() {
-            return interp::eval_words(
-                self.validated.config(),
-                self.validated.program().words(),
-                packet,
-            )
-            .0;
+            return interp::eval_words(self.validated.program().words(), packet).0;
         }
         self.eval_fast(packet)
     }
@@ -233,19 +223,13 @@ impl CompiledFilter {
                     let (t2, t1) = pop2!();
                     push!(t2 ^ t1);
                 }
-                MicroOp::Sc {
-                    when,
-                    verdict,
-                    push,
-                } => {
+                MicroOp::Sc { when, verdict } => {
                     let (t2, t1) = pop2!();
                     let r = t2 == t1;
                     if r == when {
                         return verdict;
                     }
-                    if push {
-                        push!(u16::from(r));
-                    }
+                    push!(u16::from(r));
                 }
                 MicroOp::WordCmpConst { word, lit, cmp } => {
                     let v = packet.word(usize::from(word)).unwrap_or(0);
@@ -256,16 +240,13 @@ impl CompiledFilter {
                     lit,
                     when,
                     verdict,
-                    push,
                 } => {
                     let v = packet.word(usize::from(word)).unwrap_or(0);
                     let r = v == lit;
                     if r == when {
                         return verdict;
                     }
-                    if push {
-                        push!(u16::from(r));
-                    }
+                    push!(u16::from(r));
                 }
                 MicroOp::Add => {
                     let (t2, t1) = pop2!();
@@ -311,7 +292,6 @@ impl CompiledFilter {
 /// `PUSHWORD; PUSHLIT|op` idiom.
 fn lower(validated: &ValidatedProgram) -> Vec<MicroOp> {
     let words = validated.program().words();
-    let paper_style = validated.config().short_circuit == crate::interp::ShortCircuitStyle::Paper;
     let mut ops: Vec<MicroOp> = Vec::new();
     let mut pc = 0usize;
 
@@ -339,7 +319,7 @@ fn lower(validated: &ValidatedProgram) -> Vec<MicroOp> {
         // Binary operator, with peephole fusion against the just-emitted
         // pushes: `PushWord(n), PushConst(c), <cmp>` → `WordCmpConst`.
         if instr.op.pops() {
-            let fused = try_fuse(&mut ops, instr.op, paper_style);
+            let fused = try_fuse(&mut ops, instr.op);
             if !fused {
                 ops.push(match instr.op {
                     BinaryOp::Eq
@@ -354,11 +334,7 @@ fn lower(validated: &ValidatedProgram) -> Vec<MicroOp> {
                     BinaryOp::Cor | BinaryOp::Cand | BinaryOp::Cnor | BinaryOp::Cnand => {
                         let (when, verdict) =
                             instr.op.short_circuit_rule().expect("short-circuit op");
-                        MicroOp::Sc {
-                            when,
-                            verdict,
-                            push: paper_style,
-                        }
+                        MicroOp::Sc { when, verdict }
                     }
                     BinaryOp::Add => MicroOp::Add,
                     BinaryOp::Sub => MicroOp::Sub,
@@ -377,7 +353,7 @@ fn lower(validated: &ValidatedProgram) -> Vec<MicroOp> {
 
 /// Attempts to fuse the trailing `PushWord, PushConst` pair with `op`.
 /// Returns `true` if a fused micro-op was emitted.
-fn try_fuse(ops: &mut Vec<MicroOp>, op: BinaryOp, paper_style: bool) -> bool {
+fn try_fuse(ops: &mut Vec<MicroOp>, op: BinaryOp) -> bool {
     let n = ops.len();
     if n < 2 {
         return false;
@@ -397,7 +373,6 @@ fn try_fuse(ops: &mut Vec<MicroOp>, op: BinaryOp, paper_style: bool) -> bool {
             lit,
             when,
             verdict,
-            push: paper_style,
         });
         return true;
     }
@@ -407,13 +382,13 @@ fn try_fuse(ops: &mut Vec<MicroOp>, op: BinaryOp, paper_style: bool) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{CheckedInterpreter, Dialect, InterpConfig};
+    use crate::interp::CheckedInterpreter;
     use crate::program::Assembler;
     use crate::samples;
 
     #[test]
     fn matches_checked_on_paper_filters() {
-        let checked = CheckedInterpreter::default();
+        let checked = CheckedInterpreter;
         for f in [
             samples::fig_3_8_pup_type_range(),
             samples::fig_3_9_pup_socket_35(),
@@ -475,18 +450,13 @@ mod tests {
     }
 
     #[test]
-    fn extended_dialect_compiles() {
-        let cfg = InterpConfig {
-            dialect: Dialect::Extended,
-            ..Default::default()
-        };
+    fn section_7_arithmetic_compiles() {
         let f = Assembler::new(0)
             .pushword(0)
             .pushlit_op(BinaryOp::Add, 1)
             .pushlit_op(BinaryOp::Eq, 0x1235)
             .finish();
-        let v = ValidatedProgram::with_config(f, cfg).unwrap();
-        let c = CompiledFilter::from_validated(v);
+        let c = CompiledFilter::compile(f).unwrap();
         assert!(c.eval(PacketView::new(&[0x12, 0x34])));
         assert!(!c.eval(PacketView::new(&[0x12, 0x33])));
     }

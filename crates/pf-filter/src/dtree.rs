@@ -16,7 +16,7 @@
 //! priority-ordered sequential interpretation (a property test verifies
 //! this).
 
-use crate::interp::{self, InterpConfig};
+use crate::interp;
 use crate::packet::PacketView;
 use crate::program::FilterProgram;
 use crate::word::{BinaryOp, Instr, StackAction};
@@ -244,7 +244,7 @@ impl FilterSet {
         }
 
         for r in &self.residual {
-            if interp::eval_words(InterpConfig::default(), r.program.words(), packet).0 {
+            if interp::eval_words(r.program.words(), packet).0 {
                 hits.push((r.priority, r.seq, r.id));
             }
         }
@@ -294,8 +294,8 @@ enum Sym {
     Conj(Vec<(u16, u16)>),
 }
 
-/// Symbolically evaluates a program under paper-style short-circuit
-/// semantics, recognizing pure conjunctions of word/constant equalities.
+/// Symbolically evaluates a program, recognizing pure conjunctions of
+/// word/constant equalities.
 fn analyze(program: &FilterProgram) -> Analysis {
     let words = program.words();
     // Zero-length filters accept everything (historical semantics).
@@ -308,6 +308,14 @@ fn analyze(program: &FilterProgram) -> Analysis {
     // Alternatives accumulated from continuing past CORs: each would have
     // accepted on its own. Only tracked for pure COR chains (no CANDs).
     let mut alternatives: Vec<Vec<(u16, u16)>> = Vec::new();
+    // The highest packet word read so far. Reading it faults (rejects) on
+    // a shorter packet, so an accepting branch becomes a table entry only
+    // if one of its own constraints reaches at least this word — a table
+    // probe skips a packet too short for any tested word.
+    let mut max_read: Option<u16> = None;
+    let covers = |constraints: &[(u16, u16)], max_read: Option<u16>| {
+        max_read.is_none_or(|m| constraints.iter().any(|&(w, _)| w >= m))
+    };
     let mut pc = 0usize;
 
     while pc < words.len() {
@@ -333,7 +341,10 @@ fn analyze(program: &FilterProgram) -> Analysis {
             StackAction::PushFFFF => stack.push(Sym::Const(0xFFFF)),
             StackAction::PushFF00 => stack.push(Sym::Const(0xFF00)),
             StackAction::Push00FF => stack.push(Sym::Const(0x00FF)),
-            StackAction::PushWord(n) => stack.push(Sym::Word(u16::from(n))),
+            StackAction::PushWord(n) => {
+                max_read = max_read.max(Some(u16::from(n)));
+                stack.push(Sym::Word(u16::from(n)));
+            }
             StackAction::PushInd => return Analysis::Opaque,
         }
 
@@ -358,8 +369,8 @@ fn analyze(program: &FilterProgram) -> Analysis {
                         return Analysis::Opaque;
                     }
                     match eq_test(&t2, &t1) {
-                        // Continuing past CAND implies the equality held;
-                        // the paper style pushes TRUE.
+                        // Continuing past CAND implies the equality held
+                        // and pushes TRUE.
                         Some(Sym::Conj(cs)) => {
                             path.extend(cs);
                             stack.push(Sym::Const(1));
@@ -377,13 +388,17 @@ fn analyze(program: &FilterProgram) -> Analysis {
                     }
                     match eq_test(&t2, &t1) {
                         // Terminating accepts on the equality alone;
-                        // continuing (paper style) pushes FALSE.
-                        Some(Sym::Conj(cs)) => {
+                        // continuing pushes FALSE.
+                        Some(Sym::Conj(cs)) if covers(&cs, max_read) => {
                             alternatives.push(cs);
                             stack.push(Sym::Const(0));
                         }
-                        // A constant-TRUE COR accepts everything.
-                        Some(Sym::Const(c)) if c != 0 => return Analysis::Conjunction(Vec::new()),
+                        // A constant-TRUE COR accepts every packet long
+                        // enough for the words read before it.
+                        Some(Sym::Const(c)) if c != 0 && max_read.is_none() => {
+                            return Analysis::Conjunction(Vec::new())
+                        }
+                        Some(Sym::Const(c)) if c != 0 => return Analysis::Opaque,
                         Some(Sym::Const(_)) => stack.push(Sym::Const(0)),
                         _ => return Analysis::Opaque,
                     }
@@ -404,6 +419,9 @@ fn analyze(program: &FilterProgram) -> Analysis {
         }
         Some(Sym::Word(_)) => return Analysis::Opaque,
     };
+    if final_conj.as_ref().is_some_and(|c| !covers(c, max_read)) {
+        return Analysis::Opaque;
+    }
     if alternatives.is_empty() {
         match final_conj {
             Some(c) => Analysis::Conjunction(c),
@@ -482,7 +500,7 @@ mod tests {
         filters: &[(FilterId, FilterProgram)],
         packet: PacketView<'_>,
     ) -> Vec<FilterId> {
-        let interp = CheckedInterpreter::default();
+        let interp = CheckedInterpreter;
         let mut hits: Vec<(u8, usize, FilterId)> = filters
             .iter()
             .enumerate()
@@ -536,6 +554,40 @@ mod tests {
         assert_eq!(set.member_kind(1), Some(MemberKind::Table));
         assert_eq!(set.matches(PacketView::new(&[0; 4])), vec![1]);
         assert_eq!(set.matches(PacketView::new(&[])), vec![1]);
+    }
+
+    #[test]
+    fn a_word_read_outside_the_constraints_keeps_its_fault() {
+        // Word 10 is read and dropped: a packet too short for it faults
+        // in the interpreter, so neither filter may become an entry that
+        // ignores the word.
+        let dead_then_true = Assembler::new(0)
+            .pushword(4)
+            .pushword(10)
+            .pushone()
+            .finish();
+        let dead_then_cor = Assembler::new(0)
+            .pushword(10)
+            .pushword(0)
+            .pushlit_op(BinaryOp::Cor, 5)
+            .pushzero()
+            .finish();
+        let mut short = vec![0u8; 18];
+        short[1] = 5;
+        let mut long = short.clone();
+        long.resize(22, 0);
+        for f in [dead_then_true, dead_then_cor] {
+            let mut set = FilterSet::new();
+            set.insert(1, f.clone());
+            assert_eq!(set.member_kind(1), Some(MemberKind::Residual), "{f}");
+            let filters = [(1, f)];
+            for pkt in [&short, &long] {
+                let view = PacketView::new(pkt);
+                assert_eq!(set.matches(view), sequential_matches(&filters, view));
+            }
+            assert!(set.matches(PacketView::new(&short)).is_empty());
+            assert_eq!(set.matches(PacketView::new(&long)), vec![1]);
+        }
     }
 
     #[test]

@@ -40,12 +40,6 @@ pub enum ValidateError {
         /// Word offset of the offending instruction.
         offset: usize,
     },
-    /// The instruction uses an extended-dialect feature but the program was
-    /// validated for the classic dialect.
-    ExtendedInstruction {
-        /// Word offset of the offending instruction.
-        offset: usize,
-    },
 }
 
 impl fmt::Display for ValidateError {
@@ -67,10 +61,6 @@ impl fmt::Display for ValidateError {
             ValidateError::StackOverflow { offset } => {
                 write!(f, "push at word {offset} overflows the evaluation stack")
             }
-            ValidateError::ExtendedInstruction { offset } => write!(
-                f,
-                "extended-dialect instruction at word {offset} not allowed in classic dialect"
-            ),
         }
     }
 }
@@ -112,12 +102,7 @@ pub enum RuntimeError {
         /// The packet-word index that was requested.
         index: usize,
     },
-    /// Extended-dialect instruction encountered while evaluating classic.
-    ExtendedInstruction {
-        /// Word offset of the offending instruction.
-        offset: usize,
-    },
-    /// `DIV` or `MOD` with a zero divisor (extended dialect).
+    /// `DIV` or `MOD` with a zero divisor.
     DivideByZero {
         /// Word offset of the offending instruction.
         offset: usize,
@@ -147,10 +132,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::OutOfPacket { offset, index } => write!(
                 f,
                 "reference to packet word {index} beyond packet end, at word {offset}"
-            ),
-            RuntimeError::ExtendedInstruction { offset } => write!(
-                f,
-                "extended-dialect instruction at word {offset} in classic evaluation"
             ),
             RuntimeError::DivideByZero { offset } => {
                 write!(f, "division by zero at word {offset}")

@@ -11,6 +11,12 @@
 //! that it doesn't refer to a field outside the current packet" (§7). The
 //! §7 improvements — hoisting those checks to bind time and compiling
 //! filters — live in [`crate::validate`] and [`crate::compile`].
+//!
+//! The language is one language: the paper's instruction set (figure 3-6)
+//! plus its §7 extensions for variable-format headers — the indirect push
+//! `PUSHIND` and the arithmetic operators `ADD` … `RSH`. A short-circuit
+//! operator that does not terminate the filter pushes its result `R` and
+//! continues (§3.1). Only the reserved encodings fail to decode.
 
 use crate::error::RuntimeError;
 use crate::packet::PacketView;
@@ -21,43 +27,6 @@ use crate::word::{BinaryOp, Instr, StackAction};
 ///
 /// "A small stack" (§4); the exact size is an implementation constant.
 pub const STACK_SIZE: usize = 32;
-
-/// Which instruction dialect evaluation accepts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Dialect {
-    /// The paper's published language (figure 3-6).
-    #[default]
-    Classic,
-    /// Classic plus the §7 extensions: `PUSHIND` and arithmetic operators.
-    Extended,
-}
-
-/// What a short-circuit operator pushes when it does *not* terminate.
-///
-/// The paper (§3.1) says all four short-circuit operators "evaluate
-/// `R := (T1 == T2)` and push the result R on the stack" before continuing.
-/// The historical 4.3BSD `enet.c` pushed nothing when continuing. Both give
-/// identical verdicts for filters written in either style (the verdict is
-/// the *top* of stack, and a well-formed continuation overwrites or ignores
-/// the slot), but stack layouts differ; we support both for fidelity and
-/// expose the choice as an ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShortCircuitStyle {
-    /// Push `R` and continue (the paper's description).
-    #[default]
-    Paper,
-    /// Push nothing and continue (the 4.3BSD `enet.c` implementation).
-    Historical,
-}
-
-/// Interpreter configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InterpConfig {
-    /// Accepted instruction dialect.
-    pub dialect: Dialect,
-    /// Short-circuit continuation behavior.
-    pub short_circuit: ShortCircuitStyle,
-}
 
 /// Counters describing one filter evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,8 +54,6 @@ impl EvalStats {
 enum OpOutcome {
     /// Push this value and continue.
     Push(u16),
-    /// Short-circuit style pushed nothing; continue.
-    NoPush,
     /// Terminate the whole filter with this verdict.
     Terminate(bool),
 }
@@ -100,38 +67,16 @@ enum OpOutcome {
 /// use pf_filter::packet::PacketView;
 /// use pf_filter::samples;
 ///
-/// let interp = CheckedInterpreter::default();
+/// let interp = CheckedInterpreter;
 /// let filter = samples::fig_3_9_pup_socket_35();
 /// // A 3Mb-Ethernet Pup packet addressed to socket 35:
 /// let pkt = samples::pup_packet_3mb(2, 0, 35, 1);
 /// assert!(interp.eval(&filter, PacketView::new(&pkt)));
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CheckedInterpreter {
-    config: InterpConfig,
-}
+pub struct CheckedInterpreter;
 
 impl CheckedInterpreter {
-    /// Creates an interpreter with the given configuration.
-    pub fn new(config: InterpConfig) -> Self {
-        CheckedInterpreter { config }
-    }
-
-    /// Creates an interpreter accepting the extended (§7) dialect.
-    pub fn extended() -> Self {
-        CheckedInterpreter {
-            config: InterpConfig {
-                dialect: Dialect::Extended,
-                ..Default::default()
-            },
-        }
-    }
-
-    /// The interpreter's configuration.
-    pub fn config(&self) -> InterpConfig {
-        self.config
-    }
-
     /// Evaluates `filter` against `packet`; `true` means *accept*.
     ///
     /// Runtime faults reject the packet, per §4 ("or an error is detected").
@@ -145,7 +90,7 @@ impl CheckedInterpreter {
         filter: &FilterProgram,
         packet: PacketView<'_>,
     ) -> (bool, EvalStats) {
-        eval_words(self.config, filter.words(), packet)
+        eval_words(filter.words(), packet)
     }
 
     /// Evaluates under an instruction budget: if more than `budget`
@@ -162,24 +107,19 @@ impl CheckedInterpreter {
         packet: PacketView<'_>,
         budget: u32,
     ) -> (bool, EvalStats) {
-        eval_words_budgeted(self.config, filter.words(), packet, Some(budget))
+        eval_words_budgeted(filter.words(), packet, Some(budget))
     }
 }
 
 /// Evaluates raw program words against a packet.
 ///
 /// This is the shared inner loop; [`CheckedInterpreter`] is its public face.
-pub(crate) fn eval_words(
-    config: InterpConfig,
-    words: &[u16],
-    packet: PacketView<'_>,
-) -> (bool, EvalStats) {
-    eval_words_budgeted(config, words, packet, None)
+pub(crate) fn eval_words(words: &[u16], packet: PacketView<'_>) -> (bool, EvalStats) {
+    eval_words_budgeted(words, packet, None)
 }
 
 /// Evaluates raw program words with an optional instruction budget.
 pub(crate) fn eval_words_budgeted(
-    config: InterpConfig,
     words: &[u16],
     packet: PacketView<'_>,
     budget: Option<u32>,
@@ -214,9 +154,6 @@ pub(crate) fn eval_words_budgeted(
             if stats.instructions > limit {
                 fault!(RuntimeError::BudgetExceeded { limit });
             }
-        }
-        if config.dialect == Dialect::Classic && instr.is_extended() {
-            fault!(RuntimeError::ExtendedInstruction { offset });
         }
 
         // Stack action first (§3.1: push, then the binary operation).
@@ -285,12 +222,11 @@ pub(crate) fn eval_words_budgeted(
             let t1 = stack[depth - 1];
             let t2 = stack[depth - 2];
             depth -= 2;
-            match apply_op(instr.op, t2, t1, config.short_circuit) {
+            match apply_op(instr.op, t2, t1) {
                 Ok(OpOutcome::Push(r)) => {
                     stack[depth] = r;
                     depth += 1;
                 }
-                Ok(OpOutcome::NoPush) => {}
                 Ok(OpOutcome::Terminate(v)) => {
                     stats.short_circuited = true;
                     return (v, stats);
@@ -316,12 +252,7 @@ enum OpFault {
     DivideByZero,
 }
 
-fn apply_op(
-    op: BinaryOp,
-    t2: u16,
-    t1: u16,
-    style: ShortCircuitStyle,
-) -> Result<OpOutcome, OpFault> {
+fn apply_op(op: BinaryOp, t2: u16, t1: u16) -> Result<OpOutcome, OpFault> {
     fn b(v: bool) -> u16 {
         u16::from(v)
     }
@@ -339,13 +270,11 @@ fn apply_op(
         BinaryOp::Cor | BinaryOp::Cand | BinaryOp::Cnor | BinaryOp::Cnand => {
             let r = t2 == t1;
             let (terminate_when, verdict) = op.short_circuit_rule().expect("short-circuit op");
+            // Push R and continue when not terminating (§3.1).
             if r == terminate_when {
                 OpOutcome::Terminate(verdict)
             } else {
-                match style {
-                    ShortCircuitStyle::Paper => OpOutcome::Push(b(r)),
-                    ShortCircuitStyle::Historical => OpOutcome::NoPush,
-                }
+                OpOutcome::Push(b(r))
             }
         }
         BinaryOp::Add => OpOutcome::Push(t2.wrapping_add(t1)),
@@ -375,7 +304,7 @@ mod tests {
     use crate::samples;
 
     fn interp() -> CheckedInterpreter {
-        CheckedInterpreter::default()
+        CheckedInterpreter
     }
 
     fn eval_on(prog: &FilterProgram, bytes: &[u8]) -> bool {
@@ -599,26 +528,25 @@ mod tests {
     }
 
     #[test]
-    fn short_circuit_styles_agree_on_paper_filters() {
-        let paper = CheckedInterpreter::new(InterpConfig {
-            short_circuit: ShortCircuitStyle::Paper,
-            ..Default::default()
-        });
-        let hist = CheckedInterpreter::new(InterpConfig {
-            short_circuit: ShortCircuitStyle::Historical,
-            ..Default::default()
-        });
-        let f = samples::fig_3_9_pup_socket_35();
-        for pkt in [
-            samples::pup_packet_3mb(2, 0, 35, 1),
-            samples::pup_packet_3mb(2, 0, 36, 1),
-            samples::pup_packet_3mb(3, 0, 35, 1),
-        ] {
-            assert_eq!(
-                paper.eval(&f, PacketView::new(&pkt)),
-                hist.eval(&f, PacketView::new(&pkt))
-            );
-        }
+    fn continuing_short_circuit_pushes_r() {
+        // A CAND that does not terminate leaves R = TRUE on the stack, and
+        // that word is the verdict when nothing follows it.
+        let f = Assembler::new(0)
+            .pushword(0)
+            .pushlit_op(BinaryOp::Cand, 0x1111)
+            .finish();
+        assert!(eval_on(&f, &[0x11, 0x11]));
+        assert!(!eval_on(&f, &[0x22, 0x22]));
+        // A continuing COR leaves R = FALSE, which a following operator
+        // can pop.
+        let f = Assembler::new(0)
+            .pushword(0)
+            .pushlit_op(BinaryOp::Cor, 0x1111)
+            .pushzero_op(BinaryOp::Or)
+            .finish();
+        let (accept, stats) = interp().eval_with_stats(&f, PacketView::new(&[0x22, 0x22]));
+        assert!(!accept);
+        assert_eq!(stats.error, None, "OR popped R and the zero");
     }
 
     #[test]
@@ -655,23 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn extended_rejected_in_classic_dialect() {
-        let f = Assembler::new(0)
-            .pushlit(2)
-            .pushlit_op(BinaryOp::Add, 3)
-            .finish();
-        let (accept, stats) = interp().eval_with_stats(&f, PacketView::new(&[]));
-        assert!(!accept);
-        assert!(matches!(
-            stats.error,
-            Some(RuntimeError::ExtendedInstruction { .. })
-        ));
-        assert!(CheckedInterpreter::extended().eval(&f, PacketView::new(&[])));
-    }
-
-    #[test]
     fn extended_arithmetic() {
-        let x = CheckedInterpreter::extended();
         let cases = [
             (BinaryOp::Add, 2u16, 3u16, 5u16),
             (BinaryOp::Sub, 7, 3, 4),
@@ -688,18 +600,17 @@ mod tests {
                 .pushlit_op(op, t1)
                 .pushlit_op(BinaryOp::Eq, want)
                 .finish();
-            assert!(x.eval(&f, PacketView::new(&[])), "{t2} {op} {t1} != {want}");
+            assert!(eval_on(&f, &[]), "{t2} {op} {t1} != {want}");
         }
     }
 
     #[test]
     fn divide_by_zero_rejects() {
-        let x = CheckedInterpreter::extended();
         let f = Assembler::new(0)
             .pushlit(4)
             .pushzero_op(BinaryOp::Div)
             .finish();
-        let (accept, stats) = x.eval_with_stats(&f, PacketView::new(&[]));
+        let (accept, stats) = interp().eval_with_stats(&f, PacketView::new(&[]));
         assert!(!accept);
         assert!(matches!(
             stats.error,
@@ -710,24 +621,22 @@ mod tests {
     #[test]
     fn indirect_push() {
         // Word 0 holds an index; PUSHIND loads the word it names.
-        let x = CheckedInterpreter::extended();
         let f = Assembler::new(0)
             .pushword(0)
             .push(StackAction::PushInd)
             .pushlit_op(BinaryOp::Eq, 0xCAFE)
             .finish();
         // Packet: word0 = 2, word1 = junk, word2 = 0xCAFE.
-        assert!(x.eval(&f, PacketView::new(&[0, 2, 0, 0, 0xCA, 0xFE])));
-        assert!(!x.eval(&f, PacketView::new(&[0, 1, 0, 0, 0xCA, 0xFE])));
+        assert!(eval_on(&f, &[0, 2, 0, 0, 0xCA, 0xFE]));
+        assert!(!eval_on(&f, &[0, 1, 0, 0, 0xCA, 0xFE]));
         // Index past packet end: reject.
-        assert!(!x.eval(&f, PacketView::new(&[0, 9, 0, 0, 0xCA, 0xFE])));
+        assert!(!eval_on(&f, &[0, 9, 0, 0, 0xCA, 0xFE]));
     }
 
     #[test]
     fn indirect_push_on_empty_stack_underflows() {
-        let x = CheckedInterpreter::extended();
         let f = Assembler::new(0).push(StackAction::PushInd).finish();
-        let (accept, stats) = x.eval_with_stats(&f, PacketView::new(&[0, 0]));
+        let (accept, stats) = interp().eval_with_stats(&f, PacketView::new(&[0, 0]));
         assert!(!accept);
         assert!(matches!(
             stats.error,

@@ -6,6 +6,12 @@
 //! packets, in which user processes describe which packets they want, and
 //! the interpreter a kernel uses to evaluate those predicates.
 //!
+//! There is one language: the paper's instruction set (figure 3-6) plus
+//! the extensions §7 proposes for variable-format headers, the indirect
+//! push `PUSHIND` and the arithmetic operators `ADD` … `RSH`
+//! ([`word`]). Every engine below speaks all of it, and a non-terminating
+//! short-circuit operator always pushes its result (§3.1).
+//!
 //! The crate provides the complete ladder of execution engines the paper
 //! describes or proposes:
 //!
@@ -47,7 +53,7 @@
 //!     .unwrap();
 //!
 //! let pkt = samples::pup_packet_3mb(2, 0, 35, 1);
-//! assert!(CheckedInterpreter::default().eval(&filter, PacketView::new(&pkt)));
+//! assert!(CheckedInterpreter.eval(&filter, PacketView::new(&pkt)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,7 +72,7 @@ pub mod validate;
 pub mod word;
 
 pub use error::{RuntimeError, ValidateError};
-pub use interp::{CheckedInterpreter, Dialect, EvalStats, InterpConfig, ShortCircuitStyle};
+pub use interp::{CheckedInterpreter, EvalStats};
 pub use packet::PacketView;
 pub use program::{Assembler, FilterProgram};
 pub use word::{BinaryOp, Instr, StackAction};

@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn ethertype_filter_matches_only_type() {
-        let i = CheckedInterpreter::default();
+        let i = CheckedInterpreter;
         let f = ethertype_filter(10, 2);
         assert!(i.eval(&f, PacketView::new(&pup_packet_3mb(2, 0, 9, 1))));
         assert!(!i.eval(&f, PacketView::new(&pup_packet_3mb(3, 0, 9, 1))));
@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn accept_and_reject_all() {
-        let i = CheckedInterpreter::default();
+        let i = CheckedInterpreter;
         let pkt = [0u8; 16];
         assert!(i.eval(&accept_all(1), PacketView::new(&pkt)));
         assert!(!i.eval(&reject_all(1), PacketView::new(&pkt)));
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn padded_filters_have_requested_length_and_accept() {
-        let i = CheckedInterpreter::default();
+        let i = CheckedInterpreter;
         let pkt = [0u8; 16];
         for n in [1usize, 2, 3, 9, 10, 21, 40] {
             let f = padded_accept_filter(1, n);

@@ -18,7 +18,7 @@
 //! crate verifies this on arbitrary programs and packets).
 
 use crate::error::ValidateError;
-use crate::interp::{self, Dialect, InterpConfig, ShortCircuitStyle, STACK_SIZE};
+use crate::interp::{self, STACK_SIZE};
 use crate::packet::PacketView;
 use crate::program::{FilterProgram, MAX_PROGRAM_WORDS};
 use crate::word::{BinaryOp, Instr, StackAction};
@@ -41,7 +41,6 @@ use crate::word::{BinaryOp, Instr, StackAction};
 #[derive(Debug, Clone)]
 pub struct ValidatedProgram {
     program: FilterProgram,
-    config: InterpConfig,
     /// Packet length (in words) below which the fast path cannot run.
     min_packet_words: usize,
     /// Whether the program contains `PUSHIND` (dynamic bounds checks stay).
@@ -55,29 +54,12 @@ pub struct ValidatedProgram {
 }
 
 impl ValidatedProgram {
-    /// Validates `program` for the classic dialect with paper-style
-    /// short-circuit continuation.
+    /// Validates `program`.
     ///
     /// # Errors
     ///
     /// Returns the first static defect found, as a [`ValidateError`].
     pub fn new(program: FilterProgram) -> Result<Self, ValidateError> {
-        Self::with_config(program, InterpConfig::default())
-    }
-
-    /// Validates `program` under an explicit interpreter configuration.
-    ///
-    /// The configuration matters: the stack-depth analysis depends on the
-    /// short-circuit continuation style, and the dialect decides whether
-    /// extended instructions are defects.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first static defect found, as a [`ValidateError`].
-    pub fn with_config(
-        program: FilterProgram,
-        config: InterpConfig,
-    ) -> Result<Self, ValidateError> {
         let words = program.words();
         if words.len() > MAX_PROGRAM_WORDS {
             return Err(ValidateError::TooLong { words: words.len() });
@@ -98,9 +80,6 @@ impl ValidatedProgram {
             let instr =
                 Instr::decode(raw).ok_or(ValidateError::BadInstruction { offset, word: raw })?;
             instructions += 1;
-            if config.dialect == Dialect::Classic && instr.is_extended() {
-                return Err(ValidateError::ExtendedInstruction { offset });
-            }
 
             // Stack action.
             match instr.action {
@@ -144,15 +123,9 @@ impl ValidatedProgram {
                 if depth < 2 {
                     return Err(ValidateError::StackUnderflow { offset, depth });
                 }
-                depth -= 2;
-                let continues_with_push = if instr.op.is_short_circuit() {
-                    config.short_circuit == ShortCircuitStyle::Paper
-                } else {
-                    true
-                };
-                if continues_with_push {
-                    depth += 1;
-                }
+                // Pop two, push one; a short-circuit operator that
+                // continues pushes R too.
+                depth -= 1;
                 if matches!(instr.op, BinaryOp::Div | BinaryOp::Mod) {
                     uses_division = true;
                 }
@@ -162,7 +135,6 @@ impl ValidatedProgram {
         Ok(ValidatedProgram {
             min_packet_words: max_word.map_or(0, |m| m + 1),
             program,
-            config,
             uses_indirect,
             uses_division,
             max_stack_depth: max_depth,
@@ -180,18 +152,13 @@ impl ValidatedProgram {
         self.program.priority()
     }
 
-    /// The interpreter configuration this program was validated for.
-    pub fn config(&self) -> InterpConfig {
-        self.config
-    }
-
     /// Minimum packet length (in 16-bit words) for the fast path. Shorter
     /// packets are evaluated via the checked fallback.
     pub fn min_packet_words(&self) -> usize {
         self.min_packet_words
     }
 
-    /// Whether the program uses the extended indirect push.
+    /// Whether the program uses the §7 indirect push.
     pub fn uses_indirect(&self) -> bool {
         self.uses_indirect
     }
@@ -219,7 +186,7 @@ impl ValidatedProgram {
     /// `PUSHIND` and division keep their dynamic checks in all cases.
     pub fn eval(&self, packet: PacketView<'_>) -> bool {
         if packet.word_len() < self.min_packet_words {
-            return interp::eval_words(self.config, self.program.words(), packet).0;
+            return interp::eval_words(self.program.words(), packet).0;
         }
         self.eval_fast(packet)
     }
@@ -236,7 +203,6 @@ impl ValidatedProgram {
         let mut stack = [0u16; STACK_SIZE];
         let mut depth = 0usize;
         let mut pc = 0usize;
-        let paper_style = self.config.short_circuit == ShortCircuitStyle::Paper;
 
         while pc < words.len() {
             let raw = words[pc];
@@ -314,11 +280,7 @@ impl ValidatedProgram {
                         if r == when {
                             return verdict;
                         }
-                        if paper_style {
-                            stack[depth] = u16::from(r);
-                            depth += 1;
-                        }
-                        continue;
+                        u16::from(r)
                     }
                     BinaryOp::Add => t2.wrapping_add(t1),
                     BinaryOp::Sub => t2.wrapping_sub(t1),
@@ -373,7 +335,7 @@ mod tests {
         assert_eq!(v.min_packet_words(), 9);
         assert!(!v.uses_indirect());
         assert_eq!(v.instructions(), 6);
-        // Depth trace (paper style, CAND pushes TRUE when continuing):
+        // Depth trace (a continuing CAND pushes TRUE):
         // [w8] [w8,35] -> [1] -> [1,w7] [1,w7,0] -> [1,1] -> [1,1,w1]
         // [1,1,w1,2] -> [1,1,eq]; the maximum is 4.
         assert_eq!(v.max_stack_depth(), 4);
@@ -387,6 +349,28 @@ mod tests {
             ValidatedProgram::new(p),
             Err(ValidateError::BadInstruction { offset: 0, .. })
         ));
+    }
+
+    #[test]
+    fn reserved_operators_fail_and_section_7_ones_validate() {
+        for op in [14u16, 15, 23, 1023] {
+            let raw = (op << 6) | 3; // PUSHONE | op
+            let p =
+                FilterProgram::from_words(0, vec![Instr::push(StackAction::PushOne).encode(), raw]);
+            assert!(
+                matches!(
+                    ValidatedProgram::new(p),
+                    Err(ValidateError::BadInstruction { offset: 1, .. })
+                ),
+                "op {op}"
+            );
+        }
+        let p = Assembler::new(0)
+            .pushone()
+            .pushone()
+            .op(BinaryOp::Add)
+            .finish();
+        assert_eq!(ValidatedProgram::new(p).unwrap().max_stack_depth(), 2);
     }
 
     #[test]
@@ -423,28 +407,9 @@ mod tests {
     }
 
     #[test]
-    fn rejects_extended_in_classic() {
-        let p = Assembler::new(0)
-            .pushone()
-            .pushone()
-            .op(BinaryOp::Add)
-            .finish();
-        assert!(matches!(
-            ValidatedProgram::new(p.clone()),
-            Err(ValidateError::ExtendedInstruction { offset: 2 })
-        ));
-        let cfg = InterpConfig {
-            dialect: Dialect::Extended,
-            ..Default::default()
-        };
-        assert!(ValidatedProgram::with_config(p, cfg).is_ok());
-    }
-
-    #[test]
-    fn depth_analysis_depends_on_short_circuit_style() {
-        // After a continuing CAND: Paper leaves one word, Historical zero.
-        // The following bare AND then underflows only under Historical...
-        // with one fewer word available.
+    fn a_continuing_short_circuit_leaves_one_word() {
+        // A continuing CAND pushes R, so the two bare ANDs that follow
+        // find three words between them and validate.
         let p = Assembler::new(0)
             .pushword(0)
             .pushlit_op(BinaryOp::Cand, 1)
@@ -453,20 +418,12 @@ mod tests {
             .op(BinaryOp::And)
             .op(BinaryOp::And)
             .finish();
-        assert!(ValidatedProgram::new(p.clone()).is_ok());
-        let hist = InterpConfig {
-            short_circuit: ShortCircuitStyle::Historical,
-            ..Default::default()
-        };
-        assert!(matches!(
-            ValidatedProgram::with_config(p, hist),
-            Err(ValidateError::StackUnderflow { .. })
-        ));
+        assert!(ValidatedProgram::new(p).is_ok());
     }
 
     #[test]
     fn fast_eval_matches_checked_on_paper_filters() {
-        let checked = CheckedInterpreter::default();
+        let checked = CheckedInterpreter;
         for f in [
             samples::fig_3_8_pup_type_range(),
             samples::fig_3_9_pup_socket_35(),
@@ -488,7 +445,7 @@ mod tests {
     fn short_packet_falls_back_and_matches_checked() {
         let f = samples::fig_3_9_pup_socket_35();
         let v = ValidatedProgram::new(f.clone()).unwrap();
-        let checked = CheckedInterpreter::default();
+        let checked = CheckedInterpreter;
         // 4-byte packet: word 8 is out of bounds; both engines must reject.
         let pkt = [0x01u8, 0x02, 0x00, 0x02];
         let view = PacketView::new(&pkt);
@@ -508,7 +465,7 @@ mod tests {
         let v = ValidatedProgram::new(f.clone()).unwrap();
         let pkt = [0x11u8, 0x11]; // one word; word 40 would fault
         assert!(v.eval(PacketView::new(&pkt)));
-        assert!(CheckedInterpreter::default().eval(&f, PacketView::new(&pkt)));
+        assert!(CheckedInterpreter.eval(&f, PacketView::new(&pkt)));
     }
 
     #[test]
@@ -520,16 +477,12 @@ mod tests {
 
     #[test]
     fn indirect_is_flagged_and_checked_dynamically() {
-        let cfg = InterpConfig {
-            dialect: Dialect::Extended,
-            ..Default::default()
-        };
         let p = Assembler::new(0)
             .pushword(0)
             .push(StackAction::PushInd)
             .pushlit_op(BinaryOp::Eq, 0xCAFE)
             .finish();
-        let v = ValidatedProgram::with_config(p, cfg).unwrap();
+        let v = ValidatedProgram::new(p).unwrap();
         assert!(v.uses_indirect());
         assert!(v.eval(PacketView::new(&[0, 2, 0, 0, 0xCA, 0xFE])));
         assert!(!v.eval(PacketView::new(&[0, 99, 0, 0, 0xCA, 0xFE])));

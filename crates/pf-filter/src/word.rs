@@ -20,7 +20,7 @@
 //! the program is the literal constant to push, and is not itself decoded as
 //! an instruction.
 //!
-//! The numeric encodings below are this crate's canonical dialect. They
+//! The numeric encodings below are this crate's canonical encoding. They
 //! follow the field layout of the paper exactly; the concrete opcode numbers
 //! of the historical 4.3BSD `enet.h` differed slightly and are not part of
 //! any stable interface the paper defines.
@@ -59,8 +59,8 @@ pub enum StackAction {
     PushFF00,
     /// Push the constant `0x00FF`.
     Push00FF,
-    /// *Extended dialect* (§7): pop the top of stack and push the packet
-    /// word it indexes ("indirect push", for variable-format headers).
+    /// §7 extension: pop the top of stack and push the packet word it
+    /// indexes ("indirect push", for variable-format headers).
     PushInd,
     /// Push the `n`th 16-bit word of the received packet (`PUSHWORD+n`).
     PushWord(u8),
@@ -130,7 +130,7 @@ impl StackAction {
         matches!(self, StackAction::PushLit)
     }
 
-    /// Whether this action belongs to the extended (§7) dialect only.
+    /// Whether this action is a §7 extension to the paper's figure 3-6.
     pub fn is_extended(self) -> bool {
         matches!(self, StackAction::PushInd)
     }
@@ -175,7 +175,7 @@ impl fmt::Display for StackAction {
 /// | `CNOR`   | reject          | TRUE        |
 /// | `CNAND`  | accept          | FALSE       |
 ///
-/// The arithmetic and shift operators belong to the extended (§7) dialect.
+/// The arithmetic and shift operators are §7 extensions to figure 3-6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryOp {
     /// No effect on the stack.
@@ -206,19 +206,19 @@ pub enum BinaryOp {
     Cnor,
     /// Short-circuit NAND: accept immediately if `T2 != T1`.
     Cnand,
-    /// *Extended* (§7): `R := T2 + T1` (wrapping).
+    /// §7 extension: `R := T2 + T1` (wrapping).
     Add,
-    /// *Extended* (§7): `R := T2 - T1` (wrapping).
+    /// §7 extension: `R := T2 - T1` (wrapping).
     Sub,
-    /// *Extended* (§7): `R := T2 * T1` (wrapping).
+    /// §7 extension: `R := T2 * T1` (wrapping).
     Mul,
-    /// *Extended* (§7): `R := T2 / T1`; division by zero is a runtime error.
+    /// §7 extension: `R := T2 / T1`; division by zero is a runtime error.
     Div,
-    /// *Extended* (§7): `R := T2 % T1`; division by zero is a runtime error.
+    /// §7 extension: `R := T2 % T1`; division by zero is a runtime error.
     Mod,
-    /// *Extended* (§7): `R := T2 << T1` (shift count masked to 0–15).
+    /// §7 extension: `R := T2 << T1` (shift count masked to 0–15).
     Lsh,
-    /// *Extended* (§7): `R := T2 >> T1` (shift count masked to 0–15).
+    /// §7 extension: `R := T2 >> T1` (shift count masked to 0–15).
     Rsh,
 }
 
@@ -293,7 +293,7 @@ impl BinaryOp {
         )
     }
 
-    /// Whether this operator belongs to the extended (§7) dialect only.
+    /// Whether this operator is a §7 extension to the paper's figure 3-6.
     pub fn is_extended(self) -> bool {
         matches!(
             self,
@@ -404,7 +404,7 @@ impl Instr {
         self.action.takes_literal()
     }
 
-    /// Whether this instruction uses any extended-dialect feature.
+    /// Whether this instruction uses any §7 extension.
     pub fn is_extended(self) -> bool {
         self.action.is_extended() || self.op.is_extended()
     }

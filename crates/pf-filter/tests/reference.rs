@@ -108,7 +108,6 @@ fn compiled_expression_matches_reference() {
             .collect();
         let opts = CompileOptions {
             no_short_circuit: rng.chance(0.5),
-            ..Default::default()
         };
         // A deep tree can exceed the program or stack limits: a legitimate
         // error, not a semantic failure.
@@ -120,7 +119,7 @@ fn compiled_expression_matches_reference() {
         let expected = reference(&e, &view) != 0;
         accepted += u32::from(expected);
         assert_eq!(
-            CheckedInterpreter::default().eval(&prog, view),
+            CheckedInterpreter.eval(&prog, view),
             expected,
             "case {case}, expr: {e:?}\nprogram:\n{prog}"
         );
@@ -142,7 +141,7 @@ fn compiled_expression_matches_reference() {
 #[test]
 fn checked_interpreter_never_panics_on_rejected_programs() {
     let mut rng = SplitMix64::new(0xE4A9_0002);
-    let interp = CheckedInterpreter::default();
+    let interp = CheckedInterpreter;
     let mut rejected = 0u32;
     for case in 0..CASES {
         let words = (0..rng.below(48)).map(|_| rng.next_u64() as u16).collect();

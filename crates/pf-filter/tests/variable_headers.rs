@@ -9,9 +9,9 @@
 //!
 //! These tests build IP packets whose header length (IHL) varies and show
 //! that (a) a classic constant-offset filter for a TCP destination port
-//! breaks as soon as IP options appear, while (b) an extended-dialect
-//! filter computes the offset at evaluation time with `PUSHIND` and the
-//! §7 arithmetic operators, and keeps matching.
+//! breaks as soon as IP options appear, while (b) a filter using the §7
+//! extensions computes the offset at evaluation time with `PUSHIND` and
+//! the arithmetic operators, and keeps matching.
 
 use pf_filter::builder::{ArithOp, Expr};
 use pf_filter::interp::CheckedInterpreter;
@@ -69,13 +69,13 @@ fn extended_port_filter(port: u16) -> FilterProgram {
     Expr::word(1)
         .eq(0x0800)
         .and(Expr::word_at(port_word).eq(port))
-        .compile_extended(10)
+        .compile(10)
         .expect("extended filter compiles")
 }
 
 #[test]
 fn classic_filter_works_only_without_options() {
-    let interp = CheckedInterpreter::default();
+    let interp = CheckedInterpreter;
     let f = classic_port_filter(23);
     assert!(
         interp.eval(&f, PacketView::new(&ip_tcp_frame(0, 23))),
@@ -92,7 +92,7 @@ fn classic_filter_works_only_without_options() {
 
 #[test]
 fn extended_filter_tracks_the_moving_header() {
-    let interp = CheckedInterpreter::extended();
+    let interp = CheckedInterpreter;
     let f = extended_port_filter(23);
     for opt_words in [0usize, 1, 2, 5, 10] {
         assert!(
@@ -112,7 +112,7 @@ fn extended_filter_tracks_the_moving_header() {
 fn extended_filter_rejects_truncated_packets_safely() {
     // If the computed offset points past the packet, the filter rejects —
     // the PUSHIND bounds check is the one that cannot be hoisted (§7).
-    let interp = CheckedInterpreter::extended();
+    let interp = CheckedInterpreter;
     let f = extended_port_filter(23);
     let full = ip_tcp_frame(2, 23);
     let truncated = &full[..28]; // chops the TCP header off
@@ -122,15 +122,10 @@ fn extended_filter_rejects_truncated_packets_safely() {
 #[test]
 fn all_engines_agree_on_the_extended_filter() {
     use pf_filter::compile::CompiledFilter;
-    use pf_filter::interp::{Dialect, InterpConfig};
     use pf_filter::validate::ValidatedProgram;
-    let cfg = InterpConfig {
-        dialect: Dialect::Extended,
-        ..Default::default()
-    };
     let f = extended_port_filter(23);
-    let checked = CheckedInterpreter::new(cfg);
-    let validated = ValidatedProgram::with_config(f.clone(), cfg).unwrap();
+    let checked = CheckedInterpreter;
+    let validated = ValidatedProgram::new(f.clone()).unwrap();
     let compiled = CompiledFilter::from_validated(validated.clone());
     for opt_words in 0..8 {
         for port in [22u16, 23, 24] {

@@ -13,7 +13,7 @@ use crate::exec::IrFilter;
 use crate::geom::GeomSet;
 use pf_filter::compile::CompiledFilter;
 use pf_filter::dtree::FilterSet;
-use pf_filter::interp::{CheckedInterpreter, InterpConfig};
+use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use pf_filter::validate::ValidatedProgram;
@@ -31,67 +31,50 @@ pub trait FilterEngine {
     fn matches(&mut self, packet: &[u8]) -> Option<u16>;
 }
 
-/// Every surface that can bind `program` under `config`, in ladder order.
+/// Every surface that can bind `program`, in ladder order.
 ///
 /// Always includes the checked interpreter (the reference semantics) and
 /// the set engines that serve even validation-rejected programs through
 /// their checked fallback. The compiled surfaces (validated, compiled,
-/// ir) appear only when the program validates; the decision-table set
-/// only under the default configuration (it has no config knob).
+/// ir) appear only when the program validates.
 ///
-/// The length is therefore: 3 surfaces for an invalid program under the
-/// default config (2 otherwise), and 6 for a valid one under the default
-/// config (5 otherwise).
-pub fn singleton_engines(
-    program: &FilterProgram,
-    config: InterpConfig,
-) -> Vec<Box<dyn FilterEngine>> {
-    let mut engines: Vec<Box<dyn FilterEngine>> = vec![Box::new(CheckedEngine {
-        program: program.clone(),
-        config,
-    })];
-    let validated = ValidatedProgram::with_config(program.clone(), config).ok();
+/// The length is therefore 3 for an invalid program and
+/// [`singleton_surface_count`] (6) for a valid one.
+pub fn singleton_engines(program: &FilterProgram) -> Vec<Box<dyn FilterEngine>> {
+    let mut engines: Vec<Box<dyn FilterEngine>> = vec![Box::new(CheckedEngine(program.clone()))];
+    let validated = ValidatedProgram::new(program.clone()).ok();
     if let Some(v) = &validated {
         engines.push(Box::new(ValidatedEngine(v.clone())));
         engines.push(Box::new(CompiledEngine(CompiledFilter::from_validated(
             v.clone(),
         ))));
     }
-    if config == InterpConfig::default() {
-        let mut set = FilterSet::new();
-        set.insert(0, program.clone());
-        engines.push(Box::new(DtreeEngine(set)));
-    }
+    let mut set = FilterSet::new();
+    set.insert(0, program.clone());
+    engines.push(Box::new(DtreeEngine(set)));
     if let Some(v) = &validated {
         engines.push(Box::new(IrEngine(IrFilter::from_validated(v))));
     }
-    let mut geom = GeomSet::with_config(config);
+    let mut geom = GeomSet::new();
     geom.insert(0, program.clone());
     engines.push(Box::new(GeomEngine(geom)));
     engines
 }
 
 /// Number of surfaces [`singleton_engines`] yields for a valid program.
-pub fn singleton_surface_count(config: InterpConfig) -> usize {
-    if config == InterpConfig::default() {
-        6
-    } else {
-        5
-    }
+pub fn singleton_surface_count() -> usize {
+    6
 }
 
-struct CheckedEngine {
-    program: FilterProgram,
-    config: InterpConfig,
-}
+struct CheckedEngine(FilterProgram);
 
 impl FilterEngine for CheckedEngine {
     fn name(&self) -> &'static str {
         "checked"
     }
     fn matches(&mut self, packet: &[u8]) -> Option<u16> {
-        CheckedInterpreter::new(self.config)
-            .eval(&self.program, PacketView::new(packet))
+        CheckedInterpreter
+            .eval(&self.0, PacketView::new(packet))
             .then_some(0)
     }
 }
@@ -163,11 +146,8 @@ mod tests {
     #[test]
     fn ladder_order_and_count_for_a_valid_program() {
         let prog = samples::fig_3_9_pup_socket_35();
-        let engines = singleton_engines(&prog, InterpConfig::default());
-        assert_eq!(
-            engines.len(),
-            singleton_surface_count(InterpConfig::default())
-        );
+        let engines = singleton_engines(&prog);
+        assert_eq!(engines.len(), singleton_surface_count());
         let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
         assert_eq!(
             names,
@@ -180,7 +160,25 @@ mod tests {
         let prog = samples::fig_3_9_pup_socket_35();
         let hit = samples::pup_packet_3mb(2, 0, 35, 1);
         let miss = samples::pup_packet_3mb(2, 0, 36, 1);
-        for engine in &mut singleton_engines(&prog, InterpConfig::default()) {
+        for engine in &mut singleton_engines(&prog) {
+            assert_eq!(engine.matches(&hit), Some(0), "{}", engine.name());
+            assert_eq!(engine.matches(&miss), None, "{}", engine.name());
+        }
+    }
+
+    #[test]
+    fn a_section_7_program_gets_every_surface() {
+        use pf_filter::builder::{ArithOp, Expr};
+        // word[word[0] + 1] == 0xCAFE: PUSHIND and ADD.
+        let prog = Expr::word_at(Expr::word(0).arith(ArithOp::Add, 1))
+            .eq(0xCAFE)
+            .compile(0)
+            .unwrap();
+        let hit = [0, 1, 0, 0, 0xCA, 0xFE];
+        let miss = [0, 2, 0, 0, 0xCA, 0xFE];
+        let mut engines = singleton_engines(&prog);
+        assert_eq!(engines.len(), singleton_surface_count());
+        for engine in &mut engines {
             assert_eq!(engine.matches(&hit), Some(0), "{}", engine.name());
             assert_eq!(engine.matches(&miss), None, "{}", engine.name());
         }
@@ -194,7 +192,7 @@ mod tests {
             .op(pf_filter::word::BinaryOp::Eq)
             .finish();
         assert!(ValidatedProgram::new(prog.clone()).is_err());
-        let engines = singleton_engines(&prog, InterpConfig::default());
+        let engines = singleton_engines(&prog);
         let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
         assert_eq!(names, vec!["checked", "dtree", "geom"]);
     }

@@ -1,7 +1,7 @@
 //! The flat threaded-code execution engine.
 //!
 //! After optimization the CFG is flattened into one dense instruction
-//! array ([`TOp`]): blocks are laid out in order, branch targets become
+//! array (`TOp`): blocks are laid out in order, branch targets become
 //! instruction indices, and a transfer to the next instruction costs
 //! nothing (fallthrough). A peephole pass then fuses the dominant
 //! demultiplexing shape — *load packet word, load constant, compare,
@@ -11,8 +11,8 @@
 //!
 //! Most demultiplexing filters are then a *plain conjunction*: a path of
 //! word-interval tests, each rejecting at once when it fails, ending in an
-//! accept. [`lower`]'s output is walked once for that shape, and when it
-//! matches, the filter also keeps it as a [`Conjunction`] — an ordered
+//! accept. `lower`'s output is walked once for that shape, and when it
+//! matches, the filter also keeps it as a `Conjunction` — an ordered
 //! inline list of `(word, lo, hi, ops if this test fails)` plus the ops of
 //! an accept — which evaluation runs instead of the threaded code. The
 //! op counts are read off the threaded path the list replaces, so verdict
@@ -30,7 +30,7 @@ use crate::ir::{BlockId, IrBinOp, IrProgram, Terminator};
 use crate::opt::optimize;
 use crate::translate::translate;
 use pf_filter::error::ValidateError;
-use pf_filter::interp::{CheckedInterpreter, InterpConfig};
+use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use pf_filter::validate::ValidatedProgram;
@@ -193,7 +193,6 @@ pub struct IrEvalStats {
 pub struct IrFilter {
     /// The source program, kept for the short-packet checked fallback.
     program: FilterProgram,
-    config: InterpConfig,
     min_packet_words: usize,
     reg_count: usize,
     code: Vec<TOp>,
@@ -202,28 +201,13 @@ pub struct IrFilter {
 }
 
 impl IrFilter {
-    /// Validates and compiles under the default configuration (classic
-    /// dialect, paper-style short circuits).
+    /// Validates and compiles.
     ///
     /// # Errors
     ///
     /// Returns the validator's verdict on a malformed program.
     pub fn compile(program: FilterProgram) -> Result<Self, ValidateError> {
-        Self::compile_with_config(program, InterpConfig::default())
-    }
-
-    /// Validates and compiles under an explicit configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validator's verdict on a malformed program.
-    pub fn compile_with_config(
-        program: FilterProgram,
-        config: InterpConfig,
-    ) -> Result<Self, ValidateError> {
-        Ok(Self::from_validated(&ValidatedProgram::with_config(
-            program, config,
-        )?))
+        Ok(Self::from_validated(&ValidatedProgram::new(program)?))
     }
 
     /// Compiles an already-validated program: translate to the CFG IR, run
@@ -234,7 +218,6 @@ impl IrFilter {
         let code = lower(&ir);
         IrFilter {
             program: validated.program().clone(),
-            config: validated.config(),
             min_packet_words: validated.min_packet_words(),
             reg_count: ir.reg_count as usize,
             conjunction: conjunction(&code),
@@ -250,11 +233,6 @@ impl IrFilter {
     /// The filter's priority.
     pub fn priority(&self) -> u8 {
         self.program.priority()
-    }
-
-    /// The configuration the filter was compiled under.
-    pub fn config(&self) -> InterpConfig {
-        self.config
     }
 
     /// Packet length (in words) below which evaluation falls back to the
@@ -286,8 +264,7 @@ impl IrFilter {
     /// Evaluates and reports execution counters.
     pub fn eval_with_stats(&self, packet: PacketView<'_>) -> (bool, IrEvalStats) {
         if packet.word_len() < self.min_packet_words {
-            let (accept, stats) =
-                CheckedInterpreter::new(self.config).eval_with_stats(&self.program, packet);
+            let (accept, stats) = CheckedInterpreter.eval_with_stats(&self.program, packet);
             return (
                 accept,
                 IrEvalStats {
@@ -897,7 +874,6 @@ fn register_use_counts(ir: &IrProgram) -> Vec<u32> {
 mod tests {
     use super::*;
     use pf_filter::builder::Expr;
-    use pf_filter::interp::{Dialect, ShortCircuitStyle};
     use pf_filter::program::Assembler;
     use pf_filter::samples;
     use pf_filter::word::{BinaryOp, StackAction};
@@ -935,7 +911,7 @@ mod tests {
             panic!("expected GuardOutBr: {}", f.disassemble());
         };
         assert_eq!((word, lo, hi), (8, 100, 200), "{}", f.disassemble());
-        let checked = CheckedInterpreter::default();
+        let checked = CheckedInterpreter;
         let prog = samples::socket_range_filter(10, 100, 200);
         for et in [2u16, 3] {
             for sock in [0u16, 99, 100, 150, 200, 201, 65535] {
@@ -993,7 +969,7 @@ mod tests {
     fn fig_3_8_matches_checked_interpreter() {
         let prog = samples::fig_3_8_pup_type_range();
         let f = IrFilter::compile(prog.clone()).unwrap();
-        let checked = CheckedInterpreter::default();
+        let checked = CheckedInterpreter;
         for ethertype in [2u16, 3] {
             for ptype in [0u8, 1, 50, 100, 101] {
                 let pkt = samples::pup_packet_3mb_typed(ethertype, ptype, 0, 35, 1);
@@ -1139,17 +1115,9 @@ mod tests {
 
     #[test]
     fn programs_outside_the_fragment_stay_threaded() {
-        let extended = InterpConfig {
-            dialect: Dialect::Extended,
-            ..InterpConfig::default()
-        };
         let word_eq = |w: u16, lit: u16| Expr::word(w).eq(lit);
         let cases = [
-            (
-                "OR",
-                word_eq(1, 2).or(word_eq(1, 3)).compile(1).unwrap(),
-                InterpConfig::default(),
-            ),
+            ("OR", word_eq(1, 2).or(word_eq(1, 3)).compile(1).unwrap()),
             (
                 "COR",
                 Assembler::new(1)
@@ -1158,7 +1126,6 @@ mod tests {
                     .pushword(1)
                     .pushlit_op(BinaryOp::Eq, 3)
                     .finish(),
-                InterpConfig::default(),
             ),
             (
                 "Div",
@@ -1167,7 +1134,6 @@ mod tests {
                     .pushlit_op(BinaryOp::Div, 2)
                     .pushlit_op(BinaryOp::Eq, 3)
                     .finish(),
-                extended,
             ),
             (
                 "LoadInd",
@@ -1178,7 +1144,6 @@ mod tests {
                     .push_op(StackAction::PushInd, BinaryOp::Nop)
                     .pushlit_op(BinaryOp::Eq, 3)
                     .finish(),
-                extended,
             ),
             (
                 "BranchIf on a masked word",
@@ -1189,7 +1154,6 @@ mod tests {
                     .pushword(1)
                     .pushlit_op(BinaryOp::Eq, 2)
                     .finish(),
-                InterpConfig::default(),
             ),
             (
                 "Lt 0",
@@ -1200,7 +1164,6 @@ mod tests {
                     .pushword(1)
                     .pushlit_op(BinaryOp::Eq, 2)
                     .finish(),
-                InterpConfig::default(),
             ),
             (
                 "Gt 0xFFFF",
@@ -1210,12 +1173,11 @@ mod tests {
                     .pushword(8)
                     .push_op(StackAction::PushFFFF, BinaryOp::Gt)
                     .finish(),
-                InterpConfig::default(),
             ),
         ];
         let mut rng = SplitMix64::new(0xC04A_0002);
-        for (name, program, config) in cases {
-            let f = IrFilter::compile_with_config(program, config).unwrap();
+        for (name, program) in cases {
+            let f = IrFilter::compile(program).unwrap();
             assert!(f.conjunction().is_none(), "{name}\n{}", f.disassemble());
             assert_pinned(&f, &mut rng, name);
         }
@@ -1280,44 +1242,24 @@ mod tests {
 
     #[test]
     fn conjunction_form_runs_op_for_op_with_the_threaded_code_on_seeded_programs() {
-        const CONFIGS: [InterpConfig; 4] = [
-            InterpConfig {
-                dialect: Dialect::Classic,
-                short_circuit: ShortCircuitStyle::Paper,
-            },
-            InterpConfig {
-                dialect: Dialect::Classic,
-                short_circuit: ShortCircuitStyle::Historical,
-            },
-            InterpConfig {
-                dialect: Dialect::Extended,
-                short_circuit: ShortCircuitStyle::Paper,
-            },
-            InterpConfig {
-                dialect: Dialect::Extended,
-                short_circuit: ShortCircuitStyle::Historical,
-            },
-        ];
         let programs = if cfg!(debug_assertions) { 300 } else { 3_000 };
         let mut rng = SplitMix64::new(0xC04A_0003);
         let (mut conjunctive, mut threaded) = (0u32, 0u32);
         for case in 0..programs {
             let program = seeded_clause_program(&mut rng);
-            for config in CONFIGS {
-                let Ok(f) = IrFilter::compile_with_config(program.clone(), config) else {
-                    continue;
-                };
-                if f.conjunction().is_some() {
-                    conjunctive += 1;
-                } else {
-                    threaded += 1;
-                }
-                assert_pinned(&f, &mut rng, &format!("case {case}, {config:?}"));
+            let Ok(f) = IrFilter::compile(program) else {
+                continue;
+            };
+            if f.conjunction().is_some() {
+                conjunctive += 1;
+            } else {
+                threaded += 1;
             }
+            assert_pinned(&f, &mut rng, &format!("case {case}"));
         }
         // The generator must reach both paths.
         assert!(
-            conjunctive > programs / 2,
+            conjunctive > programs / 5,
             "{conjunctive} conjunctive, {threaded} threaded"
         );
         assert!(

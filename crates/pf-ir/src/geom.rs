@@ -49,7 +49,7 @@
 
 use crate::exec::{IrFilter, Operands, TOp};
 use pf_filter::dtree::FilterId;
-use pf_filter::interp::{CheckedInterpreter, InterpConfig};
+use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use std::cmp::Reverse;
@@ -112,7 +112,7 @@ pub struct GeomStats {
 
 /// The interval constraints `program` provably requires of any packet it
 /// accepts (`packet[word] ∈ [lo, hi]`), derived from its compiled
-/// threaded code under the default configuration.
+/// threaded code.
 ///
 /// Sound and conservative: every returned constraint holds for *every*
 /// accepted packet, and a program the pipeline cannot compile (or whose
@@ -580,7 +580,6 @@ const COMPACT_MIN: usize = 16;
 /// ```
 #[derive(Debug, Default)]
 pub struct GeomSet {
-    config: InterpConfig,
     next_seq: u64,
     /// Member slab; `None` is a tombstone awaiting compaction.
     slots: Vec<Option<GeomMember>>,
@@ -617,18 +616,9 @@ pub struct GeomSet {
 }
 
 impl GeomSet {
-    /// An empty set under the default configuration (classic dialect,
-    /// paper-style short circuits) — the kernel device's configuration.
+    /// An empty set.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty set under an explicit interpreter configuration.
-    pub fn with_config(config: InterpConfig) -> Self {
-        GeomSet {
-            config,
-            ..Default::default()
-        }
     }
 
     /// Number of live filters in the set.
@@ -719,7 +709,7 @@ impl GeomSet {
         let seq = self.next_seq;
         self.next_seq += 1;
         let priority = program.priority();
-        let (kind, atoms) = match IrFilter::compile_with_config(program.clone(), self.config) {
+        let (kind, atoms) = match IrFilter::compile(program.clone()) {
             Ok(filter) => {
                 let atoms = required_intervals(filter.code());
                 (GeomMemberKind::Compiled(filter), atoms)
@@ -990,7 +980,6 @@ impl GeomSet {
             live,
             scratch,
             cand,
-            config,
             candidate_cap,
             candidates_capped,
             ..
@@ -1002,7 +991,7 @@ impl GeomSet {
                 Self::gather(index, slots, packet, cand, &mut stats, *candidate_cap);
             for &s in cand.iter() {
                 let m = slots[s as usize].as_ref().expect("retained live");
-                if eval_candidate(m, packet, *config, &mut stats) {
+                if eval_candidate(m, packet, &mut stats) {
                     scratch.push(m.id);
                     if stop_at_first {
                         break;
@@ -1016,7 +1005,7 @@ impl GeomSet {
                 let Some(m) = slots[s as usize].as_ref() else {
                     continue;
                 };
-                if eval_member(m, packet, *config, &mut stats) {
+                if eval_member(m, packet, &mut stats) {
                     scratch.push(m.id);
                     if stop_at_first {
                         break;
@@ -1032,12 +1021,7 @@ impl GeomSet {
 /// Evaluates a member the index selected for a packet at least
 /// `fast_min_words` long: a conjunction runs only the tests its slot does
 /// not prove, which gives the whole filter's verdict and op count.
-fn eval_candidate(
-    m: &GeomMember,
-    packet: PacketView<'_>,
-    config: InterpConfig,
-    stats: &mut GeomStats,
-) -> bool {
+fn eval_candidate(m: &GeomMember, packet: PacketView<'_>, stats: &mut GeomStats) -> bool {
     if let (Some(mask), GeomMemberKind::Compiled(filter)) = (m.residual, &m.kind) {
         if let Some(conjunction) = filter.conjunction() {
             stats.filters_evaluated += 1;
@@ -1047,22 +1031,17 @@ fn eval_candidate(
             return accept;
         }
     }
-    eval_member(m, packet, config, stats)
+    eval_member(m, packet, stats)
 }
 
 /// Evaluates one member. [`IrFilter::eval_with_stats`] routes packets
 /// shorter than the member's own static minimum to its checked fallback
 /// internally, so per-member semantics match every other engine.
-fn eval_member(
-    m: &GeomMember,
-    packet: PacketView<'_>,
-    config: InterpConfig,
-    stats: &mut GeomStats,
-) -> bool {
+fn eval_member(m: &GeomMember, packet: PacketView<'_>, stats: &mut GeomStats) -> bool {
     stats.filters_evaluated += 1;
     match &m.kind {
         GeomMemberKind::Checked(program) => {
-            let (accept, s) = CheckedInterpreter::new(config).eval_with_stats(program, packet);
+            let (accept, s) = CheckedInterpreter.eval_with_stats(program, packet);
             stats.ops_executed += s.instructions;
             accept
         }
@@ -1264,7 +1243,7 @@ mod tests {
                 let (lo, hi) = intervals[slot];
                 samples::socket_range_filter(1 + (slot * 7 % 5) as u8, lo, hi)
             };
-            let checked = CheckedInterpreter::default();
+            let checked = CheckedInterpreter;
             let mut set = GeomSet::new();
             // Live members as `(id, slot)`, in insertion order.
             let mut live: Vec<(FilterId, usize)> = Vec::new();
@@ -1399,7 +1378,7 @@ mod tests {
         for (id, f) in &filters {
             geom.insert(*id, f.clone());
         }
-        let checked = CheckedInterpreter::default();
+        let checked = CheckedInterpreter;
         let mut order: Vec<&(u32, FilterProgram)> = filters.iter().collect();
         order.sort_by_key(|(_, f)| Reverse(f.priority()));
         let mut frames: Vec<Vec<u8>> = Vec::new();

@@ -61,19 +61,19 @@ pub enum IrBinOp {
     Or,
     /// Bitwise XOR.
     Xor,
-    /// Wrapping addition (extended dialect).
+    /// Wrapping addition (§7).
     Add,
-    /// Wrapping subtraction (extended dialect).
+    /// Wrapping subtraction (§7).
     Sub,
-    /// Wrapping multiplication (extended dialect).
+    /// Wrapping multiplication (§7).
     Mul,
     /// Unsigned division; a zero divisor is a runtime fault → reject.
     Div,
     /// Unsigned remainder; a zero divisor is a runtime fault → reject.
     Mod,
-    /// Left shift, count masked to 0–15 (extended dialect).
+    /// Left shift, count masked to 0–15 (§7).
     Lsh,
-    /// Right shift, count masked to 0–15 (extended dialect).
+    /// Right shift, count masked to 0–15 (§7).
     Rsh,
 }
 

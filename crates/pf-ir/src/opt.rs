@@ -10,8 +10,9 @@
 //!    repeated constants and identical pure operations are value-numbered,
 //!    and branches whose condition became constant turn into jumps.
 //! 2. **Branch threading and dead-block removal** — jumps through empty
-//!    blocks are retargeted, branches with equal arms collapse, and blocks
-//!    unreachable from the entry are deleted.
+//!    blocks, or blocks whose operations are all dead, are retargeted,
+//!    branches with equal arms collapse, and blocks unreachable from the
+//!    entry are deleted.
 //! 3. **Dead-code elimination** — operations whose result is never used are
 //!    removed, *except* those that can fault (indirect loads, division):
 //!    a fault rejects the packet, so removing one would change verdicts.
@@ -251,14 +252,28 @@ fn invert_zero_eq_branches(program: &mut IrProgram) {
 }
 
 /// Retargets control transfers through empty forwarding blocks and
-/// collapses branches whose arms agree.
+/// collapses branches whose arms agree. A transfer may also skip the
+/// block those forwarders lead to when every operation in it is dead and
+/// none can fault; a block that defines a register something reachable
+/// reads, or that can fault, is never skipped.
 fn thread_branches(program: &mut IrProgram) {
-    let finals: Vec<Terminator> = (0..program.blocks.len())
+    let live = live_registers(program);
+    let skippable: Vec<bool> = program
+        .blocks
+        .iter()
+        .map(|b| {
+            b.ops
+                .iter()
+                .all(|op| !live[usize::from(op.dst().0)] && !op.can_fault())
+        })
+        .collect();
+    let finals: Vec<(BlockId, Terminator)> = (0..program.blocks.len())
         .map(|i| final_terminator(&program.blocks, BlockId(i as u32)))
         .collect();
     let target_of = |id: BlockId| -> BlockId {
         match finals[id.0 as usize] {
-            Terminator::Jump(t) => t,
+            (last, Terminator::Jump(t)) if skippable[last.0 as usize] => t,
+            (last, Terminator::Jump(_)) => last,
             _ => id,
         }
     };
@@ -267,8 +282,9 @@ fn thread_branches(program: &mut IrProgram) {
             Terminator::Jump(t) => {
                 // Jumping to an empty returning block *is* that return.
                 match finals[t.0 as usize] {
-                    ret @ (Terminator::Return(_) | Terminator::ReturnReg(_))
-                        if program.blocks[t.0 as usize].ops.is_empty() =>
+                    (last, ret @ (Terminator::Return(_) | Terminator::ReturnReg(_)))
+                        if program.blocks[t.0 as usize].ops.is_empty()
+                            && skippable[last.0 as usize] =>
                     {
                         ret
                     }
@@ -297,34 +313,40 @@ fn thread_branches(program: &mut IrProgram) {
     }
 }
 
-/// The terminator reached from `id` after skipping empty jump-only blocks.
-fn final_terminator(blocks: &[Block], mut id: BlockId) -> Terminator {
+/// The first block reached from `id` after skipping empty jump-only
+/// blocks, and its terminator.
+fn final_terminator(blocks: &[Block], mut id: BlockId) -> (BlockId, Terminator) {
     // The CFG is acyclic by construction, but bound the walk anyway.
     for _ in 0..blocks.len() {
         let b = &blocks[id.0 as usize];
         if !b.ops.is_empty() {
-            return b.term;
+            return (id, b.term);
         }
         match b.term {
             Terminator::Jump(t) => id = t,
-            t => return t,
+            t => return (id, t),
         }
     }
-    blocks[id.0 as usize].term
+    (id, blocks[id.0 as usize].term)
+}
+
+/// Which blocks the entry reaches.
+fn reachable_blocks(program: &IrProgram) -> Vec<bool> {
+    let mut reachable = vec![false; program.blocks.len()];
+    let mut work = vec![BlockId(0)];
+    while let Some(id) = work.pop() {
+        let i = id.0 as usize;
+        if !std::mem::replace(&mut reachable[i], true) {
+            work.extend(program.blocks[i].term.successors());
+        }
+    }
+    reachable
 }
 
 /// Deletes blocks unreachable from the entry and compacts ids.
 fn remove_dead_blocks(program: &mut IrProgram) {
     let n = program.blocks.len();
-    let mut reachable = vec![false; n];
-    let mut work = vec![BlockId(0)];
-    while let Some(id) = work.pop() {
-        let i = id.0 as usize;
-        if std::mem::replace(&mut reachable[i], true) {
-            continue;
-        }
-        work.extend(program.blocks[i].term.successors());
-    }
+    let reachable = reachable_blocks(program);
     if reachable.iter().all(|&r| r) {
         return;
     }
@@ -358,14 +380,29 @@ fn remove_dead_blocks(program: &mut IrProgram) {
 /// Removes operations whose results are unused. Faulting operations
 /// (indirect loads, division) are roots: their *execution* is observable.
 fn eliminate_dead_code(program: &mut IrProgram) {
-    let mut live = vec![false; program.reg_count as usize];
-    let mark = |r: Reg, live: &mut Vec<bool>| {
-        live[usize::from(r.0)] = true;
+    let live = live_registers(program);
+    for b in &mut program.blocks {
+        b.ops
+            .retain(|op| live[usize::from(op.dst().0)] || op.can_fault());
+    }
+}
+
+/// Which registers a block reachable from the entry reads — in a
+/// terminator, or as an operand of a live or faulting operation.
+fn live_registers(program: &IrProgram) -> Vec<bool> {
+    let reachable = reachable_blocks(program);
+    let blocks = || {
+        program
+            .blocks
+            .iter()
+            .zip(&reachable)
+            .filter_map(|(b, &r)| r.then_some(b))
     };
-    for b in &program.blocks {
+    let mut live = vec![false; program.reg_count as usize];
+    for b in blocks() {
         match b.term {
-            Terminator::Branch { cond, .. } => mark(cond, &mut live),
-            Terminator::ReturnReg(r) => mark(r, &mut live),
+            Terminator::Branch { cond, .. } => live[usize::from(cond.0)] = true,
+            Terminator::ReturnReg(r) => live[usize::from(r.0)] = true,
             _ => {}
         }
     }
@@ -373,7 +410,7 @@ fn eliminate_dead_code(program: &mut IrProgram) {
     // round marks operands of live or faulting operations.
     loop {
         let mut changed = false;
-        for b in &program.blocks {
+        for b in blocks() {
             for op in b.ops.iter().rev() {
                 let is_live = live[usize::from(op.dst().0)] || op.can_fault();
                 if !is_live {
@@ -397,10 +434,7 @@ fn eliminate_dead_code(program: &mut IrProgram) {
             break;
         }
     }
-    for b in &mut program.blocks {
-        b.ops
-            .retain(|op| live[usize::from(op.dst().0)] || op.can_fault());
-    }
+    live
 }
 
 /// Renumbers registers densely so the engine's register file is minimal.
@@ -464,17 +498,41 @@ fn renumber_registers(program: &mut IrProgram) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::IrFilter;
     use crate::translate::translate;
+    use pf_filter::interp::CheckedInterpreter;
+    use pf_filter::packet::PacketView;
     use pf_filter::program::Assembler;
     use pf_filter::samples;
     use pf_filter::validate::ValidatedProgram;
-    use pf_filter::word::BinaryOp;
+    use pf_filter::word::{BinaryOp, StackAction};
 
     fn optimized(program: pf_filter::program::FilterProgram) -> IrProgram {
         let v = ValidatedProgram::new(program).unwrap();
         let mut ir = translate(&v);
         optimize(&mut ir);
         ir
+    }
+
+    #[test]
+    fn threading_keeps_a_block_whose_loads_are_read_later() {
+        // The CNOR's condition folds (0xFFFF != 1), so the block that
+        // loads word 0 ends in a jump; its load feeds the final XOR, so
+        // the CAND's branch must not skip it.
+        let p = Assembler::new(0)
+            .pushword(1)
+            .pushlit_op(BinaryOp::Cand, 2)
+            .pushword(0)
+            .push(StackAction::PushFFFF)
+            .pushlit_op(BinaryOp::Cnor, 1)
+            .op(BinaryOp::Xor)
+            .finish();
+        let f = IrFilter::compile(p.clone()).unwrap();
+        for pkt in [[0x12, 0x34, 0, 2], [0, 0, 0, 2], [0x12, 0x34, 0, 3]] {
+            let view = PacketView::new(&pkt);
+            assert_eq!(f.eval(view), CheckedInterpreter.eval(&p, view), "{pkt:?}");
+        }
+        assert!(f.eval(PacketView::new(&[0x12, 0x34, 0, 2])));
     }
 
     #[test]
@@ -505,9 +563,9 @@ mod tests {
 
     #[test]
     fn cand_chain_constants_are_swept() {
-        // Figure 3-9 under paper style: the TRUEs pushed by continuing
-        // CANDs never reach the verdict; they must be dead-coded away,
-        // leaving just loads, constants, and compares on the live path.
+        // Figure 3-9: the TRUEs pushed by continuing CANDs never reach
+        // the verdict; they must be dead-coded away, leaving just loads,
+        // constants, and compares on the live path.
         let ir = optimized(samples::fig_3_9_pup_socket_35());
         for b in &ir.blocks {
             for op in &b.ops {
@@ -556,16 +614,12 @@ mod tests {
     fn faulting_division_is_not_dead_code() {
         // Constant 4 / 0 faults → the whole filter must reject even though
         // the quotient is unused (an accept-all sits on the stack below).
-        let cfg = pf_filter::interp::InterpConfig {
-            dialect: pf_filter::interp::Dialect::Extended,
-            ..Default::default()
-        };
         let p = Assembler::new(0)
             .pushone()
             .pushlit(4)
             .pushzero_op(BinaryOp::Div)
             .finish();
-        let v = ValidatedProgram::with_config(p, cfg).unwrap();
+        let v = ValidatedProgram::new(p).unwrap();
         let mut ir = translate(&v);
         optimize(&mut ir);
         assert!(

@@ -12,15 +12,12 @@
 //! conditional branch: one side goes to a shared accept/reject return
 //! block, the other to a fresh continuation block. When evaluation
 //! *continues*, `r`'s value is statically known (a continuing `COR` implies
-//! `r = 0`, a continuing `CAND` implies `r = 1`), so the paper-style
-//! continuation push is emitted as a **constant** — which is what lets the
-//! optimizer fold the dead `TRUE`s a CAND chain leaves behind.
-//!
-//! Both [`ShortCircuitStyle`]s are supported: `Historical` simply pushes
-//! nothing on continuation, exactly like the reference interpreters.
+//! `r = 0`, a continuing `CAND` implies `r = 1`), so the push of `r` the
+//! paper prescribes on continuation (§3.1) is emitted as a **constant** —
+//! which is what lets the optimizer fold the dead `TRUE`s a CAND chain
+//! leaves behind.
 
 use crate::ir::{Block, BlockId, IrBinOp, IrProgram, Op, Reg, Terminator};
-use pf_filter::interp::ShortCircuitStyle;
 use pf_filter::validate::ValidatedProgram;
 use pf_filter::word::{Instr, StackAction};
 
@@ -44,7 +41,6 @@ const REJECT: BlockId = BlockId(u32::MAX);
 /// [`ValidatedProgram::eval`]).
 pub fn translate(validated: &ValidatedProgram) -> IrProgram {
     let words = validated.program().words();
-    let paper = validated.config().short_circuit == ShortCircuitStyle::Paper;
 
     // The historical "zero-length filter accepts everything" rule.
     if words.is_empty() {
@@ -146,15 +142,13 @@ pub fn translate(validated: &ValidatedProgram) -> IrProgram {
                     ops: std::mem::take(&mut ops),
                     term,
                 });
-                if paper {
-                    // Continuing implies r == !terminate_when, a constant.
-                    let dst = fresh(&mut next_reg);
-                    ops.push(Op::Const {
-                        dst,
-                        value: u16::from(!terminate_when),
-                    });
-                    stack.push(dst);
-                }
+                // Continuing implies r == !terminate_when, a constant.
+                let dst = fresh(&mut next_reg);
+                ops.push(Op::Const {
+                    dst,
+                    value: u16::from(!terminate_when),
+                });
+                stack.push(dst);
             } else {
                 let op = IrBinOp::from_stack_op(instr.op).expect("non-NOP operator");
                 let dst = fresh(&mut next_reg);
@@ -228,7 +222,6 @@ fn patch_return_blocks(blocks: &mut Vec<Block>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_filter::interp::{Dialect, InterpConfig};
     use pf_filter::program::{Assembler, FilterProgram};
     use pf_filter::samples;
     use pf_filter::word::BinaryOp;
@@ -274,8 +267,8 @@ mod tests {
 
     #[test]
     fn paper_continuation_pushes_known_constant() {
-        // A continuing CAND pushes TRUE under paper style; the continuation
-        // block must therefore start with `Const 1`.
+        // A continuing CAND pushes TRUE; the continuation block must
+        // therefore start with `Const 1`.
         let p = Assembler::new(0)
             .pushword(0)
             .pushlit_op(BinaryOp::Cand, 7)
@@ -292,35 +285,12 @@ mod tests {
     }
 
     #[test]
-    fn historical_continuation_pushes_nothing() {
-        let cfg = InterpConfig {
-            short_circuit: pf_filter::interp::ShortCircuitStyle::Historical,
-            ..Default::default()
-        };
-        let p = Assembler::new(0)
-            .pushword(0)
-            .pushlit_op(BinaryOp::Cand, 7)
-            .finish();
-        let v = ValidatedProgram::with_config(p, cfg).unwrap();
-        let ir = translate(&v);
-        let cont = &ir.blocks[1];
-        assert!(cont.ops.is_empty());
-        // Empty stack at exit rejects.
-        assert_eq!(cont.term, Terminator::Return(false));
-    }
-
-    #[test]
     fn indirect_push_becomes_checked_load() {
-        let cfg = InterpConfig {
-            dialect: Dialect::Extended,
-            ..Default::default()
-        };
         let p = Assembler::new(0)
             .pushword(0)
             .push(StackAction::PushInd)
             .finish();
-        let v = ValidatedProgram::with_config(p, cfg).unwrap();
-        let ir = translate(&v);
+        let ir = ir_of(p);
         assert!(ir.blocks[0]
             .ops
             .iter()

@@ -12,9 +12,9 @@
 
 use pf_filter::builder::Expr;
 use pf_filter::dtree::FilterSet;
-use pf_filter::interp::{CheckedInterpreter, Dialect, InterpConfig, ShortCircuitStyle};
+use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
-use pf_filter::program::{Assembler, FilterProgram};
+use pf_filter::program::{Assembler, DisasmItem, FilterProgram};
 use pf_filter::samples;
 use pf_filter::validate::ValidatedProgram;
 use pf_filter::word::{BinaryOp, Instr, StackAction};
@@ -57,25 +57,6 @@ const OPS: [BinaryOp; 21] = [
     BinaryOp::Rsh,
 ];
 
-const CONFIGS: [InterpConfig; 4] = [
-    InterpConfig {
-        dialect: Dialect::Classic,
-        short_circuit: ShortCircuitStyle::Paper,
-    },
-    InterpConfig {
-        dialect: Dialect::Classic,
-        short_circuit: ShortCircuitStyle::Historical,
-    },
-    InterpConfig {
-        dialect: Dialect::Extended,
-        short_circuit: ShortCircuitStyle::Paper,
-    },
-    InterpConfig {
-        dialect: Dialect::Extended,
-        short_circuit: ShortCircuitStyle::Historical,
-    },
-];
-
 /// Random program words: mostly well-formed instructions (so a useful
 /// fraction validates), some raw garbage.
 fn random_words(rng: &mut SplitMix64) -> Vec<u16> {
@@ -98,10 +79,9 @@ fn random_words(rng: &mut SplitMix64) -> Vec<u16> {
 }
 
 /// Random *stack-balanced* program: depth is tracked so pops never
-/// underflow, which makes most outputs validate (under the paper
-/// short-circuit style's depth accounting at least) and gives the compiled
-/// engines real work. Classic-dialect operators dominate; short-circuit
-/// and extended operators are mixed in.
+/// underflow, which makes most outputs validate and gives the compiled
+/// engines real work. The paper's figure 3-6 operators dominate;
+/// short-circuit and §7 operators are mixed in.
 fn random_balanced_words(rng: &mut SplitMix64) -> Vec<u16> {
     let n = 1 + rng.below(14);
     let mut depth = 0u64;
@@ -177,14 +157,13 @@ fn random_packet(rng: &mut SplitMix64) -> Vec<u8> {
     (0..len).map(|_| rng.next_u64() as u8).collect()
 }
 
-/// The core pin: for every seeded (program, packet) pair, in all four
-/// dialect × short-circuit configurations, every execution surface
-/// [`singleton_engines`] yields — six under the default configuration —
-/// agrees with the checked interpreter.
+/// The core pin: for every seeded (program, packet) pair, every execution
+/// surface [`singleton_engines`] yields — six for a valid program — agrees
+/// with the checked interpreter.
 #[test]
 fn all_engines_agree_on_seeded_pairs() {
     let mut rng = SplitMix64::new(0x5eed_0087);
-    let mut validated_cases = 0u32;
+    let (mut validated_cases, mut section_7_cases) = (0u32, 0u32);
     for case in 0..600 {
         // Half balanced (mostly validating), half unconstrained soup
         // (mostly exercising the must-also-reject path).
@@ -194,57 +173,65 @@ fn all_engines_agree_on_seeded_pairs() {
             random_words(&mut rng)
         };
         let packets: Vec<Vec<u8>> = (0..3).map(|_| random_packet(&mut rng)).collect();
-        for cfg in CONFIGS {
-            let prog = FilterProgram::from_words(10, words.clone());
-            let valid = ValidatedProgram::with_config(prog.clone(), cfg).is_ok();
-            if valid {
-                validated_cases += 1;
-            } else {
-                // The compiled surfaces must reject exactly the programs
-                // validation rejects.
-                assert!(
-                    IrFilter::compile_with_config(prog.clone(), cfg).is_err(),
-                    "case {case}: IR compiled a program validation rejects"
-                );
-            }
-            let mut engines = singleton_engines(&prog, cfg);
-            if valid {
+        let prog = FilterProgram::from_words(10, words);
+        let valid = ValidatedProgram::new(prog.clone()).is_ok();
+        if valid {
+            validated_cases += 1;
+            section_7_cases += u32::from(
+                prog.disassemble()
+                    .iter()
+                    .any(|i| matches!(i, DisasmItem::Instr(x) if x.is_extended())),
+            );
+        } else {
+            // The compiled surfaces must reject exactly the programs
+            // validation rejects.
+            assert!(
+                IrFilter::compile(prog.clone()).is_err(),
+                "case {case}: IR compiled a program validation rejects"
+            );
+        }
+        let mut engines = singleton_engines(&prog);
+        if valid {
+            assert_eq!(
+                engines.len(),
+                singleton_surface_count(),
+                "case {case}: missing surface"
+            );
+        }
+        let checked = CheckedInterpreter;
+        for (pi, pkt) in packets.iter().enumerate() {
+            let expect = checked.eval(&prog, PacketView::new(pkt)).then_some(0);
+            for engine in &mut engines {
                 assert_eq!(
-                    engines.len(),
-                    singleton_surface_count(cfg),
-                    "case {case}: missing surface under cfg {cfg:?}"
+                    engine.matches(pkt),
+                    expect,
+                    "{} vs checked: case {case} packet {pi}",
+                    engine.name()
                 );
-            }
-            let checked = CheckedInterpreter::new(cfg);
-            for (pi, pkt) in packets.iter().enumerate() {
-                let expect = checked.eval(&prog, PacketView::new(pkt)).then_some(0);
-                for engine in &mut engines {
-                    assert_eq!(
-                        engine.matches(pkt),
-                        expect,
-                        "{} vs checked: case {case} packet {pi} cfg {cfg:?}",
-                        engine.name()
-                    );
-                }
             }
         }
     }
-    // The generator must actually exercise the compiled paths.
+    // The generator must actually exercise the compiled paths, §7
+    // opcodes included.
     assert!(
         validated_cases > 200,
         "only {validated_cases} validated cases"
     );
+    assert!(
+        section_7_cases > 40,
+        "only {section_7_cases} validated cases use a §7 opcode"
+    );
 }
 
-/// Set-level pin (default configuration): the geometric set and the
-/// decision-table set agree with a sequential priority-ordered walk of
-/// the checked interpreter over mixed filter populations — socket and
-/// ethertype equalities, builder-compiled COR chains, figure 3-8's range —
-/// including programs that fail validation.
+/// Set-level pin: the geometric set and the decision-table set agree with
+/// a sequential priority-ordered walk of the checked interpreter over
+/// mixed filter populations — socket and ethertype equalities,
+/// builder-compiled COR chains, figure 3-8's range — including programs
+/// that fail validation.
 #[test]
 fn set_engines_agree_on_seeded_populations() {
     let mut rng = SplitMix64::new(0xdeca_f00d);
-    let checked = CheckedInterpreter::default();
+    let checked = CheckedInterpreter;
     for case in 0..150 {
         // A population of well-known shapes plus random programs.
         let mut filters: Vec<(u32, FilterProgram)> = Vec::new();
@@ -345,7 +332,7 @@ fn random_range_program(rng: &mut SplitMix64) -> (FilterProgram, Vec<(u8, u16)>)
 #[test]
 fn geom_agrees_on_random_range_programs() {
     let mut rng = SplitMix64::new(0x4a46_e000);
-    let checked = CheckedInterpreter::default();
+    let checked = CheckedInterpreter;
     let mut matched = 0u32;
     for case in 0..200 {
         let (members, witnesses): (Vec<_>, Vec<_>) = (0..1 + rng.below(5))
@@ -437,7 +424,7 @@ fn assert_geom_answers(
     view: PacketView<'_>,
     ctx: &str,
 ) -> Vec<u32> {
-    let checked = CheckedInterpreter::default();
+    let checked = CheckedInterpreter;
     let mut order: Vec<usize> = (0..live.len()).collect();
     order.sort_by_key(|&j| std::cmp::Reverse(live[j].1.priority()));
     let expect: Vec<u32> = order
@@ -625,7 +612,7 @@ fn geom_set_survives_churn() {
 #[test]
 fn engines_agree_on_corrupted_and_truncated_packets() {
     let mut rng = SplitMix64::new(0xbadc_0de5);
-    let checked = CheckedInterpreter::default();
+    let checked = CheckedInterpreter;
     for case in 0..120 {
         let words = if case % 2 == 0 {
             random_balanced_words(&mut rng)
@@ -633,7 +620,7 @@ fn engines_agree_on_corrupted_and_truncated_packets() {
             random_words(&mut rng)
         };
         let prog = FilterProgram::from_words(10, words);
-        let mut engines = singleton_engines(&prog, InterpConfig::default());
+        let mut engines = singleton_engines(&prog);
 
         let base = samples::pup_packet_3mb(
             rng.below(6) as u16,

@@ -6,7 +6,7 @@
 // seed. Each target runs 1,000 seeded iterations under the debug profile
 // and 10,000 under `cargo test --release`.
 
-use pf_filter::interp::{CheckedInterpreter, Dialect, InterpConfig, ShortCircuitStyle};
+use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use pf_filter::samples;
@@ -22,25 +22,6 @@ const ITERS: u32 = if cfg!(debug_assertions) {
 } else {
     10_000
 };
-
-const CONFIGS: [InterpConfig; 4] = [
-    InterpConfig {
-        dialect: Dialect::Classic,
-        short_circuit: ShortCircuitStyle::Paper,
-    },
-    InterpConfig {
-        dialect: Dialect::Classic,
-        short_circuit: ShortCircuitStyle::Historical,
-    },
-    InterpConfig {
-        dialect: Dialect::Extended,
-        short_circuit: ShortCircuitStyle::Paper,
-    },
-    InterpConfig {
-        dialect: Dialect::Extended,
-        short_circuit: ShortCircuitStyle::Historical,
-    },
-];
 
 /// Raw word soup with a bias toward decodable instructions, so both the
 /// reject path and the deep-execution path see real traffic.
@@ -202,14 +183,14 @@ fn fuzz_decoder_total_and_roundtrip() {
 }
 
 /// Target 2 — validator totality and safety: `ValidatedProgram` must
-/// reach a verdict on arbitrary word soup without panicking, in every
-/// dialect x short-circuit configuration; and when it says Ok, the fast
-/// interpreter must execute the program against hostile packets without
-/// panicking, agree with the checked interpreter, and hit no fault the
-/// validator exists to rule out.
+/// reach a verdict on arbitrary word soup without panicking; and when it
+/// says Ok, the fast interpreter must execute the program against hostile
+/// packets without panicking, agree with the checked interpreter, and hit
+/// no fault the validator exists to rule out.
 #[test]
 fn fuzz_validator_verdicts_are_total_and_accepts_are_safe() {
     let mut rng = SplitMix64::new(0xF022_7A11);
+    let checked = CheckedInterpreter;
     let mut accepted = 0u32;
     for case in 0..ITERS {
         // Half raw soup (reject-path totality), half balanced (accepted
@@ -221,31 +202,28 @@ fn fuzz_validator_verdicts_are_total_and_accepts_are_safe() {
         };
         let prio = rng.next_u64() as u8;
         let packets: [Vec<u8>; 2] = [fuzz_packet(&mut rng), fuzz_packet(&mut rng)];
-        for cfg in CONFIGS {
-            let prog = FilterProgram::from_words(prio, words.clone());
-            let Ok(validated) = ValidatedProgram::with_config(prog.clone(), cfg) else {
-                continue;
-            };
-            accepted += 1;
-            let checked = CheckedInterpreter::new(cfg);
-            for pkt in &packets {
-                let view = PacketView::new(pkt);
-                let (verdict, stats) = checked.eval_with_stats(&prog, view);
-                assert_eq!(validated.eval(view), verdict, "case {case} cfg {cfg:?}");
-                // Validation is sound: what it accepts can still fault on
-                // the packet's length or on a zero divisor (extended
-                // dialect), never on the stack or the decoder.
-                assert!(
-                    matches!(
-                        stats.error,
-                        None | Some(
-                            RuntimeError::OutOfPacket { .. } | RuntimeError::DivideByZero { .. }
-                        )
-                    ),
-                    "case {case} cfg {cfg:?}: {:?} after validation",
-                    stats.error
-                );
-            }
+        let prog = FilterProgram::from_words(prio, words);
+        let Ok(validated) = ValidatedProgram::new(prog.clone()) else {
+            continue;
+        };
+        accepted += 1;
+        for pkt in &packets {
+            let view = PacketView::new(pkt);
+            let (verdict, stats) = checked.eval_with_stats(&prog, view);
+            assert_eq!(validated.eval(view), verdict, "case {case}");
+            // Validation is sound: what it accepts can still fault on the
+            // packet's length or on a zero divisor, never on the stack or
+            // the decoder.
+            assert!(
+                matches!(
+                    stats.error,
+                    None | Some(
+                        RuntimeError::OutOfPacket { .. } | RuntimeError::DivideByZero { .. }
+                    )
+                ),
+                "case {case}: {:?} after validation",
+                stats.error
+            );
         }
     }
     assert!(accepted > ITERS / 5, "only {accepted} programs validated");
@@ -253,11 +231,12 @@ fn fuzz_validator_verdicts_are_total_and_accepts_are_safe() {
 
 /// Target 3 — engine differential: on arbitrary (program, packet) pairs
 /// every execution surface `singleton_engines` yields — six for a valid
-/// program under the default configuration — must agree with the checked
-/// interpreter bit for bit. Zero disagreements over `ITERS` pairs.
+/// program — must agree with the checked interpreter bit for bit. Zero
+/// disagreements over `ITERS` pairs.
 #[test]
 fn fuzz_engines_agree_with_checked_interpreter() {
     let mut rng = SplitMix64::new(0xF022_E46E);
+    let checked = CheckedInterpreter;
     let mut surfaces_run = 0u64;
     for case in 0..ITERS {
         let words = if case % 2 == 0 {
@@ -266,15 +245,13 @@ fn fuzz_engines_agree_with_checked_interpreter() {
             fuzz_balanced_words(&mut rng)
         };
         let pkt = fuzz_packet(&mut rng);
-        let cfg = CONFIGS[(case % 4) as usize];
         let prog = FilterProgram::from_words(10, words);
-        let checked = CheckedInterpreter::new(cfg);
         let expect = checked.eval(&prog, PacketView::new(&pkt)).then_some(0);
-        for engine in &mut singleton_engines(&prog, cfg) {
+        for engine in &mut singleton_engines(&prog) {
             assert_eq!(
                 engine.matches(&pkt),
                 expect,
-                "{} vs checked: case {case} cfg {cfg:?}",
+                "{} vs checked: case {case}",
                 engine.name()
             );
             surfaces_run += 1;
@@ -294,7 +271,7 @@ fn fuzz_engines_agree_with_checked_interpreter() {
 #[test]
 fn fuzz_geom_churn_agrees_with_sequential_walk() {
     let mut rng = SplitMix64::new(0xF022_6E03);
-    let checked = CheckedInterpreter::default();
+    let checked = CheckedInterpreter;
     let mut geom = GeomSet::new();
     let mut capped = GeomSet::new();
     capped.set_candidate_cap(Some(3));

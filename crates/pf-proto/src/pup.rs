@@ -451,7 +451,7 @@ mod tests {
 
     #[test]
     fn socket_filter_matches_encoded_pups() {
-        let interp = CheckedInterpreter::default();
+        let interp = CheckedInterpreter;
         let f35 = Pup::socket_filter(10, 35);
         let hit = sample(b"x").encode_frame(&medium(), false);
         assert!(interp.eval(&f35, PacketView::new(&hit)));

@@ -263,7 +263,7 @@ mod tests {
         use pf_filter::interp::CheckedInterpreter;
         use pf_filter::packet::PacketView;
         let medium = Medium::standard_10mb();
-        let interp = CheckedInterpreter::default();
+        let interp = CheckedInterpreter;
         let req = ArpPacket {
             oper: oper::RARP_REQUEST,
             sha: 1,

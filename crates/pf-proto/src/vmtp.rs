@@ -673,7 +673,7 @@ mod tests {
     fn entity_filter_matches() {
         use pf_filter::interp::CheckedInterpreter;
         use pf_filter::packet::PacketView;
-        let interp = CheckedInterpreter::default();
+        let interp = CheckedInterpreter;
         let filt = VmtpPacket::entity_filter(10, 0x0001_0002);
         let mk = |dst: u32| {
             VmtpPacket {

@@ -41,7 +41,7 @@ fn main() {
     println!("the same predicate from the expression DSL:\n{from_dsl}");
 
     // --- 3. Evaluate against packets -----------------------------------
-    let interp = CheckedInterpreter::default();
+    let interp = CheckedInterpreter;
     let ours = samples::pup_packet_3mb(2, 0, 35, 1); // Pup to socket 35
     let theirs = samples::pup_packet_3mb(2, 0, 99, 1); // Pup to socket 99
     let (accept, stats) = interp.eval_with_stats(&by_hand, PacketView::new(&ours));

@@ -16,6 +16,9 @@ run bash -n scripts/profile.sh
 run gcc -fsyntax-only scripts/sampler.c
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc with warnings as errors: a doc link left pointing at a deleted
+# or private item fails here.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo build --release
 run cargo test --workspace -q
 # The campaigns' --smoke sweeps. What each one claims is a sweep-internal

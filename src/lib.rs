@@ -37,7 +37,7 @@
 //! assert_eq!(filter.words(), samples::fig_3_9_pup_socket_35().words());
 //!
 //! let pkt = samples::pup_packet_3mb(2, 0, 35, 1);
-//! assert!(CheckedInterpreter::default().eval(&filter, PacketView::new(&pkt)));
+//! assert!(CheckedInterpreter.eval(&filter, PacketView::new(&pkt)));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -3,10 +3,12 @@
 //! it does. This is the fast, tier-1 copy of the conformance pins that
 //! live behind `--workspace` and the fuzz lanes: every execution surface
 //! [`singleton_engines`] yields, and a [`PfDevice`] under each kernel
-//! engine, over the `samples` corpus and 2,000 seeded frames — whole,
+//! engine, over the `samples` corpus, a filter built with the §7
+//! extensions and 2,000 seeded frames — whole,
 //! bit-flipped, truncated and random — with zero disagreements.
 
-use packet_filter::filter::interp::{CheckedInterpreter, InterpConfig};
+use packet_filter::filter::builder::{ArithOp, Expr};
+use packet_filter::filter::interp::CheckedInterpreter;
 use packet_filter::filter::packet::PacketView;
 use packet_filter::filter::program::{Assembler, FilterProgram};
 use packet_filter::filter::samples;
@@ -17,10 +19,10 @@ use packet_filter::{singleton_engines, singleton_surface_count, DemuxEngine, PfD
 
 const FRAMES: usize = 2_000;
 
-/// The sample filters, plus one the validator rejects: its `COR` accepts
-/// frames for station 1 from station 2 before the reserved opcode behind
-/// it is ever decoded, so even the surfaces that only fall back must
-/// accept those frames.
+/// The sample filters, one that uses the §7 extensions, and one the
+/// validator rejects: its `COR` accepts frames for station 1 from station
+/// 2 before the reserved opcode behind it is ever decoded, so even the
+/// surfaces that only fall back must accept those frames.
 fn corpus() -> Vec<FilterProgram> {
     let mut rejected = Assembler::new(15)
         .pushword(0)
@@ -38,8 +40,21 @@ fn corpus() -> Vec<FilterProgram> {
         samples::accept_all(1),
         samples::reject_all(30),
         samples::padded_accept_filter(5, 12),
+        section_7_filter(),
         FilterProgram::from_words(15, rejected),
     ]
+}
+
+/// A Pup frame (ethertype 2) whose low socket word is 30–37, found by
+/// §7 means: `PUSHIND` fetches word `ethertype + 6`, and `SUB` turns the
+/// range test into one unsigned compare.
+fn section_7_filter() -> FilterProgram {
+    let socket_lo = Expr::word_at(Expr::word(1).arith(ArithOp::Add, 6));
+    Expr::word(1)
+        .eq(samples::PUP_ETHERTYPE_3MB)
+        .and(socket_lo.arith(ArithOp::Sub, 30).lt(8))
+        .compile(12)
+        .expect("the §7 filter compiles")
 }
 
 /// Pup frames around the corpus's sockets and types; one in eight cut to a
@@ -73,17 +88,17 @@ fn frames(seed: u64) -> Vec<Vec<u8>> {
 
 #[test]
 fn every_execution_surface_agrees_with_the_checked_interpreter() {
-    let checked = CheckedInterpreter::default();
+    let checked = CheckedInterpreter;
     let frames = frames(0xA9EE_0001);
     let mut verdicts = 0u64;
     let corpus = corpus();
     for (pi, program) in corpus.iter().enumerate() {
-        let mut engines = singleton_engines(program, InterpConfig::default());
+        let mut engines = singleton_engines(program);
         // All but the last validate and get every surface.
         if pi + 1 < corpus.len() {
             assert_eq!(
                 engines.len(),
-                singleton_surface_count(InterpConfig::default()),
+                singleton_surface_count(),
                 "program {pi}: a surface is missing"
             );
         }
@@ -102,11 +117,23 @@ fn every_execution_surface_agrees_with_the_checked_interpreter() {
         }
     }
     assert!(verdicts > 8 * 5 * FRAMES as u64, "only {verdicts} verdicts");
+    // The §7 member discriminates: the oracle accepts some frames and
+    // rejects others.
+    let section_7 = section_7_filter();
+    let accepted = frames
+        .iter()
+        .filter(|f| checked.eval(&section_7, PacketView::new(f)))
+        .count();
+    assert!(
+        0 < accepted && accepted < frames.len(),
+        "the §7 filter accepts {accepted} of {} frames",
+        frames.len()
+    );
 }
 
 #[test]
 fn a_device_under_every_kernel_engine_agrees_with_the_checked_interpreter() {
-    let checked = CheckedInterpreter::default();
+    let checked = CheckedInterpreter;
     let corpus = corpus();
     // Every port passes the frame on, so `accepted` lists every acceptor
     // in match order: priority descending, then port order.

@@ -233,7 +233,7 @@ pub fn run(engine: DemuxEngine, seed: u64, steps: u32) {
             .filter(|&i| shadow[i].filter.is_some())
             .collect();
         walk.sort_by_key(|&i| (core::cmp::Reverse(shadow[i].priority()), i));
-        let interp = CheckedInterpreter::default();
+        let interp = CheckedInterpreter;
         let oracle = |frame: &[u8]| {
             let mut accepted = Vec::new();
             for &i in &walk {
