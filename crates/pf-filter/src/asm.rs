@@ -1,8 +1,9 @@
 //! A textual assembler for filter programs.
 //!
-//! Parses the mnemonic syntax the paper's figures (and this crate's
-//! `Display` impl) use, so filters can be written in config files, fed to
-//! monitoring tools, or round-tripped through text:
+//! Parses the mnemonic syntax the paper's figures use, so filters can be
+//! written in config files, fed to monitoring tools, or round-tripped
+//! through text. A mnemonic is whatever [`StackAction`] or [`BinaryOp`]
+//! prints for its encoding; the parser keeps no table of its own:
 //!
 //! ```text
 //! PUSHWORD+8, PUSHLIT|CAND, 35,
@@ -14,7 +15,9 @@
 //! comments run to end of line; literals may be decimal or `0x…` hex.
 
 use crate::program::FilterProgram;
-use crate::word::{BinaryOp, Instr, StackAction, MAX_PUSHWORD_INDEX};
+use crate::word::{
+    BinaryOp, Instr, StackAction, MAX_PUSHWORD_INDEX, PUSHWORD_BASE, STACK_ACTION_BITS,
+};
 
 /// A parse error with line information.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,44 +57,18 @@ fn parse_action(tok: &str, line: usize) -> Result<StackAction, ParseError> {
         }
         return Ok(StackAction::PushWord(n as u8));
     }
-    Ok(match t.as_str() {
-        "NOPUSH" => StackAction::NoPush,
-        "PUSHLIT" => StackAction::PushLit,
-        "PUSHZERO" => StackAction::PushZero,
-        "PUSHONE" => StackAction::PushOne,
-        "PUSHFFFF" => StackAction::PushFFFF,
-        "PUSHFF00" => StackAction::PushFF00,
-        "PUSH00FF" => StackAction::Push00FF,
-        "PUSHIND" => StackAction::PushInd,
-        other => return Err(err(line, format!("unknown stack action `{other}`"))),
-    })
+    (0..PUSHWORD_BASE)
+        .filter_map(StackAction::decode)
+        .find(|a| a.to_string() == t)
+        .ok_or_else(|| err(line, format!("unknown stack action `{t}`")))
 }
 
 fn parse_op(tok: &str, line: usize) -> Result<BinaryOp, ParseError> {
-    Ok(match tok.to_ascii_uppercase().as_str() {
-        "NOP" => BinaryOp::Nop,
-        "EQ" => BinaryOp::Eq,
-        "NEQ" => BinaryOp::Neq,
-        "LT" => BinaryOp::Lt,
-        "LE" => BinaryOp::Le,
-        "GT" => BinaryOp::Gt,
-        "GE" => BinaryOp::Ge,
-        "AND" => BinaryOp::And,
-        "OR" => BinaryOp::Or,
-        "XOR" => BinaryOp::Xor,
-        "COR" => BinaryOp::Cor,
-        "CAND" => BinaryOp::Cand,
-        "CNOR" => BinaryOp::Cnor,
-        "CNAND" => BinaryOp::Cnand,
-        "ADD" => BinaryOp::Add,
-        "SUB" => BinaryOp::Sub,
-        "MUL" => BinaryOp::Mul,
-        "DIV" => BinaryOp::Div,
-        "MOD" => BinaryOp::Mod,
-        "LSH" => BinaryOp::Lsh,
-        "RSH" => BinaryOp::Rsh,
-        other => return Err(err(line, format!("unknown operator `{other}`"))),
-    })
+    let t = tok.to_ascii_uppercase();
+    (0..=u16::MAX >> STACK_ACTION_BITS)
+        .filter_map(BinaryOp::decode)
+        .find(|op| op.to_string() == t)
+        .ok_or_else(|| err(line, format!("unknown operator `{t}`")))
 }
 
 fn parse_literal(tok: &str, line: usize) -> Result<u16, ParseError> {

@@ -433,19 +433,13 @@ impl Compiler<'_> {
                 Ok(())
             }
             Expr::Lit(v) => {
-                let action = match v {
-                    0 => StackAction::PushZero,
-                    1 => StackAction::PushOne,
-                    0xFFFF => StackAction::PushFFFF,
-                    0xFF00 => StackAction::PushFF00,
-                    0x00FF => StackAction::Push00FF,
-                    _ => {
+                match StackAction::for_constant(*v) {
+                    Some(action) => self.push_instr(Instr::push(action)),
+                    None => {
                         self.push_instr(Instr::push(StackAction::PushLit));
                         self.words.push(*v);
-                        return Ok(());
                     }
-                };
-                self.push_instr(Instr::push(action));
+                }
                 Ok(())
             }
             Expr::WordAt(idx) => {

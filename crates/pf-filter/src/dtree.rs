@@ -16,7 +16,7 @@
 //! priority-ordered sequential interpretation (a property test verifies
 //! this).
 
-use crate::interp;
+use crate::interp::CheckedInterpreter;
 use crate::packet::PacketView;
 use crate::program::FilterProgram;
 use crate::word::{BinaryOp, Instr, StackAction};
@@ -244,7 +244,7 @@ impl FilterSet {
         }
 
         for r in &self.residual {
-            if interp::eval_words(r.program.words(), packet).0 {
+            if CheckedInterpreter.eval(&r.program, packet) {
                 hits.push((r.priority, r.seq, r.id));
             }
         }
@@ -336,16 +336,12 @@ fn analyze(program: &FilterProgram) -> Analysis {
                 pc += 1;
                 stack.push(Sym::Const(lit));
             }
-            StackAction::PushZero => stack.push(Sym::Const(0)),
-            StackAction::PushOne => stack.push(Sym::Const(1)),
-            StackAction::PushFFFF => stack.push(Sym::Const(0xFFFF)),
-            StackAction::PushFF00 => stack.push(Sym::Const(0xFF00)),
-            StackAction::Push00FF => stack.push(Sym::Const(0x00FF)),
             StackAction::PushWord(n) => {
                 max_read = max_read.max(Some(u16::from(n)));
                 stack.push(Sym::Word(u16::from(n)));
             }
             StackAction::PushInd => return Analysis::Opaque,
+            named => stack.push(Sym::Const(named.constant().unwrap_or_default())),
         }
 
         if instr.op.pops() {

@@ -6,7 +6,6 @@
 //! run-time "library procedure" was, and a disassembler for debugging and
 //! display.
 
-use crate::error::ValidateError;
 use crate::word::{BinaryOp, Instr, StackAction};
 use core::fmt;
 
@@ -127,24 +126,6 @@ impl FilterProgram {
             }
         }
         out
-    }
-
-    /// The largest packet-word index referenced by any `PUSHWORD`
-    /// instruction, or `None` if the program never reads the packet.
-    ///
-    /// Indirect pushes are *not* included (their index is dynamic); see
-    /// [`crate::validate::ValidatedProgram::uses_indirect`].
-    pub fn max_word_index(&self) -> Option<usize> {
-        self.disassemble()
-            .iter()
-            .filter_map(|item| match item {
-                DisasmItem::Instr(Instr {
-                    action: StackAction::PushWord(n),
-                    ..
-                }) => Some(usize::from(*n)),
-                _ => None,
-            })
-            .max()
     }
 }
 
@@ -305,21 +286,6 @@ impl Assembler {
     pub fn finish(self) -> FilterProgram {
         FilterProgram::from_words(self.priority, self.words)
     }
-
-    /// Finishes assembly, checking the program-length limit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValidateError::TooLong`] if the program exceeds
-    /// [`MAX_PROGRAM_WORDS`].
-    pub fn try_finish(self) -> Result<FilterProgram, ValidateError> {
-        if self.words.len() > MAX_PROGRAM_WORDS {
-            return Err(ValidateError::TooLong {
-                words: self.words.len(),
-            });
-        }
-        Ok(self.finish())
-    }
 }
 
 #[cfg(test)]
@@ -361,20 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn max_word_index() {
-        let f = samples::fig_3_9_pup_socket_35();
-        assert_eq!(f.max_word_index(), Some(8));
-        let empty = FilterProgram::empty(0);
-        assert_eq!(empty.max_word_index(), None);
-        let no_pkt = Assembler::new(0)
-            .pushzero()
-            .pushone()
-            .op(BinaryOp::And)
-            .finish();
-        assert_eq!(no_pkt.max_word_index(), None);
-    }
-
-    #[test]
     fn undecodable_words_are_reported() {
         // Operator code 14 is reserved.
         let f = FilterProgram::from_words(0, vec![14 << 6]);
@@ -387,18 +339,6 @@ mod tests {
         let items = f.disassemble();
         assert_eq!(items.len(), 1);
         assert!(matches!(items[0], DisasmItem::Instr(_)));
-    }
-
-    #[test]
-    fn try_finish_rejects_overlong() {
-        let mut a = Assembler::new(0);
-        for _ in 0..(MAX_PROGRAM_WORDS + 1) {
-            a = a.pushzero();
-        }
-        assert!(matches!(
-            a.try_finish(),
-            Err(ValidateError::TooLong { words }) if words == MAX_PROGRAM_WORDS + 1
-        ));
     }
 
     #[test]

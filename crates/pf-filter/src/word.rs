@@ -134,6 +134,26 @@ impl StackAction {
     pub fn is_extended(self) -> bool {
         matches!(self, StackAction::PushInd)
     }
+
+    /// The word this action pushes when it names a constant: `0`, `1`,
+    /// `0xFFFF`, `0xFF00` or `0x00FF`. `None` for every other action.
+    pub fn constant(self) -> Option<u16> {
+        Some(match self {
+            StackAction::PushZero => 0,
+            StackAction::PushOne => 1,
+            StackAction::PushFFFF => 0xFFFF,
+            StackAction::PushFF00 => 0xFF00,
+            StackAction::Push00FF => 0x00FF,
+            _ => return None,
+        })
+    }
+
+    /// The action that pushes `value` as a named constant, if one does.
+    pub fn for_constant(value: u16) -> Option<Self> {
+        (0..PUSHWORD_BASE)
+            .filter_map(StackAction::decode)
+            .find(|a| a.constant() == Some(value))
+    }
 }
 
 impl fmt::Display for StackAction {
@@ -307,6 +327,47 @@ impl BinaryOp {
         )
     }
 
+    /// The value `R` this operator computes from `T2` and `T1`: the one
+    /// statement of the operators' meaning every engine evaluates.
+    ///
+    /// Comparisons give `1` or `0`; `ADD`, `SUB` and `MUL` wrap; `LSH`
+    /// and `RSH` mask the shift count to its low 4 bits. `DIV` and `MOD`
+    /// by zero give `None`, the runtime fault that rejects the packet. A
+    /// short-circuit operator gives `R = (T2 == T1)`, the word it pushes
+    /// when it does not terminate ([`BinaryOp::short_circuit_rule`]).
+    /// `NOP` pops nothing; its value is `T1`, the word it leaves on top.
+    // Inlinable across crates: pf-ir's threaded code applies it per packet.
+    #[inline]
+    pub fn apply(self, t2: u16, t1: u16) -> Option<u16> {
+        Some(match self {
+            BinaryOp::Nop => t1,
+            BinaryOp::Eq | BinaryOp::Cor | BinaryOp::Cand | BinaryOp::Cnor | BinaryOp::Cnand => {
+                u16::from(t2 == t1)
+            }
+            BinaryOp::Neq => u16::from(t2 != t1),
+            BinaryOp::Lt => u16::from(t2 < t1),
+            BinaryOp::Le => u16::from(t2 <= t1),
+            BinaryOp::Gt => u16::from(t2 > t1),
+            BinaryOp::Ge => u16::from(t2 >= t1),
+            BinaryOp::And => t2 & t1,
+            BinaryOp::Or => t2 | t1,
+            BinaryOp::Xor => t2 ^ t1,
+            BinaryOp::Add => t2.wrapping_add(t1),
+            BinaryOp::Sub => t2.wrapping_sub(t1),
+            BinaryOp::Mul => t2.wrapping_mul(t1),
+            BinaryOp::Div => t2.checked_div(t1)?,
+            BinaryOp::Mod => t2.checked_rem(t1)?,
+            BinaryOp::Lsh => t2 << (t1 & 0xF),
+            BinaryOp::Rsh => t2 >> (t1 & 0xF),
+        })
+    }
+
+    /// Whether [`BinaryOp::apply`] can fault (`DIV` and `MOD`), so that
+    /// no engine may drop the operator as dead code.
+    pub fn can_fault(self) -> bool {
+        matches!(self, BinaryOp::Div | BinaryOp::Mod)
+    }
+
     /// For a short-circuit operator, returns `(terminate_when, verdict)`:
     /// the filter terminates with `verdict` when `R == terminate_when`.
     ///
@@ -408,23 +469,6 @@ impl Instr {
     pub fn is_extended(self) -> bool {
         self.action.is_extended() || self.op.is_extended()
     }
-
-    /// Net change in stack depth produced by this instruction.
-    ///
-    /// `PushInd` pops one and pushes one, so its net effect is the
-    /// operator's alone.
-    pub fn stack_delta(self) -> i32 {
-        let mut d = 0i32;
-        match self.action {
-            StackAction::NoPush => {}
-            StackAction::PushInd => {} // pops one index, pushes one value
-            _ => d += 1,
-        }
-        if self.op.pops() {
-            d -= 1; // pop two, push one
-        }
-        d
-    }
 }
 
 impl fmt::Display for Instr {
@@ -524,15 +568,23 @@ mod tests {
     }
 
     #[test]
-    fn stack_delta() {
-        assert_eq!(Instr::push(StackAction::PushZero).stack_delta(), 1);
-        assert_eq!(Instr::op(BinaryOp::And).stack_delta(), -1);
-        assert_eq!(
-            Instr::new(StackAction::PushLit, BinaryOp::Eq).stack_delta(),
-            0
-        );
-        assert_eq!(Instr::push(StackAction::PushInd).stack_delta(), 0);
-        assert_eq!(Instr::op(BinaryOp::Nop).stack_delta(), 0);
+    fn apply_faults_on_zero_divisors_and_masks_shift_counts() {
+        assert_eq!(BinaryOp::Div.apply(7, 0), None);
+        assert_eq!(BinaryOp::Mod.apply(7, 0), None);
+        assert_eq!(BinaryOp::Lsh.apply(1, 16), Some(1));
+        assert_eq!(BinaryOp::Rsh.apply(0x8000, 17), Some(0x4000));
+        assert_eq!(BinaryOp::Sub.apply(3, 7), Some(0xFFFC));
+        assert_eq!(BinaryOp::Cnand.apply(5, 5), Some(1));
+    }
+
+    #[test]
+    fn named_constants_round_trip() {
+        for v in [0, 1, 0xFFFF, 0xFF00, 0x00FF] {
+            let a = StackAction::for_constant(v).expect("named");
+            assert_eq!(a.constant(), Some(v), "{a}");
+        }
+        assert_eq!(StackAction::for_constant(2), None);
+        assert_eq!(StackAction::PushLit.constant(), None);
     }
 
     #[test]

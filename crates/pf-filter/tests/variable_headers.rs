@@ -121,19 +121,16 @@ fn extended_filter_rejects_truncated_packets_safely() {
 
 #[test]
 fn all_engines_agree_on_the_extended_filter() {
-    use pf_filter::compile::CompiledFilter;
     use pf_filter::validate::ValidatedProgram;
     let f = extended_port_filter(23);
     let checked = CheckedInterpreter;
     let validated = ValidatedProgram::new(f.clone()).unwrap();
-    let compiled = CompiledFilter::from_validated(validated.clone());
     for opt_words in 0..8 {
         for port in [22u16, 23, 24] {
             let pkt = ip_tcp_frame(opt_words, port);
             let view = PacketView::new(&pkt);
             let a = checked.eval(&f, view);
             assert_eq!(a, validated.eval(view));
-            assert_eq!(a, compiled.eval(view));
         }
     }
 }

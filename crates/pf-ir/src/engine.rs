@@ -1,9 +1,11 @@
 //! The unified execution-surface API.
 //!
-//! Every rung of the workspace's execution ladder — checked interpreter,
-//! validated-program evaluator, compiled closures, decision-table set,
-//! threaded code and geometric (tuple-space) classifier — answers the
-//! same question: *which filter, if any, accepts this packet?*
+//! Every rung of the workspace's execution ladder — the checked
+//! interpreter (§4), the same loop with its checks hoisted to bind time,
+//! the decision-table set, the compiled filter (§7's "compiling filters",
+//! [`IrFilter`]: optimized IR lowered to threaded code) and the
+//! geometric (tuple-space) classifier built on it — answers the same
+//! question: *which filter, if any, accepts this packet?*
 //! [`FilterEngine`] makes that the whole API, so differential suites and
 //! bench ladders iterate a `Vec<Box<dyn FilterEngine>>` instead of
 //! hand-written per-engine match arms, and a new surface registers by
@@ -11,7 +13,6 @@
 
 use crate::exec::IrFilter;
 use crate::geom::GeomSet;
-use pf_filter::compile::CompiledFilter;
 use pf_filter::dtree::FilterSet;
 use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
@@ -35,19 +36,16 @@ pub trait FilterEngine {
 ///
 /// Always includes the checked interpreter (the reference semantics) and
 /// the set engines that serve even validation-rejected programs through
-/// their checked fallback. The compiled surfaces (validated, compiled,
-/// ir) appear only when the program validates.
+/// their checked fallback. The surfaces that need bind-time validation
+/// (validated, ir) appear only when the program validates.
 ///
 /// The length is therefore 3 for an invalid program and
-/// [`singleton_surface_count`] (6) for a valid one.
+/// [`singleton_surface_count`] (5) for a valid one.
 pub fn singleton_engines(program: &FilterProgram) -> Vec<Box<dyn FilterEngine>> {
     let mut engines: Vec<Box<dyn FilterEngine>> = vec![Box::new(CheckedEngine(program.clone()))];
     let validated = ValidatedProgram::new(program.clone()).ok();
     if let Some(v) = &validated {
         engines.push(Box::new(ValidatedEngine(v.clone())));
-        engines.push(Box::new(CompiledEngine(CompiledFilter::from_validated(
-            v.clone(),
-        ))));
     }
     let mut set = FilterSet::new();
     set.insert(0, program.clone());
@@ -63,7 +61,7 @@ pub fn singleton_engines(program: &FilterProgram) -> Vec<Box<dyn FilterEngine>> 
 
 /// Number of surfaces [`singleton_engines`] yields for a valid program.
 pub fn singleton_surface_count() -> usize {
-    6
+    5
 }
 
 struct CheckedEngine(FilterProgram);
@@ -84,17 +82,6 @@ struct ValidatedEngine(ValidatedProgram);
 impl FilterEngine for ValidatedEngine {
     fn name(&self) -> &'static str {
         "validated"
-    }
-    fn matches(&mut self, packet: &[u8]) -> Option<u16> {
-        self.0.eval(PacketView::new(packet)).then_some(0)
-    }
-}
-
-struct CompiledEngine(CompiledFilter);
-
-impl FilterEngine for CompiledEngine {
-    fn name(&self) -> &'static str {
-        "compiled"
     }
     fn matches(&mut self, packet: &[u8]) -> Option<u16> {
         self.0.eval(PacketView::new(packet)).then_some(0)
@@ -149,10 +136,7 @@ mod tests {
         let engines = singleton_engines(&prog);
         assert_eq!(engines.len(), singleton_surface_count());
         let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
-        assert_eq!(
-            names,
-            ["checked", "validated", "compiled", "dtree", "ir", "geom"]
-        );
+        assert_eq!(names, ["checked", "validated", "dtree", "ir", "geom"]);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! precede an out-of-bounds load).
 
 use crate::geom::Interval;
-use crate::ir::{BlockId, IrBinOp, IrProgram, Terminator};
+use crate::ir::{BlockId, IrProgram, Terminator};
 use crate::opt::optimize;
 use crate::translate::translate;
 use pf_filter::error::ValidateError;
@@ -34,6 +34,7 @@ use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use pf_filter::validate::ValidatedProgram;
+use pf_filter::word::BinaryOp;
 use std::collections::HashMap;
 
 /// One threaded-code instruction. Register and target fields are plain
@@ -48,7 +49,7 @@ pub(crate) enum TOp {
     LoadInd { dst: u16, index: u16 },
     /// `regs[dst] := op(regs[a], regs[b])`; a fault rejects.
     Bin {
-        op: IrBinOp,
+        op: BinaryOp,
         dst: u16,
         a: u16,
         b: u16,
@@ -608,7 +609,7 @@ impl Operands {
     /// packet word and the other a literal. `None` for any other operator
     /// or operands, and for an ordering compare no word passes (`< 0`,
     /// `> 0xFFFF`).
-    pub(crate) fn compare_interval(&self, op: IrBinOp, a: u16, b: u16) -> Option<Interval> {
+    pub(crate) fn compare_interval(&self, op: BinaryOp, a: u16, b: u16) -> Option<Interval> {
         // `word_is_left`: the ordering operators are not symmetric.
         let (word, lit, word_is_left) = match (
             self.words.get(&a),
@@ -621,11 +622,11 @@ impl Operands {
             _ => return None,
         };
         let (lo, hi) = match (op, word_is_left) {
-            (IrBinOp::Eq, _) => (lit, lit),
-            (IrBinOp::Lt, true) | (IrBinOp::Gt, false) => (0, lit.checked_sub(1)?),
-            (IrBinOp::Le, true) | (IrBinOp::Ge, false) => (0, lit),
-            (IrBinOp::Gt, true) | (IrBinOp::Lt, false) => (lit.checked_add(1)?, u16::MAX),
-            (IrBinOp::Ge, true) | (IrBinOp::Le, false) => (lit, u16::MAX),
+            (BinaryOp::Eq, _) => (lit, lit),
+            (BinaryOp::Lt, true) | (BinaryOp::Gt, false) => (0, lit.checked_sub(1)?),
+            (BinaryOp::Le, true) | (BinaryOp::Ge, false) => (0, lit),
+            (BinaryOp::Gt, true) | (BinaryOp::Lt, false) => (lit.checked_add(1)?, u16::MAX),
+            (BinaryOp::Ge, true) | (BinaryOp::Le, false) => (lit, u16::MAX),
             _ => return None,
         };
         Some(Interval { word, lo, hi })
@@ -757,12 +758,12 @@ fn fuse_guards(chunks: &mut [Vec<TOp>], ir: &IrProgram) {
             continue;
         };
         let fused = match (op, jump_on_cond) {
-            (IrBinOp::Eq, true) => TOp::GuardEqBr {
+            (BinaryOp::Eq, true) => TOp::GuardEqBr {
                 word,
                 lit: lo,
                 target,
             },
-            (IrBinOp::Eq, false) => TOp::GuardNeBr {
+            (BinaryOp::Eq, false) => TOp::GuardNeBr {
                 word,
                 lit: lo,
                 target,

@@ -35,139 +35,6 @@ impl fmt::Display for BlockId {
     }
 }
 
-/// A pure (or checked) two-operand operator over 16-bit words.
-///
-/// The operand order follows the stack language: `a` is `T2` (pushed
-/// first), `b` is `T1` (top of stack). The four short-circuit operators do
-/// not appear here — the translator rewrites them into an `Eq` plus a
-/// [`Terminator::Branch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IrBinOp {
-    /// `1` if `a == b`, else `0`.
-    Eq,
-    /// `1` if `a != b`, else `0`.
-    Neq,
-    /// `1` if `a < b` (unsigned), else `0`.
-    Lt,
-    /// `1` if `a <= b` (unsigned), else `0`.
-    Le,
-    /// `1` if `a > b` (unsigned), else `0`.
-    Gt,
-    /// `1` if `a >= b` (unsigned), else `0`.
-    Ge,
-    /// Bitwise AND.
-    And,
-    /// Bitwise OR.
-    Or,
-    /// Bitwise XOR.
-    Xor,
-    /// Wrapping addition (§7).
-    Add,
-    /// Wrapping subtraction (§7).
-    Sub,
-    /// Wrapping multiplication (§7).
-    Mul,
-    /// Unsigned division; a zero divisor is a runtime fault → reject.
-    Div,
-    /// Unsigned remainder; a zero divisor is a runtime fault → reject.
-    Mod,
-    /// Left shift, count masked to 0–15 (§7).
-    Lsh,
-    /// Right shift, count masked to 0–15 (§7).
-    Rsh,
-}
-
-impl IrBinOp {
-    /// The IR operator for a stack-language binary operator, or `None` for
-    /// `NOP` and the short-circuit operators (which do not map one-to-one).
-    pub fn from_stack_op(op: BinaryOp) -> Option<Self> {
-        Some(match op {
-            BinaryOp::Eq => IrBinOp::Eq,
-            BinaryOp::Neq => IrBinOp::Neq,
-            BinaryOp::Lt => IrBinOp::Lt,
-            BinaryOp::Le => IrBinOp::Le,
-            BinaryOp::Gt => IrBinOp::Gt,
-            BinaryOp::Ge => IrBinOp::Ge,
-            BinaryOp::And => IrBinOp::And,
-            BinaryOp::Or => IrBinOp::Or,
-            BinaryOp::Xor => IrBinOp::Xor,
-            BinaryOp::Add => IrBinOp::Add,
-            BinaryOp::Sub => IrBinOp::Sub,
-            BinaryOp::Mul => IrBinOp::Mul,
-            BinaryOp::Div => IrBinOp::Div,
-            BinaryOp::Mod => IrBinOp::Mod,
-            BinaryOp::Lsh => IrBinOp::Lsh,
-            BinaryOp::Rsh => IrBinOp::Rsh,
-            BinaryOp::Nop | BinaryOp::Cor | BinaryOp::Cand | BinaryOp::Cnor | BinaryOp::Cnand => {
-                return None
-            }
-        })
-    }
-
-    /// Applies the operator; `None` is a runtime fault (zero divisor),
-    /// which rejects the packet like every other fault in the language.
-    pub fn apply(self, a: u16, b: u16) -> Option<u16> {
-        Some(match self {
-            IrBinOp::Eq => u16::from(a == b),
-            IrBinOp::Neq => u16::from(a != b),
-            IrBinOp::Lt => u16::from(a < b),
-            IrBinOp::Le => u16::from(a <= b),
-            IrBinOp::Gt => u16::from(a > b),
-            IrBinOp::Ge => u16::from(a >= b),
-            IrBinOp::And => a & b,
-            IrBinOp::Or => a | b,
-            IrBinOp::Xor => a ^ b,
-            IrBinOp::Add => a.wrapping_add(b),
-            IrBinOp::Sub => a.wrapping_sub(b),
-            IrBinOp::Mul => a.wrapping_mul(b),
-            IrBinOp::Div => {
-                if b == 0 {
-                    return None;
-                }
-                a / b
-            }
-            IrBinOp::Mod => {
-                if b == 0 {
-                    return None;
-                }
-                a % b
-            }
-            IrBinOp::Lsh => a << (b & 0xF),
-            IrBinOp::Rsh => a >> (b & 0xF),
-        })
-    }
-
-    /// Whether [`IrBinOp::apply`] can fault (and therefore must never be
-    /// removed as dead code).
-    pub fn can_fault(self) -> bool {
-        matches!(self, IrBinOp::Div | IrBinOp::Mod)
-    }
-}
-
-impl fmt::Display for IrBinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            IrBinOp::Eq => "eq",
-            IrBinOp::Neq => "neq",
-            IrBinOp::Lt => "lt",
-            IrBinOp::Le => "le",
-            IrBinOp::Gt => "gt",
-            IrBinOp::Ge => "ge",
-            IrBinOp::And => "and",
-            IrBinOp::Or => "or",
-            IrBinOp::Xor => "xor",
-            IrBinOp::Add => "add",
-            IrBinOp::Sub => "sub",
-            IrBinOp::Mul => "mul",
-            IrBinOp::Div => "div",
-            IrBinOp::Mod => "mod",
-            IrBinOp::Lsh => "lsh",
-            IrBinOp::Rsh => "rsh",
-        };
-        f.write_str(s)
-    }
-}
-
 /// One non-terminating IR operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
@@ -194,12 +61,14 @@ pub enum Op {
         /// Register holding the packet word index.
         index: Reg,
     },
-    /// `dst := op(a, b)` with `a = T2`, `b = T1`.
+    /// `dst := op.apply(a, b)` with `a = T2`, `b = T1`. Never `NOP` or a
+    /// short-circuit operator: the translator rewrites the short circuits
+    /// into an `EQ` plus a [`Terminator::Branch`].
     Bin {
         /// Destination register.
         dst: Reg,
         /// The operator.
-        op: IrBinOp,
+        op: BinaryOp,
         /// Left operand (`T2`).
         a: Reg,
         /// Right operand (`T1`, top of stack).

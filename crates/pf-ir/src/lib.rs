@@ -5,11 +5,13 @@
 //! safe, and — as §6 measures — expensive to interpret, because every
 //! boolean connective pushes and pops intermediate truth values that a
 //! conventional compiler would keep in registers or branch on directly.
-//! This crate is surfaces five and six of the workspace's execution
-//! ladder: it *compiles* validated stack programs into a small SSA-ish
-//! register IR ([`ir`]), optimizes the result ([`opt`]), flattens it into
-//! threaded code that evaluates with no operand stack at all ([`exec`]),
-//! and indexes sets of such programs geometrically ([`geom`]).
+//! This crate is surfaces four and five of the workspace's execution
+//! ladder, and its one compiler: §7's "compiling filters into machine
+//! code" rung is [`IrFilter`]. It *compiles* validated stack programs
+//! into a small SSA-ish register IR ([`ir`]), optimizes the result
+//! ([`opt`]), flattens it into threaded code that evaluates with no
+//! operand stack at all ([`exec`]), and indexes sets of such programs
+//! geometrically ([`geom`]).
 //!
 //! The pipeline:
 //!
@@ -19,11 +21,13 @@
 //!    become conditional branches to shared accept/reject blocks.
 //! 2. **Optimize** ([`opt::optimize`]) — constant folding, redundant-load
 //!    and common-subexpression elimination, branch threading, dead-block
-//!    and dead-code removal, dense register renumbering.
+//!    and dead-code removal, dense register renumbering. A folded
+//!    operator takes its value from [`pf_filter::word::BinaryOp::apply`],
+//!    as the threaded code does at run time.
 //! 3. **Lower** ([`exec::IrFilter`]) — blocks flatten into one threaded
 //!    opcode vector; compare-and-branch sequences fuse into single
 //!    `guard` opcodes.
-//! 4. **Classify geometrically** ([`geom::GeomSet`], the sixth surface)
+//! 4. **Classify geometrically** ([`geom::GeomSet`], the fifth surface)
 //!    — members are indexed by the *interval* constraints their compiled
 //!    code provably requires (`packet[w] ∈ [lo,hi]`; equality is the
 //!    degenerate case). Members keyed on an equality are filed in an
@@ -40,7 +44,7 @@
 //! zero divisors) reject exactly as the interpreter does, and packets
 //! shorter than the validator's static minimum fall back to
 //! [`pf_filter::interp::CheckedInterpreter`] verbatim. The differential
-//! suites in `tests/` hold all six execution surfaces to one verdict,
+//! suites in `tests/` hold all five execution surfaces to one verdict,
 //! iterating them generically through the [`engine::FilterEngine`] trait
 //! and [`engine::singleton_engines`] factory.
 

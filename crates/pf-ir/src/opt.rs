@@ -25,7 +25,8 @@
 //! dominates (guaranteed, because facts only flow along single-pred
 //! chains).
 
-use crate::ir::{Block, BlockId, IrBinOp, IrProgram, Op, Reg, Terminator};
+use crate::ir::{Block, BlockId, IrProgram, Op, Reg, Terminator};
+use pf_filter::word::BinaryOp;
 use std::collections::HashMap;
 
 /// Runs the full pass pipeline in place.
@@ -48,7 +49,7 @@ struct Facts {
     /// Constant value → register already holding it.
     consts_by_value: HashMap<u16, Reg>,
     /// Pure operation `(op, a, b)` → register already holding its result.
-    bins: HashMap<(IrBinOp, Reg, Reg), Reg>,
+    bins: HashMap<(BinaryOp, Reg, Reg), Reg>,
 }
 
 /// Constant folding, constant/copy propagation, redundant-load
@@ -172,14 +173,14 @@ fn fold_and_reuse(program: &mut IrProgram) {
 
 /// Folds operations whose operands are the *same register* (equal values
 /// by definition), regardless of whether the value is known.
-fn same_operand_identity(op: IrBinOp, a: Reg, b: Reg) -> Option<u16> {
+fn same_operand_identity(op: BinaryOp, a: Reg, b: Reg) -> Option<u16> {
     if a != b {
         return None;
     }
     Some(match op {
-        IrBinOp::Eq | IrBinOp::Le | IrBinOp::Ge => 1,
-        IrBinOp::Neq | IrBinOp::Lt | IrBinOp::Gt => 0,
-        IrBinOp::Xor | IrBinOp::Sub => 0,
+        BinaryOp::Eq | BinaryOp::Le | BinaryOp::Ge => 1,
+        BinaryOp::Neq | BinaryOp::Lt | BinaryOp::Gt => 0,
+        BinaryOp::Xor | BinaryOp::Sub => 0,
         _ => return None,
     })
 }
@@ -211,10 +212,13 @@ fn invert_zero_eq_branches(program: &mut IrProgram) {
                     konst.insert(dst, value);
                 }
                 Op::Bin { dst, op, a, b } => {
-                    if op == IrBinOp::Eq {
+                    if op == BinaryOp::Eq {
                         eq_def.insert(dst, (a, b));
                     }
-                    if matches!(op, IrBinOp::Lt | IrBinOp::Le | IrBinOp::Gt | IrBinOp::Ge) {
+                    if matches!(
+                        op,
+                        BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge
+                    ) {
                         ordering_result.push(dst);
                     }
                 }
@@ -598,7 +602,7 @@ mod tests {
         // itself; the Eq-with-zero wrapper and its constant die as dead
         // code, leaving exactly three compares (ge, le, terminal eq).
         let ir = optimized(samples::socket_range_filter(10, 100, 200));
-        let mut ops: Vec<IrBinOp> = Vec::new();
+        let mut ops: Vec<BinaryOp> = Vec::new();
         for b in &ir.blocks {
             for op in &b.ops {
                 if let Op::Bin { op, .. } = op {
@@ -607,7 +611,7 @@ mod tests {
             }
         }
         ops.sort_by_key(|o| format!("{o:?}"));
-        assert_eq!(ops, vec![IrBinOp::Eq, IrBinOp::Ge, IrBinOp::Le], "{ir}");
+        assert_eq!(ops, vec![BinaryOp::Eq, BinaryOp::Ge, BinaryOp::Le], "{ir}");
     }
 
     #[test]
@@ -626,7 +630,7 @@ mod tests {
             ir.blocks.iter().any(|b| b.ops.iter().any(|o| matches!(
                 o,
                 Op::Bin {
-                    op: IrBinOp::Div,
+                    op: BinaryOp::Div,
                     ..
                 }
             ))),

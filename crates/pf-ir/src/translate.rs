@@ -17,9 +17,9 @@
 //! which is what lets the optimizer fold the dead `TRUE`s a CAND chain
 //! leaves behind.
 
-use crate::ir::{Block, BlockId, IrBinOp, IrProgram, Op, Reg, Terminator};
+use crate::ir::{Block, BlockId, IrProgram, Op, Reg, Terminator};
 use pf_filter::validate::ValidatedProgram;
-use pf_filter::word::{Instr, StackAction};
+use pf_filter::word::{BinaryOp, Instr, StackAction};
 
 /// Placeholder id for the shared accept block, patched at the end so the
 /// return blocks sort after every chain block in layout order.
@@ -77,23 +77,6 @@ pub fn translate(validated: &ValidatedProgram) -> IrProgram {
                 ops.push(Op::Const { dst, value: lit });
                 stack.push(dst);
             }
-            StackAction::PushZero
-            | StackAction::PushOne
-            | StackAction::PushFFFF
-            | StackAction::PushFF00
-            | StackAction::Push00FF => {
-                let value = match instr.action {
-                    StackAction::PushZero => 0,
-                    StackAction::PushOne => 1,
-                    StackAction::PushFFFF => 0xFFFF,
-                    StackAction::PushFF00 => 0xFF00,
-                    StackAction::Push00FF => 0x00FF,
-                    _ => unreachable!(),
-                };
-                let dst = fresh(&mut next_reg);
-                ops.push(Op::Const { dst, value });
-                stack.push(dst);
-            }
             StackAction::PushWord(n) => {
                 let dst = fresh(&mut next_reg);
                 ops.push(Op::LoadWord {
@@ -108,6 +91,12 @@ pub fn translate(validated: &ValidatedProgram) -> IrProgram {
                 ops.push(Op::LoadInd { dst, index });
                 stack.push(dst);
             }
+            named => {
+                let value = named.constant().expect("a named constant");
+                let dst = fresh(&mut next_reg);
+                ops.push(Op::Const { dst, value });
+                stack.push(dst);
+            }
         }
 
         if instr.op.pops() {
@@ -119,7 +108,7 @@ pub fn translate(validated: &ValidatedProgram) -> IrProgram {
                 let r = fresh(&mut next_reg);
                 ops.push(Op::Bin {
                     dst: r,
-                    op: IrBinOp::Eq,
+                    op: BinaryOp::Eq,
                     a,
                     b,
                 });
@@ -150,9 +139,13 @@ pub fn translate(validated: &ValidatedProgram) -> IrProgram {
                 });
                 stack.push(dst);
             } else {
-                let op = IrBinOp::from_stack_op(instr.op).expect("non-NOP operator");
                 let dst = fresh(&mut next_reg);
-                ops.push(Op::Bin { dst, op, a, b });
+                ops.push(Op::Bin {
+                    dst,
+                    op: instr.op,
+                    a,
+                    b,
+                });
                 stack.push(dst);
             }
         }

@@ -1,6 +1,6 @@
 //! Deterministic differential verification: every execution surface in
-//! the workspace — checked interpreter, validated fast interpreter,
-//! compiled micro-ops, the decision-table set, the IR threaded-code
+//! the workspace — checked interpreter, the same loop with its checks
+//! hoisted to bind time, the decision-table set, the IR threaded-code
 //! engine and the geometric range classifier — must be observationally
 //! identical.
 //! The surfaces come from [`pf_ir::engine::singleton_engines`], so a new
@@ -158,7 +158,7 @@ fn random_packet(rng: &mut SplitMix64) -> Vec<u8> {
 }
 
 /// The core pin: for every seeded (program, packet) pair, every execution
-/// surface [`singleton_engines`] yields — six for a valid program — agrees
+/// surface [`singleton_engines`] yields — five for a valid program — agrees
 /// with the checked interpreter.
 #[test]
 fn all_engines_agree_on_seeded_pairs() {

@@ -1,5 +1,5 @@
 // Structured fuzzing for the hostile-input surfaces: the word decoder,
-// the validator, all six execution engines, and the geometric
+// the validator, all five execution engines, and the geometric
 // classifier's insert/remove churn. Like `tests/differential.rs` these
 // are hermetic seeded loops: all randomness comes from the in-tree
 // `pf_sim::rng::SplitMix64`, so a failure reproduces from the constant
@@ -230,7 +230,7 @@ fn fuzz_validator_verdicts_are_total_and_accepts_are_safe() {
 }
 
 /// Target 3 — engine differential: on arbitrary (program, packet) pairs
-/// every execution surface `singleton_engines` yields — six for a valid
+/// every execution surface `singleton_engines` yields — five for a valid
 /// program — must agree with the checked interpreter bit for bit. Zero
 /// disagreements over `ITERS` pairs.
 #[test]

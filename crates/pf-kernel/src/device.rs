@@ -310,10 +310,10 @@ impl TokenBucket {
     }
 
     /// The accumulation cap in effect at `now`: the full burst, or — with
-    /// jitter on — a keyed pseudorandom walk over `[burst/8, burst/2]`,
-    /// re-sampled once per full-refill period. An attacker who knows the
-    /// quota but not the boot key cannot predict how much burst any
-    /// silent period banks.
+    /// jitter on — a keyed pseudorandom walk over `[burst/8, burst/2]`
+    /// (at least one token, never more than `burst`), re-sampled once per
+    /// full-refill period. An attacker who knows the quota but not the
+    /// boot key cannot predict how much burst any silent period banks.
     fn burst_cap(&self, now: SimTime) -> u64 {
         let Some((key, salt)) = self.jitter else {
             return self.quota.burst;
@@ -326,7 +326,7 @@ impl TokenBucket {
         .unwrap_or(u64::MAX)
         .max(1);
         let epoch = now.as_nanos() / period_ns;
-        let lo = (self.quota.burst / 8).max(1);
+        let lo = (self.quota.burst / 8).max(1).min(self.quota.burst);
         let hi = (self.quota.burst / 2).max(lo);
         lo + SplitMix64::new(key ^ salt.rotate_left(32) ^ epoch).next_u64() % (hi - lo + 1)
     }
@@ -2336,6 +2336,38 @@ mod tests {
         assert!(
             (8..=32).contains(&jittered),
             "jittered cap stays in [burst/8, burst/2], got {jittered}"
+        );
+    }
+
+    #[test]
+    fn refill_jitter_keeps_a_zero_burst_cap_at_zero() {
+        let admitted_at_rate = |jitter: Option<u64>| {
+            let mut d = PfDevice::new();
+            d.set_admission_control(Some(AdmissionConfig {
+                protected_priority: 255,
+                default_quota: AdmissionQuota {
+                    rate_pps: 1_000,
+                    burst: 0,
+                },
+                refill_jitter_key: jitter,
+                ..Default::default()
+            }));
+            let p = d.open((ProcId(0), Fd(0)));
+            d.set_filter(p, samples::pup_socket_filter(10, 0, 35));
+            // Steady traffic at the quota's rate: one frame a millisecond.
+            (1..=100u64)
+                .filter(|&i| d.admit(&pkt(35), SimTime(i * 1_000_000)) == AdmissionVerdict::Admit)
+                .count()
+        };
+        assert_eq!(
+            admitted_at_rate(None),
+            0,
+            "a zero-burst bucket banks nothing"
+        );
+        assert_eq!(
+            admitted_at_rate(Some(0xB007_5EED)),
+            0,
+            "jitter must not lift a zero-burst cap"
         );
     }
 

@@ -1577,6 +1577,14 @@ impl ProcCtx<'_> {
         Some(h.device.port(idx).stats())
     }
 
+    /// Whether `fd` names one of this process's open packet-filter ports.
+    fn check_fd(&self, fd: Fd) -> Result<(), SendError> {
+        let h = &self.world.hosts[self.host.0];
+        h.port_of(self.proc, fd)
+            .map(|_| ())
+            .ok_or(SendError::BadDescriptor)
+    }
+
     /// Whether a frame of `len` bytes fits the medium.
     fn check_frame_len(&self, len: usize) -> Result<(), SendError> {
         let (medium, _) = self.link_info();
@@ -1608,9 +1616,10 @@ impl ProcCtx<'_> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SendError`] if the frame violates the medium's size
-    /// limits.
-    pub fn pf_write_owned(&mut self, _fd: Fd, frame: Vec<u8>) -> Result<(), SendError> {
+    /// Returns a [`SendError`] if `fd` is not an open port or the frame
+    /// violates the medium's size limits; nothing is charged.
+    pub fn pf_write_owned(&mut self, fd: Fd, frame: Vec<u8>) -> Result<(), SendError> {
+        self.check_fd(fd)?;
         self.check_frame_len(frame.len())?;
         self.charge_syscall("pf:write");
         self.queue_for_transmit(frame);
@@ -1631,9 +1640,12 @@ impl ProcCtx<'_> {
     ///
     /// # Errors
     ///
-    /// Returns the first frame's size violation, if any; frames before it
-    /// are already queued (matching `writev` semantics).
-    pub fn pf_write_batch(&mut self, _fd: Fd, frames: &[Vec<u8>]) -> Result<(), SendError> {
+    /// Returns [`SendError::BadDescriptor`], charging nothing, if `fd` is
+    /// not an open port. Otherwise returns the first frame's size
+    /// violation, if any; frames before it are already queued (matching
+    /// `writev` semantics).
+    pub fn pf_write_batch(&mut self, fd: Fd, frames: &[Vec<u8>]) -> Result<(), SendError> {
+        self.check_fd(fd)?;
         self.charge_syscall("pf:writev");
         for frame_bytes in frames {
             self.check_frame_len(frame_bytes.len())?;

@@ -619,6 +619,53 @@ fn send_errors_on_bad_frames() {
 }
 
 #[test]
+fn writes_on_a_dead_descriptor_fail_and_charge_nothing() {
+    use pf_kernel::world::SendError;
+    let (mut w, a, b) = two_host_world();
+    /// Opens a port, binds a filter that accepts everything, closes it,
+    /// then writes on it and on a descriptor it never opened.
+    struct DeadWriter {
+        results: Vec<Result<(), SendError>>,
+    }
+    impl App for DeadWriter {
+        fn start(&mut self, k: &mut ProcCtx<'_>) {
+            let fd = k.pf_open();
+            k.pf_set_filter(fd, samples::accept_all(10));
+            k.pf_close(fd);
+            for dead in [fd, Fd(fd.0 + 1)] {
+                self.results.push(k.pf_write(dead, &pup_to_bob(35)));
+                self.results.push(k.pf_write_owned(dead, pup_to_bob(35)));
+                self.results.push(k.pf_write_batch(dead, &[pup_to_bob(35)]));
+            }
+        }
+    }
+    let p = w.spawn(
+        a,
+        Box::new(DeadWriter {
+            results: Vec::new(),
+        }),
+    );
+    // A frame for alice that the closed port's filter would accept.
+    let mut to_alice = pup_to_bob(35);
+    to_alice[..2].copy_from_slice(&[0x0A, 0x0B]);
+    w.spawn(
+        b,
+        Box::new(Blaster {
+            packets: vec![to_alice],
+        }),
+    );
+    w.run();
+    let app = w.app_ref::<DeadWriter>(a, p).unwrap();
+    assert_eq!(app.results, vec![Err(SendError::BadDescriptor); 6]);
+    let ca = w.counters(a);
+    assert_eq!(ca.packets_sent, 0, "{ca}");
+    // open + ioctl(filter) + close; no write reached a system call.
+    assert_eq!(ca.syscalls, 3, "{ca}");
+    assert_eq!(ca.packets_delivered, 0, "{ca}");
+    assert_eq!(ca.drops_no_match, 1, "{ca}");
+}
+
+#[test]
 fn counters_track_syscalls_and_crossings() {
     let (mut w, a, b) = two_host_world();
     w.spawn(b, Box::new(Receiver::new(samples::accept_all(10))));

@@ -20,6 +20,20 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # or private item fails here.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo build --release
+# The examples that parse filters, run end to end (clippy above only
+# compiles them): quickstart, then etherfind with the figure 3-9 text of
+# its own doc comment. The assembler reads its mnemonics back from the
+# instruction words' Display, so etherfind must echo figure 3-9's eight
+# words as it printed them.
+echo "==> quickstart"
+cargo run -q --release --example quickstart > /dev/null
+echo "==> etherfind with figure 3-9"
+fig_3_9="$(cargo run -q --release --example etherfind -- 'PUSHWORD+8, PUSHLIT|CAND, 35,
+                                  PUSHWORD+7, PUSHZERO|CAND,
+                                  PUSHWORD+1, PUSHLIT|EQ, 2')"
+grep -q 'filter(priority=200, length=8):' <<<"$fig_3_9"
+grep -q 'PUSHLIT | CAND, 35' <<<"$fig_3_9"
+grep -q 'PUSHZERO | CAND' <<<"$fig_3_9"
 run cargo test --workspace -q
 # The campaigns' --smoke sweeps. What each one claims is a sweep-internal
 # assert, so the run is the proof and no wall clock can fail it: zero

@@ -5,7 +5,8 @@
 //! [`singleton_engines`] yields, and a [`PfDevice`] under each kernel
 //! engine, over the `samples` corpus, a filter built with the §7
 //! extensions and 2,000 seeded frames — whole,
-//! bit-flipped, truncated and random — with zero disagreements.
+//! bit-flipped, truncated and random — with zero disagreements; and
+//! every surface over the operator table, against `BinaryOp::apply`.
 
 use packet_filter::filter::builder::{ArithOp, Expr};
 use packet_filter::filter::interp::CheckedInterpreter;
@@ -169,4 +170,71 @@ fn a_device_under_every_kernel_engine_agrees_with_the_checked_interpreter() {
             );
         }
     }
+}
+
+/// The operator table, pinned on every surface: each `BinaryOp` over an
+/// edge grid of operands (the sign boundary, all-ones, and the shift
+/// counts either side of 16), with each operand pushed as a literal — so
+/// that IR's constant folder computes the value — and as a packet word —
+/// so that its threaded code computes it at run time. `T2 op T1` is compared with
+/// `BinaryOp::apply`'s value by a trailing `EQ`, so a surface that
+/// computes any other word, faults where `apply` does not (or the other
+/// way round), or mistakes a short circuit's verdict, disagrees.
+#[test]
+fn every_operator_agrees_with_its_table_on_every_surface() {
+    const GRID: [u16; 8] = [0, 1, 0x7FFF, 0x8000, 0xFFFF, 15, 16, 17];
+    let checked = CheckedInterpreter;
+    let ops: Vec<BinaryOp> = (0..1024).filter_map(BinaryOp::decode).collect();
+    assert_eq!(ops.len(), 21);
+    let mut faults = 0u32;
+    for &op in &ops {
+        for t2 in GRID {
+            for t1 in GRID {
+                let value = op.apply(t2, t1);
+                faults += u32::from(value.is_none());
+                // A fault rejects; a short circuit that terminates gives
+                // its verdict; anything else reaches `EQ value`.
+                let expect = match (value, op.short_circuit_rule()) {
+                    (None, _) => false,
+                    (Some(r), Some((when, verdict))) if (r != 0) == when => verdict,
+                    (Some(_), _) => true,
+                };
+                let frame: Vec<u8> = [t2, t1].iter().flat_map(|w| w.to_be_bytes()).collect();
+                // Each operand a literal or a packet word: both folded,
+                // both loaded, and the two mixed shapes guard fusion sees.
+                for (t2_word, t1_word) in
+                    [(false, false), (true, true), (true, false), (false, true)]
+                {
+                    let a = Assembler::new(10);
+                    let a = if t2_word {
+                        a.pushword(0)
+                    } else {
+                        a.pushlit(t2)
+                    };
+                    let a = if t1_word {
+                        a.pushword_op(1, op)
+                    } else {
+                        a.pushlit_op(op, t1)
+                    };
+                    let program = a.pushlit_op(BinaryOp::Eq, value.unwrap_or(0)).finish();
+                    let case =
+                        format!("{t2:#06x} {op} {t1:#06x}, packet words: {t2_word} {t1_word}");
+                    let view = PacketView::new(&frame);
+                    assert_eq!(checked.eval(&program, view), expect, "checked: {case}");
+                    let mut engines = singleton_engines(&program);
+                    assert_eq!(engines.len(), singleton_surface_count(), "{case}");
+                    for engine in &mut engines {
+                        assert_eq!(
+                            engine.matches(&frame),
+                            expect.then_some(0),
+                            "{}: {case}",
+                            engine.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // DIV and MOD by each zero in the grid, against each dividend.
+    assert_eq!(faults, 2 * GRID.len() as u32);
 }
