@@ -44,7 +44,9 @@ use pf_net::medium::Medium;
 use pf_net::segment::FaultModel;
 use pf_net::topology::Route;
 use pf_net::{LinkId, NodeId, Topology};
-use pf_proto::router::{deploy, deploy_hardened, ip_frame, DeployedTopology, HelloConfig};
+use pf_proto::router::{
+    deploy, deploy_hardened, ip_frame, DeployedTopology, DEAD_INTERVAL, HELLO_INTERVAL,
+};
 use pf_sim::cost::CostModel;
 use pf_sim::time::{SimDuration, SimTime};
 use pf_sim::SimClock;
@@ -341,8 +343,8 @@ fn cell_seed(seed: u64, nodes: usize, flows: usize) -> u64 {
     seed ^ ((nodes as u64) << 32) ^ flows as u64
 }
 
-/// A world running `topo` — hardened routers under `hello`, plain static
-/// ones without — with `packets` scheduled as IP frames of TTL `ttl` from
+/// A world running `topo` — hardened routers if `hardened`, plain static
+/// ones otherwise — with `packets` scheduled as IP frames of TTL `ttl` from
 /// their source hosts. Every host's NIC ring is deep enough for the
 /// incast victim's standing backlog, so an interface drop is a routing
 /// fault, not luck.
@@ -350,15 +352,16 @@ fn loaded_world(
     topo: &Topology,
     hosts: &[NodeId],
     packets: &[FlowPacket],
-    hello: Option<HelloConfig>,
+    hardened: bool,
     ttl: u8,
     seed: u64,
 ) -> (World, DeployedTopology) {
     let mut w = World::new(seed);
     let costs = CostModel::microvax_ii();
-    let d = match hello {
-        Some(cfg) => deploy_hardened(topo, &mut w, &costs, cfg),
-        None => deploy(topo, &mut w, &costs),
+    let d = if hardened {
+        deploy_hardened(topo, &mut w, &costs)
+    } else {
+        deploy(topo, &mut w, &costs)
     };
     for h in hosts {
         w.set_nic_capacity(d.host(*h), 1 << 20);
@@ -442,7 +445,7 @@ fn run_steady(nodes: usize, flows: usize, seed: u64) -> SteadyPoint {
     let seed = cell_seed(seed, nodes, flows);
     let packets = flowgen::generate(&spec, hosts.len(), seed);
     let churn = flowgen::churn_times(&spec, &packets);
-    let (mut w, d) = loaded_world(&topo, &hosts, &packets, None, 64, seed);
+    let (mut w, d) = loaded_world(&topo, &hosts, &packets, false, 64, seed);
 
     let started = std::time::Instant::now();
     for (k, &at) in churn.iter().enumerate() {
@@ -513,8 +516,7 @@ fn run_cell(
     // ring): 64-router rings legitimately need ~95 hops. With TTL 255
     // covering any single detour, every TTL expiry left is a genuine
     // forwarding loop — which the campaign asserts never happens.
-    let hello = hardened.then(HelloConfig::default);
-    let (mut w, d) = loaded_world(&topo, &hosts, &packets, hello, 255, seed);
+    let (mut w, d) = loaded_world(&topo, &hosts, &packets, hardened, 255, seed);
 
     let check = scenario.check_at(routers.len());
     let snapshot_times: Vec<SimTime> = match scenario {
@@ -630,7 +632,6 @@ pub fn sweep(smoke: bool, seed: u64) -> FabricReport {
         Scenario::LinkFlap,
         Scenario::Partition,
     ];
-    let cfg = HelloConfig::default();
     let mut rows = Vec::new();
 
     for &nodes in node_sizes {
@@ -684,8 +685,8 @@ pub fn sweep(smoke: bool, seed: u64) -> FabricReport {
     FabricReport {
         seed,
         smoke,
-        hello_ms: cfg.hello_interval.as_nanos() / 1_000_000,
-        dead_ms: cfg.dead_interval.as_nanos() / 1_000_000,
+        hello_ms: HELLO_INTERVAL.as_nanos() / 1_000_000,
+        dead_ms: DEAD_INTERVAL.as_nanos() / 1_000_000,
         conv_base_ms: 100,
         conv_per_hop_ms: 4,
         rows,

@@ -14,9 +14,11 @@
 //! are kept on a sequential fallback list and interpreted as usual, so the
 //! set accepts arbitrary programs and remains observationally identical to
 //! priority-ordered sequential interpretation (a property test verifies
-//! this).
+//! this). Those interpretations are the set's only per-filter work, and
+//! [`FilterSet::matches_reporting`] hands each one to the caller to be
+//! charged.
 
-use crate::interp::CheckedInterpreter;
+use crate::interp::{CheckedInterpreter, EvalStats};
 use crate::packet::PacketView;
 use crate::program::FilterProgram;
 use crate::word::{BinaryOp, Instr, StackAction};
@@ -29,7 +31,8 @@ pub type FilterId = u32;
 /// A set of active filters compiled into decision tables.
 ///
 /// Filters are applied "in order of decreasing priority" (§3.2); ties
-/// break by insertion order, matching the kernel's stable ordering.
+/// break by id, lowest first — the kernel's port order — so replacing a
+/// filter never moves it among its equals.
 ///
 /// # Examples
 ///
@@ -46,8 +49,6 @@ pub type FilterId = u32;
 /// ```
 #[derive(Debug, Default)]
 pub struct FilterSet {
-    /// Monotonic insertion counter for stable tie-breaking.
-    next_seq: u64,
     /// Table-compiled filters, grouped by shape.
     shapes: Vec<Shape>,
     /// Filters the analyzer could not convert; interpreted sequentially.
@@ -87,14 +88,12 @@ struct Shape {
 struct Entry {
     id: FilterId,
     priority: u8,
-    seq: u64,
 }
 
 #[derive(Debug)]
 struct Residual {
     id: FilterId,
     priority: u8,
-    seq: u64,
     program: FilterProgram,
 }
 
@@ -135,14 +134,12 @@ impl FilterSet {
     /// Inserts (or replaces) the filter for `id`.
     pub fn insert(&mut self, id: FilterId, program: FilterProgram) {
         self.remove(id);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let priority = program.priority();
         let kind = match analyze(&program) {
             Analysis::Conjunction(constraints) => {
                 match normalize(constraints) {
                     Some(pairs) => {
-                        self.insert_table(Entry { id, priority, seq }, pairs);
+                        self.insert_table(Entry { id, priority }, pairs);
                         MemberKind::Table
                     }
                     // Contradictory constraints: never matches anything.
@@ -160,7 +157,7 @@ impl FilterSet {
                     MemberKind::NeverMatches
                 } else {
                     for pairs in normalized {
-                        self.insert_table(Entry { id, priority, seq }, pairs);
+                        self.insert_table(Entry { id, priority }, pairs);
                     }
                     MemberKind::Table
                 }
@@ -170,7 +167,6 @@ impl FilterSet {
                 self.residual.push(Residual {
                     id,
                     priority,
-                    seq,
                     program,
                 });
                 MemberKind::Residual
@@ -216,10 +212,21 @@ impl FilterSet {
         shape.table.entry(values).or_default().push(entry);
     }
 
-    /// All matching filter ids, highest priority first (ties by insertion
-    /// order) — the order the kernel's demultiplexing loop would deliver.
+    /// All matching filter ids, highest priority first (ties by id) — the
+    /// order the kernel's demultiplexing loop would deliver.
     pub fn matches(&self, packet: PacketView<'_>) -> Vec<FilterId> {
-        let mut hits: Vec<(u8, u64, FilterId)> = Vec::new();
+        self.matches_reporting(packet, |_, _, _| {})
+    }
+
+    /// [`Self::matches`], handing `interpreted` every residual member's
+    /// checked evaluation as `(id, accepted, stats)`: the interpretation
+    /// work a table probe does not cover.
+    pub fn matches_reporting(
+        &self,
+        packet: PacketView<'_>,
+        mut interpreted: impl FnMut(FilterId, bool, EvalStats),
+    ) -> Vec<FilterId> {
+        let mut hits: Vec<(u8, FilterId)> = Vec::new();
 
         for shape in &self.shapes {
             let mut key = Vec::with_capacity(shape.words.len());
@@ -239,22 +246,26 @@ impl FilterSet {
                 continue;
             }
             if let Some(entries) = shape.table.get(&key) {
-                hits.extend(entries.iter().map(|e| (e.priority, e.seq, e.id)));
+                hits.extend(entries.iter().map(|e| (e.priority, e.id)));
             }
         }
 
         for r in &self.residual {
-            if CheckedInterpreter.eval(&r.program, packet) {
-                hits.push((r.priority, r.seq, r.id));
+            let (accepted, stats) = CheckedInterpreter.eval_with_stats(&r.program, packet);
+            interpreted(r.id, accepted, stats);
+            if accepted {
+                hits.push((r.priority, r.id));
             }
         }
 
         hits.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         // A disjunctive filter may match through several branches; it still
-        // receives the packet once.
+        // receives the packet once. (Collected from a borrow, into a list
+        // of its own: the hit list, the seen-set and the returned list are
+        // the allocations the §7 baseline is measured with.)
         let mut seen = std::collections::HashSet::new();
-        hits.into_iter()
-            .map(|(_, _, id)| id)
+        hits.iter()
+            .map(|&(_, id)| id)
             .filter(|id| seen.insert(*id))
             .collect()
     }
@@ -491,26 +502,19 @@ mod tests {
     use crate::program::Assembler;
     use crate::samples;
 
-    /// Reference semantics: priority-ordered sequential interpretation.
+    /// Reference semantics: sequential interpretation in `(priority
+    /// descending, id)` order.
     fn sequential_matches(
         filters: &[(FilterId, FilterProgram)],
         packet: PacketView<'_>,
     ) -> Vec<FilterId> {
-        let interp = CheckedInterpreter;
-        let mut hits: Vec<(u8, usize, FilterId)> = filters
+        let mut hits: Vec<(u8, FilterId)> = filters
             .iter()
-            .enumerate()
-            .filter(|(_, (_, f))| interp.eval(f, packet))
-            .map(|(seq, (id, f))| (f.priority(), seq, *id))
+            .filter(|(_, f)| CheckedInterpreter.eval(f, packet))
+            .map(|(id, f)| (f.priority(), *id))
             .collect();
         hits.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        // A disjunctive filter may match through several branches; it still
-        // receives the packet once.
-        let mut seen = std::collections::HashSet::new();
-        hits.into_iter()
-            .map(|(_, _, id)| id)
-            .filter(|id| seen.insert(*id))
-            .collect()
+        hits.into_iter().map(|(_, id)| id).collect()
     }
 
     #[test]
@@ -598,12 +602,38 @@ mod tests {
     }
 
     #[test]
-    fn equal_priority_ties_break_by_insertion() {
+    fn equal_priority_ties_break_by_id_and_a_reinsert_keeps_its_place() {
+        // One table member and one residual member per id.
+        for residual in [false, true] {
+            let filter = || match residual {
+                false => samples::ethertype_filter(5, 2),
+                true => samples::fig_3_8_pup_type_range(),
+            };
+            let mut set = FilterSet::new();
+            set.insert(11, filter());
+            set.insert(10, filter());
+            let pkt = samples::pup_packet_3mb(2, 0, 35, 50);
+            assert_eq!(set.matches(PacketView::new(&pkt)), vec![10, 11]);
+            set.insert(10, filter());
+            assert_eq!(set.matches(PacketView::new(&pkt)), vec![10, 11]);
+        }
+    }
+
+    #[test]
+    fn every_residual_evaluation_is_reported() {
         let mut set = FilterSet::new();
-        set.insert(10, samples::ethertype_filter(5, 2));
-        set.insert(11, samples::ethertype_filter(5, 2));
-        let pkt = samples::pup_packet_3mb(2, 0, 35, 1);
-        assert_eq!(set.matches(PacketView::new(&pkt)), vec![10, 11]);
+        set.insert(1, samples::pup_socket_filter(10, 0, 35));
+        set.insert(2, samples::fig_3_8_pup_type_range());
+        for (ptype, accepted) in [(50u8, true), (200, false)] {
+            let pkt = samples::pup_packet_3mb(2, 0, 35, ptype);
+            let view = PacketView::new(&pkt);
+            let mut reported = Vec::new();
+            let ids = set.matches_reporting(view, |id, a, s| reported.push((id, a, s)));
+            let (_, stats) =
+                CheckedInterpreter.eval_with_stats(&samples::fig_3_8_pup_type_range(), view);
+            assert_eq!(reported, vec![(2, accepted, stats)], "ptype {ptype}");
+            assert_eq!(ids, set.matches(view));
+        }
     }
 
     #[test]

@@ -35,11 +35,12 @@ pub trait FilterEngine {
 /// Every surface that can bind `program`, in ladder order.
 ///
 /// Always includes the checked interpreter (the reference semantics) and
-/// the set engines that serve even validation-rejected programs through
-/// their checked fallback. The surfaces that need bind-time validation
-/// (validated, ir) appear only when the program validates.
+/// the decision table, which interprets what it cannot fold into a table.
+/// The surfaces that need bind-time validation (validated, ir, geom)
+/// appear only when the program validates: the kernel keeps an invalid
+/// program in its quarantine, on the checked interpreter.
 ///
-/// The length is therefore 3 for an invalid program and
+/// The length is therefore 2 for an invalid program and
 /// [`singleton_surface_count`] (5) for a valid one.
 pub fn singleton_engines(program: &FilterProgram) -> Vec<Box<dyn FilterEngine>> {
     let mut engines: Vec<Box<dyn FilterEngine>> = vec![Box::new(CheckedEngine(program.clone()))];
@@ -52,10 +53,10 @@ pub fn singleton_engines(program: &FilterProgram) -> Vec<Box<dyn FilterEngine>> 
     engines.push(Box::new(DtreeEngine(set)));
     if let Some(v) = &validated {
         engines.push(Box::new(IrEngine(IrFilter::from_validated(v))));
+        let mut geom = GeomSet::new();
+        geom.insert(0, program.clone());
+        engines.push(Box::new(GeomEngine(geom)));
     }
-    let mut geom = GeomSet::new();
-    geom.insert(0, program.clone());
-    engines.push(Box::new(GeomEngine(geom)));
     engines
 }
 
@@ -169,15 +170,15 @@ mod tests {
     }
 
     #[test]
-    fn invalid_program_still_gets_fallback_surfaces() {
+    fn invalid_program_gets_the_interpreting_surfaces_only() {
         // An unbalanced stack program the validator rejects; the checked
-        // interpreter and the fallback-capable sets still serve it.
+        // interpreter and the decision table's interpreted list serve it.
         let prog = pf_filter::program::Assembler::new(0)
             .op(pf_filter::word::BinaryOp::Eq)
             .finish();
         assert!(ValidatedProgram::new(prog.clone()).is_err());
         let engines = singleton_engines(&prog);
         let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
-        assert_eq!(names, vec!["checked", "dtree", "geom"]);
+        assert_eq!(names, vec!["checked", "dtree"]);
     }
 }

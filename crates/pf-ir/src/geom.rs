@@ -38,10 +38,10 @@
 //! from a directory key in any one literal, or falls outside a range
 //! key, cannot be accepted — *provided* the packet is long enough for
 //! the compiled path. Shorter packets take a slow path that walks every
-//! member, preserving the checked-fallback semantics; programs that fail
-//! validation run on the checked interpreter in the always-walked
-//! residue. Match results are priority-ordered with insertion-order
-//! ties, exactly like every other engine.
+//! member, preserving the checked-fallback semantics. Only programs that
+//! validate join the set: the kernel serves the others from its
+//! quarantine. Match results are priority-ordered with ties by id, exactly
+//! like every other engine.
 //!
 //! The same argument lets a candidate skip work: a member whose code is a
 //! plain conjunction ([`crate::exec`]) runs only the tests its own slot
@@ -49,7 +49,6 @@
 
 use crate::exec::{IrFilter, Operands, TOp};
 use pf_filter::dtree::FilterId;
-use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use std::cmp::Reverse;
@@ -529,20 +528,10 @@ impl TupleIndex {
 // The set.
 // ---------------------------------------------------------------------
 
-/// How a member is executed.
-#[derive(Debug)]
-enum GeomMemberKind {
-    /// Compiled to threaded code.
-    Compiled(IrFilter),
-    /// Failed validation; the checked interpreter defines its behavior.
-    Checked(FilterProgram),
-}
-
 #[derive(Debug)]
 struct GeomMember {
     id: FilterId,
     priority: u8,
-    seq: u64,
     /// Every required interval the analysis proved — kept for re-keying
     /// at compaction and for the word statistics.
     atoms: Vec<Interval>,
@@ -554,13 +543,16 @@ struct GeomMember {
     /// of its tests the slot does not prove (see
     /// [`GeomSet::index_member`]); `None` for every other member.
     residual: Option<u8>,
-    kind: GeomMemberKind,
+    filter: IrFilter,
 }
 
 /// Below this population a compaction is too cheap to defer.
 const COMPACT_MIN: usize = 16;
 
 /// A geometric demultiplexing set over mixed exact and range filters.
+///
+/// Members are valid programs, compiled to threaded code; matches come in
+/// `(priority descending, id)` order.
 ///
 /// # Examples
 ///
@@ -580,13 +572,12 @@ const COMPACT_MIN: usize = 16;
 /// ```
 #[derive(Debug, Default)]
 pub struct GeomSet {
-    next_seq: u64,
     /// Member slab; `None` is a tombstone awaiting compaction.
     slots: Vec<Option<GeomMember>>,
     id_to_slot: HashMap<FilterId, u32>,
-    /// `(Reverse(priority), seq, slot)`, sorted — match order. Tombstoned
+    /// `(Reverse(priority), id, slot)`, sorted — match order. Tombstoned
     /// slots stay until compaction (their sort key is in the tuple).
-    order: Vec<(Reverse<u8>, u64, u32)>,
+    order: Vec<(Reverse<u8>, FilterId, u32)>,
     index: TupleIndex,
     /// `(word, literal)` of every exact key atom → its members, for
     /// conflict counting at insert; packets never read it.
@@ -609,7 +600,7 @@ pub struct GeomSet {
     /// wide-overlap population a hostile probe can select nearly every
     /// member; the cap keeps per-packet evaluation bounded by pruning the
     /// candidate list *after* the priority sort, so only the
-    /// lowest-priority (latest-inserted) candidates are shed.
+    /// lowest-priority (highest-id) candidates are shed.
     candidate_cap: Option<usize>,
     /// Candidates pruned by the cap, cumulative over all evaluations.
     candidates_capped: u64,
@@ -629,16 +620,6 @@ impl GeomSet {
     /// Whether the set holds no live filters.
     pub fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    /// How many members compiled to threaded code (the rest run on the
-    /// checked interpreter, in the residue).
-    pub fn compiled(&self) -> usize {
-        self.slots
-            .iter()
-            .flatten()
-            .filter(|m| matches!(m.kind, GeomMemberKind::Compiled(_)))
-            .count()
     }
 
     /// Occupied tuples — exact word-sets plus per-word range classes —
@@ -676,8 +657,8 @@ impl GeomSet {
 
     /// Shadowing conflicts observed across all inserts: an overlap where
     /// one interval fully contains the other *and* the containing filter
-    /// matches first (higher priority, or equal priority and earlier
-    /// insertion), so the narrower filter can never win first-match among
+    /// matches first (higher priority, or equal priority and a lower id),
+    /// so the narrower filter can never win first-match among
     /// packets distinguished only by this word.
     pub fn shadow_count(&self) -> u64 {
         self.shadows
@@ -686,16 +667,11 @@ impl GeomSet {
     /// Bounds candidates evaluated per packet to `cap` (`None` removes
     /// the bound — the default). The candidate list is pruned *after* the
     /// priority sort, so the cap sheds only the lowest-priority /
-    /// latest-inserted candidates: a first-match winner among the top
+    /// highest-id candidates: a first-match winner among the top
     /// `cap` candidates is unaffected; members beyond the cap are
     /// deliberately not evaluated (their would-be matches are shed).
     pub fn set_candidate_cap(&mut self, cap: Option<usize>) {
         self.candidate_cap = cap;
-    }
-
-    /// The configured per-packet candidate bound, if any.
-    pub fn candidate_cap(&self) -> Option<usize> {
-        self.candidate_cap
     }
 
     /// Candidates pruned by the cap, cumulative over all evaluations.
@@ -703,19 +679,16 @@ impl GeomSet {
         self.candidates_capped
     }
 
-    /// Inserts (or replaces) the filter for `id`.
-    pub fn insert(&mut self, id: FilterId, program: FilterProgram) {
+    /// Inserts (or replaces) the filter for `id`, and returns whether the
+    /// program validated and joined the set. An invalid program is left
+    /// out, along with what `id` held before.
+    pub fn insert(&mut self, id: FilterId, program: FilterProgram) -> bool {
         self.remove(id);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let priority = program.priority();
-        let (kind, atoms) = match IrFilter::compile(program.clone()) {
-            Ok(filter) => {
-                let atoms = required_intervals(filter.code());
-                (GeomMemberKind::Compiled(filter), atoms)
-            }
-            Err(_) => (GeomMemberKind::Checked(program), Vec::new()),
+        let Ok(filter) = IrFilter::compile(program) else {
+            return false;
         };
+        let atoms = required_intervals(filter.code());
         for a in &atoms {
             *self
                 .interval_refs
@@ -732,21 +705,21 @@ impl GeomSet {
         let mut member = GeomMember {
             id,
             priority,
-            seq,
             atoms,
             key,
             residual: None,
-            kind,
+            filter,
         };
         self.index_member(slot, &mut member);
         self.slots.push(Some(member));
         self.id_to_slot.insert(id, slot);
-        let entry = (Reverse(priority), seq, slot);
+        let entry = (Reverse(priority), id, slot);
         let at = self
             .order
             .partition_point(|e| (e.0, e.1) <= (entry.0, entry.1));
         self.order.insert(at, entry);
         self.live += 1;
+        true
     }
 
     /// Removes the filter for `id`; `true` if it was present.
@@ -794,8 +767,9 @@ impl GeomSet {
     /// such packet, so the rest decide verdict and op count alike.
     fn index_member(&mut self, slot: u32, member: &mut GeomMember) {
         member.residual = None;
-        match (member.key, &member.kind) {
-            (Some(k), GeomMemberKind::Compiled(filter)) => {
+        let filter = &member.filter;
+        match member.key {
+            Some(k) => {
                 let conjunction = filter.conjunction();
                 if k.is_exact() {
                     let (words, key) = exact_tuple(&member.atoms);
@@ -813,7 +787,7 @@ impl GeomSet {
                 }
                 self.fast_min_words = self.fast_min_words.max(filter.min_packet_words());
             }
-            _ => self.index.residue.push(slot),
+            None => self.index.residue.push(slot),
         }
     }
 
@@ -844,7 +818,7 @@ impl GeomSet {
             self.overlaps += 1;
             // Shadowed in either direction: the containing interval's
             // member matches first (new-over-old needs strictly higher
-            // priority; old-over-new wins priority ties by insertion).
+            // priority; old-over-new wins priority ties by id).
             let new_shadows_old = key.contains(&ok) && priority > m.priority;
             let old_shadows_new = ok.contains(&key) && m.priority >= priority;
             if new_shadows_old || old_shadows_new {
@@ -889,7 +863,7 @@ impl GeomSet {
         self.order = members
             .iter()
             .enumerate()
-            .map(|(slot, m)| (Reverse(m.priority), m.seq, slot as u32))
+            .map(|(slot, m)| (Reverse(m.priority), m.id, slot as u32))
             .collect();
         self.id_to_slot = members
             .iter()
@@ -900,7 +874,7 @@ impl GeomSet {
     }
 
     /// Ids of every filter accepting the packet, in match order (priority
-    /// descending, insertion order within a priority).
+    /// descending, then id).
     pub fn matches(&mut self, packet: PacketView<'_>) -> Vec<FilterId> {
         self.matches_with_stats(packet).0.to_vec()
     }
@@ -959,7 +933,7 @@ impl GeomSet {
         cand.retain(|&s| slots[s as usize].is_some());
         cand.sort_unstable_by_key(|&s| {
             let m = slots[s as usize].as_ref().expect("retained live");
-            (Reverse(m.priority), m.seq)
+            (Reverse(m.priority), m.id)
         });
         match cap {
             Some(cap) if cand.len() > cap => {
@@ -999,8 +973,8 @@ impl GeomSet {
                 }
             }
         } else {
-            // Short packet: the index says nothing about checked
-            // fallbacks, so walk every live member in match order.
+            // Short packet: the index says nothing about the members'
+            // checked fallbacks, so walk every live member in match order.
             for &(_, _, s) in order.iter() {
                 let Some(m) = slots[s as usize].as_ref() else {
                     continue;
@@ -1022,8 +996,8 @@ impl GeomSet {
 /// `fast_min_words` long: a conjunction runs only the tests its slot does
 /// not prove, which gives the whole filter's verdict and op count.
 fn eval_candidate(m: &GeomMember, packet: PacketView<'_>, stats: &mut GeomStats) -> bool {
-    if let (Some(mask), GeomMemberKind::Compiled(filter)) = (m.residual, &m.kind) {
-        if let Some(conjunction) = filter.conjunction() {
+    if let Some(mask) = m.residual {
+        if let Some(conjunction) = m.filter.conjunction() {
             stats.filters_evaluated += 1;
             let (accept, ops) = conjunction.run(packet, mask);
             stats.ops_executed += ops;
@@ -1039,24 +1013,16 @@ fn eval_candidate(m: &GeomMember, packet: PacketView<'_>, stats: &mut GeomStats)
 /// internally, so per-member semantics match every other engine.
 fn eval_member(m: &GeomMember, packet: PacketView<'_>, stats: &mut GeomStats) -> bool {
     stats.filters_evaluated += 1;
-    match &m.kind {
-        GeomMemberKind::Checked(program) => {
-            let (accept, s) = CheckedInterpreter.eval_with_stats(program, packet);
-            stats.ops_executed += s.instructions;
-            accept
-        }
-        GeomMemberKind::Compiled(filter) => {
-            let (accept, s) = filter.eval_with_stats(packet);
-            stats.ops_executed += s.ops_executed;
-            accept
-        }
-    }
+    let (accept, s) = m.filter.eval_with_stats(packet);
+    stats.ops_executed += s.ops_executed;
+    accept
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pf_filter::dtree::FilterSet;
+    use pf_filter::interp::CheckedInterpreter;
     use pf_filter::program::Assembler;
     use pf_filter::samples;
     use pf_filter::word::BinaryOp;
@@ -1245,7 +1211,7 @@ mod tests {
             };
             let checked = CheckedInterpreter;
             let mut set = GeomSet::new();
-            // Live members as `(id, slot)`, in insertion order.
+            // Live members as `(id, slot)`.
             let mut live: Vec<(FilterId, usize)> = Vec::new();
             for slot in 0..INTERVALS {
                 set.insert(slot as FilterId, program(slot));
@@ -1257,7 +1223,7 @@ mod tests {
                          stage: &str| {
                 let mut order: Vec<(FilterId, FilterProgram)> =
                     live.iter().map(|&(id, slot)| (id, program(slot))).collect();
-                order.sort_by_key(|(_, f)| Reverse(f.priority()));
+                order.sort_by_key(|(id, f)| (Reverse(f.priority()), *id));
                 for v in seeded_probes(rng, &intervals, 48) {
                     let frame = pkt(v);
                     let view = PacketView::new(&frame);
@@ -1373,11 +1339,11 @@ mod tests {
             (6, samples::ethertype_filter(5, 2)),
             (7, samples::accept_all(1)),
             (8, samples::reject_all(30)),
-            (9, FilterProgram::from_words(15, invalid)),
         ];
         for (id, f) in &filters {
-            geom.insert(*id, f.clone());
+            assert!(geom.insert(*id, f.clone()));
         }
+        assert!(!geom.insert(9, FilterProgram::from_words(15, invalid)));
         let checked = CheckedInterpreter;
         let mut order: Vec<&(u32, FilterProgram)> = filters.iter().collect();
         order.sort_by_key(|(_, f)| Reverse(f.priority()));
@@ -1532,7 +1498,7 @@ mod tests {
         let (_, undefended) = set.matches_with_stats(PacketView::new(&p));
         assert_eq!(undefended.filters_evaluated, 40, "{undefended:?}");
         // The mitigation: cap candidates per packet; the priority-sorted
-        // pruning keeps the first-match winner (earliest seq at equal
+        // pruning keeps the first-match winner (lowest id at equal
         // priority) and bounds evaluation.
         set.set_candidate_cap(Some(8));
         let (_, capped) = set.matches_with_stats(PacketView::new(&p));
@@ -1542,13 +1508,15 @@ mod tests {
     }
 
     #[test]
-    fn matches_in_priority_then_insertion_order() {
+    fn matches_in_priority_then_id_order_and_a_reinsert_keeps_its_place() {
         let mut set = GeomSet::new();
         set.insert(1, samples::accept_all(5));
-        set.insert(2, samples::accept_all(20));
         set.insert(3, samples::accept_all(20));
+        set.insert(2, samples::accept_all(20));
         assert_eq!(set.matches(PacketView::new(&pkt(1))), vec![2, 3, 1]);
         assert_eq!(set.first_match(PacketView::new(&pkt(1))), Some(2));
+        set.insert(2, samples::accept_all(20));
+        assert_eq!(set.matches(PacketView::new(&pkt(1))), vec![2, 3, 1]);
     }
 
     #[test]
@@ -1566,9 +1534,10 @@ mod tests {
     }
 
     #[test]
-    fn invalid_program_keeps_checked_semantics() {
+    fn an_invalid_program_does_not_join() {
         // COR accepts matching packets *before* the trailing garbage word
-        // is ever decoded; the set must preserve that behavior.
+        // is ever decoded, but the program fails validation: the kernel's
+        // quarantine serves it, never the set.
         let mut words = Assembler::new(10)
             .pushword(0)
             .pushlit_op(BinaryOp::Cor, 0x0102)
@@ -1577,11 +1546,11 @@ mod tests {
             .to_vec();
         words.push(15 << 6); // reserved opcode: fails validation
         let mut set = GeomSet::new();
-        set.insert(1, FilterProgram::from_words(10, words));
-        assert_eq!(set.compiled(), 0);
-        assert_eq!(set.residue_len(), 1);
-        assert_eq!(set.first_match(PacketView::new(&pkt(35))), Some(1));
-        assert_eq!(set.first_match(PacketView::new(&[0u8, 0])), None);
+        assert!(set.insert(1, samples::accept_all(10)));
+        assert!(!set.insert(1, FilterProgram::from_words(10, words)));
+        assert!(set.is_empty());
+        assert_eq!(set.residue_len(), 0);
+        assert_eq!(set.first_match(PacketView::new(&pkt(35))), None);
     }
 
     #[test]
@@ -1733,18 +1702,10 @@ mod tests {
 
         // At the set, the same packet is below `fast_min_words` and takes
         // the walk-everything path: nothing is skipped, the member rejects
-        // on its own checked fallback, and an unvalidatable member whose
-        // short-circuit accept precedes its defect still accepts.
+        // on its own checked fallback, and a residue member still accepts.
         let mut set = GeomSet::new();
         set.insert(1, socket_and_type(35, 2));
-        let mut words = Assembler::new(5)
-            .pushword(0)
-            .pushlit_op(BinaryOp::Cor, 0x0102)
-            .finish()
-            .words()
-            .to_vec();
-        words.push(15 << 6);
-        set.insert(2, FilterProgram::from_words(5, words));
+        set.insert(2, samples::accept_all(5));
         let (ids, stats) = set.matches_with_stats(PacketView::new(&pkt(35)[..16]));
         assert_eq!(ids, [2]);
         assert_eq!(stats.filters_evaluated, 2, "{stats:?}");

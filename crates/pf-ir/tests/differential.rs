@@ -227,7 +227,8 @@ fn all_engines_agree_on_seeded_pairs() {
 /// a sequential priority-ordered walk of the checked interpreter over
 /// mixed filter populations — socket and ethertype equalities,
 /// builder-compiled COR chains, figure 3-8's range — including programs
-/// that fail validation.
+/// that fail validation, which the decision table interprets and the
+/// geometric set turns away.
 #[test]
 fn set_engines_agree_on_seeded_populations() {
     let mut rng = SplitMix64::new(0xdeca_f00d);
@@ -267,8 +268,11 @@ fn set_engines_agree_on_seeded_populations() {
         }
         let mut geom = GeomSet::new();
         let mut table = FilterSet::new();
+        let mut in_geom = Vec::new();
         for (fid, f) in &filters {
-            geom.insert(*fid, f.clone());
+            let valid = ValidatedProgram::new(f.clone()).is_ok();
+            assert_eq!(geom.insert(*fid, f.clone()), valid, "case {case}");
+            in_geom.push(valid);
             table.insert(*fid, f.clone());
         }
         for pi in 0..4 {
@@ -280,17 +284,22 @@ fn set_engines_agree_on_seeded_populations() {
                 random_packet(&mut rng)
             };
             let view = PacketView::new(&pkt);
-            // Reference: priority-descending, insertion-stable walk.
+            // Reference: a walk in `(priority descending, id)` order.
             let mut order: Vec<usize> = (0..filters.len()).collect();
-            order.sort_by_key(|&i| std::cmp::Reverse(filters[i].1.priority()));
-            let expect: Vec<u32> = order
-                .iter()
-                .filter(|&&i| checked.eval(&filters[i].1, view))
-                .map(|&i| filters[i].0)
+            order.sort_by_key(|&i| (std::cmp::Reverse(filters[i].1.priority()), filters[i].0));
+            let accepting: Vec<usize> = order
+                .into_iter()
+                .filter(|&i| checked.eval(&filters[i].1, view))
                 .collect();
+            let ids = |i: &[usize]| -> Vec<u32> { i.iter().map(|&i| filters[i].0).collect() };
+            let valid: Vec<usize> = accepting.iter().copied().filter(|&i| in_geom[i]).collect();
             let ctx = format!("case {case} packet {pi}");
-            assert_eq!(geom.matches(view), expect, "geom vs sequential: {ctx}");
-            assert_eq!(table.matches(view), expect, "table vs sequential: {ctx}");
+            assert_eq!(geom.matches(view), ids(&valid), "geom vs sequential: {ctx}");
+            assert_eq!(
+                table.matches(view),
+                ids(&accepting),
+                "table vs sequential: {ctx}"
+            );
         }
     }
 }
@@ -413,11 +422,10 @@ fn typed_range_filter(priority: u8, ethertype: u16, lo: u16, hi: u16) -> FilterP
         .finish()
 }
 
-/// `set` answers `view` as a priority-ordered walk of the checked
-/// interpreter over `live` does, and its `ops_executed` is the sum of
-/// its candidates' whole evaluations — threaded code for a member that
-/// compiles, the checked interpreter's count for one that does not —
-/// however few of their tests the index left it to run.
+/// `set` answers `view` as a walk of the checked interpreter over `live`
+/// in `(priority descending, id)` order does, and its `ops_executed` is
+/// the sum of its candidates' whole threaded-code evaluations, however few
+/// of their tests the index left it to run.
 fn assert_geom_answers(
     set: &mut GeomSet,
     live: &[(u32, FilterProgram)],
@@ -426,7 +434,7 @@ fn assert_geom_answers(
 ) -> Vec<u32> {
     let checked = CheckedInterpreter;
     let mut order: Vec<usize> = (0..live.len()).collect();
-    order.sort_by_key(|&j| std::cmp::Reverse(live[j].1.priority()));
+    order.sort_by_key(|&j| (std::cmp::Reverse(live[j].1.priority()), live[j].0));
     let expect: Vec<u32> = order
         .into_iter()
         .filter(|&j| checked.eval(&live[j].1, view))
@@ -437,10 +445,8 @@ fn assert_geom_answers(
         .iter()
         .map(|id| {
             let (_, f) = live.iter().find(|(fid, _)| fid == id).expect("live");
-            match IrFilter::compile(f.clone()) {
-                Ok(ir) => ir.eval_with_stats(view).1.ops_executed,
-                Err(_) => checked.eval_with_stats(f, view).1.instructions,
-            }
+            let ir = IrFilter::compile(f.clone()).expect("a member validates");
+            ir.eval_with_stats(view).1.ops_executed
         })
         .sum();
     let (ids, stats) = set.matches_with_stats(view);
@@ -450,8 +456,9 @@ fn assert_geom_answers(
 }
 
 /// Seeded churn for the geometric classifier: a population mixing exact,
-/// range, wider-than-one-key exact and unvalidatable members under
-/// inserts, rebinds of a live id, removals (tombstones), and the
+/// range and wider-than-one-key exact members under inserts (and offers
+/// of unvalidatable programs, which the set turns away), rebinds of a
+/// live id, removals (tombstones), and the
 /// compactions they trigger stays equivalent to a sequential walk of
 /// the checked interpreter and to a from-scratch rebuild, op count
 /// included. Directory buckets and interval-tree nodes are where a stale
@@ -469,8 +476,8 @@ fn geom_set_survives_churn() {
             let (fid, _) = live.remove(at);
             assert!(set.remove(fid));
         } else {
-            // One insert in four rebinds a live id, which moves it to the
-            // back of its new priority class.
+            // One insert in four rebinds a live id, which keeps its place
+            // by id in its new priority class.
             let fid = if !live.is_empty() && rng.chance(0.25) {
                 rebinds += 1;
                 live.remove(rng.below(live.len() as u64) as usize).0
@@ -491,8 +498,11 @@ fn geom_set_survives_churn() {
                 ),
                 _ => FilterProgram::from_words(7, random_words(&mut rng)),
             };
-            set.insert(fid, f.clone());
-            live.push((fid, f));
+            let valid = ValidatedProgram::new(f.clone()).is_ok();
+            assert_eq!(set.insert(fid, f.clone()), valid, "step {step}");
+            if valid {
+                live.push((fid, f));
+            }
         }
         assert_eq!(set.len(), live.len(), "step {step}");
         if step % 20 != 0 {

@@ -275,7 +275,7 @@ fn fuzz_geom_churn_agrees_with_sequential_walk() {
     let mut geom = GeomSet::new();
     let mut capped = GeomSet::new();
     capped.set_candidate_cap(Some(3));
-    // Live reference population, insertion order preserved.
+    // Live reference population (scrambled by swap_remove).
     let mut live: Vec<(u32, FilterProgram)> = Vec::new();
     let mut next_id = 0u32;
     for case in 0..ITERS {
@@ -311,9 +311,7 @@ fn fuzz_geom_churn_agrees_with_sequential_walk() {
             fuzz_packet(&mut rng)
         };
         let view = PacketView::new(&pkt);
-        // Match order is priority descending, insertion order within a
-        // priority; ids are handed out monotonically, so the id is the
-        // insertion sequence (`live` itself is scrambled by swap_remove).
+        // Match order is priority descending, then id.
         let mut order: Vec<usize> = (0..live.len()).collect();
         order.sort_by_key(|&i| (std::cmp::Reverse(live[i].1.priority()), live[i].0));
         let expect: Vec<u32> = order

@@ -45,8 +45,8 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// The compiled set behind a non-sequential engine, keyed by port index:
 /// the one seam through which the device inserts, removes and evaluates
 /// members whichever engine is active. Both order matches by
-/// `(priority descending, own insertion sequence)`, and inserting an id
-/// again moves it to the back of its priority class.
+/// `(priority descending, id)` — the device's own `order` — so a member
+/// inserted again keeps its place among its equals.
 // One per device, so the spread in variant sizes costs nothing; a `Box`
 // would put a pointer chase on the per-packet path.
 #[allow(clippy::large_enum_variant)]
@@ -72,10 +72,14 @@ impl EngineSet {
         })
     }
 
+    /// Inserts a valid program: the device quarantines the others.
     fn insert(&mut self, id: FilterId, program: FilterProgram) {
         match self {
             EngineSet::Table(s, _) => s.insert(id, program),
-            EngineSet::Geom(s) => s.insert(id, program),
+            EngineSet::Geom(s) => {
+                let joined = s.insert(id, program);
+                debug_assert!(joined, "a quarantined program reached the set");
+            }
         }
     }
 
@@ -89,11 +93,18 @@ impl EngineSet {
 
     /// Ids of every member accepting `packet`, in match order, borrowed
     /// from the set's own scratch; the evaluation work is recorded in
-    /// `out`'s cost counters.
+    /// `out`: the decision table's interpreted members as applications,
+    /// geom's threaded-code operations in `ir_ops`.
     fn matches(&mut self, packet: PacketView<'_>, out: &mut DemuxOutcome) -> &[FilterId] {
         match self {
             EngineSet::Table(s, hits) => {
-                *hits = s.matches(packet);
+                *hits = s.matches_reporting(packet, |id, accepted, stats| {
+                    out.applied.push(Application {
+                        port: id as PortIdx,
+                        accepted,
+                        stats,
+                    });
+                });
                 hits
             }
             EngineSet::Geom(s) => {
@@ -138,7 +149,8 @@ pub enum DemuxEngine {
     /// §7's proposal: "compile the set of active filters into a decision
     /// table, which should provide the best possible performance" — one
     /// hash probe per filter *shape*, with interpreted fallback for
-    /// filters the analyzer cannot convert.
+    /// filters the analyzer cannot convert, charged as the sequential
+    /// engine charges an application.
     DecisionTable,
     /// The geometric (tuple-space) classifier: filters compiled through
     /// the `pf-ir` CFG pipeline to threaded code and indexed by the
@@ -150,8 +162,7 @@ pub enum DemuxEngine {
     /// word (an arena walked four bits of the packet word at a time, at
     /// most 5 nodes and no hashing), so port-*range* rules, which have no
     /// equality literal to key on, still demultiplex in
-    /// O(#tuples · log U) index work. Unlike the decision table this
-    /// accepts *every* filter program.
+    /// O(#tuples · log U) index work.
     Geom,
 }
 
@@ -163,14 +174,17 @@ pub const REORDER_INTERVAL: u64 = 256;
 pub type PortIdx = usize;
 
 /// Why a port's filter is quarantined (served by the checked interpreter
-/// instead of being handed to the compiled demultiplexing engines).
+/// instead of being handed to the compiled demultiplexing engines). Both
+/// are decided when the filter is bound or the budget set: a program has
+/// no branches, so no evaluation runs longer than its static count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuarantineReason {
     /// Bind-time validation rejected the program; the checked interpreter
     /// still evaluates it (short-circuit operators can accept a packet
     /// before reaching the defect), but the compiled engines never see it.
     Validation(ValidateError),
-    /// An evaluation exceeded the device's instruction budget.
+    /// The program's static instruction count exceeds the device's
+    /// instruction budget.
     BudgetExceeded,
 }
 
@@ -209,15 +223,11 @@ pub struct AdmissionQuota {
 /// and for range filters the compiled code's required-interval analysis.
 /// Filters without a signature, and packets matching no signature, are
 /// never shed at the gate; the filter ladder remains the arbiter for
-/// them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// them. Ports at or above [`PROTECTED_PRIORITY`] are admitted
+/// unconditionally; every other port draws on its own quota
+/// ([`PfDevice::set_port_quota`]) or [`DEFAULT_QUOTA`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmissionConfig {
-    /// Ports whose filter priority is at or above this are *protected*:
-    /// the gate admits their traffic unconditionally.
-    pub protected_priority: u8,
-    /// Token bucket applied to every unprotected (best-effort) port that
-    /// has no per-port override ([`PfDevice::set_port_quota`]).
-    pub default_quota: AdmissionQuota,
     /// Mimicry defense: after this many gate-admitted frames attributed
     /// to a protected entry matched *no* filter
     /// ([`PfDevice::note_unmatched_admit`]), the entry re-selects its
@@ -236,22 +246,17 @@ pub struct AdmissionConfig {
     pub refill_jitter_key: Option<u64>,
 }
 
-impl Default for AdmissionConfig {
-    /// Protect the top quarter of the priority space; give best-effort
-    /// ports a generous default quota (shedding should require real
-    /// overload, not a burst). Both adversary defenses start disabled.
-    fn default() -> Self {
-        AdmissionConfig {
-            protected_priority: 192,
-            default_quota: AdmissionQuota {
-                rate_pps: 2_000,
-                burst: 64,
-            },
-            mimicry_threshold: None,
-            refill_jitter_key: None,
-        }
-    }
-}
+/// Ports whose filter priority is at or above this are *protected*: the
+/// admission gate admits their traffic unconditionally. The top quarter of
+/// the priority space.
+pub const PROTECTED_PRIORITY: u8 = 192;
+
+/// The token bucket of every best-effort port without a quota of its own:
+/// generous, so that shedding takes real overload, not a burst.
+pub const DEFAULT_QUOTA: AdmissionQuota = AdmissionQuota {
+    rate_pps: 2_000,
+    burst: 64,
+};
 
 /// The admission gate's verdict on one arriving frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -452,8 +457,9 @@ pub struct Port {
     pub drops: u64,
     /// Packets this port's filter accepted (the adaptive-reorder "busyness").
     pub accepts: u64,
-    /// Insertion sequence (stable tie-break within a priority).
-    pub insertion: u64,
+    /// This port's index: its open order, which breaks ties between equal
+    /// priorities on every engine.
+    index: PortIdx,
     /// Whether the port is open.
     pub open: bool,
     /// Read-generation counter.
@@ -461,7 +467,7 @@ pub struct Port {
     /// Why the filter is quarantined, if it is.
     pub quarantined: Option<QuarantineReason>,
     /// Evaluations of this port's filter terminated by the instruction
-    /// budget.
+    /// budget; only a quarantined filter can overrun.
     pub budget_overruns: u64,
     /// Per-port admission-quota override (`None`: the gate's default).
     pub quota: Option<AdmissionQuota>,
@@ -474,8 +480,8 @@ pub struct Port {
 }
 
 impl Port {
-    /// A freshly opened port: no filter, default configuration.
-    fn new(owner: (ProcId, Fd), insertion: u64) -> Self {
+    /// A freshly opened port at `index`: no filter, default configuration.
+    fn new(owner: (ProcId, Fd), index: PortIdx) -> Self {
         Port {
             owner,
             filter: None,
@@ -484,7 +490,7 @@ impl Port {
             pending: None,
             drops: 0,
             accepts: 0,
-            insertion,
+            index,
             open: true,
             next_generation: 0,
             quarantined: None,
@@ -508,15 +514,43 @@ impl Port {
         self.filter.as_ref().map_or(0, |f| f.priority())
     }
 
-    /// The static demux key: priority descending, then port insertion.
-    fn order_key(&self) -> (core::cmp::Reverse<u8>, u64) {
-        (core::cmp::Reverse(self.priority()), self.insertion)
+    /// The static demux key: priority descending, then the port index.
+    fn order_key(&self) -> (core::cmp::Reverse<u8>, PortIdx) {
+        (core::cmp::Reverse(self.priority()), self.index)
     }
 
     /// The filter a compiled set holds for this port: the bound one,
     /// unless it is quarantined.
     fn member_filter(&self) -> Option<&FilterProgram> {
         self.filter.as_ref().filter(|_| self.quarantined.is_none())
+    }
+
+    /// Applies the bound filter with the checked interpreter, under the
+    /// device's instruction budget if one is set, records the application
+    /// in `out` and counts an overrun. Returns whether the filter accepted;
+    /// `None` if there is no filter.
+    fn apply_checked(
+        &mut self,
+        budget: Option<u32>,
+        packet: PacketView<'_>,
+        out: &mut DemuxOutcome,
+    ) -> Option<bool> {
+        let filter = self.filter.as_ref()?;
+        let (accepted, stats) = match budget {
+            Some(b) => CheckedInterpreter.eval_budgeted(filter, packet, b),
+            None => CheckedInterpreter.eval_with_stats(filter, packet),
+        };
+        if matches!(stats.error, Some(RuntimeError::BudgetExceeded { .. })) {
+            debug_assert!(self.quarantined.is_some(), "an unquarantined overrun");
+            out.budget_overruns += 1;
+            self.budget_overruns += 1;
+        }
+        out.applied.push(Application {
+            port: self.index,
+            accepted,
+            stats,
+        });
+        Some(accepted)
     }
 
     /// Offers a packet to the input queue, applying the port's
@@ -558,7 +592,7 @@ impl Port {
 const CLOSED: u32 = u32::MAX;
 
 /// The device's ports, by port index. Indices are handed out in open order
-/// and never reused — `order_key` ties on insertion, and callers keep
+/// and never reused — `order_key` ties on the index, and callers keep
 /// tables of their own by port index — but a closed port gives its storage
 /// back: the table costs O(open ports) plus four bytes per port ever
 /// opened.
@@ -584,8 +618,10 @@ impl PortTable {
         }
     }
 
-    /// Stores `port` under the next index and returns it.
-    fn push(&mut self, port: Port) -> PortIdx {
+    /// Opens a port owned by `owner` under the next index and returns it.
+    fn open(&mut self, owner: (ProcId, Fd)) -> PortIdx {
+        let idx = self.slot_of.len();
+        let port = Port::new(owner, idx);
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = port;
@@ -597,7 +633,7 @@ impl PortTable {
             }
         };
         self.slot_of.push(slot);
-        self.slot_of.len() - 1
+        idx
     }
 
     /// The open port at `idx`; `None` once closed, or if never opened.
@@ -682,9 +718,9 @@ pub struct EngineStats {
     /// interpreter under every engine).
     pub quarantined_ports: usize,
     /// Times the compiled set was rebuilt from every open port since the
-    /// device was constructed: engine selection, a budget sweep that
-    /// quarantined something, and rebinds that land mid-class. Binds of
-    /// fresh ports and closes update the set in place and never count.
+    /// device was constructed: engine selection, and a budget sweep that
+    /// quarantined something. Binds, rebinds and closes update the set in
+    /// place and never count.
     pub engine_rebuilds: u64,
     /// Geom candidates pruned by the per-packet candidate cap
     /// ([`PfDevice::set_geom_candidate_cap`]) since the last full rebuild;
@@ -697,8 +733,9 @@ pub struct EngineStats {
 pub struct DemuxOutcome {
     /// Ports that accepted the packet, in delivery order.
     pub accepted: Vec<PortIdx>,
-    /// Every filter application performed, in order. Empty under the
-    /// compiled engines, which do not apply filters one at a time.
+    /// Every checked-interpreter application performed, in order: the
+    /// sequential walk itself, and under the compiled engines the decision
+    /// table's interpreted members and the quarantined ports.
     pub applied: Vec<Application>,
     /// Threaded-code operations executed, when the geom engine handled
     /// the packet (the cost-accounting analogue of `applied`'s
@@ -706,8 +743,6 @@ pub struct DemuxOutcome {
     pub ir_ops: u32,
     /// Evaluations terminated by the instruction budget during this demux.
     pub budget_overruns: u32,
-    /// Ports quarantined by this demux (first budget overrun).
-    pub newly_quarantined: u32,
 }
 
 impl DemuxOutcome {
@@ -717,7 +752,6 @@ impl DemuxOutcome {
         self.applied.clear();
         self.ir_ops = 0;
         self.budget_overruns = 0;
-        self.newly_quarantined = 0;
     }
 
     /// Charges this frame's engine work and bumps the counters it moves:
@@ -747,20 +781,14 @@ impl DemuxOutcome {
                 charge("pf:geom", costs.filter_setup + ops);
             }
         }
-        // Under the sequential engine `applied` is the walk itself; under
-        // the compiled engines it holds the checked fallback evaluations
-        // of quarantined filters — degradation work, on the same curve.
-        let applied_as = match engine {
-            DemuxEngine::Sequential => "pf:filter",
-            _ => "pf:quarantine",
-        };
+        // Every checked application, whichever engine made it, is on the
+        // interpreter's curve.
         for a in &self.applied {
             counters.filters_applied += 1;
             counters.filter_instructions += u64::from(a.stats.instructions);
-            charge(applied_as, costs.filter_cost(a.stats.instructions));
+            charge("pf:filter", costs.filter_cost(a.stats.instructions));
         }
         counters.filter_budget_overruns += u64::from(self.budget_overruns);
-        counters.filters_quarantined += u64::from(self.newly_quarantined);
     }
 }
 
@@ -769,16 +797,13 @@ impl DemuxOutcome {
 pub struct PfDevice {
     ports: PortTable,
     /// Demultiplex order: indices of the open ports, sorted by priority
-    /// descending, then port insertion. The sequential engine's adaptive
+    /// descending, then port index. The sequential engine's adaptive
     /// reordering puts busyness between the two keys; a compiled engine
     /// has no walk to shorten and keeps the static order at all times.
     order: Vec<PortIdx>,
-    /// Open ports by owner.
-    owners: HashMap<(ProcId, Fd), PortIdx>,
     /// Open ports whose filter is quarantined.
     quarantined: usize,
     demux_ops: u64,
-    insertions: u64,
     adaptive: bool,
     engine: DemuxEngine,
     /// The active engine's compiled set (`None` under the sequential
@@ -786,10 +811,9 @@ pub struct PfDevice {
     /// ports, and its match order is `order` restricted to them.
     set: Option<EngineSet>,
     engine_rebuilds: u64,
-    interp: CheckedInterpreter,
-    /// Per-evaluation instruction budget; `None` means unbounded. Enforced
-    /// by the sequential engine on every filter and by every engine on
-    /// quarantined (checked-fallback) filters.
+    /// Per-evaluation instruction budget; `None` means unbounded. Every
+    /// filter that could exceed it is quarantined, and the checked
+    /// interpreter enforces it on each evaluation.
     budget: Option<u32>,
     /// The pre-demux admission gate, when enabled.
     admission: Option<AdmissionState>,
@@ -798,9 +822,6 @@ pub struct PfDevice {
     geom_candidate_cap: Option<usize>,
     /// What [`Self::demux`] fills and lends out, call after call.
     outcome: DemuxOutcome,
-    /// The compiled set's matches, copied out of its scratch while the
-    /// quarantined merge may evict a member from under them.
-    matched: Vec<FilterId>,
 }
 
 impl Default for PfDevice {
@@ -816,34 +837,28 @@ impl PfDevice {
         PfDevice {
             ports: PortTable::new(),
             order: Vec::new(),
-            owners: HashMap::new(),
             quarantined: 0,
             demux_ops: 0,
-            insertions: 0,
             adaptive: true,
             engine: DemuxEngine::Sequential,
             set: None,
             engine_rebuilds: 0,
-            interp: CheckedInterpreter,
             budget: None,
             admission: None,
             geom_candidate_cap: None,
             outcome: DemuxOutcome::default(),
-            matched: Vec::new(),
         }
     }
 
-    /// Sets (or clears) the per-evaluation instruction budget. A filter
-    /// whose evaluation exceeds the budget rejects the packet and is
-    /// quarantined: excluded from the compiled engines and served by the
-    /// budgeted checked interpreter from then on.
+    /// Sets (or clears) the per-evaluation instruction budget. An
+    /// evaluation that exceeds the budget rejects the packet.
     ///
     /// The filter language has no branches, so a program's static
     /// instruction count is its exact worst case; ports whose bound filter
-    /// *could* exceed the new budget are quarantined immediately (their
-    /// verdicts are unchanged — the budgeted fallback only faults on
-    /// evaluations that actually run over). Returns how many ports this
-    /// call quarantined.
+    /// *could* exceed the new budget are quarantined here — excluded from
+    /// the compiled engines and served by the budgeted checked interpreter
+    /// (their verdicts are unchanged: it only faults on evaluations that
+    /// actually run over). Returns how many ports this call quarantined.
     pub fn set_instruction_budget(&mut self, budget: Option<u32>) -> u32 {
         self.budget = budget;
         let mut newly = 0;
@@ -864,11 +879,6 @@ impl PfDevice {
             self.rebuild_engine();
         }
         newly
-    }
-
-    /// The per-evaluation instruction budget, if one is set.
-    pub fn instruction_budget(&self) -> Option<u32> {
-        self.budget
     }
 
     /// Enables (or, with `None`, disables) the pre-demux admission gate.
@@ -1041,7 +1051,7 @@ impl PfDevice {
                 continue;
             };
             let p = &self.ports[idx];
-            let quota = p.quota.unwrap_or(config.default_quota);
+            let quota = p.quota.unwrap_or(DEFAULT_QUOTA);
             let prior = entries.iter().find(|e| e.port == idx);
             let mut bucket = prior
                 .filter(|e| e.bucket.quota == quota)
@@ -1058,7 +1068,7 @@ impl PfDevice {
                 word,
                 lo,
                 hi,
-                protected: p.priority() >= config.protected_priority,
+                protected: p.priority() >= PROTECTED_PRIORITY,
                 bucket,
                 verify,
                 mimicry_misses,
@@ -1116,12 +1126,10 @@ impl PfDevice {
         self.engine
     }
 
-    /// Builds the active engine's compiled set from every open port, in
-    /// demux order so that same-priority ties match `order`. Quarantined
-    /// ports never reach the set; `demux` serves them through the checked
-    /// interpreter. Runs on engine selection, after a budget sweep, and for
-    /// a rebind the set's own insert would put in the wrong place
-    /// ([`Self::rehome`]).
+    /// Builds the active engine's compiled set from every open port.
+    /// Quarantined ports never reach the set; `demux` serves them through
+    /// the checked interpreter. Runs on engine selection and after a
+    /// budget sweep.
     fn rebuild_engine(&mut self) {
         self.set = EngineSet::new(self.engine, self.geom_candidate_cap);
         let Some(set) = &mut self.set else { return };
@@ -1134,12 +1142,9 @@ impl PfDevice {
     }
 
     /// Moves a port bound under a compiled engine to its place in `order`
-    /// (static there, so one binary search and no sort) and in the set: one
-    /// `remove` if the bind quarantined it, else one `insert` when the
-    /// set's rule — newest last in its priority class — agrees with
-    /// `order`. A port rebound while a member of its class follows it in
-    /// `order` would move in the set but not in `order`; that rare case
-    /// takes the full rebuild.
+    /// (static there, so one binary search and no sort) and in the set,
+    /// which orders by the same key: one `remove` if the bind quarantined
+    /// it, else one `insert`.
     fn rehome(&mut self, idx: PortIdx) {
         let ports = &self.ports;
         let key = ports[idx].order_key();
@@ -1147,18 +1152,11 @@ impl PfDevice {
         let at = self.order.partition_point(|&o| ports[o].order_key() < key);
         self.order.insert(at, idx);
         let set = self.set.as_mut().expect("a compiled engine is selected");
-        let Some(f) = ports[idx].member_filter() else {
-            set.remove(idx as FilterId);
-            return;
-        };
-        let mut class = self.order[at + 1..]
-            .iter()
-            .map(|&o| &ports[o])
-            .take_while(|p| p.priority() == f.priority());
-        if class.any(|p| p.member_filter().is_some()) {
-            self.rebuild_engine();
-        } else {
-            set.insert(idx as FilterId, f.clone());
+        match ports[idx].member_filter() {
+            Some(f) => set.insert(idx as FilterId, f.clone()),
+            None => {
+                set.remove(idx as FilterId);
+            }
         }
     }
 
@@ -1174,18 +1172,13 @@ impl PfDevice {
         }
     }
 
-    /// The configured geom per-packet candidate bound, if any.
-    pub fn geom_candidate_cap(&self) -> Option<usize> {
-        self.geom_candidate_cap
-    }
-
     /// Enables or disables adaptive same-priority reordering (§3.2). The
     /// busyness key belongs to the sequential walk; under a compiled
     /// engine the setting only waits for the sequential engine to return.
     pub fn set_adaptive_reorder(&mut self, on: bool) {
         self.adaptive = on;
         if !on {
-            // Restore pure (priority, insertion) order.
+            // Restore pure (priority, index) order.
             self.resort();
         }
     }
@@ -1193,11 +1186,8 @@ impl PfDevice {
     /// Opens a new port owned by `(proc, fd)` and returns its index. A
     /// port without a filter is in neither the compiled set nor the gate.
     pub fn open(&mut self, owner: (ProcId, Fd)) -> PortIdx {
-        let idx = self.ports.push(Port::new(owner, self.insertions));
-        self.insertions += 1;
-        // The first open port of an owner answers `port_of`.
-        self.owners.entry(owner).or_insert(idx);
-        // Lowest priority, newest insertion: the new port sorts last. The
+        let idx = self.ports.open(owner);
+        // Lowest priority, highest index: the new port sorts last. The
         // sequential walk also takes the occasion to re-sort by busyness.
         self.order.push(idx);
         if self.set.is_none() {
@@ -1214,9 +1204,6 @@ impl PfDevice {
             return;
         };
         self.quarantined -= usize::from(p.quarantined.is_some());
-        if self.owners.get(&p.owner) == Some(&idx) {
-            self.owners.remove(&p.owner);
-        }
         self.order.retain(|&o| o != idx);
         if let Some(set) = &mut self.set {
             set.remove(idx as FilterId);
@@ -1283,11 +1270,6 @@ impl PfDevice {
         &mut self.ports[idx]
     }
 
-    /// The port owned by `(proc, fd)`, if any.
-    pub fn port_of(&self, owner: (ProcId, Fd)) -> Option<PortIdx> {
-        self.owners.get(&owner).copied()
-    }
-
     /// Number of open ports.
     pub fn open_ports(&self) -> usize {
         self.order.len()
@@ -1322,52 +1304,43 @@ impl PfDevice {
     pub fn demux_into(&mut self, packet: &[u8], out: &mut DemuxOutcome) {
         out.clear();
         self.demux_ops += 1;
-        if let Some(set) = &mut self.set {
-            // A compiled engine: evaluate its set, then walk the
-            // priority-ordered matches — merged with checked evaluations of
-            // the quarantined ports, which the set excludes, if there are any.
-            let matches = set.matches(PacketView::new(packet), out);
-            if self.quarantined == 0 {
-                Self::deliver_matches(&mut self.ports, matches, out);
-            } else {
-                let mut matched = std::mem::take(&mut self.matched);
-                matched.clear();
-                matched.extend_from_slice(matches);
-                self.merge_quarantined(&matched, packet, out);
-                self.matched = matched;
-            }
-            return;
-        }
-        if self.adaptive && self.demux_ops.is_multiple_of(REORDER_INTERVAL) {
+        let view = PacketView::new(packet);
+        if self.set.is_none() && self.adaptive && self.demux_ops.is_multiple_of(REORDER_INTERVAL) {
             self.resort();
         }
-        let mut i = 0;
-        while i < self.order.len() {
-            let idx = self.order[i];
-            i += 1;
-            let Some((accepted, stats)) = self.eval_checked(idx, packet, out) else {
-                continue;
+        // A compiled engine evaluates its set first; with nothing
+        // quarantined its matches are the whole answer.
+        let matches = self.set.as_mut().map(|set| set.matches(view, out));
+        if let Some(matches) = matches.filter(|_| self.quarantined == 0) {
+            Self::deliver_matches(&mut self.ports, matches, out);
+            return;
+        }
+        // The figure 4-1 walk: a port the compiled set holds reads its
+        // verdict from the matches; every other port — each one under the
+        // sequential engine, the quarantined ones under a compiled engine
+        // — is applied with the checked interpreter.
+        for &idx in &self.order {
+            let port = &mut self.ports[idx];
+            let accepted = match matches {
+                Some(matches) if port.quarantined.is_none() => matches.contains(&(idx as FilterId)),
+                _ => match port.apply_checked(self.budget, view, out) {
+                    Some(accepted) => accepted,
+                    None => continue,
+                },
             };
-            out.applied.push(Application {
-                port: idx,
-                accepted,
-                stats,
-            });
             if accepted {
+                port.accepts += 1;
                 out.accepted.push(idx);
-                if !self.ports[idx].config.deliver_to_lower {
+                if !port.config.deliver_to_lower {
                     break;
                 }
             }
         }
-        for &idx in &out.accepted {
-            self.ports[idx].accepts += 1;
-        }
     }
 
     /// Applies the §3.2 deliver-to-lower rule to a priority-ordered match
-    /// list and records the per-port accept bookkeeping — the tail of an
-    /// unquarantined compiled-engine demux.
+    /// list and records the per-port accept bookkeeping — a compiled-engine
+    /// demux with nothing quarantined.
     fn deliver_matches(ports: &mut PortTable, matches: &[FilterId], out: &mut DemuxOutcome) {
         for &id in matches {
             let port = &mut ports[id as PortIdx];
@@ -1379,75 +1352,10 @@ impl PfDevice {
         }
     }
 
-    /// Evaluates one port's filter with the (budgeted) checked interpreter,
-    /// handling budget exhaustion: the overrun is counted and the port is
-    /// quarantined on its first overrun. `None` if the port has no filter.
-    fn eval_checked(
-        &mut self,
-        idx: PortIdx,
-        packet: &[u8],
-        out: &mut DemuxOutcome,
-    ) -> Option<(bool, EvalStats)> {
-        let filter = self.ports[idx].filter.as_ref()?;
-        let view = PacketView::new(packet);
-        let (accepted, stats) = match self.budget {
-            Some(b) => self.interp.eval_budgeted(filter, view, b),
-            None => self.interp.eval_with_stats(filter, view),
-        };
-        if matches!(stats.error, Some(RuntimeError::BudgetExceeded { .. })) {
-            out.budget_overruns += 1;
-            let p = &mut self.ports[idx];
-            p.budget_overruns += 1;
-            if p.quarantined.is_none() {
-                p.quarantined = Some(QuarantineReason::BudgetExceeded);
-                out.newly_quarantined += 1;
-                self.quarantined += 1;
-                // Evict the offender from the compiled set, if there is one.
-                if let Some(set) = &mut self.set {
-                    set.remove(idx as FilterId);
-                }
-            }
-        }
-        Some((accepted, stats))
-    }
-
-    /// Walks the demux order merging compiled-set verdicts with checked
-    /// evaluations of quarantined ports (which the compiled sets exclude),
-    /// preserving priority order and the §3.2 deliver-to-lower rule.
-    fn merge_quarantined(&mut self, matched: &[FilterId], packet: &[u8], out: &mut DemuxOutcome) {
-        let mut i = 0;
-        while i < self.order.len() {
-            let idx = self.order[i];
-            i += 1;
-            let accepted = if self.ports[idx].quarantined.is_some() {
-                let Some((accepted, stats)) = self.eval_checked(idx, packet, out) else {
-                    continue;
-                };
-                out.applied.push(Application {
-                    port: idx,
-                    accepted,
-                    stats,
-                });
-                accepted
-            } else {
-                matched.contains(&(idx as FilterId))
-            };
-            if accepted {
-                out.accepted.push(idx);
-                if !self.ports[idx].config.deliver_to_lower {
-                    break;
-                }
-            }
-        }
-        for &idx in &out.accepted {
-            self.ports[idx].accepts += 1;
-        }
-    }
-
     /// Re-sorts the demultiplex order: priority descending; within a
     /// priority, busier filters first (sequential engine with adaptive
     /// reordering only: §3.2 reorders to shorten the walk, and a compiled
-    /// index has none), then insertion order.
+    /// index has none), then port index.
     fn resort(&mut self) {
         let ports = &self.ports;
         let by_busyness = self.adaptive && self.engine == DemuxEngine::Sequential;
@@ -1458,10 +1366,7 @@ impl PfDevice {
             } else {
                 core::cmp::Ordering::Equal
             };
-            pb.priority()
-                .cmp(&pa.priority())
-                .then(busy)
-                .then(pa.insertion.cmp(&pb.insertion))
+            pb.priority().cmp(&pa.priority()).then(busy).then(a.cmp(&b))
         });
     }
 }
@@ -1636,14 +1541,13 @@ mod tests {
 
     #[test]
     fn a_demux_outcome_carries_nothing_over_from_the_call_before() {
-        type Fields = (Vec<PortIdx>, usize, u32, u32, u32);
+        type Fields = (Vec<PortIdx>, usize, u32, u32);
         fn fields(o: &DemuxOutcome) -> Fields {
             (
                 o.accepted.clone(),
                 o.applied.len(),
                 o.ir_ops,
                 o.budget_overruns,
-                o.newly_quarantined,
             )
         }
         let stray = samples::pup_packet_3mb(3, 0, 99, 1);
@@ -1683,7 +1587,7 @@ mod tests {
 
             // The same through an outcome the caller owns, handed in dirty.
             let mut out = d.demux(&pkt(35)).clone();
-            (out.ir_ops, out.newly_quarantined) = (7, 3);
+            (out.ir_ops, out.budget_overruns) = (7, 3);
             d.demux_into(&stray, &mut out);
             assert_eq!(fields(&out), alone(Some(6), &stray), "{engine:?}");
         }
@@ -1921,7 +1825,7 @@ mod tests {
                     [7, 38, 45, 99].map(|sock| d.demux(&pkt(sock)).accepted.clone())
                 };
                 let before = verdicts(&mut d);
-                assert_eq!(before[1], vec![0], "{ctx}: insertion breaks the tie");
+                assert_eq!(before[1], vec![0], "{ctx}: the port index breaks the tie");
                 for on in [false, true, false] {
                     d.set_adaptive_reorder(on);
                     assert_eq!(d.order(), order, "{ctx}: adaptive={on}");
@@ -1937,16 +1841,6 @@ mod tests {
         assert_eq!(d.demux(&pkt(44)).accepted.len(), 0);
         d.set_filter(0, samples::pup_socket_filter(10, 0, 44));
         assert_eq!(d.demux(&pkt(44)).accepted, vec![0]);
-    }
-
-    #[test]
-    fn port_lookup_by_owner() {
-        let mut d = PfDevice::new();
-        let a = d.open((ProcId(3), Fd(7)));
-        assert_eq!(d.port_of((ProcId(3), Fd(7))), Some(a));
-        assert_eq!(d.port_of((ProcId(3), Fd(8))), None);
-        d.close(a);
-        assert_eq!(d.port_of((ProcId(3), Fd(7))), None);
     }
 
     #[test]
@@ -2062,18 +1956,28 @@ mod tests {
         }
     }
 
+    /// Opens a port bound to `filter` on a gated device, under `quota`.
+    fn gated_port(d: &mut PfDevice, filter: FilterProgram, quota: AdmissionQuota) -> PortIdx {
+        let p = d.open((ProcId(0), Fd(d.open_ports())));
+        d.set_filter(p, filter);
+        d.set_port_quota(p, Some(quota));
+        p
+    }
+
     #[test]
     fn admission_gate_protects_high_priority_and_sheds_best_effort() {
         let mut d = PfDevice::new();
-        d.set_admission_control(Some(AdmissionConfig {
-            protected_priority: 100,
-            default_quota: tight_quota(),
-            ..Default::default()
-        }));
-        let vip = d.open((ProcId(0), Fd(0)));
-        d.set_filter(vip, samples::pup_socket_filter(200, 0, 35));
-        let be = d.open((ProcId(1), Fd(0)));
-        d.set_filter(be, samples::pup_socket_filter(10, 0, 44));
+        d.set_admission_control(Some(AdmissionConfig::default()));
+        let vip = gated_port(
+            &mut d,
+            samples::pup_socket_filter(PROTECTED_PRIORITY, 0, 35),
+            tight_quota(),
+        );
+        let be = gated_port(
+            &mut d,
+            samples::pup_socket_filter(PROTECTED_PRIORITY - 1, 0, 44),
+            tight_quota(),
+        );
         let now = SimTime::ZERO;
         for _ in 0..8 {
             assert_eq!(d.admit(&pkt(35), now), AdmissionVerdict::Admit, "vip");
@@ -2093,16 +1997,12 @@ mod tests {
     #[test]
     fn admission_gate_refills_with_time() {
         let mut d = PfDevice::new();
-        d.set_admission_control(Some(AdmissionConfig {
-            protected_priority: 255,
-            default_quota: AdmissionQuota {
-                rate_pps: 1_000,
-                burst: 1,
-            },
-            ..Default::default()
-        }));
-        let p = d.open((ProcId(0), Fd(0)));
-        d.set_filter(p, samples::pup_socket_filter(10, 0, 35));
+        d.set_admission_control(Some(AdmissionConfig::default()));
+        let quota = AdmissionQuota {
+            rate_pps: 1_000,
+            burst: 1,
+        };
+        let p = gated_port(&mut d, samples::pup_socket_filter(10, 0, 35), quota);
         assert_eq!(d.admit(&pkt(35), SimTime(0)), AdmissionVerdict::Admit);
         assert_eq!(
             d.admit(&pkt(35), SimTime(0)),
@@ -2119,18 +2019,14 @@ mod tests {
     #[test]
     fn admission_gate_never_sheds_unclassifiable_traffic() {
         let mut d = PfDevice::new();
-        d.set_admission_control(Some(AdmissionConfig {
-            protected_priority: 255,
-            default_quota: AdmissionQuota {
-                rate_pps: 0,
-                burst: 0,
-            },
-            ..Default::default()
-        }));
+        d.set_admission_control(Some(AdmissionConfig::default()));
         // accept_all has no admission signature: the gate cannot attribute
         // its traffic, so it never sheds it.
-        let p = d.open((ProcId(0), Fd(0)));
-        d.set_filter(p, samples::accept_all(10));
+        let empty = AdmissionQuota {
+            rate_pps: 0,
+            burst: 0,
+        };
+        let p = gated_port(&mut d, samples::accept_all(10), empty);
         for _ in 0..16 {
             assert_eq!(d.admit(&pkt(1), SimTime::ZERO), AdmissionVerdict::Admit);
         }
@@ -2140,13 +2036,15 @@ mod tests {
     #[test]
     fn per_port_quota_overrides_the_default() {
         let mut d = PfDevice::new();
-        d.set_admission_control(Some(AdmissionConfig {
-            protected_priority: 255,
-            default_quota: tight_quota(),
-            ..Default::default()
-        }));
+        d.set_admission_control(Some(AdmissionConfig::default()));
         let p = d.open((ProcId(0), Fd(0)));
         d.set_filter(p, samples::pup_socket_filter(10, 0, 35));
+        let admitted = |d: &mut PfDevice| {
+            (0..100)
+                .filter(|_| d.admit(&pkt(35), SimTime::ZERO) == AdmissionVerdict::Admit)
+                .count() as u64
+        };
+        assert_eq!(admitted(&mut d), DEFAULT_QUOTA.burst, "the default burst");
         d.set_port_quota(
             p,
             Some(AdmissionQuota {
@@ -2154,25 +2052,14 @@ mod tests {
                 burst: 5,
             }),
         );
-        let mut admitted = 0;
-        for _ in 0..10 {
-            if d.admit(&pkt(35), SimTime::ZERO) == AdmissionVerdict::Admit {
-                admitted += 1;
-            }
-        }
-        assert_eq!(admitted, 5, "override burst, not the default's 2");
+        assert_eq!(admitted(&mut d), 5, "the override's burst");
     }
 
     #[test]
     fn rebinding_does_not_mint_burst_capacity() {
         let mut d = PfDevice::new();
-        d.set_admission_control(Some(AdmissionConfig {
-            protected_priority: 255,
-            default_quota: tight_quota(),
-            ..Default::default()
-        }));
-        let p = d.open((ProcId(0), Fd(0)));
-        d.set_filter(p, samples::pup_socket_filter(10, 0, 35));
+        d.set_admission_control(Some(AdmissionConfig::default()));
+        let p = gated_port(&mut d, samples::pup_socket_filter(10, 0, 35), tight_quota());
         assert_eq!(d.admit(&pkt(35), SimTime::ZERO), AdmissionVerdict::Admit);
         assert_eq!(d.admit(&pkt(35), SimTime::ZERO), AdmissionVerdict::Admit);
         // Rebinding the same-quota filter must keep the drained bucket.
@@ -2216,21 +2103,16 @@ mod tests {
     #[test]
     fn admission_gate_sheds_range_filter_traffic_to_the_right_port() {
         let mut d = PfDevice::new();
-        d.set_admission_control(Some(AdmissionConfig {
-            protected_priority: 255,
-            default_quota: AdmissionQuota {
-                rate_pps: 0,
-                burst: 1,
-            },
-            ..Default::default()
-        }));
+        d.set_admission_control(Some(AdmissionConfig::default()));
         // Two port-range filters share the ethertype guard; the gate must
         // classify on the socket word (two distinct intervals) so each
         // port's overload is charged to that port, not the first entry.
-        let low = d.open((ProcId(0), Fd(0)));
-        d.set_filter(low, samples::socket_range_filter(10, 100, 200));
-        let high = d.open((ProcId(1), Fd(0)));
-        d.set_filter(high, samples::socket_range_filter(10, 300, 400));
+        let one = AdmissionQuota {
+            rate_pps: 0,
+            burst: 1,
+        };
+        let low = gated_port(&mut d, samples::socket_range_filter(10, 100, 200), one);
+        let high = gated_port(&mut d, samples::socket_range_filter(10, 300, 400), one);
         let now = SimTime::ZERO;
         assert_eq!(d.admit(&pkt(150), now), AdmissionVerdict::Admit);
         assert_eq!(
@@ -2257,8 +2139,6 @@ mod tests {
     fn mimicry_pressure_resignatures_the_gate_and_sheds_mimics() {
         let mut d = PfDevice::new();
         d.set_admission_control(Some(AdmissionConfig {
-            protected_priority: 192,
-            default_quota: tight_quota(),
             mimicry_threshold: Some(3),
             ..Default::default()
         }));
@@ -2295,11 +2175,7 @@ mod tests {
     #[test]
     fn mimicry_threshold_off_keeps_the_classic_gate() {
         let mut d = PfDevice::new();
-        d.set_admission_control(Some(AdmissionConfig {
-            protected_priority: 192,
-            default_quota: tight_quota(),
-            ..Default::default()
-        }));
+        d.set_admission_control(Some(AdmissionConfig::default()));
         let vip = d.open((ProcId(0), Fd(0)));
         d.set_filter(vip, samples::pup_socket_filter(200, 0, 35));
         let mimic = samples::pup_packet_3mb(9, 0, 35, 1);
@@ -2314,16 +2190,14 @@ mod tests {
         let burst_after_idle = |jitter: Option<u64>| {
             let mut d = PfDevice::new();
             d.set_admission_control(Some(AdmissionConfig {
-                protected_priority: 255,
-                default_quota: AdmissionQuota {
-                    rate_pps: 1_000,
-                    burst: 64,
-                },
                 refill_jitter_key: jitter,
                 ..Default::default()
             }));
-            let p = d.open((ProcId(0), Fd(0)));
-            d.set_filter(p, samples::pup_socket_filter(10, 0, 35));
+            let quota = AdmissionQuota {
+                rate_pps: 1_000,
+                burst: 64,
+            };
+            gated_port(&mut d, samples::pup_socket_filter(10, 0, 35), quota);
             // A long silence banks the full burst; then fire back-to-back
             // (no refill between probes: rate × 0 elapsed).
             let now = SimTime(10_000_000_000);
@@ -2344,16 +2218,14 @@ mod tests {
         let admitted_at_rate = |jitter: Option<u64>| {
             let mut d = PfDevice::new();
             d.set_admission_control(Some(AdmissionConfig {
-                protected_priority: 255,
-                default_quota: AdmissionQuota {
-                    rate_pps: 1_000,
-                    burst: 0,
-                },
                 refill_jitter_key: jitter,
                 ..Default::default()
             }));
-            let p = d.open((ProcId(0), Fd(0)));
-            d.set_filter(p, samples::pup_socket_filter(10, 0, 35));
+            let quota = AdmissionQuota {
+                rate_pps: 1_000,
+                burst: 0,
+            };
+            gated_port(&mut d, samples::pup_socket_filter(10, 0, 35), quota);
             // Steady traffic at the quota's rate: one frame a millisecond.
             (1..=100u64)
                 .filter(|&i| d.admit(&pkt(35), SimTime(i * 1_000_000)) == AdmissionVerdict::Admit)

@@ -48,9 +48,4 @@ pub trait KernelProtocol: Any {
     fn on_timer(&mut self, token: u64, k: &mut KernelCtx<'_>) {
         let _ = (token, k);
     }
-
-    /// A socket bound to this protocol was closed by its owner.
-    fn sock_closed(&mut self, sock: SockId, k: &mut KernelCtx<'_>) {
-        let _ = (sock, k);
-    }
 }

@@ -247,7 +247,6 @@ struct ProcSlot {
 struct Sock {
     owner: ProcId,
     proto: usize,
-    open: bool,
 }
 
 struct Pipe {
@@ -601,25 +600,6 @@ impl World {
         self.routers[router.0].forwarder.update_route(route)
     }
 
-    /// Crashes (`up = false`) or recovers (`up = true`) a router
-    /// immediately. A crashed router silently drops every arriving frame
-    /// and its forwarder receives no ticks; forwarder state survives the
-    /// outage.
-    pub fn set_router_up(&mut self, router: RouterId, up: bool) {
-        self.routers[router.0].up = up;
-    }
-
-    /// Whether a router is currently up.
-    pub fn router_up(&self, router: RouterId) -> bool {
-        self.routers[router.0].up
-    }
-
-    /// Sets a segment's administrative link state immediately (see
-    /// [`Network::set_link_state`]).
-    pub fn set_link_state(&mut self, segment: SegmentId, up: bool) {
-        self.net.set_link_state(segment, up);
-    }
-
     /// Schedules a router crash or recovery at virtual time `at`
     /// (routing-plane fault injection).
     pub fn schedule_router_state(&mut self, router: RouterId, up: bool, at: SimTime) {
@@ -682,11 +662,6 @@ impl World {
                 }
             }
         }
-    }
-
-    /// A host's overload-armor parameters, if armed.
-    pub fn overload_armor(&self, host: HostId) -> Option<OverloadConfig> {
-        self.hosts[host.0].overload
     }
 
     /// Whether any of a host's cores is currently polling its receive
@@ -1443,11 +1418,6 @@ impl ProcCtx<'_> {
         self.world.events.now()
     }
 
-    /// This process's id.
-    pub fn proc_id(&self) -> ProcId {
-        self.proc
-    }
-
     /// This host's id.
     pub fn host_id(&self) -> HostId {
         self.host
@@ -1558,14 +1528,6 @@ impl ProcCtx<'_> {
         if let Some(idx) = h.port_of(proc, fd) {
             h.device.set_port_quota(idx, quota);
         }
-    }
-
-    /// Dropped-packet count for a port (§3.3 status information).
-    pub fn pf_drops(&mut self, fd: Fd) -> u64 {
-        let proc = self.proc;
-        let h = self.h();
-        h.port_of(proc, fd)
-            .map_or(0, |idx| h.device.port(idx).drops)
     }
 
     /// Full status snapshot for a port (§3.3 status information plus the
@@ -1801,28 +1763,8 @@ impl ProcCtx<'_> {
             .iter()
             .position(|p| p.as_deref().is_some_and(|p| p.name() == proto_name))?;
         let id = SockId(h.socks.len());
-        h.socks.push(Sock {
-            owner: proc,
-            proto,
-            open: true,
-        });
+        h.socks.push(Sock { owner: proc, proto });
         Some(id)
-    }
-
-    /// Closes a kernel socket.
-    pub fn ksock_close(&mut self, sock: SockId) {
-        self.charge_syscall("sock:close");
-        let host = self.host;
-        let Some(s) = self.world.hosts[host.0].socks.get_mut(sock.0) else {
-            return;
-        };
-        if !s.open {
-            return;
-        }
-        s.open = false;
-        let proto = s.proto;
-        self.world
-            .invoke_proto(host, self.core, proto, |p, k| p.sock_closed(sock, k));
     }
 
     /// Issues a protocol-defined request on a kernel socket, transferring
@@ -1835,9 +1777,6 @@ impl ProcCtx<'_> {
         let Some(s) = self.world.hosts[host.0].socks.get(sock.0) else {
             return;
         };
-        if !s.open {
-            return;
-        }
         let proto = s.proto;
         if !data.is_empty() {
             let h = &mut self.world.hosts[host.0];
@@ -1895,11 +1834,6 @@ impl KernelCtx<'_> {
         h.cores[self.core].cpu.charge(routine, now, cost)
     }
 
-    /// Mutable access to the host's counters.
-    pub fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.world.hosts[self.host.0].counters
-    }
-
     /// Transmits a frame from kernel context (charges driver costs). Takes
     /// the buffer: it is the one that reaches the wire.
     pub fn transmit(&mut self, frame: Vec<u8>) {
@@ -1939,9 +1873,6 @@ impl KernelCtx<'_> {
         let Some(s) = self.world.hosts[host.0].socks.get(sock.0) else {
             return;
         };
-        if !s.open {
-            return;
-        }
         let proc = s.owner;
         let h = &mut self.world.hosts[host.0];
         let wake = h.costs.wakeup;
@@ -1964,14 +1895,5 @@ impl KernelCtx<'_> {
                 completion: Box::new((op, data, meta)),
             },
         );
-    }
-
-    /// The owner of a socket.
-    pub fn sock_owner(&self, sock: SockId) -> Option<ProcId> {
-        self.world.hosts[self.host.0]
-            .socks
-            .get(sock.0)
-            .filter(|s| s.open)
-            .map(|s| s.owner)
     }
 }

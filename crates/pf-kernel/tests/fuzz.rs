@@ -60,13 +60,25 @@ fn fuzz_packet(rng: &mut SplitMix64) -> Vec<u8> {
 
 fn fuzz_config(rng: &mut SplitMix64) -> AdmissionConfig {
     AdmissionConfig {
-        protected_priority: rng.next_u64() as u8,
-        default_quota: AdmissionQuota {
-            rate_pps: 1 + rng.below(10_000),
-            burst: 1 + rng.below(128),
-        },
         mimicry_threshold: rng.chance(0.4).then(|| 1 + rng.below(16) as u32),
         refill_jitter_key: rng.chance(0.4).then(|| rng.next_u64()),
+    }
+}
+
+/// A per-port quota: a tight one, a generous one, or none (the gate's
+/// default). Whether a port is protected comes from its filter's random
+/// priority.
+fn fuzz_quota(rng: &mut SplitMix64) -> Option<AdmissionQuota> {
+    match rng.below(3) {
+        0 => Some(AdmissionQuota {
+            rate_pps: 1 + rng.below(100),
+            burst: 1 + rng.below(8),
+        }),
+        1 => Some(AdmissionQuota {
+            rate_pps: 1 + rng.below(10_000),
+            burst: 1 + rng.below(128),
+        }),
+        _ => None,
     }
 }
 
@@ -87,15 +99,7 @@ fn gate_episode(seed: u64, iters: u32) -> Vec<u64> {
     }
     d.set_admission_control(Some(fuzz_config(&mut rng)));
     for &p in &ports {
-        if rng.chance(0.2) {
-            d.set_port_quota(
-                p,
-                Some(AdmissionQuota {
-                    rate_pps: 1 + rng.below(100),
-                    burst: 1 + rng.below(8),
-                }),
-            );
-        }
+        d.set_port_quota(p, fuzz_quota(&mut rng));
     }
 
     let mut digest = Vec::new();
@@ -146,7 +150,7 @@ fn gate_episode(seed: u64, iters: u32) -> Vec<u64> {
         if i % 997 == 0 && rng.chance(0.5) {
             let p = ports[rng.below(ports.len() as u64) as usize];
             match rng.below(3) {
-                0 => d.set_port_quota(p, None),
+                0 => d.set_port_quota(p, fuzz_quota(&mut rng)),
                 1 => {
                     d.set_filter(p, fuzz_filter(&mut rng));
                 }

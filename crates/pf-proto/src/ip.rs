@@ -302,11 +302,6 @@ impl KernelProtocol for KernelIp {
     fn on_timer(&mut self, token: u64, k: &mut KernelCtx<'_>) {
         tcp::on_timer(self, token, k);
     }
-
-    fn sock_closed(&mut self, sock: SockId, k: &mut KernelCtx<'_>) {
-        self.udp_binds.retain(|_, s| *s != sock);
-        tcp::sock_closed(self, sock, k);
-    }
 }
 
 #[cfg(test)]

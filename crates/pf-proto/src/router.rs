@@ -35,25 +35,13 @@ const MSG_LSU: u8 = 2;
 /// sync never exceeds a medium's maximum packet size).
 const LSU_CHUNK: usize = 40;
 
-/// Timing knobs of the neighbor-liveness state machine.
-#[derive(Debug, Clone, Copy)]
-pub struct HelloConfig {
-    /// How often each router interface emits a hello (and how often the
-    /// dead-interval scan runs — the forwarder tick).
-    pub hello_interval: SimDuration,
-    /// Silence on a neighbor after which it is declared dead. Should be
-    /// several hello intervals so one lost hello is not a failure.
-    pub dead_interval: SimDuration,
-}
+/// How often each hardened router interface emits a hello (and how often
+/// the dead-interval scan runs — the forwarder tick).
+pub const HELLO_INTERVAL: SimDuration = SimDuration::from_millis(20);
 
-impl Default for HelloConfig {
-    fn default() -> Self {
-        HelloConfig {
-            hello_interval: SimDuration::from_millis(20),
-            dead_interval: SimDuration::from_millis(60),
-        }
-    }
-}
+/// Silence on a neighbor after which it is declared dead: several hello
+/// intervals, so that one lost hello is not a failure.
+pub const DEAD_INTERVAL: SimDuration = SimDuration::from_millis(60);
 
 /// One router-neighbor adjacency as the liveness prober sees it.
 #[derive(Debug, Clone)]
@@ -92,7 +80,6 @@ struct LsRecord {
 /// triggered route recomputation over the residual topology.
 #[derive(Debug)]
 struct ControlPlane {
-    cfg: HelloConfig,
     /// Our topology node index.
     node: u16,
     /// The full plan, kept for residual-graph recomputation (the
@@ -160,7 +147,7 @@ fn decode_control(body: &[u8]) -> Option<(u8, u16, SimTime, Vec<LsRecord>)> {
 }
 
 impl ControlPlane {
-    fn new(topo: &Topology, node: NodeId, cfg: HelloConfig) -> Self {
+    fn new(topo: &Topology, node: NodeId) -> Self {
         let mut neighbors = Vec::new();
         for (vi, iface) in topo.interfaces(node).iter().enumerate() {
             for &m in topo.members(iface.link) {
@@ -183,7 +170,6 @@ impl ControlPlane {
             }
         }
         ControlPlane {
-            cfg,
             node: node.0 as u16,
             topo: topo.clone(),
             neighbors,
@@ -332,9 +318,9 @@ impl IpRouter {
     /// plane that probes neighbor liveness, fails over to precomputed
     /// loop-free backups the instant a neighbor dies, floods link-state
     /// updates, and reconverges over the residual topology.
-    pub fn for_node_hardened(topo: &Topology, node: pf_net::NodeId, cfg: HelloConfig) -> Self {
+    pub fn for_node_hardened(topo: &Topology, node: pf_net::NodeId) -> Self {
         let mut r = IpRouter::for_node(topo, node);
-        r.control = Some(ControlPlane::new(topo, node, cfg));
+        r.control = Some(ControlPlane::new(topo, node));
         r
     }
 
@@ -438,8 +424,7 @@ impl IpRouter {
         // Revival grace: a tick gap longer than the dead interval means
         // we were crashed, and every liveness timer is stale. Reset them
         // instead of declaring the whole neighborhood dead at once.
-        if cp.last_tick > SimTime::ZERO && now.saturating_since(cp.last_tick) > cp.cfg.dead_interval
-        {
+        if cp.last_tick > SimTime::ZERO && now.saturating_since(cp.last_tick) > DEAD_INTERVAL {
             for n in &mut cp.neighbors {
                 n.last_heard = now;
             }
@@ -464,7 +449,7 @@ impl IpRouter {
                 let n = &cp.neighbors[i];
                 (n.alive, n.last_heard, n.node)
             };
-            if alive && now.saturating_since(heard) > cp.cfg.dead_interval {
+            if alive && now.saturating_since(heard) > DEAD_INTERVAL {
                 cp.neighbors[i].alive = false;
                 self.stats.neighbors_lost += 1;
                 self.failover_around(cp, i);
@@ -635,7 +620,7 @@ impl Forwarder for IpRouter {
     }
 
     fn tick_interval(&self) -> Option<SimDuration> {
-        self.control.as_ref().map(|cp| cp.cfg.hello_interval)
+        self.control.as_ref().map(|_| HELLO_INTERVAL)
     }
 }
 
@@ -704,27 +689,22 @@ pub fn ip_frame(
 /// [`FabricSchedule`](pf_net::FabricSchedule) attached to the plan is
 /// replayed against the world as scheduled router/link state flips.
 pub fn deploy(topo: &Topology, world: &mut World, costs: &CostModel) -> DeployedTopology {
-    deploy_with(topo, world, costs, None)
+    deploy_with(topo, world, costs, false)
 }
 
 /// Like [`deploy`], but every router runs the hardened forwarder
 /// ([`IpRouter::for_node_hardened`]): liveness probing, backup
-/// failover, link-state flooding, and bounded reconvergence under the
-/// given [`HelloConfig`].
-pub fn deploy_hardened(
-    topo: &Topology,
-    world: &mut World,
-    costs: &CostModel,
-    cfg: HelloConfig,
-) -> DeployedTopology {
-    deploy_with(topo, world, costs, Some(cfg))
+/// failover, link-state flooding, and bounded reconvergence, on
+/// [`HELLO_INTERVAL`] and [`DEAD_INTERVAL`].
+pub fn deploy_hardened(topo: &Topology, world: &mut World, costs: &CostModel) -> DeployedTopology {
+    deploy_with(topo, world, costs, true)
 }
 
 fn deploy_with(
     topo: &Topology,
     world: &mut World,
     costs: &CostModel,
-    hardened: Option<HelloConfig>,
+    hardened: bool,
 ) -> DeployedTopology {
     let segments: Vec<SegmentId> = (0..topo.link_count())
         .map(|l| {
@@ -743,9 +723,10 @@ fn deploy_with(
                     Some(world.add_host(topo.name(node), segments[i.link.0], i.eth, costs.clone()));
             }
             NodeKind::Router => {
-                let fwd: Box<dyn Forwarder> = match hardened {
-                    Some(cfg) => Box::new(IpRouter::for_node_hardened(topo, node, cfg)),
-                    None => Box::new(IpRouter::for_node(topo, node)),
+                let fwd: Box<dyn Forwarder> = if hardened {
+                    Box::new(IpRouter::for_node_hardened(topo, node))
+                } else {
+                    Box::new(IpRouter::for_node(topo, node))
                 };
                 let stations: Vec<(SegmentId, u64)> = topo
                     .interfaces(node)
@@ -1128,7 +1109,7 @@ mod tests {
     fn dead_interval_failover_floods_and_reconverges() {
         let (t, r, h) = ring4();
         // r2's interfaces: 0 → r1, 1 → r3, 2 → its host LAN.
-        let mut fwd = IpRouter::for_node_hardened(&t, r[2], HelloConfig::default());
+        let mut fwd = IpRouter::for_node_hardened(&t, r[2]);
         assert_eq!(fwd.tick_interval(), Some(SimDuration::from_millis(20)));
         assert_eq!(
             fwd.route_table().lookup(t.ip(h[1])).unwrap().iface,
@@ -1191,7 +1172,7 @@ mod tests {
     fn remote_lsu_reroutes_and_refloods_split_horizon() {
         let (t, r, h) = ring4();
         // r0's interfaces: 0 → r1, 1 → r3, 2 → its host LAN.
-        let mut fwd = IpRouter::for_node_hardened(&t, r[0], HelloConfig::default());
+        let mut fwd = IpRouter::for_node_hardened(&t, r[0]);
         assert_eq!(fwd.route_table().lookup(t.ip(h[2])).unwrap().iface, 0);
         let rec = LsRecord {
             origin: r[1].0 as u16,
@@ -1233,7 +1214,7 @@ mod tests {
     #[test]
     fn revival_grace_resets_liveness_timers_after_own_outage() {
         let (t, r, _h) = ring4();
-        let mut fwd = IpRouter::for_node_hardened(&t, r[2], HelloConfig::default());
+        let mut fwd = IpRouter::for_node_hardened(&t, r[2]);
         fwd.forward(1, &hello_from(&t, r[3], r[2], ms(15)));
         fwd.tick(ms(20));
         // A 300ms tick gap models our own crash and restart: stale

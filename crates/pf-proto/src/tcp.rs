@@ -217,17 +217,6 @@ pub(crate) fn user_close(kip: &mut KernelIp, sock: SockId, k: &mut KernelCtx<'_>
     pump(kip, ci, k);
 }
 
-/// The socket itself went away: drop state.
-pub(crate) fn sock_closed(kip: &mut KernelIp, sock: SockId, k: &mut KernelCtx<'_>) {
-    kip.tcp.listens.retain(|_, s| *s != sock);
-    for c in kip.tcp.conns.iter_mut().filter(|c| c.sock == sock) {
-        c.state = ConnState::Closed;
-        if let Some(t) = c.timer.take() {
-            k.cancel_timer(t);
-        }
-    }
-}
-
 /// A TCP segment arrived inside an IP packet from `src_ip`/`eth_src`.
 pub(crate) fn tcp_input(
     kip: &mut KernelIp,

@@ -245,15 +245,6 @@ impl KernelProtocol for KernelVmtp {
             .on_timer(crate::vmtp::VMTP_RTO_TOKEN, &mut self.fx);
         self.apply_client(sock, k);
     }
-
-    fn sock_closed(&mut self, sock: SockId, k: &mut KernelCtx<'_>) {
-        if let Some(slot) = self.clients.remove(&sock) {
-            if let Some(h) = slot.timer {
-                k.cancel_timer(h);
-            }
-        }
-        self.servers.retain(|_, (_, s)| *s != sock);
-    }
 }
 
 /// A client process using the kernel-resident VMTP: one system call per

@@ -85,7 +85,6 @@ pub struct VmtpUserClient {
     workload: Workload,
     input: ClientInput,
     batch: bool,
-    checksummed: bool,
     /// Queue depth at which the kernel should notify this client of
     /// backpressure; the machine answers by raising its pacing delay.
     backpressure_mark: Option<usize>,
@@ -121,7 +120,6 @@ impl VmtpUserClient {
             workload,
             input: ClientInput::PacketFilter,
             batch: true,
-            checksummed: false,
             backpressure_mark: None,
             per_byte_cost: SimDuration::ZERO,
             fd: None,
@@ -134,14 +132,6 @@ impl VmtpUserClient {
             finished_at: None,
             failed_at: None,
         }
-    }
-
-    /// Sends checksummed VMTP packets and relies on the wire checksum to
-    /// reject corrupt responses (the chaos experiments; the paper's
-    /// implementations did not checksum).
-    pub fn with_checksums(mut self) -> Self {
-        self.checksummed = true;
-        self
     }
 
     /// Overrides the machine's retry policy (backoff cap, give-up
@@ -245,7 +235,7 @@ impl VmtpUserClient {
             match e {
                 VEffect::Send(pkt, eth_dst) => {
                     k.compute("user:vmtp", USER_VMTP_COST);
-                    let f = pkt.encode_frame_opts(&medium, eth_dst, my_eth, self.checksummed);
+                    let f = pkt.encode_frame(&medium, eth_dst, my_eth);
                     let _ = k.pf_write_owned(self.fd.expect("port open"), f);
                 }
                 VEffect::SetTimer(d, token) => {
@@ -372,7 +362,6 @@ pub struct VmtpUserServer {
     entity: u32,
     machine: ServerMachine,
     batch: bool,
-    checksummed: bool,
     fd: Option<Fd>,
     /// Effect vectors to lend the machine, one a call in progress.
     spare_fx: Vec<Vec<VEffect>>,
@@ -389,7 +378,6 @@ impl VmtpUserServer {
             entity,
             machine: ServerMachine::new(entity),
             batch: true,
-            checksummed: false,
             fd: None,
             spare_fx: Vec::new(),
             served: 0,
@@ -400,13 +388,6 @@ impl VmtpUserServer {
     /// Disables received-packet batching.
     pub fn without_batching(mut self) -> Self {
         self.batch = false;
-        self
-    }
-
-    /// Sends checksummed VMTP packets (see
-    /// [`VmtpUserClient::with_checksums`]).
-    pub fn with_checksums(mut self) -> Self {
-        self.checksummed = true;
         self
     }
 
@@ -430,7 +411,7 @@ impl VmtpUserServer {
             match e {
                 VEffect::Send(pkt, eth_dst) => {
                     k.compute("user:vmtp", USER_VMTP_COST);
-                    let f = pkt.encode_frame_opts(&medium, eth_dst, my_eth, self.checksummed);
+                    let f = pkt.encode_frame(&medium, eth_dst, my_eth);
                     let _ = k.pf_write_owned(self.fd.expect("port open"), f);
                 }
                 VEffect::DeliverRequest {

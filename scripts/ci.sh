@@ -65,8 +65,12 @@ done
 # generator and contract tests, then one --smoke pass per workload of
 # BENCHMARK.json (read from it, so that none can be skipped) — every code
 # path and correctness check at sizes that take seconds. The last output
-# line is the result object; it must parse and say "correct":true.
-run cargo test --offline --manifest-path bench/Cargo.toml -q
+# line is the result object; it must parse and say "correct":true. The
+# tests build with warnings as errors: bench/ is frozen while a benchmark
+# claim rests on it, so an API change in crates/ that leaves it compiling
+# with a warning fails here. (Rustc warnings only: bench/ is not held to
+# clippy.)
+run env RUSTFLAGS="-D warnings" cargo test --offline --manifest-path bench/Cargo.toml -q
 workloads="$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
 for workload in $workloads; do
     echo "==> pf-benchmark --workload $workload --smoke --trace 0"

@@ -230,3 +230,91 @@ fn geom_charges_each_candidate_its_threaded_op_count() {
         6
     );
 }
+
+/// Two overlapping ports of one priority, the earlier rebound mid-class:
+/// under every engine the earlier port still takes the frames both
+/// accept, and a compiled engine moves the rebound port in place.
+#[test]
+fn a_mid_class_rebind_keeps_port_order_without_a_rebuild() {
+    let frames: Vec<Vec<u8>> = [31u16, 35, 36, 39, 45]
+        .iter()
+        .map(|&s| samples::pup_packet_3mb(2, 0, s, 1))
+        .collect();
+    let run = |engine: DemuxEngine| {
+        let mut dev = PfDevice::new();
+        dev.set_adaptive_reorder(false);
+        dev.set_engine(engine);
+        let first = dev.open((ProcId(0), Fd(0)));
+        let second = dev.open((ProcId(0), Fd(1)));
+        assert!(dev.set_filter(first, samples::pup_socket_filter(10, 0, 35)));
+        assert!(dev.set_filter(second, samples::socket_range_filter(10, 30, 40)));
+        let rebuilds = dev.engine_stats().engine_rebuilds;
+        assert!(dev.set_filter(first, samples::socket_range_filter(10, 33, 37)));
+        assert_eq!(
+            dev.engine_stats().engine_rebuilds,
+            rebuilds,
+            "{engine:?}: the rebind rebuilt the set"
+        );
+        let accepted: Vec<Vec<usize>> = frames
+            .iter()
+            .map(|f| dev.demux(f).accepted.clone())
+            .collect();
+        assert_eq!(accepted[1], vec![first], "{engine:?}");
+        accepted
+    };
+    let sequential = run(DemuxEngine::Sequential);
+    for engine in [DemuxEngine::DecisionTable, DemuxEngine::Geom] {
+        assert_eq!(run(engine), sequential, "{engine:?}");
+    }
+}
+
+/// Opens one packet-filter port bound to `filter` and reads everything
+/// it accepts.
+struct Reader {
+    filter: packet_filter::filter::program::FilterProgram,
+    got: u64,
+}
+
+impl App for Reader {
+    fn start(&mut self, k: &mut ProcCtx<'_>) {
+        let fd = k.pf_open();
+        k.pf_set_filter(fd, self.filter.clone());
+        k.pf_read(fd);
+    }
+    fn on_packets(&mut self, fd: Fd, packets: Vec<RecvPacket>, k: &mut ProcCtx<'_>) {
+        self.got += packets.len() as u64;
+        k.pf_read(fd);
+    }
+}
+
+/// A filter the decision table cannot fold into a table is interpreted on
+/// every frame: that costs the table what it costs the sequential walk,
+/// plus the one probe an empty table still charges.
+#[test]
+fn a_residual_filter_costs_the_decision_table_the_walk_plus_one_probe() {
+    const FRAMES: u64 = 10;
+    let run = |engine: DemuxEngine| {
+        let mut w = World::new(5);
+        let seg = w.add_segment(Medium::experimental_3mb(), FaultModel::default());
+        let h = w.add_host("rx", seg, 0x0B, CostModel::microvax_ii());
+        w.set_demux_engine(h, engine);
+        let filter = samples::socket_range_filter(10, 40, 49);
+        let p = w.spawn(h, Box::new(Reader { filter, got: 0 }));
+        // Far enough apart that every frame is demultiplexed and read alone.
+        for i in 1..=FRAMES {
+            let frame = samples::pup_packet_3mb(2, 0, 44, 1);
+            w.inject_frame(h, frame, SimTime(i * 100_000_000));
+        }
+        w.run();
+        let got = w.app_ref::<Reader>(h, p).unwrap().got;
+        assert_eq!(got, FRAMES, "{engine:?}");
+        (w.profiler(h).time_with_prefix("pf:"), *w.counters(h))
+    };
+    let (walk_time, walk) = run(DemuxEngine::Sequential);
+    let (table_time, table) = run(DemuxEngine::DecisionTable);
+    let probe = CostModel::microvax_ii().dtree_probe;
+    assert_eq!(table_time, walk_time + probe.times(FRAMES));
+    assert_eq!(table.filters_applied, walk.filters_applied);
+    assert_eq!(table.filter_instructions, walk.filter_instructions);
+    assert!(walk.filter_instructions > 0);
+}

@@ -1,12 +1,14 @@
 //! Seeded churn differential for `PfDevice` under a compiled engine.
 //!
-//! The device updates its compiled set in place on bind, close and
-//! quarantine, and falls back to a full rebuild only for rebinds that land
-//! mid-class. This harness drives a device through a random history of
-//! exactly those operations and, after every step, holds it to two
-//! references that share none of that machinery: a device built from
-//! scratch with the live ports, and a `CheckedInterpreter` walk in
-//! `(priority, insertion)` order.
+//! The device updates its compiled set in place on bind, rebind, close and
+//! quarantine, and rebuilds it only when the instruction budget changes.
+//! This harness drives a device through a random history of exactly those
+//! operations and, after every step, holds it to two references that
+//! share none of that machinery: a device built from scratch with the
+//! live ports, and a `CheckedInterpreter` walk in `(priority, port index)`
+//! order. It also holds the device to its own rules: no other step
+//! rebuilds the set, and only a quarantined port's filter ever overruns
+//! the budget.
 //!
 //! Shared by the facade's `tests/device_churn.rs` (tier-1) and the
 //! 10k-step lane in `crates/pf-kernel/tests/fuzz.rs` (`#[path]` include),
@@ -105,6 +107,7 @@ pub fn run(engine: DemuxEngine, seed: u64, steps: u32) {
     let mut shadow: Vec<Shadow> = Vec::new();
     let mut budget: Option<u32> = None;
     let probes = probes();
+    let mut rebuilt_before = dev.engine_stats().engine_rebuilds;
 
     // A step that finds no port to act on is drawn again, not counted.
     let mut step = 0;
@@ -212,6 +215,11 @@ pub fn run(engine: DemuxEngine, seed: u64, steps: u32) {
         };
         let ctx = format!("{engine:?} seed {seed} step {step} ({what})");
         step += 1;
+        let rebuilds = dev.engine_stats().engine_rebuilds;
+        if what != "set_instruction_budget" {
+            assert_eq!(rebuilds, rebuilt_before, "{ctx}: rebuilt the set");
+        }
+        rebuilt_before = rebuilds;
 
         // Reference (i): a device built from scratch with the live ports.
         let live: Vec<usize> = (0..shadow.len()).filter(|&i| shadow[i].open).collect();
@@ -225,8 +233,8 @@ pub fn run(engine: DemuxEngine, seed: u64, steps: u32) {
             }
             fresh.port_mut(p).config.deliver_to_lower = shadow[i].deliver_to_lower;
         }
-        // Reference (ii): the checked interpreter, in (priority, insertion)
-        // order, under the same budget.
+        // Reference (ii): the checked interpreter, in (priority, port
+        // index) order, under the same budget.
         let mut walk: Vec<usize> = live
             .iter()
             .copied()
@@ -254,19 +262,29 @@ pub fn run(engine: DemuxEngine, seed: u64, steps: u32) {
         };
 
         for (n, frame) in probes.iter().enumerate() {
+            let overruns = |dev: &PfDevice| -> Vec<u64> {
+                live.iter().map(|&i| dev.port(i).budget_overruns).collect()
+            };
+            let before = overruns(&dev);
             let out = dev.demux(frame);
+            let (accepted, overran) = (out.accepted.clone(), u64::from(out.budget_overruns));
+            let after = overruns(&dev);
+            for (k, &i) in live.iter().enumerate() {
+                assert!(
+                    after[k] == before[k] || dev.port(i).quarantined.is_some(),
+                    "{ctx}, probe {n}: port {i} overran unquarantined"
+                );
+            }
+            let grew = after.iter().sum::<u64>() - before.iter().sum::<u64>();
+            assert_eq!(overran, grew, "{ctx}, probe {n}: overruns vs the ports'");
             let rebuilt: Vec<usize> = fresh
                 .demux(frame)
                 .accepted
                 .iter()
                 .map(|&p| live[p])
                 .collect();
-            assert_eq!(out.accepted, rebuilt, "{ctx}, probe {n}: vs a fresh device");
-            assert_eq!(
-                out.accepted,
-                oracle(frame),
-                "{ctx}, probe {n}: vs the oracle"
-            );
+            assert_eq!(accepted, rebuilt, "{ctx}, probe {n}: vs a fresh device");
+            assert_eq!(accepted, oracle(frame), "{ctx}, probe {n}: vs the oracle");
         }
         let order = dev.order();
         assert_eq!(order.len(), live.len(), "{ctx}: open ports");

@@ -17,7 +17,7 @@ use pf_net::medium::Medium;
 use pf_net::segment::FaultModel;
 use pf_net::{LinkId, NodeId, Topology};
 use pf_proto::ip::PROTO_UDP;
-use pf_proto::router::{deploy_hardened, ip_frame, HelloConfig};
+use pf_proto::router::{deploy_hardened, ip_frame};
 use pf_sim::cost::CostModel;
 use pf_sim::time::{SimDuration, SimTime};
 
@@ -72,12 +72,7 @@ pub struct History {
 pub fn run(ring: usize, seed: u64) -> History {
     let (topo, routers, hosts) = chaos_ring(ring);
     let mut w = World::new(seed);
-    let d = deploy_hardened(
-        &topo,
-        &mut w,
-        &CostModel::microvax_ii(),
-        HelloConfig::default(),
-    );
+    let d = deploy_hardened(&topo, &mut w, &CostModel::microvax_ii());
 
     // Cross-ring traffic before, during, and after the fault windows,
     // from every host to its antipode and its neighbor.
