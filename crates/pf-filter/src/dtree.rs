@@ -4,24 +4,27 @@
 //! possible to compile the set of active filters into a decision table,
 //! which should provide the best possible performance."
 //!
-//! [`FilterSet`] implements that proposal without redesigning the language:
-//! a symbolic analyzer recognizes filters that are conjunctions of
-//! *packet-word equals constant* tests — the overwhelmingly common shape in
-//! practice (figure 3-9, every demultiplexing filter) — and folds them into
-//! hash tables keyed by the tested words. Evaluating a packet then costs
-//! one hash probe per distinct *shape* (set of tested word indices) instead
-//! of one interpretation per filter. Filters the analyzer cannot convert
-//! are kept on a sequential fallback list and interpreted as usual, so the
-//! set accepts arbitrary programs and remains observationally identical to
+//! [`FilterSet`] implements that proposal without redesigning the language.
+//! It reads each filter's [`Form`]: a filter whose form is a disjunction
+//! of conjunctions of *packet-word equals constant* tests — the
+//! overwhelmingly common shape in practice (figure 3-9, every
+//! demultiplexing filter) — is folded into hash tables keyed by the tested
+//! words, one entry a disjunct. Evaluating a packet then costs one hash
+//! probe per distinct *shape* (set of tested word indices) instead of one
+//! interpretation per filter. Any other filter — an `Opaque` form, an
+//! ordering compare, a disjunct a probe cannot stand for
+//! ([`Disjunct::covers`](crate::form::Disjunct::covers)) — is kept on a
+//! sequential fallback list and interpreted as usual, so the set accepts
+//! arbitrary programs and remains observationally identical to
 //! priority-ordered sequential interpretation (a property test verifies
 //! this). Those interpretations are the set's only per-filter work, and
 //! [`FilterSet::matches_reporting`] hands each one to the caller to be
 //! charged.
 
+use crate::form::Form;
 use crate::interp::{CheckedInterpreter, EvalStats};
 use crate::packet::PacketView;
 use crate::program::FilterProgram;
-use crate::word::{BinaryOp, Instr, StackAction};
 use std::collections::HashMap;
 
 /// Identifier a caller associates with each filter in the set (a port
@@ -51,10 +54,10 @@ pub type FilterId = u32;
 pub struct FilterSet {
     /// Table-compiled filters, grouped by shape.
     shapes: Vec<Shape>,
-    /// Filters the analyzer could not convert; interpreted sequentially.
+    /// Filters no table can hold; interpreted sequentially.
     residual: Vec<Residual>,
     /// All members, for removal and introspection.
-    members: HashMap<FilterId, MemberInfo>,
+    members: HashMap<FilterId, MemberKind>,
 }
 
 /// How a member is executed.
@@ -67,11 +70,6 @@ pub enum MemberKind {
     /// Statically can never match (contradictory constraints); stored but
     /// never consulted.
     NeverMatches,
-}
-
-#[derive(Debug)]
-struct MemberInfo {
-    kind: MemberKind,
 }
 
 /// One decision table: all table-compiled filters that test exactly the
@@ -117,7 +115,7 @@ impl FilterSet {
     pub fn table_compiled(&self) -> usize {
         self.members
             .values()
-            .filter(|m| m.kind == MemberKind::Table)
+            .filter(|&&kind| kind == MemberKind::Table)
             .count()
     }
 
@@ -128,42 +126,29 @@ impl FilterSet {
 
     /// How a given filter is executed, if present.
     pub fn member_kind(&self, id: FilterId) -> Option<MemberKind> {
-        self.members.get(&id).map(|m| m.kind)
+        self.members.get(&id).copied()
     }
 
     /// Inserts (or replaces) the filter for `id`.
     pub fn insert(&mut self, id: FilterId, program: FilterProgram) {
         self.remove(id);
         let priority = program.priority();
-        let kind = match analyze(&program) {
-            Analysis::Conjunction(constraints) => {
-                match normalize(constraints) {
-                    Some(pairs) => {
-                        self.insert_table(Entry { id, priority }, pairs);
-                        MemberKind::Table
-                    }
-                    // Contradictory constraints: never matches anything.
-                    None => MemberKind::NeverMatches,
+        // The form is dropped before the table grows: a temporary that
+        // outlived the table's allocations left them where glibc trimmed
+        // the heap under them between `overload_flood`'s set-ups (29×
+        // the minor faults, `setup_s` 2.3×).
+        let entries = table_entries(&Form::of(&program));
+        let kind = match entries {
+            // One table entry per satisfiable disjunct; `matches`
+            // deduplicates ids so overlapping disjuncts deliver once.
+            Some(entries) if !entries.is_empty() => {
+                for pairs in entries {
+                    self.insert_table(Entry { id, priority }, pairs);
                 }
+                MemberKind::Table
             }
-            Analysis::Disjunction(branches) => {
-                // One table entry per satisfiable branch; `matches`
-                // deduplicates ids so overlapping branches deliver once.
-                let mut normalized: Vec<Vec<(u16, u16)>> =
-                    branches.into_iter().filter_map(normalize).collect();
-                normalized.sort();
-                normalized.dedup();
-                if normalized.is_empty() {
-                    MemberKind::NeverMatches
-                } else {
-                    for pairs in normalized {
-                        self.insert_table(Entry { id, priority }, pairs);
-                    }
-                    MemberKind::Table
-                }
-            }
-            Analysis::NeverMatches => MemberKind::NeverMatches,
-            Analysis::Opaque => {
+            Some(_) => MemberKind::NeverMatches,
+            None => {
                 self.residual.push(Residual {
                     id,
                     priority,
@@ -172,15 +157,15 @@ impl FilterSet {
                 MemberKind::Residual
             }
         };
-        self.members.insert(id, MemberInfo { kind });
+        self.members.insert(id, kind);
     }
 
     /// Removes the filter for `id`; returns whether it was present.
     pub fn remove(&mut self, id: FilterId) -> bool {
-        let Some(info) = self.members.remove(&id) else {
+        let Some(kind) = self.members.remove(&id) else {
             return false;
         };
-        match info.kind {
+        match kind {
             MemberKind::Residual => self.residual.retain(|r| r.id != id),
             MemberKind::Table => {
                 for shape in &mut self.shapes {
@@ -278,221 +263,24 @@ impl FilterSet {
     }
 }
 
-/// Result of symbolically analyzing a program.
-enum Analysis {
-    /// Accepts exactly the packets satisfying all `(word, value)` equality
-    /// constraints (unnormalized; may repeat or contradict).
-    Conjunction(Vec<(u16, u16)>),
-    /// Accepts exactly the packets satisfying *any* of the constraint
-    /// lists (a `COR` chain, e.g. `type == 2 || type == 6`); each disjunct
-    /// gets its own decision-table entry.
-    Disjunction(Vec<Vec<(u16, u16)>>),
-    /// Statically rejects every packet.
-    NeverMatches,
-    /// Not convertible; interpret it.
-    Opaque,
-}
-
-/// Symbolic stack values for the analyzer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Sym {
-    /// A compile-time constant.
-    Const(u16),
-    /// The value of packet word `n`.
-    Word(u16),
-    /// A boolean that is TRUE iff all listed `(word, value)` equalities
-    /// hold. The empty list is constant TRUE.
-    Conj(Vec<(u16, u16)>),
-}
-
-/// Symbolically evaluates a program, recognizing pure conjunctions of
-/// word/constant equalities.
-fn analyze(program: &FilterProgram) -> Analysis {
-    let words = program.words();
-    // Zero-length filters accept everything (historical semantics).
-    if words.is_empty() {
-        return Analysis::Conjunction(Vec::new());
+/// The table entries a filter's form folds into, as sorted, deduplicated
+/// `(word, value)` lists: one per satisfiable disjunct, none for a filter
+/// that never accepts. `None` keeps the filter on the interpreted list: an
+/// `Opaque` form, an ordering compare (a point it pins stays an interval
+/// test), or a disjunct a probe cannot stand for.
+fn table_entries(form: &Form) -> Option<Vec<Vec<(u16, u16)>>> {
+    let disjuncts = form.disjuncts().filter(|_| !form.is_ordered())?;
+    if !disjuncts.iter().all(|d| d.covers()) {
+        return None;
     }
-    let mut stack: Vec<Sym> = Vec::new();
-    // Equalities implied by continuing past a CAND.
-    let mut path: Vec<(u16, u16)> = Vec::new();
-    // Alternatives accumulated from continuing past CORs: each would have
-    // accepted on its own. Only tracked for pure COR chains (no CANDs).
-    let mut alternatives: Vec<Vec<(u16, u16)>> = Vec::new();
-    // The highest packet word read so far. Reading it faults (rejects) on
-    // a shorter packet, so an accepting branch becomes a table entry only
-    // if one of its own constraints reaches at least this word — a table
-    // probe skips a packet too short for any tested word.
-    let mut max_read: Option<u16> = None;
-    let covers = |constraints: &[(u16, u16)], max_read: Option<u16>| {
-        max_read.is_none_or(|m| constraints.iter().any(|&(w, _)| w >= m))
-    };
-    let mut pc = 0usize;
-
-    while pc < words.len() {
-        let Some(instr) = Instr::decode(words[pc]) else {
-            return Analysis::Opaque;
-        };
-        pc += 1;
-        if instr.is_extended() {
-            return Analysis::Opaque;
-        }
-
-        match instr.action {
-            StackAction::NoPush => {}
-            StackAction::PushLit => {
-                let Some(&lit) = words.get(pc) else {
-                    return Analysis::Opaque;
-                };
-                pc += 1;
-                stack.push(Sym::Const(lit));
-            }
-            StackAction::PushWord(n) => {
-                max_read = max_read.max(Some(u16::from(n)));
-                stack.push(Sym::Word(u16::from(n)));
-            }
-            StackAction::PushInd => return Analysis::Opaque,
-            named => stack.push(Sym::Const(named.constant().unwrap_or_default())),
-        }
-
-        if instr.op.pops() {
-            if stack.len() < 2 {
-                return Analysis::Opaque;
-            }
-            let t1 = stack.pop().expect("len checked");
-            let t2 = stack.pop().expect("len checked");
-            match instr.op {
-                BinaryOp::Eq => match eq_test(&t2, &t1) {
-                    Some(sym) => stack.push(sym),
-                    None => return Analysis::Opaque,
-                },
-                BinaryOp::And => match conj_and(&t2, &t1) {
-                    Some(sym) => stack.push(sym),
-                    None => return Analysis::Opaque,
-                },
-                BinaryOp::Cand => {
-                    if !alternatives.is_empty() {
-                        // Mixed COR/CAND forms stay residual.
-                        return Analysis::Opaque;
-                    }
-                    match eq_test(&t2, &t1) {
-                        // Continuing past CAND implies the equality held
-                        // and pushes TRUE.
-                        Some(Sym::Conj(cs)) => {
-                            path.extend(cs);
-                            stack.push(Sym::Const(1));
-                        }
-                        Some(Sym::Const(0)) => return Analysis::NeverMatches,
-                        Some(Sym::Const(_)) => stack.push(Sym::Const(1)),
-                        _ => return Analysis::Opaque,
-                    }
-                }
-                BinaryOp::Cor => {
-                    if !path.is_empty() {
-                        // A COR below CAND path constraints would need
-                        // per-branch paths; keep such filters residual.
-                        return Analysis::Opaque;
-                    }
-                    match eq_test(&t2, &t1) {
-                        // Terminating accepts on the equality alone;
-                        // continuing pushes FALSE.
-                        Some(Sym::Conj(cs)) if covers(&cs, max_read) => {
-                            alternatives.push(cs);
-                            stack.push(Sym::Const(0));
-                        }
-                        // A constant-TRUE COR accepts every packet long
-                        // enough for the words read before it.
-                        Some(Sym::Const(c)) if c != 0 && max_read.is_none() => {
-                            return Analysis::Conjunction(Vec::new())
-                        }
-                        Some(Sym::Const(c)) if c != 0 => return Analysis::Opaque,
-                        Some(Sym::Const(_)) => stack.push(Sym::Const(0)),
-                        _ => return Analysis::Opaque,
-                    }
-                }
-                _ => return Analysis::Opaque,
-            }
-        }
-    }
-
-    let final_conj = match stack.last() {
-        None => None, // empty stack at exit rejects
-        Some(Sym::Const(0)) => None,
-        Some(Sym::Const(_)) => Some(path.clone()),
-        Some(Sym::Conj(cs)) => {
-            let mut all = path.clone();
-            all.extend(cs.iter().copied());
-            Some(all)
-        }
-        Some(Sym::Word(_)) => return Analysis::Opaque,
-    };
-    if final_conj.as_ref().is_some_and(|c| !covers(c, max_read)) {
-        return Analysis::Opaque;
-    }
-    if alternatives.is_empty() {
-        match final_conj {
-            Some(c) => Analysis::Conjunction(c),
-            None => Analysis::NeverMatches,
-        }
-    } else {
-        // Accept if any COR alternative matched, or the final expression
-        // does. (With alternatives present, `path` is empty by
-        // construction.)
-        if let Some(c) = final_conj {
-            alternatives.push(c);
-        }
-        Analysis::Disjunction(alternatives)
-    }
-}
-
-/// Symbolic `EQ`: word-vs-constant gives a `Conj`, constants fold.
-fn eq_test(t2: &Sym, t1: &Sym) -> Option<Sym> {
-    Some(match (t2, t1) {
-        (Sym::Word(n), Sym::Const(c)) | (Sym::Const(c), Sym::Word(n)) => Sym::Conj(vec![(*n, *c)]),
-        (Sym::Const(a), Sym::Const(b)) => Sym::Const(u16::from(a == b)),
-        _ => return None,
-    })
-}
-
-/// Symbolic bitwise `AND` restricted to boolean-valued operands.
-fn conj_and(t2: &Sym, t1: &Sym) -> Option<Sym> {
-    // Only sound when both sides are known to be 0/1-valued (Conj, or the
-    // constants 0/1). Arbitrary constants would make `AND` bit-twiddling.
-    fn as_bool(s: &Sym) -> Option<BoolSym> {
-        match s {
-            Sym::Conj(cs) => Some(BoolSym::Conj(cs.clone())),
-            Sym::Const(0) => Some(BoolSym::False),
-            Sym::Const(1) => Some(BoolSym::True),
-            _ => None,
-        }
-    }
-    enum BoolSym {
-        True,
-        False,
-        Conj(Vec<(u16, u16)>),
-    }
-    let (a, b) = (as_bool(t2)?, as_bool(t1)?);
-    Some(match (a, b) {
-        (BoolSym::False, _) | (_, BoolSym::False) => Sym::Const(0),
-        (BoolSym::True, BoolSym::True) => Sym::Const(1),
-        (BoolSym::True, BoolSym::Conj(c)) | (BoolSym::Conj(c), BoolSym::True) => Sym::Conj(c),
-        (BoolSym::Conj(mut c1), BoolSym::Conj(c2)) => {
-            c1.extend(c2);
-            Sym::Conj(c1)
-        }
-    })
-}
-
-/// Sorts and deduplicates constraints; `None` if contradictory.
-fn normalize(mut constraints: Vec<(u16, u16)>) -> Option<Vec<(u16, u16)>> {
-    constraints.sort_unstable();
-    constraints.dedup();
-    for pair in constraints.windows(2) {
-        if pair[0].0 == pair[1].0 {
-            return None; // same word constrained to two different values
-        }
-    }
-    Some(constraints)
+    let mut entries: Vec<Vec<(u16, u16)>> = disjuncts
+        .iter()
+        .filter_map(|d| d.normalized())
+        .map(|atoms| atoms.iter().map(|a| (a.word, a.lo)).collect())
+        .collect();
+    entries.sort();
+    entries.dedup();
+    Some(entries)
 }
 
 #[cfg(test)]
@@ -501,6 +289,7 @@ mod tests {
     use crate::interp::CheckedInterpreter;
     use crate::program::Assembler;
     use crate::samples;
+    use crate::word::BinaryOp;
 
     /// Reference semantics: sequential interpretation in `(priority
     /// descending, id)` order.
@@ -530,30 +319,20 @@ mod tests {
     }
 
     #[test]
-    fn fig_3_8_is_residual() {
-        // Range tests cannot go in an equality table.
+    fn a_program_that_overflows_the_stack_is_interpreted() {
+        // Thirty-three pushes of TRUE: the interpreter faults on the last
+        // and rejects, so the set must not hold the filter as accept-all.
+        let mut a = Assembler::new(10);
+        for _ in 0..=crate::interp::STACK_SIZE {
+            a = a.pushone();
+        }
+        let f = a.finish();
         let mut set = FilterSet::new();
-        set.insert(1, samples::fig_3_8_pup_type_range());
+        set.insert(1, f.clone());
         assert_eq!(set.member_kind(1), Some(MemberKind::Residual));
-        let pkt = samples::pup_packet_3mb(2, 0, 35, 50);
-        assert_eq!(set.matches(PacketView::new(&pkt)), vec![1]);
-    }
-
-    #[test]
-    fn reject_all_never_consulted() {
-        let mut set = FilterSet::new();
-        set.insert(1, samples::reject_all(10));
-        assert_eq!(set.member_kind(1), Some(MemberKind::NeverMatches));
-        assert!(set.matches(PacketView::new(&[0; 32])).is_empty());
-    }
-
-    #[test]
-    fn accept_all_matches_everything() {
-        let mut set = FilterSet::new();
-        set.insert(1, samples::accept_all(10));
-        assert_eq!(set.member_kind(1), Some(MemberKind::Table));
-        assert_eq!(set.matches(PacketView::new(&[0; 4])), vec![1]);
-        assert_eq!(set.matches(PacketView::new(&[])), vec![1]);
+        let view = PacketView::new(&[0; 4]);
+        assert_eq!(set.matches(view), sequential_matches(&[(1, f)], view));
+        assert!(set.matches(view).is_empty());
     }
 
     #[test]
@@ -663,70 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn contradictory_constraints_never_match() {
-        // word0 == 1 AND word0 == 2.
-        let f = Assembler::new(10)
-            .pushword(0)
-            .pushlit_op(BinaryOp::Cand, 1)
-            .pushword(0)
-            .pushlit_op(BinaryOp::Eq, 2)
-            .finish();
-        let mut set = FilterSet::new();
-        set.insert(1, f);
-        assert_eq!(set.member_kind(1), Some(MemberKind::NeverMatches));
-    }
-
-    #[test]
-    fn and_combined_equalities_are_table_compiled() {
-        // PUSHWORD/EQ pairs joined by trailing ANDs (fig 3-8 style but all
-        // equality): still a conjunction.
-        let f = Assembler::new(10)
-            .pushword(1)
-            .pushlit_op(BinaryOp::Eq, 2)
-            .pushword(8)
-            .pushlit_op(BinaryOp::Eq, 35)
-            .op(BinaryOp::And)
-            .finish();
-        let mut set = FilterSet::new();
-        set.insert(1, f.clone());
-        assert_eq!(set.member_kind(1), Some(MemberKind::Table));
-        for pkt in [
-            samples::pup_packet_3mb(2, 0, 35, 1),
-            samples::pup_packet_3mb(2, 0, 36, 1),
-            samples::pup_packet_3mb(3, 0, 35, 1),
-        ] {
-            assert_eq!(
-                set.matches(PacketView::new(&pkt)),
-                sequential_matches(&[(1, f.clone())], PacketView::new(&pkt))
-            );
-        }
-    }
-
-    #[test]
-    fn cor_disjunction_is_table_compiled() {
-        // type == 2 || type == 6 || type == 8 — the builder's COR chain.
-        use crate::builder::Expr;
-        let f = Expr::word(1)
-            .eq(2)
-            .or(Expr::word(1).eq(6))
-            .or(Expr::word(1).eq(8))
-            .compile(10)
-            .unwrap();
-        let mut set = FilterSet::new();
-        set.insert(1, f.clone());
-        assert_eq!(set.member_kind(1), Some(MemberKind::Table));
-        for (et, expect) in [(2u16, true), (6, true), (8, true), (7, false)] {
-            let pkt = samples::pup_packet_3mb(et, 0, 35, 1);
-            assert_eq!(
-                set.matches(PacketView::new(&pkt)),
-                sequential_matches(&[(1, f.clone())], PacketView::new(&pkt)),
-                "ethertype {et}"
-            );
-            assert_eq!(!set.matches(PacketView::new(&pkt)).is_empty(), expect);
-        }
-    }
-
-    #[test]
     fn overlapping_disjuncts_deliver_once() {
         // word0 == 1 || word1 == 2: a packet matching both branches still
         // reaches the filter exactly once.
@@ -740,33 +455,6 @@ mod tests {
         set.insert(1, f);
         let both = [0x01u8, 0x02, 0x00, 0x02];
         assert_eq!(set.matches(PacketView::new(&both)), vec![1]);
-    }
-
-    #[test]
-    fn mixed_cor_cand_stays_residual() {
-        // CAND path constraints under a COR need per-branch paths; such
-        // filters must stay on the interpreted fallback (and still work).
-        let f = Assembler::new(10)
-            .pushword(0)
-            .pushlit_op(BinaryOp::Cand, 7)
-            .pushword(1)
-            .pushlit_op(BinaryOp::Cor, 9)
-            .pushword(2)
-            .pushlit_op(BinaryOp::Eq, 3)
-            .finish();
-        let mut set = FilterSet::new();
-        set.insert(1, f.clone());
-        assert_eq!(set.member_kind(1), Some(MemberKind::Residual));
-        for pkt in [
-            [0x00u8, 0x07, 0x00, 0x09, 0x00, 0x00],
-            [0x00, 0x07, 0x00, 0x08, 0x00, 0x03],
-            [0x00, 0x06, 0x00, 0x09, 0x00, 0x03],
-        ] {
-            assert_eq!(
-                set.matches(PacketView::new(&pkt)),
-                sequential_matches(&[(1, f.clone())], PacketView::new(&pkt))
-            );
-        }
     }
 
     #[test]

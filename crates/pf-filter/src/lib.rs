@@ -65,6 +65,7 @@ pub mod asm;
 pub mod builder;
 pub mod dtree;
 pub mod error;
+pub mod form;
 pub mod interp;
 pub mod packet;
 pub mod program;

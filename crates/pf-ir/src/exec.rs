@@ -25,11 +25,11 @@
 //! paper's §4 semantics exactly (a short-circuit accept can legitimately
 //! precede an out-of-bounds load).
 
-use crate::geom::Interval;
 use crate::ir::{BlockId, IrProgram, Terminator};
 use crate::opt::optimize;
 use crate::translate::translate;
 use pf_filter::error::ValidateError;
+use pf_filter::form::Interval;
 use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
@@ -245,11 +245,6 @@ impl IrFilter {
     /// Number of threaded-code instructions.
     pub fn code_len(&self) -> usize {
         self.code.len()
-    }
-
-    /// The threaded code itself, for interval analysis ([`crate::geom`]).
-    pub(crate) fn code(&self) -> &[TOp] {
-        &self.code
     }
 
     /// The code as a plain conjunction of word tests, if it is one.
@@ -579,13 +574,13 @@ fn merge_range_guards(code: &mut Vec<TOp>) {
 /// What the program's registers hold, where one instruction decides it:
 /// the literal of each `Const` and the packet word of each `LoadWord`.
 /// Registers are single-assignment, so one map each serves every path.
-pub(crate) struct Operands {
+struct Operands {
     literals: HashMap<u16, u16>,
     words: HashMap<u16, u16>,
 }
 
 impl Operands {
-    pub(crate) fn of<'a>(code: impl IntoIterator<Item = &'a TOp>) -> Self {
+    fn of<'a>(code: impl IntoIterator<Item = &'a TOp>) -> Self {
         let mut operands = Operands {
             literals: HashMap::new(),
             words: HashMap::new(),
@@ -609,27 +604,17 @@ impl Operands {
     /// packet word and the other a literal. `None` for any other operator
     /// or operands, and for an ordering compare no word passes (`< 0`,
     /// `> 0xFFFF`).
-    pub(crate) fn compare_interval(&self, op: BinaryOp, a: u16, b: u16) -> Option<Interval> {
-        // `word_is_left`: the ordering operators are not symmetric.
-        let (word, lit, word_is_left) = match (
+    fn compare_interval(&self, op: BinaryOp, a: u16, b: u16) -> Option<Interval> {
+        match (
             self.words.get(&a),
             self.literals.get(&b),
             self.words.get(&b),
             self.literals.get(&a),
         ) {
-            (Some(&w), Some(&l), _, _) => (w, l, true),
-            (_, _, Some(&w), Some(&l)) => (w, l, false),
-            _ => return None,
-        };
-        let (lo, hi) = match (op, word_is_left) {
-            (BinaryOp::Eq, _) => (lit, lit),
-            (BinaryOp::Lt, true) | (BinaryOp::Gt, false) => (0, lit.checked_sub(1)?),
-            (BinaryOp::Le, true) | (BinaryOp::Ge, false) => (0, lit),
-            (BinaryOp::Gt, true) | (BinaryOp::Lt, false) => (lit.checked_add(1)?, u16::MAX),
-            (BinaryOp::Ge, true) | (BinaryOp::Le, false) => (lit, u16::MAX),
-            _ => return None,
-        };
-        Some(Interval { word, lo, hi })
+            (Some(&w), Some(&l), _, _) => Interval::of_compare(op, w, l, true),
+            (_, _, Some(&w), Some(&l)) => Interval::of_compare(op, w, l, false),
+            _ => None,
+        }
     }
 }
 
@@ -872,9 +857,14 @@ fn register_use_counts(ir: &IrProgram) -> Vec<u32> {
 }
 
 #[cfg(test)]
+#[path = "../../pf-filter/tests/support/soup.rs"]
+mod soup;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use pf_filter::builder::Expr;
+    use pf_filter::form::{Disjunct, Form};
     use pf_filter::program::Assembler;
     use pf_filter::samples;
     use pf_filter::word::{BinaryOp, StackAction};
@@ -1110,8 +1100,26 @@ mod tests {
                 "{name}\n{}",
                 f.disassemble()
             );
+            assert_eq!(agrees_with_form(&f, name), conjunctive, "{name}");
             assert_pinned(&f, &mut rng, name);
         }
+    }
+
+    /// Whether `f` is a conjunction the form answers; when it is, its
+    /// tests are the form's one disjunct.
+    fn agrees_with_form(f: &IrFilter, ctx: &str) -> bool {
+        let form = Form::of(f.program());
+        let (Some(c), Some(disjuncts)) = (f.conjunction(), form.disjuncts()) else {
+            return false;
+        };
+        let atoms = c.tests().iter().map(|t| t.interval).collect();
+        let tests = Disjunct {
+            atoms,
+            max_read: None,
+        };
+        assert_eq!(disjuncts.len(), 1, "{ctx}: {form:?}");
+        assert_eq!(disjuncts[0].normalized(), tests.normalized(), "{ctx}");
+        true
     }
 
     #[test]
@@ -1184,70 +1192,13 @@ mod tests {
         }
     }
 
-    /// A seeded program built mostly of the clauses a conjunction is made
-    /// of — `CAND` equalities, ordering compares (literal either side)
-    /// closed by `CNOR 0`, a final compare — with clauses that leave the
-    /// fragment mixed in: `CNOR`/`COR` on a literal, a masked word, an
-    /// `OR` verdict. Literals favour the domain's ends.
-    fn seeded_clause_program(rng: &mut SplitMix64) -> FilterProgram {
-        const ORDER: [BinaryOp; 4] = [BinaryOp::Lt, BinaryOp::Le, BinaryOp::Gt, BinaryOp::Ge];
-        const VERDICT: [BinaryOp; 5] = [
-            BinaryOp::Eq,
-            BinaryOp::Lt,
-            BinaryOp::Le,
-            BinaryOp::Gt,
-            BinaryOp::Ge,
-        ];
-        let lit = |rng: &mut SplitMix64| match rng.below(4) {
-            0 => 0,
-            1 => u16::MAX,
-            2 => rng.below(8) as u16,
-            _ => rng.next_u64() as u16,
-        };
-        let word = |rng: &mut SplitMix64| rng.below(12) as u8;
-        let mut a = Assembler::new(rng.below(30) as u8);
-        for _ in 0..rng.below(7) {
-            let (w, l) = (word(rng), lit(rng));
-            let order = ORDER[rng.below(4) as usize];
-            a = match rng.below(9) {
-                0..=2 => a.pushword(w).pushlit_op(BinaryOp::Cand, l),
-                3 | 4 => a
-                    .pushword(w)
-                    .pushlit_op(order, l)
-                    .pushzero_op(BinaryOp::Cnor),
-                5 => a
-                    .pushlit(l)
-                    .pushword_op(w, order)
-                    .pushzero_op(BinaryOp::Cnor),
-                6 => a.pushword(w).pushlit_op(BinaryOp::Cnor, l),
-                7 => a.pushword(w).pushlit_op(BinaryOp::Cor, l),
-                _ => a
-                    .pushword(w)
-                    .push_op(StackAction::Push00FF, BinaryOp::And)
-                    .pushzero_op(BinaryOp::Cnor),
-            };
-        }
-        let (w, l) = (word(rng), lit(rng));
-        match rng.below(5) {
-            0..=2 => a.pushword(w).pushlit_op(VERDICT[rng.below(5) as usize], l),
-            3 => a
-                .pushword(w)
-                .pushlit_op(BinaryOp::Eq, l)
-                .pushword(word(rng))
-                .pushlit_op(BinaryOp::Eq, lit(rng))
-                .op(BinaryOp::Or),
-            _ => a.pushone(),
-        }
-        .finish()
-    }
-
     #[test]
     fn conjunction_form_runs_op_for_op_with_the_threaded_code_on_seeded_programs() {
         let programs = if cfg!(debug_assertions) { 300 } else { 3_000 };
         let mut rng = SplitMix64::new(0xC04A_0003);
-        let (mut conjunctive, mut threaded) = (0u32, 0u32);
+        let (mut conjunctive, mut threaded, mut agreed) = (0u32, 0u32, 0u32);
         for case in 0..programs {
-            let program = seeded_clause_program(&mut rng);
+            let program = super::soup::clause_program(&mut rng);
             let Ok(f) = IrFilter::compile(program) else {
                 continue;
             };
@@ -1256,9 +1207,12 @@ mod tests {
             } else {
                 threaded += 1;
             }
+            agreed += u32::from(agrees_with_form(&f, &format!("case {case}")));
             assert_pinned(&f, &mut rng, &format!("case {case}"));
         }
-        // The generator must reach both paths.
+        // The generator must reach both paths, and the form answer most
+        // conjunctions.
+        assert!(2 * agreed > conjunctive, "{agreed} of {conjunctive} agreed");
         assert!(
             conjunctive > programs / 5,
             "{conjunctive} conjunctive, {threaded} threaded"

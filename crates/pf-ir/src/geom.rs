@@ -1,10 +1,10 @@
 //! Geometric (tuple-space) packet classification: sublinear demux over
 //! mixed exact-match and *range* filter populations.
 //!
-//! Every member's compiled code is analyzed for the *required intervals*
-//! it imposes on packet words (`packet[w] ∈ [lo,hi]` — an equality test
-//! is just the degenerate interval `[lit,lit]`), and members are
-//! partitioned into **tuples**. A member keyed on an equality goes into
+//! Every member is keyed on the *required atoms* of its form
+//! ([`Form::required`]: the intervals `packet[w] ∈ [lo,hi]` every packet
+//! it accepts satisfies — an equality test is just the degenerate
+//! interval `[lit,lit]`), and members are partitioned into **tuples**. A member keyed on an equality goes into
 //! the *exact-tuple directory*: it is filed under the set of words its
 //! exact atoms constrain, in one hash bucket keyed by those words'
 //! literals taken together, so one probe per distinct word-set selects
@@ -33,8 +33,8 @@
 //! [`GeomSet::overlap_count`]).
 //!
 //! Skipping a member its tuple does not select is sound because every
-//! key atom is a *required* interval: the member's compiled path cannot
-//! accept unless the packet word lies in it, so a packet that differs
+//! key atom is a *required* interval: the member cannot accept unless
+//! the packet word lies in it, so a packet that differs
 //! from a directory key in any one literal, or falls outside a range
 //! key, cannot be accepted — *provided* the packet is long enough for
 //! the compiled path. Shorter packets take a slow path that walks every
@@ -47,40 +47,14 @@
 //! plain conjunction ([`crate::exec`]) runs only the tests its own slot
 //! does not prove, and is charged the whole filter's op count.
 
-use crate::exec::{IrFilter, Operands, TOp};
+use crate::exec::IrFilter;
 use pf_filter::dtree::FilterId;
+use pf_filter::form::{Form, Interval};
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-
-/// A required constraint `packet[word] ∈ [lo, hi]` (inclusive, unsigned).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Interval {
-    /// Packet word index the constraint reads.
-    pub word: u16,
-    /// Lowest accepted value.
-    pub lo: u16,
-    /// Highest accepted value.
-    pub hi: u16,
-}
-
-impl Interval {
-    /// Whether this is a degenerate (single-literal) interval.
-    pub fn is_exact(&self) -> bool {
-        self.lo == self.hi
-    }
-
-    fn contains(&self, other: &Interval) -> bool {
-        self.lo <= other.lo && other.hi <= self.hi
-    }
-
-    /// Whether every packet satisfying `other` satisfies this.
-    fn implied_by(&self, other: &Interval) -> bool {
-        self.word == other.word && self.contains(other)
-    }
-}
 
 /// Counters from one whole-set evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,137 +77,6 @@ pub struct GeomStats {
     /// index selected the member, and a required atom other than its key
     /// turned the packet away.
     pub residual_rejects: u32,
-}
-
-// ---------------------------------------------------------------------
-// Required-interval analysis over threaded code.
-// ---------------------------------------------------------------------
-
-/// The interval constraints `program` provably requires of any packet it
-/// accepts (`packet[word] ∈ [lo, hi]`), derived from its compiled
-/// threaded code.
-///
-/// Sound and conservative: every returned constraint holds for *every*
-/// accepted packet, and a program the pipeline cannot compile (or whose
-/// constraints it cannot resolve) yields an empty list — the analysis
-/// declines to help, it never lies. This is the soundness witness behind
-/// range-aware admission gating and RSS flow pinning in `pf-kernel`:
-/// equality is the degenerate `lo == hi` case, so consumers that need a
-/// definite word value can filter on [`Interval::is_exact`].
-pub fn required_constraints(program: &FilterProgram) -> Vec<Interval> {
-    IrFilter::compile(program.clone())
-        .map(|f| required_intervals(f.code()))
-        .unwrap_or_default()
-}
-
-/// The interval constraints a compiled member *must* satisfy to accept:
-/// atom `packet[w] ∈ [lo,hi]` is required iff no accepting return is
-/// reachable when the atom is pinned false. Sound and conservative — a
-/// [`TOp::ReturnReg`] of an unrelated register is treated as a possible
-/// accept, and compares the analysis cannot resolve contribute nothing.
-pub(crate) fn required_intervals(code: &[TOp]) -> Vec<Interval> {
-    let operands = Operands::of(code);
-    let mut atoms: Vec<Interval> = Vec::new();
-    let mut atom_ids: HashMap<Interval, usize> = HashMap::new();
-    let mut reg_atom: HashMap<u16, usize> = HashMap::new();
-    let mut instr_atom: Vec<Option<usize>> = vec![None; code.len()];
-    for (pc, op) in code.iter().enumerate() {
-        let iv = match *op {
-            TOp::GuardEqBr { word, lit, .. } | TOp::GuardNeBr { word, lit, .. } => Some(Interval {
-                word,
-                lo: lit,
-                hi: lit,
-            }),
-            TOp::GuardInBr { word, lo, hi, .. } | TOp::GuardOutBr { word, lo, hi, .. } => {
-                Some(Interval { word, lo, hi })
-            }
-            TOp::Bin { op, a, b, .. } => operands.compare_interval(op, a, b),
-            _ => None,
-        };
-        if let Some(iv) = iv {
-            let id = *atom_ids.entry(iv).or_insert_with(|| {
-                atoms.push(iv);
-                atoms.len() - 1
-            });
-            instr_atom[pc] = Some(id);
-            if let TOp::Bin { dst, .. } = *op {
-                reg_atom.insert(dst, id);
-            }
-        }
-    }
-    (0..atoms.len())
-        .filter(|&aid| !accept_reachable_without(code, &instr_atom, &reg_atom, aid))
-        .map(|aid| atoms[aid])
-        .collect()
-}
-
-/// Whether any accepting return is reachable with atom `pinned` false.
-fn accept_reachable_without(
-    code: &[TOp],
-    instr_atom: &[Option<usize>],
-    reg_atom: &HashMap<u16, usize>,
-    pinned: usize,
-) -> bool {
-    let mut visited = vec![false; code.len()];
-    let mut stack = vec![0usize];
-    while let Some(pc) = stack.pop() {
-        if pc >= code.len() || visited[pc] {
-            continue;
-        }
-        visited[pc] = true;
-        let this = instr_atom[pc];
-        match code[pc] {
-            TOp::Const { .. } | TOp::LoadWord { .. } | TOp::LoadInd { .. } | TOp::Bin { .. } => {
-                stack.push(pc + 1)
-            }
-            TOp::Jump { target } => stack.push(target as usize),
-            TOp::BranchIf { cond, target } => {
-                if reg_atom.get(&cond) == Some(&pinned) {
-                    stack.push(pc + 1);
-                } else {
-                    stack.push(target as usize);
-                    stack.push(pc + 1);
-                }
-            }
-            TOp::BranchIfNot { cond, target } => {
-                if reg_atom.get(&cond) == Some(&pinned) {
-                    stack.push(target as usize);
-                } else {
-                    stack.push(target as usize);
-                    stack.push(pc + 1);
-                }
-            }
-            // Jump-on-true guards: pinned false falls through.
-            TOp::GuardEqBr { target, .. } | TOp::GuardInBr { target, .. } => {
-                if this == Some(pinned) {
-                    stack.push(pc + 1);
-                } else {
-                    stack.push(target as usize);
-                    stack.push(pc + 1);
-                }
-            }
-            // Jump-on-false guards: pinned false takes the jump.
-            TOp::GuardNeBr { target, .. } | TOp::GuardOutBr { target, .. } => {
-                if this == Some(pinned) {
-                    stack.push(target as usize);
-                } else {
-                    stack.push(target as usize);
-                    stack.push(pc + 1);
-                }
-            }
-            TOp::Return { accept } => {
-                if accept {
-                    return true;
-                }
-            }
-            TOp::ReturnReg { reg } => {
-                if reg_atom.get(&reg) != Some(&pinned) {
-                    return true;
-                }
-            }
-        }
-    }
-    false
 }
 
 // ---------------------------------------------------------------------
@@ -532,8 +375,8 @@ impl TupleIndex {
 struct GeomMember {
     id: FilterId,
     priority: u8,
-    /// Every required interval the analysis proved — kept for re-keying
-    /// at compaction and for the word statistics.
+    /// The form's required atoms — kept for re-keying at compaction and
+    /// for the word statistics.
     atoms: Vec<Interval>,
     /// The atom the statistics chose to key this member on (`None` =
     /// residue): a proper interval files it in that word's range tuple,
@@ -629,6 +472,13 @@ impl GeomSet {
         self.index.exact.len() + self.index.ranges.len()
     }
 
+    /// The atom member `id` is keyed on: `None` for the residue, or a
+    /// filter that is not a member.
+    pub fn key(&self, id: FilterId) -> Option<Interval> {
+        let slot = self.id_to_slot.get(&id)?;
+        self.slots[*slot as usize].as_ref()?.key
+    }
+
     /// Members in no tuple, walked for every packet.
     pub fn residue_len(&self) -> usize {
         self.index
@@ -685,10 +535,10 @@ impl GeomSet {
     pub fn insert(&mut self, id: FilterId, program: FilterProgram) -> bool {
         self.remove(id);
         let priority = program.priority();
+        let atoms = Form::of(&program).required().to_vec();
         let Ok(filter) = IrFilter::compile(program) else {
             return false;
         };
-        let atoms = required_intervals(filter.code());
         for a in &atoms {
             *self
                 .interval_refs
@@ -1030,50 +880,6 @@ mod tests {
 
     fn pkt(sock: u16) -> Vec<u8> {
         samples::pup_packet_3mb(2, 0, sock, 1)
-    }
-
-    #[test]
-    fn required_intervals_of_range_filter() {
-        let f = IrFilter::compile(samples::socket_range_filter(10, 100, 200)).unwrap();
-        let req = required_intervals(f.code());
-        assert!(
-            req.contains(&Interval {
-                word: 8,
-                lo: 100,
-                hi: 200
-            }),
-            "{req:?}"
-        );
-        assert!(
-            req.contains(&Interval {
-                word: 1,
-                lo: 2,
-                hi: 2
-            }),
-            "{req:?}"
-        );
-    }
-
-    #[test]
-    fn required_intervals_of_fig_3_9() {
-        let f = IrFilter::compile(samples::fig_3_9_pup_socket_35()).unwrap();
-        let req = required_intervals(f.code());
-        for (word, lit) in [(8u16, 35u16), (7, 0), (1, 2)] {
-            assert!(
-                req.contains(&Interval {
-                    word,
-                    lo: lit,
-                    hi: lit
-                }),
-                "missing ({word},{lit}): {req:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn accept_all_has_no_required_intervals() {
-        let f = IrFilter::compile(samples::accept_all(1)).unwrap();
-        assert!(required_intervals(f.code()).is_empty());
     }
 
     #[test]
@@ -1640,7 +1446,7 @@ mod tests {
         };
         let mut set = GeomSet::new();
         for (id, f) in [wide(1, 2), wide(2, 3)] {
-            let atoms = required_constraints(&f);
+            let atoms = Form::of(&f).required().to_vec();
             assert_eq!(atoms.iter().filter(|a| a.is_exact()).count(), 6);
             let (words, _) = exact_tuple(&atoms);
             assert_eq!(words.as_slice(), [4, 6, 7, 8]);
@@ -1694,7 +1500,7 @@ mod tests {
 
     #[test]
     fn packet_missing_a_tuple_word_skips_the_tuple() {
-        let (words, key) = exact_tuple(&required_constraints(&socket_and_type(35, 2)));
+        let (words, key) = exact_tuple(Form::of(&socket_and_type(35, 2)).required());
         assert_eq!(words.as_slice(), [1, 8]);
         assert_eq!(words.key_of(PacketView::new(&pkt(35))), Some(key));
         // Eight words carry the ethertype but not the socket: no key.

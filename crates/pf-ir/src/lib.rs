@@ -59,4 +59,4 @@ pub mod translate;
 
 pub use engine::{singleton_engines, singleton_surface_count, FilterEngine};
 pub use exec::{IrEvalStats, IrFilter};
-pub use geom::{required_constraints, GeomSet, GeomStats, Interval};
+pub use geom::{GeomSet, GeomStats};

@@ -16,117 +16,16 @@ use pf_filter::RuntimeError;
 use pf_ir::engine::singleton_engines;
 use pf_ir::GeomSet;
 use pf_sim::rng::SplitMix64;
+use soup::{fuzz_balanced_words, fuzz_words};
+
+#[path = "../../pf-filter/tests/support/soup.rs"]
+mod soup;
 
 const ITERS: u32 = if cfg!(debug_assertions) {
     1_000
 } else {
     10_000
 };
-
-/// Raw word soup with a bias toward decodable instructions, so both the
-/// reject path and the deep-execution path see real traffic.
-fn fuzz_words(rng: &mut SplitMix64) -> Vec<u16> {
-    let len = rng.below(48) as usize;
-    (0..len)
-        .map(|_| {
-            if rng.chance(0.25) {
-                rng.next_u64() as u16
-            } else {
-                let action = if rng.chance(0.3) {
-                    // Full 6-bit field range (`encode` panics by design
-                    // above MAX_PUSHWORD_INDEX; the raw-word arm covers
-                    // reserved encodings instead).
-                    StackAction::PushWord(rng.below(48) as u8)
-                } else {
-                    match rng.below(8) {
-                        0 => StackAction::NoPush,
-                        1 => StackAction::PushLit,
-                        2 => StackAction::PushZero,
-                        3 => StackAction::PushOne,
-                        4 => StackAction::PushFFFF,
-                        5 => StackAction::PushFF00,
-                        6 => StackAction::Push00FF,
-                        _ => StackAction::PushInd,
-                    }
-                };
-                let op = match rng.below(21) {
-                    0 => BinaryOp::Nop,
-                    1 => BinaryOp::Eq,
-                    2 => BinaryOp::Neq,
-                    3 => BinaryOp::Lt,
-                    4 => BinaryOp::Le,
-                    5 => BinaryOp::Gt,
-                    6 => BinaryOp::Ge,
-                    7 => BinaryOp::And,
-                    8 => BinaryOp::Or,
-                    9 => BinaryOp::Xor,
-                    10 => BinaryOp::Cor,
-                    11 => BinaryOp::Cand,
-                    12 => BinaryOp::Cnor,
-                    13 => BinaryOp::Cnand,
-                    14 => BinaryOp::Add,
-                    15 => BinaryOp::Sub,
-                    16 => BinaryOp::Mul,
-                    17 => BinaryOp::Div,
-                    18 => BinaryOp::Mod,
-                    19 => BinaryOp::Lsh,
-                    _ => BinaryOp::Rsh,
-                };
-                Instr::new(action, op).encode()
-            }
-        })
-        .collect()
-}
-
-/// Stack-balanced word stream: pops never outrun pushes, so a large
-/// fraction validates and the accepted-program paths (fast interpreter,
-/// compiled engines) see deep execution rather than early rejects.
-fn fuzz_balanced_words(rng: &mut SplitMix64) -> Vec<u16> {
-    let n = 1 + rng.below(16);
-    let mut depth = 0u64;
-    let mut words = Vec::new();
-    for _ in 0..n {
-        let action = if depth == 0 || rng.chance(0.6) {
-            match rng.below(6) {
-                0 => StackAction::PushLit,
-                1 => StackAction::PushZero,
-                2 => StackAction::PushOne,
-                3 => StackAction::PushFFFF,
-                _ => StackAction::PushWord(rng.below(12) as u8),
-            }
-        } else {
-            StackAction::NoPush
-        };
-        let mut d = depth + u64::from(action != StackAction::NoPush);
-        let op = if d >= 2 && rng.chance(0.7) {
-            d -= 1;
-            const OPS: [BinaryOp; 13] = [
-                BinaryOp::Eq,
-                BinaryOp::Neq,
-                BinaryOp::Lt,
-                BinaryOp::Le,
-                BinaryOp::Gt,
-                BinaryOp::Ge,
-                BinaryOp::And,
-                BinaryOp::Or,
-                BinaryOp::Xor,
-                BinaryOp::Cor,
-                BinaryOp::Cand,
-                BinaryOp::Cnor,
-                BinaryOp::Cnand,
-            ];
-            OPS[rng.below(13) as usize]
-        } else {
-            BinaryOp::Nop
-        };
-        words.push(Instr::new(action, op).encode());
-        if action == StackAction::PushLit {
-            words.push(rng.next_u64() as u16);
-        }
-        depth = d;
-    }
-    words
-}
 
 /// Hostile packet shapes: empty, single-byte, odd-length, and full
 /// frames of pure noise.

@@ -30,12 +30,12 @@
 use crate::types::{Fd, OverflowPolicy, PortConfig, PortStats, ProcId, RecvPacket};
 use pf_filter::dtree::{FilterId, FilterSet};
 use pf_filter::error::{RuntimeError, ValidateError};
+use pf_filter::form::Form;
 use pf_filter::interp::{CheckedInterpreter, EvalStats};
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use pf_filter::validate::ValidatedProgram;
-use pf_filter::word::{BinaryOp, Instr, StackAction};
-use pf_ir::geom::{required_constraints, GeomSet};
+use pf_ir::geom::GeomSet;
 use pf_sim::cost::CostModel;
 use pf_sim::counters::Counters;
 use pf_sim::rng::SplitMix64;
@@ -149,12 +149,12 @@ pub enum DemuxEngine {
     /// §7's proposal: "compile the set of active filters into a decision
     /// table, which should provide the best possible performance" — one
     /// hash probe per filter *shape*, with interpreted fallback for
-    /// filters the analyzer cannot convert, charged as the sequential
-    /// engine charges an application.
+    /// filters whose form the table cannot fold, charged as the
+    /// sequential engine charges an application.
     DecisionTable,
     /// The geometric (tuple-space) classifier: filters compiled through
     /// the `pf-ir` CFG pipeline to threaded code and indexed by the
-    /// interval constraints that code provably requires
+    /// interval constraints their form requires
     /// (`packet[word] ∈ [lo, hi]`; equality is the degenerate case).
     /// Members keyed on an equality share one hash bucket per joint value
     /// of all their exact words — one probe per distinct word-set — and
@@ -217,10 +217,10 @@ pub struct AdmissionQuota {
 /// arriving frame with at most one packet-word probe (no filter runs) and
 /// sheds best-effort traffic at the NIC when its port's token bucket is
 /// empty. Classification uses each filter's *admission signature* — a
-/// packet word the filter provably requires to fall in an interval
-/// (`packet[word] ∈ [lo, hi]`): syntactically, a leading
-/// `packet[word] == literal` `CAND` test (or single-test `EQ` program),
-/// and for range filters the compiled code's required-interval analysis.
+/// packet word the filter's form requires to fall in an interval
+/// (`packet[word] ∈ [lo, hi]`): the leading `packet[word] == literal`
+/// test ([`Form::lead`]: a `CAND`, or a single-test `EQ` program), and
+/// for range filters a required atom ([`Form::required`]).
 /// Filters without a signature, and packets matching no signature, are
 /// never shed at the gate; the filter ladder remains the arbiter for
 /// them. Ports at or above [`PROTECTED_PRIORITY`] are admitted
@@ -380,54 +380,24 @@ struct AdmissionState {
     entries: Vec<GateEntry>,
 }
 
-/// Extracts a filter's admission signature: the leading
-/// `packet[word] == literal` test whose failure rejects the packet.
-/// Also the witness for RSS placement (`crate::rss`): a matching packet
-/// *must* carry `packet[word] == literal`.
-pub(crate) fn admission_signature(f: &FilterProgram) -> Option<(u8, u16)> {
-    let words = f.words();
-    let first = Instr::decode(*words.first()?)?;
-    let StackAction::PushWord(word) = first.action else {
-        return None;
-    };
-    if first.op != BinaryOp::Nop {
-        return None;
-    }
-    let second = Instr::decode(*words.get(1)?)?;
-    let (literal, len) = match second.action {
-        StackAction::PushLit => (*words.get(2)?, 3),
-        StackAction::PushZero => (0, 2),
-        _ => return None,
-    };
-    match second.op {
-        // CAND: a mismatch terminates FALSE immediately, wherever the
-        // test sits in the program.
-        BinaryOp::Cand => Some((word, literal)),
-        // EQ only rejects on mismatch when it is the whole program.
-        BinaryOp::Eq if words.len() == len => Some((word, literal)),
-        _ => None,
-    }
-}
-
 /// A filter's candidate *interval* admission signatures: every packet
-/// word its compiled code provably constrains to `[lo, hi]` (inclusive)
-/// in order to accept. Each is a sound shedding witness — a packet the
-/// filter accepts must satisfy it — so port-*range* filters, which have
-/// no leading equality literal for [`admission_signature`], still get
-/// gate entries. Trivial (full-domain) intervals and words outside the
-/// gate's one-byte index are dropped.
-pub(crate) fn admission_candidates(f: &FilterProgram) -> Vec<(u8, u16, u16)> {
-    required_constraints(f)
-        .into_iter()
+/// word its form requires to lie in `[lo, hi]` (inclusive) for the filter
+/// to accept ([`Form::required`]). Each is a sound shedding witness — a
+/// packet the filter accepts must satisfy it — so port-*range* filters,
+/// which have no leading equality test ([`Form::lead`]), still get gate
+/// entries. Trivial (full-domain) intervals and words outside the gate's
+/// one-byte index are dropped.
+pub(crate) fn admission_candidates(form: &Form) -> Vec<(u8, u16, u16)> {
+    form.required()
+        .iter()
         .filter(|iv| iv.word <= u16::from(u8::MAX) && (iv.lo, iv.hi) != (0, u16::MAX))
         .map(|iv| (iv.word as u8, iv.lo, iv.hi))
         .collect()
 }
 
 /// One port's gate-key candidates while the admission gate rebuilds: the
-/// syntactic exact signature widened to a `(word, lo, hi)` interval (if
-/// any), plus every provably required interval from
-/// [`admission_candidates`].
+/// form's leading test widened to a `(word, lo, hi)` interval (if any),
+/// plus every required interval from [`admission_candidates`].
 type GateCandidate = (PortIdx, Option<(u8, u16, u16)>, Vec<(u8, u16, u16)>);
 
 /// A pending blocked read on a port.
@@ -987,7 +957,7 @@ impl PfDevice {
                 let Some(f) = &self.ports[port].filter else {
                     return false;
                 };
-                let verify: Vec<(u8, u16, u16)> = admission_candidates(f)
+                let verify: Vec<(u8, u16, u16)> = admission_candidates(&Form::of(f))
                     .into_iter()
                     .filter(|&(w, _, _)| w != word)
                     .collect();
@@ -1007,10 +977,10 @@ impl PfDevice {
     ///
     /// (See [`GateCandidate`] for the per-port intermediate shape.)
     ///
-    /// Each port contributes one entry. The syntactic equality signature
-    /// is preferred when present (it is the leading test the program
-    /// itself sheds on); a filter without one — a port-range filter —
-    /// falls back to its provably required intervals, choosing the word
+    /// Each port contributes one entry, read off the filter's form. The
+    /// leading exact test is preferred when present (the program itself
+    /// sheds on it first); a filter without one — a port-range filter —
+    /// falls back to its required atoms, choosing the word
     /// with the most distinct intervals across the whole gate (the
     /// geometric classifier's diversity score: a word that distinguishes
     /// ports classifies better than a narrow guard they all share), then
@@ -1024,8 +994,9 @@ impl PfDevice {
             let Some(f) = &self.ports[idx].filter else {
                 continue;
             };
-            let exact = admission_signature(f).map(|(w, l)| (w, l, l));
-            let ranged = admission_candidates(f);
+            let form = Form::of(f);
+            let exact = form.lead().map(|l| (l.word as u8, l.lo, l.hi));
+            let ranged = admission_candidates(&form);
             if exact.is_some() || !ranged.is_empty() {
                 cands.push((idx, exact, ranged));
             }
@@ -1370,6 +1341,10 @@ impl PfDevice {
         });
     }
 }
+
+#[cfg(test)]
+#[path = "../../pf-filter/tests/support/soup.rs"]
+mod soup;
 
 #[cfg(test)]
 mod tests {
@@ -2070,34 +2045,69 @@ mod tests {
         );
     }
 
+    /// Every consumer's answer on every sample and figure program: the
+    /// decision table's member kind and shape count, geom's required atoms
+    /// and chosen key, the gate's signature and candidates, and RSS
+    /// placement hashing word 8 — the answers the analysers the form
+    /// replaced gave.
     #[test]
-    fn admission_signatures_cover_the_sample_shapes() {
-        let sig = |f: &FilterProgram| admission_signature(f);
-        assert_eq!(
-            sig(&samples::pup_socket_filter(10, 0, 35)),
-            Some((8, 35)),
-            "leading CAND socket test"
-        );
-        assert_eq!(
-            sig(&samples::ethertype_filter(10, 2)),
-            Some((1, 2)),
-            "single-test EQ program"
-        );
-        assert_eq!(sig(&samples::accept_all(10)), None);
-        assert_eq!(sig(&samples::reject_all(10)), None);
+    fn the_consumers_answers_on_the_corpus_are_pinned() {
+        let answers = |p: &FilterProgram| {
+            let mut table = FilterSet::new();
+            table.insert(1, p.clone());
+            let mut geom = GeomSet::new();
+            geom.insert(1, p.clone());
+            let form = Form::of(p);
+            let tuple = |i: &pf_filter::form::Interval| (i.word, i.lo, i.hi);
+            let atoms: Vec<_> = form.required().iter().map(tuple).collect();
+            format!(
+                "{:?} {} | {atoms:?} {:?} | {:?} {:?} | {:?}",
+                table.member_kind(1).unwrap(),
+                table.shape_count(),
+                geom.key(1).as_ref().map(tuple),
+                form.lead().map(|l| (l.word as u8, l.lo)),
+                admission_candidates(&form),
+                crate::rss::RssConfig::multi_queue(4, vec![8]).placement_of(p),
+            )
+        };
+        let pinned = [
+            "Residual 0 | [] None | None [] | None",
+            "Table 1 | [(8, 35, 35), (7, 0, 0), (1, 2, 2)] Some((8, 35, 35)) | Some((8, 35)) [(8, 35, 35), (7, 0, 0), (1, 2, 2)] | Some(2)",
+            "Table 1 | [(8, 35, 35), (7, 1, 1), (1, 2, 2)] Some((8, 35, 35)) | Some((8, 35)) [(8, 35, 35), (7, 1, 1), (1, 2, 2)] | Some(2)",
+            "Residual 0 | [(8, 100, 200), (1, 2, 2)] Some((8, 100, 200)) | None [(8, 100, 200), (1, 2, 2)] | None",
+            "Residual 0 | [(8, 7, 65535), (8, 0, 7), (1, 2, 2)] Some((8, 0, 7)) | None [(8, 7, 65535), (8, 0, 7), (1, 2, 2)] | None",
+            "Residual 0 | [(8, 0, 65535), (1, 2, 2)] Some((8, 0, 65535)) | None [(1, 2, 2)] | None",
+            "Residual 0 | [(1, 2, 2)] Some((1, 2, 2)) | None [(1, 2, 2)] | None",
+            "Table 1 | [(1, 2, 2)] Some((1, 2, 2)) | Some((1, 2)) [(1, 2, 2)] | None",
+            "Table 1 | [] None | None [] | None",
+            "NeverMatches 0 | [] None | None [] | None",
+            "Table 1 | [] None | None [] | None",
+            "Table 1 | [] None | None [] | None",
+            "Table 1 | [] None | None [] | None",
+            "Table 1 | [(1, 2, 2), (7, 0, 0), (8, 35, 35)] Some((8, 35, 35)) | Some((1, 2)) [(1, 2, 2), (7, 0, 0), (8, 35, 35)] | Some(2)",
+            "NeverMatches 0 | [(0, 1, 1), (0, 2, 2)] Some((0, 2, 2)) | Some((0, 1)) [(0, 1, 1), (0, 2, 2)] | None",
+            "Table 1 | [] None | None [] | None",
+            "Residual 0 | [(0, 7, 7)] Some((0, 7, 7)) | Some((0, 7)) [(0, 7, 7)] | None",
+            "Residual 0 | [] None | None [] | None",
+        ];
+        let corpus = soup::corpus();
+        assert_eq!(corpus.len(), pinned.len());
+        for (p, pin) in corpus.iter().zip(pinned) {
+            assert_eq!(answers(p), pin, "{p}");
+        }
     }
 
     #[test]
     fn admission_candidates_cover_range_filters() {
-        // No leading equality literal, so the syntactic signature fails…
-        let f = samples::socket_range_filter(10, 100, 200);
-        assert_eq!(admission_signature(&f), None);
-        // …but the required-interval analysis still yields sound
-        // witnesses: the socket range and the ethertype guard.
+        // No leading equality test, so no primary signature…
+        let f = Form::of(&samples::socket_range_filter(10, 100, 200));
+        assert_eq!(f.lead(), None);
+        // …but the required atoms still yield sound witnesses: the socket
+        // range and the ethertype guard.
         let cands = admission_candidates(&f);
         assert!(cands.contains(&(8, 100, 200)), "socket interval: {cands:?}");
         assert!(cands.contains(&(1, 2, 2)), "ethertype guard: {cands:?}");
-        assert!(admission_candidates(&samples::accept_all(10)).is_empty());
+        assert!(admission_candidates(&Form::of(&samples::accept_all(10))).is_empty());
     }
 
     #[test]

@@ -10,22 +10,19 @@
 //!
 //! A process runs on the core its first pinned filter steers to, core 0
 //! otherwise ([`RssConfig::placement_of`]). A filter is *pinned* when
-//! every hashed word is provably held to a single value by the filter: the
-//! syntactic admission signature (`crate::device::admission_signature`)
-//! supplies `packet[word] == literal` for a leading equality test, and the
-//! compiled code's required-interval analysis
-//! (`pf_ir::geom::required_constraints`) supplies the same witness for
-//! equality guards buried in multi-word or range programs. Every packet
+//! every hashed word is provably held to a single value by the filter, as
+//! its [`Form`] says: an exact required atom `packet[word] == literal`
+//! ([`Form::required`]), or the leading equality test ([`Form::lead`]),
+//! which pins even a program that fails validation after it. Every packet
 //! the filter accepts then hashes identically, so its reader sits on the
 //! core that demultiplexes its traffic. A *range* on a hashed word never
 //! pins: different in-range values hash to different queues. A frame
 //! demultiplexed on another core than its reader's pays a cross-core
 //! wakeup (`CostModel::mc_wakeup`) to get there.
 
-use crate::device::admission_signature;
+use pf_filter::form::Form;
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
-use pf_ir::geom::required_constraints;
 
 /// Default RSS hash key (an arbitrary odd 64-bit constant; reproducible
 /// runs want a fixed default, and any key gives the same steering
@@ -123,17 +120,20 @@ impl RssConfig {
         if self.hash_words.is_empty() {
             return None;
         }
-        let syntactic = admission_signature(program);
-        let required = required_constraints(program);
+        let form = Form::of(program);
         // A frame carrying each hashed word's pinned literal: every
         // matching packet hashes like it, since the hash reads only those
         // words and a matching packet must carry each.
         let mut synthetic = Vec::new();
         for &w in &self.hash_words {
-            let literal = match syntactic {
-                Some((sw, lit)) if u16::from(sw) == w => lit,
-                _ => required.iter().find(|iv| iv.word == w && iv.is_exact())?.lo,
+            let pin = form.lead().filter(|l| l.word == w);
+            let exact = || {
+                form.required()
+                    .iter()
+                    .copied()
+                    .find(|iv| iv.word == w && iv.is_exact())
             };
+            let literal = pin.or_else(exact)?.lo;
             let off = 2 * usize::from(w);
             if synthetic.len() < off + 2 {
                 synthetic.resize(off + 2, 0);

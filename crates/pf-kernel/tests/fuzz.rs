@@ -12,9 +12,15 @@
 
 #[path = "../../../tests/support/device_churn.rs"]
 mod device_churn;
+#[path = "../../pf-filter/tests/support/soup.rs"]
+mod soup;
 
+use pf_filter::interp::CheckedInterpreter;
+use pf_filter::packet::PacketView;
+use pf_filter::program::FilterProgram;
 use pf_filter::samples;
 use pf_kernel::device::{AdmissionConfig, AdmissionQuota, AdmissionVerdict, DemuxEngine, PfDevice};
+use pf_kernel::rss::RssConfig;
 use pf_kernel::types::{Fd, ProcId, RecvPacket};
 use pf_sim::rng::SplitMix64;
 use pf_sim::time::SimTime;
@@ -28,7 +34,7 @@ const ITERS: u32 = if cfg!(debug_assertions) {
 /// A random filter drawn from every admission-signature class the gate
 /// distinguishes: leading-equality, range, ethertype, signatureless
 /// accept-all, and reject-all.
-fn fuzz_filter(rng: &mut SplitMix64) -> pf_filter::program::FilterProgram {
+fn fuzz_filter(rng: &mut SplitMix64) -> FilterProgram {
     let prio = rng.next_u64() as u8;
     match rng.below(5) {
         0 => samples::pup_socket_filter(prio, rng.next_u64() as u16, rng.next_u64() as u16),
@@ -300,4 +306,40 @@ fn adaptive_reordering_preserves_disjoint_semantics() {
         reordered += u32::from(with.order() != without.order());
     }
     assert!(reordered > 0, "no case ever reordered");
+}
+
+/// Target 7 — RSS placement against the oracle: on seeded word soup,
+/// clause programs and gate filters, every packet the checked interpreter accepts from a
+/// program RSS pins steers to `placement_of`'s core.
+#[test]
+fn pinned_filters_steer_every_accepted_packet_to_their_core() {
+    let mut rng = SplitMix64::new(0xF022_0055);
+    let configs = [
+        RssConfig::multi_queue(4, vec![8]),
+        RssConfig::multi_queue(4, vec![1, 8]),
+        RssConfig::multi_queue(3, vec![0, 3, 5]),
+    ];
+    let (mut pinned, mut accepted) = (0u32, 0u32);
+    for case in 0..ITERS {
+        let program = match case % 4 {
+            0 => FilterProgram::from_words(10, soup::fuzz_words(&mut rng)),
+            1 => FilterProgram::from_words(10, soup::fuzz_balanced_words(&mut rng)),
+            2 => soup::clause_program(&mut rng),
+            _ => fuzz_filter(&mut rng),
+        };
+        for rss in &configs {
+            let Some(core) = rss.placement_of(&program) else {
+                continue;
+            };
+            pinned += 1;
+            for p in soup::probes(&program, &mut rng) {
+                if CheckedInterpreter.eval(&program, PacketView::new(&p)) {
+                    accepted += 1;
+                    assert_eq!(rss.steer(&p), core, "case {case}: {p:?}\n{program}");
+                }
+            }
+        }
+    }
+    assert!(pinned > ITERS / 10, "{pinned} pinned");
+    assert!(accepted > ITERS / 4, "{accepted} accepted packets");
 }

@@ -16,14 +16,15 @@
 # claimed gain must meet holds: at least ten pairs, the change ahead in nine
 # tenths of them and the medians apart, the change's way, by more than the
 # parent's interquartile range. A metric that read the same in every run
-# of both sides gets one line saying so. `all` for the workload runs every
-# workload of BENCHMARK.json in turn and ends with one markdown table, a
-# row a workload: `frames_per_s` with its ratio and pairs won,
-# `peak_rss_mb` and `setup_s`.
+# of both sides gets one line saying so. Beside `setup_s`, each side's
+# minor page faults (the child's `ru_minflt`). `all` for the workload runs
+# every workload of BENCHMARK.json in turn and ends with one markdown
+# table, a row a workload: `frames_per_s` with its ratio and pairs won,
+# `peak_rss_mb`, `setup_s` and minor faults.
 set -euo pipefail
 
 if [[ $# -lt 3 ]]; then
-    sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent="$1" change="$2" pairs="${4:-10}" seed="${5:-7}"
@@ -38,9 +39,15 @@ fi
 runs="$(mktemp)"
 trap 'rm -f "$runs"' EXIT
 
-run() { # <side> <binary> <pair>: appends "<workload> <side> <pair> <result object>"
+run() { # <side> <binary> <pair>: appends "<workload> <side> <pair> <result object> <minor faults>"
     local result
-    result="$("$2" --workload "$workload" --seed "$seed" --trace 0 "${length[@]}" | tail -n 1)"
+    # The run's last line, and the child's minor page faults: a struct
+    # that changed size can make glibc trim and refault the heap between
+    # set-up reps, which reads as a slower setup_s.
+    result="$(python3 -c 'import resource, subprocess, sys
+out = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE, text=True, check=True).stdout
+print(out.splitlines()[-1], resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)' \
+        "$2" --workload "$workload" --seed "$seed" --trace 0 "${length[@]}")"
     echo "$workload $1 $3 $result" >> "$runs"
     echo "$workload pair $3 $1 done" >&2
 }
@@ -74,11 +81,14 @@ def quartiles(xs):
 # workload -> side -> metric -> one value a run, in pair order
 workloads = {}
 failed = {}
+faults = {}
 for line in open(sys.argv[1]):
     workload, side, pair, result = line.split(" ", 3)
+    result, minflt = result.rsplit(" ", 1)
     result = json.loads(result)
     assert result["correct"], f"{workload}: {side} run of pair {pair} failed its own checks"
     failed.setdefault(workload, {"parent": 0, "change": 0})[side] += result["failed"]
+    faults.setdefault(workload, {"parent": [], "change": []})[side].append(int(minflt))
     sides = workloads.setdefault(workload, {"parent": {}, "change": {}})
     for name, m in result["metrics"].items():
         sides[side].setdefault(name, []).append(m["value"])
@@ -97,6 +107,10 @@ for workload, sides in workloads.items():
         for side, xs in (("parent", parent), ("change", change)):
             q1, med, q3 = quartiles(xs)
             print(f"{name:<20}{side:<8}{med:>14.6g}{q1:>14.6g}{q3:>14.6g}")
+        if name == "setup_s":
+            for side in ("parent", "change"):
+                q1, med, q3 = quartiles(faults[workload][side])
+                print(f"{'  minor faults':<20}{side:<8}{med:>14.6g}{q1:>14.6g}{q3:>14.6g}")
         (pq1, pmed, pq3), (_, cmed, _) = quartiles(parent), quartiles(change)
         wins = sum(better(c, p) for c, p in zip(change, parent))
         losses = sum(better(p, c) for c, p in zip(change, parent))
@@ -115,13 +129,14 @@ if len(workloads) > 1:
         return f"{med:.{digits}f}" + (f" [{q1:.{digits}f}, {q3:.{digits}f}]" if spread else "")
     print()
     print("| workload | `frames_per_s` (M), parent → change, median [q1, q3] | ratio | pairs won "
-          "| `peak_rss_mb` | `setup_s` (ms) |")
-    print("|---|---|---|---|---|---|")
+          "| `peak_rss_mb` | `setup_s` (ms) | minor faults |")
+    print("|---|---|---|---|---|---|---|")
     for workload, sides in workloads.items():
         parent, change = sides["parent"], sides["change"]
         fp, fc = parent["frames_per_s"], change["frames_per_s"]
         print(f"| `{workload}` | {cell(fp, 1e-6, 3, True)} → {cell(fc, 1e-6, 3, True)} "
               f"| {quartiles(fc)[1] / quartiles(fp)[1]:.3f}× | {sum(c > p for c, p in zip(fc, fp))}/{len(fp)} "
               f"| {cell(parent['peak_rss_mb'], 1, 2)} → {cell(change['peak_rss_mb'], 1, 2)} "
-              f"| {cell(parent['setup_s'], 1e3, 1)} → {cell(change['setup_s'], 1e3, 1)} |")
+              f"| {cell(parent['setup_s'], 1e3, 1)} → {cell(change['setup_s'], 1e3, 1)} "
+              f"| {cell(faults[workload]['parent'], 1, 0)} → {cell(faults[workload]['change'], 1, 0)} |")
 EOF
