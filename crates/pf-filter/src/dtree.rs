@@ -131,13 +131,22 @@ impl FilterSet {
 
     /// Inserts (or replaces) the filter for `id`.
     pub fn insert(&mut self, id: FilterId, program: FilterProgram) {
+        let form = Form::of(&program);
+        self.insert_analysed(id, program, form);
+    }
+
+    /// [`FilterSet::insert`] for a program already analysed: `form` is
+    /// `Form::of(&program)`, so a bind that analysed the program for its
+    /// own reasons does not analyse it again.
+    pub fn insert_analysed(&mut self, id: FilterId, program: FilterProgram, form: Form) {
         self.remove(id);
         let priority = program.priority();
         // The form is dropped before the table grows: a temporary that
         // outlived the table's allocations left them where glibc trimmed
         // the heap under them between `overload_flood`'s set-ups (29×
         // the minor faults, `setup_s` 2.3×).
-        let entries = table_entries(&Form::of(&program));
+        let entries = table_entries(&form);
+        drop(form);
         let kind = match entries {
             // One table entry per satisfiable disjunct; `matches`
             // deduplicates ids so overlapping disjuncts deliver once.

@@ -215,6 +215,11 @@ impl Form {
         &self.required
     }
 
+    /// [`Form::required`], by value.
+    pub fn into_required(self) -> Vec<Interval> {
+        self.required
+    }
+
     /// The program's first test, when it is `packet[word] == literal` by
     /// its first two instructions and rejects the packet at once when it
     /// fails: a `PUSHWORD` then a `PUSHLIT` or `PUSHZERO` under `CAND`, or
@@ -393,19 +398,20 @@ impl Dnf {
     /// The end of the program: it accepts when the top of the stack is
     /// non-zero.
     fn finish(&mut self) {
-        let Some(stack) = self.stack.take() else {
+        let Some(mut stack) = self.stack.take() else {
             return;
         };
-        let atoms = match stack.last() {
+        let atoms = match stack.pop() {
             None | Some(Term::Const(0)) => return,
             Some(Term::Const(_)) => Vec::new(),
-            Some(Term::Test(atoms)) => atoms.clone(),
+            Some(Term::Test(atoms)) => atoms,
             Some(Term::Word(_)) => {
                 self.declined = true;
                 return;
             }
         };
-        let mut all = self.path.clone();
+        let mut all = Vec::with_capacity(self.path.len() + atoms.len());
+        all.extend(&self.path);
         all.extend(atoms);
         self.accept(all);
     }
@@ -485,6 +491,9 @@ struct Walk {
 impl Walk {
     /// Walks `words`; returns whether the program validates.
     fn run(&mut self, words: &[u16]) -> bool {
+        // Room for two values a word, what a program of tests makes, so
+        // that the list is allocated once (a longer one still grows).
+        self.nodes.reserve(2 * words.len());
         self.live = true;
         self.dnf.stack = Some(Vec::new());
         if words.is_empty() {
@@ -895,8 +904,8 @@ impl Walk {
 
     /// The required atoms: those every accepting path tests true or, when
     /// no path accepts, every atom the code tests.
-    fn required(&self) -> Vec<Interval> {
-        let mut atoms = self.accepting.clone().unwrap_or_else(|| {
+    fn required(&mut self) -> Vec<Interval> {
+        let mut atoms = self.accepting.take().unwrap_or_else(|| {
             let unknown = self.conds.iter().filter(|c| self.atom(c[0]).is_none());
             let read = self.closure(self.roots.iter().chain(unknown.map(|c| &c[0])));
             let computed = (0..self.nodes.len() as Sym).filter(|&s| read[s as usize]);

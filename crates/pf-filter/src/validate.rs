@@ -119,6 +119,11 @@ impl ValidatedProgram {
         &self.program
     }
 
+    /// The underlying program, by value.
+    pub fn into_program(self) -> FilterProgram {
+        self.program
+    }
+
     /// The filter's priority.
     pub fn priority(&self) -> u8 {
         self.program.priority()

@@ -12,10 +12,11 @@
 use pf_filter::form::Form;
 use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
-use pf_filter::program::{Assembler, FilterProgram};
-use pf_filter::word::BinaryOp;
+use pf_filter::program::FilterProgram;
 use pf_sim::rng::SplitMix64;
-use soup::{clause_program, corpus, fuzz_balanced_words, fuzz_words, probes};
+use soup::{
+    clause_program, corpus, fuzz_balanced_words, fuzz_words, probes, short_circuit_program,
+};
 
 #[path = "support/soup.rs"]
 mod soup;
@@ -25,44 +26,6 @@ const ITERS: u32 = if cfg!(debug_assertions) {
 } else {
     10_000
 };
-
-/// A seeded program of short-circuit tests: each a packet word alone, or
-/// compared with a literal by `EQ` or an ordering operator, then tested
-/// against zero, one, all ones or a literal by any short-circuit operator;
-/// then a last compare or TRUE.
-fn short_circuit_program(rng: &mut SplitMix64) -> FilterProgram {
-    const CMP: [BinaryOp; 6] = [
-        BinaryOp::Nop,
-        BinaryOp::Eq,
-        BinaryOp::Lt,
-        BinaryOp::Le,
-        BinaryOp::Gt,
-        BinaryOp::Ge,
-    ];
-    const SC: [BinaryOp; 4] = [
-        BinaryOp::Cand,
-        BinaryOp::Cor,
-        BinaryOp::Cnor,
-        BinaryOp::Cnand,
-    ];
-    let lit = |rng: &mut SplitMix64| [0, 1, u16::MAX, rng.below(8) as u16][rng.below(4) as usize];
-    let mut a = Assembler::new(10);
-    for _ in 0..1 + rng.below(4) {
-        a = a.pushword(rng.below(6) as u8);
-        let cmp = CMP[rng.below(6) as usize];
-        if cmp != BinaryOp::Nop {
-            a = a.pushlit_op(cmp, lit(rng));
-        }
-        a = a.pushlit_op(SC[rng.below(4) as usize], lit(rng));
-    }
-    match rng.below(3) {
-        0 => a.pushone(),
-        _ => a
-            .pushword(rng.below(6) as u8)
-            .pushlit_op(CMP[1 + rng.below(5) as usize], lit(rng)),
-    }
-    .finish()
-}
 
 /// Holds `program`'s form to the checked interpreter on seeded packets;
 /// returns whether the form was `Opaque`.

@@ -1,8 +1,9 @@
 //! The filter programs the lanes share: every sample and figure program,
 //! word soup (`pf-ir`'s
 //! `tests/fuzz.rs`, the form's oracle lane in `pf-filter`'s
-//! `tests/form.rs`, `pf-kernel`'s RSS lane) and programs of conjunction
-//! clauses (`pf_ir::exec`'s test-list pins, the oracle lane). Each
+//! `tests/form.rs`, `pf-kernel`'s RSS lane), programs of conjunction
+//! clauses (`pf_ir::exec`'s test-list pins, the oracle lane) and of
+//! short-circuit tests (the oracle lane, the compiled-code pin). Each
 //! includes this file as a module and uses what it needs.
 #![allow(dead_code)]
 
@@ -171,6 +172,44 @@ pub fn clause_program(rng: &mut SplitMix64) -> FilterProgram {
             .pushlit_op(BinaryOp::Eq, lit(rng))
             .op(BinaryOp::Or),
         _ => a.pushone(),
+    }
+    .finish()
+}
+
+/// A seeded program of short-circuit tests: each a packet word alone, or
+/// compared with a literal by `EQ` or an ordering operator, then tested
+/// against zero, one, all ones or a literal by any short-circuit operator;
+/// then a last compare or TRUE.
+pub fn short_circuit_program(rng: &mut SplitMix64) -> FilterProgram {
+    const CMP: [BinaryOp; 6] = [
+        BinaryOp::Nop,
+        BinaryOp::Eq,
+        BinaryOp::Lt,
+        BinaryOp::Le,
+        BinaryOp::Gt,
+        BinaryOp::Ge,
+    ];
+    const SC: [BinaryOp; 4] = [
+        BinaryOp::Cand,
+        BinaryOp::Cor,
+        BinaryOp::Cnor,
+        BinaryOp::Cnand,
+    ];
+    let lit = |rng: &mut SplitMix64| [0, 1, u16::MAX, rng.below(8) as u16][rng.below(4) as usize];
+    let mut a = Assembler::new(10);
+    for _ in 0..1 + rng.below(4) {
+        a = a.pushword(rng.below(6) as u8);
+        let cmp = CMP[rng.below(6) as usize];
+        if cmp != BinaryOp::Nop {
+            a = a.pushlit_op(cmp, lit(rng));
+        }
+        a = a.pushlit_op(SC[rng.below(4) as usize], lit(rng));
+    }
+    match rng.below(3) {
+        0 => a.pushone(),
+        _ => a
+            .pushword(rng.below(6) as u8)
+            .pushlit_op(CMP[1 + rng.below(5) as usize], lit(rng)),
     }
     .finish()
 }

@@ -52,7 +52,7 @@ pub fn singleton_engines(program: &FilterProgram) -> Vec<Box<dyn FilterEngine>> 
     set.insert(0, program.clone());
     engines.push(Box::new(DtreeEngine(set)));
     if let Some(v) = &validated {
-        engines.push(Box::new(IrEngine(IrFilter::from_validated(v))));
+        engines.push(Box::new(IrEngine(IrFilter::from_validated(v.clone()))));
         let mut geom = GeomSet::new();
         geom.insert(0, program.clone());
         engines.push(Box::new(GeomEngine(geom)));

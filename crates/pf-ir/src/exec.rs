@@ -35,7 +35,6 @@ use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
 use pf_filter::validate::ValidatedProgram;
 use pf_filter::word::BinaryOp;
-use std::collections::HashMap;
 
 /// One threaded-code instruction. Register and target fields are plain
 /// indices; the engine's inner loop is a single `match` over this enum.
@@ -208,20 +207,22 @@ impl IrFilter {
     ///
     /// Returns the validator's verdict on a malformed program.
     pub fn compile(program: FilterProgram) -> Result<Self, ValidateError> {
-        Ok(Self::from_validated(&ValidatedProgram::new(program)?))
+        Ok(Self::from_validated(ValidatedProgram::new(program)?))
     }
 
     /// Compiles an already-validated program: translate to the CFG IR, run
-    /// the optimization pipeline, flatten to threaded code.
-    pub fn from_validated(validated: &ValidatedProgram) -> Self {
-        let mut ir = translate(validated);
+    /// the optimization pipeline, flatten to threaded code. The filter
+    /// keeps the program for its short-packet fallback.
+    pub fn from_validated(validated: ValidatedProgram) -> Self {
+        let mut ir = translate(&validated);
         optimize(&mut ir);
-        let code = lower(&ir);
+        let operands = Operands::of(&ir);
+        let code = lower(&ir, &operands);
         IrFilter {
-            program: validated.program().clone(),
             min_packet_words: validated.min_packet_words(),
+            program: validated.into_program(),
             reg_count: ir.reg_count as usize,
-            conjunction: conjunction(&code),
+            conjunction: conjunction(&code, operands),
             code,
         }
     }
@@ -390,213 +391,187 @@ impl IrFilter {
     }
 }
 
+/// Every instruction's branch target, for rewriting.
+fn target_mut(op: &mut TOp) -> Option<&mut u32> {
+    match op {
+        TOp::Jump { target }
+        | TOp::BranchIf { target, .. }
+        | TOp::BranchIfNot { target, .. }
+        | TOp::GuardEqBr { target, .. }
+        | TOp::GuardNeBr { target, .. }
+        | TOp::GuardInBr { target, .. }
+        | TOp::GuardOutBr { target, .. } => Some(target),
+        _ => None,
+    }
+}
+
 /// Flattens an optimized CFG into threaded code with fused guards.
-fn lower(ir: &IrProgram) -> Vec<TOp> {
-    // Emit per-block instruction lists with BlockId-valued targets, fuse
-    // within each block, then concatenate and patch targets.
-    let n = ir.blocks.len();
-    let mut chunks: Vec<Vec<TOp>> = Vec::with_capacity(n);
+fn lower(ir: &IrProgram, operands: &Operands) -> Vec<TOp> {
+    // Emit each block after the last with BlockId-valued targets, fuse its
+    // tail, then sweep dead definitions and patch targets to instruction
+    // indices.
+    let mut uses = register_use_counts(ir);
+    let mut code: Vec<TOp> = Vec::with_capacity(ir.op_count() + 2 * ir.blocks.len());
+    // Each block's first instruction, and one past the last block's.
+    let mut starts: Vec<u32> = Vec::with_capacity(ir.blocks.len() + 1);
     for (i, block) in ir.blocks.iter().enumerate() {
-        let mut out: Vec<TOp> = Vec::with_capacity(block.ops.len() + 2);
-        for op in &block.ops {
-            out.push(match *op {
-                crate::ir::Op::Const { dst, value } => TOp::Const { dst: dst.0, value },
-                crate::ir::Op::LoadWord { dst, index } => TOp::LoadWord { dst: dst.0, index },
-                crate::ir::Op::LoadInd { dst, index } => TOp::LoadInd {
-                    dst: dst.0,
-                    index: index.0,
-                },
-                crate::ir::Op::Bin { dst, op, a, b } => TOp::Bin {
-                    op,
-                    dst: dst.0,
-                    a: a.0,
-                    b: b.0,
-                },
-            });
-        }
+        let start = code.len();
+        starts.push(start as u32);
+        code.extend(block.ops.iter().map(|op| match *op {
+            crate::ir::Op::Const { dst, value } => TOp::Const { dst: dst.0, value },
+            crate::ir::Op::LoadWord { dst, index } => TOp::LoadWord { dst: dst.0, index },
+            crate::ir::Op::LoadInd { dst, index } => TOp::LoadInd {
+                dst: dst.0,
+                index: index.0,
+            },
+            crate::ir::Op::Bin { dst, op, a, b } => TOp::Bin {
+                op,
+                dst: dst.0,
+                a: a.0,
+                b: b.0,
+            },
+        }));
         let next = BlockId((i + 1) as u32);
         match block.term {
-            Terminator::Return(accept) => out.push(TOp::Return { accept }),
-            Terminator::ReturnReg(r) => out.push(TOp::ReturnReg { reg: r.0 }),
-            Terminator::Jump(t) => {
-                if t != next {
-                    out.push(TOp::Jump { target: t.0 });
-                }
-            }
+            Terminator::Return(accept) => code.push(TOp::Return { accept }),
+            Terminator::ReturnReg(r) => code.push(TOp::ReturnReg { reg: r.0 }),
+            Terminator::Jump(t) if t != next => code.push(TOp::Jump { target: t.0 }),
+            Terminator::Jump(_) => {}
             Terminator::Branch {
                 cond,
                 if_true,
                 if_false,
             } => {
                 if if_false == next {
-                    out.push(TOp::BranchIf {
+                    code.push(TOp::BranchIf {
                         cond: cond.0,
                         target: if_true.0,
                     });
                 } else if if_true == next {
-                    out.push(TOp::BranchIfNot {
+                    code.push(TOp::BranchIfNot {
                         cond: cond.0,
                         target: if_false.0,
                     });
                 } else {
-                    out.push(TOp::BranchIf {
+                    code.push(TOp::BranchIf {
                         cond: cond.0,
                         target: if_true.0,
                     });
-                    out.push(TOp::Jump { target: if_false.0 });
+                    code.push(TOp::Jump { target: if_false.0 });
                 }
             }
         }
-        chunks.push(out);
+        fuse_guard(&mut code, start, &uses, operands);
     }
-
-    fuse_guards(&mut chunks, ir);
-
-    // Concatenate and patch BlockId targets to instruction indices.
-    let mut starts = Vec::with_capacity(n);
-    let mut len = 0u32;
-    for c in &chunks {
-        starts.push(len);
-        len += c.len() as u32;
+    starts.push(code.len() as u32);
+    sweep_dead_definitions(&mut code, &mut starts, &mut uses);
+    for target in code.iter_mut().filter_map(target_mut) {
+        *target = starts[*target as usize];
     }
-    let mut code = Vec::with_capacity(len as usize);
-    for c in chunks {
-        for mut op in c {
-            match &mut op {
-                TOp::Jump { target }
-                | TOp::BranchIf { target, .. }
-                | TOp::BranchIfNot { target, .. }
-                | TOp::GuardEqBr { target, .. }
-                | TOp::GuardNeBr { target, .. }
-                | TOp::GuardInBr { target, .. }
-                | TOp::GuardOutBr { target, .. } => {
-                    *target = starts[*target as usize];
-                }
-                _ => {}
-            }
-            code.push(op);
-        }
-    }
-    loop {
-        let before = code.len();
-        merge_range_guards(&mut code);
-        if code.len() == before {
-            break;
-        }
-    }
+    merge_range_guards(&mut code);
     code
 }
 
-/// Merges an adjacent pair of same-word, same-target `GuardOutBr`s into a
-/// single two-sided range check — the shape a `GE cand LE` chain lowers
+/// Merges each adjacent pair of same-word, same-target `GuardOutBr`s into
+/// a single two-sided range check — the shape a `GE cand LE` chain lowers
 /// to: each one-sided test becomes its own out-of-range bail, and the
-/// intersection of the two intervals is the `InRange` window. Only fires
-/// when no branch lands between the two (merging would change that path).
+/// intersection of the two intervals is the `InRange` window — until no
+/// pair is left. Only fires when no branch lands between the two (merging
+/// would change that path).
 fn merge_range_guards(code: &mut Vec<TOp>) {
-    use std::collections::HashSet;
-    let mut targets: HashSet<u32> = HashSet::new();
-    for op in code.iter() {
-        match *op {
-            TOp::Jump { target }
-            | TOp::BranchIf { target, .. }
-            | TOp::BranchIfNot { target, .. }
-            | TOp::GuardEqBr { target, .. }
-            | TOp::GuardNeBr { target, .. }
-            | TOp::GuardInBr { target, .. }
-            | TOp::GuardOutBr { target, .. } => {
-                targets.insert(target);
+    // By instruction, and one past the last (where a branch may land):
+    // whether a branch lands there, and its place once the pairs before
+    // it are collapsed.
+    let mut at = vec![(false, 0u32); code.len() + 1];
+    loop {
+        let len = code.len();
+        at.fill((false, 0));
+        for op in code.iter_mut() {
+            if let Some(&mut t) = target_mut(op) {
+                at[t as usize].0 = true;
             }
-            _ => {}
         }
-    }
-    // Collapse pairs, recording how many instructions were dropped before
-    // each original index so surviving targets can be re-patched.
-    let mut out: Vec<TOp> = Vec::with_capacity(code.len());
-    let mut new_index = vec![0u32; code.len() + 1];
-    let mut i = 0usize;
-    while i < code.len() {
-        new_index[i] = out.len() as u32;
-        if let TOp::GuardOutBr {
-            word,
-            lo,
-            hi,
-            target,
-        } = code[i]
-        {
-            if let Some(&TOp::GuardOutBr {
-                word: w2,
-                lo: lo2,
-                hi: hi2,
-                target: t2,
-            }) = code.get(i + 1)
+        let (mut kept, mut i) = (0, 0);
+        while i < len {
+            at[i].1 = kept as u32;
+            let mut op = code[i];
+            if let (
+                TOp::GuardOutBr {
+                    word,
+                    lo,
+                    hi,
+                    target,
+                },
+                Some(&TOp::GuardOutBr {
+                    word: w2,
+                    lo: lo2,
+                    hi: hi2,
+                    target: t2,
+                }),
+            ) = (op, code.get(i + 1))
             {
-                if w2 == word && t2 == target && !targets.contains(&((i + 1) as u32)) {
-                    let lo = lo.max(lo2);
-                    let hi = hi.min(hi2);
-                    new_index[i + 1] = out.len() as u32;
-                    if lo <= hi {
-                        out.push(TOp::GuardOutBr {
+                if w2 == word && t2 == target && !at[i + 1].0 {
+                    let (lo, hi) = (lo.max(lo2), hi.min(hi2));
+                    at[i + 1].1 = kept as u32;
+                    op = if lo <= hi {
+                        TOp::GuardOutBr {
                             word,
                             lo,
                             hi,
                             target,
-                        });
+                        }
                     } else {
                         // Empty intersection: always out of range.
-                        out.push(TOp::Jump { target });
-                    }
-                    i += 2;
-                    continue;
+                        TOp::Jump { target }
+                    };
+                    i += 1;
                 }
             }
+            code[kept] = op;
+            kept += 1;
+            i += 1;
         }
-        out.push(code[i]);
-        i += 1;
-    }
-    new_index[code.len()] = out.len() as u32;
-    for op in out.iter_mut() {
-        match op {
-            TOp::Jump { target }
-            | TOp::BranchIf { target, .. }
-            | TOp::BranchIfNot { target, .. }
-            | TOp::GuardEqBr { target, .. }
-            | TOp::GuardNeBr { target, .. }
-            | TOp::GuardInBr { target, .. }
-            | TOp::GuardOutBr { target, .. } => {
-                *target = new_index[*target as usize];
-            }
-            _ => {}
+        at[len].1 = kept as u32;
+        if kept == len {
+            return;
+        }
+        code.truncate(kept);
+        for target in code.iter_mut().filter_map(target_mut) {
+            *target = at[*target as usize].1;
         }
     }
-    *code = out;
 }
 
-/// What the program's registers hold, where one instruction decides it:
-/// the literal of each `Const` and the packet word of each `LoadWord`.
-/// Registers are single-assignment, so one map each serves every path.
-struct Operands {
-    literals: HashMap<u16, u16>,
-    words: HashMap<u16, u16>,
+/// What a register holds, where one instruction decides it: the literal
+/// of a `Const`, the packet word of a `LoadWord` — and, once
+/// [`conjunction`] has walked it, the test a compare makes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Operand {
+    Other,
+    Literal(u16),
+    Word(u16),
+    Test(Interval),
 }
+
+/// Every register's [`Operand`], by register. Registers are
+/// single-assignment, so one entry each serves every path.
+struct Operands(Vec<Operand>);
 
 impl Operands {
-    fn of<'a>(code: impl IntoIterator<Item = &'a TOp>) -> Self {
-        let mut operands = Operands {
-            literals: HashMap::new(),
-            words: HashMap::new(),
-        };
-        for op in code {
+    fn of(ir: &IrProgram) -> Self {
+        let mut regs = vec![Operand::Other; ir.reg_count as usize];
+        for op in ir.blocks.iter().flat_map(|b| &b.ops) {
             match *op {
-                TOp::Const { dst, value } => {
-                    operands.literals.insert(dst, value);
+                crate::ir::Op::Const { dst, value } => {
+                    regs[usize::from(dst.0)] = Operand::Literal(value)
                 }
-                TOp::LoadWord { dst, index } => {
-                    operands.words.insert(dst, index);
+                crate::ir::Op::LoadWord { dst, index } => {
+                    regs[usize::from(dst.0)] = Operand::Word(index)
                 }
                 _ => {}
             }
         }
-        operands
+        Operands(regs)
     }
 
     /// The interval `packet[word] ∈ [lo, hi]` (unsigned) on which the
@@ -605,14 +580,9 @@ impl Operands {
     /// or operands, and for an ordering compare no word passes (`< 0`,
     /// `> 0xFFFF`).
     fn compare_interval(&self, op: BinaryOp, a: u16, b: u16) -> Option<Interval> {
-        match (
-            self.words.get(&a),
-            self.literals.get(&b),
-            self.words.get(&b),
-            self.literals.get(&a),
-        ) {
-            (Some(&w), Some(&l), _, _) => Interval::of_compare(op, w, l, true),
-            (_, _, Some(&w), Some(&l)) => Interval::of_compare(op, w, l, false),
+        match (self.0[usize::from(a)], self.0[usize::from(b)]) {
+            (Operand::Word(w), Operand::Literal(l)) => Interval::of_compare(op, w, l, true),
+            (Operand::Literal(l), Operand::Word(w)) => Interval::of_compare(op, w, l, false),
             _ => None,
         }
     }
@@ -627,21 +597,18 @@ impl Operands {
 /// compare. Each test's op count is the path's up to the rejection. Any
 /// other instruction on the path (`LoadInd`, a compare that is no interval
 /// test, a branch on anything else) leaves the program threaded.
-fn conjunction(code: &[TOp]) -> Option<Conjunction> {
-    let operands = Operands::of(code);
-    // Compare registers defined so far on the path.
-    let mut tests: HashMap<u16, Interval> = HashMap::new();
+fn conjunction(code: &[TOp], mut operands: Operands) -> Option<Conjunction> {
+    // The test of a compare register defined so far on the path.
+    let test = |operands: &Operands, r: u16| match operands.0[usize::from(r)] {
+        Operand::Test(t) => Some(t),
+        _ => None,
+    };
     let mut conj = Conjunction::default();
     let mut ops = 0u32;
     let mut pc = 0usize;
     // The path is acyclic, so it visits each instruction at most once.
     for _ in 0..code.len() {
         ops += 1;
-        let exact = |word, lit| Interval {
-            word,
-            lo: lit,
-            hi: lit,
-        };
         // The test a branch makes, and where it goes when the test passes
         // and when it fails.
         let (test, pass, fail) = match *code.get(pc)? {
@@ -650,7 +617,7 @@ fn conjunction(code: &[TOp]) -> Option<Conjunction> {
                 continue;
             }
             TOp::Bin { op, dst, a, b } => {
-                tests.insert(dst, operands.compare_interval(op, a, b)?);
+                operands.0[usize::from(dst)] = Operand::Test(operands.compare_interval(op, a, b)?);
                 pc += 1;
                 continue;
             }
@@ -658,8 +625,12 @@ fn conjunction(code: &[TOp]) -> Option<Conjunction> {
                 pc = target as usize;
                 continue;
             }
-            TOp::GuardEqBr { word, lit, target } => (exact(word, lit), target as usize, pc + 1),
-            TOp::GuardNeBr { word, lit, target } => (exact(word, lit), pc + 1, target as usize),
+            TOp::GuardEqBr { word, lit, target } => {
+                (Interval::exact(word, lit), target as usize, pc + 1)
+            }
+            TOp::GuardNeBr { word, lit, target } => {
+                (Interval::exact(word, lit), pc + 1, target as usize)
+            }
             TOp::GuardInBr {
                 word,
                 lo,
@@ -672,10 +643,10 @@ fn conjunction(code: &[TOp]) -> Option<Conjunction> {
                 hi,
                 target,
             } => (Interval { word, lo, hi }, pc + 1, target as usize),
-            TOp::BranchIf { cond, target } => (*tests.get(&cond)?, target as usize, pc + 1),
-            TOp::BranchIfNot { cond, target } => (*tests.get(&cond)?, pc + 1, target as usize),
+            TOp::BranchIf { cond, target } => (test(&operands, cond)?, target as usize, pc + 1),
+            TOp::BranchIfNot { cond, target } => (test(&operands, cond)?, pc + 1, target as usize),
             TOp::ReturnReg { reg } => {
-                conj.push(*tests.get(&reg)?, ops)?;
+                conj.push(test(&operands, reg)?, ops)?;
                 conj.accept_ops = u16::try_from(ops).ok()?;
                 return Some(conj);
             }
@@ -704,128 +675,120 @@ fn reject_ops(code: &[TOp], mut pc: usize) -> Option<u32> {
     None
 }
 
-/// Fuses the `LoadWord / Const / eq / branch` tail of a block into a
-/// single guard instruction when the intermediate registers have no other
-/// consumers.
-fn fuse_guards(chunks: &mut [Vec<TOp>], ir: &IrProgram) {
-    let uses = register_use_counts(ir);
+/// Fuses the `LoadWord / Const / eq / branch` tail of the block that
+/// starts at `start` and ends the code into a single guard instruction
+/// when the intermediate registers have no other consumers. A CSE-shared
+/// constant or load fuses without being removed: the dead-definition
+/// sweep reclaims either once every consumer has been fused away.
+fn fuse_guard(code: &mut Vec<TOp>, start: usize, uses: &[u32], operands: &Operands) {
     let used_once = |r: u16| uses.get(usize::from(r)).is_some_and(|&c| c == 1);
-    // Registers with statically known values, and registers holding a
-    // packet word, let a CSE-shared constant or a CSE-shared load fuse
-    // without being removed — the dead-definition sweep below reclaims
-    // either once every consumer has been fused away.
-    let operands = Operands::of(chunks.iter().flatten());
-    for chunk in chunks.iter_mut() {
-        let k = chunk.len();
-        if k < 3 {
-            continue;
-        }
-        let (cond, target, jump_on_cond) = match chunk[k - 1] {
-            TOp::BranchIf { cond, target } => (cond, target, true),
-            TOp::BranchIfNot { cond, target } => (cond, target, false),
-            _ => continue,
-        };
-        if !used_once(cond) {
-            continue;
-        }
-        let TOp::Bin { op, dst, a, b } = chunk[k - 2] else {
-            continue;
-        };
-        if dst != cond {
-            continue;
-        }
-        // The compare's operands: one register holding a packet word, one
-        // holding a constant (each either single-use and removable, or
-        // shared and kept — kept definitions that lose their last
-        // consumer are reclaimed by the sweep below). A constantly-false
-        // ordering compare is left unfused; it is rare and correct as-is.
-        let Some(Interval { word, lo, hi }) = operands.compare_interval(op, a, b) else {
-            continue;
-        };
-        let fused = match (op, jump_on_cond) {
-            (BinaryOp::Eq, true) => TOp::GuardEqBr {
-                word,
-                lit: lo,
-                target,
-            },
-            (BinaryOp::Eq, false) => TOp::GuardNeBr {
-                word,
-                lit: lo,
-                target,
-            },
-            (_, true) => TOp::GuardInBr {
-                word,
-                lo,
-                hi,
-                target,
-            },
-            (_, false) => TOp::GuardOutBr {
-                word,
-                lo,
-                hi,
-                target,
-            },
-        };
-        // Drop the compare and branch; peel the trailing single-use
-        // definitions that fed only this window.
-        let mut keep = k - 2;
-        while keep > 0 {
-            match chunk[keep - 1] {
-                TOp::Const { dst, .. } | TOp::LoadWord { dst, .. }
-                    if (dst == a || dst == b) && used_once(dst) =>
-                {
-                    keep -= 1;
-                }
-                _ => break,
-            }
-        }
-        chunk.truncate(keep);
-        chunk.push(fused);
+    let k = code.len() - start;
+    if k < 3 {
+        return;
     }
-    sweep_dead_definitions(chunks);
+    let chunk = &code[start..];
+    let (cond, target, jump_on_cond) = match chunk[k - 1] {
+        TOp::BranchIf { cond, target } => (cond, target, true),
+        TOp::BranchIfNot { cond, target } => (cond, target, false),
+        _ => return,
+    };
+    if !used_once(cond) {
+        return;
+    }
+    let TOp::Bin { op, dst, a, b } = chunk[k - 2] else {
+        return;
+    };
+    if dst != cond {
+        return;
+    }
+    // The compare's operands: one register holding a packet word, one
+    // holding a constant (each either single-use and removable, or shared
+    // and kept). A constantly-false ordering compare is left unfused; it
+    // is rare and correct as-is.
+    let Some(Interval { word, lo, hi }) = operands.compare_interval(op, a, b) else {
+        return;
+    };
+    let fused = match (op, jump_on_cond) {
+        (BinaryOp::Eq, true) => TOp::GuardEqBr {
+            word,
+            lit: lo,
+            target,
+        },
+        (BinaryOp::Eq, false) => TOp::GuardNeBr {
+            word,
+            lit: lo,
+            target,
+        },
+        (_, true) => TOp::GuardInBr {
+            word,
+            lo,
+            hi,
+            target,
+        },
+        (_, false) => TOp::GuardOutBr {
+            word,
+            lo,
+            hi,
+            target,
+        },
+    };
+    // Drop the compare and branch; peel the trailing single-use
+    // definitions that fed only this window.
+    let mut keep = k - 2;
+    while keep > 0 {
+        match chunk[keep - 1] {
+            TOp::Const { dst, .. } | TOp::LoadWord { dst, .. }
+                if (dst == a || dst == b) && used_once(dst) =>
+            {
+                keep -= 1;
+            }
+            _ => break,
+        }
+    }
+    code.truncate(start + keep);
+    code.push(fused);
 }
 
 /// Removes `Const`/`LoadWord` definitions no surviving instruction reads
-/// (to fixpoint): a load shared by several compares goes dead only once
-/// guard fusion has rewritten *every* consumer. Sound because both ops
-/// are pure and registers are single-assignment.
-fn sweep_dead_definitions(chunks: &mut [Vec<TOp>]) {
+/// (to fixpoint), moving each block's start (`starts`, by block, then one
+/// past the end) along: a load shared by several compares goes dead only
+/// once guard fusion has rewritten *every* consumer. Sound because both
+/// ops are pure and registers are single-assignment. `reads` is recounted
+/// over the code each round.
+fn sweep_dead_definitions(code: &mut Vec<TOp>, starts: &mut [u32], reads: &mut [u32]) {
     loop {
-        let mut read = std::collections::HashSet::new();
-        for chunk in chunks.iter() {
-            for op in chunk {
-                match *op {
-                    TOp::LoadInd { index, .. } => {
-                        read.insert(index);
-                    }
-                    TOp::Bin { a, b, .. } => {
-                        read.insert(a);
-                        read.insert(b);
-                    }
-                    TOp::BranchIf { cond, .. } | TOp::BranchIfNot { cond, .. } => {
-                        read.insert(cond);
-                    }
-                    TOp::ReturnReg { reg } => {
-                        read.insert(reg);
-                    }
-                    _ => {}
-                }
+        reads.fill(0);
+        for op in code.iter() {
+            let (a, b) = match *op {
+                TOp::LoadInd { index, .. } => (Some(index), None),
+                TOp::Bin { a, b, .. } => (Some(a), Some(b)),
+                TOp::BranchIf { cond, .. } | TOp::BranchIfNot { cond, .. } => (Some(cond), None),
+                TOp::ReturnReg { reg } => (Some(reg), None),
+                _ => continue,
+            };
+            for r in a.into_iter().chain(b) {
+                reads[usize::from(r)] += 1;
             }
         }
-        let mut removed = false;
-        for chunk in chunks.iter_mut() {
-            chunk.retain(|op| match *op {
-                TOp::Const { dst, .. } | TOp::LoadWord { dst, .. } => {
-                    let live = read.contains(&dst);
-                    removed |= !live;
-                    live
-                }
-                _ => true,
-            });
+        let dead = |op: &TOp| match *op {
+            TOp::Const { dst, .. } | TOp::LoadWord { dst, .. } => reads[usize::from(dst)] == 0,
+            _ => false,
+        };
+        if !code.iter().any(dead) {
+            return;
         }
-        if !removed {
-            break;
+        let (mut kept, mut block) = (0, 0);
+        for at in 0..=code.len() {
+            while starts.get(block) == Some(&(at as u32)) {
+                starts[block] = kept as u32;
+                block += 1;
+            }
+            if at < code.len() && !dead(&code[at]) {
+                code[kept] = code[at];
+                kept += 1;
+            }
         }
+        code.truncate(kept);
     }
 }
 

@@ -52,8 +52,9 @@ use pf_filter::dtree::FilterId;
 use pf_filter::form::{Form, Interval};
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
+use pf_filter::validate::ValidatedProgram;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Counters from one whole-set evaluation.
@@ -252,12 +253,7 @@ impl TupleWords {
     fn pinned(&self, key: u64) -> impl Iterator<Item = Interval> + '_ {
         let words = self.as_slice();
         words.iter().enumerate().map(move |(i, &word)| {
-            let lit = (key >> (16 * (words.len() - 1 - i))) as u16;
-            Interval {
-                word,
-                lo: lit,
-                hi: lit,
-            }
+            Interval::exact(word, (key >> (16 * (words.len() - 1 - i))) as u16)
         })
     }
 }
@@ -268,30 +264,42 @@ impl TupleWords {
 /// statistics were when it arrived) and those words' literals, packed as
 /// [`TupleWords::key_of`] packs a packet's.
 fn exact_tuple(atoms: &[Interval]) -> (TupleWords, u64) {
-    let mut exact: Vec<Interval> = atoms.iter().copied().filter(Interval::is_exact).collect();
-    exact.sort_unstable_by_key(|a| (Reverse(a.word), a.lo));
-    // Two literals required of one word never both hold; either keys it.
-    exact.dedup_by_key(|a| a.word);
-    exact.truncate(TUPLE_WORDS);
     let mut tuple = TupleWords {
-        len: exact.len() as u8,
+        len: 0,
         words: [0; TUPLE_WORDS],
     };
-    let mut key = 0u64;
-    for (i, a) in exact.iter().rev().enumerate() {
-        tuple.words[i] = a.word;
-        key = key << 16 | u64::from(a.lo);
+    // The deepest words, filled in from the back, each at its least
+    // literal (two literals required of one word never both hold, so
+    // either keys it), and packed from the key's low end.
+    let (mut key, mut above) = (0u64, u32::MAX);
+    for word in tuple.words.iter_mut().rev() {
+        let exact = atoms.iter().filter(|a| a.is_exact());
+        let below = exact.filter(|a| u32::from(a.word) < above);
+        let Some(a) = below.min_by_key(|a| (Reverse(a.word), a.lo)) else {
+            break;
+        };
+        key |= u64::from(a.lo) << (16 * tuple.len);
+        (*word, above) = (a.word, u32::from(a.word));
+        tuple.len += 1;
     }
+    tuple
+        .words
+        .rotate_left(TUPLE_WORDS - usize::from(tuple.len));
     (tuple, key)
 }
 
-/// Hashes a packed directory key: one multiply and a fold, so the bits
-/// the table indexes by depend on every literal of the tuple. The
-/// standard library's keyed SipHash costs as much per probe as the rest
-/// of the lookup together (EXPERIMENTS.md, "Retired, and why (PR 15)"),
-/// and what it defends does not arise here: keys enter a table only
-/// through `insert` — the bind path, bounded by the port count — while a
-/// packet merely probes.
+/// An interval as one integer, for [`PackedKeyHasher`].
+fn packed(a: &Interval) -> u64 {
+    u64::from(a.word) << 32 | u64::from(a.lo) << 16 | u64::from(a.hi)
+}
+
+/// Hashes a packed key — a directory bucket's literals, or a key of the
+/// set's bookkeeping: one multiply and a fold, so the bits the table
+/// indexes by depend on every packed field. The standard library's keyed
+/// SipHash costs as much per probe as the rest of the lookup together
+/// (EXPERIMENTS.md, "Retired, and why (PR 15)"), and what it defends does
+/// not arise here: keys enter a table only through `insert` — the bind
+/// path, bounded by the port count — while a packet merely probes.
 #[derive(Debug, Default, Clone, Copy)]
 struct PackedKeyHasher(u64);
 
@@ -310,11 +318,14 @@ impl Hasher for PackedKeyHasher {
     }
 }
 
+/// A map keyed by a packed integer, hashed by [`PackedKeyHasher`].
+type PackedMap<V> = HashMap<u64, V, BuildHasherDefault<PackedKeyHasher>>;
+
 /// One exact tuple of the directory: every member whose exact atoms
 /// constrain the same words, bucketed by those words' literals taken
 /// together — one hash probe per packet selects the members whose
 /// *every* key literal the packet carries.
-type ExactTuple = HashMap<u64, Vec<u32>, BuildHasherDefault<PackedKeyHasher>>;
+type ExactTuple = PackedMap<Vec<u32>>;
 
 /// What a packet probes on the fast path. Every packet walks both tuple
 /// lists whole and a set has one to three tuples, so they are vectors
@@ -417,17 +428,21 @@ const COMPACT_MIN: usize = 16;
 pub struct GeomSet {
     /// Member slab; `None` is a tombstone awaiting compaction.
     slots: Vec<Option<GeomMember>>,
-    id_to_slot: HashMap<FilterId, u32>,
+    id_to_slot: PackedMap<u32>,
     /// `(Reverse(priority), id, slot)`, sorted — match order. Tombstoned
     /// slots stay until compaction (their sort key is in the tuple).
     order: Vec<(Reverse<u8>, FilterId, u32)>,
     index: TupleIndex,
-    /// `(word, literal)` of every exact key atom → its members, for
-    /// conflict counting at insert; packets never read it.
-    exact_keys: BTreeMap<(u16, u16), Vec<u32>>,
-    /// word → distinct required interval → refcount, over *all* atoms of
-    /// live members: the key-choice statistic (most-diverse word wins).
-    interval_refs: HashMap<u16, HashMap<(u16, u16), u32>>,
+    /// `(word, literal, slot)` of every exact key atom, for conflict
+    /// counting at insert; packets never read it.
+    exact_keys: BTreeSet<(u16, u16, u32)>,
+    /// Each distinct required interval (packed by [`packed`]) → its
+    /// refcount over *all* atoms of live members, and each word → how
+    /// many of those intervals it carries: the key-choice statistic
+    /// (most-diverse word wins). Neither is hashed by SipHash, and a bind
+    /// allocates in neither once it has grown.
+    interval_refs: PackedMap<u32>,
+    diversity: PackedMap<u32>,
     /// Packets shorter than this take the walk-everything slow path.
     fast_min_words: usize,
     live: usize,
@@ -475,7 +490,7 @@ impl GeomSet {
     /// The atom member `id` is keyed on: `None` for the residue, or a
     /// filter that is not a member.
     pub fn key(&self, id: FilterId) -> Option<Interval> {
-        let slot = self.id_to_slot.get(&id)?;
+        let slot = self.id_to_slot.get(&u64::from(id))?;
         self.slots[*slot as usize].as_ref()?.key
     }
 
@@ -533,19 +548,30 @@ impl GeomSet {
     /// program validated and joined the set. An invalid program is left
     /// out, along with what `id` held before.
     pub fn insert(&mut self, id: FilterId, program: FilterProgram) -> bool {
-        self.remove(id);
-        let priority = program.priority();
-        let atoms = Form::of(&program).required().to_vec();
-        let Ok(filter) = IrFilter::compile(program) else {
+        let Ok(program) = ValidatedProgram::new(program) else {
+            self.remove(id);
             return false;
         };
+        let form = Form::of(program.program());
+        self.insert_validated(id, program, form);
+        true
+    }
+
+    /// [`GeomSet::insert`] for a program already validated and analysed:
+    /// `form` is `Form::of(program.program())`. A bind that validated and
+    /// analysed the program for its own reasons hands both over, so
+    /// neither runs twice.
+    pub fn insert_validated(&mut self, id: FilterId, program: ValidatedProgram, form: Form) {
+        self.remove(id);
+        let priority = program.priority();
+        let atoms = form.into_required();
+        let filter = IrFilter::from_validated(program);
         for a in &atoms {
-            *self
-                .interval_refs
-                .entry(a.word)
-                .or_default()
-                .entry((a.lo, a.hi))
-                .or_insert(0) += 1;
+            let refs = self.interval_refs.entry(packed(a)).or_insert(0);
+            if *refs == 0 {
+                *self.diversity.entry(u64::from(a.word)).or_insert(0) += 1;
+            }
+            *refs += 1;
         }
         let key = self.choose_key(&atoms);
         if let Some(k) = key {
@@ -562,14 +588,13 @@ impl GeomSet {
         };
         self.index_member(slot, &mut member);
         self.slots.push(Some(member));
-        self.id_to_slot.insert(id, slot);
+        self.id_to_slot.insert(u64::from(id), slot);
         let entry = (Reverse(priority), id, slot);
         let at = self
             .order
             .partition_point(|e| (e.0, e.1) <= (entry.0, entry.1));
         self.order.insert(at, entry);
         self.live += 1;
-        true
     }
 
     /// Removes the filter for `id`; `true` if it was present.
@@ -580,20 +605,19 @@ impl GeomSet {
     /// tombstones outnumber live members, so steady churn costs O(log U)
     /// per operation rather than a full rebuild.
     pub fn remove(&mut self, id: FilterId) -> bool {
-        let Some(slot) = self.id_to_slot.remove(&id) else {
+        let Some(slot) = self.id_to_slot.remove(&u64::from(id)) else {
             return false;
         };
         let m = self.slots[slot as usize].take().expect("live slot");
         self.live -= 1;
         self.dead += 1;
         for a in &m.atoms {
-            if let Some(word_refs) = self.interval_refs.get_mut(&a.word) {
-                if let Some(c) = word_refs.get_mut(&(a.lo, a.hi)) {
-                    *c -= 1;
-                    if *c == 0 {
-                        word_refs.remove(&(a.lo, a.hi));
-                    }
-                }
+            let refs = self.interval_refs.get_mut(&packed(a));
+            let refs = refs.expect("a live member's atoms are counted");
+            *refs -= 1;
+            if *refs == 0 {
+                self.interval_refs.remove(&packed(a));
+                *self.diversity.get_mut(&u64::from(a.word)).expect("counted") -= 1;
             }
         }
         self.maybe_compact();
@@ -605,8 +629,8 @@ impl GeomSet {
     /// toward deeper header words and then narrower intervals.
     fn choose_key(&self, atoms: &[Interval]) -> Option<Interval> {
         atoms.iter().copied().max_by_key(|a| {
-            let diversity = self.interval_refs.get(&a.word).map_or(0, HashMap::len);
-            (diversity, a.word, Reverse(a.hi - a.lo))
+            let diversity = self.diversity.get(&u64::from(a.word)).copied();
+            (diversity.unwrap_or(0), a.word, Reverse(a.hi - a.lo))
         })
     }
 
@@ -627,10 +651,7 @@ impl GeomSet {
                         .map(|c| c.unproven(|t| words.pinned(key).any(|p| t.implied_by(&p))));
                     let tuple = tuple_entry(&mut self.index.exact, words);
                     tuple.entry(key).or_default().push(slot);
-                    self.exact_keys
-                        .entry((k.word, k.lo))
-                        .or_default()
-                        .push(slot);
+                    self.exact_keys.insert((k.word, k.lo, slot));
                 } else {
                     member.residual = conjunction.map(|c| c.unproven(|t| t.implied_by(&k)));
                     tuple_entry(&mut self.index.ranges, k.word).insert(k.lo, k.hi, slot);
@@ -645,11 +666,11 @@ impl GeomSet {
     /// intervals already indexed on the same word. Output-sensitive:
     /// one literal-map range scan, one start-map range scan, one stab.
     fn record_conflicts(&mut self, key: Interval, priority: u8) {
-        let mut seen: Vec<u32> = Vec::new();
-        let literals = (key.word, key.lo)..=(key.word, key.hi);
-        for (_, list) in self.exact_keys.range(literals) {
-            seen.extend_from_slice(list);
-        }
+        // The per-packet candidate buffer, lent: no packet is in flight.
+        let mut seen = std::mem::take(&mut self.cand);
+        seen.clear();
+        let literals = (key.word, key.lo, 0)..=(key.word, key.hi, u32::MAX);
+        seen.extend(self.exact_keys.range(literals).map(|e| e.2));
         let ranges = &self.index.ranges;
         if let Ok(at) = ranges.binary_search_by_key(&key.word, |t| t.0) {
             let tree = &ranges[at].1;
@@ -660,7 +681,7 @@ impl GeomSet {
         }
         seen.sort_unstable();
         seen.dedup();
-        for s in seen {
+        for &s in &seen {
             let Some(m) = self.slots[s as usize].as_ref() else {
                 continue;
             };
@@ -675,6 +696,7 @@ impl GeomSet {
                 self.shadows += 1;
             }
         }
+        self.cand = seen;
     }
 
     fn maybe_compact(&mut self) {
@@ -698,8 +720,9 @@ impl GeomSet {
         self.exact_keys.clear();
         self.fast_min_words = 0;
         self.dead = 0;
-        // `interval_refs` is already maintained incrementally and counts
-        // only live members; keys are re-chosen against it wholesale.
+        // `interval_refs` and `diversity` are already maintained
+        // incrementally and count only live members; keys are re-chosen
+        // against them wholesale.
         let mut members: Vec<GeomMember> = old_order
             .into_iter()
             .filter_map(|(_, _, s)| old_slots[s as usize].take())
@@ -718,7 +741,7 @@ impl GeomSet {
         self.id_to_slot = members
             .iter()
             .enumerate()
-            .map(|(slot, m)| (m.id, slot as u32))
+            .map(|(slot, m)| (u64::from(m.id), slot as u32))
             .collect();
         self.slots = members.into_iter().map(Some).collect();
     }
@@ -1523,10 +1546,8 @@ mod tests {
 
     /// The residual test mask of member `id`.
     fn residual(set: &GeomSet, id: FilterId) -> Option<u8> {
-        set.slots[set.id_to_slot[&id] as usize]
-            .as_ref()
-            .unwrap()
-            .residual
+        let slot = set.id_to_slot.get(&u64::from(id))?;
+        set.slots[*slot as usize].as_ref()?.residual
     }
 
     #[test]

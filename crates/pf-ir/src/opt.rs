@@ -27,7 +27,6 @@
 
 use crate::ir::{Block, BlockId, IrProgram, Op, Reg, Terminator};
 use pf_filter::word::BinaryOp;
-use std::collections::HashMap;
 
 /// Runs the full pass pipeline in place.
 pub fn optimize(program: &mut IrProgram) {
@@ -39,115 +38,123 @@ pub fn optimize(program: &mut IrProgram) {
     renumber_registers(program);
 }
 
-/// Forward dataflow facts at one program point.
-#[derive(Debug, Default, Clone)]
+/// A value some register already holds: a packet word, a constant, or a
+/// pure operation's result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Value {
+    Word(u16),
+    Const(u16),
+    Bin(BinaryOp, Reg, Reg),
+}
+
+/// What the forward pass knows. `regs` — each register's alias (itself,
+/// or an earlier register holding its value) and its value when known —
+/// is indexed by register, sized once, and global: single assignment
+/// makes either fact sound wherever the register can be read. `values`,
+/// the register holding each value, holds only along the chain being
+/// walked; a program is at most `MAX_PROGRAM_WORDS` words, so it is a
+/// table found by a scan.
 struct Facts {
-    /// Registers with statically known values.
-    konst: HashMap<Reg, u16>,
-    /// Packet word index → register already holding that word.
-    loads: HashMap<u16, Reg>,
-    /// Constant value → register already holding it.
-    consts_by_value: HashMap<u16, Reg>,
-    /// Pure operation `(op, a, b)` → register already holding its result.
-    bins: HashMap<(BinaryOp, Reg, Reg), Reg>,
+    regs: Vec<(Reg, Option<u16>)>,
+    values: Vec<(Value, Reg)>,
+}
+
+impl Facts {
+    fn resolve(&self, r: Reg) -> Reg {
+        // An alias is always a register that kept its definition.
+        self.regs[usize::from(r.0)].0
+    }
+
+    fn konst(&self, r: Reg) -> Option<u16> {
+        self.regs[usize::from(r.0)].1
+    }
+
+    /// Records that `dst` holds `value`; `false` when an earlier register
+    /// already does, and `dst` now aliases it.
+    fn define(&mut self, dst: Reg, value: Value) -> bool {
+        if let Some(&(_, prev)) = self.values.iter().find(|(v, _)| *v == value) {
+            self.regs[usize::from(dst.0)].0 = prev;
+            return false;
+        }
+        self.values.push((value, dst));
+        if let Value::Const(c) = value {
+            self.regs[usize::from(dst.0)].1 = Some(c);
+        }
+        true
+    }
 }
 
 /// Constant folding, constant/copy propagation, redundant-load
 /// elimination, value numbering, and constant-branch folding.
 fn fold_and_reuse(program: &mut IrProgram) {
-    // Predecessor map, to know when a block inherits its predecessor's
-    // facts (exactly one predecessor, already processed).
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); program.blocks.len()];
+    // A block inherits the facts of the block before it when that is its
+    // only predecessor: every block translation makes but the return
+    // blocks, which hold no operations. Any other block starts afresh.
+    let mut preds: Vec<(u32, usize)> = vec![(0, usize::MAX); program.blocks.len()];
     for (i, b) in program.blocks.iter().enumerate() {
         for s in b.term.successors() {
-            preds[s.0 as usize].push(i);
+            let p = &mut preds[s.0 as usize];
+            *p = (p.0 + 1, i);
         }
     }
-
-    // `alias` is global: single-assignment makes replacements sound at
-    // every point the replacement's definition dominates, and facts only
-    // flow where that holds.
-    let mut alias: HashMap<Reg, Reg> = HashMap::new();
-    let resolve = |alias: &HashMap<Reg, Reg>, mut r: Reg| -> Reg {
-        while let Some(&n) = alias.get(&r) {
-            r = n;
-        }
-        r
+    let regs = program.reg_count as usize;
+    let mut facts = Facts {
+        regs: (0..regs).map(|r| (Reg(r as u16), None)).collect(),
+        values: Vec::with_capacity(program.op_count()),
     };
-
-    let mut exit_facts: Vec<Option<Facts>> = vec![None; program.blocks.len()];
-    for i in 0..program.blocks.len() {
-        let mut facts = match preds[i].as_slice() {
-            [p] if *p < i => exit_facts[*p].clone().unwrap_or_default(),
-            _ => Facts::default(),
-        };
-
-        let ops = std::mem::take(&mut program.blocks[i].ops);
-        let mut kept: Vec<Op> = Vec::with_capacity(ops.len());
-        for op in ops {
-            match op {
-                Op::Const { dst, value } => {
-                    if let Some(&prev) = facts.consts_by_value.get(&value) {
-                        alias.insert(dst, prev);
-                    } else {
-                        facts.konst.insert(dst, value);
-                        facts.consts_by_value.insert(value, dst);
-                        kept.push(op);
-                    }
-                }
-                Op::LoadWord { dst, index } => {
-                    if let Some(&prev) = facts.loads.get(&index) {
-                        alias.insert(dst, prev);
-                    } else {
-                        facts.loads.insert(index, dst);
-                        kept.push(op);
-                    }
-                }
-                Op::LoadInd { dst, index } => {
-                    let index = resolve(&alias, index);
-                    kept.push(Op::LoadInd { dst, index });
-                }
+    for (i, block) in program.blocks.iter_mut().enumerate() {
+        if preds[i] != (1, i.wrapping_sub(1)) {
+            facts.values.clear();
+        }
+        let mut kept = 0;
+        for at in 0..block.ops.len() {
+            let op = block.ops[at];
+            let op = match op {
+                Op::Const { dst, value } => facts.define(dst, Value::Const(value)).then_some(op),
+                Op::LoadWord { dst, index } => facts.define(dst, Value::Word(index)).then_some(op),
+                Op::LoadInd { dst, index } => Some(Op::LoadInd {
+                    dst,
+                    index: facts.resolve(index),
+                }),
                 Op::Bin { dst, op, a, b } => {
-                    let a = resolve(&alias, a);
-                    let b = resolve(&alias, b);
-                    let ka = facts.konst.get(&a).copied();
-                    let kb = facts.konst.get(&b).copied();
+                    let a = facts.resolve(a);
+                    let b = facts.resolve(b);
+                    let (ka, kb) = (facts.konst(a), facts.konst(b));
                     let folded = match (ka, kb) {
                         (Some(x), Some(y)) => op.apply(x, y),
                         _ => same_operand_identity(op, a, b),
                     };
                     if let Some(value) = folded {
-                        if let Some(&prev) = facts.consts_by_value.get(&value) {
-                            alias.insert(dst, prev);
-                        } else {
-                            facts.konst.insert(dst, value);
-                            facts.consts_by_value.insert(value, dst);
-                            kept.push(Op::Const { dst, value });
-                        }
+                        facts
+                            .define(dst, Value::Const(value))
+                            .then_some(Op::Const { dst, value })
                     } else if ka.is_some() && kb.is_some() {
                         // Constant zero divisor: a guaranteed fault. Keep
                         // the operation; it rejects at runtime.
-                        kept.push(Op::Bin { dst, op, a, b });
-                    } else if let Some(&prev) = facts.bins.get(&(op, a, b)) {
-                        alias.insert(dst, prev);
+                        Some(Op::Bin { dst, op, a, b })
                     } else {
-                        facts.bins.insert((op, a, b), dst);
-                        kept.push(Op::Bin { dst, op, a, b });
+                        facts
+                            .define(dst, Value::Bin(op, a, b))
+                            .then_some(Op::Bin { dst, op, a, b })
                     }
                 }
+            };
+            if let Some(op) = op {
+                block.ops[kept] = op;
+                kept += 1;
             }
         }
-        program.blocks[i].ops = kept;
+        block.ops.truncate(kept);
 
         // Terminator: propagate aliases; fold constant branches.
-        program.blocks[i].term = match program.blocks[i].term {
+        block.term = match block.term {
             Terminator::Branch {
                 cond,
                 if_true,
                 if_false,
             } => {
-                let cond = resolve(&alias, cond);
-                match facts.konst.get(&cond) {
+                let cond = facts.resolve(cond);
+                match facts.konst(cond) {
                     Some(0) => Terminator::Jump(if_false),
                     Some(_) => Terminator::Jump(if_true),
                     None => Terminator::Branch {
@@ -158,16 +165,14 @@ fn fold_and_reuse(program: &mut IrProgram) {
                 }
             }
             Terminator::ReturnReg(r) => {
-                let r = resolve(&alias, r);
-                match facts.konst.get(&r) {
-                    Some(&v) => Terminator::Return(v != 0),
+                let r = facts.resolve(r);
+                match facts.konst(r) {
+                    Some(v) => Terminator::Return(v != 0),
                     None => Terminator::ReturnReg(r),
                 }
             }
             t => t,
         };
-
-        exit_facts[i] = Some(facts);
     }
 }
 
@@ -200,32 +205,34 @@ fn same_operand_identity(op: BinaryOp, a: Reg, b: Reg) -> Option<u16> {
 /// guard (the `PUSHZERO | CAND` idiom of figure 3-9). The orphaned `Eq`
 /// and `Const 0` fall to dead-code elimination.
 fn invert_zero_eq_branches(program: &mut IrProgram) {
-    // Single assignment: one global definition map suffices, and any
-    // operand of an op dominating a branch dominates the branch too.
-    let mut konst: HashMap<Reg, u16> = HashMap::new();
-    let mut eq_def: HashMap<Reg, (Reg, Reg)> = HashMap::new();
-    let mut ordering_result: Vec<Reg> = Vec::new();
-    for b in &program.blocks {
-        for op in &b.ops {
-            match *op {
-                Op::Const { dst, value } => {
-                    konst.insert(dst, value);
-                }
-                Op::Bin { dst, op, a, b } => {
-                    if op == BinaryOp::Eq {
-                        eq_def.insert(dst, (a, b));
-                    }
-                    if matches!(
-                        op,
-                        BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge
-                    ) {
-                        ordering_result.push(dst);
-                    }
-                }
-                _ => {}
-            }
-        }
+    /// How a register is defined, where that matters here.
+    #[derive(Clone, Copy)]
+    enum Def {
+        Other,
+        Const(u16),
+        Eq(Reg, Reg),
+        Ordering,
     }
+    // Single assignment: one global definition array suffices, and any
+    // operand of an op dominating a branch dominates the branch too.
+    let mut defs = vec![Def::Other; program.reg_count as usize];
+    for op in program.blocks.iter().flat_map(|b| &b.ops) {
+        defs[usize::from(op.dst().0)] = match *op {
+            Op::Const { value, .. } => Def::Const(value),
+            Op::Bin {
+                op: BinaryOp::Eq,
+                a,
+                b,
+                ..
+            } => Def::Eq(a, b),
+            Op::Bin {
+                op: BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge,
+                ..
+            } => Def::Ordering,
+            _ => Def::Other,
+        };
+    }
+    let def = |r: Reg| defs[usize::from(r.0)];
     for block in &mut program.blocks {
         if let Terminator::Branch {
             cond,
@@ -233,17 +240,15 @@ fn invert_zero_eq_branches(program: &mut IrProgram) {
             if_false,
         } = block.term
         {
-            let Some(&(a, b)) = eq_def.get(&cond) else {
+            let Def::Eq(a, b) = def(cond) else {
                 continue;
             };
-            let other = if konst.get(&b) == Some(&0) {
-                a
-            } else if konst.get(&a) == Some(&0) {
-                b
-            } else {
-                continue;
+            let other = match (def(a), def(b)) {
+                (_, Def::Const(0)) => a,
+                (Def::Const(0), _) => b,
+                _ => continue,
             };
-            if !ordering_result.contains(&other) {
+            if !matches!(def(other), Def::Ordering) {
                 continue;
             }
             block.term = Terminator::Branch {
@@ -261,23 +266,24 @@ fn invert_zero_eq_branches(program: &mut IrProgram) {
 /// none can fault; a block that defines a register something reachable
 /// reads, or that can fault, is never skipped.
 fn thread_branches(program: &mut IrProgram) {
-    let live = live_registers(program);
-    let skippable: Vec<bool> = program
-        .blocks
-        .iter()
-        .map(|b| {
-            b.ops
+    let reachable = reachable_blocks(program);
+    let live = live_registers(program, |i| reachable[i]);
+    // Each block's final terminator, and whether the block holding it can
+    // be skipped.
+    let finals: Vec<(BlockId, Terminator, bool)> = (0..program.blocks.len())
+        .map(|i| {
+            let (last, term) = final_terminator(&program.blocks, BlockId(i as u32));
+            let ops = &program.blocks[last.0 as usize].ops;
+            let skippable = ops
                 .iter()
-                .all(|op| !live[usize::from(op.dst().0)] && !op.can_fault())
+                .all(|op| !live[usize::from(op.dst().0)] && !op.can_fault());
+            (last, term, skippable)
         })
-        .collect();
-    let finals: Vec<(BlockId, Terminator)> = (0..program.blocks.len())
-        .map(|i| final_terminator(&program.blocks, BlockId(i as u32)))
         .collect();
     let target_of = |id: BlockId| -> BlockId {
         match finals[id.0 as usize] {
-            (last, Terminator::Jump(t)) if skippable[last.0 as usize] => t,
-            (last, Terminator::Jump(_)) => last,
+            (_, Terminator::Jump(t), true) => t,
+            (last, Terminator::Jump(_), false) => last,
             _ => id,
         }
     };
@@ -286,9 +292,8 @@ fn thread_branches(program: &mut IrProgram) {
             Terminator::Jump(t) => {
                 // Jumping to an empty returning block *is* that return.
                 match finals[t.0 as usize] {
-                    (last, ret @ (Terminator::Return(_) | Terminator::ReturnReg(_)))
-                        if program.blocks[t.0 as usize].ops.is_empty()
-                            && skippable[last.0 as usize] =>
+                    (_, ret @ (Terminator::Return(_) | Terminator::ReturnReg(_)), true)
+                        if program.blocks[t.0 as usize].ops.is_empty() =>
                     {
                         ret
                     }
@@ -334,14 +339,18 @@ fn final_terminator(blocks: &[Block], mut id: BlockId) -> (BlockId, Terminator) 
     (id, blocks[id.0 as usize].term)
 }
 
-/// Which blocks the entry reaches.
+/// Which blocks the entry reaches. Every edge goes forward — translation
+/// makes them so and no pass turns one back — so one sweep in block order
+/// finds them all.
 fn reachable_blocks(program: &IrProgram) -> Vec<bool> {
     let mut reachable = vec![false; program.blocks.len()];
-    let mut work = vec![BlockId(0)];
-    while let Some(id) = work.pop() {
-        let i = id.0 as usize;
-        if !std::mem::replace(&mut reachable[i], true) {
-            work.extend(program.blocks[i].term.successors());
+    reachable[0] = true;
+    for (i, b) in program.blocks.iter().enumerate() {
+        if reachable[i] {
+            for s in b.term.successors() {
+                debug_assert!(s.0 as usize > i, "a backward edge b{i} -> {s}");
+                reachable[s.0 as usize] = true;
+            }
         }
     }
     reachable
@@ -349,21 +358,26 @@ fn reachable_blocks(program: &IrProgram) -> Vec<bool> {
 
 /// Deletes blocks unreachable from the entry and compacts ids.
 fn remove_dead_blocks(program: &mut IrProgram) {
-    let n = program.blocks.len();
     let reachable = reachable_blocks(program);
     if reachable.iter().all(|&r| r) {
         return;
     }
-    let mut remap: Vec<Option<BlockId>> = vec![None; n];
-    let mut kept: Vec<Block> = Vec::new();
-    for (i, block) in std::mem::take(&mut program.blocks).into_iter().enumerate() {
-        if reachable[i] {
-            remap[i] = Some(BlockId(kept.len() as u32));
-            kept.push(block);
-        }
-    }
-    let map = |id: BlockId| remap[id.0 as usize].expect("successor reachable");
-    for b in &mut kept {
+    // Each block's id once the unreachable ones before it are gone.
+    let remap: Vec<u32> = reachable
+        .iter()
+        .scan(0, |next, &r| {
+            let id = *next;
+            *next += u32::from(r);
+            Some(id)
+        })
+        .collect();
+    let mut i = 0;
+    program.blocks.retain(|_| {
+        i += 1;
+        reachable[i - 1]
+    });
+    let map = |id: BlockId| BlockId(remap[id.0 as usize]);
+    for b in &mut program.blocks {
         b.term = match b.term {
             Terminator::Jump(t) => Terminator::Jump(map(t)),
             Terminator::Branch {
@@ -378,13 +392,13 @@ fn remove_dead_blocks(program: &mut IrProgram) {
             t => t,
         };
     }
-    program.blocks = kept;
 }
 
 /// Removes operations whose results are unused. Faulting operations
 /// (indirect loads, division) are roots: their *execution* is observable.
 fn eliminate_dead_code(program: &mut IrProgram) {
-    let live = live_registers(program);
+    // Every block is reachable: dead-block removal just ran.
+    let live = live_registers(program, |_| true);
     for b in &mut program.blocks {
         b.ops
             .retain(|op| live[usize::from(op.dst().0)] || op.can_fault());
@@ -393,14 +407,10 @@ fn eliminate_dead_code(program: &mut IrProgram) {
 
 /// Which registers a block reachable from the entry reads — in a
 /// terminator, or as an operand of a live or faulting operation.
-fn live_registers(program: &IrProgram) -> Vec<bool> {
-    let reachable = reachable_blocks(program);
+fn live_registers(program: &IrProgram, reachable: impl Fn(usize) -> bool) -> Vec<bool> {
     let blocks = || {
-        program
-            .blocks
-            .iter()
-            .zip(&reachable)
-            .filter_map(|(b, &r)| r.then_some(b))
+        let blocks = program.blocks.iter().enumerate();
+        blocks.filter_map(|(i, b)| reachable(i).then_some(b))
     };
     let mut live = vec![false; program.reg_count as usize];
     for b in blocks() {
@@ -443,38 +453,37 @@ fn live_registers(program: &IrProgram) -> Vec<bool> {
 
 /// Renumbers registers densely so the engine's register file is minimal.
 fn renumber_registers(program: &mut IrProgram) {
-    let mut map: HashMap<Reg, Reg> = HashMap::new();
+    let mut map: Vec<Option<Reg>> = vec![None; program.reg_count as usize];
     let mut next: u16 = 0;
-    let renumber = |r: Reg, map: &mut HashMap<Reg, Reg>, next: &mut u16| -> Reg {
-        *map.entry(r).or_insert_with(|| {
-            let n = Reg(*next);
-            *next += 1;
-            n
+    let mut renumber = |r: Reg| -> Reg {
+        *map[usize::from(r.0)].get_or_insert_with(|| {
+            next += 1;
+            Reg(next - 1)
         })
     };
     for b in &mut program.blocks {
         for op in &mut b.ops {
             *op = match *op {
                 Op::Const { dst, value } => Op::Const {
-                    dst: renumber(dst, &mut map, &mut next),
+                    dst: renumber(dst),
                     value,
                 },
                 Op::LoadWord { dst, index } => Op::LoadWord {
-                    dst: renumber(dst, &mut map, &mut next),
+                    dst: renumber(dst),
                     index,
                 },
                 Op::LoadInd { dst, index } => {
-                    let index = renumber(index, &mut map, &mut next);
+                    let index = renumber(index);
                     Op::LoadInd {
-                        dst: renumber(dst, &mut map, &mut next),
+                        dst: renumber(dst),
                         index,
                     }
                 }
                 Op::Bin { dst, op, a, b } => {
-                    let a = renumber(a, &mut map, &mut next);
-                    let b = renumber(b, &mut map, &mut next);
+                    let a = renumber(a);
+                    let b = renumber(b);
                     Op::Bin {
-                        dst: renumber(dst, &mut map, &mut next),
+                        dst: renumber(dst),
                         op,
                         a,
                         b,
@@ -488,11 +497,11 @@ fn renumber_registers(program: &mut IrProgram) {
                 if_true,
                 if_false,
             } => Terminator::Branch {
-                cond: renumber(cond, &mut map, &mut next),
+                cond: renumber(cond),
                 if_true,
                 if_false,
             },
-            Terminator::ReturnReg(r) => Terminator::ReturnReg(renumber(r, &mut map, &mut next)),
+            Terminator::ReturnReg(r) => Terminator::ReturnReg(renumber(r)),
             t => t,
         };
     }

@@ -18,6 +18,7 @@
 //! leaves behind.
 
 use crate::ir::{Block, BlockId, IrProgram, Op, Reg, Terminator};
+use pf_filter::interp::STACK_SIZE;
 use pf_filter::validate::ValidatedProgram;
 use pf_filter::word::{BinaryOp, Instr, StackAction};
 
@@ -53,9 +54,12 @@ pub fn translate(validated: &ValidatedProgram) -> IrProgram {
         };
     }
 
-    let mut blocks: Vec<Block> = Vec::new();
-    let mut ops: Vec<Op> = Vec::new();
-    let mut stack: Vec<Reg> = Vec::new();
+    // Sized once: a block per short-circuit operator (a literal word that
+    // decodes as one over-counts) and three; two operations an instruction.
+    let ends = |w: &&u16| Instr::decode(**w).is_some_and(|i| i.op.short_circuit_rule().is_some());
+    let mut blocks: Vec<Block> = Vec::with_capacity(words.iter().filter(ends).count() + 3);
+    let mut ops: Vec<Op> = Vec::with_capacity(2 * words.len());
+    let mut stack: Vec<Reg> = Vec::with_capacity(STACK_SIZE);
     let mut next_reg: u32 = 0;
     let fresh = |next_reg: &mut u32| {
         let r = Reg(u16::try_from(*next_reg).expect("register count fits u16"));
@@ -127,10 +131,12 @@ pub fn translate(validated: &ValidatedProgram) -> IrProgram {
                         if_false: exit,
                     }
                 };
+                // A copy of exactly the block's size; `ops` keeps its room.
                 blocks.push(Block {
-                    ops: std::mem::take(&mut ops),
+                    ops: ops.to_vec(),
                     term,
                 });
+                ops.clear();
                 // Continuing implies r == !terminate_when, a constant.
                 let dst = fresh(&mut next_reg);
                 ops.push(Op::Const {

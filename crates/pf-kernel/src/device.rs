@@ -40,7 +40,7 @@ use pf_sim::cost::CostModel;
 use pf_sim::counters::Counters;
 use pf_sim::rng::SplitMix64;
 use pf_sim::time::{SimDuration, SimTime};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// The compiled set behind a non-sequential engine, keyed by port index:
 /// the one seam through which the device inserts, removes and evaluates
@@ -72,14 +72,12 @@ impl EngineSet {
         })
     }
 
-    /// Inserts a valid program: the device quarantines the others.
-    fn insert(&mut self, id: FilterId, program: FilterProgram) {
+    /// Inserts a valid program and its form (the device quarantines the
+    /// other programs): the bind's one validation and one analysis.
+    fn insert(&mut self, id: FilterId, program: ValidatedProgram, form: Form) {
         match self {
-            EngineSet::Table(s, _) => s.insert(id, program),
-            EngineSet::Geom(s) => {
-                let joined = s.insert(id, program);
-                debug_assert!(joined, "a quarantined program reached the set");
-            }
+            EngineSet::Table(s, _) => s.insert_analysed(id, program.into_program(), form),
+            EngineSet::Geom(s) => s.insert_validated(id, program, form),
         }
     }
 
@@ -378,6 +376,37 @@ struct AdmissionState {
     /// Gate entries in demux (priority) order, one per open port whose
     /// filter has an extractable signature.
     entries: Vec<GateEntry>,
+    /// Every such port's candidate signatures, sorted by port index: read
+    /// off the filter's form when it is bound, so that a rebuild only
+    /// ranks them.
+    candidates: Vec<(PortIdx, GateCandidates)>,
+}
+
+impl AdmissionState {
+    /// Files the candidates port `idx`'s filter offers, read off its
+    /// `form`; `None` (the port closed) files none.
+    fn file(&mut self, idx: PortIdx, form: Option<&Form>) {
+        let offered = form
+            .map(|f| {
+                (
+                    f.lead().map(|l| (l.word as u8, l.lo, l.hi)),
+                    admission_candidates(f),
+                )
+            })
+            .filter(|(exact, ranged)| exact.is_some() || !ranged.is_empty());
+        match (self.candidates.binary_search_by_key(&idx, |c| c.0), offered) {
+            (Ok(at), Some(c)) => self.candidates[at].1 = c,
+            (Ok(at), None) => drop(self.candidates.remove(at)),
+            (Err(at), Some(c)) => self.candidates.insert(at, (idx, c)),
+            (Err(_), None) => {}
+        }
+    }
+
+    /// Port `idx`'s candidates, if it has any.
+    fn candidates_of(&self, idx: PortIdx) -> Option<&GateCandidates> {
+        let at = self.candidates.binary_search_by_key(&idx, |c| c.0).ok()?;
+        Some(&self.candidates[at].1)
+    }
 }
 
 /// A filter's candidate *interval* admission signatures: every packet
@@ -395,10 +424,10 @@ pub(crate) fn admission_candidates(form: &Form) -> Vec<(u8, u16, u16)> {
         .collect()
 }
 
-/// One port's gate-key candidates while the admission gate rebuilds: the
-/// form's leading test widened to a `(word, lo, hi)` interval (if any),
-/// plus every required interval from [`admission_candidates`].
-type GateCandidate = (PortIdx, Option<(u8, u16, u16)>, Vec<(u8, u16, u16)>);
+/// One port's gate-key candidates: the form's leading test widened to a
+/// `(word, lo, hi)` interval (if any), plus every required interval from
+/// [`admission_candidates`].
+type GateCandidates = (Option<(u8, u16, u16)>, Vec<(u8, u16, u16)>);
 
 /// A pending blocked read on a port.
 #[derive(Debug)]
@@ -853,9 +882,18 @@ impl PfDevice {
 
     /// Enables (or, with `None`, disables) the pre-demux admission gate.
     pub fn set_admission_control(&mut self, config: Option<AdmissionConfig>) {
-        self.admission = config.map(|config| AdmissionState {
-            config,
-            entries: Vec::new(),
+        self.admission = config.map(|config| {
+            let mut state = AdmissionState {
+                config,
+                entries: Vec::new(),
+                candidates: Vec::new(),
+            };
+            for &idx in &self.order {
+                if let Some(f) = &self.ports[idx].filter {
+                    state.file(idx, Some(&Form::of(f)));
+                }
+            }
+            state
         });
         self.rebuild_gate();
     }
@@ -954,11 +992,12 @@ impl PfDevice {
             let (port, word) = (e.port, e.word);
             state.entries[i].mimicry_misses += 1;
             if state.entries[i].mimicry_misses >= threshold && state.entries[i].verify.is_empty() {
-                let Some(f) = &self.ports[port].filter else {
+                let Some((_, ranged)) = state.candidates_of(port) else {
                     return false;
                 };
-                let verify: Vec<(u8, u16, u16)> = admission_candidates(&Form::of(f))
-                    .into_iter()
+                let verify: Vec<(u8, u16, u16)> = ranged
+                    .iter()
+                    .copied()
                     .filter(|&(w, _, _)| w != word)
                     .collect();
                 if !verify.is_empty() {
@@ -975,44 +1014,50 @@ impl PfDevice {
     /// changes), carrying over bucket fill for ports whose quota is
     /// unchanged so a rebind cannot mint free burst capacity.
     ///
-    /// (See [`GateCandidate`] for the per-port intermediate shape.)
-    ///
-    /// Each port contributes one entry, read off the filter's form. The
-    /// leading exact test is preferred when present (the program itself
-    /// sheds on it first); a filter without one — a port-range filter —
-    /// falls back to its required atoms, choosing the word
-    /// with the most distinct intervals across the whole gate (the
-    /// geometric classifier's diversity score: a word that distinguishes
-    /// ports classifies better than a narrow guard they all share), then
-    /// the narrowest interval, then the lowest word.
+    /// Each port contributes one entry, chosen among the candidates its
+    /// bind filed ([`GateCandidates`]), so a rebuild analyses nothing and
+    /// allocates the same whatever the port count. The leading exact test
+    /// is preferred when present (the program itself sheds on it first); a
+    /// filter without one — a port-range filter — falls back to its
+    /// required atoms, choosing the word with the most distinct intervals
+    /// across the whole gate (the geometric classifier's diversity score: a
+    /// word that distinguishes ports classifies better than a narrow guard
+    /// they all share), then the narrowest interval, then the lowest word.
     fn rebuild_gate(&mut self) {
-        let Some(AdmissionState { config, entries }) = self.admission.take() else {
+        let Some(AdmissionState {
+            config,
+            entries,
+            candidates,
+        }) = &mut self.admission
+        else {
             return;
         };
-        let mut cands: Vec<GateCandidate> = Vec::new();
+        // Every candidate interval, distinct: a word's diversity is its run.
+        let signatures = candidates
+            .iter()
+            .map(|(_, (e, r))| usize::from(e.is_some()) + r.len());
+        let mut intervals = Vec::with_capacity(signatures.sum());
+        for (_, (exact, ranged)) in candidates.iter() {
+            intervals.extend(exact.iter().chain(ranged));
+        }
+        intervals.sort_unstable();
+        intervals.dedup();
+        let diversity = |w: u8| {
+            intervals.partition_point(|i: &(u8, u16, u16)| i.0 <= w)
+                - intervals.partition_point(|i| i.0 < w)
+        };
+        // The old entries by port, to carry their state over.
+        let mut old = std::mem::replace(entries, Vec::with_capacity(candidates.len()));
+        old.sort_unstable_by_key(|e| e.port);
         for &idx in &self.order {
-            let Some(f) = &self.ports[idx].filter else {
+            let Ok(at) = candidates.binary_search_by_key(&idx, |c| c.0) else {
                 continue;
             };
-            let form = Form::of(f);
-            let exact = form.lead().map(|l| (l.word as u8, l.lo, l.hi));
-            let ranged = admission_candidates(&form);
-            if exact.is_some() || !ranged.is_empty() {
-                cands.push((idx, exact, ranged));
-            }
-        }
-        let mut diversity: HashMap<u8, HashSet<(u16, u16)>> = HashMap::new();
-        for (_, exact, ranged) in &cands {
-            for &(w, lo, hi) in exact.iter().chain(ranged) {
-                diversity.entry(w).or_default().insert((lo, hi));
-            }
-        }
-        let mut rebuilt = Vec::new();
-        for (idx, exact, ranged) in cands {
+            let (exact, ranged) = &candidates[at].1;
             let chosen = exact.or_else(|| {
-                ranged.into_iter().max_by_key(|&(w, lo, hi)| {
+                ranged.iter().copied().max_by_key(|&(w, lo, hi)| {
                     (
-                        diversity.get(&w).map_or(0, HashSet::len),
+                        diversity(w),
                         core::cmp::Reverse(hi - lo),
                         core::cmp::Reverse(w),
                     )
@@ -1023,8 +1068,12 @@ impl PfDevice {
             };
             let p = &self.ports[idx];
             let quota = p.quota.unwrap_or(DEFAULT_QUOTA);
-            let prior = entries.iter().find(|e| e.port == idx);
+            let mut prior = old
+                .binary_search_by_key(&idx, |e| e.port)
+                .ok()
+                .map(|at| &mut old[at]);
             let mut bucket = prior
+                .as_ref()
                 .filter(|e| e.bucket.quota == quota)
                 .map_or_else(|| TokenBucket::new(quota), |e| e.bucket);
             bucket.jitter = config.refill_jitter_key.map(|key| (key, idx as u64));
@@ -1032,9 +1081,12 @@ impl PfDevice {
             // primary word it strengthens: carry it (and the pressure
             // marks) over iff the chosen word is unchanged.
             let (verify, mimicry_misses) = prior
+                .take()
                 .filter(|e| e.word == word)
-                .map_or((Vec::new(), 0), |e| (e.verify.clone(), e.mimicry_misses));
-            rebuilt.push(GateEntry {
+                .map_or((Vec::new(), 0), |e| {
+                    (std::mem::take(&mut e.verify), e.mimicry_misses)
+                });
+            entries.push(GateEntry {
                 port: idx,
                 word,
                 lo,
@@ -1045,10 +1097,6 @@ impl PfDevice {
                 mimicry_misses,
             });
         }
-        self.admission = Some(AdmissionState {
-            config,
-            entries: rebuilt,
-        });
     }
 
     /// A snapshot of the active engine's compiled state: every per-engine
@@ -1107,24 +1155,42 @@ impl PfDevice {
         self.engine_rebuilds += 1;
         for &idx in &self.order {
             if let Some(f) = self.ports[idx].member_filter() {
-                set.insert(idx as FilterId, f.clone());
+                let program = ValidatedProgram::new(f.clone()).expect("a member validates");
+                set.insert(idx as FilterId, program, Form::of(f));
             }
         }
     }
 
-    /// Moves a port bound under a compiled engine to its place in `order`
-    /// (static there, so one binary search and no sort) and in the set,
-    /// which orders by the same key: one `remove` if the bind quarantined
-    /// it, else one `insert`.
-    fn rehome(&mut self, idx: PortIdx) {
+    /// Where open port `idx` sits in `order`: one binary search on its key
+    /// while `order` is sorted by key alone — under a compiled engine, or
+    /// with adaptive reordering off — else a scan.
+    fn order_position(&self, idx: PortIdx) -> usize {
         let ports = &self.ports;
+        let at = if self.set.is_some() || !self.adaptive {
+            let key = ports[idx].order_key();
+            self.order.partition_point(|&o| ports[o].order_key() < key)
+        } else {
+            let at = self.order.iter().position(|&o| o == idx);
+            at.expect("an open port is in the order")
+        };
+        debug_assert_eq!(self.order.get(at), Some(&idx), "port {idx} out of order");
+        at
+    }
+
+    /// Moves a port bound under a compiled engine from `order[old_at]` to
+    /// its new place (the order is static there, so one binary search and
+    /// no sort) and in the set, which orders by the same key: one `insert`
+    /// of its validated program and form, or one `remove` if the bind
+    /// quarantined it.
+    fn rehome(&mut self, idx: PortIdx, old_at: usize, member: Option<(ValidatedProgram, Form)>) {
+        let ports = &self.ports;
+        self.order.remove(old_at);
         let key = ports[idx].order_key();
-        self.order.retain(|&o| o != idx);
         let at = self.order.partition_point(|&o| ports[o].order_key() < key);
         self.order.insert(at, idx);
         let set = self.set.as_mut().expect("a compiled engine is selected");
-        match ports[idx].member_filter() {
-            Some(f) => set.insert(idx as FilterId, f.clone()),
+        match member {
+            Some((program, form)) => set.insert(idx as FilterId, program, form),
             None => {
                 set.remove(idx as FilterId);
             }
@@ -1171,13 +1237,17 @@ impl PfDevice {
     pub fn close(&mut self, idx: PortIdx) {
         // The index is never handed out again; all it keeps is its marker
         // in the table, and `port(idx)` answers the shared closed port.
-        let Some(p) = self.ports.vacate(idx) else {
+        if self.ports.open_mut(idx).is_none() {
             return;
-        };
+        }
+        self.order.remove(self.order_position(idx));
+        let p = self.ports.vacate(idx).expect("an open port");
         self.quarantined -= usize::from(p.quarantined.is_some());
-        self.order.retain(|&o| o != idx);
         if let Some(set) = &mut self.set {
             set.remove(idx as FilterId);
+        }
+        if let Some(state) = &mut self.admission {
+            state.file(idx, None);
         }
         self.rebuild_gate();
     }
@@ -1194,29 +1264,43 @@ impl PfDevice {
     /// instruction budget. A closed or unknown index binds nothing (the
     /// verdict on the program is still returned).
     pub fn set_filter(&mut self, idx: PortIdx, filter: FilterProgram) -> bool {
-        let quarantined = match ValidatedProgram::new(filter.clone()) {
+        // The bind's one validation, whose copy of the program a compiled
+        // set keeps.
+        let validated = ValidatedProgram::new(filter.clone());
+        let quarantined = match &validated {
             // Branch-free programs have a static worst case; one that could
             // exceed the budget never reaches the compiled engines.
             Ok(v) if self.budget.is_some_and(|b| v.instructions() > b as usize) => {
                 Some(QuarantineReason::BudgetExceeded)
             }
             Ok(_) => None,
-            Err(e) => Some(QuarantineReason::Validation(e)),
+            Err(e) => Some(QuarantineReason::Validation(*e)),
         };
         let clean = quarantined.is_none();
-        let Some(p) = self.ports.open_mut(idx) else {
+        if self.ports.open_mut(idx).is_none() {
             return clean;
-        };
+        }
+        // Found before the port's key moves.
+        let old_at = self.set.is_some().then(|| self.order_position(idx));
+        // The bind's one analysis, for the compiled set and the gate.
+        let analysed = self.set.is_some() && clean || self.admission.is_some();
+        let form = analysed.then(|| Form::of(&filter));
+        if let Some(state) = &mut self.admission {
+            state.file(idx, form.as_ref());
+        }
+        let p = &mut self.ports[idx];
         self.quarantined += usize::from(!clean);
         self.quarantined -= usize::from(p.quarantined.is_some());
         p.quarantined = quarantined;
         p.filter = Some(filter);
         p.accepts = 0;
         p.budget_overruns = 0;
-        if self.set.is_none() {
-            self.resort();
-        } else {
-            self.rehome(idx);
+        match old_at {
+            None => self.resort(),
+            Some(old_at) => {
+                let member = validated.ok().filter(|_| clean).zip(form);
+                self.rehome(idx, old_at, member);
+            }
         }
         self.rebuild_gate();
         clean
