@@ -73,7 +73,7 @@ pub enum OrderPolicy {
 
 /// Runs skewed traffic through 16 socket filters; returns the mean number
 /// of predicates applied per packet.
-pub fn predicates_per_packet(policy: OrderPolicy) -> f64 {
+pub(crate) fn predicates_per_packet(policy: OrderPolicy) -> f64 {
     let mut w = World::new(14);
     let seg = w.add_segment(Medium::experimental_3mb(), FaultModel::default());
     let h = w.add_host("host", seg, 0x0B, CostModel::microvax_ii());
@@ -142,7 +142,7 @@ fn time_ns<F: FnMut() -> bool>(iters: u32, mut f: F) -> f64 {
 /// the paper's two workhorse filters. The surfaces come from
 /// [`pf_ir::singleton_engines`], so the ladder automatically covers every
 /// rung the workspace has.
-pub fn engine_ladder(iters: u32) -> Vec<LadderRow> {
+pub(crate) fn engine_ladder(iters: u32) -> Vec<LadderRow> {
     let packet = samples::pup_packet_3mb(2, 0, 35, 50);
     let shapes: Vec<(String, FilterProgram)> = [0usize, 1, 9, 21]
         .iter()
@@ -183,7 +183,7 @@ pub fn engine_ladder(iters: u32) -> Vec<LadderRow> {
 /// traffic through 16 socket filters under each kernel demux engine, with
 /// adaptive reordering off and the hot port tested last — the sequential
 /// loop's worst case, and exactly where §7 promises compiled engines help.
-pub fn demux_cpu_ms_per_packet(engine: DemuxEngine) -> f64 {
+pub(crate) fn demux_cpu_ms_per_packet(engine: DemuxEngine) -> f64 {
     const DEMUX_PACKETS: usize = 1_000;
     let mut w = World::new(21);
     let seg = w.add_segment(Medium::experimental_3mb(), FaultModel::default());
@@ -218,7 +218,7 @@ pub fn demux_cpu_ms_per_packet(engine: DemuxEngine) -> f64 {
 
 /// Per-packet send cost (ms) for `count` small frames, batched or not
 /// (§7's write-batching proposal).
-pub fn send_cost_ms(batched: bool) -> f64 {
+pub(crate) fn send_cost_ms(batched: bool) -> f64 {
     const COUNT: usize = 256;
     struct Blaster {
         batched: bool,
@@ -249,7 +249,7 @@ pub fn send_cost_ms(batched: bool) -> f64 {
 }
 
 /// Builds the ablation report.
-pub fn report_ablations() -> Report {
+pub(crate) fn report_ablations() -> Report {
     let worst = predicates_per_packet(OrderPolicy::StaticWorstCase);
     let adaptive = predicates_per_packet(OrderPolicy::Adaptive);
     let hinted = predicates_per_packet(OrderPolicy::PriorityHint);

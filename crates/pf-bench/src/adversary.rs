@@ -108,13 +108,13 @@ pub struct Emit {
     pub gap: Delay,
     /// Zero-pad every emitted frame to this length
     /// ([`frame::pad`], clamped to the medium's maximum).
-    pub pad_to: Option<usize>,
+    pub(crate) pad_to: Option<usize>,
     /// Overwrite the last 8 bytes of every emitted frame with its
     /// emission time (big-endian nanoseconds), so a consumer can
     /// measure honest end-to-end latency including ring residency.
     /// The variant must reserve an 8-byte tail. Applied *after*
     /// padding.
-    pub stamp_tail: bool,
+    pub(crate) stamp_tail: bool,
 }
 
 impl Emit {
@@ -140,7 +140,7 @@ pub struct State {
     /// Emission on entry, if any.
     pub emit: Option<Emit>,
     /// Sampled time spent in the state before transitioning.
-    pub dwell: Delay,
+    pub(crate) dwell: Delay,
     /// `(weight, next-state-index)`; sampled by weight. Empty = self-loop.
     pub next: Vec<(u32, usize)>,
 }
@@ -225,7 +225,7 @@ impl TrafficMachine {
 /// A single-state machine emitting `frame` every `interval_ns`, with a
 /// small sampled phase jitter so concurrent streams interleave rather
 /// than collide on identical instants.
-pub fn steady_stream(frame: Vec<u8>, interval_ns: u64) -> TrafficMachine {
+pub(crate) fn steady_stream(frame: Vec<u8>, interval_ns: u64) -> TrafficMachine {
     TrafficMachine {
         states: vec![State {
             name: "stream",
@@ -251,16 +251,16 @@ pub struct AdversaryPoint {
     /// `"undefended"` or `"hardened"`.
     pub mode: &'static str,
     /// Wanted (protected) frames offered.
-    pub wanted_offered: u64,
+    pub(crate) wanted_offered: u64,
     /// Attack frames offered.
-    pub attack_offered: u64,
+    pub(crate) attack_offered: u64,
     /// Wanted frames delivered over wanted frames offered (for
     /// `monitor_evasion`: capture coverage — captured over seen by the
     /// endpoint).
-    pub goodput_ratio: f64,
+    pub(crate) goodput_ratio: f64,
     /// p99 end-to-end (emission → consumption) latency of the wanted
     /// stream, µs; 0 where the family measures coverage instead.
-    pub p99_latency_us: u64,
+    pub(crate) p99_latency_us: u64,
     /// Frames shed by quota at the admission gate.
     pub drops_admission: u64,
     /// Frames dropped at the receive ring.
@@ -270,7 +270,7 @@ pub struct AdversaryPoint {
     /// Mimic frames shed after gate re-signature.
     pub drops_mimicry_shed: u64,
     /// Gate signature re-selections.
-    pub gate_resignatures: u64,
+    pub(crate) gate_resignatures: u64,
     /// Geom candidates pruned by the candidate cap.
     pub candidates_capped: u64,
 }
@@ -949,14 +949,14 @@ pub struct AdversaryReport {
     /// Single-core junk service capacity the rates are anchored to.
     pub capacity_pps: u64,
     /// Wanted-stream rate.
-    pub wanted_pps: u64,
+    pub(crate) wanted_pps: u64,
     /// Every family × mode cell.
     pub rows: Vec<AdversaryPoint>,
 }
 
 impl AdversaryReport {
     /// The row for one cell.
-    pub fn cell(&self, family: &str, mode: &str) -> &AdversaryPoint {
+    pub(crate) fn cell(&self, family: &str, mode: &str) -> &AdversaryPoint {
         self.rows
             .iter()
             .find(|r| r.family == family && r.mode == mode)

@@ -18,7 +18,7 @@ use pf_kernel::device::DemuxEngine;
 /// Per-packet cost with `filters` active short-circuit socket filters and
 /// kernel demultiplexing (traffic spread uniformly, so the average packet
 /// is tested against about half of them).
-pub fn kernel_cost_ms(filters: usize) -> f64 {
+pub(crate) fn kernel_cost_ms(filters: usize) -> f64 {
     recvcost::run(&RecvConfig {
         mode: DemuxMode::Kernel,
         active_filters: filters,
@@ -32,7 +32,7 @@ pub fn kernel_cost_ms(filters: usize) -> f64 {
 /// The same sweep point under an alternative demux engine (decision
 /// table or the geometric classifier): per-packet cost should be
 /// (nearly) independent of the filter population.
-pub fn kernel_engine_cost_ms(filters: usize, engine: DemuxEngine) -> f64 {
+pub(crate) fn kernel_engine_cost_ms(filters: usize, engine: DemuxEngine) -> f64 {
     recvcost::run(&RecvConfig {
         mode: DemuxMode::Kernel,
         active_filters: filters,
@@ -44,14 +44,9 @@ pub fn kernel_engine_cost_ms(filters: usize, engine: DemuxEngine) -> f64 {
     .per_packet_ms
 }
 
-/// The sweep point with §7's decision-table engine.
-pub fn kernel_table_cost_ms(filters: usize) -> f64 {
-    kernel_engine_cost_ms(filters, DemuxEngine::DecisionTable)
-}
-
 /// Per-packet cost of the user-level demultiplexer (independent of the
 /// process count — the paper generously assumes zero decision cost).
-pub fn user_cost_ms() -> f64 {
+pub(crate) fn user_cost_ms() -> f64 {
     recvcost::run(&RecvConfig {
         mode: DemuxMode::UserProcess,
         count: 240,
@@ -70,7 +65,7 @@ pub fn sweep() -> (Vec<(usize, f64)>, f64) {
 
 /// First filter count at which kernel demultiplexing costs more than the
 /// user-level demultiplexer, by linear interpolation over the sweep.
-pub fn break_even(kernel: &[(usize, f64)], user: f64) -> Option<f64> {
+pub(crate) fn break_even(kernel: &[(usize, f64)], user: f64) -> Option<f64> {
     for pair in kernel.windows(2) {
         let (f0, c0) = pair[0];
         let (f1, c1) = pair[1];
@@ -83,7 +78,7 @@ pub fn break_even(kernel: &[(usize, f64)], user: f64) -> Option<f64> {
 }
 
 /// Builds the break-even report.
-pub fn report_break_even() -> Report {
+pub(crate) fn report_break_even() -> Report {
     let (kernel, user) = sweep();
     let mut r = Report::new(
         "Section 6.5",
@@ -140,8 +135,8 @@ mod tests {
         // §7's "best possible performance": the compiled demultiplexer
         // never crosses the user-demux cost — its per-packet time is flat
         // in the number of active filters.
-        let at_1 = kernel_table_cost_ms(1);
-        let at_48 = kernel_table_cost_ms(48);
+        let at_1 = kernel_engine_cost_ms(1, DemuxEngine::DecisionTable);
+        let at_48 = kernel_engine_cost_ms(48, DemuxEngine::DecisionTable);
         assert!(
             (at_48 - at_1).abs() < 0.3,
             "table engine flat: {at_1:.2} vs {at_48:.2} ms/pkt"

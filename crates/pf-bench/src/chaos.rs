@@ -160,7 +160,7 @@ pub struct ProtoRun {
     /// The payload (BSP) or every transaction (VMTP) arrived exactly.
     pub delivered: bool,
     /// The sender/client exhausted its retries and gave up.
-    pub gave_up: bool,
+    pub(crate) gave_up: bool,
     /// First-transmission data packets (BSP) or packets sent (VMTP).
     pub data_packets: u64,
     /// Backed-off retransmissions performed.
@@ -179,7 +179,7 @@ pub struct ProtoRun {
 
 /// Drives one checksummed BSP transfer of `payload_len` bytes through
 /// the faulty channel until the sender closes or gives up.
-pub fn run_bsp(seed: u64, faults: ChaosFaults, payload_len: usize) -> ProtoRun {
+pub(crate) fn run_bsp(seed: u64, faults: ChaosFaults, payload_len: usize) -> ProtoRun {
     let mut rng = SplitMix64::new(seed);
     let payload: Vec<u8> = (0..payload_len).map(|i| (i % 251) as u8).collect();
     let cfg = BspConfig {
@@ -266,7 +266,7 @@ pub fn run_bsp(seed: u64, faults: ChaosFaults, payload_len: usize) -> ProtoRun {
 
 /// Drives `ops` sequential checksummed VMTP transactions through the
 /// faulty channel until they all complete or the client gives up.
-pub fn run_vmtp(seed: u64, faults: ChaosFaults, ops: u32, response_len: usize) -> ProtoRun {
+pub(crate) fn run_vmtp(seed: u64, faults: ChaosFaults, ops: u32, response_len: usize) -> ProtoRun {
     const CLIENT_ETH: u64 = 0x0A;
     let mut rng = SplitMix64::new(seed);
     let mut client = ClientMachine::new(1, 2, 0x0B, SimDuration::from_millis(100))
@@ -392,7 +392,7 @@ pub fn run_vmtp(seed: u64, faults: ChaosFaults, ops: u32, response_len: usize) -
 /// short-circuit) but the checked interpreter accepts for packets whose
 /// `DstSocketLo` word differs from `sock`: the CNAND terminates *true*
 /// on the mismatch before reaching the undecodable word.
-pub fn shortcircuit_then_garbage(priority: u8, sock: u16) -> FilterProgram {
+pub(crate) fn shortcircuit_then_garbage(priority: u8, sock: u16) -> FilterProgram {
     let mut words = Assembler::new(priority)
         .pushword(samples::WORD_DSTSOCKET_LO)
         .pushlit_op(BinaryOp::Cnand, sock)
@@ -409,19 +409,19 @@ pub struct DegradationReport {
     /// Ports quarantined (one validation-rejected, one over-budget).
     pub quarantined_ports: usize,
     /// Packets accepted by quarantined filters via the checked fallback.
-    pub quarantine_accepts: u64,
+    pub(crate) quarantine_accepts: u64,
     /// Packets accepted by the healthy compiled member.
-    pub compiled_accepts: u64,
+    pub(crate) compiled_accepts: u64,
     /// Checked evaluations terminated by the instruction budget.
     pub budget_overruns: u64,
     /// Overflow drops at the drop-tail port.
-    pub drop_tail_drops: u64,
+    pub(crate) drop_tail_drops: u64,
     /// Overflow drops at the drop-oldest port.
-    pub drop_oldest_drops: u64,
+    pub(crate) drop_oldest_drops: u64,
     /// Drop-tail kept the *oldest* packets.
-    pub drop_tail_keeps_oldest: bool,
+    pub(crate) drop_tail_keeps_oldest: bool,
     /// Drop-oldest kept the *newest* packets.
-    pub drop_oldest_keeps_newest: bool,
+    pub(crate) drop_oldest_keeps_newest: bool,
 }
 
 /// Exercises graceful degradation on a live [`PfDevice`]: quarantined
@@ -429,7 +429,7 @@ pub struct DegradationReport {
 /// over-budget) keep answering through the checked interpreter while
 /// healthy filters stay compiled, and full queues shed packets per the
 /// configured [`OverflowPolicy`].
-pub fn kernel_degradation(seed: u64) -> DegradationReport {
+pub(crate) fn kernel_degradation(seed: u64) -> DegradationReport {
     let mut rng = SplitMix64::new(seed);
     let mut d = PfDevice::new();
     d.set_engine(DemuxEngine::Geom);
@@ -500,7 +500,7 @@ pub fn kernel_degradation(seed: u64) -> DegradationReport {
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosPoint {
     /// `bsp` or `vmtp`.
-    pub scenario: &'static str,
+    pub(crate) scenario: &'static str,
     /// The fault mix driven through the channel.
     pub faults: ChaosFaults,
     /// The run's outcome counters.

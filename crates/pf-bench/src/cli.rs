@@ -45,7 +45,7 @@ pub const SECTIONS: [Section; 16] = [
 
 /// What `paper-report` prints for the sections `names` (every section when
 /// there are none): the tables under a title, or with `cells` their
-/// paper-versus-measured cells ([`cells_tsv`]).
+/// paper-versus-measured cells (`cells_tsv`).
 pub fn paper_report(names: &[String], cells: bool) -> String {
     let reports: Vec<Report> = SECTIONS
         .iter()
@@ -95,6 +95,7 @@ pub const CAMPAIGNS: [Campaign; 6] = [
 
 /// Where the committed artifact of campaign `name` lives:
 /// `BENCH_<name>.json` at the repository root.
+/// Read by this crate's `tests/artifacts.rs`, which holds each sweep to its file.
 pub fn artifact_path(name: &str) -> PathBuf {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
     root.expect("crates/pf-bench is two levels below the root")
@@ -146,7 +147,7 @@ impl CampaignArgs {
 }
 
 /// Parses `campaign` arguments from an iterator (exposed for tests).
-pub fn try_parse<I>(args: I) -> Result<CampaignArgs, String>
+pub(crate) fn try_parse<I>(args: I) -> Result<CampaignArgs, String>
 where
     I: IntoIterator<Item = String>,
 {

@@ -51,10 +51,10 @@ pub struct DemuxPoint {
     /// Active filters.
     pub population: usize,
     /// Mean wall-clock nanoseconds per packet.
-    pub ns_per_packet: f64,
+    pub(crate) ns_per_packet: f64,
     /// Mean members evaluated per packet (0 for the decision table, which
     /// evaluates shapes, not members).
-    pub filters_evaluated_per_packet: f64,
+    pub(crate) filters_evaluated_per_packet: f64,
 }
 
 /// The `i`-th member of the multi-ethertype population, in the figure 3-9
@@ -63,7 +63,7 @@ pub struct DemuxPoint {
 /// An index keyed on the socket word alone still has to evaluate every
 /// same-socket member to reject it on that trailing compare; a key over
 /// both words does not.
-pub fn multi_ethertype_filter(i: usize) -> FilterProgram {
+pub(crate) fn multi_ethertype_filter(i: usize) -> FilterProgram {
     let ethertype = ETHERTYPES[i % ETHERTYPES.len()];
     let socket = 100 + (i / ETHERTYPES.len()) as u16;
     Assembler::new(10)
@@ -75,7 +75,7 @@ pub fn multi_ethertype_filter(i: usize) -> FilterProgram {
 }
 
 /// The packet the `i`-th member (and only it) accepts.
-pub fn packet_for(i: usize) -> Vec<u8> {
+pub(crate) fn packet_for(i: usize) -> Vec<u8> {
     let ethertype = ETHERTYPES[i % ETHERTYPES.len()];
     let socket = 100 + (i / ETHERTYPES.len()) as u16;
     samples::pup_packet_3mb(ethertype, 0, socket, 1)
@@ -221,14 +221,14 @@ pub struct RangePoint {
     /// Active filters (mixed exact/range).
     pub population: usize,
     /// Mean wall-clock nanoseconds per packet.
-    pub ns_per_packet: f64,
+    pub(crate) ns_per_packet: f64,
     /// Mean members evaluated per packet — the linear-walk tell.
-    pub filters_evaluated_per_packet: f64,
+    pub(crate) filters_evaluated_per_packet: f64,
     /// Mean threaded-code ops executed per packet.
-    pub ops_executed_per_packet: f64,
+    pub(crate) ops_executed_per_packet: f64,
     /// Mean index nodes visited per packet: the geometric probe cost,
     /// asserted to grow sublinearly up the ladder.
-    pub nodes_visited_per_packet: f64,
+    pub(crate) nodes_visited_per_packet: f64,
 }
 
 /// One population's churn measurement: the amortized cost of a
@@ -242,7 +242,7 @@ pub struct ChurnPoint {
     /// Remove+insert cycles performed.
     pub updates: usize,
     /// Mean wall-clock nanoseconds per remove+insert cycle.
-    pub ns_per_update: f64,
+    pub(crate) ns_per_update: f64,
     /// Whole-index maintenance events (compactions) during the run. Churn
     /// without full rebuilds means this stays far below `updates`.
     pub rebuilds: u64,
@@ -254,7 +254,7 @@ pub struct ChurnPoint {
 /// stride, width 4–16); the rest are the exact multi-ethertype members.
 /// Ranges defeat every exact-match index, so this is the population
 /// where the interval structures earn their keep.
-pub fn mixed_filter(i: usize) -> FilterProgram {
+pub(crate) fn mixed_filter(i: usize) -> FilterProgram {
     if i % 100 < RANGE_SHARE_PERCENT {
         let lo = ((i * 9973) % 65_000) as u16;
         let hi = lo + 4 + (i % 13) as u16;
@@ -267,7 +267,7 @@ pub fn mixed_filter(i: usize) -> FilterProgram {
 /// Deterministic traffic over the mixed population: half the packets
 /// probe random-looking sockets under the range filters' ethertype, a
 /// quarter target exact members, a quarter are no-match strays.
-pub fn mixed_traffic(n: usize, packets: usize) -> Vec<Vec<u8>> {
+pub(crate) fn mixed_traffic(n: usize, packets: usize) -> Vec<Vec<u8>> {
     (0..packets)
         .map(|j| match j % 4 {
             0 | 2 => {
@@ -285,7 +285,7 @@ pub fn mixed_traffic(n: usize, packets: usize) -> Vec<Vec<u8>> {
 /// fallback for ranges) are out of the race here by construction — at
 /// 100k filters a full walk per packet would take longer than the whole
 /// sweep.
-pub fn measure_range(population: usize, packets_per_point: usize) -> RangePoint {
+pub(crate) fn measure_range(population: usize, packets_per_point: usize) -> RangePoint {
     let filters: Vec<(u32, FilterProgram)> = (0..population)
         .map(|i| (i as u32, mixed_filter(i)))
         .collect();
@@ -321,7 +321,7 @@ pub fn measure_range(population: usize, packets_per_point: usize) -> RangePoint 
 /// Measures incremental management cost: `updates` remove+reinsert
 /// cycles against a standing mixed population of `population` filters.
 /// Returns the per-cycle wall clock and the compactions incurred.
-pub fn measure_churn(population: usize, updates: usize) -> ChurnPoint {
+pub(crate) fn measure_churn(population: usize, updates: usize) -> ChurnPoint {
     let filters: Vec<(u32, FilterProgram)> = (0..population)
         .map(|i| (i as u32, mixed_filter(i)))
         .collect();
@@ -358,7 +358,7 @@ pub fn measure_churn(population: usize, updates: usize) -> ChurnPoint {
 /// The mixed exact/range ladder plus the churn column: 1k → 100k in the
 /// full run, a miniature two-rung ladder in CI smoke. Asserts the
 /// acceptance-criteria shape on the deterministic counters.
-pub fn range_sweep(smoke: bool) -> (Vec<RangePoint>, Vec<ChurnPoint>) {
+pub(crate) fn range_sweep(smoke: bool) -> (Vec<RangePoint>, Vec<ChurnPoint>) {
     let (populations, packets, updates): (&[usize], usize, usize) = if smoke {
         (&[256, 1_024], 200, 400)
     } else {

@@ -2,7 +2,7 @@
 //! workloads over rings of routers, fault-free and under router/link
 //! chaos.
 //!
-//! Every cell builds the standard [`ring_topology`], synthesizes a flowgen
+//! Every cell builds the standard `ring_topology`, synthesizes a flowgen
 //! schedule and injects it as IP-over-Ethernet frames from the hosts. The
 //! artifact has two sections, and each is its own referee.
 //!
@@ -57,7 +57,7 @@ pub const DEFAULT_SEED: u64 = 0xF10E_5EED;
 /// A ring of `nodes/4` routers, each with a 3-host LAN: the sweep's
 /// standard shape. Returns the frozen plan plus the router and host
 /// node ids (hosts in endpoint order).
-pub fn ring_topology(nodes: usize) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
+pub(crate) fn ring_topology(nodes: usize) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
     assert!(nodes >= 2, "need at least one router and one host");
     let r_count = (nodes / 4).max(1);
     let h_count = nodes - r_count;
@@ -179,7 +179,7 @@ impl Scenario {
 /// One `rows` entry: a (scenario × size × deploy) cell.
 #[derive(Debug, Clone)]
 pub struct FabricPoint {
-    pub scenario: &'static str,
+    pub(crate) scenario: &'static str,
     /// "undefended" or "hardened".
     pub deploy: &'static str,
     pub nodes: usize,
@@ -189,18 +189,18 @@ pub struct FabricPoint {
     pub packets: usize,
     /// Packets received by their addressed host by the horizon.
     pub delivered: u64,
-    pub delivered_frac: f64,
+    pub(crate) delivered_frac: f64,
     /// Packets swallowed by the scenario's blackhole (dead-router drops
     /// plus down-link drops; exact for undefended, diagnostic for
     /// hardened where control traffic also hits the blackhole).
-    pub blackholed: u64,
+    pub(crate) blackholed: u64,
     /// Packets sent after the settle deadline with both endpoints on
     /// surviving LANs.
-    pub expected_after_check: u64,
+    pub(crate) expected_after_check: u64,
     /// Packets delivered after the settle deadline.
-    pub delivered_after_check: u64,
+    pub(crate) delivered_after_check: u64,
     /// delivered_after_check / expected_after_check.
-    pub recovered_frac: f64,
+    pub(crate) recovered_frac: f64,
     pub ttl_expired: u64,
     pub no_route: u64,
     pub hellos_sent: u64,
@@ -212,10 +212,10 @@ pub struct FabricPoint {
     pub route_churn: u64,
     /// Latest route-table change across all routers, relative to the
     /// first fault, milliseconds (0 when no table ever changed).
-    pub convergence_ms: f64,
+    pub(crate) convergence_ms: f64,
     /// `World::history_digest` at the horizon.
     pub history_digest: u64,
-    pub wall_ms: f64,
+    pub(crate) wall_ms: f64,
 }
 
 /// One `steady` row: a fault-free (size × flows) cell under static routes.
@@ -244,7 +244,7 @@ pub struct SteadyPoint {
     /// `World::history_digest` at the end of the run.
     pub history_digest: u64,
     /// Wall-clock run time, milliseconds.
-    pub wall_ms: f64,
+    pub(crate) wall_ms: f64,
 }
 
 /// The full campaign artifact.
@@ -252,11 +252,11 @@ pub struct SteadyPoint {
 pub struct FabricReport {
     pub seed: u64,
     pub smoke: bool,
-    pub hello_ms: u64,
-    pub dead_ms: u64,
+    pub(crate) hello_ms: u64,
+    pub(crate) dead_ms: u64,
     /// Convergence-deadline formula: base + per-hop × ring diameter.
-    pub conv_base_ms: u64,
-    pub conv_per_hop_ms: u64,
+    pub(crate) conv_base_ms: u64,
+    pub(crate) conv_per_hop_ms: u64,
     pub rows: Vec<FabricPoint>,
     pub steady: Vec<SteadyPoint>,
 }

@@ -34,7 +34,7 @@ pub struct DemuxEvents {
 }
 
 /// Measures figure 2-1/2-2 event counts for one mode.
-pub fn demux_events(mode: DemuxMode) -> DemuxEvents {
+pub(crate) fn demux_events(mode: DemuxMode) -> DemuxEvents {
     let r = recvcost::run(&RecvConfig {
         mode,
         count: 300,
@@ -53,7 +53,7 @@ pub fn demux_events(mode: DemuxMode) -> DemuxEvents {
 }
 
 /// Figures 2-1/2-2 report.
-pub fn report_fig_2_1_2_2() -> Report {
+pub(crate) fn report_fig_2_1_2_2() -> Report {
     let kernel = demux_events(DemuxMode::Kernel);
     let user = demux_events(DemuxMode::UserProcess);
     let mut r = Report::new(
@@ -87,9 +87,9 @@ pub fn report_fig_2_1_2_2() -> Report {
 #[derive(Debug, Clone, Copy)]
 pub struct CrossingCounts {
     /// Domain crossings per payload KB for user-level BSP.
-    pub user_bsp_per_kb: f64,
+    pub(crate) user_bsp_per_kb: f64,
     /// Domain crossings per payload KB for kernel TCP.
-    pub kernel_tcp_per_kb: f64,
+    pub(crate) kernel_tcp_per_kb: f64,
 }
 
 /// Measures figure 2-3.
@@ -133,7 +133,7 @@ pub fn crossings() -> CrossingCounts {
 }
 
 /// Figure 2-3 report.
-pub fn report_fig_2_3() -> Report {
+pub(crate) fn report_fig_2_3() -> Report {
     let c = crossings();
     let mut r = Report::new(
         "Figure 2-3",
@@ -147,7 +147,7 @@ pub fn report_fig_2_3() -> Report {
 }
 
 /// Figures 3-4/3-5: system calls per packet with and without batching.
-pub fn report_fig_3_4_3_5() -> Report {
+pub(crate) fn report_fig_3_4_3_5() -> Report {
     let plain = recvcost::run(&RecvConfig {
         count: 300,
         spacing_us: 400,

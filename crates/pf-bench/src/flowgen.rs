@@ -113,28 +113,10 @@ pub struct FlowSpec {
     /// Gap between a flow's consecutive packets, nanoseconds.
     pub packet_gap_ns: u64,
     /// Scheduled routing-churn events: route flips injected at evenly
-    /// spaced times across the workload's span ([`churn_times`]).
+    /// spaced times across the workload's span (`churn_times`).
     pub churn_events: usize,
     /// First flow's earliest start.
     pub start: SimTime,
-}
-
-impl FlowSpec {
-    /// A small uniform UDP background: `flows` Poisson flows of 4
-    /// packets each — the default skeleton campaigns tweak.
-    pub fn background(flows: usize, rate_fps: f64) -> Self {
-        FlowSpec {
-            flows,
-            arrival: Arrival::Poisson { rate_fps },
-            sizes: SizeMix::Fixed(4),
-            pattern: Pattern::Uniform,
-            transports: vec![Transport::Udp],
-            payload: 64,
-            packet_gap_ns: 200_000,
-            churn_events: 0,
-            start: SimTime(1_000),
-        }
-    }
 }
 
 /// One synthesized packet: who sends how much to whom, when.
@@ -246,7 +228,7 @@ pub fn generate(spec: &FlowSpec, endpoints: usize, seed: u64) -> Vec<FlowPacket>
 /// instants evenly spaced across the packet span (between the first and
 /// last scheduled packet, exclusive of both ends). Empty when the spec
 /// asks for no churn or the schedule is empty.
-pub fn churn_times(spec: &FlowSpec, packets: &[FlowPacket]) -> Vec<SimTime> {
+pub(crate) fn churn_times(spec: &FlowSpec, packets: &[FlowPacket]) -> Vec<SimTime> {
     if spec.churn_events == 0 || packets.is_empty() {
         return Vec::new();
     }
@@ -262,8 +244,19 @@ pub fn churn_times(spec: &FlowSpec, packets: &[FlowPacket]) -> Vec<SimTime> {
 mod tests {
     use super::*;
 
+    /// `flows` uniform UDP flows of 4 packets, arriving Poisson at 50k/s.
     fn spec(flows: usize) -> FlowSpec {
-        FlowSpec::background(flows, 50_000.0)
+        FlowSpec {
+            flows,
+            arrival: Arrival::Poisson { rate_fps: 50_000.0 },
+            sizes: SizeMix::Fixed(4),
+            pattern: Pattern::Uniform,
+            transports: vec![Transport::Udp],
+            payload: 64,
+            packet_gap_ns: 200_000,
+            churn_events: 0,
+            start: SimTime(1_000),
+        }
     }
 
     #[test]

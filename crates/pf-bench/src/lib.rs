@@ -41,7 +41,7 @@
 //! the names are `table_6_1` … `table_6_10`, `section_6_1`, `figures`,
 //! `break_even` and `ablations`). `paper-report --cells` prints the
 //! paper-versus-measured cells of the same reports, one per line, with
-//! their relative errors ([`report::cells_tsv`]). `tests/paper.rs` holds
+//! their relative errors (`report::cells_tsv`). `tests/paper.rs` holds
 //! both outputs to their committed copies under `docs/`.
 
 #![forbid(unsafe_code)]

@@ -102,11 +102,11 @@ pub struct McPoint {
     /// Packets queued to a reader's port.
     pub delivered: u64,
     /// Delivered per second of makespan.
-    pub goodput_pps: f64,
+    pub(crate) goodput_pps: f64,
     /// CPU busy time summed over the cores, over delivered packets, µs.
-    pub cost_per_packet_us: f64,
+    pub(crate) cost_per_packet_us: f64,
     /// p99 emission → read latency, µs.
-    pub p99_latency_us: u64,
+    pub(crate) p99_latency_us: u64,
     /// Frames steered to a queue other than 0.
     pub frames_steered: u64,
     /// Deliveries that woke a reader on another core.
@@ -123,7 +123,7 @@ pub struct McPoint {
 
 /// Runs one (engine, cores, poll batch) cell over an `n`-frame burst.
 /// Fully deterministic.
-pub fn run_cell(
+pub(crate) fn run_cell(
     engine: DemuxEngine,
     engine_label: &'static str,
     cores: usize,
@@ -217,7 +217,7 @@ pub struct MultiCoreReport {
 
 impl MultiCoreReport {
     /// The row for one cell.
-    pub fn cell(&self, engine: &str, cores: usize, poll_batch: usize) -> &McPoint {
+    pub(crate) fn cell(&self, engine: &str, cores: usize, poll_batch: usize) -> &McPoint {
         self.rows
             .iter()
             .find(|r| r.engine == engine && r.cores == cores && r.poll_batch == poll_batch)

@@ -81,7 +81,7 @@ pub fn capacity_pps() -> u64 {
 
 /// Rate of the wanted stream: a quarter of nominal capacity, so even at
 /// 0.5× total offered load the junk flood is the larger component.
-pub fn wanted_pps() -> u64 {
+pub(crate) fn wanted_pps() -> u64 {
     (capacity_pps() / 4).max(1)
 }
 
@@ -247,21 +247,21 @@ pub struct OverloadPoint {
     /// Armor-tier label.
     pub armor: &'static str,
     /// Offered load as a multiple of [`capacity_pps`].
-    pub offered_x: f64,
+    pub(crate) offered_x: f64,
     /// Total offered rate, packets per second.
-    pub offered_pps: u64,
+    pub(crate) offered_pps: u64,
     /// Wanted / junk frames injected.
-    pub wanted_offered: u64,
+    pub(crate) wanted_offered: u64,
     /// Junk frames injected.
-    pub junk_offered: u64,
+    pub(crate) junk_offered: u64,
     /// Wanted packets consumed by the user process, per second.
-    pub goodput_pps: f64,
+    pub(crate) goodput_pps: f64,
     /// User CPU time / wall clock.
-    pub useful_frac: f64,
+    pub(crate) useful_frac: f64,
     /// Packet-filter (admit + demux + deliver) CPU time / wall clock.
-    pub demux_frac: f64,
+    pub(crate) demux_frac: f64,
     /// Driver (interrupt + poll) CPU time / wall clock.
-    pub driver_frac: f64,
+    pub(crate) driver_frac: f64,
     /// Frames shed by the admission gate (drop-at-NIC).
     pub drops_admission: u64,
     /// Frames dropped at a full port queue (drop-after-demux).
@@ -271,7 +271,7 @@ pub struct OverloadPoint {
     /// Frames no filter accepted.
     pub drops_no_match: u64,
     /// p99 demux-stamp → delivery latency on the wanted port, µs.
-    pub p99_latency_us: u64,
+    pub(crate) p99_latency_us: u64,
     /// Poll ticks taken.
     pub poll_batches: u64,
     /// Interrupt↔polling transitions.
@@ -283,7 +283,7 @@ pub struct OverloadPoint {
 /// Runs one (engine, armor, offered-multiple) cell for `duration` of
 /// simulated time and returns its measurements. Fully deterministic for
 /// a given `seed` (the world's fault/arrival randomness source).
-pub fn run_cell(
+pub(crate) fn run_cell(
     engine: DemuxEngine,
     engine_label: &'static str,
     armor: Armor,
@@ -363,7 +363,7 @@ pub struct OverloadReport {
     /// Nominal unarmored capacity the multipliers are anchored to.
     pub capacity_pps: u64,
     /// Wanted-stream rate.
-    pub wanted_pps: u64,
+    pub(crate) wanted_pps: u64,
     /// Per-cell simulated duration.
     pub duration: SimDuration,
     /// Every (engine × armor × offered-multiple) cell.
@@ -372,7 +372,7 @@ pub struct OverloadReport {
 
 impl OverloadReport {
     /// The row for one cell.
-    pub fn cell(&self, engine: &str, armor: &str, mult: f64) -> &OverloadPoint {
+    pub(crate) fn cell(&self, engine: &str, armor: &str, mult: f64) -> &OverloadPoint {
         self.rows
             .iter()
             .find(|r| r.engine == engine && r.armor == armor && r.offered_x == mult)

@@ -45,17 +45,17 @@ const IP_SHARE: f64 = 0.69;
 #[derive(Debug, Clone, Copy)]
 pub struct ProfileResult {
     /// Packet-filter CPU time per pf packet, ms.
-    pub pf_ms_per_packet: f64,
+    pub(crate) pf_ms_per_packet: f64,
     /// Fraction of pf time spent evaluating filters.
-    pub filter_fraction: f64,
+    pub(crate) filter_fraction: f64,
     /// Mean predicates applied per pf packet.
-    pub predicates_per_packet: f64,
+    pub(crate) predicates_per_packet: f64,
     /// IP-layer CPU time per IP packet, ms.
-    pub ip_layer_ms: f64,
+    pub(crate) ip_layer_ms: f64,
     /// IP + transport + delivery CPU time per IP packet, ms.
-    pub transport_ms: f64,
+    pub(crate) transport_ms: f64,
     /// ARP CPU time per ARP packet, ms.
-    pub arp_ms: f64,
+    pub(crate) arp_ms: f64,
 }
 
 /// A pf sink process for one Pup socket.
@@ -225,7 +225,7 @@ pub fn run(ports: usize) -> ProfileResult {
 
 /// Fits the §6.1 linear model (pf ms = a + b × predicates) by sweeping the
 /// number of active ports; returns (intercept, slope).
-pub fn fit_model() -> (f64, f64) {
+pub(crate) fn fit_model() -> (f64, f64) {
     let samples: Vec<(f64, f64)> = [2usize, 4, 8, 12, 16, 20]
         .into_iter()
         .map(|ports| {
@@ -244,7 +244,7 @@ pub fn fit_model() -> (f64, f64) {
 }
 
 /// Builds the §6.1 report.
-pub fn report_section_6_1() -> Report {
+pub(crate) fn report_section_6_1() -> Report {
     let r12 = run(PORTS);
     let (a, b) = fit_model();
     let mut r = Report::new("Section 6.1", "Kernel per-packet processing time")

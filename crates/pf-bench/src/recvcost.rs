@@ -41,10 +41,10 @@ pub struct RecvConfig {
     /// Number of active ports with distinct socket filters (break-even
     /// sweep); traffic is spread uniformly over them. `1` plus
     /// `filter_instructions: None` is the plain single-receiver setup.
-    pub active_filters: usize,
+    pub(crate) active_filters: usize,
     /// Injection spacing in microseconds (must be below the per-packet
     /// processing cost to saturate the receive path).
-    pub spacing_us: u64,
+    pub(crate) spacing_us: u64,
     /// The kernel demultiplexing engine (sequential loop or §7's decision
     /// table).
     pub engine: pf_kernel::device::DemuxEngine,
@@ -69,17 +69,17 @@ impl Default for RecvConfig {
 #[derive(Debug, Clone)]
 pub struct RecvResult {
     /// Elapsed milliseconds per received packet (saturated).
-    pub per_packet_ms: f64,
+    pub(crate) per_packet_ms: f64,
     /// Packets actually delivered to the final process.
     pub delivered: usize,
     /// Counter deltas over the measurement interval.
     pub counters: Counters,
     /// System calls per packet.
-    pub syscalls_per_packet: f64,
+    pub(crate) syscalls_per_packet: f64,
     /// Context switches per packet.
-    pub context_switches_per_packet: f64,
+    pub(crate) context_switches_per_packet: f64,
     /// Data copies per packet.
-    pub copies_per_packet: f64,
+    pub(crate) copies_per_packet: f64,
 }
 
 /// A counting sink on a packet-filter port.
@@ -261,7 +261,7 @@ pub fn run(cfg: &RecvConfig) -> RecvResult {
 }
 
 /// Table 6-8: per-packet receive cost without batching.
-pub fn report_table_6_8() -> Report {
+pub(crate) fn report_table_6_8() -> Report {
     let paper = [(128usize, 2.3, 5.0), (1500, 4.0, 9.0)];
     let mut r =
         Report::new("Table 6-8", "Per-packet cost of user-level demultiplexing").headers(&[
@@ -301,7 +301,7 @@ pub fn report_table_6_8() -> Report {
 }
 
 /// Table 6-9: the same with received-packet batching.
-pub fn report_table_6_9() -> Report {
+pub(crate) fn report_table_6_9() -> Report {
     let paper = [(128usize, 2.4, 1.9), (1500, 3.5, 5.9)];
     let mut r = Report::new(
         "Table 6-9",
@@ -342,7 +342,7 @@ pub fn report_table_6_9() -> Report {
 }
 
 /// Table 6-10: cost of interpreting filters of various lengths.
-pub fn report_table_6_10() -> Report {
+pub(crate) fn report_table_6_10() -> Report {
     let paper = [(0usize, 1.9), (1, 2.0), (9, 2.2), (21, 2.5)];
     let mut r = Report::new("Table 6-10", "Cost of interpreting packet filters").headers(&[
         "filter length",

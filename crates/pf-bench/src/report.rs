@@ -4,7 +4,7 @@
 //! to the measured one, so a reader can check the *shape* claims (who
 //! wins, by what factor) at a glance.
 //!
-//! [`cells_tsv`] reads those pairs back out of the rows the text is
+//! `cells_tsv` reads those pairs back out of the rows the text is
 //! rendered from, so the fidelity record cannot drift from the tables.
 //!
 //! Also home to `p99_us`, the latency quantile the overload,
@@ -28,7 +28,7 @@ pub struct Report {
     /// Experiment identifier, e.g. `"Table 6-1"`.
     pub id: String,
     /// One-line description.
-    pub title: String,
+    pub(crate) title: String,
     /// Column headers.
     pub headers: Vec<String>,
     /// Rows of cells.
@@ -143,7 +143,7 @@ impl Report {
 /// table, row, column, paper cell, measured cell, relative error to three
 /// places, or `skipped` where a side states no number — and a closing `#`
 /// line with the median and the worst error.
-pub fn cells_tsv(reports: &[Report]) -> String {
+pub(crate) fn cells_tsv(reports: &[Report]) -> String {
     let mut out = String::from("table\trow\tcolumn\tpaper\tmeasured\trel_error\n");
     let mut errors: Vec<(f64, String)> = Vec::new();
     let mut skipped = 0;

@@ -31,9 +31,9 @@ pub struct SendCost {
     /// Total frame size in bytes.
     pub frame_bytes: usize,
     /// Milliseconds of elapsed (CPU) time per packet via `pf_write`.
-    pub via_pf_ms: f64,
+    pub(crate) via_pf_ms: f64,
     /// Milliseconds per packet via the kernel UDP socket.
-    pub via_udp_ms: f64,
+    pub(crate) via_udp_ms: f64,
 }
 
 struct PfBlaster {

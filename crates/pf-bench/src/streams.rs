@@ -32,7 +32,7 @@ pub const DISK_CHUNK_COST: SimDuration = SimDuration::from_micros(55_000);
 
 /// BSP bulk throughput in KB/s; `disk_source` charges [`DISK_CHUNK_COST`]
 /// per 16 KB chunk.
-pub fn bsp_bulk_kbs(disk_source: bool) -> f64 {
+pub(crate) fn bsp_bulk_kbs(disk_source: bool) -> f64 {
     let mut w = World::new(55);
     let seg = w.add_segment(Medium::experimental_3mb(), FaultModel::default());
     let a = w.add_host("sender", seg, 0x0A, CostModel::microvax_ii());
@@ -67,7 +67,7 @@ pub fn bsp_bulk_kbs(disk_source: bool) -> f64 {
 /// Kernel TCP bulk throughput in KB/s with the given MSS (`0` = default
 /// 1024-byte segments, i.e. 1078-byte wire packets); `disk_source`
 /// charges [`DISK_CHUNK_COST`] per 16 KB chunk.
-pub fn tcp_bulk_kbs(mss: usize, disk_source: bool) -> f64 {
+pub(crate) fn tcp_bulk_kbs(mss: usize, disk_source: bool) -> f64 {
     let mut w = World::new(55);
     let seg = w.add_segment(Medium::standard_10mb(), FaultModel::default());
     let a = w.add_host("sender", seg, 0x0A, CostModel::microvax_ii());
@@ -88,7 +88,7 @@ pub fn tcp_bulk_kbs(mss: usize, disk_source: bool) -> f64 {
 }
 
 /// Builds the table 6-6 report (with the §6.4 extra rows).
-pub fn report_table_6_6() -> Report {
+pub(crate) fn report_table_6_6() -> Report {
     let bsp = bsp_bulk_kbs(false);
     let tcp = tcp_bulk_kbs(0, false);
     let tcp_small = tcp_bulk_kbs(514, false);

@@ -33,7 +33,7 @@ const CHARS: usize = 8_000;
 const RUN_CAP: SimTime = SimTime(300 * 1_000_000_000);
 
 /// Output rate (characters/second) for telnet over user-level BSP.
-pub fn bsp_rate(char_cost: SimDuration) -> f64 {
+pub(crate) fn bsp_rate(char_cost: SimDuration) -> f64 {
     let mut w = World::new(61);
     let seg = w.add_segment(Medium::experimental_3mb(), FaultModel::default());
     let server = w.add_host("server", seg, 0x0A, CostModel::microvax_ii());
@@ -53,7 +53,7 @@ pub fn bsp_rate(char_cost: SimDuration) -> f64 {
 }
 
 /// Output rate (characters/second) for telnet over kernel TCP.
-pub fn tcp_rate(char_cost: SimDuration) -> f64 {
+pub(crate) fn tcp_rate(char_cost: SimDuration) -> f64 {
     let mut w = World::new(61);
     let seg = w.add_segment(Medium::standard_10mb(), FaultModel::default());
     let server = w.add_host("server", seg, 0x0A, CostModel::microvax_ii());
@@ -76,7 +76,7 @@ pub fn tcp_rate(char_cost: SimDuration) -> f64 {
 }
 
 /// Builds the table 6-7 report.
-pub fn report_table_6_7() -> Report {
+pub(crate) fn report_table_6_7() -> Report {
     let rows = [
         (
             "Pup/BSP, workstation display",

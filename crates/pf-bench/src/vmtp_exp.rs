@@ -50,9 +50,9 @@ pub enum Variant {
 #[derive(Debug, Clone, Copy)]
 pub struct VmtpMeasurement {
     /// Milliseconds per minimal operation.
-    pub per_op_ms: f64,
+    pub(crate) per_op_ms: f64,
     /// Bulk throughput in KB/s.
-    pub bulk_kbs: f64,
+    pub(crate) bulk_kbs: f64,
 }
 
 fn world_for(costs: &CostModel, kernel_vmtp: bool) -> (World, HostId, HostId) {
@@ -160,7 +160,7 @@ pub fn measure(variant: Variant) -> VmtpMeasurement {
 }
 
 /// Table 6-2: relative performance of VMTP for small messages.
-pub fn report_table_6_2() -> Report {
+pub(crate) fn report_table_6_2() -> Report {
     let rows = [
         ("Packet filter", Variant::PacketFilter, 14.7),
         ("Unix kernel", Variant::UnixKernel, 7.44),
@@ -184,7 +184,7 @@ pub fn report_table_6_2() -> Report {
 }
 
 /// Table 6-3: VMTP bulk data transfer, plus the kernel TCP row.
-pub fn report_table_6_3() -> Report {
+pub(crate) fn report_table_6_3() -> Report {
     let rows = [
         ("Packet filter", Variant::PacketFilter, 112.0),
         ("Unix kernel VMTP", Variant::UnixKernel, 336.0),
@@ -214,7 +214,7 @@ pub fn report_table_6_3() -> Report {
 }
 
 /// Kernel TCP bulk throughput in KB/s (the table 6-3 comparison row).
-pub fn measure_kernel_tcp_bulk() -> f64 {
+pub(crate) fn measure_kernel_tcp_bulk() -> f64 {
     let mut w = World::new(77);
     let seg = w.add_segment(Medium::standard_10mb(), FaultModel::default());
     let a = w.add_host("sender", seg, 0x0A, CostModel::microvax_ii());
@@ -233,7 +233,7 @@ pub fn measure_kernel_tcp_bulk() -> f64 {
 }
 
 /// Table 6-4: effect of received-packet batching.
-pub fn report_table_6_4() -> Report {
+pub(crate) fn report_table_6_4() -> Report {
     let with = measure(Variant::PacketFilter);
     let without = measure(Variant::PacketFilterNoBatch);
     let mut r = Report::new("Table 6-4", "Effect of received-packet batching")
@@ -256,7 +256,7 @@ pub fn report_table_6_4() -> Report {
 }
 
 /// Table 6-5: effect of a user-level demultiplexing process.
-pub fn report_table_6_5() -> Report {
+pub(crate) fn report_table_6_5() -> Report {
     let direct = measure(Variant::PacketFilter);
     let demux = measure(Variant::PacketFilterViaDemux);
     let mut r = Report::new("Table 6-5", "Effect of user-level demultiplexing").headers(&[

@@ -194,7 +194,7 @@ mod tests {
             ",
         )
         .unwrap();
-        assert_eq!(p.len_words(), 3);
+        assert_eq!(p.words().len(), 3);
         assert_eq!(p.words()[2], 0xCAFE);
     }
 
@@ -221,6 +221,6 @@ mod tests {
     #[test]
     fn extended_mnemonics_parse() {
         let p = parse(0, "PUSHWORD+0, PUSHIND, PUSHLIT|ADD, 4").unwrap();
-        assert_eq!(p.len_instructions(), 3);
+        assert_eq!(p.words().len(), 4);
     }
 }

@@ -173,6 +173,8 @@ impl Expr {
     }
 
     /// The packet word indexed by this expression's value (§7).
+    /// Part of ROADMAP item 8's expression front end; the workspace's
+    /// `tests/engine_agreement.rs` builds with it today.
     pub fn word_at(index: Expr) -> Expr {
         Expr::WordAt(Box::new(index))
     }
@@ -188,26 +190,32 @@ impl Expr {
     }
 
     /// `self != rhs`.
+    /// Part of ROADMAP item 8's expression front end; `tests/reference.rs` builds with it today.
     pub fn ne(self, rhs: impl Into<Expr>) -> Expr {
         Expr::Cmp(CmpOp::Ne, Box::new(self), Box::new(rhs.into()))
     }
 
     /// `self < rhs`, unsigned.
+    /// Part of ROADMAP item 8's expression front end; the workspace's
+    /// `tests/engine_agreement.rs` builds with it today.
     pub fn lt(self, rhs: impl Into<Expr>) -> Expr {
         Expr::Cmp(CmpOp::Lt, Box::new(self), Box::new(rhs.into()))
     }
 
     /// `self <= rhs`, unsigned.
+    /// Part of ROADMAP item 8's expression front end; `tests/reference.rs` builds with it today.
     pub fn le(self, rhs: impl Into<Expr>) -> Expr {
         Expr::Cmp(CmpOp::Le, Box::new(self), Box::new(rhs.into()))
     }
 
     /// `self > rhs`, unsigned.
+    /// Part of ROADMAP item 8's expression front end; `tests/reference.rs` builds with it today.
     pub fn gt(self, rhs: impl Into<Expr>) -> Expr {
         Expr::Cmp(CmpOp::Gt, Box::new(self), Box::new(rhs.into()))
     }
 
     /// `self >= rhs`, unsigned.
+    /// Part of ROADMAP item 8's expression front end; `tests/reference.rs` builds with it today.
     pub fn ge(self, rhs: impl Into<Expr>) -> Expr {
         Expr::Cmp(CmpOp::Ge, Box::new(self), Box::new(rhs.into()))
     }
@@ -232,46 +240,35 @@ impl Expr {
     }
 
     /// Bitwise AND of two values.
+    /// Part of ROADMAP item 8's expression front end; `tests/reference.rs` builds with it today.
     #[allow(clippy::should_implement_trait)]
     pub fn bitand(self, rhs: impl Into<Expr>) -> Expr {
         Expr::BitAnd(Box::new(self), Box::new(rhs.into()))
     }
 
     /// Bitwise OR of two values.
+    /// Part of ROADMAP item 8's expression front end; `tests/reference.rs` builds with it today.
     #[allow(clippy::should_implement_trait)]
     pub fn bitor(self, rhs: impl Into<Expr>) -> Expr {
         Expr::BitOr(Box::new(self), Box::new(rhs.into()))
     }
 
     /// Arithmetic (§7).
+    /// Part of ROADMAP item 8's expression front end; the workspace's
+    /// `tests/engine_agreement.rs` builds with it today.
     pub fn arith(self, op: ArithOp, rhs: impl Into<Expr>) -> Expr {
         Expr::Arith(op, Box::new(self), Box::new(rhs.into()))
     }
 
-    /// Compiles with short-circuit optimization enabled. A word index
-    /// above [`MAX_PUSHWORD_INDEX`] lowers to `PUSHLIT n; PUSHIND`.
+    /// Compiles, applying the short-circuit optimization to the top-level
+    /// conjunction or disjunction. A word index above
+    /// [`MAX_PUSHWORD_INDEX`] lowers to `PUSHLIT n; PUSHIND`.
     ///
     /// # Errors
     ///
     /// Returns a [`BuildError`] if the result fails validation.
     pub fn compile(&self, priority: u8) -> Result<FilterProgram, BuildError> {
-        self.compile_with(priority, &CompileOptions::default())
-    }
-
-    /// Compiles with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BuildError`] if compilation or validation fails.
-    pub fn compile_with(
-        &self,
-        priority: u8,
-        opts: &CompileOptions,
-    ) -> Result<FilterProgram, BuildError> {
-        let mut c = Compiler {
-            words: Vec::new(),
-            opts,
-        };
+        let mut c = Compiler { words: Vec::new() };
         c.emit_top(self)?;
         if c.words.len() > MAX_PROGRAM_WORDS {
             return Err(BuildError::Validate(ValidateError::TooLong {
@@ -285,25 +282,13 @@ impl Expr {
     }
 }
 
-/// Options controlling expression compilation.
-#[derive(Debug, Clone, Default)]
-pub struct CompileOptions {
-    /// Disable the `CAND`/`COR` short-circuit optimization (for ablation;
-    /// the output then uses only plain `AND`/`OR`/`EQ` combinations).
-    pub no_short_circuit: bool,
-}
-
-struct Compiler<'a> {
+struct Compiler {
     words: Vec<u16>,
-    opts: &'a CompileOptions,
 }
 
-impl Compiler<'_> {
+impl Compiler {
     /// Emits the whole predicate; top level gets short-circuit treatment.
     fn emit_top(&mut self, e: &Expr) -> Result<(), BuildError> {
-        if self.opts.no_short_circuit {
-            return self.emit_value(e);
-        }
         match e {
             Expr::And(..) => {
                 let mut conjuncts = Vec::new();
@@ -396,7 +381,7 @@ impl Compiler<'_> {
         // Fold: the last emitted instruction must be a plain push (NOP op)
         // and not a literal word. Track by re-scanning from `before`: we
         // only fold when `e` compiled to a single push (possibly + literal).
-        if let Some(folded) = self.try_fold(before, op) {
+        if let Some(folded) = self.try_fold(before) {
             self.words[folded] = {
                 let instr = Instr::decode(self.words[folded]).expect("just emitted");
                 Instr::new(instr.action, op).encode()
@@ -407,9 +392,9 @@ impl Compiler<'_> {
         Ok(())
     }
 
-    /// Returns the index of the instruction word to fold `op` into, if the
-    /// code emitted since `before` is a single operator-free push.
-    fn try_fold(&self, before: usize, _op: BinaryOp) -> Option<usize> {
+    /// Returns the index of the instruction word to fold an operator into,
+    /// if the code emitted since `before` is a single operator-free push.
+    fn try_fold(&self, before: usize) -> Option<usize> {
         let emitted = &self.words[before..];
         let first = Instr::decode(*emitted.first()?)?;
         let expect_len = if first.takes_literal() { 2 } else { 1 };
@@ -542,25 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn short_circuit_can_be_disabled() {
-        let opts = CompileOptions {
-            no_short_circuit: true,
-        };
-        let f = Expr::word(8)
-            .eq(35)
-            .and(Expr::word(1).eq(2))
-            .compile_with(10, &opts)
-            .unwrap();
-        let any_sc = f
-            .disassemble()
-            .iter()
-            .any(|i| matches!(i, crate::program::DisasmItem::Instr(x) if x.op.is_short_circuit()));
-        assert!(!any_sc, "{f}");
-        assert!(accepts(&f, &samples::pup_packet_3mb(2, 0, 35, 1)));
-        assert!(!accepts(&f, &samples::pup_packet_3mb(2, 0, 36, 1)));
-    }
-
-    #[test]
     fn or_chain_uses_cor() {
         let f = Expr::word(1)
             .eq(2)
@@ -633,7 +599,7 @@ mod tests {
     fn comparisons_fold_into_literal_push() {
         // word(0) <= 100 should be 3 words: PUSHWORD, PUSHLIT|LE, 100.
         let f = Expr::word(0).le(100).compile(0).unwrap();
-        assert_eq!(f.len_words(), 3, "{f}");
+        assert_eq!(f.words().len(), 3, "{f}");
     }
 
     #[test]

@@ -125,6 +125,7 @@ impl FilterSet {
     }
 
     /// How a given filter is executed, if present.
+    /// Read by pf-kernel's and pf-proto's unit tests to pin which filters the table interprets.
     pub fn member_kind(&self, id: FilterId) -> Option<MemberKind> {
         self.members.get(&id).copied()
     }

@@ -103,6 +103,7 @@ pub struct Disjunct {
     /// The atoms, in the order the program tests them.
     pub atoms: Vec<Interval>,
     /// The highest packet word read before the program accepts this way.
+    /// Public so that pf-ir's conjunction tests can write a disjunct out.
     pub max_read: Option<u16>,
 }
 
@@ -155,7 +156,6 @@ impl Disjunct {
 /// assert_eq!(form.required(), [range, Interval::exact(1, 2)]);
 /// let disjuncts = form.disjuncts().unwrap();
 /// assert_eq!(disjuncts[0].normalized().unwrap(), [Interval::exact(1, 2), range]);
-/// assert!(form.is_ordered());
 /// assert_eq!(form.lead(), None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,13 +199,14 @@ impl Form {
 
     /// The program as a disjunction, `None` when it is `Opaque`. An empty
     /// list is a program that never accepts.
+    /// Read by this crate's `tests/form.rs` and by pf-ir's conjunction tests.
     pub fn disjuncts(&self) -> Option<&[Disjunct]> {
         self.disjuncts.as_deref()
     }
 
     /// Whether the disjunction tests an ordering compare, so that not every
     /// atom is an equality the program tests as one.
-    pub fn is_ordered(&self) -> bool {
+    pub(crate) fn is_ordered(&self) -> bool {
         self.ordered
     }
 

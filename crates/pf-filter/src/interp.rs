@@ -35,10 +35,6 @@ pub const STACK_SIZE: usize = 32;
 pub struct EvalStats {
     /// Instruction words executed (literals not counted).
     pub instructions: u32,
-    /// Literal words fetched by `PUSHLIT`.
-    pub literal_fetches: u32,
-    /// Packet words fetched by `PUSHWORD`/`PUSHIND`.
-    pub packet_fetches: u32,
     /// Whether a short-circuit operator terminated evaluation early.
     pub short_circuited: bool,
     /// The runtime fault that ended evaluation, if any (implies reject).
@@ -167,7 +163,6 @@ pub(crate) fn run<const CHECKED: bool>(
                     fault!(RuntimeError::MissingLiteral { offset });
                 };
                 pc += 1;
-                stats.literal_fetches += 1;
                 push!(offset, lit);
             }
             StackAction::PushWord(n) => push!(offset, {
@@ -175,7 +170,6 @@ pub(crate) fn run<const CHECKED: bool>(
                 let Some(v) = packet.word(index) else {
                     fault!(RuntimeError::OutOfPacket { offset, index });
                 };
-                stats.packet_fetches += 1;
                 v
             }),
             StackAction::PushInd => {
@@ -186,7 +180,6 @@ pub(crate) fn run<const CHECKED: bool>(
                 let Some(v) = packet.word(index) else {
                     fault!(RuntimeError::OutOfPacket { offset, index });
                 };
-                stats.packet_fetches += 1;
                 stack[depth - 1] = v;
             }
             named => push!(offset, named.constant().unwrap_or_default()),
@@ -610,14 +603,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_instructions_and_literals() {
+    fn stats_count_instructions_not_literals() {
         let f = samples::fig_3_8_pup_type_range();
         let pkt = samples::pup_packet_3mb(2, 0, 35, 1);
         let (accept, stats) = interp().eval_with_stats(&f, PacketView::new(&pkt));
         assert!(accept);
+        // Twelve words, two of them literals.
         assert_eq!(stats.instructions, 10);
-        assert_eq!(stats.literal_fetches, 2);
-        assert_eq!(stats.packet_fetches, 3);
         assert!(!stats.short_circuited);
         assert_eq!(stats.error, None);
     }

@@ -35,7 +35,7 @@ pub const DEFAULT_PRIORITY: u8 = 10;
 ///
 /// let f: FilterProgram = samples::fig_3_8_pup_type_range();
 /// assert_eq!(f.priority(), 10);
-/// assert_eq!(f.len_words(), 12); // the paper's "length" field
+/// assert_eq!(f.words().len(), 12); // the paper's "length" field
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FilterProgram {
@@ -76,24 +76,9 @@ impl FilterProgram {
         &self.words
     }
 
-    /// Program length in 16-bit words (the paper's "length" field counts
-    /// instructions *and* literals).
-    pub fn len_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Whether the program has no words.
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
-    }
-
-    /// Number of *instructions* (excluding literal words). Undecodable words
-    /// are counted as instructions, since that is how evaluation meets them.
-    pub fn len_instructions(&self) -> usize {
-        self.disassemble()
-            .iter()
-            .filter(|i| !matches!(i, DisasmItem::Literal(_)))
-            .count()
     }
 
     /// Disassembles the program for display or analysis.
@@ -193,7 +178,7 @@ pub enum DisasmItem {
 ///     .pushword(7).pushzero_op(BinaryOp::Cand)    // high word of socket == 0
 ///     .pushword(1).pushlit_op(BinaryOp::Eq, 2)    // packet type == Pup
 ///     .finish();
-/// assert_eq!(f.len_words(), 8); // the paper's "length 8"
+/// assert_eq!(f.words().len(), 8); // the paper's "length 8"
 /// ```
 #[derive(Debug, Clone)]
 pub struct Assembler {
@@ -228,11 +213,13 @@ impl Assembler {
     }
 
     /// `PUSHWORD+n | op`.
+    /// Used by `tests/engine_agreement.rs` and this crate's seeded program generator.
     pub fn pushword_op(self, n: u8, op: BinaryOp) -> Self {
         self.instr(Instr::new(StackAction::PushWord(n), op))
     }
 
     /// `PUSHLIT, lit` with no operator.
+    /// Used by `tests/engine_agreement.rs` and pf-ir's unit tests.
     pub fn pushlit(mut self, lit: u16) -> Self {
         self.words.push(Instr::push(StackAction::PushLit).encode());
         self.words.push(lit);
@@ -253,11 +240,12 @@ impl Assembler {
     }
 
     /// `PUSHZERO`.
-    pub fn pushzero(self) -> Self {
+    pub(crate) fn pushzero(self) -> Self {
         self.instr(Instr::push(StackAction::PushZero))
     }
 
     /// `PUSHONE`.
+    /// Used by pf-ir's optimizer tests and this crate's seeded program generator.
     pub fn pushone(self) -> Self {
         self.instr(Instr::push(StackAction::PushOne))
     }
@@ -268,6 +256,7 @@ impl Assembler {
     }
 
     /// A bare stack action combined with an operator.
+    /// Used by pf-ir's unit tests and this crate's seeded program generator.
     pub fn push_op(self, action: StackAction, op: BinaryOp) -> Self {
         self.instr(Instr::new(action, op))
     }
@@ -275,11 +264,6 @@ impl Assembler {
     /// A bare operator (`NOPUSH`).
     pub fn op(self, op: BinaryOp) -> Self {
         self.instr(Instr::op(op))
-    }
-
-    /// Current length in words.
-    pub fn len_words(&self) -> usize {
-        self.words.len()
     }
 
     /// Finishes assembly.
@@ -298,7 +282,7 @@ mod tests {
         // The paper's figure 3-8 declares "priority and length" = 10, 12.
         let f = samples::fig_3_8_pup_type_range();
         assert_eq!(f.priority(), 10);
-        assert_eq!(f.len_words(), 12);
+        assert_eq!(f.words().len(), 12);
     }
 
     #[test]
@@ -306,7 +290,7 @@ mod tests {
         // Figure 3-9 declares 10, 8.
         let f = samples::fig_3_9_pup_socket_35();
         assert_eq!(f.priority(), 10);
-        assert_eq!(f.len_words(), 8);
+        assert_eq!(f.words().len(), 8);
     }
 
     #[test]
@@ -323,7 +307,6 @@ mod tests {
             })
             .collect();
         assert_eq!(lits, vec![2, 100]);
-        assert_eq!(f.len_instructions(), 10);
     }
 
     #[test]

@@ -124,6 +124,7 @@ pub fn accept_all(priority: u8) -> FilterProgram {
 }
 
 /// A filter that rejects every packet.
+/// Used by pf-kernel's `tests/fuzz.rs`, `tests/engine_agreement.rs` and pf-ir's unit tests.
 pub fn reject_all(priority: u8) -> FilterProgram {
     Assembler::new(priority).pushzero().finish()
 }
@@ -208,6 +209,7 @@ pub fn pup_packet_3mb(
 
 /// Convenience form with the Pup type listed before the socket, used where
 /// the type is the varying parameter.
+/// Used by `tests/compiled_demux.rs` and pf-ir's unit tests.
 pub fn pup_packet_3mb_typed(
     ethertype: u16,
     pup_type: u8,
@@ -266,7 +268,8 @@ mod tests {
         let pkt = [0u8; 16];
         for n in [1usize, 2, 3, 9, 10, 21, 40] {
             let f = padded_accept_filter(1, n);
-            assert_eq!(f.len_instructions(), n, "length {n}");
+            // No literals, so one word per instruction.
+            assert_eq!(f.words().len(), n, "length {n}");
             assert!(i.eval(&f, PacketView::new(&pkt)), "length {n}");
         }
         assert!(i.eval(&padded_accept_filter(1, 0), PacketView::new(&pkt)));

@@ -92,7 +92,7 @@ impl StackAction {
     /// # Panics
     ///
     /// Panics if a [`StackAction::PushWord`] index exceeds
-    /// [`MAX_PUSHWORD_INDEX`]; use [`StackAction::try_encode`] for a fallible
+    /// [`MAX_PUSHWORD_INDEX`]; use `StackAction::try_encode` for a fallible
     /// version.
     pub fn encode(self) -> u16 {
         self.try_encode()
@@ -101,7 +101,7 @@ impl StackAction {
 
     /// Encodes this stack action, returning `None` if a
     /// [`StackAction::PushWord`] index does not fit the 6-bit field.
-    pub fn try_encode(self) -> Option<u16> {
+    pub(crate) fn try_encode(self) -> Option<u16> {
         Some(match self {
             StackAction::NoPush => 0,
             StackAction::PushLit => 1,
@@ -126,12 +126,12 @@ impl StackAction {
     }
 
     /// Whether this action consumes the following program word as a literal.
-    pub fn takes_literal(self) -> bool {
+    pub(crate) fn takes_literal(self) -> bool {
         matches!(self, StackAction::PushLit)
     }
 
     /// Whether this action is a §7 extension to the paper's figure 3-6.
-    pub fn is_extended(self) -> bool {
+    pub(crate) fn is_extended(self) -> bool {
         matches!(self, StackAction::PushInd)
     }
 
@@ -149,7 +149,7 @@ impl StackAction {
     }
 
     /// The action that pushes `value` as a named constant, if one does.
-    pub fn for_constant(value: u16) -> Option<Self> {
+    pub(crate) fn for_constant(value: u16) -> Option<Self> {
         (0..PUSHWORD_BASE)
             .filter_map(StackAction::decode)
             .find(|a| a.constant() == Some(value))
@@ -305,16 +305,8 @@ impl BinaryOp {
         !matches!(self, BinaryOp::Nop)
     }
 
-    /// Whether this is one of the four short-circuit operators.
-    pub fn is_short_circuit(self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Cor | BinaryOp::Cand | BinaryOp::Cnor | BinaryOp::Cnand
-        )
-    }
-
     /// Whether this operator is a §7 extension to the paper's figure 3-6.
-    pub fn is_extended(self) -> bool {
+    pub(crate) fn is_extended(self) -> bool {
         matches!(
             self,
             BinaryOp::Add
@@ -461,11 +453,12 @@ impl Instr {
     }
 
     /// Whether this instruction consumes the next program word as a literal.
-    pub fn takes_literal(self) -> bool {
+    pub(crate) fn takes_literal(self) -> bool {
         self.action.takes_literal()
     }
 
     /// Whether this instruction uses any §7 extension.
+    /// Read by pf-ir's `tests/differential.rs` to count the §7 programs it draws.
     pub fn is_extended(self) -> bool {
         self.action.is_extended() || self.op.is_extended()
     }

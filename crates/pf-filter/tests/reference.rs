@@ -5,7 +5,7 @@
 //! rejects. Seeded from the in-tree `SplitMix64`; the release profile runs
 //! ten times the cases of the debug one.
 
-use pf_filter::builder::{CmpOp, CompileOptions, Expr};
+use pf_filter::builder::{CmpOp, Expr};
 use pf_filter::interp::CheckedInterpreter;
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
@@ -105,12 +105,9 @@ fn compiled_expression_matches_reference() {
                 }
             })
             .collect();
-        let opts = CompileOptions {
-            no_short_circuit: rng.chance(0.5),
-        };
         // A deep tree can exceed the program or stack limits: a legitimate
         // error, not a semantic failure.
-        let Ok(prog) = e.compile_with(10, &opts) else {
+        let Ok(prog) = e.compile(10) else {
             continue;
         };
         compiled += 1;

@@ -173,7 +173,7 @@ pub struct IrEvalStats {
     /// checked interpreter's instruction count).
     pub ops_executed: u32,
     /// Whether a short packet routed evaluation to the checked fallback.
-    pub fell_back: bool,
+    pub(crate) fell_back: bool,
 }
 
 /// A filter compiled to optimized threaded code.
@@ -213,7 +213,7 @@ impl IrFilter {
     /// Compiles an already-validated program: translate to the CFG IR, run
     /// the optimization pipeline, flatten to threaded code. The filter
     /// keeps the program for its short-packet fallback.
-    pub fn from_validated(validated: ValidatedProgram) -> Self {
+    pub(crate) fn from_validated(validated: ValidatedProgram) -> Self {
         let mut ir = translate(&validated);
         optimize(&mut ir);
         let operands = Operands::of(&ir);
@@ -241,11 +241,6 @@ impl IrFilter {
     /// checked interpreter.
     pub fn min_packet_words(&self) -> usize {
         self.min_packet_words
-    }
-
-    /// Number of threaded-code instructions.
-    pub fn code_len(&self) -> usize {
-        self.code.len()
     }
 
     /// The code as a plain conjunction of word tests, if it is one.
@@ -915,7 +910,7 @@ mod tests {
             .pushlit_op(BinaryOp::Eq, 5)
             .finish();
         let f = IrFilter::compile(p).unwrap();
-        assert_eq!(f.code_len(), 1, "{}", f.disassemble());
+        assert_eq!(f.code.len(), 1, "{}", f.disassemble());
         assert!(f.eval(PacketView::new(&[])));
     }
 

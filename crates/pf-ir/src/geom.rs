@@ -63,8 +63,10 @@ pub struct GeomStats {
     /// Members whose bodies (or fallbacks) were evaluated.
     pub filters_evaluated: u32,
     /// Members the tuple index let the packet skip outright.
+    /// Part of ROADMAP item 4's per-packet billing; read by `tests/differential.rs`.
     pub filters_skipped: u32,
     /// Tuple sub-structures probed (one literal map or one range tree).
+    /// Part of ROADMAP item 4's per-packet billing; read by pf-bench's demux tests.
     pub tuples_probed: u32,
     /// Index nodes visited across all probes: one per literal-map lookup,
     /// and the segment-tree levels the probe actually visited, ≤ 5 a
@@ -77,6 +79,7 @@ pub struct GeomStats {
     /// Candidates rejected by a test their index slot does not prove: the
     /// index selected the member, and a required atom other than its key
     /// turned the packet away.
+    /// Part of ROADMAP item 4's per-packet billing.
     pub residual_rejects: u32,
 }
 

@@ -150,7 +150,7 @@ impl fmt::Display for Terminator {
 
 impl Terminator {
     /// The blocks this terminator can transfer to.
-    pub fn successors(&self) -> impl Iterator<Item = BlockId> + '_ {
+    pub(crate) fn successors(&self) -> impl Iterator<Item = BlockId> + '_ {
         let (a, b) = match *self {
             Terminator::Jump(t) => (Some(t), None),
             Terminator::Branch {
@@ -177,12 +177,12 @@ pub struct IrProgram {
     /// The basic blocks; [`BlockId`]s index this vector.
     pub blocks: Vec<Block>,
     /// Number of virtual registers (register indices are `0..reg_count`).
-    pub reg_count: u32,
+    pub(crate) reg_count: u32,
 }
 
 impl IrProgram {
     /// Total operation count across all blocks (terminators excluded).
-    pub fn op_count(&self) -> usize {
+    pub(crate) fn op_count(&self) -> usize {
         self.blocks.iter().map(|b| b.ops.len()).sum()
     }
 }

@@ -15,11 +15,11 @@
 //!
 //! The pipeline:
 //!
-//! 1. **Translate** ([`translate::translate`]) — stack traffic becomes
+//! 1. **Translate** (`translate::translate`) — stack traffic becomes
 //!    virtual registers (exact depths are statically known, courtesy of
 //!    [`pf_filter::validate::ValidatedProgram`]); short-circuit operators
 //!    become conditional branches to shared accept/reject blocks.
-//! 2. **Optimize** ([`opt::optimize`]) — constant folding, redundant-load
+//! 2. **Optimize** (`opt::optimize`) — constant folding, redundant-load
 //!    and common-subexpression elimination, branch threading, dead-block
 //!    and dead-code removal, dense register renumbering. A folded
 //!    operator takes its value from [`pf_filter::word::BinaryOp::apply`],

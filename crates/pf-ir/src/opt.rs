@@ -1,6 +1,6 @@
 //! Optimization passes over the CFG IR.
 //!
-//! The pipeline run by [`optimize`]:
+//! The pipeline run by `optimize`:
 //!
 //! 1. **Constant folding, propagation, and redundant-load elimination** —
 //!    one forward pass carrying register facts along single-predecessor
@@ -29,7 +29,7 @@ use crate::ir::{Block, BlockId, IrProgram, Op, Reg, Terminator};
 use pf_filter::word::BinaryOp;
 
 /// Runs the full pass pipeline in place.
-pub fn optimize(program: &mut IrProgram) {
+pub(crate) fn optimize(program: &mut IrProgram) {
     fold_and_reuse(program);
     invert_zero_eq_branches(program);
     thread_branches(program);

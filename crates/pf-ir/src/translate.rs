@@ -40,7 +40,7 @@ const REJECT: BlockId = BlockId(u32::MAX);
 /// `packet.word_len() >= validated.min_packet_words()` (the execution
 /// engine falls back to the checked interpreter below that, exactly like
 /// [`ValidatedProgram::eval`]).
-pub fn translate(validated: &ValidatedProgram) -> IrProgram {
+pub(crate) fn translate(validated: &ValidatedProgram) -> IrProgram {
     let words = validated.program().words();
 
     // The historical "zero-length filter accepts everything" rule.

@@ -462,7 +462,7 @@ pub struct Port {
     /// Whether the port is open.
     pub open: bool,
     /// Read-generation counter.
-    pub next_generation: u64,
+    pub(crate) next_generation: u64,
     /// Why the filter is quarantined, if it is.
     pub quarantined: Option<QuarantineReason>,
     /// Evaluations of this port's filter terminated by the instruction
@@ -471,11 +471,12 @@ pub struct Port {
     /// Per-port admission-quota override (`None`: the gate's default).
     pub quota: Option<AdmissionQuota>,
     /// Packets classified to this port but shed by the admission gate.
+    /// Part of ROADMAP item 2(a)'s drop ledger; read by `tests/fuzz.rs`.
     pub admission_drops: u64,
     /// Whether a backpressure notification is outstanding (set when the
     /// queue crosses `config.backpressure_mark`, re-armed when it drains
     /// below the mark). Maintained by the world model.
-    pub backpressured: bool,
+    pub(crate) backpressured: bool,
 }
 
 impl Port {
@@ -694,24 +695,29 @@ pub struct EngineStats {
     pub engine: DemuxEngine,
     /// Decision-table shapes (hash probes per packet); decision-table
     /// engine only.
+    /// Part of ROADMAP item 2(b)'s facade observation.
     pub table_shapes: usize,
     /// Tuples every packet probes in the geometric index — exact
     /// word-sets plus per-word range classes — including tuples only
     /// removed members still occupy (removal
     /// tombstones; the probe goes on until the set compacts); geom engine
     /// only.
+    /// Part of ROADMAP item 2(b)'s facade observation.
     pub geom_tuple_count: usize,
     /// Members with no provable interval constraint, walked on every
     /// packet; geom engine only.
+    /// Part of ROADMAP item 2(b)'s facade observation.
     pub geom_residue: usize,
     /// Same-word interval overlaps detected at insertion (two members
     /// whose required intervals on the indexed word intersect), cumulative
     /// over every bind since the last full rebuild — closes and rebinds do
     /// not take their conflicts back; geom engine only.
+    /// Part of ROADMAP item 2(b)'s facade observation.
     pub geom_overlaps: u64,
     /// Shadowing conflicts detected at insertion (a member whose indexed
     /// interval is contained in an equal-or-higher-priority member's),
     /// cumulative like `geom_overlaps`; geom engine only.
+    /// Part of ROADMAP item 2(b)'s facade observation; N8 reports from it.
     pub geom_shadows: u64,
     /// Open ports whose filters are quarantined (served by the checked
     /// interpreter under every engine).
@@ -720,6 +726,7 @@ pub struct EngineStats {
     /// device was constructed: engine selection, and a budget sweep that
     /// quarantined something. Binds, rebinds and closes update the set in
     /// place and never count.
+    /// Part of ROADMAP item 2(b)'s facade observation; read by `tests/device_churn.rs`.
     pub engine_rebuilds: u64,
     /// Geom candidates pruned by the per-packet candidate cap
     /// ([`PfDevice::set_geom_candidate_cap`]) since the last full rebuild;
@@ -899,6 +906,7 @@ impl PfDevice {
     }
 
     /// The admission gate's configuration, when enabled.
+    /// Read by this crate's `tests/fuzz.rs` to drive the gate under config churn.
     pub fn admission_control(&self) -> Option<AdmissionConfig> {
         self.admission.as_ref().map(|s| s.config)
     }
@@ -970,6 +978,7 @@ impl PfDevice {
     /// threshold is `None`, no protected entry covers the frame, or the
     /// protected filter requires no other word (a single-word signature
     /// cannot be strengthened — an honest residual weakness).
+    /// Called by this crate's `tests/fuzz.rs`, the gate's mimicry model.
     pub fn note_unmatched_admit(&mut self, packet: &[u8]) -> bool {
         let Some(state) = &mut self.admission else {
             return false;
@@ -1126,7 +1135,7 @@ impl PfDevice {
     /// Index probes the active engine charges per packet whatever the
     /// population — decision-table shapes or geom tuples, zero under the
     /// other engines — without assembling a whole [`EngineStats`].
-    pub fn index_probes(&self) -> usize {
+    pub(crate) fn index_probes(&self) -> usize {
         self.set.as_ref().map_or(0, EngineSet::index_probes)
     }
 
@@ -1343,7 +1352,7 @@ impl PfDevice {
     /// overwrites it: a demux allocates nothing once the outcome's vectors
     /// have grown to what the traffic needs. A caller that must change the
     /// device while it reads the outcome keeps one of its own and calls
-    /// [`Self::demux_into`].
+    /// `Self::demux_into`.
     ///
     /// Queueing is *not* performed here — the world model enqueues to the
     /// accepted ports so it can charge bookkeeping costs and handle wakeups.
@@ -1356,7 +1365,7 @@ impl PfDevice {
 
     /// [`Self::demux`] into an outcome the caller owns and reuses: `out`
     /// is cleared first, so nothing of an earlier packet survives in it.
-    pub fn demux_into(&mut self, packet: &[u8], out: &mut DemuxOutcome) {
+    pub(crate) fn demux_into(&mut self, packet: &[u8], out: &mut DemuxOutcome) {
         out.clear();
         self.demux_ops += 1;
         let view = PacketView::new(packet);

@@ -37,7 +37,7 @@ pub struct RssConfig {
     pub queues: usize,
     /// The 16-bit packet words hashed (e.g. the destination-socket word).
     /// Words past the end of a short frame are skipped, never faulted.
-    pub hash_words: Vec<u16>,
+    pub(crate) hash_words: Vec<u16>,
     /// Hash key; two NICs with the same key steer identically.
     pub key: u64,
 }

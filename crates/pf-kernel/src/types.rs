@@ -91,6 +91,7 @@ pub struct PortStats {
     /// Packets classified to this port but shed by the admission gate
     /// before demultiplexing (drop-at-NIC; `drops` counts drop-after-demux
     /// queue overflows).
+    /// Part of ROADMAP item 2(a)'s drop ledger; read by `tests/overload.rs`.
     pub admission_drops: u64,
 }
 
@@ -109,6 +110,7 @@ pub struct PortConfig {
     /// filters as well (§3.2's monitoring/multicast option).
     pub deliver_to_lower: bool,
     /// Deliver a signal to the owning process upon packet reception.
+    /// Public so that other crates build a `PortConfig` with `..Default::default()`.
     pub signal_on_input: bool,
     /// Mark each received packet with a timestamp (costs `microtime`).
     pub timestamp: bool,

@@ -382,6 +382,7 @@ pub struct RouterCounters {
     /// Frames that arrived at any of the router's interfaces.
     pub frames_in: u64,
     /// Frames transmitted out of any interface.
+    /// Part of ROADMAP item 2(a)'s in/out ledger; read by pf-proto's `tests/routing.rs`.
     pub frames_out: u64,
     /// Frames that arrived while the router was crashed and were
     /// silently dropped (a dead router blackholes, it does not NAK).
@@ -568,12 +569,15 @@ impl World {
         &self.hosts[host.0].device
     }
 
-    /// A host's configured name.
+    /// A host's configured name: the `name` every caller of
+    /// [`World::add_host`] passes (the campaigns, the examples and the
+    /// repository's benchmark), read back.
     pub fn host_name(&self, host: HostId) -> &str {
         &self.hosts[host.0].name
     }
 
-    /// A router's configured name.
+    /// A router's configured name: the `name` passed to
+    /// [`World::add_router`], read back.
     pub fn router_name(&self, router: RouterId) -> &str {
         &self.routers[router.0].name
     }
@@ -666,6 +670,7 @@ impl World {
 
     /// Whether any of a host's cores is currently polling its receive
     /// queue.
+    /// Read by this crate's `tests/overload.rs`, which checks the polling switch.
     pub fn rx_polling(&self, host: HostId) -> bool {
         self.hosts[host.0].cores.iter().any(|c| c.polling)
     }
@@ -698,17 +703,6 @@ impl World {
         self.hosts[host.0].device.set_engine(engine);
     }
 
-    /// Sets (or clears) the per-evaluation filter instruction budget on a
-    /// host's packet-filter device. Filters that could exceed the budget
-    /// are quarantined: excluded from the compiled engines and served by
-    /// the budgeted checked interpreter (graceful degradation instead of a
-    /// runaway demultiplexer).
-    pub fn set_filter_budget(&mut self, host: HostId, budget: Option<u32>) {
-        let h = &mut self.hosts[host.0];
-        let newly = h.device.set_instruction_budget(budget);
-        h.counters.filters_quarantined += u64::from(newly);
-    }
-
     /// The network (e.g. for segment statistics).
     pub fn network(&self) -> &Network {
         &self.net
@@ -722,6 +716,7 @@ impl World {
     }
 
     /// Downcasts a host's registered kernel protocol by concrete type.
+    /// Read by `tests/coexistence.rs` and pf-proto's unit tests.
     pub fn protocol_ref<T: KernelProtocol>(&self, host: HostId) -> Option<&T> {
         self.hosts[host.0]
             .protocols
@@ -1418,11 +1413,6 @@ impl ProcCtx<'_> {
         self.world.events.now()
     }
 
-    /// This host's id.
-    pub fn host_id(&self) -> HostId {
-        self.host
-    }
-
     /// The data-link description and this host's link address (§3.3's
     /// status information).
     pub fn link_info(&self) -> (Medium, u64) {
@@ -1469,6 +1459,7 @@ impl ProcCtx<'_> {
     }
 
     /// Closes a packet-filter port.
+    /// §3's close: without it a process cannot release a port.
     pub fn pf_close(&mut self, fd: Fd) {
         self.charge_syscall("pf:close");
         let proc = self.proc;
@@ -1532,6 +1523,7 @@ impl ProcCtx<'_> {
 
     /// Full status snapshot for a port (§3.3 status information plus the
     /// degradation counters: quarantine state and budget overruns).
+    /// ROADMAP item N8 reports through it; `tests/world_model.rs` reads it today.
     pub fn pf_port_stats(&mut self, fd: Fd) -> Option<PortStats> {
         let proc = self.proc;
         let h = self.h();
@@ -1805,11 +1797,6 @@ impl KernelCtx<'_> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.world.events.now()
-    }
-
-    /// This host's id.
-    pub fn host_id(&self) -> HostId {
-        self.host
     }
 
     /// The host's cost model.

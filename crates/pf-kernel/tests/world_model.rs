@@ -827,39 +827,3 @@ fn quarantine_and_overflow_surface_through_world() {
         "reader learns how many packets overflow had cost it so far"
     );
 }
-
-/// An instruction budget set through the world quarantines overlong
-/// filters; a validation-rejected filter that also exceeds the budget at
-/// run time is cut off, and the overruns land in the host counters.
-#[test]
-fn budget_overruns_surface_through_world() {
-    let (mut w, a, b) = two_host_world();
-    w.set_filter_budget(b, Some(8));
-    struct Hog {
-        fd: Option<Fd>,
-    }
-    impl App for Hog {
-        fn start(&mut self, k: &mut ProcCtx<'_>) {
-            let fd = k.pf_open();
-            // Ten decodable instructions before a garbage word: fails
-            // validation (quarantine), then every checked evaluation
-            // exceeds the 8-instruction budget and rejects.
-            let mut words = samples::fig_3_8_pup_type_range().words().to_vec();
-            words.push(15 << 6);
-            assert!(!k.pf_set_filter(fd, FilterProgram::from_words(10, words)));
-            self.fd = Some(fd);
-        }
-    }
-    w.spawn(b, Box::new(Hog { fd: None }));
-    w.spawn(
-        a,
-        Box::new(Blaster {
-            packets: (0..3).map(|_| pup_to_bob(35)).collect(),
-        }),
-    );
-    w.run();
-    assert_eq!(w.counters(b).filters_quarantined, 1);
-    assert_eq!(w.counters(b).filter_budget_overruns, 3, "one per packet");
-    assert_eq!(w.counters(b).drops_no_match, 3, "over-budget rejects");
-    assert_eq!(w.counters(b).packets_delivered, 0);
-}

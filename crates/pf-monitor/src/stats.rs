@@ -20,11 +20,11 @@ pub struct TraceStats {
     /// Total bytes on the wire.
     pub bytes: u64,
     /// Packets and bytes per Ethernet type.
-    pub by_ethertype: HashMap<u16, (u64, u64)>,
+    pub(crate) by_ethertype: HashMap<u16, (u64, u64)>,
     /// Packets per (source, destination) link-address pair.
-    pub conversations: HashMap<(u64, u64), u64>,
+    pub(crate) conversations: HashMap<(u64, u64), u64>,
     /// Packet-size histogram with 128-byte buckets.
-    pub size_histogram: Vec<u64>,
+    pub(crate) size_histogram: Vec<u64>,
     /// Smallest observed inter-arrival gap.
     pub min_gap: Option<SimDuration>,
     /// Mean inter-arrival gap.
@@ -80,6 +80,7 @@ impl TraceStats {
     }
 
     /// Packets of a given Ethernet type.
+    /// Read by `tests/busy_ethernet.rs` and `tests/end_to_end.rs`.
     pub fn packets_of_type(&self, ethertype: u16) -> u64 {
         self.by_ethertype.get(&ethertype).map_or(0, |e| e.0)
     }

@@ -10,12 +10,11 @@
 //! carries it as part of the plan and the kernel simulation replays it
 //! against the deployed world.
 //!
-//! Schedules are either hand-built (targeted outages, flap trains,
-//! partitions) or generated deterministically from a seed
-//! ([`FabricSchedule::random_chaos`]), so chaos campaigns replay
-//! bit-identically at a fixed `--seed`.
+//! Schedules are hand-built (targeted outages, flap trains, partitions):
+//! `campaign fabric`'s scenarios write theirs from the ring's node and
+//! link ids, so a fault campaign replays bit-identically at a fixed
+//! `--seed`.
 
-use pf_sim::rng::SplitMix64;
 use pf_sim::time::{SimDuration, SimTime};
 
 use crate::topology::{LinkId, NodeId};
@@ -81,6 +80,7 @@ impl FabricSchedule {
     }
 
     /// Takes `link` down at `down`; restores it at `up` when given.
+    /// Called by this crate's `tests/fuzz.rs`; `link_flaps` and `partition` build on it.
     pub fn link_outage(&mut self, link: LinkId, down: SimTime, up: Option<SimTime>) {
         self.push(down, FabricAction::LinkDown(link));
         if let Some(up) = up {
@@ -115,46 +115,6 @@ impl FabricSchedule {
         for &l in links {
             self.link_outage(l, down, heal);
         }
-    }
-
-    /// Generates `count` random outages (routers and links mixed) over
-    /// `[0, horizon)`, each lasting up to `max_outage`, deterministically
-    /// from `seed`. Victims are drawn uniformly from the given pools;
-    /// an empty pool is simply never drawn from.
-    pub fn random_chaos(
-        routers: &[NodeId],
-        links: &[LinkId],
-        horizon: SimTime,
-        max_outage: SimDuration,
-        count: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(
-            !routers.is_empty() || !links.is_empty(),
-            "need at least one victim pool"
-        );
-        assert!(max_outage > SimDuration::ZERO, "outages must have width");
-        let mut rng = SplitMix64::new(seed);
-        let mut sched = FabricSchedule::new();
-        for _ in 0..count {
-            let down = SimTime(rng.below(horizon.0.max(1)));
-            let up = down + SimDuration::from_nanos(1 + rng.below(max_outage.as_nanos()));
-            let pick_router = if routers.is_empty() {
-                false
-            } else if links.is_empty() {
-                true
-            } else {
-                rng.chance(0.5)
-            };
-            if pick_router {
-                let n = routers[rng.below(routers.len() as u64) as usize];
-                sched.router_outage(n, down, Some(up));
-            } else {
-                let l = links[rng.below(links.len() as u64) as usize];
-                sched.link_outage(l, down, Some(up));
-            }
-        }
-        sched
     }
 
     /// The scheduled events sorted by time (stable: same-instant events
@@ -229,27 +189,5 @@ mod tests {
             .filter(|e| matches!(e.action, FabricAction::LinkUp(_)))
             .count();
         assert_eq!((downs, ups), (2, 2));
-    }
-
-    #[test]
-    fn random_chaos_is_seed_deterministic() {
-        let routers = [NodeId(0), NodeId(1)];
-        let links = [LinkId(0), LinkId(1), LinkId(2)];
-        let gen = |seed| {
-            FabricSchedule::random_chaos(
-                &routers,
-                &links,
-                SimTime(1_000_000),
-                SimDuration::from_micros(50),
-                16,
-                seed,
-            )
-            .events()
-        };
-        assert_eq!(gen(7), gen(7), "same seed, same schedule");
-        assert_ne!(gen(7), gen(8), "different seed, different schedule");
-        for e in gen(7) {
-            assert!(e.at < SimTime(1_000_000 + 50_000 + 1));
-        }
     }
 }

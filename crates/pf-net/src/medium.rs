@@ -25,8 +25,10 @@ pub struct Medium {
     /// Which link this is.
     pub kind: MediumKind,
     /// Raw bandwidth in bits per second.
+    /// Public so that other crates derive a `Medium` with struct-update syntax.
     pub bits_per_second: u64,
     /// Data-link address length in bytes.
+    /// Read by this crate's `tests/fuzz.rs` to draw addresses.
     pub addr_len: usize,
     /// Data-link header length in bytes.
     pub header_len: usize,
@@ -65,6 +67,7 @@ impl Medium {
 
     /// Time on the wire for a frame of `bytes` bytes (transmission delay
     /// only; propagation is accounted separately by the segment).
+    /// Called by this crate's `tests/fuzz.rs` reference model.
     pub fn transmission_delay(&self, bytes: usize) -> SimDuration {
         // bits / (bits/s) = seconds; work in nanoseconds for precision.
         let bits = bytes as u64 * 8;
@@ -72,6 +75,7 @@ impl Medium {
     }
 
     /// Whether an address is the broadcast address.
+    /// Called by this crate's `tests/fuzz.rs` reference model.
     pub fn is_broadcast(&self, addr: u64) -> bool {
         addr == self.broadcast
     }
@@ -79,6 +83,7 @@ impl Medium {
     /// Whether an address is a multicast group address (10 Mb Ethernet:
     /// low bit of the first address byte; the experimental Ethernet had no
     /// multicast, only broadcast).
+    /// Called by this crate's `tests/fuzz.rs` reference model.
     pub fn is_multicast(&self, addr: u64) -> bool {
         match self.kind {
             MediumKind::Experimental3Mb => false,

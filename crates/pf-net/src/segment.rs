@@ -80,12 +80,14 @@ pub struct FaultModel {
     pub reorder: f64,
     /// Upper bound on the reorder jitter. Zero disables reordering even
     /// when the `reorder` gate fires.
+    /// Read by this crate's `tests/fuzz.rs` reference model.
     pub reorder_jitter: SimDuration,
     /// Probability, per `transmit` call, that the segment enters a
     /// transient partition during which every delivery on the segment is
     /// dropped (the transmitter still holds the wire; nothing arrives).
     pub partition: f64,
     /// How long a transient partition lasts once it starts.
+    /// Read by this crate's `tests/fuzz.rs` reference model.
     pub partition_duration: SimDuration,
 }
 
@@ -118,8 +120,10 @@ pub struct FaultCounters {
     /// Frames delayed by reorder jitter.
     pub reordered: u64,
     /// Transient partitions that started.
+    /// Part of ROADMAP item 2(a)'s drop ledger; read by `tests/fuzz.rs`.
     pub partition_events: u64,
     /// Deliveries suppressed because the segment was partitioned.
+    /// Part of ROADMAP item 2(a)'s drop ledger; read by `tests/fuzz.rs`.
     pub partition_drops: u64,
     /// Deliveries suppressed because the link was administratively down
     /// (routing-plane fault injection; see [`Network::set_link_state`]).
@@ -207,12 +211,6 @@ impl Network {
         self.transmitted.push(0);
         self.faults.push(FaultCounters::default());
         id
-    }
-
-    /// Replaces a segment's fault model (e.g. to heal or degrade a link
-    /// mid-experiment). Counters and partition state are kept.
-    pub fn set_faults(&mut self, segment: SegmentId, faults: FaultModel) {
-        self.segments[segment.0].faults = faults;
     }
 
     /// Sets a segment's administrative link state. While down, every
@@ -536,14 +534,6 @@ impl StationHandle<'_> {
         }
         self.net.refile_listener(self.id);
     }
-
-    /// Leaves a multicast group.
-    pub fn leave_multicast(&mut self, group: u64) {
-        self.net.stations[self.id.0]
-            .multicast
-            .retain(|g| *g != group);
-        self.net.refile_listener(self.id);
-    }
 }
 
 #[cfg(test)]
@@ -620,10 +610,6 @@ mod tests {
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].station, b);
         let _ = c;
-        // After leaving, nobody receives.
-        net.station(b).leave_multicast(group);
-        let (_, deliveries) = net.transmit(a, &f, SimTime::ZERO);
-        assert!(deliveries.is_empty());
     }
 
     #[test]
@@ -792,7 +778,7 @@ mod tests {
         assert_eq!(net.faults_on(seg).partition_drops, 1);
         // Heal the fault model: the existing partition still runs out its
         // clock, then deliveries resume.
-        net.set_faults(seg, FaultModel::default());
+        net.segments[seg.0].faults = FaultModel::default();
         let (_, d) = net.transmit(a, &f, SimTime(1_000_000));
         assert!(d.is_empty(), "still inside the 20 ms partition window");
         let (_, d) = net.transmit(a, &f, SimTime(25_000_000));
@@ -871,10 +857,6 @@ mod tests {
             vec![b.0, snoop.0],
             "multicast member + promiscuous snoop"
         );
-        net.station(b).leave_multicast(group);
-        let (_, deliveries) = net.transmit(a, &f, SimTime::ZERO);
-        let who: Vec<usize> = deliveries.iter().map(|d| d.station.0).collect();
-        assert_eq!(who, vec![snoop.0], "after leave only the snoop hears it");
     }
 
     /// `transmit` as it stood before frames were owned end to end: one

@@ -138,10 +138,9 @@ fn frame_pad_is_clamped_and_prefix_preserving() {
 }
 
 /// The fault-schedule builder keeps its event list time-sorted and
-/// stable under arbitrary interleavings of every constructor, and
-/// `random_chaos` is a pure function of its seed.
+/// stable under arbitrary interleavings of every constructor.
 #[test]
-fn fabric_schedule_stays_sorted_and_deterministic() {
+fn fabric_schedule_stays_sorted() {
     let mut rng = SplitMix64::new(0xF8A_0004);
     for _ in 0..ITERS {
         let mut s = FabricSchedule::new();
@@ -189,29 +188,6 @@ fn fabric_schedule_stays_sorted_and_deterministic() {
             events.windows(2).all(|w| w[0].at <= w[1].at),
             "events come out time-sorted"
         );
-    }
-
-    // Seed-purity of the chaos generator: same inputs, same schedule.
-    let routers: Vec<NodeId> = (0..8usize).map(NodeId).collect();
-    let links: Vec<LinkId> = (0..8usize).map(LinkId).collect();
-    for seed in 0..64u64 {
-        let a = FabricSchedule::random_chaos(
-            &routers,
-            &links,
-            SimTime(2_000_000_000),
-            SimDuration::from_millis(200),
-            10,
-            seed,
-        );
-        let b = FabricSchedule::random_chaos(
-            &routers,
-            &links,
-            SimTime(2_000_000_000),
-            SimDuration::from_millis(200),
-            10,
-            seed,
-        );
-        assert_eq!(a.events(), b.events());
     }
 }
 
@@ -394,10 +370,10 @@ impl Reference {
 const GROUPS: [u64; 2] = [0x0100_0000_0001, 0x0100_0000_0002];
 
 /// A segment visits only its receivers: on random segments with duplicate
-/// addresses, stations going promiscuous and back, joining and leaving
-/// groups, links going down and partitions starting under every fault
-/// gate, broadcasts, group frames, unicasts to held and unheld addresses,
-/// runts and empty frames — `Network`'s walk and the every-station scan
+/// addresses, stations going promiscuous and back, joining groups, links
+/// going down and partitions starting under every fault gate, broadcasts,
+/// group frames, unicasts to held and unheld addresses, runts and empty
+/// frames — `Network`'s walk and the every-station scan
 /// hand out the same deliveries in the same order, keep the same tallies,
 /// and so draw their RNG for the same receivers in the same order.
 #[test]
@@ -468,11 +444,6 @@ fn the_receiver_walk_matches_a_scan_of_every_station() {
                         r.groups.push(g);
                     }
                     net.station(who).join_multicast(g);
-                }
-                2 => {
-                    let g = GROUPS[rng.below(2) as usize];
-                    r.groups.retain(|&x| x != g);
-                    net.station(who).leave_multicast(g);
                 }
                 3 if rng.chance(0.3) => {
                     let s = rng.below(model.segments.len() as u64) as usize;

@@ -101,6 +101,7 @@ pub struct KernelArp {
     /// Learned IP → Ethernet mappings.
     pub cache: HashMap<u32, u64>,
     /// ARP packets processed.
+    /// Part of ROADMAP item 2(a)'s in/out ledger.
     pub packets_in: u64,
 }
 

@@ -43,8 +43,10 @@ pub struct BspConfig {
     pub segment: usize,
     /// Base retransmission timeout. Consecutive timeouts without forward
     /// progress back off exponentially from here.
+    /// Public so that pf-bench builds a `BspConfig` with `..Default::default()`.
     pub rto: SimDuration,
     /// Upper bound on the backed-off retransmission timeout.
+    /// Public so that pf-bench builds a `BspConfig` with `..Default::default()`.
     pub rto_cap: SimDuration,
     /// Consecutive unanswered retransmissions before the sender gives up
     /// and fails the channel (`Effect::Failed`).
@@ -128,12 +130,12 @@ pub struct SenderStats {
     /// Cumulative acks processed.
     pub acks: u64,
     /// Payload bytes acknowledged.
-    pub bytes_acked: u64,
+    pub(crate) bytes_acked: u64,
     /// Channels abandoned after `max_retries` consecutive timeouts.
     pub giveups: u64,
     /// Backpressure notifications honored (each halves the effective
     /// window).
-    pub backpressure_events: u64,
+    pub(crate) backpressure_events: u64,
 }
 
 /// The BSP sending endpoint as a pure state machine.
@@ -213,23 +215,13 @@ impl SenderMachine {
 
     /// The currently effective (backed-off, capped) retransmission
     /// timeout.
-    pub fn current_rto(&self) -> SimDuration {
+    pub(crate) fn current_rto(&self) -> SimDuration {
         backed_off(self.cfg.rto, self.cfg.rto_cap, self.backoff)
     }
 
     /// Whether the connection is established.
-    pub fn is_established(&self) -> bool {
+    pub(crate) fn is_established(&self) -> bool {
         matches!(self.state, SendState::Established | SendState::Ending)
-    }
-
-    /// Packets currently in flight.
-    pub fn inflight(&self) -> usize {
-        self.inflight.len()
-    }
-
-    /// The effective (backpressure-adjusted) window in packets.
-    pub fn effective_window(&self) -> usize {
-        self.cwnd
     }
 
     /// Responds to a kernel backpressure notification (the receiver port's
@@ -243,7 +235,7 @@ impl SenderMachine {
     }
 
     /// Bytes offered but not yet packetized.
-    pub fn buffered_bytes(&self) -> usize {
+    pub(crate) fn buffered_bytes(&self) -> usize {
         self.buffer.len() - self.inflight_bytes
     }
 
@@ -266,7 +258,7 @@ impl SenderMachine {
     /// Offers payload bytes the caller hands over: into an empty buffer
     /// they move without a copy (`VecDeque::from` a `Vec` keeps its
     /// allocation), so the send buffer *is* the payload.
-    pub fn offer_owned(&mut self, data: Vec<u8>) -> Vec<Effect> {
+    pub(crate) fn offer_owned(&mut self, data: Vec<u8>) -> Vec<Effect> {
         assert!(!self.eof, "offer() after finish()");
         if self.buffer.is_empty() {
             self.buffer = VecDeque::from(data);
@@ -522,17 +514,18 @@ impl SenderMachine {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReceiverStats {
     /// In-order data packets delivered.
+    /// Part of ROADMAP item 2(a)'s in/out ledger; read by `tests/host_path.rs`.
     pub delivered_packets: u64,
     /// Payload bytes delivered in order.
-    pub delivered_bytes: u64,
+    pub(crate) delivered_bytes: u64,
     /// Duplicate packets discarded.
     pub duplicates: u64,
     /// Out-of-order packets discarded (go-back-N).
     pub out_of_order: u64,
     /// Acks sent.
-    pub acks_sent: u64,
+    pub(crate) acks_sent: u64,
     /// Throttle packets sent in response to kernel backpressure.
-    pub throttles_sent: u64,
+    pub(crate) throttles_sent: u64,
 }
 
 /// The BSP receiving endpoint as a pure state machine.
@@ -593,7 +586,7 @@ impl ReceiverMachine {
 
     /// Handles a received Pup the caller hands over: in-order data moves
     /// into `Effect::Deliver` instead of being copied there.
-    pub fn on_pup_owned(&mut self, mut pup: Pup) -> Vec<Effect> {
+    pub(crate) fn on_pup_owned(&mut self, mut pup: Pup) -> Vec<Effect> {
         let data = std::mem::take(&mut pup.data);
         self.receive(&pup, Cow::Owned(data))
     }
@@ -764,7 +757,7 @@ mod machine_tests {
         let fx = s.offer(&vec![0u8; 10_000]);
         let sent = fx.iter().filter(|e| matches!(e, Effect::Send(_))).count();
         assert_eq!(sent, 3, "window of 3 caps the burst");
-        assert_eq!(s.inflight(), 3);
+        assert_eq!(s.inflight.len(), 3);
     }
 
     #[test]
@@ -805,7 +798,7 @@ mod machine_tests {
         let _ = s.connect();
         let _ = s.on_pup(&Pup::new(types::BSP_OPEN, 0, sa, ra, Vec::new()));
         let _ = s.offer(&[1u8; 20]);
-        assert_eq!(s.inflight(), 2);
+        assert_eq!(s.inflight.len(), 2);
         let fx = s.on_timer(RTO_TOKEN);
         let resent: Vec<u32> = fx
             .iter()
@@ -830,7 +823,7 @@ mod machine_tests {
         let _ = s.connect();
         let _ = s.on_pup(&Pup::new(types::BSP_OPEN, 0, sa, ra, Vec::new()));
         let _ = s.offer(&[7u8; 40]);
-        assert_eq!(s.inflight(), 4);
+        assert_eq!(s.inflight.len(), 4);
         // The cumulative ack for 1..3 arrives first; the per-segment acks
         // it overtook (a path switch reordered them) straggle in after.
         let ack = |n: u32| Pup::new(types::BSP_ACK, n, ra, sa, Vec::new());
@@ -1077,15 +1070,15 @@ mod machine_tests {
         let mut s = SenderMachine::new(sa, ra, cfg);
         let _ = s.connect();
         let _ = s.on_pup(&Pup::new(types::BSP_OPEN, 0, sa, ra, Vec::new()));
-        assert_eq!(s.effective_window(), 8);
+        assert_eq!(s.cwnd, 8);
         // Receiver-side kernel backpressure arrives as a THROTTLE pup.
         let throttle = Pup::new(types::BSP_THROTTLE, 1, sa, ra, Vec::new());
         let _ = s.on_pup(&throttle);
-        assert_eq!(s.effective_window(), 4);
+        assert_eq!(s.cwnd, 4);
         let _ = s.on_pup(&throttle);
         let _ = s.on_pup(&throttle);
         let _ = s.on_pup(&throttle);
-        assert_eq!(s.effective_window(), 1, "never below one packet");
+        assert_eq!(s.cwnd, 1, "never below one packet");
         assert_eq!(s.stats.backpressure_events, 4);
         // The shrunken window caps the burst.
         let fx = s.offer(&[1u8; 80]);
@@ -1093,9 +1086,9 @@ mod machine_tests {
         assert_eq!(sent, 1, "one packet in flight under full throttle");
         // Advancing acks recover the window additively.
         let _ = s.on_pup(&Pup::new(types::BSP_ACK, 2, sa, ra, Vec::new()));
-        assert_eq!(s.effective_window(), 2);
+        assert_eq!(s.cwnd, 2);
         let _ = s.on_pup(&Pup::new(types::BSP_ACK, 4, sa, ra, Vec::new()));
-        assert_eq!(s.effective_window(), 3);
+        assert_eq!(s.cwnd, 3);
     }
 
     #[test]
@@ -1155,7 +1148,7 @@ mod machine_tests {
             take(s.offer(&stream[offered..hi]), &mut sent);
             offered = hi;
             most_buffered = most_buffered.max(s.buffer.len());
-            if s.inflight() == window {
+            if s.inflight.len() == window {
                 next_ack += 1;
                 let ack = Pup::new(types::BSP_ACK, next_ack, sa, ra, Vec::new());
                 take(s.on_pup(&ack), &mut sent);
@@ -1163,7 +1156,7 @@ mod machine_tests {
             }
         }
         take(s.finish(), &mut sent);
-        while s.inflight() > 0 {
+        while !s.inflight.is_empty() {
             next_ack += 1;
             let ack = Pup::new(types::BSP_ACK, next_ack, sa, ra, Vec::new());
             take(s.on_pup(&ack), &mut sent);
@@ -1230,7 +1223,7 @@ mod machine_tests {
             let hi = (offered + chunk).min(stream.len());
             take(s.offer(&stream[offered..hi]), &mut sent);
             offered = hi;
-            if s.inflight() == 4 && !straddles(&s) {
+            if s.inflight.len() == 4 && !straddles(&s) {
                 let ack = Pup::new(types::BSP_ACK, s.base + 2, sa, ra, Vec::new());
                 take(s.on_pup(&ack), &mut sent);
             }

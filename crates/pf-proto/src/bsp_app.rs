@@ -131,11 +131,11 @@ pub struct BspSenderApp {
     ep: Endpoint,
     batch: bool,
     /// When the connection was initiated.
-    pub started_at: Option<SimTime>,
+    pub(crate) started_at: Option<SimTime>,
     /// When the stream fully closed.
-    pub closed_at: Option<SimTime>,
+    pub(crate) closed_at: Option<SimTime>,
     /// When the sender gave up (retry exhaustion), if it did.
-    pub failed_at: Option<SimTime>,
+    pub(crate) failed_at: Option<SimTime>,
     /// Received frames discarded because they failed to decode (bad
     /// checksum, truncated header, not a Pup).
     pub discards: u64,
@@ -279,13 +279,13 @@ pub struct BspReceiverApp {
     /// backpressure; reflected to the sender as a `BSP_THROTTLE`.
     backpressure_mark: Option<usize>,
     /// Cost charged per delivered payload byte (consumer processing).
-    pub per_byte_cost: SimDuration,
+    pub(crate) per_byte_cost: SimDuration,
     /// Total payload bytes delivered in order.
     pub bytes: u64,
     /// Time of the first delivered byte.
-    pub first_byte_at: Option<SimTime>,
+    pub(crate) first_byte_at: Option<SimTime>,
     /// When the stream closed.
-    pub closed_at: Option<SimTime>,
+    pub(crate) closed_at: Option<SimTime>,
     /// Received frames discarded because they failed to decode (bad
     /// checksum, truncated header, not a Pup).
     pub discards: u64,
@@ -319,7 +319,8 @@ impl BspReceiverApp {
     /// Asks the kernel to notify this receiver when its port queue reaches
     /// `mark` packets; the notification is reflected to the sender as a
     /// `BSP_THROTTLE` so its window shrinks instead of the queue
-    /// overflowing.
+    /// overflowing. Only this module's tests switch the response on:
+    /// whether it stays is ROADMAP item N10's question.
     pub fn with_backpressure_mark(mut self, mark: usize) -> Self {
         self.backpressure_mark = Some(mark);
         self

@@ -71,6 +71,7 @@ pub struct EchoClient {
     next_id: u32,
     sent_at: Option<SimTime>,
     /// Round-trip times of completed echoes.
+    /// Read by `tests/busy_ethernet.rs`.
     pub rtts: Vec<SimDuration>,
     /// Retransmissions forced by timeouts.
     pub retries: u64,
@@ -100,15 +101,6 @@ impl EchoClient {
     /// Whether all echoes completed.
     pub fn is_done(&self) -> bool {
         self.remaining == 0
-    }
-
-    /// Mean round-trip time, if any completed.
-    pub fn mean_rtt(&self) -> Option<SimDuration> {
-        if self.rtts.is_empty() {
-            return None;
-        }
-        let total: u64 = self.rtts.iter().map(|r| r.as_nanos()).sum();
-        Some(SimDuration::from_nanos(total / self.rtts.len() as u64))
     }
 
     fn ping(&mut self, k: &mut ProcCtx<'_>) {
@@ -222,7 +214,7 @@ mod tests {
         assert_eq!(app.rtts.len(), 20);
         assert_eq!(app.retries, 0);
         assert_eq!(app.corrupt, 0);
-        let rtt = app.mean_rtt().unwrap().as_millis_f64();
+        let rtt = app.rtts.iter().map(|r| r.as_millis_f64()).sum::<f64>() / 20.0;
         // Send (~1.9) + recv (~2) on each side, plus wire time.
         assert!((4.0..15.0).contains(&rtt), "mean RTT {rtt:.2} ms");
     }

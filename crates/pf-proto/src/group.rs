@@ -23,7 +23,7 @@ pub const GROUP_ETHERTYPE: u16 = 0x805D;
 
 /// The Ethernet multicast address for a group id (group bit set in the
 /// first byte, group id in the low bits).
-pub fn group_eth_addr(group: u32) -> u64 {
+pub(crate) fn group_eth_addr(group: u32) -> u64 {
     0x0100_0000_0000u64 | u64::from(group)
 }
 

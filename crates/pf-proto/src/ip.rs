@@ -86,7 +86,7 @@ pub struct IpHeader {
 /// # Panics
 ///
 /// Panics if `b` is shorter than [`IP_HEADER`].
-pub fn put_ip_header(b: &mut [u8], h: &IpHeader, payload_len: usize) {
+pub(crate) fn put_ip_header(b: &mut [u8], h: &IpHeader, payload_len: usize) {
     let b = &mut b[..IP_HEADER];
     b.fill(0); // TOS, id, frag; header checksum (simulated as valid)
     b[0] = 0x45; // version 4, IHL 5
@@ -163,6 +163,7 @@ pub struct KernelIp {
     next_ephemeral: u16,
     pub(crate) tcp: TcpState,
     /// IP datagrams processed by `ip_input`.
+    /// Part of ROADMAP item 2(a)'s in/out ledger; read by `tests/coexistence.rs`.
     pub packets_in: u64,
 }
 

@@ -207,7 +207,7 @@ impl Pup {
 
     /// Appends the Pup body to `b`: [`Self::encode_body`]'s bytes, its
     /// checksum taken over the body's own range of `b`.
-    pub fn encode_body_into(&self, b: &mut Vec<u8>, checksummed: bool) {
+    pub(crate) fn encode_body_into(&self, b: &mut Vec<u8>, checksummed: bool) {
         let start = b.len();
         let len = self.length() as u16;
         b.extend_from_slice(&len.to_be_bytes());
@@ -302,7 +302,7 @@ impl Pup {
 
     /// A figure-3-9-style packet-filter program accepting Pups addressed
     /// to `socket` (on the 3 Mb encapsulation).
-    pub fn socket_filter(priority: u8, socket: u32) -> pf_filter::program::FilterProgram {
+    pub(crate) fn socket_filter(priority: u8, socket: u32) -> pf_filter::program::FilterProgram {
         pf_filter::samples::pup_socket_filter(
             priority,
             (socket >> 16) as u16,

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 ///
 /// On the 10 Mb Ethernet the type field is word 6 and the ARP `oper`
 /// field word 10.
-pub fn rarp_filter(priority: u8, op: u16) -> FilterProgram {
+pub(crate) fn rarp_filter(priority: u8, op: u16) -> FilterProgram {
     Expr::word(6)
         .eq(RARP_ETHERTYPE)
         .and(Expr::word(10).eq(op))
@@ -109,7 +109,7 @@ pub struct RarpClient {
     fd: Option<Fd>,
     attempts_left: u32,
     /// Retry interval.
-    pub retry_after: SimDuration,
+    pub(crate) retry_after: SimDuration,
     /// The learned IP address, once a reply arrives.
     pub my_ip: Option<u32>,
     /// When the address was learned.

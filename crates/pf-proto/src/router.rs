@@ -318,7 +318,7 @@ impl IpRouter {
     /// plane that probes neighbor liveness, fails over to precomputed
     /// loop-free backups the instant a neighbor dies, floods link-state
     /// updates, and reconverges over the residual topology.
-    pub fn for_node_hardened(topo: &Topology, node: pf_net::NodeId) -> Self {
+    pub(crate) fn for_node_hardened(topo: &Topology, node: pf_net::NodeId) -> Self {
         let mut r = IpRouter::for_node(topo, node);
         r.control = Some(ControlPlane::new(topo, node));
         r
@@ -693,7 +693,7 @@ pub fn deploy(topo: &Topology, world: &mut World, costs: &CostModel) -> Deployed
 }
 
 /// Like [`deploy`], but every router runs the hardened forwarder
-/// ([`IpRouter::for_node_hardened`]): liveness probing, backup
+/// (`IpRouter::for_node_hardened`): liveness probing, backup
 /// failover, link-state flooding, and bounded reconvergence, on
 /// [`HELLO_INTERVAL`] and [`DEAD_INTERVAL`].
 pub fn deploy_hardened(topo: &Topology, world: &mut World, costs: &CostModel) -> DeployedTopology {

@@ -25,11 +25,11 @@ pub struct TcpBulkSender {
     sock: Option<SockId>,
     /// Per-chunk data-source cost (zero for memory-to-memory; table 6-6's
     /// FTP variant charges a disk read here).
-    pub source_cost_per_chunk: SimDuration,
+    pub(crate) source_cost_per_chunk: SimDuration,
     /// Connect time.
-    pub started_at: Option<SimTime>,
+    pub(crate) started_at: Option<SimTime>,
     /// When the final byte was handed to the kernel and acknowledged.
-    pub finished_at: Option<SimTime>,
+    pub(crate) finished_at: Option<SimTime>,
 }
 
 impl TcpBulkSender {
@@ -113,13 +113,13 @@ pub struct TcpBulkReceiver {
     port: u16,
     sock: Option<SockId>,
     /// Per-byte consumer cost (display, disk write…).
-    pub per_byte_cost: SimDuration,
+    pub(crate) per_byte_cost: SimDuration,
     /// Bytes delivered in order.
     pub bytes: u64,
     /// First-data time.
-    pub first_byte_at: Option<SimTime>,
+    pub(crate) first_byte_at: Option<SimTime>,
     /// Stream-close time.
-    pub closed_at: Option<SimTime>,
+    pub(crate) closed_at: Option<SimTime>,
 }
 
 impl TcpBulkReceiver {

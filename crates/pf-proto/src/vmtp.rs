@@ -58,7 +58,7 @@ pub const FLAG_CHECKSUM: u8 = 0x01;
 
 /// One's-complement add-and-left-cycle checksum over `b` (the same
 /// add-and-rotate family Pup uses), never the all-ones sentinel.
-pub fn vmtp_checksum(b: &[u8]) -> u16 {
+pub(crate) fn vmtp_checksum(b: &[u8]) -> u16 {
     let mut sum: u16 = 0;
     let mut i = 0;
     while i < b.len() {
@@ -155,7 +155,7 @@ impl VmtpPacket {
 
     /// Appends the body to `b`: [`Self::encode_body_opts`]'s bytes, the
     /// checksum taken over the body's own range of `b`.
-    pub fn encode_body_into(&self, b: &mut Vec<u8>, checksummed: bool) {
+    pub(crate) fn encode_body_into(&self, b: &mut Vec<u8>, checksummed: bool) {
         let start = b.len();
         b.extend_from_slice(&self.dst_entity.to_be_bytes());
         b.extend_from_slice(&self.src_entity.to_be_bytes());
@@ -180,6 +180,7 @@ impl VmtpPacket {
 
     /// Encodes as a complete frame, optionally checksummed, the body
     /// written straight into it.
+    /// Called by this crate's `tests/codec.rs` to build unchecksummed frames.
     pub fn encode_frame_opts(
         &self,
         medium: &Medium,
@@ -242,7 +243,7 @@ impl VmtpPacket {
 
     /// A packet-filter program accepting VMTP packets for `entity` on the
     /// 10 Mb Ethernet (type at word 6; dst entity at words 7-8).
-    pub fn entity_filter(priority: u8, entity: u32) -> pf_filter::program::FilterProgram {
+    pub(crate) fn entity_filter(priority: u8, entity: u32) -> pf_filter::program::FilterProgram {
         use pf_filter::program::Assembler;
         use pf_filter::word::BinaryOp;
         Assembler::new(priority)
@@ -329,7 +330,7 @@ pub struct ClientMachine {
     /// Transactions abandoned after retry exhaustion.
     pub giveups: u64,
     /// Backpressure notifications honored (each raises the pacing delay).
-    pub backpressure_events: u64,
+    pub(crate) backpressure_events: u64,
 }
 
 #[derive(Debug)]
@@ -370,14 +371,14 @@ impl ClientMachine {
     }
 
     /// In-place variant of [`Self::with_retry_policy`] for embeddings.
-    pub fn set_retry_policy(&mut self, rto_cap: SimDuration, max_retries: u32) {
+    pub(crate) fn set_retry_policy(&mut self, rto_cap: SimDuration, max_retries: u32) {
         self.rto_cap = rto_cap;
         self.max_retries = max_retries;
     }
 
     /// The currently effective (backed-off, capped) retransmission
     /// timeout.
-    pub fn current_rto(&self) -> SimDuration {
+    pub(crate) fn current_rto(&self) -> SimDuration {
         crate::bsp::backed_off(self.rto, self.rto_cap, self.backoff)
     }
 
@@ -393,7 +394,7 @@ impl ClientMachine {
 
     /// The pacing delay the embedding should insert before its next
     /// [`Self::invoke`]; zero when the client is unthrottled.
-    pub fn pacing_delay(&self) -> SimDuration {
+    pub(crate) fn pacing_delay(&self) -> SimDuration {
         self.pace
     }
 
@@ -551,7 +552,7 @@ pub struct ServerMachine {
     /// The last answer per client entity.
     cache: HashMap<u32, Answer>,
     /// Duplicate requests answered from the cache.
-    pub dup_requests: u64,
+    pub(crate) dup_requests: u64,
 }
 
 /// A client's last response group: replayed for duplicate requests and

@@ -58,6 +58,7 @@ pub struct KernelVmtp {
     /// (no effect's handling calls a machine again).
     fx: Vec<VEffect>,
     /// Packets processed by the kernel input routine.
+    /// Part of ROADMAP item 2(a)'s in/out ledger.
     pub packets_in: u64,
     /// Frames discarded by the input routine (undecodable or corrupt).
     pub discards: u64,
@@ -260,9 +261,9 @@ pub struct KVmtpClient {
     /// Response bytes received.
     pub bytes: u64,
     /// First invoke time.
-    pub started_at: Option<SimTime>,
+    pub(crate) started_at: Option<SimTime>,
     /// Last completion time.
-    pub finished_at: Option<SimTime>,
+    pub(crate) finished_at: Option<SimTime>,
 }
 
 impl KVmtpClient {

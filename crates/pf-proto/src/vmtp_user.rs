@@ -49,13 +49,13 @@ pub const FS_READ_PER_BYTE_NS: u64 = 1_000;
 /// The file-read service semantics shared by every VMTP variant in this
 /// reproduction: `opcode` is the number of bytes to read; the response is
 /// that many bytes of the cached segment.
-pub fn file_read_response(opcode: u32) -> Vec<u8> {
+pub(crate) fn file_read_response(opcode: u32) -> Vec<u8> {
     let n = (opcode as usize).min(SEGMENT_BYTES);
     (0..n).map(|i| (i % 239) as u8).collect()
 }
 
 /// The cost of serving one file-read request of `n` bytes.
-pub fn fs_read_cost(n: usize) -> SimDuration {
+pub(crate) fn fs_read_cost(n: usize) -> SimDuration {
     FS_READ_FIXED + SimDuration::from_nanos(FS_READ_PER_BYTE_NS * n as u64)
 }
 
@@ -102,12 +102,12 @@ pub struct VmtpUserClient {
     /// Received frames discarded (bad checksum, truncated, not VMTP).
     pub discards: u64,
     /// Time the first transaction was issued.
-    pub started_at: Option<SimTime>,
+    pub(crate) started_at: Option<SimTime>,
     /// Time the last transaction completed.
-    pub finished_at: Option<SimTime>,
+    pub(crate) finished_at: Option<SimTime>,
     /// Time the machine gave up on a transaction, if it did (the workload
     /// stops there).
-    pub failed_at: Option<SimTime>,
+    pub(crate) failed_at: Option<SimTime>,
 }
 
 impl VmtpUserClient {
@@ -154,14 +154,11 @@ impl VmtpUserClient {
 
     /// Asks the kernel to notify this client when its port queue reaches
     /// `mark` packets; the machine responds by pacing its transactions.
+    /// Only this module's tests switch the response on: whether it stays
+    /// is ROADMAP item N10's question.
     pub fn with_backpressure_mark(mut self, mark: usize) -> Self {
         self.backpressure_mark = Some(mark);
         self
-    }
-
-    /// Backpressure notifications the machine has honored.
-    pub fn machine_backpressure_events(&self) -> u64 {
-        self.machine.backpressure_events
     }
 
     /// Sets the per-byte consumer cost charged for received response
@@ -485,7 +482,7 @@ pub struct DemuxProcess {
     fd: Option<Fd>,
     pipe: Option<PipeId>,
     /// Packets relayed.
-    pub relayed: u64,
+    pub(crate) relayed: u64,
 }
 
 impl DemuxProcess {
@@ -701,7 +698,7 @@ mod tests {
             assert_eq!(app.bytes, 12 * SEGMENT_BYTES as u64);
             (
                 app.machine_retries(),
-                app.machine_backpressure_events(),
+                app.machine.backpressure_events,
                 app.machine.pacing_delay(),
                 app.per_op().unwrap(),
                 w.counters(c).backpressure_signals,

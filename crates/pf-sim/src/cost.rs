@@ -30,17 +30,17 @@ pub struct CostModel {
     /// Fixed part of one kernel↔user data transfer (§6.5.2: a short-packet
     /// transfer totals ~0.5 ms; the fixed part is what is left after the
     /// per-byte cost of 128 bytes).
-    pub copy_base: SimDuration,
+    pub(crate) copy_base: SimDuration,
     /// Per-byte part of a data copy (§6.5.2: ~1 ms/KByte).
-    pub copy_per_byte_ns: u64,
+    pub(crate) copy_per_byte_ns: u64,
     /// Network-interface receive interrupt + driver bookkeeping, fixed.
-    pub driver_rx: SimDuration,
+    pub(crate) driver_rx: SimDuration,
     /// Driver per-byte receive cost (buffer chaining).
-    pub driver_rx_per_byte_ns: u64,
+    pub(crate) driver_rx_per_byte_ns: u64,
     /// Driver transmit cost, fixed (queueing a frame for transmission).
-    pub driver_tx: SimDuration,
+    pub(crate) driver_tx: SimDuration,
     /// Driver per-byte transmit cost.
-    pub driver_tx_per_byte_ns: u64,
+    pub(crate) driver_tx_per_byte_ns: u64,
     /// Packet-filter bookkeeping per delivered packet: queueing, wakeup
     /// bookkeeping, and the 4.3BSD header-restore work §7 grumbles about.
     pub pf_bookkeeping: SimDuration,

@@ -84,15 +84,6 @@ impl Counters {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Average filter predicates applied per received packet.
-    pub fn filters_per_packet(&self) -> f64 {
-        if self.packets_received == 0 {
-            0.0
-        } else {
-            self.filters_applied as f64 / self.packets_received as f64
-        }
-    }
 }
 
 /// Generates the element-wise `Add` and `Sub` from one list of field
@@ -241,15 +232,6 @@ mod tests {
         assert_eq!(sum - a, b);
         assert_eq!(sum.context_switches, 1_001 + 1);
         assert_eq!(sum.gate_resignature_events, 1_025 + 25);
-    }
-
-    #[test]
-    fn filters_per_packet() {
-        let mut c = Counters::new();
-        assert_eq!(c.filters_per_packet(), 0.0);
-        c.packets_received = 10;
-        c.filters_applied = 63;
-        assert!((c.filters_per_packet() - 6.3).abs() < 1e-9);
     }
 
     #[test]

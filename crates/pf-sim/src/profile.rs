@@ -166,25 +166,15 @@ impl Profiler {
         row.map_or_else(RoutineStats::default, |(_, s)| *s)
     }
 
-    /// Rows whose routine name starts with `prefix`.
-    fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a RoutineStats> {
-        let rows = self.routines.iter();
-        rows.filter(move |(name, _)| name.starts_with(prefix))
-            .map(|(_, s)| s)
-    }
-
     /// Total time across routines whose name starts with `prefix`.
     pub fn time_with_prefix(&self, prefix: &str) -> SimDuration {
-        SimDuration::from_nanos(self.with_prefix(prefix).map(|s| s.time.as_nanos()).sum())
-    }
-
-    /// Total calls across routines whose name starts with `prefix`.
-    pub fn calls_with_prefix(&self, prefix: &str) -> u64 {
-        self.with_prefix(prefix).map(|s| s.calls).sum()
+        let rows = self.routines.iter();
+        let rows = rows.filter(|(name, _)| name.starts_with(prefix));
+        SimDuration::from_nanos(rows.map(|(_, s)| s.time.as_nanos()).sum())
     }
 
     /// Total recorded virtual CPU time.
-    pub fn total_time(&self) -> SimDuration {
+    pub(crate) fn total_time(&self) -> SimDuration {
         self.time_with_prefix("")
     }
 
@@ -256,7 +246,6 @@ mod tests {
         p.record("pf:input", SimDuration::from_micros(20));
         p.record("ip:input", SimDuration::from_micros(40));
         assert_eq!(p.time_with_prefix("pf:"), SimDuration::from_micros(30));
-        assert_eq!(p.calls_with_prefix("pf:"), 2);
     }
 
     #[test]

@@ -291,8 +291,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Keys physically stored, *including* tombstones not yet reclaimed.
-    /// Exposed so tests can pin that schedule/cancel churn keeps storage
-    /// proportional to the live population.
+    /// Exposed so that this crate's `tests/queue_properties.rs` can pin
+    /// that schedule/cancel churn keeps storage proportional to the live
+    /// population.
     pub fn stored_len(&self) -> usize {
         self.heap.len() + self.runs.iter().map(VecDeque::len).sum::<usize>()
     }

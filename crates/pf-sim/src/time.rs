@@ -25,11 +25,6 @@ impl SimTime {
         self.0
     }
 
-    /// Microseconds since the epoch (truncating).
-    pub fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Milliseconds since the epoch, as a float (for reporting).
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
@@ -83,17 +78,13 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// From a float number of microseconds (rounded to nanoseconds).
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration((us * 1_000.0).round() as u64)
-    }
-
     /// Nanoseconds.
     pub fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Microseconds (truncating).
+    /// Read by pf-net's and pf-proto's unit tests.
     pub fn as_micros(self) -> u64 {
         self.0 / 1_000
     }
@@ -111,11 +102,6 @@ impl SimDuration {
     /// Scales by an integer factor.
     pub fn times(self, n: u64) -> Self {
         SimDuration(self.0 * n)
-    }
-
-    /// Integer division of two durations (how many `other` fit in `self`).
-    pub fn div_duration(self, other: SimDuration) -> u64 {
-        self.0 / other.0.max(1)
     }
 }
 
@@ -175,7 +161,7 @@ mod tests {
     #[test]
     fn arithmetic() {
         let t = SimTime::ZERO + SimDuration::from_millis(2);
-        assert_eq!(t.as_micros(), 2_000);
+        assert_eq!(t.as_nanos(), 2_000_000);
         let t2 = t + SimDuration::from_micros(500);
         assert_eq!(t2.since(t), SimDuration::from_micros(500));
         assert_eq!(t2.as_millis_f64(), 2.5);
@@ -199,12 +185,7 @@ mod tests {
     fn conversions() {
         assert_eq!(SimDuration::from_millis(1).as_micros(), 1000);
         assert_eq!(SimDuration::from_secs(1).as_millis_f64(), 1000.0);
-        assert_eq!(SimDuration::from_micros_f64(0.4).as_nanos(), 400);
         assert_eq!(SimDuration::from_micros(7).times(3).as_micros(), 21);
-        assert_eq!(
-            SimDuration::from_millis(10).div_duration(SimDuration::from_millis(3)),
-            3
-        );
     }
 
     #[test]

@@ -20,13 +20,15 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # or private item fails here.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo build --release
-# The examples that parse filters, run end to end (clippy above only
-# compiles them): quickstart, then etherfind with the figure 3-9 text of
-# its own doc comment. The assembler reads its mnemonics back from the
-# instruction words' Display, so etherfind must echo figure 3-9's eight
-# words as it printed them.
-echo "==> quickstart"
-cargo run -q --release --example quickstart > /dev/null
+# Every example runs end to end (clippy above only compiles them): the
+# examples are the non-test consumers that make a crate's item public.
+# etherfind runs with the figure 3-9 text of its own doc comment: the
+# assembler reads its mnemonics back from the instruction words' Display,
+# so etherfind must echo figure 3-9's eight words as it printed them.
+for example in quickstart network_monitor pup_transfer rarp_boot vmtp_compare; do
+    echo "==> $example"
+    cargo run -q --release --example "$example" > /dev/null
+done
 echo "==> etherfind with figure 3-9"
 fig_3_9="$(cargo run -q --release --example etherfind -- 'PUSHWORD+8, PUSHLIT|CAND, 35,
                                   PUSHWORD+7, PUSHZERO|CAND,
