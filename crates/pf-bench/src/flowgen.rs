@@ -15,6 +15,9 @@
 //! *who sends how much to whom when* ([`FlowPacket`]); the campaign maps
 //! packets onto wire frames for whatever topology it deployed.
 
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use pf_sim::rng::SplitMix64;
 use pf_sim::time::SimTime;
 
@@ -164,13 +167,22 @@ fn gap_ns(arrival: Arrival, rng: &mut SplitMix64) -> u64 {
 ///
 /// Flows start at cumulative inter-arrival gaps from `spec.start`; each
 /// flow's packets follow at `packet_gap_ns` spacing. Sources and
-/// destinations are always distinct. The result is sorted by `(at, flow)`
+/// destinations are always distinct. The result is ordered by `(at, flow)`
 /// — stable across runs, platforms, and queue backends.
+///
+/// The schedule is emitted in that order as it is drawn, with no sort:
+/// flows start in nondecreasing time and a flow's `k`-th packet sits at
+/// `start + k·packet_gap_ns`, so every packet due by a flow's start
+/// belongs to an earlier flow and goes out before that flow's first. The
+/// later packets of the flows still sending wait in a min-heap on
+/// `(at, flow)`, one entry a flow. (Two packets that tie on `(at, flow)`
+/// are the same flow's at gap 0, equal in every field.)
 pub fn generate(spec: &FlowSpec, endpoints: usize, seed: u64) -> Vec<FlowPacket> {
     assert!(endpoints >= 2, "need at least two endpoints");
     assert!(!spec.transports.is_empty(), "need at least one transport");
     let mut rng = SplitMix64::new(seed);
-    let mut packets = Vec::new();
+    let mut packets = Vec::with_capacity(capacity(spec));
+    let mut sending = BinaryHeap::new();
     let mut flow_start = spec.start;
     for flow in 0..spec.flows {
         flow_start = SimTime(flow_start.0 + gap_ns(spec.arrival, &mut rng));
@@ -209,19 +221,98 @@ pub fn generate(spec: &FlowSpec, endpoints: usize, seed: u64) -> Vec<FlowPacket>
             }
         };
         let transport = spec.transports[flow % spec.transports.len()];
-        for k in 0..count {
-            packets.push(FlowPacket {
-                at: SimTime(flow_start.0 + k as u64 * spec.packet_gap_ns),
-                src,
-                dst,
-                payload: spec.payload,
-                transport,
-                flow,
+        emit_due(&mut packets, &mut sending, flow_start, spec.packet_gap_ns);
+        if count == 0 {
+            continue;
+        }
+        let first = FlowPacket {
+            at: flow_start,
+            src,
+            dst,
+            payload: spec.payload,
+            transport,
+            flow,
+        };
+        packets.push(first);
+        if count > 1 {
+            sending.push(Sending {
+                next: FlowPacket {
+                    at: SimTime(flow_start.0 + spec.packet_gap_ns),
+                    ..first
+                },
+                after: count - 2,
             });
         }
     }
-    packets.sort_by_key(|p| (p.at, p.flow));
+    emit_due(
+        &mut packets,
+        &mut sending,
+        SimTime(u64::MAX),
+        spec.packet_gap_ns,
+    );
     packets
+}
+
+/// A flow with packets still to send: its next one, and how many follow it.
+/// Ordered so that `BinaryHeap`'s top is the least `(at, flow)`.
+#[derive(Debug, PartialEq, Eq)]
+struct Sending {
+    next: FlowPacket,
+    after: usize,
+}
+
+impl Ord for Sending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.next.at, other.next.flow).cmp(&(self.next.at, self.next.flow))
+    }
+}
+
+impl PartialOrd for Sending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Moves every waiting packet due by `until` to `packets`, in `(at, flow)`
+/// order, each flow's next one taking its place in the heap.
+fn emit_due(
+    packets: &mut Vec<FlowPacket>,
+    sending: &mut BinaryHeap<Sending>,
+    until: SimTime,
+    gap_ns: u64,
+) {
+    while let Some(mut top) = sending.peek_mut() {
+        if top.next.at > until {
+            break;
+        }
+        packets.push(top.next);
+        if top.after == 0 {
+            PeekMut::pop(top);
+        } else {
+            top.after -= 1;
+            top.next.at = SimTime(top.next.at.0 + gap_ns);
+        }
+    }
+}
+
+/// The schedule's length, or under a size mix its mean plus four standard
+/// deviations: the output vector is sized once and, but for a four-sigma
+/// draw, never grows.
+fn capacity(spec: &FlowSpec) -> usize {
+    match spec.sizes {
+        SizeMix::Fixed(n) => spec.flows * n,
+        SizeMix::ElephantsAndMice {
+            mice,
+            elephants,
+            elephant_fraction,
+        } => {
+            let flows = spec.flows as f64;
+            let p = elephant_fraction.clamp(0.0, 1.0);
+            let mean = flows * (mice as f64 + p * (elephants as f64 - mice as f64));
+            let sd = (flows * p * (1.0 - p)).sqrt() * (elephants as f64 - mice as f64).abs();
+            (mean + 4.0 * sd).ceil() as usize
+        }
+    }
 }
 
 /// The routing-churn schedule for a generated workload: `churn_events`

@@ -15,7 +15,7 @@
 
 use crate::error::ValidateError;
 use crate::program::{FilterProgram, MAX_PROGRAM_WORDS};
-use crate::validate::ValidatedProgram;
+use crate::validate;
 use crate::word::{BinaryOp, Instr, StackAction, MAX_PUSHWORD_INDEX};
 use core::fmt;
 
@@ -277,7 +277,7 @@ impl Expr {
         }
         let program = FilterProgram::from_words(priority, c.words);
         // Re-validate to catch stack-depth issues.
-        ValidatedProgram::new(program.clone())?;
+        validate::check(&program)?;
         Ok(program)
     }
 }
@@ -470,6 +470,7 @@ mod tests {
     use crate::interp::CheckedInterpreter;
     use crate::packet::PacketView;
     use crate::samples;
+    use crate::validate::ValidatedProgram;
     use crate::word::StackAction;
 
     fn accepts(prog: &FilterProgram, pkt: &[u8]) -> bool {

@@ -40,10 +40,98 @@ use crate::word::{Instr, StackAction};
 #[derive(Debug, Clone)]
 pub struct ValidatedProgram {
     program: FilterProgram,
+    facts: Facts,
+}
+
+/// What validation proves about a program, found by [`check`] without
+/// taking the program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Facts {
     /// Packet length (in words) that covers every static `PUSHWORD`.
     min_packet_words: usize,
     /// Number of instructions (excluding literal words).
     instructions: usize,
+}
+
+impl Facts {
+    /// Packet length (in 16-bit words) that covers every static
+    /// `PUSHWORD`.
+    pub fn min_packet_words(&self) -> usize {
+        self.min_packet_words
+    }
+
+    /// Number of instructions (excluding literal words).
+    pub fn instructions(&self) -> usize {
+        self.instructions
+    }
+}
+
+/// Validates `program` in place: the single linear walk behind
+/// [`ValidatedProgram::new`], for a caller that needs the verdict and the
+/// facts but not a validated copy.
+///
+/// # Errors
+///
+/// Returns the first static defect found, as a [`ValidateError`].
+pub fn check(program: &FilterProgram) -> Result<Facts, ValidateError> {
+    let words = program.words();
+    if words.len() > MAX_PROGRAM_WORDS {
+        return Err(ValidateError::TooLong { words: words.len() });
+    }
+
+    let mut depth: usize = 0;
+    let mut max_word: Option<usize> = None;
+    let mut instructions = 0usize;
+
+    let mut pc = 0usize;
+    while pc < words.len() {
+        let offset = pc;
+        let raw = words[pc];
+        pc += 1;
+        let instr =
+            Instr::decode(raw).ok_or(ValidateError::BadInstruction { offset, word: raw })?;
+        instructions += 1;
+
+        // Stack action.
+        match instr.action {
+            StackAction::NoPush => {}
+            StackAction::PushInd => {
+                // Pops the index, pushes the value: depth unchanged.
+                if depth == 0 {
+                    return Err(ValidateError::StackUnderflow { offset, depth });
+                }
+            }
+            action => {
+                if action.takes_literal() {
+                    if pc >= words.len() {
+                        return Err(ValidateError::MissingLiteral { offset });
+                    }
+                    pc += 1;
+                }
+                if let StackAction::PushWord(n) = action {
+                    max_word = max_word.max(Some(usize::from(n)));
+                }
+                if depth == STACK_SIZE {
+                    return Err(ValidateError::StackOverflow { offset });
+                }
+                depth += 1;
+            }
+        }
+
+        // Binary operator: pop two, push one; a short-circuit operator
+        // that continues pushes R too.
+        if instr.op.pops() {
+            if depth < 2 {
+                return Err(ValidateError::StackUnderflow { offset, depth });
+            }
+            depth -= 1;
+        }
+    }
+
+    Ok(Facts {
+        min_packet_words: max_word.map_or(0, |m| m + 1),
+        instructions,
+    })
 }
 
 impl ValidatedProgram {
@@ -53,65 +141,16 @@ impl ValidatedProgram {
     ///
     /// Returns the first static defect found, as a [`ValidateError`].
     pub fn new(program: FilterProgram) -> Result<Self, ValidateError> {
-        let words = program.words();
-        if words.len() > MAX_PROGRAM_WORDS {
-            return Err(ValidateError::TooLong { words: words.len() });
-        }
+        let facts = check(&program)?;
+        Ok(ValidatedProgram { program, facts })
+    }
 
-        let mut depth: usize = 0;
-        let mut max_word: Option<usize> = None;
-        let mut instructions = 0usize;
-
-        let mut pc = 0usize;
-        while pc < words.len() {
-            let offset = pc;
-            let raw = words[pc];
-            pc += 1;
-            let instr =
-                Instr::decode(raw).ok_or(ValidateError::BadInstruction { offset, word: raw })?;
-            instructions += 1;
-
-            // Stack action.
-            match instr.action {
-                StackAction::NoPush => {}
-                StackAction::PushInd => {
-                    // Pops the index, pushes the value: depth unchanged.
-                    if depth == 0 {
-                        return Err(ValidateError::StackUnderflow { offset, depth });
-                    }
-                }
-                action => {
-                    if action.takes_literal() {
-                        if pc >= words.len() {
-                            return Err(ValidateError::MissingLiteral { offset });
-                        }
-                        pc += 1;
-                    }
-                    if let StackAction::PushWord(n) = action {
-                        max_word = max_word.max(Some(usize::from(n)));
-                    }
-                    if depth == STACK_SIZE {
-                        return Err(ValidateError::StackOverflow { offset });
-                    }
-                    depth += 1;
-                }
-            }
-
-            // Binary operator: pop two, push one; a short-circuit operator
-            // that continues pushes R too.
-            if instr.op.pops() {
-                if depth < 2 {
-                    return Err(ValidateError::StackUnderflow { offset, depth });
-                }
-                depth -= 1;
-            }
-        }
-
-        Ok(ValidatedProgram {
-            min_packet_words: max_word.map_or(0, |m| m + 1),
-            program,
-            instructions,
-        })
+    /// `program` with the facts [`check`] found for it, without walking it
+    /// again (a debug build does, and panics on a mismatch): a caller that
+    /// checked in place keeps a copy only when it needs one.
+    pub fn with_facts(program: FilterProgram, facts: Facts) -> Self {
+        debug_assert_eq!(check(&program), Ok(facts), "facts of another program");
+        ValidatedProgram { program, facts }
     }
 
     /// The underlying program.
@@ -133,12 +172,12 @@ impl ValidatedProgram {
     /// `PUSHWORD`. The compiled rungs (`pf_ir`) run check-free only on
     /// packets at least this long.
     pub fn min_packet_words(&self) -> usize {
-        self.min_packet_words
+        self.facts.min_packet_words
     }
 
     /// Number of instructions (excluding literal words).
     pub fn instructions(&self) -> usize {
-        self.instructions
+        self.facts.instructions
     }
 
     /// Evaluates against a packet; `true` means *accept*.

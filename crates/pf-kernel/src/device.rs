@@ -34,7 +34,7 @@ use pf_filter::form::Form;
 use pf_filter::interp::{CheckedInterpreter, EvalStats};
 use pf_filter::packet::PacketView;
 use pf_filter::program::FilterProgram;
-use pf_filter::validate::ValidatedProgram;
+use pf_filter::validate::{self, ValidatedProgram};
 use pf_ir::geom::GeomSet;
 use pf_sim::cost::CostModel;
 use pf_sim::counters::Counters;
@@ -872,8 +872,7 @@ impl PfDevice {
             for &idx in &self.order {
                 let p = &mut self.ports[idx];
                 let Some(f) = p.member_filter() else { continue };
-                let overlong =
-                    ValidatedProgram::new(f.clone()).is_ok_and(|v| v.instructions() > b as usize);
+                let overlong = validate::check(f).is_ok_and(|v| v.instructions() > b as usize);
                 if overlong {
                     p.quarantined = Some(QuarantineReason::BudgetExceeded);
                     newly += 1;
@@ -1273,17 +1272,17 @@ impl PfDevice {
     /// instruction budget. A closed or unknown index binds nothing (the
     /// verdict on the program is still returned).
     pub fn set_filter(&mut self, idx: PortIdx, filter: FilterProgram) -> bool {
-        // The bind's one validation, whose copy of the program a compiled
-        // set keeps.
-        let validated = ValidatedProgram::new(filter.clone());
-        let quarantined = match &validated {
+        // The bind's one validation, in place: only a compiled set keeps a
+        // validated copy of the program.
+        let checked = validate::check(&filter);
+        let quarantined = match checked {
             // Branch-free programs have a static worst case; one that could
             // exceed the budget never reaches the compiled engines.
             Ok(v) if self.budget.is_some_and(|b| v.instructions() > b as usize) => {
                 Some(QuarantineReason::BudgetExceeded)
             }
             Ok(_) => None,
-            Err(e) => Some(QuarantineReason::Validation(*e)),
+            Err(e) => Some(QuarantineReason::Validation(e)),
         };
         let clean = quarantined.is_none();
         if self.ports.open_mut(idx).is_none() {
@@ -1297,6 +1296,11 @@ impl PfDevice {
         if let Some(state) = &mut self.admission {
             state.file(idx, form.as_ref());
         }
+        let member = checked
+            .ok()
+            .filter(|_| clean && old_at.is_some())
+            .map(|facts| ValidatedProgram::with_facts(filter.clone(), facts))
+            .zip(form);
         let p = &mut self.ports[idx];
         self.quarantined += usize::from(!clean);
         self.quarantined -= usize::from(p.quarantined.is_some());
@@ -1306,10 +1310,7 @@ impl PfDevice {
         p.budget_overruns = 0;
         match old_at {
             None => self.resort(),
-            Some(old_at) => {
-                let member = validated.ok().filter(|_| clean).zip(form);
-                self.rehome(idx, old_at, member);
-            }
+            Some(old_at) => self.rehome(idx, old_at, member),
         }
         self.rebuild_gate();
         clean

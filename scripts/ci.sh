@@ -81,6 +81,14 @@ for workload in $workloads; do
     python3 -m json.tool <<<"$result" > /dev/null
     grep -q '"correct":true' <<<"$result"
 done
+# pairs.sh's summariser, a Python heredoc that `bash -n` above does not
+# parse: one A/A pair, the release pf-benchmark the smoke passes built on
+# both sides, on demux_exact for a second a run. It must reach the verdict
+# line, which one pair cannot pass.
+echo "==> pairs.sh, one A/A pair on demux_exact"
+benchmark=bench/target/release/pf-benchmark
+verdict="$(scripts/pairs.sh "$benchmark" "$benchmark" demux_exact 1 7 1 2> /dev/null)"
+grep -q 'not judged on fewer than 10 pairs' <<<"$verdict"
 # Every seeded suite at full length. A test's length comes from the build
 # profile, so this is the debug run's tests again at ten times the
 # iterations: 10k per fuzz target (word decoder, validator, every execution

@@ -17,14 +17,16 @@
 # tenths of them and the medians apart, the change's way, by more than the
 # parent's interquartile range. A metric that read the same in every run
 # of both sides gets one line saying so. Beside `setup_s`, each side's
-# minor page faults (the child's `ru_minflt`). `all` for the workload runs
-# every workload of BENCHMARK.json in turn and ends with one markdown
-# table, a row a workload: `frames_per_s` with its ratio and pairs won,
-# `peak_rss_mb`, `setup_s` and minor faults.
+# minor page faults (the child's `ru_minflt`). Before each workload's
+# summary, one row a run in the order made: pair, side, the side that went
+# first in its pair, `setup_s`, `frames_per_s`, `peak_rss_mb` and minor
+# faults. `all` for the workload runs every workload of BENCHMARK.json in
+# turn and ends with one markdown table, a row a workload: `frames_per_s`
+# with its ratio and pairs won, `peak_rss_mb`, `setup_s` and minor faults.
 set -euo pipefail
 
 if [[ $# -lt 3 ]]; then
-    sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent="$1" change="$2" pairs="${4:-10}" seed="${5:-7}"
@@ -82,10 +84,13 @@ def quartiles(xs):
 workloads = {}
 failed = {}
 faults = {}
+# workload -> (pair, side, result, minor faults), one a run, in the order run
+made = {}
 for line in open(sys.argv[1]):
     workload, side, pair, result = line.split(" ", 3)
     result, minflt = result.rsplit(" ", 1)
     result = json.loads(result)
+    made.setdefault(workload, []).append((pair, side, result, int(minflt)))
     assert result["correct"], f"{workload}: {side} run of pair {pair} failed its own checks"
     failed.setdefault(workload, {"parent": 0, "change": 0})[side] += result["failed"]
     faults.setdefault(workload, {"parent": [], "change": []})[side].append(int(minflt))
@@ -94,6 +99,13 @@ for line in open(sys.argv[1]):
         sides[side].setdefault(name, []).append(m["value"])
 
 for workload, sides in workloads.items():
+    print(f"{workload}, seed {sys.argv[2]}: every run, in the order made")
+    print(f"{'pair':<6}{'side':<8}{'first':<8}{'setup_s':>14}{'frames_per_s':>14}{'peak_rss_mb':>14}{'minor faults':>14}")
+    first = {}
+    for pair, side, result, minflt in made[workload]:
+        m = {name: v["value"] for name, v in result["metrics"].items()}
+        print(f"{pair:<6}{side:<8}{first.setdefault(pair, side):<8}{m['setup_s']:>14.6g}"
+              f"{m['frames_per_s']:>14.6g}{m['peak_rss_mb']:>14.6g}{minflt:>14}")
     n = len(next(iter(sides["parent"].values())))
     print(f"{workload}, seed {sys.argv[2]}, {n} pairs; ops failed: "
           f"parent {failed[workload]['parent']}, change {failed[workload]['change']}")
